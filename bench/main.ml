@@ -166,7 +166,8 @@ let fig3 () =
      at 500 kbit/s\n"
     (List.length wire)
     (1e6 *. Can.Frame.transmission_time frame ~bitrate:500_000.0);
-  (match Can.Transceiver.receive wire with
+  let rx = Can.Transceiver.receive wire in
+  (match rx with
   | Can.Transceiver.Frame f ->
       Format.printf "transceiver (RX):      decoded %a (CRC ok)@." Can.Frame.pp f
   | Can.Transceiver.Line_error e ->
@@ -174,7 +175,7 @@ let fig3 () =
         (Can.Transceiver.line_error_name e));
   let controller = Can.Controller.create ~name:"ev_ecu" () in
   Can.Controller.set_filters controller (V.Ecu.software_filters V.Names.ev_ecu);
-  (match Can.Controller.receive controller wire with
+  (match Can.Controller.receive controller rx with
   | Can.Controller.Deliver _ ->
       Printf.printf "controller:            hmm, ev_ecu does not consume ecu_status\n"
   | Can.Controller.Filtered _ ->
@@ -185,7 +186,7 @@ let fig3 () =
   let controller2 = Can.Controller.create ~name:"infotainment" () in
   Can.Controller.set_filters controller2
     (V.Ecu.software_filters V.Names.infotainment);
-  (match Can.Controller.receive controller2 wire with
+  (match Can.Controller.receive controller2 rx with
   | Can.Controller.Deliver f ->
       Format.printf
         "controller (infot.):   accepted %a -> processor callback@."
@@ -410,6 +411,26 @@ let tolerance = ref 0.10
    decide_batch ns/req, speedup) *)
 let batched_vs_compiled : (float * float * float) option ref = ref None
 
+(* Minor-heap words as [Gc.minor_words] counts them.  Bechamel's own
+   [minor_allocated] reads [Gc.quick_stat], whose [minor_words] on OCaml 5
+   advances only at minor collections, so a row allocating a few
+   thousand words per run read 0.0. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words =
+  Bechamel.Measure.instance
+    (module Minor_words)
+    (Bechamel.Measure.register (module Minor_words))
+
 let run_bechamel tests =
   let open Bechamel in
   let open Toolkit in
@@ -419,7 +440,7 @@ let run_bechamel tests =
   let cfg = Benchmark.cfg ~limit ~quota () in
   let raw =
     Benchmark.all cfg
-      Instance.[ minor_allocated; monotonic_clock ]
+      [ minor_words; Instance.monotonic_clock ]
       (Test.make_grouped ~name:"secpol" tests)
   in
   let ols =
@@ -434,7 +455,7 @@ let run_bechamel tests =
     | None -> Float.nan
   in
   let times = Analyze.all ols Instance.monotonic_clock raw in
-  let allocs = Analyze.all ols Instance.minor_allocated raw in
+  let allocs = Analyze.all ols minor_words raw in
   let rows =
     Hashtbl.fold (fun name _ acc -> name :: acc) times []
     |> List.sort compare
@@ -586,20 +607,41 @@ let perf () =
     Test.make ~name:"can/frame/of_wire"
       (Staged.stage (fun () -> ignore (Can.Frame.of_wire wire)))
   in
-  (* end-to-end bus step: one frame across an 8-node bus *)
-  let bench_bus =
-    Test.make ~name:"can/bus/frame across 8 nodes"
+  (* end-to-end bus step: one frame across an 8-node bus, bare and with
+     a provisioned, locked HPE on every node (its write gate at the
+     sender, its read gate and integrity seal at each of the 7
+     receivers) *)
+  let hpe_config =
+    Hpe.Config.make ~read_ids:[ V.Messages.ecu_status ]
+      ~write_ids:[ V.Messages.ecu_status ] ()
+  in
+  let bench_bus ~name ~hpe =
+    Test.make ~name
       (Staged.stage
          (let sim = Secpol_sim.Engine.create () in
           let bus = Can.Bus.create ~bitrate:500_000.0 sim in
-          let sender = Can.Node.create ~name:"sender" bus in
+          let node name =
+            let n = Can.Node.create ~name bus in
+            if hpe then
+              Result.get_ok
+                (Hpe.Engine.provision (Hpe.Engine.install n) hpe_config);
+            n
+          in
+          let sender = node "sender" in
           for i = 1 to 7 do
-            ignore (Can.Node.create ~name:(Printf.sprintf "n%d" i) bus)
+            ignore (node (Printf.sprintf "n%d" i))
           done;
           fun () ->
             ignore (Can.Node.send sender frame);
             Secpol_sim.Engine.run_until sim
               (Secpol_sim.Engine.now sim +. 0.001)))
+  in
+  (* the seal every HPE gate call recomputes (DESIGN.md §8.1) *)
+  let bench_seal =
+    let regs = Hpe.Registers.create () in
+    Result.get_ok (Hpe.Config.provision regs hpe_config ());
+    Test.make ~name:"hpe/registers/integrity_ok"
+      (Staged.stage (fun () -> ignore (Hpe.Registers.integrity_ok regs)))
   in
   run_bechamel
     [
@@ -614,7 +656,9 @@ let perf () =
       bench_noavc;
       bench_encode;
       bench_decode;
-      bench_bus;
+      bench_bus ~name:"can/bus/frame across 8 nodes" ~hpe:false;
+      bench_bus ~name:"can/bus/frame across 8 HPE nodes" ~hpe:true;
+      bench_seal;
     ];
   (* batched vs per-request compiled path, on the fixed protocol rather
      than bechamel: both sides get the *same* manual harness (whole-

@@ -6,7 +6,7 @@ type tx_outcome = Sent | Retried of int | Abandoned
 
 type station = {
   name : string;
-  deliver : time:float -> sender:string -> bool list -> unit;
+  deliver : time:float -> sender:string -> Transceiver.rx -> unit;
   on_wire_error : unit -> unit;
 }
 
@@ -148,7 +148,8 @@ let rec start_transmission t =
   | None -> t.busy <- false
   | Some winner ->
       t.busy <- true;
-      let duration = Frame.transmission_time winner.frame ~bitrate:t.bitrate in
+      let wire = Transceiver.transmit winner.frame in
+      let duration = Frame.wire_time wire ~bitrate:t.bitrate in
       Engine.schedule_in t.sim ~delay:duration (fun sim ->
           t.busy_time <- t.busy_time +. duration;
           let now = Engine.now sim in
@@ -178,11 +179,13 @@ let rec start_transmission t =
               ((now -. winner.enqueued) *. 1e3);
             Trace.record t.trace ~time:now ~node:winner.sender winner.frame
               Trace.Tx_ok;
-            let wire = Transceiver.transmit winner.frame in
+            (* every station samples the same uncorrupted bits, so one
+               decode serves them all *)
+            let rx = Transceiver.receive wire in
             List.iter
               (fun s ->
                 if s.name <> winner.sender then
-                  s.deliver ~time:now ~sender:winner.sender wire)
+                  s.deliver ~time:now ~sender:winner.sender rx)
               t.stations;
             winner.on_outcome Sent
           end;

@@ -30,12 +30,23 @@ val trace : t -> Trace.t
 val attach :
   t ->
   name:string ->
-  deliver:(time:float -> sender:string -> bool list -> unit) ->
+  deliver:(time:float -> sender:string -> Transceiver.rx -> unit) ->
   on_wire_error:(unit -> unit) ->
   unit
-(** Connect a station.  [deliver] receives the raw wire bits of every frame
-    some *other* station transmits; [on_wire_error] fires when a
-    transmission is corrupted on the wire.
+(** Connect a station.  [deliver] receives every frame some *other*
+    station transmits, as sampled off the wire by
+    {!Transceiver.receive}; [on_wire_error] fires when a transmission is
+    corrupted on the wire.
+
+    The bus samples each transmission once: the frame that wins
+    arbitration is encoded once (the wire's length gives its transmission
+    time) and, when the transmission completes, decoded once, and every
+    station is handed that one decoded value.  This is exact, not an
+    approximation: a corrupted transmission never reaches [deliver] (the
+    stations see it only through [on_wire_error], and the frame is
+    retried), so every station would sample identical bits, and decoding
+    an uncorrupted encoding gives back the frame ([Frame.of_wire
+    (Frame.to_wire f) = Ok f], a property test).
     @raise Invalid_argument on a duplicate station name. *)
 
 val detach : t -> string -> unit

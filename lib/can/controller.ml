@@ -47,8 +47,8 @@ let errors t = t.errors
 
 let stats t = t.stats
 
-let receive t wire =
-  match Transceiver.receive wire with
+let receive t (rx : Transceiver.rx) =
+  match rx with
   | Transceiver.Line_error e ->
       Errors.on_rx_error t.errors;
       t.stats.rx_line_errors <- t.stats.rx_line_errors + 1;

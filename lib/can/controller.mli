@@ -36,9 +36,13 @@ val errors : t -> Errors.t
 
 val stats : t -> stats
 
-val receive : t -> bool list -> rx_result
-(** Sample a wire sequence: decode, filter, update error counters and
-    statistics. *)
+val receive : t -> Transceiver.rx -> rx_result
+(** Take one sampled transmission: filter a decoded frame, count a line
+    error, and update error counters and statistics.  The controller does
+    not decode: on a bus the sample is the one {!Bus} takes per
+    transmission and hands every station (exact, since the bus never
+    delivers corrupted bits); a caller holding raw bits passes them
+    through {!Transceiver.receive} first. *)
 
 val note_tx_ok : t -> unit
 

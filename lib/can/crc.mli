@@ -5,6 +5,11 @@
 val compute : bool list -> int
 (** 15-bit checksum of a bit sequence (MSB-first). *)
 
+val step : int -> bool -> int
+(** [step crc bit] feeds one more bit: [compute bits] is
+    [List.fold_left step 0 bits], so a decoder can checksum bits as it
+    parses them. *)
+
 val width : int
 (** 15. *)
 

@@ -18,8 +18,6 @@ let data_std id payload = data (Identifier.standard id) payload
 let int_bits value width =
   List.init width (fun i -> value land (1 lsl (width - 1 - i)) <> 0)
 
-let bits_int bits = List.fold_left (fun acc b -> (acc lsl 1) lor Bool.to_int b) 0 bits
-
 (* Unstuffed body: SOF through the data field. *)
 let body_bits t =
   let sof = [ false ] in
@@ -59,9 +57,16 @@ let wire_length t =
 
 let interframe_space = 3
 
+let time_of_bits bits ~bitrate =
+  float_of_int (bits + interframe_space) /. bitrate
+
 let transmission_time t ~bitrate =
   if bitrate <= 0.0 then invalid_arg "Frame.transmission_time: bitrate <= 0";
-  float_of_int (wire_length t + interframe_space) /. bitrate
+  time_of_bits (wire_length t) ~bitrate
+
+let wire_time wire ~bitrate =
+  if bitrate <= 0.0 then invalid_arg "Frame.wire_time: bitrate <= 0";
+  time_of_bits (List.length wire) ~bitrate
 
 let take n l =
   let rec loop n acc = function
@@ -73,10 +78,24 @@ let take n l =
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let field name n bits =
-  match take n bits with
-  | Some (f, rest) -> Ok (f, rest)
-  | None -> Error (Printf.sprintf "truncated frame: missing %s" name)
+(* A read position in the unstuffed bits.  Every field read folds its
+   bits into [crc], so once the data field is read [crc] is the CRC of
+   the SOF-to-data bits exactly as they arrived. *)
+type cursor = { mutable rest : bool list; mutable crc : int }
+
+(* The next [n] bits as an unsigned integer, MSB first. *)
+let field c name n =
+  let rec loop acc n =
+    if n = 0 then Ok acc
+    else
+      match c.rest with
+      | [] -> Error (Printf.sprintf "truncated frame: missing %s" name)
+      | b :: rest ->
+          c.rest <- rest;
+          c.crc <- Crc.step c.crc b;
+          loop ((acc lsl 1) lor Bool.to_int b) (n - 1)
+  in
+  loop 0 n
 
 let of_wire wire =
   let n = List.length wire in
@@ -90,49 +109,48 @@ let of_wire wire =
     if List.exists not tail then Error "malformed trailer (expected recessive bits)"
     else
       let* bits = Bitstuff.unstuff stuffed in
-      let* sof, bits = field "SOF" 1 bits in
-      if List.hd sof then Error "SOF must be dominant"
+      let c = { rest = bits; crc = 0 } in
+      let* sof = field c "SOF" 1 in
+      if sof = 1 then Error "SOF must be dominant"
       else
-        let* id_base, bits = field "base id" 11 bits in
-        let* flag1, bits = field "RTR/SRR" 1 bits in
-        let* ide, bits = field "IDE" 1 bits in
-        let parse_tail ~id ~rtr bits reserved_count =
-          let* reserved, bits = field "reserved" reserved_count bits in
-          if List.exists Fun.id reserved then Error "reserved bits must be dominant"
+        let* id_base = field c "base id" 11 in
+        let* flag1 = field c "RTR/SRR" 1 in
+        let* ide = field c "IDE" 1 in
+        let parse_tail ~id ~rtr reserved_count =
+          let* reserved = field c "reserved" reserved_count in
+          if reserved <> 0 then Error "reserved bits must be dominant"
           else
-            let* dlc_bits, bits = field "DLC" 4 bits in
-            let dlc = bits_int dlc_bits in
+            let* dlc = field c "DLC" 4 in
             if dlc > 8 then Error (Printf.sprintf "DLC %d out of range" dlc)
             else
               let data_len = if rtr then 0 else dlc in
-              let* data_bits, bits = field "data" (8 * data_len) bits in
-              let* crc_bits, bits = field "CRC" Crc.width bits in
-              if bits <> [] then Error "trailing bits after CRC"
+              let payload = Bytes.create data_len in
+              let rec read_data i =
+                if i = data_len then Ok ()
+                else
+                  let* byte = field c "data" 8 in
+                  Bytes.set payload i (Char.chr byte);
+                  read_data (i + 1)
+              in
+              let* () = read_data 0 in
+              let body_crc = c.crc in
+              let* crc = field c "CRC" Crc.width in
+              if c.rest <> [] then Error "trailing bits after CRC"
+              else if body_crc <> crc then Error "CRC mismatch"
               else
-                let payload =
-                  String.init data_len (fun i ->
-                      match take 8 (List.filteri (fun j _ -> j >= 8 * i) data_bits) with
-                      | Some (byte, _) -> Char.chr (bits_int byte)
-                      | None -> assert false)
-                in
-                let frame = { id; rtr; dlc; payload } in
-                let body = body_bits frame in
-                if Crc.compute body <> bits_int crc_bits then Error "CRC mismatch"
-                else Ok frame
+                Ok { id; rtr; dlc; payload = Bytes.unsafe_to_string payload }
         in
-        if List.hd ide then
+        if ide = 1 then
           (* extended: flag1 is SRR (must be recessive) *)
-          if not (List.hd flag1) then Error "SRR must be recessive"
+          if flag1 = 0 then Error "SRR must be recessive"
           else
-            let* id_ext, bits = field "extended id" 18 bits in
-            let* rtr, bits = field "RTR" 1 bits in
-            let id =
-              Identifier.extended ((bits_int id_base lsl 18) lor bits_int id_ext)
-            in
-            parse_tail ~id ~rtr:(List.hd rtr) bits 2
+            let* id_ext = field c "extended id" 18 in
+            let* rtr = field c "RTR" 1 in
+            let id = Identifier.extended ((id_base lsl 18) lor id_ext) in
+            parse_tail ~id ~rtr:(rtr = 1) 2
         else
-          let id = Identifier.standard (bits_int id_base) in
-          parse_tail ~id ~rtr:(List.hd flag1) bits 1
+          let id = Identifier.standard id_base in
+          parse_tail ~id ~rtr:(flag1 = 1) 1
   end
 
 let payload_bytes t = List.init (String.length t.payload) (fun i -> Char.code t.payload.[i])

@@ -41,6 +41,11 @@ val transmission_time : t -> bitrate:float -> float
 (** Seconds on a bus of [bitrate] bits/s, including the 3-bit interframe
     space. *)
 
+val wire_time : bool list -> bitrate:float -> float
+(** {!transmission_time} of an already encoded frame: [wire_time (to_wire
+    f)] equals [transmission_time f] to the bit, without encoding [f]
+    again. *)
+
 val payload_bytes : t -> int list
 (** Payload as unsigned byte values. *)
 

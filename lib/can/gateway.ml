@@ -73,8 +73,8 @@ let rec submit t ~dst ~side ~attempt ~deadline frame =
           Obs.Counter.incr side.shed
         end)
 
-let bridge t ~dst ~side wire =
-  match Transceiver.receive wire with
+let bridge t ~dst ~side (rx : Transceiver.rx) =
+  match rx with
   | Transceiver.Line_error _ -> ()
   | Transceiver.Frame frame ->
       if not (side.predicate frame) then Obs.Counter.incr side.dropped
@@ -90,12 +90,11 @@ let bridge t ~dst ~side wire =
 
 let attach_buses t =
   Bus.attach t.a ~name:t.name
-    ~deliver:(fun ~time:_ ~sender:_ wire -> bridge t ~dst:t.b ~side:t.ab wire)
+    ~deliver:(fun ~time:_ ~sender:_ rx -> bridge t ~dst:t.b ~side:t.ab rx)
     ~on_wire_error:(fun () -> ());
   (try
      Bus.attach t.b ~name:t.name
-       ~deliver:(fun ~time:_ ~sender:_ wire ->
-         bridge t ~dst:t.a ~side:t.ba wire)
+       ~deliver:(fun ~time:_ ~sender:_ rx -> bridge t ~dst:t.a ~side:t.ba rx)
        ~on_wire_error:(fun () -> ())
    with Invalid_argument _ as e ->
      Bus.detach t.a t.name;

@@ -22,22 +22,8 @@ let trace_rx t ~sender event frame =
   let time = Secpol_sim.Engine.now (Bus.sim t.bus) in
   Trace.record (Bus.trace t.bus) ~time ~node:sender frame event
 
-let rec deliver t ~time:_ ~sender wire =
-  if t.down then ()
-  else
-    match t.rx_gate with
-  | Some gate -> (
-      (* The read gate samples the wire before the controller: decode just
-         for the check; line errors still reach the controller so error
-         counters behave identically with and without a gate. *)
-      match Transceiver.receive wire with
-      | Transceiver.Frame frame when not (gate.check frame) ->
-          trace_rx t ~sender (Trace.Rx_blocked (t.name, gate.gate_name)) frame
-      | Transceiver.Frame _ | Transceiver.Line_error _ -> deliver_to_controller t ~sender wire)
-  | None -> deliver_to_controller t ~sender wire
-
-and deliver_to_controller t ~sender wire =
-  match Controller.receive t.controller wire with
+let deliver_to_controller t ~sender rx =
+  match Controller.receive t.controller rx with
   | Controller.Line_error _ ->
       (* nothing to trace against a decodable frame; counters already bumped *)
       ()
@@ -47,6 +33,22 @@ and deliver_to_controller t ~sender wire =
       t.received <- frame :: t.received;
       t.received_count <- t.received_count + 1;
       Option.iter (fun f -> f t ~sender frame) t.on_receive
+
+(* [rx] is the bus's one sample of the transmission, shared by every
+   station ({!Bus.attach}); the read gate and the controller both judge
+   that value.  Sharing it is exact: the bus never delivers corrupted
+   bits (a corrupted transmission only fires [on_wire_error]), so every
+   receiver would have decoded the same frame.  Line errors still reach
+   the controller past the gate so error counters behave identically
+   with and without one. *)
+let deliver t ~time:_ ~sender (rx : Transceiver.rx) =
+  if t.down then ()
+  else
+    match (t.rx_gate, rx) with
+    | Some gate, Transceiver.Frame frame when not (gate.check frame) ->
+        trace_rx t ~sender (Trace.Rx_blocked (t.name, gate.gate_name)) frame
+    | (Some _ | None), (Transceiver.Frame _ | Transceiver.Line_error _) ->
+        deliver_to_controller t ~sender rx
 
 let create ?(filters = []) ~name bus =
   let controller = Controller.create ~name () in
@@ -65,7 +67,7 @@ let create ?(filters = []) ~name bus =
     }
   in
   Bus.attach bus ~name
-    ~deliver:(fun ~time ~sender wire -> deliver t ~time ~sender wire)
+    ~deliver:(fun ~time ~sender rx -> deliver t ~time ~sender rx)
     ~on_wire_error:(fun () -> Controller.note_wire_error controller);
   t
 
@@ -120,7 +122,7 @@ let attached t = List.mem t.name (Bus.stations t.bus)
 let reattach t =
   if not (attached t) then
     Bus.attach t.bus ~name:t.name
-      ~deliver:(fun ~time ~sender wire -> deliver t ~time ~sender wire)
+      ~deliver:(fun ~time ~sender rx -> deliver t ~time ~sender rx)
       ~on_wire_error:(fun () -> Controller.note_wire_error t.controller)
 
 let is_down t = t.down

@@ -133,6 +133,33 @@ let to_ids t =
   List.map Identifier.standard (List.sort compare std)
   @ List.map Identifier.extended (List.sort compare ext)
 
+(* FNV-1a over the contents.  The 2048-bit standard bitmap goes in as 64
+   words of 32 bits: every bit feeds the hash, and each word fits an
+   OCaml int whole (a 64-bit word would lose its top bit).  Extended IDs
+   follow, count first, then ascending.  Each step [h -> (h xor v) * p]
+   is a bijection for odd [p], so a change confined to one word always
+   changes the digest.  The bitset backend is hashed in place; the others
+   are first copied into one, so equal contents digest equally on every
+   backend. *)
+let fnv_prime = 0x100000001b3
+
+let mix h v = (h lxor v) * fnv_prime
+
+let rec digest t =
+  match t.repr with
+  | Bits { std; ext } ->
+      let h = ref 0x2545F4914F6CDD1D in
+      for w = 0 to 63 do
+        let word = Int32.to_int (Bytes.get_int32_le std (w * 4)) in
+        h := mix !h (word land 0xFFFF_FFFF)
+      done;
+      let h = mix !h (Hashtbl.length ext) in
+      if Hashtbl.length ext = 0 then h
+      else
+        List.fold_left mix h
+          (List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) ext []))
+  | Ranges _ | Table _ -> digest (of_ids (to_ids t))
+
 let pp ppf t =
   Format.fprintf ppf "{%s}"
     (String.concat ", "

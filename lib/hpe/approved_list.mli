@@ -42,4 +42,13 @@ val of_ids : ?backend:backend -> Secpol_can.Identifier.t list -> t
 val to_ids : t -> Secpol_can.Identifier.t list
 (** Sorted: standard IDs ascending, then extended ascending. *)
 
+val digest : t -> int
+(** FNV-1a digest of the contents: all 2048 bits of the standard-ID
+    bitmap, as 32-bit words, then the extended IDs in ascending order.
+    Any change confined to one bitmap word (in particular any single
+    added or removed standard ID) changes the digest.  Equal contents
+    digest equally on every backend; on [Bitset] the digest reads the
+    storage in place, allocating nothing unless extended IDs are
+    present. *)
+
 val pp : Format.formatter -> t -> unit

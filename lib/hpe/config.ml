@@ -45,10 +45,20 @@ let of_policy engine ~mode ~subject ~bindings =
       msg_id = Some b.msg_id;
     }
   in
-  (* rate budgets must not be consumed during compilation: query the
-     database's matching rules directly rather than the live engine *)
+  (* rate budgets must not be consumed during compilation: query a
+     private Deny_overrides engine (the composition the hardware lists
+     model, SP008) rather than the live one.  When the live engine already
+     decides over a Deny_overrides table, the private engine shares that
+     frozen table instead of compiling its own copy; only its rate
+     budgets are fresh. *)
   let db = Policy.Engine.db engine in
-  let static_engine = Policy.Engine.create ~cache:false db in
+  let static_engine =
+    match (Policy.Engine.strategy engine, Policy.Engine.table engine) with
+    | Policy.Engine.Deny_overrides, Some table ->
+        Policy.Engine.of_table ~cache:false table db
+    | (Deny_overrides | Allow_overrides | First_match), _ ->
+        Policy.Engine.create ~cache:false db
+  in
   let allowed op b = Policy.Engine.permitted static_engine (request op b) in
   let read_ids =
     List.filter_map

@@ -25,33 +25,21 @@ let count_read = 0x14
 
 let count_write = 0x18
 
-(* FNV-1a over the register file contents.  Approved lists hash their
-   sorted ID sequence, so the checksum is independent of insertion order
-   and of the list backend. *)
+let ctrl_value t =
+  Bool.to_int t.read_enable
+  lor (Bool.to_int t.write_enable lsl 1)
+  lor (Bool.to_int t.locked lsl 2)
+
+(* FNV-1a over the register file contents: each approved list's own
+   digest (its whole bitmap, see {!Approved_list.digest}), then the
+   control bits.  Every step is a bijection of the running hash, so a
+   change to one list's digest or to the control bits always shows. *)
 let checksum t =
   let fnv_prime = 0x100000001b3 in
-  let h = ref 0x2545F4914F6CDD1D in
-  let mix v =
-    h := !h lxor v;
-    h := !h * fnv_prime
-  in
-  let mix_list list tag =
-    mix tag;
-    List.iter
-      (fun id ->
-        mix
-          (match id with
-          | Secpol_can.Identifier.Standard v -> v
-          | Secpol_can.Identifier.Extended v -> v lor 0x4000_0000))
-      (Approved_list.to_ids list)
-  in
-  mix_list t.read_list 1;
-  mix_list t.write_list 2;
-  mix
-    (Bool.to_int t.read_enable
-    lor (Bool.to_int t.write_enable lsl 1)
-    lor (Bool.to_int t.locked lsl 2));
-  !h land max_int
+  let mix h v = (h lxor v) * fnv_prime in
+  let h = mix 0x2545F4914F6CDD1D (Approved_list.digest t.read_list) in
+  let h = mix h (Approved_list.digest t.write_list) in
+  mix h (ctrl_value t)
 
 let reseal t = t.sealed <- checksum t
 
@@ -80,11 +68,6 @@ let read_filter_enabled t = t.read_enable
 let write_filter_enabled t = t.write_enable
 
 let locked t = t.locked
-
-let ctrl_value t =
-  Bool.to_int t.read_enable
-  lor (Bool.to_int t.write_enable lsl 1)
-  lor (Bool.to_int t.locked lsl 2)
 
 let write_reg_unsealed t ~addr value =
   if t.locked && not (addr = ctrl && value = ctrl_value t) then

@@ -172,6 +172,8 @@ let mode t = t.mode
 
 let db t = t.db
 
+let table t = t.table
+
 let table_stats t = Option.map Table.stats t.table
 
 (* Matching alongside a winning deny costs nothing; deny rules never carry

@@ -87,6 +87,12 @@ val mode : t -> mode
 
 val db : t -> Ir.db
 
+val table : t -> Table.t option
+(** The compiled decision table the engine decides over; [None] in
+    interpreted mode.  Read-only: tables are frozen once compiled, so a
+    caller may build further engines over it with {!of_table} (which
+    share no mutable state with this one). *)
+
 val table_stats : t -> Table.stats option
 (** Shape of the compiled decision table; [None] in interpreted mode. *)
 

@@ -320,11 +320,11 @@ let test_acceptance () =
 let test_controller_receive () =
   let c = Controller.create ~name:"c" () in
   let f = Frame.data_std 0x100 "\x01" in
-  (match Controller.receive c (Frame.to_wire f) with
+  (match Controller.receive c (Transceiver.receive (Frame.to_wire f)) with
   | Controller.Deliver f' -> Alcotest.(check bool) "delivered" true (Frame.equal f f')
   | _ -> Alcotest.fail "expected delivery");
   Controller.set_filters c [ Acceptance.exact (Identifier.standard 0x200) ];
-  (match Controller.receive c (Frame.to_wire f) with
+  (match Controller.receive c (Transceiver.receive (Frame.to_wire f)) with
   | Controller.Filtered _ -> ()
   | _ -> Alcotest.fail "expected filtering");
   let stats = Controller.stats c in
@@ -333,7 +333,7 @@ let test_controller_receive () =
 
 let test_controller_line_error () =
   let c = Controller.create ~name:"c" () in
-  (match Controller.receive c [ true; true; true ] with
+  (match Controller.receive c (Transceiver.receive [ true; true; true ]) with
   | Controller.Line_error _ -> ()
   | _ -> Alcotest.fail "expected line error");
   check Alcotest.int "rec bumped" 1 (Errors.rec_ (Controller.errors c))

@@ -210,6 +210,58 @@ let test_registers_integrity_seal () =
   Alcotest.(check bool) "hard reset restores the seal" true
     (Registers.integrity_ok r)
 
+(* Every bit of both approved lists feeds the seal: toggling any single
+   standard ID (0x000-0x7FF) out of band in either list breaks it, and
+   undoing the toggle restores it.  A seeded sample of extended IDs gets
+   the same treatment, against a file whose seal already covers a few
+   extended entries, so removals are checked as well as additions. *)
+let test_registers_seal_covers_every_id () =
+  let r = Registers.create () in
+  let cfg =
+    Config.make ~read_ids:[ 0x000; 0x100; 0x3FF; 0x400; 0x7FF ]
+      ~write_ids:[ 0x0A5; 0x5A0; 0x7FE ] ()
+  in
+  (match Config.provision r cfg ~lock:false () with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let rng = Random.State.make [| 13 |] in
+  let ext_sample =
+    List.init 256 (fun _ -> Random.State.int rng 0x20000000)
+  in
+  let sealed_ext = List.filteri (fun i _ -> i mod 16 = 0) ext_sample in
+  List.iter
+    (fun id ->
+      Approved_list.add (Registers.read_list r) (Identifier.extended id);
+      Approved_list.add (Registers.write_list r) (Identifier.extended id))
+    sealed_ext;
+  (* rewriting CTRL unchanged is an authorised write: it reseals *)
+  (match Registers.write_reg r ~addr:Registers.ctrl 0b011 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "sealed" true (Registers.integrity_ok r);
+  let toggle list id =
+    if Approved_list.mem list id then Approved_list.remove list id
+    else Approved_list.add list id
+  in
+  let probe name list id =
+    toggle list id;
+    if Registers.integrity_ok r then
+      Alcotest.failf "%s: toggling %a went unnoticed" name Identifier.pp id;
+    toggle list id;
+    if not (Registers.integrity_ok r) then
+      Alcotest.failf "%s: undoing the %a toggle left the seal broken" name
+        Identifier.pp id
+  in
+  for id = 0 to 0x7FF do
+    probe "read list" (Registers.read_list r) (Identifier.standard id);
+    probe "write list" (Registers.write_list r) (Identifier.standard id)
+  done;
+  List.iter
+    (fun id ->
+      probe "read list" (Registers.read_list r) (Identifier.extended id);
+      probe "write list" (Registers.write_list r) (Identifier.extended id))
+    ext_sample
+
 let test_hpe_integrity_fails_closed () =
   let sim = Engine.create () in
   let bus = Bus.create ~bitrate:500_000.0 sim in
@@ -625,6 +677,7 @@ let () =
           quick "validation" test_registers_validation;
           quick "hard reset" test_registers_hard_reset;
           quick "integrity seal" test_registers_integrity_seal;
+          quick "seal covers every id" test_registers_seal_covers_every_id;
         ] );
       ( "integrity",
         [

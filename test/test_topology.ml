@@ -387,6 +387,129 @@ let test_blast_gateway_failover_limp_home () =
         (r.F.Blast.cleared_at <> None)
   | _ -> Alcotest.fail "expected exactly one plan record"
 
+(* ---------- Behaviour identity ---------- *)
+
+(* One digest over everything a run lets an observer see: every trace
+   entry (time, node, frame, event), each node's controller statistics
+   and error counters, each HPE's counters, each gateway's per-direction
+   counters, each bus's counters and the flat car's policy-engine
+   statistics.  Two seeded runs feed it: the flat
+   HPE car with a compromised node forging the four door/ECU commands,
+   once on a clean bus and once on a noisy one (so retransmissions and
+   line errors are in it too), and the four-segment car under both
+   placements with the same forgeries from the sensors node.  The
+   expected value was recorded before the HPE seal, the bus's wire
+   sampling and the HPE config derivation were optimised: any change to
+   what these runs observably do changes it. *)
+let forged_commands =
+  Messages.
+    [
+      (ecu_command, cmd_disable);
+      (ecu_command, cmd_enable);
+      (lock_command, cmd_lock);
+      (lock_command, cmd_unlock);
+    ]
+
+let event_repr = function
+  | Can.Trace.Tx_ok -> "tx_ok"
+  | Tx_error -> "tx_error"
+  | Tx_abandoned -> "tx_abandoned"
+  | Tx_refused -> "tx_refused"
+  | Rx_delivered r -> "rx_delivered:" ^ r
+  | Rx_filtered r -> "rx_filtered:" ^ r
+  | Rx_blocked (r, gate) -> "rx_blocked:" ^ r ^ ":" ^ gate
+  | Rx_line_error r -> "rx_line_error:" ^ r
+
+let add_trace buf trace =
+  List.iter
+    (fun (e : Can.Trace.entry) ->
+      let f = e.frame in
+      Printf.bprintf buf "%h|%s|%b:%x|%b|%d|%S|%s\n" e.time e.node
+        (Identifier.is_extended f.id)
+        (Identifier.raw f.id) f.rtr f.dlc f.payload (event_repr e.event))
+    (Can.Trace.entries trace)
+
+let add_bus buf bus =
+  add_trace buf (Can.Bus.trace bus);
+  Printf.bprintf buf "bus %d %d %d %d\n" (Can.Bus.frames_sent bus)
+    (Can.Bus.retries bus) (Can.Bus.abandoned bus) (Can.Bus.wire_errors bus)
+
+let add_node buf (name, node) hpe =
+  let c = Node.controller node in
+  let s = Can.Controller.stats c in
+  let e = Can.Controller.errors c in
+  Printf.bprintf buf "%s %d %d %d %d %d %d %d tec=%d rec=%d\n" name s.tx_ok
+    s.tx_errors s.tx_abandoned s.tx_refused s.rx_delivered s.rx_filtered
+    s.rx_line_errors (Can.Errors.tec e) (Can.Errors.rec_ e);
+  Option.iter
+    (fun h ->
+      let module H = Secpol_hpe.Engine in
+      Printf.bprintf buf "hpe %d %d %d %d %d %d %d\n" (H.read_grants h)
+        (H.read_blocks h) (H.write_grants h) (H.write_blocks h)
+        (H.rate_blocks h) (H.integrity_blocks h) (H.spoof_alerts h))
+    hpe
+
+let flat_car_run buf ~corrupt_prob =
+  let car =
+    Car.create ~seed:11L ~corrupt_prob
+      ~enforcement:(Car.Hpe (V.Policy_map.baseline ()))
+      ()
+  in
+  Car.run car ~seconds:0.5;
+  let atk = Secpol_attack.Attacker.compromise car Names.telematics in
+  List.iter
+    (fun (msg_id, cmd) ->
+      Printf.bprintf buf "forged %b\n"
+        (Secpol_attack.Attacker.spoof_command atk ~msg_id cmd))
+    forged_commands;
+  Car.run car ~seconds:0.5;
+  add_bus buf car.Car.bus;
+  List.iter (fun (name, node) -> add_node buf (name, node) (Car.hpe car name))
+    car.Car.nodes;
+  Option.iter
+    (fun e ->
+      let s = Secpol_policy.Engine.stats e in
+      Printf.bprintf buf "engine %d %d %d %d %d %d\n" s.decisions s.allows
+        s.denies s.cache_hits s.cache_misses s.cache_flushes)
+    car.Car.policy_engine
+
+let topology_car_run buf placement =
+  let car = Tcar.create ~seed:13L ~placement () in
+  Tcar.run car ~seconds:0.5;
+  List.iter
+    (fun (msg_id, cmd) ->
+      Printf.bprintf buf "forged %b\n"
+        (Node.send (Tcar.node car Names.sensors)
+           (Frame.data_std msg_id (String.make 1 cmd))))
+    ((Messages.eps_command, '\x7f') :: forged_commands);
+  Tcar.run car ~seconds:0.5;
+  List.iter (fun seg -> add_bus buf (Tcar.bus car seg)) (Tcar.segments car);
+  List.iter (fun (name, node) -> add_node buf (name, node) (Tcar.hpe car name))
+    (Tcar.nodes car);
+  let topology = Tcar.topology car in
+  List.iter
+    (fun gw ->
+      let g = Topology.gateway topology gw in
+      List.iter
+        (fun dir ->
+          Printf.bprintf buf "gw %s %d %d %d %d\n" gw
+            (Can.Gateway.forwarded_dir g dir)
+            (Can.Gateway.dropped_dir g dir)
+            (Can.Gateway.shed_dir g dir)
+            (Can.Gateway.retries_dir g dir))
+        [ `A_to_b; `B_to_a ])
+    (Topology.gateway_names topology)
+
+let test_behaviour_identity () =
+  let buf = Buffer.create (1 lsl 20) in
+  flat_car_run buf ~corrupt_prob:0.0;
+  flat_car_run buf ~corrupt_prob:0.05;
+  topology_car_run buf `Central;
+  topology_car_run buf `Distributed;
+  check Alcotest.string "observable behaviour digest"
+    "084c264f0a4190e48a3c5181c9537d86"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "secpol_topology"
     [
@@ -425,4 +548,6 @@ let () =
           slow "gateway failover limp-home"
             test_blast_gateway_failover_limp_home;
         ] );
+      ( "identity",
+        [ quick "behaviour digest unchanged" test_behaviour_identity ] );
     ]
