@@ -1153,8 +1153,8 @@ let fleet_campaign () =
          + %d timed repeats\n"
         fleet domains repeats;
       Printf.printf
-        "  median campaign wall time %.2f s; %d batched decisions (%.0f/s \
-         in the reported run)\n"
+        "  median campaign wall time %.2f s; %d benign and probe decisions \
+         (%.0f/s in the reported run)\n"
         median_s r.FC.decisions r.FC.throughput_per_s;
       Printf.printf
         "  gate %s (widened %d); ota p50 %.2f d / p99 %.2f d vs recall p50 \

@@ -1,7 +1,6 @@
 module Ast = Secpol_policy.Ast
 module Ir = Secpol_policy.Ir
 module Table = Secpol_policy.Table
-module Engine = Secpol_policy.Engine
 module Batch = Secpol_policy.Batch
 module Verify = Secpol_policy.Verify
 module Json = Secpol_policy.Json
@@ -190,9 +189,9 @@ let day_histogram () = Histogram.create ~lo:0.25 ~ratio:1.25 ~buckets:48 ()
 
 (* Designed normal-mode traffic: each message probed as its first designed
    producer (write) and first designed consumer (read).  Lock-command
-   writes are excluded — under the hardened version they ground in a
-   rate-limited rule, and budget-dependent traffic must go through the
-   owning instance, not a shared engine. *)
+   writes are excluded: they are the lock bursts' own row, counted as
+   lock_allowed / lock_denied, and keeping them out of the benign mix
+   keeps the report's counts as they have always been. *)
 let benign_templates () =
   let module M = Secpol_vehicle.Messages in
   let normal = Modes.name Modes.Normal in
@@ -248,36 +247,11 @@ type shard_out = {
   s_recall_never : int;
 }
 
-type lane = {
-  engine : Engine.t;
-  batch : Batch.t;
-  owners : int array;
-  kinds : Bytes.t;
-}
-
-let chunk = 4096
-
-let kind_benign = '\000'
-
-let kind_attack = '\001'
-
-let run_shard ~(cfg : config) ~gate_passed ~table_old ~db_old ~table_new
-    ~db_new ~lock_rules_old ~lock_rules_new ~benign ~attack ~lock_template
-    ~t_on ~t_off ids =
+let run_shard ~(cfg : config) ~gate_passed ~table_old ~v_old ~table_new
+    ~v_new ~benign ~attack ~lock ~t_on ~t_off ids =
   let n = Array.length ids in
   let stages = Array.of_list cfg.stages in
   let n_stages = Array.length stages in
-  let v_old = db_old.Ir.version and v_new = db_new.Ir.version in
-  let lane table db =
-    {
-      engine = Engine.of_table ~cache:false table db;
-      batch = Batch.create ~capacity:chunk ();
-      owners = Array.make chunk 0;
-      kinds = Bytes.make chunk kind_benign;
-    }
-  in
-  let lane_old = lane table_old db_old and lane_new = lane table_new db_new in
-  let out = Array.make chunk Ast.Deny in
   let decisions = ref 0
   and benign_denied = ref 0
   and lock_allowed = ref 0
@@ -288,7 +262,7 @@ let run_shard ~(cfg : config) ~gate_passed ~table_old ~db_old ~table_new
   let insts = Array.map (fun id -> Instance.create ~id ~version:v_old ()) ids in
   let adopt = Array.make n infinity in
   let stage_of = Array.make n (-1) in
-  let ttm = Array.make n infinity in
+  let mitigated = Array.make n false in
   for i = 0 to n - 1 do
     let id = ids.(i) in
     let rng = Rng.create (vehicle_seed cfg.seed id) in
@@ -310,67 +284,66 @@ let run_shard ~(cfg : config) ~gate_passed ~table_old ~db_old ~table_new
       Histogram.observe recall_hist (Float.max 0.0 (landed -. t_on))
     end
   done;
-  let flush ~day lane =
-    let len = Batch.length lane.batch in
-    if len > 0 then begin
-      Engine.decide_batch lane.engine lane.batch ~out;
-      for j = 0 to len - 1 do
-        let i = lane.owners.(j) in
-        if Bytes.get lane.kinds j = kind_attack then begin
-          if out.(j) = Ast.Deny && ttm.(i) = infinity then begin
-            ttm.(i) <- day;
-            Histogram.observe hist (day -. t_on)
-          end
-        end
-        else if out.(j) = Ast.Deny then incr benign_denied
-      done;
-      decisions := !decisions + len;
-      Batch.clear lane.batch
-    end
-  in
-  let push ~day ~now lane i kind req =
-    if Batch.length lane.batch = chunk then flush ~day lane;
-    let j = Batch.length lane.batch in
-    lane.owners.(j) <- i;
-    Bytes.set lane.kinds j kind;
-    Batch.push ~now lane.batch req
-  in
+  (* The fleet's distinct requests, hashed once.  The batch's mode memo is
+     mutable, so every shard (domain) owns its rows. *)
   let n_benign = Array.length benign in
+  let rows = Batch.create ~capacity:(n_benign + 2) () in
+  Array.iter (Batch.push rows) benign;
+  let attack_row = n_benign and lock_row = n_benign + 1 in
+  Batch.push rows attack;
+  Batch.push rows lock;
+  (* rated rules draw on the windows of the vehicle being decided for, at
+     the tick's clock; the rows' own timestamps are unused *)
+  let current = ref 0 and now = ref 0.0 in
+  let rate_available r (b : Batch.t) row =
+    Instance.rate_available insts.(!current) r b.Batch.subjects.(row)
+      ~now:!now
+  in
+  let rate_consume r (b : Batch.t) row =
+    Instance.rate_consume insts.(!current) r b.Batch.subjects.(row) ~now:!now
+  in
+  let decide table row =
+    Table.decide_row table ~rate_available ~rate_consume rows row
+  in
   let ticks = int_of_float (ceil (cfg.horizon_days /. cfg.tick_days)) in
   for k = 0 to ticks - 1 do
     let day = float_of_int k *. cfg.tick_days in
-    let now = day *. 86_400.0 in
+    now := day *. 86_400.0;
     let threat_live = day >= t_on && day < t_off in
     for i = 0 to n - 1 do
       let inst = insts.(i) in
+      current := i;
       if Instance.version inst = v_old && day >= adopt.(i) then begin
         Instance.install inst ~version:v_new;
         adopted.(stage_of.(i)) <- adopted.(stage_of.(i)) + 1
       end;
-      let on_new = Instance.version inst = v_new in
-      let lane = if on_new then lane_new else lane_old in
-      push ~day ~now lane i kind_benign
-        benign.((Instance.id inst + k) mod n_benign);
-      if threat_live && ttm.(i) = infinity then
-        push ~day ~now lane i kind_attack attack;
+      let table =
+        if Instance.version inst = v_new then table_new else table_old
+      in
+      incr decisions;
+      if decide table ((Instance.id inst + k) mod n_benign) = Ast.Deny then
+        incr benign_denied;
+      if threat_live && not mitigated.(i) then begin
+        incr decisions;
+        if decide table attack_row = Ast.Deny then begin
+          mitigated.(i) <- true;
+          Histogram.observe hist (day -. t_on)
+        end
+      end;
       if
         cfg.lock_bursts_every > 0
         && (k + Instance.id inst) mod cfg.lock_bursts_every = 0
       then begin
-        let rules, default =
-          if on_new then (lock_rules_new, db_new.Ir.default)
-          else (lock_rules_old, db_old.Ir.default)
-        in
-        let req = { lock_template with Ir.mode = Instance.mode inst } in
+        (* the lock row is the vehicle's request only in its own mode *)
+        if not (String.equal (Instance.mode inst) lock.Ir.mode) then
+          invalid_arg "Campaign: a vehicle left the lock row's mode";
         for _ = 1 to 3 do
-          match Instance.decide inst ~rules ~default ~now req with
+          match decide table lock_row with
           | Ast.Allow -> incr lock_allowed
           | Ast.Deny -> incr lock_denied
         done
       end
-    done;
-    flush ~day lane_old;
-    flush ~day lane_new
+    done
   done;
   let old_count = ref 0 in
   Array.iter
@@ -422,8 +395,8 @@ let run ?(old_policy = Policy_map.baseline ~version:1 ())
       else begin
         (* the only two table compiles of the whole campaign: every
            vehicle on a version shares that version's table *)
-        let table_old = Table.compile ~strategy:Engine.Deny_overrides db_old in
-        let table_new = Table.compile ~strategy:Engine.Deny_overrides db_new in
+        let table_old = Table.compile ~strategy:Table.Deny_overrides db_old in
+        let table_new = Table.compile ~strategy:Table.Deny_overrides db_new in
         let g = gate ~old_db:db_old ~new_db:db_new () in
         let t_on, t_off, msg_id =
           match Plan.threat_window cfg.plan with
@@ -455,7 +428,7 @@ let run ?(old_policy = Policy_map.baseline ~version:1 ())
             msg_id = Some msg_id;
           }
         in
-        let lock_template =
+        let lock =
           {
             Ir.mode = Modes.name Modes.Normal;
             subject = Names.asset_connectivity;
@@ -464,17 +437,15 @@ let run ?(old_policy = Policy_map.baseline ~version:1 ())
             msg_id = Some Secpol_vehicle.Messages.lock_command;
           }
         in
-        let lock_rules_old = Ir.rules_for_asset db_old Names.door_locks in
-        let lock_rules_new = Ir.rules_for_asset db_new Names.door_locks in
         let benign = benign_templates () in
         let shards =
           Partition.assign_by ~shards:cfg.domains string_of_int
             (Array.init cfg.fleet Fun.id)
         in
         let shard ids =
-          run_shard ~cfg ~gate_passed:g.passed ~table_old ~db_old ~table_new
-            ~db_new ~lock_rules_old ~lock_rules_new ~benign ~attack
-            ~lock_template ~t_on ~t_off ids
+          run_shard ~cfg ~gate_passed:g.passed ~table_old
+            ~v_old:db_old.Ir.version ~table_new ~v_new:db_new.Ir.version
+            ~benign ~attack ~lock ~t_on ~t_off ids
         in
         let outs =
           if cfg.domains = 1 then [| shard shards.(0) |]

@@ -10,13 +10,14 @@
     {b Sharing.}  The fleet holds exactly one compiled
     {!Secpol_policy.Table} per policy version — a million instances over
     a two-version rollout share two tables.  Instances are sharded across
-    OCaml domains by {!Secpol_par.Partition.assign_by}; each shard owns a
-    private {!Secpol_policy.Engine} pair over the shared tables and
-    drives its bulk traffic through
-    {!Secpol_policy.Engine.decide_batch}.  Requests that can ground in a
-    rate-limited rule are routed through the owning instance instead
-    (per-vehicle budgets; see {!Secpol_vehicle.Instance.decide}), so a
-    shared engine never conflates two vehicles' budgets.
+    OCaml domains by {!Secpol_par.Partition.assign_by}.  Each shard pushes
+    the fleet's distinct requests into one shard-local
+    {!Secpol_policy.Batch} once, and every vehicle decision is one
+    {!Secpol_policy.Table.decide_row} over those pre-hashed rows against
+    the vehicle's version's table.  The shard's row callbacks send a
+    rate-limited rule to the windows of the vehicle being decided for
+    ({!Secpol_vehicle.Instance.rate_available}), so the shared tables
+    never conflate two vehicles' budgets.
 
     {b Gating.}  The rollout is staged (canary, then cohort, then fleet)
     and every stage promotion is gated by the semantic verifier: the
@@ -107,7 +108,9 @@ type report = {
   gate : gate;
   stages : stage_report list;
   versions : (int * int) list;  (** version -> vehicle count at horizon *)
-  decisions : int;  (** batched decisions served *)
+  decisions : int;
+      (** benign and attack-probe decisions served (lock bursts are
+          counted in [lock_allowed] and [lock_denied]) *)
   benign_denied : int;  (** designed traffic denied — 0 on a sound update *)
   lock_allowed : int;  (** burst frames admitted by per-vehicle budgets *)
   lock_denied : int;  (** burst frames shaped off by per-vehicle budgets *)

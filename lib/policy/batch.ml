@@ -8,7 +8,7 @@ type t = {
   mutable nows : float array;
   mutable exact_hash : int array;
   mutable wild_hash : int array;
-  (* mode-interning memo for Table.decide_batch: valid only while
+  (* mode-interning memo for Table's row decisions: valid only while
      [memo_stamp] matches the deciding table's compile stamp, so a batch
      replayed against a different (or hot-swapped) table can never reuse a
      stale mode id *)

@@ -14,7 +14,7 @@
     directly; treat every field as owned by this library.  [ops] holds
     {!Ir.Request.op_tag} values, [msg_ids] uses {!no_msg_id} for
     requests without a message ID, and the [memo_*] fields are the
-    mode-interning memo private to {!Table.decide_batch}. *)
+    mode-interning memo private to {!Table}'s row decisions. *)
 
 type t = {
   mutable len : int;

@@ -40,9 +40,10 @@ type t = {
   buckets : (int * string, Rate_window.t) Hashtbl.t;
   (* the batch path's rate callbacks, closed over [buckets] once at
      construction so decide_batch passes pre-existing closures instead of
-     allocating fresh ones per call *)
-  rate_avail_cb : Ir.rule -> string -> float -> bool;
-  rate_cons_cb : Ir.rule -> string -> float -> unit;
+     allocating fresh ones per call; each reads its row's subject and
+     timestamp itself *)
+  rate_avail_cb : Ir.rule -> Batch.t -> int -> bool;
+  rate_cons_cb : Ir.rule -> Batch.t -> int -> unit;
   mutable rated_assets : string list;
   (* one consistent registry instead of ad-hoc mutable stat fields; the
      counters exist (and cost one word each) even without a registry, so
@@ -126,8 +127,12 @@ let make ~strategy ~cache ~cache_capacity ~mode ~obs ~table db =
     cache = (if cache then Some (Cache.create 256) else None);
     cache_capacity;
     buckets;
-    rate_avail_cb = (fun r subject now -> rate_available_in buckets ~now r subject);
-    rate_cons_cb = (fun r subject now -> rate_consume_in buckets ~now r subject);
+    rate_avail_cb =
+      (fun r b i ->
+        rate_available_in buckets ~now:b.Batch.nows.(i) r b.Batch.subjects.(i));
+    rate_cons_cb =
+      (fun r b i ->
+        rate_consume_in buckets ~now:b.Batch.nows.(i) r b.Batch.subjects.(i));
     rated_assets = rated_assets_of db;
     c_decisions = counter "decisions";
     c_allows = counter "allows";

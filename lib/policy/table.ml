@@ -415,11 +415,10 @@ let[@inline] batch_mode_id t (b : Batch.t) i =
     id
   end
 
-(* Top-level recursion again, and the batch/index pair is passed instead
-   of the subject/now values so the float timestamp is only read — and
-   boxed for the callback — in the rated branch (rate-limited rules are
-   outside the zero-allocation contract; every other branch touches only
-   ints and pre-existing pointers). *)
+(* Top-level recursion again.  Rated rules hand the callbacks the batch
+   and row, not the row's subject and timestamp, so the float [now] is
+   never boxed here and every branch touches only ints and pre-existing
+   pointers; what a callback reads from the row is its own cost. *)
 let rec scan_batched t arr n k ~bit ~mode ~msg (b : Batch.t) i rate_available
     rate_consume =
   if k = n then t.default
@@ -428,65 +427,61 @@ let rec scan_batched t arr n k ~bit ~mode ~msg (b : Batch.t) i rate_available
     if crule_matches c ~bit ~mode ~msg then
       if not c.allow then Ast.Deny
       else if not c.rated then Ast.Allow
+      else if rate_available c.rule b i then begin
+        rate_consume c.rule b i;
+        Ast.Allow
+      end
       else
-        let subject = b.Batch.subjects.(i) in
-        let now = b.Batch.nows.(i) in
-        if rate_available c.rule subject now then begin
-          rate_consume c.rule subject now;
-          Ast.Allow
-        end
-        else
-          scan_batched t arr n (k + 1) ~bit ~mode ~msg b i rate_available
-            rate_consume
+        scan_batched t arr n (k + 1) ~bit ~mode ~msg b i rate_available
+          rate_consume
     else
       scan_batched t arr n (k + 1) ~bit ~mode ~msg b i rate_available
         rate_consume
 
+(* The one row decision behind both entry points.  Callers guarantee
+   [0 <= i < Batch.length b <= capacity], the invariant every column
+   shares, so the column reads skip their bounds checks. *)
+let[@inline] decide_row_unchecked t ~rate_available ~rate_consume
+    (b : Batch.t) i =
+  let subject = Array.unsafe_get b.Batch.subjects i in
+  let asset = Array.unsafe_get b.Batch.assets i in
+  let op = Array.unsafe_get b.Batch.ops i in
+  let verdict =
+    match
+      find_dispatch t.exact
+        ~h:(Array.unsafe_get b.Batch.exact_hash i)
+        ~k1:subject ~k2:asset ~op
+    with
+    | Some _ as v -> v
+    | None ->
+        find_dispatch t.wildcard
+          ~h:(Array.unsafe_get b.Batch.wild_hash i)
+          ~k1:asset ~k2:"" ~op
+  in
+  match verdict with
+  | None -> t.default
+  | Some (Const (decision, _)) -> decision
+  | Some (By_mode { decisions; _ }) ->
+      (* mode ids are < mode_slots = Array.length decisions *)
+      Array.unsafe_get decisions (batch_mode_id t b i)
+  | Some (Scan arr) ->
+      scan_batched t arr (Array.length arr) 0
+        ~bit:(1 lsl batch_mode_id t b i)
+        ~mode:(Array.unsafe_get b.Batch.modes i)
+        ~msg:(Array.unsafe_get b.Batch.msg_ids i)
+        b i rate_available rate_consume
+
+let decide_row t ~rate_available ~rate_consume (b : Batch.t) i =
+  if i < 0 || i >= b.Batch.len then
+    invalid_arg "Table.decide_row: row out of bounds";
+  decide_row_unchecked t ~rate_available ~rate_consume b i
+
 let decide_batch t ~rate_available ~rate_consume (b : Batch.t)
     ~(out : Ast.decision array) =
-  let n = b.Batch.len in
-  let exact = t.exact and wildcard = t.wildcard in
-  let subjects = b.Batch.subjects
-  and assets = b.Batch.assets
-  and modes = b.Batch.modes
-  and ops = b.Batch.ops
-  and msg_ids = b.Batch.msg_ids
-  and exact_hash = b.Batch.exact_hash
-  and wild_hash = b.Batch.wild_hash in
   let allows = ref 0 in
-  (* [i < n = Batch.length b <= capacity], the invariant every column
-     shares, so the column reads can skip their bounds checks; [out] is
-     the only caller-supplied array and was length-checked by the engine. *)
-  for i = 0 to n - 1 do
-    let subject = Array.unsafe_get subjects i in
-    let asset = Array.unsafe_get assets i in
-    let op = Array.unsafe_get ops i in
-    let verdict =
-      match
-        find_dispatch exact
-          ~h:(Array.unsafe_get exact_hash i)
-          ~k1:subject ~k2:asset ~op
-      with
-      | Some _ as v -> v
-      | None ->
-          find_dispatch wildcard
-            ~h:(Array.unsafe_get wild_hash i)
-            ~k1:asset ~k2:"" ~op
-    in
-    let decision =
-      match verdict with
-      | None -> t.default
-      | Some (Const (decision, _)) -> decision
-      | Some (By_mode { decisions; _ }) ->
-          (* mode ids are < mode_slots = Array.length decisions *)
-          Array.unsafe_get decisions (batch_mode_id t b i)
-      | Some (Scan arr) ->
-          scan_batched t arr (Array.length arr) 0
-            ~bit:(1 lsl batch_mode_id t b i)
-            ~mode:(Array.unsafe_get modes i)
-            ~msg:(Array.unsafe_get msg_ids i)
-            b i rate_available rate_consume
-    in
+  (* [out] is the only caller-supplied array; the engine length-checked it *)
+  for i = 0 to b.Batch.len - 1 do
+    let decision = decide_row_unchecked t ~rate_available ~rate_consume b i in
     if decision = Ast.Allow then incr allows;
     out.(i) <- decision
   done;

@@ -68,22 +68,37 @@ val decide :
     when [r] grounds an [Allow] decision.  Rules without a rate limit never
     reach the callbacks. *)
 
+val decide_row :
+  t ->
+  rate_available:(Ir.rule -> Batch.t -> int -> bool) ->
+  rate_consume:(Ir.rule -> Batch.t -> int -> unit) ->
+  Batch.t ->
+  int ->
+  Ast.decision
+(** Decide row [i] of the batch as {!decide} would decide
+    {!Batch.request}[ b i], over the row's pre-computed hashes and without
+    matched-rule attribution.  Only rate-limited allow rules reach the
+    callbacks, which get the rule, the batch and the row:
+    [rate_available r b i] reports whether [r] has budget for that row,
+    and [rate_consume r b i] is called exactly when [r] grounds the
+    [Allow].  Whose budget that is is the caller's choice: an {!Engine}
+    keys its own by the row's subject and timestamp, a fleet campaign
+    uses the windows of the vehicle it is deciding for.  A batch's mode
+    memo is mutable, so a batch belongs to one domain at a time.
+    @raise Invalid_argument when [i < 0] or [i >= Batch.length b]. *)
+
 val decide_batch :
   t ->
-  rate_available:(Ir.rule -> string -> float -> bool) ->
-  rate_consume:(Ir.rule -> string -> float -> unit) ->
+  rate_available:(Ir.rule -> Batch.t -> int -> bool) ->
+  rate_consume:(Ir.rule -> Batch.t -> int -> unit) ->
   Batch.t ->
   out:Ast.decision array ->
   int
-(** Decide every request of the batch, writing [out.(i)] for request [i]
+(** {!decide_row} over every row in order, writing [out.(i)] for row [i]
     (the caller guarantees [Array.length out >= Batch.length]) and
-    returning the number of [Allow] decisions (counted inside the sweep so
-    the engine's stats need no second pass).  Decisions are exactly those
-    {!decide} would take in batch order; matched-rule attribution is not
-    produced (that is what keeps the steady-state loop free of minor-heap
-    allocation — see {!Engine.decide_batch}).  The rate callbacks receive
-    the rule, the request's subject and its [now] timestamp; only
-    rate-limited rules reach them. *)
+    returning the number of [Allow] decisions, counted inside the sweep
+    so the engine's stats need no second pass.  The sweep itself
+    allocates nothing (see {!Engine.decide_batch}). *)
 
 type stats = {
   buckets : int;  (** exact [(subject, asset, op)] buckets *)

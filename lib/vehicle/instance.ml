@@ -1,18 +1,20 @@
-module Ast = Secpol_policy.Ast
 module Ir = Secpol_policy.Ir
 module Rate_window = Secpol_policy.Rate_window
+
+type window = { idx : int; subject : string; window : Rate_window.t }
 
 type t = {
   id : int;
   mutable version : int;
   mutable mode : string;
-  (* lazily allocated: most vehicles never touch a rated rule, and a
-     campaign holds one of these records per vehicle *)
-  mutable budgets : (int * string, Rate_window.t) Hashtbl.t option;
+  (* keyed (rule index, subject); a campaign holds one record per vehicle
+     and a vehicle touches one or two rated rules, so an empty list costs
+     nothing and a short scan beats a hash table *)
+  mutable windows : window list;
 }
 
 let create ?(mode = "normal") ~id ~version () =
-  { id; version; mode; budgets = None }
+  { id; version; mode; windows = [] }
 
 let id t = t.id
 
@@ -24,46 +26,28 @@ let set_mode t mode = t.mode <- mode
 
 let install t ~version =
   t.version <- version;
-  t.budgets <- None
+  t.windows <- []
 
-let budget t (rate : Ast.rate) idx subject =
-  let tbl =
-    match t.budgets with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create 4 in
-        t.budgets <- Some tbl;
-        tbl
-  in
-  match Hashtbl.find_opt tbl (idx, subject) with
-  | Some w -> w
-  | None ->
-      let w = Rate_window.of_rate rate in
-      Hashtbl.add tbl (idx, subject) w;
-      w
+(* top-level recursion over the key's parts: no tuple key, no closure *)
+let rec window_in t rate idx subject = function
+  | w :: rest ->
+      if w.idx = idx && String.equal w.subject subject then w.window
+      else window_in t rate idx subject rest
+  | [] ->
+      let window = Rate_window.of_rate rate in
+      t.windows <- { idx; subject; window } :: t.windows;
+      window
 
-let decide t ~rules ~default ~now (req : Ir.request) =
-  let matching = List.filter (fun r -> Ir.rule_matches r req) rules in
-  if List.exists (fun (r : Ir.rule) -> r.decision = Ast.Deny) matching then
-    Ast.Deny
-  else
-    (* first allow whose budget has room grounds the decision and consumes
-       one slot — the engine's Deny_overrides [take_allow], with the
-       window private to this vehicle *)
-    let rec take = function
-      | [] -> default
-      | (r : Ir.rule) :: rest ->
-          if r.decision <> Ast.Allow then take rest
-          else begin
-            match r.rate with
-            | None -> Ast.Allow
-            | Some rate ->
-                if Rate_window.admit (budget t rate r.idx req.Ir.subject) ~now
-                then Ast.Allow
-                else take rest
-          end
-    in
-    take matching
+let rate_available t (r : Ir.rule) subject ~now =
+  match r.rate with
+  | None -> true
+  | Some rate ->
+      Rate_window.available (window_in t rate r.idx subject t.windows) ~now
 
-let live_budgets t =
-  match t.budgets with None -> 0 | Some tbl -> Hashtbl.length tbl
+let rate_consume t (r : Ir.rule) subject ~now =
+  match r.rate with
+  | None -> ()
+  | Some rate ->
+      Rate_window.consume (window_in t rate r.idx subject t.windows) ~now
+
+let live_budgets t = List.length t.windows

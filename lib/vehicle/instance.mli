@@ -3,26 +3,24 @@
     A fleet holds one compiled {!Secpol_policy.Table} per policy {e
     version}; an instance is only the per-vehicle mutable remainder —
     which version is installed, the vehicle's operating mode, and the
-    vehicle's own behavioural rate budgets.  A million instances over a
+    vehicle's own behavioural rate windows.  A million instances over a
     two-version rollout therefore share exactly two tables; nothing about
     an instance scales with policy size.
 
-    {b Decision routing.}  Bulk traffic (anything whose outcome is not
-    budget-dependent) goes through a shared
-    {!Secpol_policy.Engine.decide_batch} over the version's table — the
-    engine's budgets are keyed [(rule, subject)] and subjects are {e
-    role} names shared by every vehicle, so rated decisions through a
-    shared engine would conflate one vehicle's budget with another's.
-    Requests that can ground in a rate-limited rule are routed here
-    instead: {!decide} resolves them against the version's rule list with
-    budgets private to this instance, under the same [Deny_overrides]
-    semantics as the engine. *)
+    {b Decision routing.}  Every decision for a vehicle is one
+    {!Secpol_policy.Table.decide_row} against its version's shared table.
+    Subjects are {e role} names shared by every vehicle, so an engine's
+    budgets, keyed [(rule, subject)], would conflate vehicles; the
+    caller's row callbacks send a rated rule to {!rate_available} and
+    {!rate_consume} of the vehicle being decided for instead.  Decisions
+    then match {!Secpol_policy.Engine.decide} on a private engine fed the
+    same request sequence. *)
 
 type t
 
 val create : ?mode:string -> id:int -> version:int -> unit -> t
 (** A vehicle running policy [version] in [mode] (default ["normal"]).
-    No budget state is allocated until the first rated decision. *)
+    No window is allocated until the first rated decision. *)
 
 val id : t -> int
 
@@ -33,27 +31,22 @@ val mode : t -> string
 val set_mode : t -> string -> unit
 
 val install : t -> version:int -> unit
-(** Install a policy version.  All rate-budget history is dropped: rule
+(** Install a policy version.  All rate-window history is dropped: rule
     indices are only meaningful within one compiled version, and a fresh
     policy starts with full budgets — exactly what a device-side policy
     swap does ({!Secpol_policy.Engine.swap_db} behaves the same way). *)
 
-val decide :
-  t ->
-  rules:Secpol_policy.Ir.rule list ->
-  default:Secpol_policy.Ast.decision ->
-  now:float ->
-  Secpol_policy.Ir.request ->
-  Secpol_policy.Ast.decision
-(** [Deny_overrides] resolution of one request against [rules] (the
-    installed version's rules for the request's asset, in source order,
-    e.g. from {!Secpol_policy.Ir.rules_for_asset}), falling through to
-    [default] when nothing matches or every matching allow's budget is
-    exhausted.  Budgets are keyed [(rule index, subject)] {e inside this
-    instance}, so two vehicles never share a window.  Decisions match
-    {!Secpol_policy.Engine.decide} on a private engine fed the same
-    request sequence. *)
+val rate_available : t -> Secpol_policy.Ir.rule -> string -> now:float -> bool
+(** [rate_available t r subject ~now]: has rated rule [r] room at [now]
+    in this vehicle's window for [subject]?  Windows are keyed
+    [(rule index, subject)] {e inside this instance}, so two vehicles
+    never share one; the first look materialises the window.  A rule
+    without a rate is always available.  Does not consume. *)
+
+val rate_consume : t -> Secpol_policy.Ir.rule -> string -> now:float -> unit
+(** Record a grant of [r] for [subject] at [now] in this vehicle's
+    window (a no-op for a rule without a rate). *)
 
 val live_budgets : t -> int
-(** Rate windows materialised so far (0 until a rated rule is hit);
-    drops back to 0 on {!install}. *)
+(** Rate windows materialised so far (0 until a rated rule is looked
+    at); drops back to 0 on {!install}. *)

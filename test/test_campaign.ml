@@ -11,6 +11,8 @@ module Plan = Secpol_faults.Plan
 module Ast = Secpol_policy.Ast
 module Ir = Secpol_policy.Ir
 module Engine = Secpol_policy.Engine
+module Table = Secpol_policy.Table
+module Batch = Secpol_policy.Batch
 module Json = Secpol_policy.Json
 
 let check = Alcotest.check
@@ -28,7 +30,8 @@ let decision =
 
 let hardened_db = lazy (Policy_map.compile (Policy_map.hardened ~version:2 ()))
 
-let lock_rules db = Ir.rules_for_asset db Names.door_locks
+let hardened_table =
+  lazy (Table.compile ~strategy:Table.Deny_overrides (Lazy.force hardened_db))
 
 let lock_req =
   {
@@ -38,6 +41,19 @@ let lock_req =
     op = Ir.Write;
     msg_id = Some Messages.lock_command;
   }
+
+(* One vehicle decision routed as a campaign routes it: a row of the
+   version's shared table, with rated rules sent to the vehicle's own
+   windows. *)
+let vehicle_decide inst ~now req =
+  let b = Batch.create ~capacity:1 () in
+  Batch.push ~now b req;
+  Table.decide_row (Lazy.force hardened_table)
+    ~rate_available:(fun r b i ->
+      Instance.rate_available inst r b.Batch.subjects.(i) ~now:b.Batch.nows.(i))
+    ~rate_consume:(fun r b i ->
+      Instance.rate_consume inst r b.Batch.subjects.(i) ~now:b.Batch.nows.(i))
+    b 0
 
 (* ---------- Instance ---------- *)
 
@@ -54,13 +70,10 @@ let test_instance_state () =
 (* the hardened lock budget is 2 per 10 s: a 3-frame burst sheds its
    third frame, per vehicle, not per fleet *)
 let test_instance_budgets_are_private () =
-  let db = Lazy.force hardened_db in
-  let rules = lock_rules db and default = db.Ir.default in
   let a = Instance.create ~id:0 ~version:2 () in
   let b = Instance.create ~id:1 ~version:2 () in
   let burst inst =
-    List.init 3 (fun k ->
-        Instance.decide inst ~rules ~default ~now:(float_of_int k) lock_req)
+    List.init 3 (fun k -> vehicle_decide inst ~now:(float_of_int k) lock_req)
   in
   check (Alcotest.list decision) "a's burst shaped"
     [ Ast.Allow; Ast.Allow; Ast.Deny ] (burst a);
@@ -70,24 +83,21 @@ let test_instance_budgets_are_private () =
   check Alcotest.int "one window live per vehicle" 1 (Instance.live_budgets a)
 
 let test_instance_install_resets_budgets () =
-  let db = Lazy.force hardened_db in
-  let rules = lock_rules db and default = db.Ir.default in
   let i = Instance.create ~id:0 ~version:2 () in
   for k = 0 to 2 do
-    ignore (Instance.decide i ~rules ~default ~now:(float_of_int k) lock_req)
+    ignore (vehicle_decide i ~now:(float_of_int k) lock_req)
   done;
   check decision "budget exhausted" Ast.Deny
-    (Instance.decide i ~rules ~default ~now:3.0 lock_req);
+    (vehicle_decide i ~now:3.0 lock_req);
   Instance.install i ~version:3;
   check Alcotest.int "budgets dropped" 0 (Instance.live_budgets i);
   check decision "fresh budget after install" Ast.Allow
-    (Instance.decide i ~rules ~default ~now:4.0 lock_req)
+    (vehicle_decide i ~now:4.0 lock_req)
 
-(* Instance.decide must agree with a private Engine fed the same request
+(* a vehicle's rows must agree with a private Engine fed the same request
    sequence — same Deny_overrides fold, same window semantics *)
 let test_instance_matches_engine () =
   let db = Lazy.force hardened_db in
-  let rules = lock_rules db and default = db.Ir.default in
   let fail_safe_attack = { lock_req with Ir.mode = "fail_safe" } in
   let unknown = { lock_req with Ir.subject = "infotainment" } in
   let sequence =
@@ -107,9 +117,81 @@ let test_instance_matches_engine () =
   List.iteri
     (fun k (now, req) ->
       let expected = (Engine.decide ~now engine req).Engine.decision in
-      let got = Instance.decide inst ~rules ~default ~now req in
+      let got = vehicle_decide inst ~now req in
       check decision (Printf.sprintf "step %d" k) expected got)
     sequence
+
+(* Random traffic for two interleaved vehicles on the hardened policy:
+   rated lock writes from both lock producers, the fail_safe deny, other
+   door-lock traffic, subjects the policy never names, and clock steps
+   that straddle the 10 s window or run backwards. *)
+let vehicle_step_gen =
+  QCheck.Gen.(
+    let* vehicle = 0 -- 1 in
+    let* dt =
+      oneofl [ 0.0; 0.1; 1.0; 4.99; 5.0; 9.99; 10.0; 10.01; 12.5; -0.5; -11.0 ]
+    in
+    let* req =
+      frequency
+        [
+          (6, return lock_req);
+          (2, return { lock_req with Ir.subject = "safety" });
+          (2, return { lock_req with Ir.mode = "fail_safe" });
+          ( 3,
+            let* subject =
+              oneofl
+                [
+                  Names.asset_connectivity;
+                  "safety";
+                  "rogue_ecu";
+                  "infotainment";
+                ]
+            in
+            let* mode =
+              oneofl [ "normal"; "fail_safe"; "remote_diagnostic"; "workshop" ]
+            in
+            let* op = oneofl [ Ir.Read; Ir.Write ] in
+            let* msg_id =
+              oneofl
+                [ None; Some Messages.lock_command; Some Messages.door_status ]
+            in
+            return { Ir.mode; subject; asset = Names.door_locks; op; msg_id } );
+        ]
+    in
+    return (vehicle, dt, req))
+
+let prop_vehicles_match_private_engines =
+  QCheck.Test.make ~count:300
+    ~name:"vehicle rows = private engine, per vehicle, install resets"
+    QCheck.(make Gen.(list_size (1 -- 40) vehicle_step_gen))
+    (fun steps ->
+      let db = Lazy.force hardened_db in
+      let insts = Array.init 2 (fun id -> Instance.create ~id ~version:2 ()) in
+      let clock = ref 100.0 in
+      let timed =
+        List.map
+          (fun (v, dt, req) ->
+            clock := !clock +. dt;
+            (v, !clock, req))
+          steps
+      in
+      (* each vehicle against an engine that sees only its own traffic:
+         a window shared between the vehicles would show as a divergence *)
+      let agree () =
+        let engines = Array.init 2 (fun _ -> Engine.create ~cache:false db) in
+        List.for_all
+          (fun (v, now, req) ->
+            (Engine.decide ~now engines.(v) req).Engine.decision
+            = vehicle_decide insts.(v) ~now req)
+          timed
+      in
+      let first = agree () in
+      (* replaying the same clock again only agrees with fresh engines if
+         install really dropped every window *)
+      Array.iter (fun i -> Instance.install i ~version:2) insts;
+      first
+      && Array.for_all (fun i -> Instance.live_budgets i = 0) insts
+      && agree ())
 
 (* ---------- Plan.threat_trigger ---------- *)
 
@@ -199,6 +281,32 @@ let test_campaign_domain_count_invariant () =
   check Alcotest.string "1 domain == 3 domains" (report_fingerprint a)
     (report_fingerprint b)
 
+(* MD5s of three reports, recorded before vehicles decided rows of the
+   shared tables (traffic was then queued into per-version lanes and the
+   lock bursts folded by hand): how decisions are routed is not part of a
+   report, so no routing change may move one byte of these. *)
+let test_campaign_identity () =
+  let digest r = Digest.to_hex (Digest.string (report_fingerprint r)) in
+  check Alcotest.string "1500 vehicles, seed 11, quick"
+    "de4b0ef496a4b244ce100e31a2a92a99"
+    (digest (run_ok (small_config ())));
+  check Alcotest.string "3000 vehicles, seed 3, full tick"
+    "b78cbda67de0f98c4eece9e03df4db28"
+    (digest (run_ok (Campaign.default_config ~fleet:3000 ~seed:3L ())));
+  check Alcotest.string "refused gate (permissive update)"
+    "e162fda40ea70a016567429e7986c981"
+    (digest
+       (run_ok
+          ~new_policy:(Policy_map.permissive ~version:2 ())
+          (small_config ~fleet:600 ())))
+
+(* more domains than vehicles leaves shards with no vehicle at all *)
+let test_campaign_empty_shards () =
+  let a = run_ok (small_config ~fleet:2 ~domains:1 ()) in
+  let b = run_ok (small_config ~fleet:2 ~domains:4 ()) in
+  check Alcotest.string "2 vehicles: 4 domains == 1 domain"
+    (report_fingerprint a) (report_fingerprint b)
+
 let test_campaign_gate_refuses_widened_update () =
   let cfg = small_config ~fleet:600 () in
   let r = run_ok ~new_policy:(Policy_map.permissive ~version:2 ()) cfg in
@@ -256,6 +364,9 @@ let () =
           quick "budgets are per-vehicle" test_instance_budgets_are_private;
           quick "install resets budgets" test_instance_install_resets_budgets;
           quick "matches a private engine" test_instance_matches_engine;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 14 |])
+            prop_vehicles_match_private_engines;
         ] );
       ( "plan",
         [
@@ -267,6 +378,8 @@ let () =
           slow "completes and mitigates" test_campaign_completes;
           slow "deterministic" test_campaign_deterministic;
           slow "domain-count invariant" test_campaign_domain_count_invariant;
+          slow "report digests unchanged" test_campaign_identity;
+          quick "empty shards" test_campaign_empty_shards;
           slow "gate refuses widened update"
             test_campaign_gate_refuses_widened_update;
           quick "validation" test_campaign_validation;
