@@ -509,32 +509,26 @@ let car_workload () =
 let perf () =
   section "Micro-benchmarks (Bechamel, OLS ns/op)";
   let open Bechamel in
-  (* HPE lookup: bitset vs hashtable (ablation from DESIGN.md §7) *)
+  (* HPE lookup: one hit and one miss on the bitset approved list *)
   let ids =
     List.map (fun (m : V.Messages.t) -> Can.Identifier.standard m.id) V.Messages.all
   in
-  let bitset = Hpe.Approved_list.of_ids ~backend:Hpe.Approved_list.Bitset ids in
-  let table = Hpe.Approved_list.of_ids ~backend:Hpe.Approved_list.Hashtable ids in
-  let intervals =
-    Hpe.Approved_list.of_ids ~backend:Hpe.Approved_list.Intervals ids
-  in
+  let approved = Hpe.Approved_list.of_ids ids in
   let probe = Can.Identifier.standard V.Messages.ecu_command in
   let miss = Can.Identifier.standard 0x7ff in
-  let bench_approved name l =
-    Test.make ~name
+  let bench_bitset =
+    Test.make ~name:"hpe/approved-list/bitset"
       (Staged.stage (fun () ->
-           ignore (Hpe.Approved_list.mem l probe);
-           ignore (Hpe.Approved_list.mem l miss)))
+           ignore (Hpe.Approved_list.mem approved probe);
+           ignore (Hpe.Approved_list.mem approved miss)))
   in
-  let bench_bitset = bench_approved "hpe/approved-list/bitset" bitset in
-  let bench_table = bench_approved "hpe/approved-list/hashtable" table in
-  let bench_intervals = bench_approved "hpe/approved-list/intervals" intervals in
-  (* policy engine: interpreted scan vs compiled indexed table vs cache,
-     over the connected-car workload (every designed producer write and
-     consumer read, plus the Table-I spoofed writes the policy denies) *)
+  (* policy decisions: the interpreted reference scan vs the compiled
+     engine, over the connected-car workload (every designed producer
+     write and consumer read, plus the Table-I spoofed writes the policy
+     denies) *)
   let db = Policy.Compile.compile_exn (V.Policy_map.baseline ()) in
   let workload = car_workload () in
-  let bench_engine name engine =
+  let bench_decide name decide =
     let n = Array.length workload in
     let i = ref 0 in
     Test.make ~name
@@ -542,25 +536,18 @@ let perf () =
            let req = workload.(!i) in
            incr i;
            if !i = n then i := 0;
-           ignore (Policy.Engine.decide engine req)))
+           ignore (decide req)))
   in
   let bench_interpreted =
-    bench_engine "policy/engine/interpreted (car workload)"
-      (Policy.Engine.create ~mode:`Interpreted ~cache:false db)
+    bench_decide "policy/engine/interpreted (car workload)"
+      (Policy.Reference.decide (Policy.Reference.create db))
   in
   let bench_compiled =
-    bench_engine "policy/engine/compiled (car workload)"
-      (Policy.Engine.create ~mode:`Compiled ~cache:false db)
+    bench_decide "policy/engine/compiled (car workload)"
+      (Policy.Engine.decide (Policy.Engine.create db))
   in
-  let bench_compiled_cache =
-    bench_engine "policy/engine/compiled+cache (car workload)"
-      (Policy.Engine.create ~mode:`Compiled ~cache:true db)
-  in
-  (match
-     Policy.Engine.table_stats (Policy.Engine.create ~mode:`Compiled db)
-   with
-  | Some s -> Format.printf "compiled table: %a@." Policy.Table.pp_stats s
-  | None -> ());
+  Format.printf "compiled table: %a@." Policy.Table.pp_stats
+    (Policy.Engine.table_stats (Policy.Engine.create db));
   (* policy parsing *)
   let source = Policy.Printer.to_string (V.Policy_map.baseline ()) in
   let bench_parse =
@@ -646,11 +633,8 @@ let perf () =
   run_bechamel
     [
       bench_bitset;
-      bench_table;
-      bench_intervals;
       bench_interpreted;
       bench_compiled;
-      bench_compiled_cache;
       bench_parse;
       bench_avc;
       bench_noavc;
@@ -669,8 +653,8 @@ let perf () =
   let n = Array.length workload in
   let rounds = if !quick_mode then 50 else 400 in
   let warmup, repeats = if !quick_mode then (2, 7) else (5, 21) in
-  let engine_scalar = Policy.Engine.create ~mode:`Compiled ~cache:false db in
-  let engine_batch = Policy.Engine.create ~mode:`Compiled ~cache:false db in
+  let engine_scalar = Policy.Engine.create db in
+  let engine_batch = Policy.Engine.create db in
   let scalar () =
     for _ = 1 to rounds do
       for k = 0 to n - 1 do
@@ -732,7 +716,7 @@ let perf () =
   (* one extra pass through an obs-registered compiled engine: bechamel
      gives the OLS mean, the histogram gives the latency distribution *)
   let obs = Secpol_obs.Registry.create () in
-  let engine = Policy.Engine.create ~mode:`Compiled ~cache:false ~obs db in
+  let engine = Policy.Engine.create ~obs db in
   let passes = if !quick_mode then 20 else 200 in
   for _ = 1 to passes do
     Array.iter (fun req -> ignore (Policy.Engine.decide engine req)) workload

@@ -473,14 +473,11 @@ let bench_cmd =
               3
             end
             else begin
-              let time mode =
-                let engine =
-                  Policy.Engine.create ~strategy ~mode ~cache:false db
-                in
-                let n = Array.length workload in
+              let n = Array.length workload in
+              let time decide =
                 (* warm up allocators and the table *)
                 for k = 0 to min n 1000 - 1 do
-                  ignore (Policy.Engine.decide engine workload.(k mod n))
+                  ignore (decide workload.(k mod n))
                 done;
                 (* wall time from the shared monotonic helper, not
                    [Sys.time]: CPU seconds under-count when the process is
@@ -488,20 +485,24 @@ let bench_cmd =
                    layer report, so all timing now goes through one clock *)
                 let t0 = Secpol.Obs.Clock.now () in
                 for k = 0 to iters - 1 do
-                  ignore (Policy.Engine.decide engine workload.(k mod n))
+                  ignore (decide workload.(k mod n))
                 done;
                 (Secpol.Obs.Clock.now () -. t0) /. float_of_int iters *. 1e9
               in
-              let interpreted = time `Interpreted in
-              let compiled = time `Compiled in
+              (* a fresh decider for each pass, so no pass inherits
+                 another's rate budgets *)
+              let reference () =
+                Policy.Reference.decide (Policy.Reference.create ~strategy db)
+              in
+              let engine () =
+                Policy.Engine.decide (Policy.Engine.create ~strategy db)
+              in
+              let interpreted = time (reference ()) in
+              let compiled = time (engine ()) in
               let batched =
                 if not batch then None
                 else begin
-                  let engine =
-                    Policy.Engine.create ~strategy ~mode:`Compiled ~cache:false
-                      db
-                  in
-                  let n = Array.length workload in
+                  let engine = Policy.Engine.create ~strategy db in
                   let b = Policy.Batch.create ~capacity:n () in
                   Array.iter (fun req -> Policy.Batch.push b req) workload;
                   let out = Array.make n Policy.Ast.Deny in
@@ -524,20 +525,23 @@ let bench_cmd =
                 | _ -> None
               in
               (* separate instrumented pass: the timing loops above stay
-                 free of per-decision clock reads *)
-              let histogram mode =
-                let obs = Secpol.Obs.Registry.create () in
-                let engine =
-                  Policy.Engine.create ~strategy ~mode ~cache:false ~obs db
+                 free of per-decision clock reads.  Both histograms share
+                 the engine's latency layout. *)
+              let histogram decide =
+                let h =
+                  Secpol.Obs.Histogram.create ~lo:50.0 ~ratio:2.0 ~buckets:32
+                    ()
                 in
-                let n = Array.length workload in
                 for k = 0 to min iters 10_000 - 1 do
-                  ignore (Policy.Engine.decide engine workload.(k mod n))
+                  let t0 = Secpol.Obs.Clock.now () in
+                  ignore (decide workload.(k mod n));
+                  Secpol.Obs.Histogram.observe h
+                    (Secpol.Obs.Clock.elapsed_ns ~since:t0)
                 done;
-                Secpol.Obs.Registry.histogram obs "policy.engine.decide_ns"
+                h
               in
-              let h_interpreted = histogram `Interpreted in
-              let h_compiled = histogram `Compiled in
+              let h_interpreted = histogram (reference ()) in
+              let h_compiled = histogram (engine ()) in
               let speedup =
                 if compiled > 0.0 then interpreted /. compiled else 0.0
               in

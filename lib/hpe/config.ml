@@ -53,11 +53,10 @@ let of_policy engine ~mode ~subject ~bindings =
      budgets are fresh. *)
   let db = Policy.Engine.db engine in
   let static_engine =
-    match (Policy.Engine.strategy engine, Policy.Engine.table engine) with
-    | Policy.Engine.Deny_overrides, Some table ->
-        Policy.Engine.of_table ~cache:false table db
-    | (Deny_overrides | Allow_overrides | First_match), _ ->
-        Policy.Engine.create ~cache:false db
+    match Policy.Engine.strategy engine with
+    | Policy.Engine.Deny_overrides ->
+        Policy.Engine.of_table (Policy.Engine.table engine) db
+    | Allow_overrides | First_match -> Policy.Engine.create db
   in
   let allowed op b = Policy.Engine.permitted static_engine (request op b) in
   let read_ids =

@@ -73,9 +73,8 @@ val gate_rx_batch : t -> ?n:int -> ids:int array -> out:bool array -> unit -> un
     per-class tallies all advance identically — but the integrity and
     filter-enable register checks are hoisted out of the loop (nothing
     can change the register file mid-batch), and membership is tested
-    with {!Approved_list.mem_std}, so the loop allocates nothing on the
-    [Bitset] and [Intervals] backends.  This is the shape bulk candump
-    replay decomposes into.
+    with {!Approved_list.mem_std}, so the loop allocates nothing.  This
+    is the shape bulk candump replay decomposes into.
     @raise Invalid_argument when [n] is outside [ids] or [out] is shorter
     than the batch. *)
 

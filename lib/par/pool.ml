@@ -173,34 +173,10 @@ type t = {
   rings : ring array;
   mutable handles : unit Domain.t array;
   stop : bool Atomic.t;
-  cache : bool;
-  cache_capacity : int option;
   mutable joined : bool;
 }
 
-let zero_stats : Engine.stats =
-  {
-    decisions = 0;
-    allows = 0;
-    denies = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_flushes = 0;
-  }
-
-let add_stats (a : Engine.stats) (b : Engine.stats) : Engine.stats =
-  {
-    decisions = a.decisions + b.decisions;
-    allows = a.allows + b.allows;
-    denies = a.denies + b.denies;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
-    cache_flushes = a.cache_flushes + b.cache_flushes;
-  }
-
-let make_engine pool registry gen =
-  Engine.of_table ~cache:pool.cache ?cache_capacity:pool.cache_capacity
-    ~obs:registry gen.table gen.db
+let make_engine registry gen = Engine.of_table ~obs:registry gen.table gen.db
 
 (* Job-boundary epoch check: requests of a batch already being decided
    finish against the generation they started on (a coherent answer),
@@ -211,10 +187,10 @@ let refresh pool w =
   let gen = Atomic.get pool.current in
   if gen.epoch <> w.epoch_seen then begin
     Registry.merge_into ~into:w.retired w.registry;
-    w.retired_stats <- add_stats w.retired_stats (Engine.stats w.engine);
+    w.retired_stats <- Engine.add_stats w.retired_stats (Engine.stats w.engine);
     let registry = Registry.create () in
     w.registry <- registry;
-    w.engine <- make_engine pool registry gen;
+    w.engine <- make_engine registry gen;
     w.epoch_seen <- gen.epoch
   end
 
@@ -230,8 +206,7 @@ let worker_loop pool w ring ready =
   in
   loop ()
 
-let create ?(cache = true) ?cache_capacity ?(queue_capacity = 1024) ~domains
-    table db =
+let create ?(queue_capacity = 1024) ~domains table db =
   if domains < 1 then invalid_arg "Pool.create: domains < 1";
   if queue_capacity < 1 then invalid_arg "Pool.create: queue_capacity < 1";
   let gen = { epoch = 1; table; db } in
@@ -242,8 +217,6 @@ let create ?(cache = true) ?cache_capacity ?(queue_capacity = 1024) ~domains
       rings = Array.init domains (fun _ -> ring_create queue_capacity);
       handles = [||];
       stop = Atomic.make false;
-      cache;
-      cache_capacity;
       joined = false;
     }
   in
@@ -252,10 +225,10 @@ let create ?(cache = true) ?cache_capacity ?(queue_capacity = 1024) ~domains
         let registry = Registry.create () in
         {
           shard;
-          engine = make_engine pool registry gen;
+          engine = make_engine registry gen;
           registry;
           retired = Registry.create ();
-          retired_stats = zero_stats;
+          retired_stats = Engine.zero_stats;
           epoch_seen = gen.epoch;
         })
   in
@@ -308,7 +281,7 @@ let worker_snapshot w =
   let registry = Registry.create () in
   Registry.merge_into ~into:registry w.retired;
   Registry.merge_into ~into:registry w.registry;
-  (add_stats w.retired_stats (Engine.stats w.engine), registry)
+  (Engine.add_stats w.retired_stats (Engine.stats w.engine), registry)
 
 let shutdown pool =
   if not pool.joined then begin

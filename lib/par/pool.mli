@@ -36,8 +36,6 @@ type 'a ticket
     after resolution returns immediately. *)
 
 val create :
-  ?cache:bool ->
-  ?cache_capacity:int ->
   ?queue_capacity:int ->
   domains:int ->
   Secpol_policy.Table.t ->
@@ -46,8 +44,7 @@ val create :
 (** Spawn [domains] pinned workers over a compiled table and its source
     db (generation 1).  [queue_capacity] (default 1024, rounded up to a
     power of two) bounds each shard's request ring — the backpressure
-    point.  [cache]/[cache_capacity] configure each worker's private
-    engine.  Returns only once every worker is parked in its serve loop,
+    point.  Returns only once every worker is parked in its serve loop,
     so first-request latency never includes domain startup.
     @raise Invalid_argument when [domains < 1] or [queue_capacity < 1]. *)
 

@@ -27,31 +27,11 @@ type batch_result = {
   stats : stats;
 }
 
-let zero_engine_stats : Engine.stats =
-  {
-    decisions = 0;
-    allows = 0;
-    denies = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_flushes = 0;
-  }
-
-let add_engine_stats (a : Engine.stats) (b : Engine.stats) : Engine.stats =
-  {
-    decisions = a.decisions + b.decisions;
-    allows = a.allows + b.allows;
-    denies = a.denies + b.denies;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
-    cache_flushes = a.cache_flushes + b.cache_flushes;
-  }
-
 (* One shard's work: a private engine over the shared table, a private
    registry, decisions taken in slice order (= input order). *)
-let serve_slice ?cache ?cache_capacity table db work idxs =
+let serve_slice table db work idxs =
   let registry = Registry.create () in
-  let engine = Engine.of_table ?cache ?cache_capacity ~obs:registry table db in
+  let engine = Engine.of_table ~obs:registry table db in
   let outcomes =
     Array.map
       (fun i ->
@@ -61,45 +41,66 @@ let serve_slice ?cache ?cache_capacity table db work idxs =
   in
   (outcomes, registry, Engine.stats engine)
 
+(* One shard's work on the batched path: pack the whole slice into a
+   struct-of-arrays arena once, then decide it in bulk — the per-request
+   loop is {!Secpol_policy.Engine.decide_batch}'s allocation-free column
+   sweep instead of one [Engine.decide] call (and outcome record) per
+   request. *)
+let serve_slice_batch table db work idxs =
+  let registry = Registry.create () in
+  let engine = Engine.of_table ~obs:registry table db in
+  let n = Array.length idxs in
+  let batch = Batch.create ~capacity:(max 1 n) () in
+  Array.iter
+    (fun i ->
+      let now, req = work.(i) in
+      Batch.push ~now batch req)
+    idxs;
+  let decisions = Array.make n Ast.Deny in
+  Engine.decide_batch engine batch ~out:decisions;
+  (decisions, registry, Engine.stats engine)
+
 let scatter n slices =
   let out = Array.make n None in
   List.iter
-    (fun (idxs, outcomes) ->
-      Array.iteri (fun k i -> out.(i) <- Some outcomes.(k)) idxs)
+    (fun (idxs, values) ->
+      Array.iteri (fun k i -> out.(i) <- Some values.(k)) idxs)
     slices;
-  Array.map (function Some o -> o | None -> assert false) out
+  Array.map (function Some v -> v | None -> assert false) out
 
-let finish ~domains ~started slices =
-  let n = List.fold_left (fun a (idxs, _, _, _) -> a + Array.length idxs) 0 slices in
+(* Put the shards' per-request values back in input order, merge their
+   registries and sum their engine stats. *)
+let gather ~domains ~started slices =
+  let n =
+    List.fold_left (fun a (idxs, _, _, _) -> a + Array.length idxs) 0 slices
+  in
   let registry = Registry.create () in
-  let engine_stats = ref zero_engine_stats in
-  List.iter
-    (fun (_, _, shard_registry, shard_stats) ->
-      Registry.merge_into ~into:registry shard_registry;
-      engine_stats := add_engine_stats !engine_stats shard_stats)
-    slices;
-  let outcomes =
-    scatter n (List.map (fun (idxs, outs, _, _) -> (idxs, outs)) slices)
+  let engine =
+    List.fold_left
+      (fun acc (_, _, shard_registry, shard_stats) ->
+        Registry.merge_into ~into:registry shard_registry;
+        Engine.add_stats acc shard_stats)
+      Engine.zero_stats slices
+  in
+  let values =
+    scatter n (List.map (fun (idxs, values, _, _) -> (idxs, values)) slices)
   in
   (* Clamp to the clock's resolution: a sub-resolution quick run then
      reports a conservative lower bound on throughput instead of 0.0,
      which would poison downstream ratio gates. *)
   let elapsed_s = Float.max (Clock.now () -. started) Clock.resolution in
-  let throughput = float_of_int n /. elapsed_s in
-  {
-    outcomes;
-    registry;
-    stats =
-      {
-        domains;
-        served = n;
-        per_shard =
-          Array.of_list (List.map (fun (idxs, _, _, _) -> Array.length idxs) slices);
-        elapsed_s;
-        throughput;
-        engine = !engine_stats;
-      };
-  }
+  ( values,
+    registry,
+    {
+      domains;
+      served = n;
+      per_shard =
+        Array.of_list
+          (List.map (fun (idxs, _, _, _) -> Array.length idxs) slices);
+      elapsed_s;
+      throughput = float_of_int n /. elapsed_s;
+      engine;
+    } )
 
 (* Start barrier: [Domain.spawn] costs ~ms per domain, so starting the
    clock before spawning bills startup as serving time — at quick sizes
@@ -134,127 +135,61 @@ let with_start_barrier ~domains spawn_workers =
   Mutex.unlock mu;
   (started, workers)
 
-let run ?(domains = 1) ?(key = Partition.Subject) ?(strategy = Engine.Deny_overrides)
-    ?cache ?cache_capacity db work =
-  if domains < 1 then invalid_arg "Serve.run: domains < 1";
+(* Serve [work] on [domains] spawned domains, each running [slice] over
+   the shard {!Partition.assign} gives it.  The timed region is serving
+   only: compile, partition and domain startup are one-time costs
+   excluded by the start barrier. *)
+let sharded ~name ~domains ~key ~strategy slice db work =
+  if domains < 1 then invalid_arg (name ^ ": domains < 1");
   let table = Table.compile ~strategy db in
-  let requests = Array.map snd work in
-  let shards = Partition.assign key ~shards:domains requests in
-  (* timed region: serving only — compile, partition and domain startup
-     are one-time costs excluded by the start barrier *)
+  let shards = Partition.assign key ~shards:domains (Array.map snd work) in
   let started, workers =
     with_start_barrier ~domains:(Array.length shards) (fun gate ->
         Array.map
           (fun idxs ->
             Domain.spawn (fun () ->
                 gate ();
-                serve_slice ?cache ?cache_capacity table db work idxs))
+                slice table db work idxs))
           shards)
   in
   let slices =
     Array.to_list
       (Array.map2
          (fun idxs worker ->
-           let outs, registry, stats = Domain.join worker in
-           (idxs, outs, registry, stats))
+           let values, registry, stats = Domain.join worker in
+           (idxs, values, registry, stats))
          shards workers)
   in
-  finish ~domains ~started slices
+  gather ~domains ~started slices
 
-let run_sequential ?(strategy = Engine.Deny_overrides) ?cache ?cache_capacity db
-    work =
+let sequential ~strategy slice db work =
   let table = Table.compile ~strategy db in
   let idxs = Array.init (Array.length work) Fun.id in
   let started = Clock.now () in
-  let outs, registry, stats =
-    serve_slice ?cache ?cache_capacity table db work idxs
-  in
-  finish ~domains:1 ~started [ (idxs, outs, registry, stats) ]
+  let values, registry, stats = slice table db work idxs in
+  gather ~domains:1 ~started [ (idxs, values, registry, stats) ]
 
-(* ------------------------------------------------------------------ *)
-(* The batched path                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* One shard's work on the batched path: pack the whole slice into a
-   struct-of-arrays arena once, then decide it in bulk — the per-request
-   loop is {!Secpol_policy.Engine.decide_batch}'s allocation-free column
-   sweep instead of one [Engine.decide] call (and outcome record) per
-   request.  The decision cache is irrelevant here (the batch path
-   bypasses it), so the engine is created without one. *)
-let serve_slice_batch table db work idxs =
-  let registry = Registry.create () in
-  let engine = Engine.of_table ~cache:false ~obs:registry table db in
-  let n = Array.length idxs in
-  let batch = Batch.create ~capacity:(max 1 n) () in
-  Array.iter
-    (fun i ->
-      let now, req = work.(i) in
-      Batch.push ~now batch req)
-    idxs;
-  let decisions = Array.make n Ast.Deny in
-  Engine.decide_batch engine batch ~out:decisions;
-  (decisions, registry, Engine.stats engine)
-
-let finish_batch ~domains ~started slices =
-  let n =
-    List.fold_left (fun a (idxs, _, _, _) -> a + Array.length idxs) 0 slices
+let run ?(domains = 1) ?(key = Partition.Subject)
+    ?(strategy = Engine.Deny_overrides) db work =
+  let outcomes, registry, stats =
+    sharded ~name:"Serve.run" ~domains ~key ~strategy serve_slice db work
   in
-  let registry = Registry.create () in
-  let engine_stats = ref zero_engine_stats in
-  List.iter
-    (fun (_, _, shard_registry, shard_stats) ->
-      Registry.merge_into ~into:registry shard_registry;
-      engine_stats := add_engine_stats !engine_stats shard_stats)
-    slices;
-  let decisions =
-    scatter n (List.map (fun (idxs, ds, _, _) -> (idxs, ds)) slices)
-  in
-  let elapsed_s = Float.max (Clock.now () -. started) Clock.resolution in
-  let throughput = float_of_int n /. elapsed_s in
-  {
-    decisions;
-    registry;
-    stats =
-      {
-        domains;
-        served = n;
-        per_shard =
-          Array.of_list
-            (List.map (fun (idxs, _, _, _) -> Array.length idxs) slices);
-        elapsed_s;
-        throughput;
-        engine = !engine_stats;
-      };
-  }
+  { outcomes; registry; stats }
+
+let run_sequential ?(strategy = Engine.Deny_overrides) db work =
+  let outcomes, registry, stats = sequential ~strategy serve_slice db work in
+  { outcomes; registry; stats }
 
 let run_batch ?(domains = 1) ?(key = Partition.Subject)
     ?(strategy = Engine.Deny_overrides) db work =
-  if domains < 1 then invalid_arg "Serve.run_batch: domains < 1";
-  let table = Table.compile ~strategy db in
-  let requests = Array.map snd work in
-  let shards = Partition.assign key ~shards:domains requests in
-  let started, workers =
-    with_start_barrier ~domains:(Array.length shards) (fun gate ->
-        Array.map
-          (fun idxs ->
-            Domain.spawn (fun () ->
-                gate ();
-                serve_slice_batch table db work idxs))
-          shards)
+  let decisions, registry, stats =
+    sharded ~name:"Serve.run_batch" ~domains ~key ~strategy serve_slice_batch
+      db work
   in
-  let slices =
-    Array.to_list
-      (Array.map2
-         (fun idxs worker ->
-           let ds, registry, stats = Domain.join worker in
-           (idxs, ds, registry, stats))
-         shards workers)
-  in
-  finish_batch ~domains ~started slices
+  { decisions; registry; stats }
 
 let run_batch_sequential ?(strategy = Engine.Deny_overrides) db work =
-  let table = Table.compile ~strategy db in
-  let idxs = Array.init (Array.length work) Fun.id in
-  let started = Clock.now () in
-  let ds, registry, stats = serve_slice_batch table db work idxs in
-  finish_batch ~domains:1 ~started [ (idxs, ds, registry, stats) ]
+  let decisions, registry, stats =
+    sequential ~strategy serve_slice_batch db work
+  in
+  { decisions; registry; stats }

@@ -3,8 +3,8 @@
     The parallel execution model of the layer: the policy database is
     compiled {e once} into an immutable {!Secpol_policy.Table}, shared
     read-only by every domain; each domain then owns a fully private
-    {!Secpol_policy.Engine} (its own decision cache and rate budgets) and
-    a private {!Secpol_obs.Registry}, and serves only the slice of the
+    {!Secpol_policy.Engine} (its own rate budgets and counters) and a
+    private {!Secpol_obs.Registry}, and serves only the slice of the
     workload that {!Partition} routes to it.  Nothing mutable crosses a
     domain boundary, so the hot path takes no locks at all.
 
@@ -35,23 +35,19 @@ val run :
   ?domains:int ->
   ?key:Partition.key ->
   ?strategy:Secpol_policy.Engine.strategy ->
-  ?cache:bool ->
-  ?cache_capacity:int ->
   Secpol_policy.Ir.db ->
   (float * Secpol_policy.Ir.request) array ->
   result
 (** [run db work] decides every [(now, request)] pair of [work].
     [domains] (default 1) worker domains are spawned, each serving the
     shard {!Partition.assign} gives it under [key] (default
-    {!Partition.Subject}).  [strategy], [cache] and [cache_capacity] are
-    those of {!Secpol_policy.Engine.create}.  Timestamps must be
-    non-decreasing per partition key (see {!Secpol_policy.Rate_window}).
+    {!Partition.Subject}).  [strategy] is that of
+    {!Secpol_policy.Engine.create}.  Timestamps must be non-decreasing
+    per partition key (see {!Secpol_policy.Rate_window}).
     @raise Invalid_argument when [domains < 1]. *)
 
 val run_sequential :
   ?strategy:Secpol_policy.Engine.strategy ->
-  ?cache:bool ->
-  ?cache_capacity:int ->
   Secpol_policy.Ir.db ->
   (float * Secpol_policy.Ir.request) array ->
   result
@@ -78,8 +74,7 @@ val run_batch :
     per-request work inside a shard is the allocation-free column sweep
     rather than a per-request [decide] (and outcome record).  Decisions
     are identical to {!run}'s [outcome.decision] for the same inputs;
-    what the batch path gives up is per-request matched-rule attribution
-    (there is no [cache] knob because batches bypass the decision cache).
+    what the batch path gives up is per-request matched-rule attribution.
     @raise Invalid_argument when [domains < 1]. *)
 
 val run_batch_sequential :

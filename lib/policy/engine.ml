@@ -5,37 +5,32 @@ type strategy = Table.strategy =
   | Allow_overrides
   | First_match
 
-type mode = [ `Interpreted | `Compiled ]
-
 type outcome = {
   decision : Ast.decision;
   matched : Ir.rule option;
-  from_cache : bool;
 }
 
 type stats = {
   decisions : int;
   allows : int;
   denies : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_flushes : int;
 }
 
-module Cache = Hashtbl.Make (Ir.Request)
+let zero_stats = { decisions = 0; allows = 0; denies = 0 }
+
+let add_stats a b =
+  {
+    decisions = a.decisions + b.decisions;
+    allows = a.allows + b.allows;
+    denies = a.denies + b.denies;
+  }
 
 exception Unavailable
 
 type t = {
   mutable db : Ir.db;
   mutable stalled : bool;
-  strategy : strategy;
-  mode : mode;
-  mutable by_asset : (string, Ir.rule list) Hashtbl.t;
-      (* interpreted path; kept in both modes for introspection *)
-  mutable table : Table.t option;  (* compiled path *)
-  cache : (Ast.decision * Ir.rule option) Cache.t option;
-  cache_capacity : int;
+  mutable table : Table.t;
   (* sliding-window grant budgets per (rate-limited rule, subject) *)
   buckets : (int * string, Rate_window.t) Hashtbl.t;
   (* the batch path's rate callbacks, closed over [buckets] once at
@@ -44,49 +39,27 @@ type t = {
      timestamp itself *)
   rate_avail_cb : Ir.rule -> Batch.t -> int -> bool;
   rate_cons_cb : Ir.rule -> Batch.t -> int -> unit;
-  mutable rated_assets : string list;
   (* one consistent registry instead of ad-hoc mutable stat fields; the
      counters exist (and cost one word each) even without a registry, so
      the hot path never branches on whether telemetry is attached *)
   c_decisions : Obs.Counter.t;
   c_allows : Obs.Counter.t;
   c_denies : Obs.Counter.t;
-  c_cache_hits : Obs.Counter.t;
-  c_cache_misses : Obs.Counter.t;
-  c_cache_flushes : Obs.Counter.t;
   latency : Obs.Histogram.t option; (* per-decision, ns; None when no obs *)
   batch_latency : Obs.Histogram.t option; (* per-batch, ns; None when no obs *)
   clock : unit -> float;
   events : Obs.Ring.t option;
 }
 
-let index_by_asset (db : Ir.db) =
-  let tbl = Hashtbl.create 32 in
-  (* keep source order within each asset bucket: cons (O(1)) while
-     scanning, then reverse each bucket once — appending with [@] here is
-     quadratic in rules per asset *)
-  List.iter
-    (fun (r : Ir.rule) ->
-      let existing = Option.value ~default:[] (Hashtbl.find_opt tbl r.asset) in
-      Hashtbl.replace tbl r.asset (r :: existing))
-    db.rules;
-  Hashtbl.filter_map_inplace (fun _ rules -> Some (List.rev rules)) tbl;
-  tbl
-
-let rated_assets_of (db : Ir.db) =
-  db.rules
-  |> List.filter_map (fun (r : Ir.rule) ->
-         if r.rate <> None then Some r.asset else None)
-  |> List.sort_uniq String.compare
-
-let default_cache_capacity = 8192
-
 (* Behavioural budgets, shared by the scalar and batched paths: a
    rate-limited allow rule is *available* while its sliding window has
    room, and its budget is consumed only when the rule actually produces
    the Allow decision.  Keyed by (rule index, subject) over the engine's
    bucket table — free functions so the batch callbacks can close over
-   the table before the engine record exists. *)
+   the table before the engine record exists.  Matching alongside a
+   winning deny costs nothing; deny rules never carry rates (the compiler
+   refuses them).  Window semantics live in {!Rate_window}, shared with
+   the HPE's hardware shaper. *)
 let bucket_of buckets (r : Ir.rule) rate subject =
   let key = (r.Ir.idx, subject) in
   match Hashtbl.find_opt buckets key with
@@ -106,9 +79,7 @@ let rate_consume_in buckets ~now (r : Ir.rule) subject =
   | None -> ()
   | Some rate -> Rate_window.consume (bucket_of buckets r rate subject) ~now
 
-let make ~strategy ~cache ~cache_capacity ~mode ~obs ~table db =
-  if cache_capacity <= 0 then
-    invalid_arg "Engine.create: cache_capacity must be positive";
+let of_table ?obs table db =
   let counter name =
     let c = Obs.Counter.create () in
     Option.iter
@@ -120,12 +91,7 @@ let make ~strategy ~cache ~cache_capacity ~mode ~obs ~table db =
   {
     db;
     stalled = false;
-    strategy;
-    mode;
-    by_asset = index_by_asset db;
     table;
-    cache = (if cache then Some (Cache.create 256) else None);
-    cache_capacity;
     buckets;
     rate_avail_cb =
       (fun r b i ->
@@ -133,13 +99,9 @@ let make ~strategy ~cache ~cache_capacity ~mode ~obs ~table db =
     rate_cons_cb =
       (fun r b i ->
         rate_consume_in buckets ~now:b.Batch.nows.(i) r b.Batch.subjects.(i));
-    rated_assets = rated_assets_of db;
     c_decisions = counter "decisions";
     c_allows = counter "allows";
     c_denies = counter "denies";
-    c_cache_hits = counter "cache.hits";
-    c_cache_misses = counter "cache.misses";
-    c_cache_flushes = counter "cache.flushes";
     latency =
       Option.map
         (fun reg ->
@@ -157,102 +119,16 @@ let make ~strategy ~cache ~cache_capacity ~mode ~obs ~table db =
     events = Option.map Obs.Registry.trace obs;
   }
 
-let create ?(strategy = Deny_overrides) ?(cache = true)
-    ?(cache_capacity = default_cache_capacity) ?(mode = `Compiled) ?obs db =
-  let table =
-    match mode with
-    | `Compiled -> Some (Table.compile ~strategy db)
-    | `Interpreted -> None
-  in
-  make ~strategy ~cache ~cache_capacity ~mode ~obs ~table db
+let create ?(strategy = Deny_overrides) ?cache:_ ?obs db =
+  of_table ?obs (Table.compile ~strategy db) db
 
-let of_table ?(cache = true) ?(cache_capacity = default_cache_capacity) ?obs
-    table db =
-  make ~strategy:(Table.strategy table) ~cache ~cache_capacity ~mode:`Compiled
-    ~obs ~table:(Some table) db
-
-let strategy t = t.strategy
-
-let mode t = t.mode
+let strategy t = Table.strategy t.table
 
 let db t = t.db
 
 let table t = t.table
 
-let table_stats t = Option.map Table.stats t.table
-
-(* Matching alongside a winning deny costs nothing; deny rules never carry
-   rates (the compiler refuses them).  Window semantics live in
-   {!Rate_window}, shared with the HPE's hardware shaper. *)
-let rate_available t ~now (r : Ir.rule) subject =
-  rate_available_in t.buckets ~now r subject
-
-let rate_consume t ~now (r : Ir.rule) subject =
-  rate_consume_in t.buckets ~now r subject
-
-let matching_rules t (req : Ir.request) =
-  let candidates =
-    Option.value ~default:[] (Hashtbl.find_opt t.by_asset req.Ir.asset)
-  in
-  List.filter (fun r -> Ir.rule_matches r req) candidates
-
-let resolve_interpreted t ~now (req : Ir.request) =
-  let matching = matching_rules t req in
-  let subject = req.Ir.subject in
-  (* the first allow rule whose budget (if any) has room; consuming it *)
-  let take_allow rules =
-    match
-      List.find_opt
-        (fun (r : Ir.rule) ->
-          r.decision = Ast.Allow && rate_available t ~now r subject)
-        rules
-    with
-    | Some r ->
-        rate_consume t ~now r subject;
-        Some r
-    | None -> None
-  in
-  match t.strategy with
-  | First_match ->
-      (* scan in source order; an exhausted allow rule is skipped *)
-      let rec scan = function
-        | [] -> (t.db.default, None)
-        | (r : Ir.rule) :: rest -> (
-            match r.decision with
-            | Ast.Deny -> (Ast.Deny, Some r)
-            | Ast.Allow ->
-                if rate_available t ~now r subject then begin
-                  rate_consume t ~now r subject;
-                  (Ast.Allow, Some r)
-                end
-                else scan rest)
-      in
-      scan matching
-  | Deny_overrides -> (
-      match List.find_opt (fun (r : Ir.rule) -> r.decision = Ast.Deny) matching with
-      | Some r -> (Ast.Deny, Some r)
-      | None -> (
-          match take_allow matching with
-          | Some r -> (Ast.Allow, Some r)
-          | None -> (t.db.default, None)))
-  | Allow_overrides -> (
-      match take_allow matching with
-      | Some r -> (Ast.Allow, Some r)
-      | None -> (
-          match
-            List.find_opt (fun (r : Ir.rule) -> r.decision = Ast.Deny) matching
-          with
-          | Some r -> (Ast.Deny, Some r)
-          | None -> (t.db.default, None)))
-
-let resolve t ~now (req : Ir.request) =
-  match t.table with
-  | Some table ->
-      Table.decide table
-        ~rate_available:(fun r -> rate_available t ~now r req.Ir.subject)
-        ~rate_consume:(fun r -> rate_consume t ~now r req.Ir.subject)
-        req
-  | None -> resolve_interpreted t ~now req
+let table_stats t = Table.stats t.table
 
 let record t decision =
   Obs.Counter.incr t.c_decisions;
@@ -260,41 +136,16 @@ let record t decision =
   | Ast.Allow -> Obs.Counter.incr t.c_allows
   | Ast.Deny -> Obs.Counter.incr t.c_denies
 
-let cache_insert t cache req entry =
-  (* bounded: a full flush beats per-entry eviction bookkeeping on the hot
-     path, and the compiled table repopulates a flushed cache in one pass
-     over the working set *)
-  if Cache.length cache >= t.cache_capacity then begin
-    (match t.events with
-    | None -> ()
-    | Some ring ->
-        Obs.Ring.record ring ~time:(t.clock ())
-          ~attrs:[ ("entries", string_of_int (Cache.length cache)) ]
-          "policy.cache.flush");
-    Cache.reset cache;
-    Obs.Counter.incr t.c_cache_flushes
-  end;
-  Cache.replace cache req entry
-
 let decide_untimed t ~now (req : Ir.request) =
-  let cacheable = not (List.mem req.Ir.asset t.rated_assets) in
-  match t.cache with
-  | Some cache when cacheable -> (
-      match Cache.find_opt cache req with
-      | Some (decision, matched) ->
-          Obs.Counter.incr t.c_cache_hits;
-          record t decision;
-          { decision; matched; from_cache = true }
-      | None ->
-          Obs.Counter.incr t.c_cache_misses;
-          let decision, matched = resolve t ~now req in
-          cache_insert t cache req (decision, matched);
-          record t decision;
-          { decision; matched; from_cache = false })
-  | Some _ | None ->
-      let decision, matched = resolve t ~now req in
-      record t decision;
-      { decision; matched; from_cache = false }
+  let decision, matched =
+    Table.decide t.table
+      ~rate_available:(fun r ->
+        rate_available_in t.buckets ~now r req.Ir.subject)
+      ~rate_consume:(fun r -> rate_consume_in t.buckets ~now r req.Ir.subject)
+      req
+  in
+  record t decision;
+  { decision; matched }
 
 let set_stalled t stalled = t.stalled <- stalled
 
@@ -312,31 +163,16 @@ let decide ?(now = 0.0) t (req : Ir.request) =
 
 let permitted ?now t req = (decide ?now t req).decision = Ast.Allow
 
-(* The batched fast path.  Per-request work against a compiled table is
-   free of minor-heap allocation: the batch's columns are flat arrays,
-   dispatch lookups probe open-addressed arrays, the rate callbacks are
-   the closures stored at construction, and the decision counters are
-   one-word cells.  Per-*batch* costs (the latency observation, interning
-   a mode the memo has not seen) stay O(1) regardless of batch size. *)
+(* The batched fast path.  Per-request work is free of minor-heap
+   allocation: the batch's columns are flat arrays, dispatch lookups
+   probe open-addressed arrays, the rate callbacks are the closures
+   stored at construction, and the decision counters are one-word cells.
+   Per-*batch* costs (the latency observation, interning a mode the memo
+   has not seen) stay O(1) regardless of batch size. *)
 let decide_batch_untimed t (b : Batch.t) ~out =
   let allows =
-    match t.table with
-    | Some table ->
-        Table.decide_batch table ~rate_available:t.rate_avail_cb
-          ~rate_consume:t.rate_cons_cb b ~out
-    | None ->
-        (* interpreted parity path: reconstructs each request (allocating);
-           exists so batch ≡ scalar holds in both engine modes, not for
-           speed.  Bypasses the cache like the compiled batch path. *)
-        let allows = ref 0 in
-        for i = 0 to b.Batch.len - 1 do
-          let decision, _ =
-            resolve_interpreted t ~now:b.Batch.nows.(i) (Batch.request b i)
-          in
-          if decision = Ast.Allow then incr allows;
-          out.(i) <- decision
-        done;
-        !allows
+    Table.decide_batch t.table ~rate_available:t.rate_avail_cb
+      ~rate_consume:t.rate_cons_cb b ~out
   in
   (* bulk stats: three counter adds per batch, not two bumps per request *)
   Obs.Counter.add t.c_decisions b.Batch.len;
@@ -354,17 +190,11 @@ let decide_batch t (b : Batch.t) ~out =
       decide_batch_untimed t b ~out;
       Obs.Histogram.observe h ((t.clock () -. t0) *. 1e9)
 
-let flush_cache t = Option.iter Cache.reset t.cache
-
 let swap_db t db =
   t.db <- db;
-  t.by_asset <- index_by_asset db;
-  (match t.mode with
-  | `Compiled -> t.table <- Some (Table.compile ~strategy:t.strategy db)
-  | `Interpreted -> ());
-  t.rated_assets <- rated_assets_of db;
+  t.table <- Table.compile ~strategy:(strategy t) db;
   Hashtbl.reset t.buckets;
-  (match t.events with
+  match t.events with
   | None -> ()
   | Some ring ->
       Obs.Ring.record ring ~time:(t.clock ())
@@ -372,17 +202,13 @@ let swap_db t db =
           [
             ("policy", db.Ir.name); ("version", string_of_int db.Ir.version);
           ]
-        "policy.engine.swap_db");
-  flush_cache t
+        "policy.engine.swap_db"
 
 let stats t =
   {
     decisions = Obs.Counter.value t.c_decisions;
     allows = Obs.Counter.value t.c_allows;
     denies = Obs.Counter.value t.c_denies;
-    cache_hits = Obs.Counter.value t.c_cache_hits;
-    cache_misses = Obs.Counter.value t.c_cache_misses;
-    cache_flushes = Obs.Counter.value t.c_cache_flushes;
   }
 
 let pp_outcome ppf o =

@@ -51,8 +51,6 @@ let message_matches messages msg_id =
       | Some id -> List.exists (Ast.range_mem id) ranges)
 
 module Request = struct
-  type t = request
-
   (* Distinct small primes per op so (subject, asset, read) and (subject,
      asset, write) never collide structurally. *)
   let op_tag = function Read -> 17 | Write -> 29
@@ -67,23 +65,6 @@ module Request = struct
     ((h * 31) + op_tag op) land max_int
 
   let pair_hash ~asset op = ((String.hash asset * 31) + op_tag op) land max_int
-
-  let equal a b =
-    a.op = b.op
-    && (match (a.msg_id, b.msg_id) with
-       | None, None -> true
-       | Some x, Some y -> x = y
-       | None, Some _ | Some _, None -> false)
-    && String.equal a.subject b.subject
-    && String.equal a.asset b.asset
-    && String.equal a.mode b.mode
-
-  let hash r =
-    let h = String.hash r.mode in
-    let h = (h * 31) + String.hash r.subject in
-    let h = (h * 31) + String.hash r.asset in
-    let h = (h * 31) + op_tag r.op in
-    ((h * 31) + (match r.msg_id with None -> 3 | Some id -> id + 7)) land max_int
 end
 
 let rule_matches (r : rule) (req : request) =

@@ -55,23 +55,14 @@ val rule_matches : rule -> request -> bool
     inside one of its ranges. *)
 
 module Request : sig
-  type t = request
-
-  val equal : t -> t -> bool
-
-  val hash : t -> int
-  (** Field-wise hash (no [Hashtbl.hash] on the structured value), suitable
-      for [Hashtbl.Make]; used to key the engine's decision cache and the
-      compiled table ({!Table}). *)
-
   val op_tag : op -> int
   (** Small distinct integer per operation, the column representation used
       by {!Batch} (an [int array] of operations stays unboxed and
       comparison-free on the batched decision path). *)
 
   val triple_hash : subject:string -> asset:string -> op -> int
-  (** Hash of the [(subject, asset, op)] dispatch key, consistent with
-      {!hash}'s treatment of the same fields; precomputed per request by
+  (** Hash of the [(subject, asset, op)] dispatch key (field-wise, no
+      [Hashtbl.hash] on the structured value); precomputed per request by
       {!Batch.push} and used by {!Table}'s open-addressed dispatch. *)
 
   val pair_hash : asset:string -> op -> int

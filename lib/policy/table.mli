@@ -1,8 +1,8 @@
 (** Compiled decision tables: the wire-speed fast path of the policy
     engine.
 
-    {!Engine.decide} in interpreted mode scans every rule indexed under the
-    request's asset.  This module instead lowers an {!Ir.db} once, at
+    {!Reference} scans every rule indexed under the request's asset on
+    every decision.  This module instead lowers an {!Ir.db} once, at
     policy-load time, into an indexed structure so the hot path is a single
     hash lookup (paper Fig. 4's hardware decision block; DiSPEL compiles
     bus policies into per-node tables for the same reason):
@@ -37,8 +37,8 @@
     operation in this interface (or in the implementation) mutates it, so
     one compiled table can be shared {e read-only} by any number of
     engines — including engines running in different OCaml domains
-    ({!Secpol_par} relies on this; per-engine mutable state such as decision
-    caches and rate budgets lives in {!Engine}, never here). *)
+    ({!Secpol_par} relies on this; per-engine mutable state such as rate
+    budgets lives in {!Engine}, never here). *)
 
 type strategy = Deny_overrides | Allow_overrides | First_match
 (** Re-exported by {!Engine.strategy}; defined here so compilation does not
@@ -48,7 +48,7 @@ type t
 
 val compile : strategy:strategy -> Ir.db -> t
 (** Lower [db] for [strategy].  Observable semantics of {!decide} are
-    identical to the interpreted scan for the same strategy. *)
+    identical to {!Reference.decide} for the same strategy. *)
 
 val strategy : t -> strategy
 (** The strategy the table was compiled for (folded into bucket order at

@@ -10,8 +10,8 @@
 
    - [analyse] measures default-deny completeness (the partition is total
      by construction, so the default segment is computed, not guessed),
-     proves that the interpreted engine, the compiled table and the
-     symbolic partition agree by evaluating both real engines at every
+     proves that the reference scan ({!Reference}), the compiled engine
+     and the symbolic partition agree by evaluating both deciders at every
      region boundary under every reachable rate-budget state (SP014 on any
      divergence), finds rules whose effective region is empty everywhere
      (SP011) and operating modes with identical decision functions
@@ -236,9 +236,14 @@ let proved p = p.divergences = []
 let request_of (c : cell) msg_id =
   { Ir.mode = c.mode; subject = c.subject; asset = c.asset; op = c.op; msg_id }
 
+(* The two deciders the proof checks against the symbolic partition: the
+   reference scan and the compiled engine, each with fresh budgets. *)
 let engines ~strategy db =
-  ( Engine.create ~strategy ~cache:false ~mode:`Interpreted db,
-    Engine.create ~strategy ~cache:false ~mode:`Compiled db )
+  (Reference.create ~strategy db, Engine.create ~strategy db)
+
+let decide_compiled engine req =
+  let o = Engine.decide engine req in
+  (o.Engine.decision, o.Engine.matched)
 
 (* Drive a fresh engine pair into an oracle state: for each exhausted rule
    in folded order, fire [count] identical requests at a point only it can
@@ -251,7 +256,7 @@ let prime (interp, compiled) (c : cell) skipped =
       | Some rate, w :: _ ->
           let req = request_of c w in
           for _ = 1 to rate.Ast.count do
-            ignore (Engine.decide interp req);
+            ignore (Reference.decide interp req);
             ignore (Engine.decide compiled req)
           done
       | None, _ | _, [] -> assert false)
@@ -448,18 +453,16 @@ let analyse ?(strategy = Engine.Deny_overrides) ?modes ?subjects ?assets
   let silent_cells = ref 0 in
   let default_points = ref 0 in
   let shared = engines ~strategy db in
-  let probe (c : cell) (seg : segment) req name engine =
+  let probe (c : cell) (seg : segment) req name decide =
     let expect_decision = decision_of_cls seg.cls in
     let expect_rule = Option.map (fun (r : Ir.rule) -> r.idx) seg.rule in
-    let got = Engine.decide engine req in
-    let got_rule =
-      Option.map (fun (r : Ir.rule) -> r.idx) got.Engine.matched
-    in
+    let got_decision, got_matched = decide req in
+    let got_rule = Option.map (fun (r : Ir.rule) -> r.idx) got_matched in
     let source = function
       | None -> "the default"
       | Some i -> Printf.sprintf "rule #%d" i
     in
-    if got.Engine.decision <> expect_decision || got_rule <> expect_rule then
+    if got_decision <> expect_decision || got_rule <> expect_rule then
       divergences :=
         Diagnostic.make Diagnostic.Semantics_divergence
           (Format.asprintf
@@ -468,7 +471,7 @@ let analyse ?(strategy = Engine.Deny_overrides) ?modes ?subjects ?assets
              name Ir.pp_request req
              (Ast.decision_name expect_decision)
              (source expect_rule)
-             (Ast.decision_name got.Engine.decision)
+             (Ast.decision_name got_decision)
              (source got_rule))
           ~asset:c.asset ~subject:c.subject ~mode:c.mode ~op:c.op
           ?rules:(Option.map (fun i -> [ i ]) expect_rule)
@@ -537,8 +540,8 @@ let analyse ?(strategy = Engine.Deny_overrides) ?modes ?subjects ?assets
                       | Deny | Allow -> pair
                     in
                     let req = request_of c w in
-                    probe c seg req "interpreted" interp;
-                    probe c seg req "compiled" compiled)
+                    probe c seg req "interpreted" (Reference.decide interp);
+                    probe c seg req "compiled" (decide_compiled compiled))
                   (Region.witnesses seg.region))
               segments
           end)

@@ -4,14 +4,14 @@
     the message dimension to decisions.  {!partition} computes that
     function exactly as a list of disjoint {!Region}s — no sampling — by
     scanning the strategy-folded rule list once, mirroring precisely what
-    both the interpreted engine and the compiled {!Table} evaluate.  On
-    top of the partitions:
+    both the reference scan ({!Reference}) and the compiled {!Table}
+    evaluate.  On top of the partitions:
 
     - {!analyse} measures default-decision completeness, {e proves}
-      interpreter/compiled/symbolic agreement by evaluating both real
-      engines at every region boundary under every reachable rate-budget
-      state (SP014 on divergence), and finds dead rules (SP011) and
-      mergeable modes (SP010);
+      reference/compiled/symbolic agreement by evaluating the reference
+      scan and the compiled engine at every region boundary under every
+      reachable rate-budget state (SP014 on divergence), and finds dead
+      rules (SP011) and mergeable modes (SP010);
     - {!diff} computes the exact decision-region delta between two policy
       versions (SP012 when an update widens an allow region);
     - threat-derived {!Secpol_threat.Obligation}s are checked against the

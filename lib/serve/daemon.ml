@@ -18,7 +18,6 @@ type config = {
   tcp_port : int option;
   domains : int;
   strategy : Engine.strategy;
-  cache : bool;
   queue_capacity : int;
   watchdog_deadline_s : float;
   admission_retries : int;
@@ -31,7 +30,6 @@ let default_config =
     tcp_port = None;
     domains = 1;
     strategy = Engine.Deny_overrides;
-    cache = true;
     queue_capacity = 1024;
     watchdog_deadline_s = 1.0;
     admission_retries = 3;
@@ -61,26 +59,6 @@ type t = {
   c_reloads : Obs.Counter.t;
   c_reloads_refused : Obs.Counter.t;
 }
-
-let zero_stats : Engine.stats =
-  {
-    decisions = 0;
-    allows = 0;
-    denies = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_flushes = 0;
-  }
-
-let add_stats (a : Engine.stats) (b : Engine.stats) : Engine.stats =
-  {
-    decisions = a.decisions + b.decisions;
-    allows = a.allows + b.allows;
-    denies = a.denies + b.denies;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
-    cache_flushes = a.cache_flushes + b.cache_flushes;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Deciding                                                            *)
@@ -241,16 +219,13 @@ let engine_stats_json (s : Engine.stats) =
       ("decisions", Json.Int s.decisions);
       ("allows", Json.Int s.allows);
       ("denies", Json.Int s.denies);
-      ("cache_hits", Json.Int s.cache_hits);
-      ("cache_misses", Json.Int s.cache_misses);
-      ("cache_flushes", Json.Int s.cache_flushes);
     ]
 
 let stats_json t =
   let domains = Pool.domains t.pool in
   let merged = Registry.create () in
   Registry.merge_into ~into:merged t.registry;
-  let engine = ref zero_stats in
+  let engine = ref Engine.zero_stats in
   let missing = ref 0 in
   (* Each shard snapshots itself as a job, so the snapshot reads
      quiesced worker state; a wedged shard times out and is reported
@@ -263,7 +238,7 @@ let stats_json t =
           Pool.await_timeout ticket ~timeout_s:t.config.watchdog_deadline_s
         with
         | Some (Ok (stats, registry)) ->
-            engine := add_stats !engine stats;
+            engine := Engine.add_stats !engine stats;
             Registry.merge_into ~into:merged registry
         | Some (Error _) | None -> incr missing)
   done;
@@ -382,8 +357,8 @@ let start ?(config = default_config) db =
   if config.domains < 1 then invalid_arg "Daemon.start: domains < 1";
   let table = Table.compile ~strategy:config.strategy db in
   let pool =
-    Pool.create ~cache:config.cache ~queue_capacity:config.queue_capacity
-      ~domains:config.domains table db
+    Pool.create ~queue_capacity:config.queue_capacity ~domains:config.domains
+      table db
   in
   let registry = Registry.create () in
   let counter name =

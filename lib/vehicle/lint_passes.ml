@@ -18,22 +18,19 @@ let hpe_consistency ?(bindings = Messages.bindings)
         }
       in
       (* a fresh engine per request: budgets of rate-limited rules must not
-         leak between probe requests, and the cache must not mask the
-         strategy *)
+         leak between probe requests *)
       let software_allows req =
-        let engine =
-          Policy.Engine.create ~strategy:cfg.Lint.strategy ~cache:false db
-        in
-        Policy.Engine.permitted engine req
+        Policy.Engine.permitted
+          (Policy.Engine.create ~strategy:cfg.Lint.strategy db)
+          req
       in
       List.concat_map
         (fun mode ->
           List.concat_map
             (fun subject ->
               let hpe =
-                Hpe_config.of_policy
-                  (Policy.Engine.create ~cache:false db)
-                  ~mode ~subject ~bindings
+                Hpe_config.of_policy (Policy.Engine.create db) ~mode ~subject
+                  ~bindings
               in
               List.concat_map
                 (fun (b : Hpe_config.binding) ->

@@ -26,8 +26,8 @@ val hpe_consistency :
   Policy.Lint.pass
 (** Defaults: the vehicle message map ({!Messages.bindings}), all car modes
     and all node subjects.  The software side is evaluated under the lint
-    config's strategy with a fresh engine per request, so rate budgets and
-    caches cannot skew the comparison. *)
+    config's strategy with a fresh engine per request, so rate budgets
+    cannot skew the comparison. *)
 
 val threat_traceability : ?rows:Threat_catalog.row list -> unit -> Policy.Lint.pass
 (** Defaults to the full sixteen-row catalogue. *)

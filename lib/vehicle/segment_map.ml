@@ -74,7 +74,7 @@ let segment_of_node_exn spec node =
    through a fresh uninstrumented engine. *)
 let flows ?policy ~spec () =
   let policy = match policy with Some p -> p | None -> Policy_map.baseline () in
-  let engine = Policy.Engine.create ~cache:false (Policy_map.compile policy) in
+  let engine = Policy.Engine.create (Policy_map.compile policy) in
   let readable (m : Messages.t) node =
     List.exists
       (fun mode ->

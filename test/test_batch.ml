@@ -1,15 +1,16 @@
 (* Tests for the batched decision path: {!Engine.decide_batch} must agree
-   decision-for-decision with per-request {!Engine.decide} — across all
-   three strategies, both engine modes, random rate-limiter states and
-   batch sizes 0/1/odd/huge — {!Table.decide_row} must decide each row as
-   the batch sweep does, and the compiled path must not allocate per
-   request. *)
+   decision-for-decision with per-request {!Engine.decide} and with the
+   {!Reference} scan — across all three strategies, random rate-limiter
+   states and batch sizes 0/1/odd/huge — {!Table.decide_row} must decide
+   each row as the batch sweep does, and the compiled path must not
+   allocate per request. *)
 
 module Ast = Secpol_policy.Ast
 module Parser = Secpol_policy.Parser
 module Compile = Secpol_policy.Compile
 module Ir = Secpol_policy.Ir
 module Engine = Secpol_policy.Engine
+module Reference = Secpol_policy.Reference
 module Batch = Secpol_policy.Batch
 module Table = Secpol_policy.Table
 module Rate_window = Secpol_policy.Rate_window
@@ -62,8 +63,6 @@ let modes = [| "normal"; "fail_safe"; "workshop" |]
 let strategies =
   [ Engine.Deny_overrides; Engine.Allow_overrides; Engine.First_match ]
 
-let engine_modes = [ `Interpreted; `Compiled ]
-
 (* Requests as (request, now) pairs with non-decreasing timestamps, so the
    sliding-window rate limiter sees a realistic clock. *)
 let request_gen =
@@ -101,10 +100,10 @@ let batch_decisions engine reqs =
   Engine.decide_batch engine b ~out;
   Array.to_list (Array.sub out 0 n)
 
-(* The property: two engines over the same db, primed with the same scalar
-   prefix (so their rate-limiter budgets are in the same — random — state),
-   must produce identical decisions whether the tail is served one request
-   at a time or as one batch. *)
+(* The property: two engines and a reference over the same db, primed with
+   the same scalar prefix (so their rate-limiter budgets are in the same —
+   random — state), must produce identical decisions whether the tail is
+   served one request at a time, as one batch, or by the reference scan. *)
 let prop_batch_equals_scalar =
   let gen =
     QCheck.Gen.(
@@ -118,21 +117,21 @@ let prop_batch_equals_scalar =
       let db = compile_ok mixed_source in
       List.for_all
         (fun strategy ->
-          List.for_all
-            (fun mode ->
-              let scalar =
-                Engine.create ~strategy ~mode ~cache:false db
-              in
-              let batched =
-                Engine.create ~strategy ~mode ~cache:false db
-              in
-              List.iter
-                (fun (req, now) ->
-                  ignore (Engine.decide ~now scalar req);
-                  ignore (Engine.decide ~now batched req))
-                prefix;
-              scalar_decisions scalar body = batch_decisions batched body)
-            engine_modes)
+          let scalar = Engine.create ~strategy db in
+          let batched = Engine.create ~strategy db in
+          let reference = Reference.create ~strategy db in
+          List.iter
+            (fun (req, now) ->
+              ignore (Engine.decide ~now scalar req);
+              ignore (Engine.decide ~now batched req);
+              ignore (Reference.decide ~now reference req))
+            prefix;
+          let expected = scalar_decisions scalar body in
+          expected = batch_decisions batched body
+          && expected
+             = List.map
+                 (fun (req, now) -> fst (Reference.decide ~now reference req))
+                 body)
         strategies)
 
 let test_huge_batch () =
@@ -151,8 +150,8 @@ let test_huge_batch () =
   in
   List.iter
     (fun strategy ->
-      let scalar = Engine.create ~strategy ~mode:`Compiled ~cache:false db in
-      let batched = Engine.create ~strategy ~mode:`Compiled ~cache:false db in
+      let scalar = Engine.create ~strategy db in
+      let batched = Engine.create ~strategy db in
       Alcotest.(check (list bool))
         "huge batch agrees"
         (List.map (fun d -> d = Ast.Allow) (scalar_decisions scalar reqs))
@@ -269,7 +268,7 @@ let prop_row_alternating_tables =
       List.for_all
         (fun strategy ->
           let tables = Array.map (Table.compile ~strategy) dbs in
-          let engines = Array.map (Engine.create ~strategy ~cache:false) dbs in
+          let engines = Array.map (Engine.create ~strategy) dbs in
           let budgets = Array.init 2 (fun _ -> fresh_budgets ()) in
           let b = batch_of reqs in
           List.for_all
@@ -355,7 +354,7 @@ let minor_delta engine n =
 
 let test_zero_allocation () =
   let db = compile_ok unrated_source in
-  let engine = Engine.create ~mode:`Compiled ~cache:false db in
+  let engine = Engine.create db in
   let small = minor_delta engine 1 in
   let large = minor_delta engine 8192 in
   Alcotest.(check (float 0.5))

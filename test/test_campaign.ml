@@ -113,7 +113,7 @@ let test_instance_matches_engine () =
     ]
   in
   let inst = Instance.create ~id:0 ~version:2 () in
-  let engine = Engine.create ~cache:false db in
+  let engine = Engine.create db in
   List.iteri
     (fun k (now, req) ->
       let expected = (Engine.decide ~now engine req).Engine.decision in
@@ -178,7 +178,7 @@ let prop_vehicles_match_private_engines =
       (* each vehicle against an engine that sees only its own traffic:
          a window shared between the vehicles would show as a divergence *)
       let agree () =
-        let engines = Array.init 2 (fun _ -> Engine.create ~cache:false db) in
+        let engines = Array.init 2 (fun _ -> Engine.create db) in
         List.for_all
           (fun (v, now, req) ->
             (Engine.decide ~now engines.(v) req).Engine.decision

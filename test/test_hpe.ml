@@ -20,8 +20,8 @@ let quick name f = Alcotest.test_case name `Quick f
 
 (* ---------- Approved lists ---------- *)
 
-let test_list_basic backend () =
-  let l = Approved_list.create ~backend () in
+let test_list_basic () =
+  let l = Approved_list.create () in
   check Alcotest.int "empty" 0 (Approved_list.cardinal l);
   Approved_list.add l (Identifier.standard 0x100);
   Approved_list.add l (Identifier.standard 0x100);
@@ -70,25 +70,50 @@ let id_gen =
     let* raw = if ext then 0 -- 0x1FFFFFFF else 0 -- 0x7FF in
     return (if ext then Identifier.extended raw else Identifier.standard raw))
 
-let prop_backends_agree =
-  QCheck.Test.make ~name:"bitset, hashtable and intervals backends agree"
-    ~count:200
-    QCheck.(make Gen.(pair (list_size (0 -- 50) id_gen) (list_size (0 -- 20) id_gen)))
-    (fun (adds, queries) ->
-      let bits = Approved_list.of_ids ~backend:Approved_list.Bitset adds in
-      let tbl = Approved_list.of_ids ~backend:Approved_list.Hashtable adds in
-      let rng = Approved_list.of_ids ~backend:Approved_list.Intervals adds in
-      Approved_list.cardinal bits = Approved_list.cardinal tbl
-      && Approved_list.cardinal bits = Approved_list.cardinal rng
+(* The approved list against a model: a set of (is_extended, raw) keys,
+   whose ascending order is exactly [to_ids]' order (standard IDs
+   ascending, then extended ascending). *)
+module Id_set = Set.Make (struct
+  type t = bool * int
+
+  let compare = compare
+end)
+
+let key id = (Identifier.is_extended id, Identifier.raw id)
+
+let prop_matches_set_model =
+  let gen =
+    QCheck.Gen.(
+      let* adds = list_size (0 -- 50) id_gen in
+      (* removals hit approved IDs as well as absent ones *)
+      let* approved =
+        if adds = [] then return [] else list_size (0 -- 25) (oneofl adds)
+      in
+      let* absent = list_size (0 -- 10) id_gen in
+      let* queries = list_size (0 -- 20) id_gen in
+      return (adds, approved @ absent, queries))
+  in
+  QCheck.Test.make ~name:"adds then removes match a set model" ~count:200
+    (QCheck.make gen) (fun (adds, removes, queries) ->
+      let l = Approved_list.create () in
+      List.iter (Approved_list.add l) adds;
+      List.iter (Approved_list.remove l) removes;
+      let model =
+        List.fold_left (fun m id -> Id_set.add (key id) m) Id_set.empty adds
+      in
+      let model =
+        List.fold_left (fun m id -> Id_set.remove (key id) m) model removes
+      in
+      Approved_list.cardinal l = Id_set.cardinal model
+      && List.map key (Approved_list.to_ids l) = Id_set.elements model
       && List.for_all
-           (fun q ->
-             Approved_list.mem bits q = Approved_list.mem tbl q
-             && Approved_list.mem bits q = Approved_list.mem rng q)
-           (adds @ queries))
+           (fun q -> Approved_list.mem l q = Id_set.mem (key q) model)
+           (adds @ removes @ queries))
 
 let test_intervals_bulk_range () =
-  (* the intervals backend takes add_range as one merge, not 4096 inserts *)
-  let l = Approved_list.create ~backend:Approved_list.Intervals () in
+  (* bulk approvals: the whole 11-bit space in two ranges, an overlapping
+     re-approval, then a hole punched by one removal *)
+  let l = Approved_list.create () in
   Approved_list.add_range l ~lo:0x000 ~hi:0x5FF;
   Approved_list.add_range l ~lo:0x600 ~hi:0x7FF;
   check Alcotest.int "full 11-bit space" 0x800 (Approved_list.cardinal l);
@@ -104,7 +129,7 @@ let test_intervals_bulk_range () =
     && Approved_list.mem l (Identifier.standard 0x401))
 
 let test_intervals_to_ids () =
-  let l = Approved_list.create ~backend:Approved_list.Intervals () in
+  let l = Approved_list.create () in
   Approved_list.add_range l ~lo:0x101 ~hi:0x103;
   Approved_list.add l (Identifier.extended 0x2);
   Approved_list.add l (Identifier.extended 0x1);
@@ -656,14 +681,12 @@ let () =
     [
       ( "approved-list",
         [
-          quick "bitset basics" (test_list_basic Approved_list.Bitset);
-          quick "hashtable basics" (test_list_basic Approved_list.Hashtable);
-          quick "intervals basics" (test_list_basic Approved_list.Intervals);
+          quick "bitset basics" test_list_basic;
           quick "ranges" test_list_range;
           quick "intervals bulk ranges" test_intervals_bulk_range;
           quick "intervals to_ids" test_intervals_to_ids;
           quick "to_ids sorted" test_list_to_ids_sorted;
-          QCheck_alcotest.to_alcotest prop_backends_agree;
+          QCheck_alcotest.to_alcotest prop_matches_set_model;
         ] );
       ( "decision",
         [

@@ -98,8 +98,7 @@ let test_serve_matches_sequential () =
           { Ir.mode = "normal"; subject; asset; op; msg_id = None } ))
   in
   Alcotest.(check bool)
-    "sharded runs identical to the sequential engine (rates, caches, \
-     telemetry)"
+    "sharded runs identical to the sequential engine (rates, telemetry)"
     true
     (same_as_sequential db work)
 

@@ -8,6 +8,7 @@ module Printer = Secpol_policy.Printer
 module Compile = Secpol_policy.Compile
 module Ir = Secpol_policy.Ir
 module Engine = Secpol_policy.Engine
+module Reference = Secpol_policy.Reference
 module Conflict = Secpol_policy.Conflict
 module Derive = Secpol_policy.Derive
 module Update = Secpol_policy.Update
@@ -390,22 +391,27 @@ let test_engine_allow_overrides () =
   Alcotest.(check bool) "allow overrides" true
     (Engine.permitted e (request ~subject:"evil" ~asset:"a" ~op:Ir.Write ()))
 
-let test_engine_cache () =
+(* A stalled engine answers nothing: every decision entry point raises
+   [Unavailable] (callers fail closed), and nothing is counted. *)
+let test_engine_stalled_fails_closed () =
   let e = Engine.create (compile_ok sample_source) in
   let r = request () in
-  ignore (Engine.decide e r);
-  let second = Engine.decide e r in
-  Alcotest.(check bool) "second from cache" true second.Engine.from_cache;
-  let stats = Engine.stats e in
-  check Alcotest.int "one miss" 1 stats.Engine.cache_misses;
-  check Alcotest.int "one hit" 1 stats.Engine.cache_hits
-
-let test_engine_no_cache () =
-  let e = Engine.create ~cache:false (compile_ok sample_source) in
-  let r = request () in
-  ignore (Engine.decide e r);
-  let second = Engine.decide e r in
-  Alcotest.(check bool) "never cached" false second.Engine.from_cache
+  Alcotest.(check bool) "allowed while healthy" true (Engine.permitted e r);
+  Engine.set_stalled e true;
+  let before = Engine.stats e in
+  let batch = Secpol_policy.Batch.create ~capacity:1 () in
+  Secpol_policy.Batch.push batch r;
+  let out = [| Ast.Allow |] in
+  Alcotest.check_raises "decide" Engine.Unavailable (fun () ->
+      ignore (Engine.decide e r));
+  Alcotest.check_raises "permitted" Engine.Unavailable (fun () ->
+      ignore (Engine.permitted e r));
+  Alcotest.check_raises "decide_batch" Engine.Unavailable (fun () ->
+      Engine.decide_batch e batch ~out);
+  Alcotest.(check bool) "stats did not move" true (Engine.stats e = before);
+  Engine.set_stalled e false;
+  Alcotest.(check bool) "allowed again after recovery" true
+    (Engine.permitted e r)
 
 let test_engine_swap_db () =
   let e = Engine.create (compile_ok sample_source) in
@@ -510,7 +516,7 @@ let prop_strategies_agree_without_conflicts =
           QCheck.assume (Conflict.conflicts db = []);
           let engines =
             List.map
-              (fun s -> Engine.create ~cache:false ~strategy:s db)
+              (fun s -> Engine.create ~strategy:s db)
               [ Engine.Deny_overrides; Engine.Allow_overrides; Engine.First_match ]
           in
           List.for_all
@@ -547,8 +553,8 @@ let prop_deny_overrides_monotone_in_denies =
           match Compile.compile p' with
           | Error _ -> QCheck.assume_fail ()
           | Ok (db', _) ->
-              let e = Engine.create ~cache:false db in
-              let e' = Engine.create ~cache:false db' in
+              let e = Engine.create db in
+              let e' = Engine.create db' in
               List.for_all
                 (fun req ->
                   (not (Engine.permitted e' req)) || Engine.permitted e req)
@@ -598,11 +604,6 @@ let test_intervals_validation () =
 
 module Table = Secpol_policy.Table
 
-let table_stats_exn e =
-  match Engine.table_stats e with
-  | Some s -> s
-  | None -> Alcotest.fail "expected a compiled table"
-
 let test_table_const_folding () =
   (* unconditional head rules collapse to constants *)
   let db =
@@ -611,7 +612,7 @@ let test_table_const_folding () =
        deny write from bob; } }"
   in
   let e = Engine.create db in
-  let s = table_stats_exn e in
+  let s = Engine.table_stats e in
   (* alice:read, alice:write, bob:write are exact buckets; all unconditional *)
   check Alcotest.int "buckets" 3 s.Table.buckets;
   check Alcotest.int "all folded" 3 s.Table.folded;
@@ -629,7 +630,7 @@ let test_table_no_folding_under_conditions () =
        from x; } } asset b { allow write from y messages 1..5; } asset c { \
        allow write from z rate 1 per 100; } }"
   in
-  let s = table_stats_exn (Engine.create db) in
+  let s = Engine.table_stats (Engine.create db) in
   check Alcotest.int "nothing folded" 0 s.Table.folded
 
 let test_table_wildcard_fallback () =
@@ -639,7 +640,7 @@ let test_table_wildcard_fallback () =
        deny read from evil; } }"
   in
   let e = Engine.create db in
-  let s = table_stats_exn e in
+  let s = Engine.table_stats e in
   check Alcotest.int "wildcard bucket for unnamed subjects" 1 s.Table.wildcard_buckets;
   Alcotest.(check bool) "stranger allowed via wildcard" true
     (Engine.permitted e (request ~subject:"stranger" ~asset:"a" ()));
@@ -650,44 +651,15 @@ let test_table_wildcard_fallback () =
   Alcotest.(check bool) "first match lets the earlier any-allow win" true
     (Engine.permitted e' (request ~subject:"evil" ~asset:"a" ()))
 
-let test_table_interpreted_mode () =
-  let e = Engine.create ~mode:`Interpreted (compile_ok sample_source) in
-  Alcotest.(check bool) "no table in interpreted mode" true
-    (Engine.table_stats e = None);
-  Alcotest.(check bool) "mode accessor" true (Engine.mode e = `Interpreted);
-  Alcotest.(check bool) "still decides" true (Engine.permitted e (request ()))
-
 let test_table_swap_recompiles () =
   let e = Engine.create (compile_ok sample_source) in
-  let before = table_stats_exn e in
+  let before = Engine.table_stats e in
   Engine.swap_db e
     (compile_ok "policy \"tiny\" version 9 { default deny; asset a { allow \
                  read from x; } }");
-  let after = table_stats_exn e in
+  let after = Engine.table_stats e in
   Alcotest.(check bool) "table recompiled on swap" true (before <> after);
   check Alcotest.int "one bucket" 1 after.Table.buckets
-
-(* ---------- Bounded decision cache ---------- *)
-
-let test_cache_flush_at_capacity () =
-  let e = Engine.create ~cache_capacity:4 (compile_ok sample_source) in
-  (* 8 distinct uncached requests against a 4-entry cache *)
-  for i = 0 to 7 do
-    ignore (Engine.decide e (request ~subject:(Printf.sprintf "s%d" i) ()))
-  done;
-  let stats = Engine.stats e in
-  Alcotest.(check bool) "flushed at least once" true (stats.Engine.cache_flushes >= 1);
-  check Alcotest.int "all were misses" 8 stats.Engine.cache_misses;
-  (* correctness survives the flush *)
-  Alcotest.(check bool) "still allows" true (Engine.permitted e (request ()));
-  Alcotest.(check bool) "still denies" false
-    (Engine.permitted e (request ~subject:"s3" ()))
-
-let test_cache_capacity_validation () =
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Engine.create: cache_capacity must be positive")
-    (fun () ->
-      ignore (Engine.create ~cache_capacity:0 (compile_ok sample_source)))
 
 (* ---------- Compiled / interpreted equivalence ---------- *)
 
@@ -703,41 +675,32 @@ let prop_compiled_equals_interpreted =
       | Ok (db, _) ->
           List.for_all
             (fun strategy ->
-              let ei = Engine.create ~cache:false ~strategy ~mode:`Interpreted db in
-              let ec = Engine.create ~cache:false ~strategy ~mode:`Compiled db in
+              let reference = Reference.create ~strategy db in
+              let engine = Engine.create ~strategy db in
               let reqs = requests_for db in
+              let allows = ref 0 and denies = ref 0 in
               (* repeated probes at advancing clocks drive any rate-limited
                  rules through grant, exhaustion and window-expiry on both
-                 engines in lockstep *)
+                 sides in lockstep *)
               List.for_all
                 (fun now ->
                   List.for_all
                     (fun req ->
-                      let a = Engine.decide ~now ei req in
-                      let b = Engine.decide ~now ec req in
-                      a.Engine.decision = b.Engine.decision
-                      && a.Engine.matched = b.Engine.matched)
+                      let decision, matched =
+                        Reference.decide ~now reference req
+                      in
+                      incr (if decision = Ast.Allow then allows else denies);
+                      let o = Engine.decide ~now engine req in
+                      decision = o.Engine.decision && matched = o.Engine.matched)
                     reqs)
                 [ 0.0; 0.0; 0.001; 0.5; 20.0 ]
-              && Engine.stats ei = Engine.stats ec)
+              && Engine.stats engine
+                 = {
+                     Engine.decisions = !allows + !denies;
+                     allows = !allows;
+                     denies = !denies;
+                   })
             all_strategies)
-
-let prop_compiled_cache_transparent =
-  QCheck.Test.make ~name:"bounded cache never changes a decision" ~count:100
-    (QCheck.make policy_gen) (fun p ->
-      let p = strip_rates p in
-      match Compile.compile p with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok (db, _) ->
-          let plain = Engine.create ~cache:false db in
-          let cached = Engine.create ~cache:true ~cache_capacity:8 db in
-          let reqs = requests_for db in
-          (* two passes: the second hits the cache where it survived *)
-          List.for_all
-            (fun req ->
-              (Engine.decide plain req).Engine.decision
-              = (Engine.decide cached req).Engine.decision)
-            (reqs @ reqs))
 
 (* ---------- Behavioural rate limits ---------- *)
 
@@ -851,17 +814,6 @@ let test_rate_per_subject () =
     (Engine.permitted ~now:0.0 e (req "bob"));
   Alcotest.(check bool) "alice exhausted" false
     (Engine.permitted ~now:0.1 e (req "alice"))
-
-let test_rate_bypasses_cache () =
-  let e = rated_engine () in
-  ignore (Engine.decide ~now:0.0 e rated_req);
-  let second = Engine.decide ~now:0.1 e rated_req in
-  Alcotest.(check bool) "never served from cache" false second.Engine.from_cache;
-  (* unrated assets still cache *)
-  let other = request ~subject:"x" ~asset:"other" ~op:Ir.Read () in
-  ignore (Engine.decide e other);
-  Alcotest.(check bool) "other asset cached" true
-    (Engine.decide e other).Engine.from_cache
 
 let test_rate_reset_on_swap () =
   let e = rated_engine () in
@@ -1247,8 +1199,7 @@ let () =
           quick "deny overrides" test_engine_deny_overrides;
           quick "first match" test_engine_first_match;
           quick "allow overrides" test_engine_allow_overrides;
-          quick "cache" test_engine_cache;
-          quick "cache disabled" test_engine_no_cache;
+          quick "stalled engine fails closed" test_engine_stalled_fails_closed;
           quick "hot swap" test_engine_swap_db;
           quick "provenance" test_engine_matched_rule_provenance;
         ] );
@@ -1271,15 +1222,8 @@ let () =
           quick "constant folding" test_table_const_folding;
           quick "conditions block folding" test_table_no_folding_under_conditions;
           quick "wildcard fallback" test_table_wildcard_fallback;
-          quick "interpreted mode" test_table_interpreted_mode;
           quick "swap recompiles" test_table_swap_recompiles;
           QCheck_alcotest.to_alcotest prop_compiled_equals_interpreted;
-        ] );
-      ( "cache",
-        [
-          quick "flush at capacity" test_cache_flush_at_capacity;
-          quick "capacity validation" test_cache_capacity_validation;
-          QCheck_alcotest.to_alcotest prop_compiled_cache_transparent;
         ] );
       ( "rates",
         [
@@ -1290,7 +1234,6 @@ let () =
           quick "backwards clock" test_rate_backwards_clock;
           quick "backwards-clock clamp" test_rate_window_clamp;
           quick "per subject" test_rate_per_subject;
-          quick "cache bypass" test_rate_bypasses_cache;
           quick "reset on update" test_rate_reset_on_swap;
         ] );
       ( "conflicts",
