@@ -988,14 +988,18 @@ let ablation () =
   subsection "Guideline architecture (gateway segmentation) vs policy (HPE)";
   let spoof_from_infotainment msg_id =
     (* segmented car: infotainment compromised on the comfort bus *)
-    let seg = V.Segmented.create () in
-    V.Segmented.run seg ~seconds:0.3;
-    let node = V.Segmented.node seg V.Names.infotainment in
+    let seg =
+      V.Topology_car.create ~placement:`Central
+        ~spec:(V.Segment_map.two_segment_spec ())
+        ()
+    in
+    V.Topology_car.run seg ~seconds:0.3;
+    let node = V.Topology_car.node seg V.Names.infotainment in
     Can.Controller.set_filters (Can.Node.controller node) [];
     ignore
       (Can.Node.send node
          (Can.Frame.data_std msg_id (String.make 1 V.Messages.cmd_disable)));
-    V.Segmented.run seg ~seconds:0.3;
+    V.Topology_car.run seg ~seconds:0.3;
     (* HPE car: same attack on the flat bus *)
     let hpe_car = V.Car.create ~enforcement:(V.Car.Hpe (V.Policy_map.baseline ())) () in
     V.Car.run hpe_car ~seconds:0.3;
@@ -1005,7 +1009,7 @@ let ablation () =
       (Can.Node.send atk
          (Can.Frame.data_std msg_id (String.make 1 V.Messages.cmd_disable)));
     V.Car.run hpe_car ~seconds:0.3;
-    (seg.V.Segmented.state, hpe_car.V.Car.state)
+    (V.Topology_car.state seg, hpe_car.V.Car.state)
   in
   let seg_eps, hpe_eps = spoof_from_infotainment V.Messages.eps_command in
   Printf.printf
@@ -1464,14 +1468,14 @@ let topology_bench () =
       (fun plan ->
         List.map
           (fun placement ->
-            let o = Faults.Blast.run ~placement ~seed:42L ~plan () in
-            let faulted = Faults.Blast.faulted o.Faults.Blast.blast in
+            let o = Faults.Chaos.run ~placement ~seed:42L ~plan () in
+            let faulted = Faults.Harness.faulted o.Faults.Chaos.harness in
             Printf.printf "  %-20s %-12s %s (blast: %s)\n"
               plan.Faults.Plan.name
               (Tcar.placement_name placement)
-              (if o.Faults.Blast.passed then "contained" else "LEAKED")
+              (if o.Faults.Chaos.passed then "contained" else "LEAKED")
               (String.concat ", " faulted);
-            (plan.Faults.Plan.name, placement, o.Faults.Blast.passed, faulted))
+            (plan.Faults.Plan.name, placement, o.Faults.Chaos.passed, faulted))
           placements)
       plans
   in

@@ -395,35 +395,33 @@ let replay_cmd =
 let chaos_cmd =
   let module F = Secpol.Faults in
   let module Tcar = V.Topology_car in
-  (* segment-scoped plans run on the multi-segment topology car through
-     the blast runner; everything else keeps the flat-bus harness *)
-  let run_blast ~seed ~plan ~placement ~unbounded_gateway report_out =
-    let outcome = F.Blast.run ~placement ~unbounded_gateway ~seed ~plan () in
+  let report_run ~plan ~unbounded_gateway report_out (o : F.Chaos.outcome) =
     (match report_out with
     | None -> ()
     | Some file ->
         Out_channel.with_open_text file (fun oc ->
-            output_string oc
-              (Secpol.Policy.Json.to_string outcome.F.Blast.report);
+            output_string oc (Secpol.Policy.Json.to_string o.F.Chaos.report);
             output_char oc '\n');
-        Printf.printf "blast report written to %s\n" file);
-    let blast = outcome.F.Blast.blast in
-    let car = F.Blast.car blast in
+        Printf.printf "fault report written to %s\n" file);
+    let h = o.F.Chaos.harness in
+    let car = F.Harness.car h in
     Printf.printf "placement: %s%s\n"
       (Tcar.placement_name (Tcar.placement car))
       (if unbounded_gateway then " (unbounded gateway)" else "");
+    Format.printf "final state: %a@." V.State.pp (Tcar.state car);
+    (match F.Harness.failsafe_entered h with
+    | None -> ()
+    | Some at -> Printf.printf "entered fail-safe at %.4fs\n" at);
+    let faulted = F.Harness.faulted h in
     Printf.printf "blast region: %s\n"
-      (match F.Blast.faulted blast with
-      | [] -> "(none)"
-      | segs -> String.concat ", " segs);
+      (match faulted with [] -> "(none)" | segs -> String.concat ", " segs);
     List.iter
       (fun seg ->
         let bus = Tcar.bus car seg in
         Printf.printf
           "  %-13s %s util %5.1f%%  frames %6d  deliveries %6d  pending %d\n"
           seg
-          (if List.mem seg (F.Blast.faulted blast) then "[blast]"
-           else "       ")
+          (if List.mem seg faulted then "[blast]" else "       ")
           (100.0 *. Secpol.Can.Bus.utilisation bus)
           (Secpol.Can.Bus.frames_sent bus)
           (Tcar.deliveries_in car seg)
@@ -433,13 +431,13 @@ let chaos_cmd =
       (fun (v : F.Invariant.violation) ->
         Printf.printf "VIOLATION [%8.4f] %s: %s\n" v.F.Invariant.time
           v.F.Invariant.check v.F.Invariant.detail)
-      (F.Invariant.Blast.violations outcome.F.Blast.checker);
-    if outcome.F.Blast.passed then begin
-      Printf.printf "chaos %s: blast contained\n" plan.F.Plan.name;
+      (F.Invariant.violations o.F.Chaos.checker);
+    if o.F.Chaos.passed then begin
+      Printf.printf "chaos %s: all invariants held\n" plan.F.Plan.name;
       0
     end
     else begin
-      Printf.printf "chaos %s: CONTAINMENT VIOLATIONS\n" plan.F.Plan.name;
+      Printf.printf "chaos %s: INVARIANT VIOLATIONS\n" plan.F.Plan.name;
       4
     end
   in
@@ -449,40 +447,14 @@ let chaos_cmd =
         Printf.eprintf "unknown plan %S (one of: %s)\n" plan_name
           (String.concat ", " F.Plan.named);
         1
-    | Some plan when F.Plan.segment_scoped plan ->
+    | Some plan -> (
         Format.printf "%a" F.Plan.pp plan;
-        run_blast ~seed ~plan ~placement ~unbounded_gateway report_out
-    | Some plan ->
-        Format.printf "%a" F.Plan.pp plan;
-        let outcome = F.Chaos.run ~seed ~plan () in
-        (match report_out with
-        | None -> ()
-        | Some file ->
-            let oc = open_out file in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                output_string oc (F.Report.to_string outcome.F.Chaos.report);
-                output_char oc '\n');
-            Printf.printf "fault report written to %s\n" file);
-        let car = F.Harness.car outcome.F.Chaos.harness in
-        Format.printf "final state: %a@." V.State.pp car.Car.state;
-        (match F.Harness.failsafe_entered outcome.F.Chaos.harness with
-        | None -> ()
-        | Some at -> Printf.printf "entered fail-safe at %.4fs\n" at);
-        List.iter
-          (fun (v : F.Invariant.violation) ->
-            Printf.printf "VIOLATION [%8.4f] %s: %s\n" v.F.Invariant.time
-              v.F.Invariant.check v.F.Invariant.detail)
-          (F.Invariant.violations outcome.F.Chaos.checker);
-        if outcome.F.Chaos.passed then begin
-          Printf.printf "chaos %s: all invariants held\n" plan.F.Plan.name;
-          0
-        end
-        else begin
-          Printf.printf "chaos %s: INVARIANT VIOLATIONS\n" plan.F.Plan.name;
-          4
-        end
+        match F.Chaos.run ~placement ~unbounded_gateway ~seed ~plan () with
+        | exception Invalid_argument msg ->
+            (* the harness refuses before simulating anything *)
+            Printf.eprintf "carsim chaos: %s\n" msg;
+            1
+        | outcome -> report_run ~plan ~unbounded_gateway report_out outcome)
   in
   let plan_name =
     Arg.(
@@ -490,10 +462,10 @@ let chaos_cmd =
       & opt string "stall"
       & info [ "plan" ] ~docv:"PLAN"
           ~doc:
-            "Fault plan: stall, storm, partition, crash, hpe-corruption, \
-             skewed-stall, mixed (seed-generated), or a segment-scoped \
-             plan on the multi-segment car: segment-partition, \
-             segment-babble, gateway-failover.")
+            "Fault plan.  On the flat one-bus car: stall, storm, \
+             partition, crash, hpe-corruption, skewed-stall, mixed \
+             (seed-generated).  On the four-segment car: \
+             segment-partition, segment-babble, gateway-failover.")
   in
   let seconds =
     Arg.(
@@ -518,9 +490,10 @@ let chaos_cmd =
       & opt placement_conv `Distributed
       & info [ "placement" ] ~docv:"WHERE"
           ~doc:
-            "Enforcement placement for segment-scoped plans: central \
-             (gateway whitelists only) or distributed (per-node HPE gate \
-             banks as well).")
+            "Enforcement placement, for every plan: central (acceptance \
+             filters and gateway whitelists only, no policy engine on the \
+             car, so stall plans are refused) or distributed (a per-node \
+             HPE bank as well).")
   in
   let unbounded_gateway =
     Arg.(
@@ -529,8 +502,8 @@ let chaos_cmd =
           ~doc:
             "Build the gateways with an effectively unlimited admission \
              queue — a deliberately broken configuration whose backlog \
-             the blast-radius invariant must catch (expected exit 4 \
-             under segment-babble).")
+             the blast_gateway_backlog invariant must catch (expected \
+             exit 4 under segment-babble).")
   in
   let report_out =
     Arg.(
@@ -538,14 +511,16 @@ let chaos_cmd =
       & opt (some string) None
       & info [ "report" ] ~docv:"FILE"
           ~doc:
-            "Write the fault report (per-fault MTTR, watchdog MTTD, \
-             fail-safe latency, violations, telemetry) to $(docv) as JSON.")
+            "Write the fault report (per-fault MTTR and blast region, \
+             watchdog MTTD, fail-safe latency, blast radius, violations, \
+             telemetry) to $(docv) as JSON.")
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
-         "Run a fault-injection campaign against the HPE-enforced car. \
-          Exit 0 when every safety invariant held, 4 on violations.")
+         "Run a fault-injection campaign against the car. Exit 0 when \
+          every safety invariant held, 4 on violations, 1 when the plan \
+          is refused.")
     Term.(
       const run $ seed $ plan_name $ seconds $ placement $ unbounded_gateway
       $ report_out)

@@ -13,7 +13,6 @@ type t = {
   flows : flow list;
   buses : (string * Bus.t) list;
   gateways : (string * Gateway.t) list;
-  node_segment : (string * string) list;
   whitelists : (string * (int list * int list)) list;
       (* per gateway: (ids crossing a->b, ids crossing b->a) *)
 }
@@ -128,11 +127,6 @@ let create ?(bitrate = 500_000.0) ?(corrupt_prob = 0.0) ?max_in_flight
     List.map (fun (name, _) -> (name, Bus.create ~corrupt_prob ~bitrate sim))
       spec.segments
   in
-  let node_segment =
-    List.concat_map
-      (fun (seg, nodes) -> List.map (fun n -> (n, seg)) nodes)
-      spec.segments
-  in
   let adj = adjacency spec in
   (* Derive every directed edge's ID whitelist from the flows: an ID
      crosses gateway [g] in direction [d] iff some flow's unique tree path
@@ -183,7 +177,7 @@ let create ?(bitrate = 500_000.0) ?(corrupt_prob = 0.0) ?max_in_flight
             ~forward_b_to_a:(predicate ba) () ))
       spec.links
   in
-  { sim; spec; flows; buses; gateways; node_segment; whitelists }
+  { sim; spec; flows; buses; gateways; whitelists }
 
 let sim t = t.sim
 
@@ -210,7 +204,10 @@ let link t gw =
   | Some l -> l
   | None -> fail "Topology.link: unknown gateway %S" gw
 
-let segment_of t node = List.assoc_opt node t.node_segment
+let segment_of t node =
+  List.find_map
+    (fun (seg, nodes) -> if List.mem node nodes then Some seg else None)
+    t.spec.segments
 
 let members t seg =
   match List.assoc_opt seg t.spec.segments with
@@ -305,6 +302,8 @@ let restore t ~gateway:gw =
 let attach_obs ?(prefix = "can.seg") t reg =
   List.iter
     (fun (seg, bus) ->
-      Bus.attach_obs ~prefix:(prefix ^ "." ^ seg) bus reg)
+      (* no links means one segment: a lone bus keeps Bus's own names *)
+      if t.spec.links = [] then Bus.attach_obs bus reg
+      else Bus.attach_obs ~prefix:(prefix ^ "." ^ seg) bus reg)
     t.buses;
   List.iter (fun (_, gw) -> Gateway.attach_obs gw reg) t.gateways

@@ -99,4 +99,6 @@ val restore : t -> gateway:string -> unit
 
 val attach_obs : ?prefix:string -> t -> Secpol_obs.Registry.t -> unit
 (** Export every segment bus under [<prefix>.<segment>.*] (default prefix
-    ["can.seg"]) and every gateway under [can.gateway.<name>.*]. *)
+    ["can.seg"]) and every gateway under [can.gateway.<name>.*].  A
+    topology of one segment and no links exports its bus under
+    {!Bus.attach_obs}'s own [can.bus.*] names. *)

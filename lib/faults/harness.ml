@@ -2,8 +2,8 @@ module Engine = Secpol_sim.Engine
 module Can = Secpol_can
 module Hpe = Secpol_hpe
 module Policy = Secpol_policy
-module Car = Secpol_vehicle.Car
-module State = Secpol_vehicle.State
+module Tcar = Secpol_vehicle.Topology_car
+module Segment_map = Secpol_vehicle.Segment_map
 module Modes = Secpol_vehicle.Modes
 module Names = Secpol_vehicle.Names
 module Policy_map = Secpol_vehicle.Policy_map
@@ -12,10 +12,12 @@ type record = {
   entry : Plan.entry;
   mutable injected_at : float option;
   mutable cleared_at : float option;
+  mutable region : string list;
 }
 
 type t = {
-  car : Car.t;
+  car : Tcar.t;
+  twin : unit -> Tcar.t;
   obs : Secpol_obs.Registry.t;
   clock : Clock.t;
   watchdog : Watchdog.t;
@@ -27,33 +29,32 @@ type t = {
   base_corrupt_prob : float;
   mutable mode_changes : (float * Modes.t) list; (* newest first *)
   mutable stall_started : float option;
-  mutable stall_cleared : float option;
   mutable failsafe_entered : float option;
   mutable min_clock_factor : float;
   mutable babblers : int;
+  mutable faulted : string list; (* union of regions, monotone *)
 }
 
-let sim t = t.car.Car.sim
+let sim t = Tcar.sim t.car
 
 (* The watchdog's ping is a real decision request, not a health flag: a
    stalled engine raises [Unavailable] on [decide], which is exactly what
    a deployed monitor would observe. *)
 let ping car () =
-  match car.Car.policy_engine with
+  match Tcar.policy_engine car with
   | None -> true
   | Some engine -> (
       let probe =
         {
-          Policy.Ir.mode = Modes.name car.Car.state.State.mode;
+          Policy.Ir.mode = Modes.name (Tcar.mode car);
           subject = Names.asset_of_node Names.safety;
           asset = Names.asset_safety_critical;
           op = Policy.Ir.Read;
           msg_id = None;
         }
       in
-      match
-        Policy.Engine.decide ~now:(Engine.now car.Car.sim) engine probe
-      with
+      let now = Engine.now (Tcar.sim car) in
+      match Policy.Engine.decide ~now engine probe with
       | _ -> true
       | exception Policy.Engine.Unavailable -> false)
 
@@ -61,57 +62,114 @@ let note_mode t mode =
   t.mode_changes <- (Engine.now (sim t), mode) :: t.mode_changes
 
 let degrade t () =
-  if Car.mode t.car <> Modes.Fail_safe then begin
-    Car.enter_fail_safe t.car ~reason:"policy watchdog expired";
+  if Tcar.mode t.car <> Modes.Fail_safe then begin
+    Tcar.enter_fail_safe t.car ~reason:"policy watchdog expired";
     let now = Engine.now (sim t) in
     if t.failsafe_entered = None then t.failsafe_entered <- Some now;
     note_mode t Modes.Fail_safe
   end
 
+(* ---------- blast regions ---------- *)
+
+(* The segments one fault touches.  A gateway crash severs its link; the
+   component with the most member nodes is the healthy core and
+   everything else is cut off, so inside the blast.  A fault that names
+   no segment touches them all. *)
+let region_of car kind =
+  let topo = Tcar.topology car in
+  let segments = Can.Topology.segments topo in
+  let of_nodes nodes =
+    List.filter
+      (fun seg -> List.exists (fun n -> Tcar.segment_of car n = Some seg) nodes)
+      segments
+  in
+  match kind with
+  | Fault.Segment_partition { segment; _ } | Fault.Segment_babble { segment; _ }
+    ->
+      [ segment ]
+  | Fault.Gateway_crash { gateway; _ } ->
+      let comps = Can.Topology.components topo ~without:[ gateway ] in
+      let size comp =
+        List.fold_left
+          (fun acc seg -> acc + List.length (Can.Topology.members topo seg))
+          0 comp
+      in
+      let healthy =
+        List.fold_left
+          (fun best comp -> if size comp > size best then comp else best)
+          (List.hd comps) comps
+      in
+      List.concat (List.filter (fun comp -> comp != healthy) comps)
+  | Fault.Node_crash { node; _ } | Fault.Hpe_corruption { node; _ } ->
+      of_nodes [ node ]
+  | Fault.Bus_partition { nodes; _ } -> of_nodes nodes
+  | Fault.Babbling_idiot _ | Fault.Corruption_burst _ | Fault.Policy_stall _
+  | Fault.Clock_skew _ ->
+      segments
+
 (* ---------- injection ---------- *)
 
 let scrub_hpe t node =
-  match Car.hpe t.car node with
+  match Tcar.hpe t.car node with
   | None -> ()
   | Some hpe -> (
-      let key = (Car.mode t.car, node) in
+      let key = (Tcar.mode t.car, node) in
       match List.assoc_opt key t.configs with
       | None -> ()
       | Some config ->
           Hpe.Registers.hard_reset (Hpe.Engine.registers hpe);
           ignore (Hpe.Engine.provision hpe config))
 
+(* The bus a bus-wide fault hits: [Plan.validate] admits those only on a
+   car with one segment. *)
+let lone_bus car = Tcar.bus car (List.hd (Tcar.segments car))
+
 let inject t r =
   let engine = sim t in
   let now = Engine.now engine in
   r.injected_at <- Some now;
+  r.region <- region_of t.car r.entry.Plan.kind;
+  List.iter
+    (fun seg ->
+      if not (List.mem seg t.faulted) then t.faulted <- seg :: t.faulted)
+    r.region;
   let clear f =
     Engine.schedule_in engine ~delay:(Fault.clears_after r.entry.Plan.kind)
       (fun engine ->
         f ();
         r.cleared_at <- Some (Engine.now engine))
   in
+  (* a rogue station flooding one bus with top-priority frames *)
+  let babble bus ~msg_id ~period ~duration =
+    t.babblers <- t.babblers + 1;
+    let rogue =
+      Can.Node.create ~name:(Printf.sprintf "babbler%d" t.babblers) bus
+    in
+    let jam _ =
+      ignore (Can.Node.send rogue (Can.Frame.data_std msg_id "\255"))
+    in
+    jam engine;
+    Engine.every engine ~period ~until:(now +. duration) jam;
+    clear (fun () -> Can.Node.detach rogue)
+  in
+  let topo = Tcar.topology t.car in
   match r.entry.Plan.kind with
   | Fault.Node_crash { node; down_for = _ } ->
-      let n = Car.node t.car node in
+      let n = Tcar.node t.car node in
       Can.Node.crash n;
       clear (fun () -> Can.Node.restart n)
   | Fault.Babbling_idiot { msg_id; period; duration } ->
-      t.babblers <- t.babblers + 1;
-      let name = Printf.sprintf "babbler%d" t.babblers in
-      let rogue = Can.Node.create ~name t.car.Car.bus in
-      let jam _ =
-        ignore (Can.Node.send rogue (Can.Frame.data_std msg_id "\255"))
-      in
-      jam engine;
-      Engine.every engine ~period ~until:(now +. duration) jam;
-      clear (fun () -> Can.Node.detach rogue)
+      babble (lone_bus t.car) ~msg_id ~period ~duration
+  | Fault.Segment_babble { segment; msg_id; period; duration } ->
+      babble (Can.Topology.bus topo segment) ~msg_id ~period ~duration
   | Fault.Corruption_burst { prob; duration = _ } ->
-      Can.Bus.set_corrupt_prob t.car.Car.bus prob;
-      clear (fun () ->
-          Can.Bus.set_corrupt_prob t.car.Car.bus t.base_corrupt_prob)
+      let bus = lone_bus t.car in
+      Can.Bus.set_corrupt_prob bus prob;
+      (* back to the construction-time rate, not the one seen here: an
+         overlapping burst may have raised it *)
+      clear (fun () -> Can.Bus.set_corrupt_prob bus t.base_corrupt_prob)
   | Fault.Bus_partition { nodes; heal_after = _ } ->
-      let stations = List.map (Car.node t.car) nodes in
+      let stations = List.map (Tcar.node t.car) nodes in
       List.iter
         (fun n ->
           (* cut off, not power-cycled: error counters survive healing *)
@@ -125,7 +183,7 @@ let inject t r =
               Can.Node.reattach n)
             stations)
   | Fault.Hpe_corruption { node; scrub_after = _ } ->
-      (match Car.hpe t.car node with
+      (match Tcar.hpe t.car node with
       | None -> ()
       | Some hpe ->
           (* a bit flip lands straight in approved-list RAM, bypassing the
@@ -136,43 +194,88 @@ let inject t r =
             (Can.Identifier.standard 0x7DF));
       clear (fun () -> scrub_hpe t node)
   | Fault.Policy_stall { down_for = _ } ->
-      (match t.car.Car.policy_engine with
+      (match Tcar.policy_engine t.car with
       | None -> ()
       | Some pe ->
           Policy.Engine.set_stalled pe true;
           if t.stall_started = None then t.stall_started <- Some now);
       clear (fun () ->
-          match t.car.Car.policy_engine with
-          | None -> ()
-          | Some pe ->
-              Policy.Engine.set_stalled pe false;
-              if t.stall_cleared = None then
-                t.stall_cleared <- Some (Engine.now engine))
+          Option.iter
+            (fun pe -> Policy.Engine.set_stalled pe false)
+            (Tcar.policy_engine t.car))
   | Fault.Clock_skew { factor; duration = _ } ->
       let prev = Clock.factor t.clock in
       Clock.set_factor t.clock factor;
       t.min_clock_factor <- Float.min t.min_clock_factor factor;
       clear (fun () -> Clock.set_factor t.clock prev)
-  | Fault.Segment_partition _ | Fault.Segment_babble _ | Fault.Gateway_crash _
-    ->
-      (* segment-scoped plans are rejected in [create]: the flat-bus car
-         has no segments or gateways to fault *)
-      assert false
+  | Fault.Segment_partition { segment; heal_after = _ } ->
+      (* a severed medium: every transmission on the segment wire-errors,
+         so gateway forwards towards it abandon, back off and shed — a
+         one-sided shed storm the per-direction counters make visible *)
+      let bus = Can.Topology.bus topo segment in
+      let prev = Can.Bus.corrupt_prob bus in
+      Can.Bus.set_corrupt_prob bus 1.0;
+      clear (fun () ->
+          Can.Bus.set_corrupt_prob bus prev;
+          (* medium repaired: member controllers went bus-off during the
+             storm of their own failed transmissions; reset them, as a
+             post-repair controller re-init would *)
+          List.iter
+            (fun name ->
+              Can.Errors.reset
+                (Can.Controller.errors
+                   (Can.Node.controller (Tcar.node t.car name))))
+            (Can.Topology.members topo segment))
+  | Fault.Gateway_crash { gateway; down_for = _ } ->
+      let gw = Can.Topology.gateway topo gateway in
+      Can.Gateway.disconnect gw;
+      clear (fun () ->
+          (* failover, fail closed: the repaired gateway comes back in
+             limp-home, forwarding only the minimal safety-critical
+             crossings until a maintenance action restores the full
+             whitelist (never within this run) *)
+          Can.Topology.restrict topo ~gateway
+            ~ids:(Segment_map.minimal_crossing_ids ());
+          Can.Gateway.reconnect gw)
 
 (* ---------- construction ---------- *)
 
-let create ?(watchdog_period = 0.01) ?(watchdog_deadline = 0.05)
-    ?(enforcement = Car.Hpe (Policy_map.baseline ())) ~seed ~plan () =
-  (match Plan.validate plan with
+let create ?(placement = `Distributed) ?(unbounded_gateway = false) ~seed
+    ~plan () =
+  let spec =
+    if Plan.segment_scoped plan then Segment_map.spec ()
+    else Segment_map.flat_spec ()
+  in
+  (* "unbounded" models the deliberately-broken gateway the containment
+     check must catch: admission effectively never sheds, so a saturated
+     destination grows the in-flight backlog without limit *)
+  let max_in_flight = if unbounded_gateway then Some 1_000_000 else None in
+  let build ?obs () =
+    Tcar.create ~seed ~placement ~policy:(Policy_map.baseline ()) ~spec ?obs
+      ?max_in_flight ()
+  in
+  let obs = Secpol_obs.Registry.create () in
+  let car = build ~obs () in
+  (match
+     Plan.validate
+       ~topology:
+         {
+           Plan.segments = Tcar.segments car;
+           gateways = Can.Topology.gateway_names (Tcar.topology car);
+         }
+       plan
+   with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Harness.create: " ^ msg));
-  if Plan.segment_scoped plan then
+  if Plan.degrading plan && Tcar.policy_engine car = None then
     invalid_arg
-      "Harness.create: segment-scoped plan needs a topology car (Faults.Blast)";
-  let obs = Secpol_obs.Registry.create () in
-  let car = Car.create ~seed ~enforcement ~obs () in
+      (Printf.sprintf
+         "Harness.create: plan %s stalls the policy engine, and a car with %s \
+          placement has none"
+         plan.Plan.name
+         (Tcar.placement_name placement));
   let configs =
-    match car.Car.policy_engine with
+    match Tcar.policy_engine car with
     | None -> []
     | Some engine ->
         List.concat_map
@@ -183,51 +286,50 @@ let create ?(watchdog_period = 0.01) ?(watchdog_deadline = 0.05)
               Names.nodes)
           Modes.all
   in
-  let clock = Clock.create car.Car.sim in
+  let clock = Clock.create (Tcar.sim car) in
   let records =
     List.map
-      (fun entry -> { entry; injected_at = None; cleared_at = None })
+      (fun entry ->
+        { entry; injected_at = None; cleared_at = None; region = [] })
       plan.Plan.entries
   in
   let rec t =
     lazy
       {
         car;
+        twin = (fun () -> build ());
         obs;
         clock;
         watchdog =
-          Watchdog.create ~period:watchdog_period ~deadline:watchdog_deadline
-            ~clock ~ping:(ping car)
+          Watchdog.create ~clock ~ping:(ping car)
             ~on_expire:(fun () -> degrade (Lazy.force t) ())
-            car.Car.sim;
+            (Tcar.sim car);
         plan;
         records;
         configs;
-        base_corrupt_prob = Can.Bus.corrupt_prob car.Car.bus;
-        mode_changes = [ (0.0, Car.mode car) ];
+        base_corrupt_prob = Can.Bus.corrupt_prob (lone_bus car);
+        mode_changes = [ (0.0, Tcar.mode car) ];
         stall_started = None;
-        stall_cleared = None;
         failsafe_entered = None;
         min_clock_factor = 1.0;
         babblers = 0;
+        faulted = [];
       }
   in
   let t = Lazy.force t in
   List.iter
     (fun r ->
-      Engine.schedule car.Car.sim ~at:r.entry.Plan.at (fun _ -> inject t r))
+      Engine.schedule (Tcar.sim car) ~at:r.entry.Plan.at (fun _ -> inject t r))
     records;
   t
 
 let run_until t until = Engine.run_until (sim t) until
 
-let run t = run_until t t.plan.Plan.horizon
-
 let car t = t.car
 
-let obs t = t.obs
+let twin t = t.twin ()
 
-let clock t = t.clock
+let obs t = t.obs
 
 let watchdog t = t.watchdog
 
@@ -235,9 +337,9 @@ let plan t = t.plan
 
 let records t = t.records
 
-let stall_started t = t.stall_started
+let faulted t = t.faulted
 
-let stall_cleared t = t.stall_cleared
+let stall_started t = t.stall_started
 
 let failsafe_entered t = t.failsafe_entered
 
@@ -250,8 +352,6 @@ let mode_at t time =
     | (at, mode) :: older -> if at <= time then mode else find older
   in
   find t.mode_changes
-
-let mode_changes t = List.rev t.mode_changes
 
 let config_for t ~mode ~node = List.assoc_opt (mode, node) t.configs
 

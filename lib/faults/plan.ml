@@ -7,9 +7,10 @@ type t = { name : string; horizon : float; entries : entry list }
 
 type topology = { segments : string list; gateways : string list }
 
-(* Segment-scoped faults name topology pieces a flat-bus car does not
-   have; callers that own a topology pass it so bad names are rejected at
-   plan build, exactly like the horizon checks. *)
+(* Segment-scoped faults name topology pieces a car may not have, and a
+   bus-wide fault names none, so it only has a meaning on a car with one
+   bus.  Callers that own a topology pass it so both are rejected at plan
+   build, exactly like the horizon checks. *)
 let check_topology topo kind =
   let known what names name =
     if List.mem name names then Ok ()
@@ -23,6 +24,14 @@ let check_topology topo kind =
     ->
       known "segment" topo.segments segment
   | Fault.Gateway_crash { gateway; _ } -> known "gateway" topo.gateways gateway
+  | (Fault.Babbling_idiot _ | Fault.Corruption_burst _)
+    when List.length topo.segments > 1 ->
+      Error
+        (Printf.sprintf
+           "plan: %s names no segment, and the car has %d; use a \
+            segment-scoped fault"
+           (Fault.label kind)
+           (List.length topo.segments))
   | _ -> Ok ()
 
 let segment_scoped t =
@@ -172,7 +181,7 @@ let skewed_stall ~horizon =
         ];
   }
 
-(* ---------- segment-scoped plans (topology cars only) ---------- *)
+(* ---------- segment-scoped plans (the four-segment car) ---------- *)
 
 (* The infotainment leaf is the designated victim: it is the
    attack-surface segment the architecture exists to contain, and losing

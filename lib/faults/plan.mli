@@ -16,13 +16,15 @@ type topology = { segments : string list; gateways : string list }
 val validate : ?topology:topology -> t -> (unit, string) result
 (** Every entry inside [0, horizon) and individually well-formed.  With
     [topology], segment-scoped entries naming unknown segments or
-    gateways are rejected too — a flat-bus harness passes the empty
-    topology, so any segment-scoped entry is an error there. *)
+    gateways are rejected too, and so is a bus-wide fault
+    ([Babbling_idiot], [Corruption_burst]) when the topology has more
+    than one segment: such a fault names no segment. *)
 
 val segment_scoped : t -> bool
 (** The plan contains at least one segment-scoped fault
-    ([Segment_partition], [Segment_babble], [Gateway_crash]) and so needs
-    a topology car ({!Blast}) rather than the flat-bus harness. *)
+    ([Segment_partition], [Segment_babble], [Gateway_crash]) and so runs
+    on the four-segment car ({!Harness.create}) rather than the flat
+    one. *)
 
 val degrading : t -> bool
 (** [true] when the plan is expected to end latched in [Fail_safe] (it

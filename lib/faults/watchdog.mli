@@ -5,7 +5,7 @@
     {e local} clock — which may be skewed — it trips once and fires
     [on_expire]; a later healthy ping re-arms it.  [on_expire] is the
     degradation hook: in the chaos harness it is
-    {!Secpol_vehicle.Car.enter_fail_safe}. *)
+    {!Secpol_vehicle.Topology_car.enter_fail_safe}. *)
 
 type t
 

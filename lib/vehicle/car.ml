@@ -1,5 +1,3 @@
-module Engine = Secpol_sim.Engine
-module Bus = Secpol_can.Bus
 module Node = Secpol_can.Node
 module Controller = Secpol_can.Controller
 
@@ -9,150 +7,61 @@ type enforcement =
   | Hpe of Secpol_policy.Ast.policy
 
 type t = {
-  sim : Engine.t;
-  bus : Bus.t;
+  sim : Secpol_sim.Engine.t;
+  bus : Secpol_can.Bus.t;
   state : State.t;
   enforcement : enforcement;
   nodes : (string * Node.t) list;
   hpes : (string * Secpol_hpe.Engine.t) list;
   policy_engine : Secpol_policy.Engine.t option;
-  (* fail-safe HPE configs computed at build time: entering Fail_safe must
-     not depend on the policy engine still answering — the degradation
-     path is exactly for when it does not *)
-  failsafe_configs : (string * Secpol_hpe.Config.t) list;
+  topology_car : Topology_car.t;
 }
 
-let builders =
-  [
-    (Names.sensors, Sensors.create);
-    (Names.ev_ecu, Ev_ecu.create);
-    (Names.eps, Eps.create);
-    (Names.engine, Engine_ecu.create);
-    (Names.telematics, Telematics.create);
-    (Names.infotainment, Infotainment.create);
-    (Names.door_locks, Door_locks.create);
-    (Names.safety, Safety.create);
-  ]
-
-let provision_hpes hpes policy_engine mode =
-  List.iter
-    (fun (name, hpe) ->
-      let config = Policy_map.hpe_config_for policy_engine ~mode ~node:name in
-      Secpol_hpe.Registers.hard_reset (Secpol_hpe.Engine.registers hpe);
-      match Secpol_hpe.Engine.provision hpe config with
-      | Ok () -> ()
-      | Error e -> invalid_arg (Printf.sprintf "Car: HPE provisioning %s: %s" name e))
-    hpes
-
-let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(corrupt_prob = 0.0)
-    ?(enforcement = Software_filters) ?(driving = true) ?obs () =
-  let sim = Engine.create ~seed () in
-  let bus = Bus.create ~corrupt_prob ~bitrate sim in
-  Option.iter (Bus.attach_obs bus) obs;
-  let state = if driving then State.driving () else State.create () in
-  let nodes = List.map (fun (name, build) -> (name, build sim bus state)) builders in
+(* The flat car is the one-segment topology car: an HPE bank is the
+   distributed placement, the stock acceptance filters alone the central
+   one (with no gateways, "central" enforces nothing beyond them). *)
+let create ?seed ?bitrate ?corrupt_prob ?(enforcement = Software_filters)
+    ?driving ?obs () =
+  let placement, policy =
+    match enforcement with
+    | Hpe p -> (`Distributed, Some p)
+    | No_enforcement | Software_filters -> (`Central, None)
+  in
+  let car =
+    Topology_car.create ?seed ?bitrate ?corrupt_prob ?driving ~placement
+      ?policy ~spec:(Segment_map.flat_spec ()) ?obs ()
+  in
+  let nodes = Topology_car.nodes car in
   (match enforcement with
   | No_enforcement ->
       List.iter
         (fun (_, node) -> Controller.set_filters (Node.controller node) [])
         nodes
   | Software_filters | Hpe _ -> ());
-  let hpes, policy_engine, failsafe_configs =
-    match enforcement with
-    | Hpe policy ->
-        let engine = Policy_map.engine ?obs policy in
-        let hpes =
-          List.map
-            (fun (name, node) -> (name, Secpol_hpe.Engine.install ?obs node))
-            nodes
-        in
-        provision_hpes hpes engine state.State.mode;
-        let failsafe_configs =
-          List.map
-            (fun (name, _) ->
-              ( name,
-                Policy_map.hpe_config_for engine ~mode:Modes.Fail_safe
-                  ~node:name ))
-            hpes
-        in
-        (hpes, Some engine, failsafe_configs)
-    | No_enforcement | Software_filters -> ([], None, [])
-  in
-  { sim; bus; state; enforcement; nodes; hpes; policy_engine; failsafe_configs }
+  {
+    sim = Topology_car.sim car;
+    bus = Topology_car.bus car Segment_map.seg_bus;
+    state = Topology_car.state car;
+    enforcement;
+    nodes;
+    hpes = Topology_car.hpes car;
+    policy_engine = Topology_car.policy_engine car;
+    topology_car = car;
+  }
 
-let node t name =
-  match List.assoc_opt name t.nodes with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Car.node: unknown node %S" name)
+let node t name = Topology_car.node t.topology_car name
 
-let hpe t name = List.assoc_opt name t.hpes
+let hpe t name = Topology_car.hpe t.topology_car name
 
-let run t ~seconds = Engine.run_until t.sim (Engine.now t.sim +. seconds)
+let run t ~seconds = Topology_car.run t.topology_car ~seconds
 
-let mode t = t.state.State.mode
+let mode t = Topology_car.mode t.topology_car
 
-let set_mode t mode =
-  t.state.State.mode <- mode;
-  State.log t.state ~time:(Engine.now t.sim)
-    (Printf.sprintf "car: mode -> %s" (Modes.name mode));
-  match t.policy_engine with
-  | Some engine -> provision_hpes t.hpes engine mode
-  | None -> ()
-
-(* Graceful degradation: latch Fail_safe using only state computed at
-   build time.  Unlike [set_mode] this never consults the policy engine,
-   so it works while the engine is stalled or unreachable — each HPE is
-   hard-reset and re-provisioned from the cached fail-safe config, which
-   also restores integrity after register-file corruption. *)
-let enter_fail_safe t ~reason =
-  if t.state.State.mode <> Modes.Fail_safe then begin
-    t.state.State.mode <- Modes.Fail_safe;
-    t.state.State.failsafe_latched <- true;
-    State.log t.state ~time:(Engine.now t.sim)
-      (Printf.sprintf "car: fail-safe entered (%s)" reason);
-    List.iter
-      (fun (name, hpe) ->
-        match List.assoc_opt name t.failsafe_configs with
-        | None -> ()
-        | Some config ->
-            Secpol_hpe.Registers.hard_reset (Secpol_hpe.Engine.registers hpe);
-            (match Secpol_hpe.Engine.provision hpe config with
-            | Ok () -> ()
-            | Error e ->
-                invalid_arg
-                  (Printf.sprintf "Car: fail-safe provisioning %s: %s" name e)))
-      t.hpes
-  end
-
-let total_hpe_blocks t =
-  List.fold_left
-    (fun acc (_, h) ->
-      acc + Secpol_hpe.Engine.read_blocks h + Secpol_hpe.Engine.write_blocks h)
-    0 t.hpes
+let set_mode t mode = Topology_car.set_mode t.topology_car mode
 
 let false_hpe_blocks t =
-  let write_blocks =
-    List.fold_left
-      (fun acc (_, h) -> acc + Secpol_hpe.Engine.write_blocks h)
-      0 t.hpes
-  in
-  let bad_read_blocks =
-    Secpol_can.Trace.count (Bus.trace t.bus) (fun e ->
-        match e.Secpol_can.Trace.event with
-        | Secpol_can.Trace.Rx_blocked (receiver, _) -> (
-            match e.Secpol_can.Trace.frame.Secpol_can.Frame.id with
-            | Secpol_can.Identifier.Standard id -> (
-                match Messages.find id with
-                | Some m -> List.mem receiver m.consumers
-                | None -> false)
-            | Secpol_can.Identifier.Extended _ -> false)
-        | _ -> false)
-  in
-  write_blocks + bad_read_blocks
+  Topology_car.false_blocks_in t.topology_car Segment_map.seg_bus
 
-let total_deliveries t =
-  List.fold_left
-    (fun acc (_, n) -> acc + Node.received_count n)
-    0 t.nodes
+let total_deliveries t = Topology_car.total_deliveries t.topology_car
 
-let trace t = Bus.trace t.bus
+let trace t = Secpol_can.Bus.trace t.bus

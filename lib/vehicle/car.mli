@@ -1,6 +1,10 @@
 (** The assembled connected car (paper Fig. 2): eight ECUs on one CAN bus,
     with selectable enforcement.
 
+    A view over a one-segment {!Topology_car} ({!Segment_map.flat_spec}):
+    the record holds what callers read, every operation is the topology
+    car's.
+
     Enforcement levels, matching the experiments:
     - [No_enforcement]: acceptance filters cleared, no HPE — a device
       shipped with no security mechanism (and the state firmware compromise
@@ -8,7 +12,11 @@
     - [Software_filters]: controller acceptance filters per the message
       map's consumer sets — the conventional, firmware-configured defence.
     - [Hpe policy]: software filters *plus* a locked hardware policy engine
-      on every node, provisioned from the given policy. *)
+      on every node, provisioned from the given policy.
+
+    [Hpe p] is the [`Distributed] placement with policy [p]; the other two
+    are [`Central], which on a car without gateways leaves the acceptance
+    filters as the only enforcement. *)
 
 type enforcement =
   | No_enforcement
@@ -23,9 +31,7 @@ type t = {
   nodes : (string * Secpol_can.Node.t) list;
   hpes : (string * Secpol_hpe.Engine.t) list;  (** empty unless [Hpe _] *)
   policy_engine : Secpol_policy.Engine.t option;
-  failsafe_configs : (string * Secpol_hpe.Config.t) list;
-      (** per-node HPE configs for [Fail_safe], derived once at build time
-          so {!enter_fail_safe} works without the policy engine *)
+  topology_car : Topology_car.t;  (** the one-segment car this is a view of *)
 }
 
 val create :
@@ -55,29 +61,13 @@ val run : t -> seconds:float -> unit
 val mode : t -> Modes.t
 
 val set_mode : t -> Modes.t -> unit
-(** Change operating mode.  The mode line enters each HPE as a hardware
-    input: the engines are hard-reset and re-provisioned for the new mode
-    (firmware is not involved and the lock is re-applied). *)
-
-val enter_fail_safe : t -> reason:string -> unit
-(** The degradation path (paper Table I's Fail-safe operating mode): latch
-    [Fail_safe], log the reason, and re-provision every HPE from the
-    fail-safe configs cached at build time.  Never consults the policy
-    engine — this is the transition a watchdog takes precisely when the
-    engine has stopped answering — and, because each register file is
-    hard-reset and re-programmed, it also restores HPE integrity after
-    register corruption.  Idempotent once in [Fail_safe]. *)
-
-val total_hpe_blocks : t -> int
-(** All HPE blocks, read and write.  On a broadcast bus this includes the
-    engine correctly dropping frames the node never consumes, so it is not
-    a false-block count — see {!false_hpe_blocks}. *)
+(** {!Topology_car.set_mode}: the HPEs are re-provisioned for the new
+    mode. *)
 
 val false_hpe_blocks : t -> int
-(** Blocks that would hurt legitimate function on *clean* traffic: write
-    blocks (designed nodes only transmit designed messages) plus read
-    blocks of frames whose receiver is a designed consumer.  The
-    reproduction expects 0 on benign runs. *)
+(** Blocks that would hurt legitimate function on *clean* traffic:
+    {!Topology_car.false_blocks_in} of the one segment.  The reproduction
+    expects 0 on benign runs. *)
 
 val total_deliveries : t -> int
 

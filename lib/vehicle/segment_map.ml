@@ -11,6 +11,8 @@ let seg_telematics = "telematics"
 
 let seg_comfort = "comfort"
 
+let seg_bus = "bus"
+
 let gw_powertrain = "gw_powertrain"
 
 let gw_infotainment = "gw_infotainment"
@@ -40,8 +42,12 @@ let spec () =
       ];
   }
 
-(* The historical two-bus split (powertrain vs comfort) — Segmented builds
-   on this, making the old hand-wired module a special case of the graph. *)
+(* The flat car of paper Fig. 2: every ECU on one bus, no gateways. *)
+let flat_spec () =
+  { Topology.segments = [ (seg_bus, Names.nodes) ]; links = [] }
+
+(* The historical two-bus split (powertrain vs comfort), the guideline
+   gateway architecture the ablation bench compares with the HPE. *)
 let two_segment_spec () =
   {
     Topology.segments =

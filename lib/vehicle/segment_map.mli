@@ -1,9 +1,9 @@
 (** The car's segment layout and policy-derived flows.
 
     Binds the vehicle message map ({!Messages}) and the compiled policy
-    ({!Policy_map}) to the generic {!Secpol_can.Topology} graph: the
-    reference four-segment layout, the historical two-segment split, and
-    the flow derivation that turns "designed producer/consumer + policy
+    ({!Policy_map}) to the generic {!Secpol_can.Topology} graph: the flat
+    one-bus layout, the reference four-segment layout, the historical
+    two-segment split, and the flow derivation that turns "designed producer/consumer + policy
     says the consumer may read" into gateway routing. *)
 
 val seg_powertrain : string
@@ -17,6 +17,9 @@ val seg_telematics : string
 val seg_comfort : string
 (** Only used by the two-segment spec. *)
 
+val seg_bus : string
+(** The flat spec's one segment. *)
+
 val gw_powertrain : string
 
 val gw_infotainment : string
@@ -28,9 +31,14 @@ val spec : unit -> Secpol_can.Topology.spec
     (sensors, EV-ECU, engine), chassis (EPS, safety, door locks),
     infotainment and telematics each alone behind their own gateway. *)
 
+val flat_spec : unit -> Secpol_can.Topology.spec
+(** One segment, {!seg_bus}, holding every node of {!Names.nodes}, and no
+    links — the flat car of paper Fig. 2, which {!Car} builds. *)
+
 val two_segment_spec : unit -> Secpol_can.Topology.spec
 (** The original powertrain/comfort split with a single gateway named
-    ["gateway"] — {!Segmented} is this spec on the topology graph. *)
+    ["gateway"]: the guideline gateway architecture (paper §V) that the
+    ablation bench compares with the HPE. *)
 
 val segment_of_node : Secpol_can.Topology.spec -> string -> string option
 

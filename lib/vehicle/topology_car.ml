@@ -23,7 +23,8 @@ type t = {
   hpes : (string * Secpol_hpe.Engine.t) list;
   policy_engine : Secpol_policy.Engine.t option;
   (* fail-safe HPE configs computed at build time: entering Fail_safe must
-     not depend on the policy engine still answering (see Car) *)
+     not depend on the policy engine still answering — the degradation
+     path is exactly for when it does not *)
   failsafe_configs : (string * Secpol_hpe.Config.t) list;
 }
 
@@ -51,18 +52,24 @@ let provision_hpes hpes policy_engine mode =
             (Printf.sprintf "Topology_car: HPE provisioning %s: %s" name e))
     hpes
 
-let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(driving = true)
-    ?(placement = `Distributed) ?policy ?spec ?obs ?max_in_flight
-    ?retry_backoff ?max_retries ?forward_timeout () =
+let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(corrupt_prob = 0.0)
+    ?(driving = true) ?(placement = `Distributed) ?policy ?spec ?obs
+    ?max_in_flight () =
+  (* only the flows and the HPE bank read the policy *)
   let policy =
-    match policy with Some p -> p | None -> Policy_map.baseline ()
+    lazy (match policy with Some p -> p | None -> Policy_map.baseline ())
   in
   let spec = match spec with Some s -> s | None -> Segment_map.spec () in
   let sim = Engine.create ~seed () in
-  let flows = Segment_map.flows ~policy ~spec () in
+  (* flows only feed gateway whitelists, and deriving them re-compiles the
+     policy and probes every (message, consumer, mode): a spec without
+     links skips it *)
+  let flows =
+    if spec.Topology.links = [] then []
+    else Segment_map.flows ~policy:(Lazy.force policy) ~spec ()
+  in
   let topo =
-    Topology.create ~bitrate ?max_in_flight ?retry_backoff ?max_retries
-      ?forward_timeout sim spec ~flows
+    Topology.create ~bitrate ~corrupt_prob ?max_in_flight sim spec ~flows
   in
   Option.iter (fun reg -> Topology.attach_obs topo reg) obs;
   let state = if driving then State.driving () else State.create () in
@@ -85,7 +92,7 @@ let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(driving = true)
     match placement with
     | `Central -> ([], None, [])
     | `Distributed ->
-        let engine = Policy_map.engine ?obs policy in
+        let engine = Policy_map.engine ?obs (Lazy.force policy) in
         let hpes =
           List.map
             (fun (name, node) -> (name, Secpol_hpe.Engine.install ?obs node))
@@ -120,7 +127,11 @@ let node t name =
 
 let nodes t = t.nodes
 
+let hpes t = t.hpes
+
 let hpe t name = List.assoc_opt name t.hpes
+
+let policy_engine t = t.policy_engine
 
 let run t ~seconds = Engine.run_until t.sim (Engine.now t.sim +. seconds)
 
@@ -172,8 +183,9 @@ let total_deliveries t =
 
 (* Enforcement blocks that hit designed traffic in one segment: write-gate
    blocks at the segment's own HPEs plus read-gate blocks of frames whose
-   receiver is a designed consumer (the same definition as
-   [Car.false_hpe_blocks], scoped to one bus). *)
+   receiver is a designed consumer.  On a broadcast bus the HPE also
+   drops frames a node never consumes; those are correct and not
+   counted. *)
 let false_blocks_in t seg =
   let members = Topology.members t.topo seg in
   let write_blocks =

@@ -154,6 +154,7 @@ let test_long_run_stability () =
 module F = Secpol_faults
 module Json = Secpol_policy.Json
 module Engine = Secpol_sim.Engine
+module Tcar = V.Topology_car
 
 let test_watchdog_trips_and_rearms () =
   let sim = Engine.create () in
@@ -268,7 +269,8 @@ let chaos_stall_enters_failsafe seed () =
     (entered <= bound);
   let car = F.Harness.car h in
   Alcotest.(check bool) "latched in fail-safe" true
-    (Car.mode car = V.Modes.Fail_safe && car.Car.state.State.failsafe_latched);
+    (Tcar.mode car = V.Modes.Fail_safe
+    && (Tcar.state car).State.failsafe_latched);
   check Alcotest.int "watchdog detected exactly one outage" 1
     (F.Watchdog.trips (F.Harness.watchdog h));
   (* report says the same thing, machine-readably *)
@@ -298,7 +300,7 @@ let chaos_recoverable_converges plan_name seed () =
   Alcotest.(check bool) "all invariants held" true o.F.Chaos.passed;
   let car = F.Harness.car o.F.Chaos.harness in
   Alcotest.(check bool) "still in normal mode" true
-    (Car.mode car = V.Modes.Normal);
+    (Tcar.mode car = V.Modes.Normal);
   List.iter
     (fun (r : F.Harness.record) ->
       Alcotest.(check bool)
@@ -333,21 +335,46 @@ let test_chaos_skewed_stall_still_bounded () =
   Alcotest.(check bool) "inside the skew-adjusted bound" true
     (entered <= F.Harness.failsafe_bound h ~stall_at)
 
-let test_segment_plans_need_topology_car () =
-  List.iter
-    (fun name ->
-      match F.Plan.of_name ~horizon:2.0 name with
-      | None -> Alcotest.fail (name ^ " is not a named plan")
-      | Some plan -> (
-          Alcotest.(check bool)
-            (name ^ " segment-scoped") true
-            (F.Plan.segment_scoped plan);
-          (* the flat-bus harness has no segments or gateways to fault:
-             it must refuse and point at the topology runner *)
-          match F.Harness.create ~seed:7L ~plan () with
-          | exception Invalid_argument _ -> ()
-          | _ -> Alcotest.fail (name ^ " accepted by the flat harness")))
-    [ "segment-partition"; "segment-babble"; "gateway-failover" ]
+let test_bus_wide_faults_need_one_bus () =
+  (* a segment fault puts the plan on the four-segment car, where a
+     babbling idiot or a corruption burst names no bus to hit: the
+     harness must refuse the plan instead of picking one *)
+  let horizon = 2.0 in
+  let storm = F.Plan.storm ~horizon in
+  let babble = F.Plan.segment_babble ~horizon in
+  let plan =
+    {
+      F.Plan.name = "storm+segment-babble";
+      horizon;
+      entries = storm.F.Plan.entries @ babble.F.Plan.entries;
+    }
+  in
+  Alcotest.(check bool) "segment-scoped" true (F.Plan.segment_scoped plan);
+  (match F.Harness.create ~seed:7L ~plan () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "bus-wide faults accepted on a four-segment car");
+  (* the same faults alone run on the flat car, which has one bus *)
+  ignore (F.Harness.create ~seed:7L ~plan:storm ())
+
+let test_stall_needs_policy_engine () =
+  (* central placement builds no policy engine, so a stall plan has
+     nothing to stall: refused up front, naming the placement *)
+  let plan = F.Plan.stall ~horizon:2.0 in
+  (match F.Harness.create ~placement:`Central ~seed:7L ~plan () with
+  | exception Invalid_argument msg ->
+      let needle = "central placement" in
+      let rec scan i =
+        i + String.length needle <= String.length msg
+        && (String.sub msg i (String.length needle) = needle || scan (i + 1))
+      in
+      Alcotest.(check bool) "message names the placement" true (scan 0)
+  | _ -> Alcotest.fail "stall accepted on a car without a policy engine");
+  (* an HPE fault on a node without an HPE stays a no-op: mixed plans
+     draw it at random *)
+  let plan = F.Plan.hpe_corruption ~horizon:2.0 in
+  let o = F.Chaos.run ~placement:`Central ~seed:7L ~plan () in
+  Alcotest.(check bool) "hpe corruption without HPEs passes" true
+    o.F.Chaos.passed
 
 let test_invariant_catches_unapproved_delivery () =
   (* the safety net must not be vacuous: hand the checker a fabricated
@@ -359,8 +386,9 @@ let test_invariant_catches_unapproved_delivery () =
   F.Invariant.check checker;
   Alcotest.(check bool) "clean so far" true (F.Invariant.ok checker);
   let car = F.Harness.car h in
-  Secpol_can.Trace.record (Car.trace car)
-    ~time:(Engine.now car.Car.sim)
+  Secpol_can.Trace.record
+    (Secpol_can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus))
+    ~time:(Engine.now (Tcar.sim car))
     ~node:"intruder"
     (Secpol_can.Frame.data_std 0x7DF "")
     (Trace.Rx_delivered Names.ev_ecu);
@@ -379,9 +407,9 @@ let test_chaos_deterministic () =
        simulation-time results must be bit-identical across runs *)
     match o.F.Chaos.report with
     | Json.Obj fields ->
-        F.Report.to_string
+        Json.to_string
           (Json.Obj (List.filter (fun (k, _) -> k <> "telemetry") fields))
-    | j -> F.Report.to_string j
+    | j -> Json.to_string j
   in
   check Alcotest.string "same (seed, plan), same report" (run ()) (run ())
 
@@ -413,8 +441,9 @@ let () =
       ( "plans",
         [
           quick "seeded generation" test_plan_generation_deterministic;
-          quick "segment plans need a topology car"
-            test_segment_plans_need_topology_car;
+          quick "bus-wide faults need one bus"
+            test_bus_wide_faults_need_one_bus;
+          quick "stall needs a policy engine" test_stall_needs_policy_engine;
           quick "checker not vacuous" test_invariant_catches_unapproved_delivery;
         ] );
       ( "chaos",

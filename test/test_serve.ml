@@ -575,6 +575,52 @@ let test_daemon_watchdog_timeout () =
           check Alcotest.bool "re-armed" false b.Client.degraded;
           check Alcotest.bool "serves after re-arm" true b.Client.allows.(0)))
 
+(* Admission shed fails closed: with the only worker wedged and its
+   one-slot ring full, a batch of requests the policy allows is answered
+   at once with denies and flagged as shed — never with an allow. *)
+let test_daemon_shed_denies () =
+  let config =
+    { Daemon.default_config with queue_capacity = 1; admission_retries = 0 }
+  in
+  with_daemon ~domains:1 ~config old_source (fun daemon socket_path ->
+      let pool = Daemon.pool daemon in
+      let started = Atomic.make false in
+      let gate = Atomic.make false in
+      (match
+         Pool.try_submit pool ~shard:0 (fun _ ->
+             Atomic.set started true;
+             while not (Atomic.get gate) do
+               Unix.sleepf 0.001
+             done)
+       with
+      | None -> Alcotest.fail "wedge refused"
+      | Some _ -> ());
+      Fun.protect
+        ~finally:(fun () -> Atomic.set gate true)
+        (fun () ->
+          while not (Atomic.get started) do
+            Unix.sleepf 0.001
+          done;
+          (* the worker is inside the wedge: fill its ring *)
+          let attempts = ref 0 in
+          while
+            !attempts < 16
+            && Pool.try_submit pool ~shard:0 (fun _ -> ()) <> None
+          do
+            incr attempts
+          done;
+          check Alcotest.bool "ring full" true
+            (Pool.try_submit pool ~shard:0 (fun _ -> ()) = None);
+          with_client socket_path (fun client ->
+              let b =
+                Client.decide client
+                  (Array.make 8 (req "sensors" "telemetry"))
+              in
+              check Alcotest.bool "shed flagged" true b.Client.shed;
+              check Alcotest.bool "every request denied" true
+                (Array.for_all not b.Client.allows);
+              check Alcotest.int "shed counted" 8 (Daemon.shed daemon))))
+
 let test_daemon_stats_scrape () =
   with_daemon ~domains:2 old_source (fun _ socket_path ->
       with_client socket_path (fun client ->
@@ -633,6 +679,7 @@ let () =
           quick "survives malformed frames" test_daemon_survives_garbage;
           quick "fail-safe denies on stall" test_daemon_failsafe_on_stall;
           quick "watchdog timeout" test_daemon_watchdog_timeout;
+          quick "admission shed denies" test_daemon_shed_denies;
           quick "stats scrape" test_daemon_stats_scrape;
         ] );
     ]

@@ -9,7 +9,6 @@ module Engine = Secpol_sim.Engine
 module Topology = Can.Topology
 module Tcar = V.Topology_car
 module Segment_map = V.Segment_map
-module Segmented = V.Segmented
 module Car = V.Car
 module Names = V.Names
 module Messages = V.Messages
@@ -133,9 +132,28 @@ let test_components_blast_regions () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted an unknown gateway name")
 
-(* ---------- Segmented as the two-segment special case ---------- *)
+(* ---------- The two-segment special case ---------- *)
 
-let test_two_segment_matches_segmented () =
+(* The hand-written oracle for the two-bus split: an ID crosses iff some
+   designed producer and consumer sit on opposite sides, in either
+   direction. *)
+let historical_crossing_ids () =
+  let powertrain =
+    [ Names.sensors; Names.ev_ecu; Names.eps; Names.engine; Names.safety ]
+  in
+  let side node = List.mem node powertrain in
+  Messages.all
+  |> List.filter_map (fun (m : Messages.t) ->
+         let crosses =
+           List.exists
+             (fun p ->
+               List.exists (fun c -> side p <> side c) m.consumers)
+             m.producers
+         in
+         if crosses then Some m.id else None)
+  |> List.sort_uniq compare
+
+let test_two_segment_matches_historical () =
   let spec = Segment_map.two_segment_spec () in
   let sim = Engine.create () in
   let topo = Topology.create sim spec ~flows:(Segment_map.flows ~spec ()) in
@@ -147,15 +165,13 @@ let test_two_segment_matches_segmented () =
   check
     Alcotest.(list int)
     "derived whitelist = historical crossing set"
-    (List.sort_uniq compare (Segmented.crossing_ids ()))
+    (historical_crossing_ids ())
     union;
-  (* and the rebased Segmented still behaves: cross-segment telemetry plus
-     the crash chain spanning both buses *)
-  let car = Segmented.create () in
-  Segmented.run car ~seconds:1.0;
-  (match
-     V.Infotainment.displayed_speed (Segmented.node car Names.infotainment)
-   with
+  (* and the two-segment car behaves: cross-segment telemetry reaches the
+     driver display *)
+  let car = Tcar.create ~placement:`Central ~spec () in
+  Tcar.run car ~seconds:1.0;
+  (match V.Infotainment.displayed_speed (Tcar.node car Names.infotainment) with
   | Some s -> check Alcotest.(float 0.01) "display shows 50" 50.0 s
   | None -> Alcotest.fail "telemetry never crossed the gateway")
 
@@ -335,29 +351,37 @@ let test_plan_validates_against_topology () =
   (match F.Plan.validate ~topology bad with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "accepted an unknown segment name");
-  (* a flat-bus harness owns no segments: every segment-scoped entry is an
-     error against the empty topology *)
-  let flat = { F.Plan.segments = []; gateways = [] } in
-  match
-    F.Plan.validate ~topology:flat (F.Plan.segment_partition ~horizon:2.0)
-  with
+  (* the flat car's one segment is none of the four-segment car's: every
+     segment-scoped entry is an error against it *)
+  let flat =
+    { F.Plan.segments = [ Segment_map.seg_bus ]; gateways = [] }
+  in
+  (match
+     F.Plan.validate ~topology:flat (F.Plan.segment_partition ~horizon:2.0)
+   with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "flat topology accepted a segment fault"
+  | Ok () -> Alcotest.fail "flat topology accepted a segment fault");
+  (* and a fault that names no segment needs a car with one bus *)
+  (match F.Plan.validate ~topology:flat (F.Plan.storm ~horizon:2.0) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  match F.Plan.validate ~topology (F.Plan.storm ~horizon:2.0) with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "four segments accepted a bus-wide fault"
 
 (* ---------- Blast containment ---------- *)
 
 let test_blast_babble_contained () =
   let plan = F.Plan.segment_babble ~horizon:1.5 in
-  let o = F.Blast.run ~seed:7L ~plan () in
-  Alcotest.(check bool) "contained" true o.F.Blast.passed;
-  Alcotest.(check bool) "no violations" true
-    (F.Invariant.Blast.ok o.F.Blast.checker);
+  let o = F.Chaos.run ~seed:7L ~plan () in
+  Alcotest.(check bool) "contained" true o.F.Chaos.passed;
+  Alcotest.(check bool) "no violations" true (F.Invariant.ok o.F.Chaos.checker);
   (* the babbling segment is the whole blast region *)
   check
     Alcotest.(list string)
     "region is the victim segment"
     [ Segment_map.seg_infotainment ]
-    (F.Blast.faulted o.F.Blast.blast)
+    (F.Harness.faulted o.F.Chaos.harness)
 
 let test_blast_unbounded_gateway_caught () =
   (* the deliberately-broken build: an effectively unlimited admission
@@ -365,27 +389,88 @@ let test_blast_unbounded_gateway_caught () =
      The full 4 s horizon gives the 1.8 s babble window time to queue
      more forwards than the backlog bound *)
   let plan = F.Plan.segment_babble ~horizon:4.0 in
-  let o = F.Blast.run ~unbounded_gateway:true ~seed:7L ~plan () in
-  Alcotest.(check bool) "containment violated" false o.F.Blast.passed;
+  let o = F.Chaos.run ~unbounded_gateway:true ~seed:7L ~plan () in
+  Alcotest.(check bool) "containment violated" false o.F.Chaos.passed;
   Alcotest.(check bool) "backlog check fired" true
     (List.exists
        (fun (v : F.Invariant.violation) -> v.check = "blast_gateway_backlog")
-       (F.Invariant.Blast.violations o.F.Blast.checker))
+       (F.Invariant.violations o.F.Chaos.checker))
 
 let test_blast_gateway_failover_limp_home () =
   let plan = F.Plan.gateway_failover ~horizon:2.0 in
-  let o = F.Blast.run ~seed:7L ~plan () in
-  Alcotest.(check bool) "failover contained" true o.F.Blast.passed;
-  match F.Blast.records o.F.Blast.blast with
+  let o = F.Chaos.run ~seed:7L ~plan () in
+  Alcotest.(check bool) "failover contained" true o.F.Chaos.passed;
+  match F.Harness.records o.F.Chaos.harness with
   | [ r ] ->
       check
         Alcotest.(list string)
         "blast region is the cut-off leaf"
         [ Segment_map.seg_infotainment ]
-        r.F.Blast.region;
+        r.F.Harness.region;
       Alcotest.(check bool) "fault cleared into limp-home" true
-        (r.F.Blast.cleared_at <> None)
+        (r.F.Harness.cleared_at <> None)
   | _ -> Alcotest.fail "expected exactly one plan record"
+
+(* One runner for node and segment faults alike: a severed infotainment
+   segment plus a telematics crash on the four-segment car.  Each fault's
+   region is its own segment, and the rest of the car stays contained
+   under either placement. *)
+let test_mixed_scope_plan placement () =
+  let horizon = 2.0 in
+  let partition = F.Plan.segment_partition ~horizon in
+  let plan =
+    {
+      partition with
+      F.Plan.name = "segment-partition+crash";
+      entries =
+        partition.F.Plan.entries
+        @ [
+            {
+              F.Plan.at = 0.9;
+              kind =
+                F.Fault.Node_crash { node = Names.telematics; down_for = 0.3 };
+            };
+          ];
+    }
+  in
+  let o = F.Chaos.run ~placement ~seed:7L ~plan () in
+  List.iter
+    (fun (v : F.Invariant.violation) ->
+      Printf.printf "violation: %s %s\n" v.F.Invariant.check v.F.Invariant.detail)
+    (F.Invariant.violations o.F.Chaos.checker);
+  Alcotest.(check bool) "all invariants held" true o.F.Chaos.passed;
+  check
+    Alcotest.(list (list string))
+    "one region per fault"
+    [ [ Segment_map.seg_infotainment ]; [ Segment_map.seg_telematics ] ]
+    (List.map
+       (fun (r : F.Harness.record) -> r.F.Harness.region)
+       (F.Harness.records o.F.Chaos.harness))
+
+(* ---------- Telemetry names ---------- *)
+
+(* The one-segment car exports its bus like a lone bus does (CI's obs
+   smoke reads [can.bus.tx_latency_ms]); a multi-segment car keeps one
+   [can.seg.<segment>] namespace per bus. *)
+let test_telemetry_names () =
+  let histograms reg = List.map fst (Secpol_obs.Registry.histograms reg) in
+  let flat_obs = Secpol_obs.Registry.create () in
+  let _flat = Car.create ~obs:flat_obs () in
+  let flat = histograms flat_obs in
+  Alcotest.(check bool) "flat car: can.bus.tx_latency_ms" true
+    (List.mem "can.bus.tx_latency_ms" flat);
+  Alcotest.(check bool) "flat car: no can.seg.*" false
+    (List.exists (fun n -> String.starts_with ~prefix:"can.seg." n) flat);
+  let seg_obs = Secpol_obs.Registry.create () in
+  let car = Tcar.create ~obs:seg_obs () in
+  let segmented = histograms seg_obs in
+  List.iter
+    (fun seg ->
+      let name = Printf.sprintf "can.seg.%s.tx_latency_ms" seg in
+      Alcotest.(check bool) name true (List.mem name segmented))
+    (Tcar.segments car);
+  Alcotest.(check bool) "four-segment car: no can.bus.*" false
+    (List.exists (fun n -> String.starts_with ~prefix:"can.bus." n) segmented)
 
 (* ---------- Behaviour identity ---------- *)
 
@@ -520,7 +605,7 @@ let () =
           quick "components = blast regions" test_components_blast_regions;
         ] );
       ( "segmented",
-        [ quick "two-segment special case" test_two_segment_matches_segmented ]
+        [ quick "two-segment special case" test_two_segment_matches_historical ]
       );
       ( "reference car",
         [
@@ -546,7 +631,10 @@ let () =
           slow "unbounded gateway caught" test_blast_unbounded_gateway_caught;
           slow "gateway failover limp-home"
             test_blast_gateway_failover_limp_home;
+          slow "mixed scope (central)" (test_mixed_scope_plan `Central);
+          slow "mixed scope (distributed)" (test_mixed_scope_plan `Distributed);
         ] );
+      ("telemetry", [ quick "bus names by segment count" test_telemetry_names ]);
       ( "identity",
         [ quick "behaviour digest unchanged" test_behaviour_identity ] );
     ]

@@ -574,59 +574,70 @@ let test_ids_uses_hpe_signals () =
     (List.map (fun (i : Ids.incident) -> Ids.kind_name i.Ids.kind) (Ids.scan ids));
   Alcotest.(check bool) "history retained" true (List.length (Ids.incidents ids) >= 2)
 
-(* ---------- Segmented (gateway) topology ---------- *)
+(* ---------- Two-segment (gateway) topology ---------- *)
 
-module Segmented = V.Segmented
+(* The guideline architecture: the two-segment car with its gateway's
+   policy-derived whitelists and no HPEs. *)
+module Tcar = V.Topology_car
+
+let segmented () =
+  Tcar.create ~placement:`Central ~spec:(V.Segment_map.two_segment_spec ()) ()
+
+let gateway car = Secpol_can.Topology.gateway (Tcar.topology car) "gateway"
 
 let test_segmented_benign_function () =
-  let car = Segmented.create () in
-  Segmented.run car ~seconds:1.0;
+  let car = segmented () in
+  Tcar.run car ~seconds:1.0;
   (* cross-segment telemetry still reaches the driver display *)
-  (match V.Infotainment.displayed_speed (Segmented.node car Names.infotainment) with
+  (match V.Infotainment.displayed_speed (Tcar.node car Names.infotainment) with
   | Some s -> check Alcotest.(float 0.01) "display shows 50" 50.0 s
   | None -> Alcotest.fail "telemetry never crossed the gateway");
   (* the crash chain spans both segments: safety (powertrain) unlocks the
      doors (comfort) and the telematics unit places the call *)
-  V.Safety.trigger_crash (Segmented.node car Names.safety) car.Segmented.state;
-  Segmented.run car ~seconds:0.5;
+  V.Safety.trigger_crash (Tcar.node car Names.safety) (Tcar.state car);
+  Tcar.run car ~seconds:0.5;
   Alcotest.(check bool) "doors unlocked across segments" false
-    car.Segmented.state.State.doors_locked;
+    (Tcar.state car).State.doors_locked;
   check Alcotest.int "emergency call placed" 1
-    car.Segmented.state.State.emergency_calls
+    (Tcar.state car).State.emergency_calls
 
 let test_segmented_blocks_non_crossing_injection () =
   (* eps_command never legitimately crosses: the gateway drops it *)
-  let car = Segmented.create () in
-  Segmented.run car ~seconds:0.3;
-  let infotainment = Segmented.node car Names.infotainment in
+  let car = segmented () in
+  Tcar.run car ~seconds:0.3;
+  let infotainment = Tcar.node car Names.infotainment in
   Secpol_can.Controller.set_filters (Node.controller infotainment) [];
   ignore
     (Node.send infotainment
        (Secpol_can.Frame.data_std Messages.eps_command
           (String.make 1 Messages.cmd_disable)));
-  Segmented.run car ~seconds:0.3;
-  Alcotest.(check bool) "eps survives" true car.Segmented.state.State.eps_active;
+  Tcar.run car ~seconds:0.3;
+  Alcotest.(check bool) "eps survives" true (Tcar.state car).State.eps_active;
   Alcotest.(check bool) "gateway dropped something" true
-    (Secpol_can.Gateway.dropped car.Segmented.gateway > 0)
+    (Secpol_can.Gateway.dropped (gateway car) > 0)
 
 let test_segmented_residual_crossing_injection () =
   (* ecu_command legitimately crosses (door_locks -> ev_ecu), so the
      ID-granular gateway forwards the forged copy too — the weakness the
      per-node HPE does not have *)
-  let car = Segmented.create () in
-  Segmented.run car ~seconds:0.3;
-  let infotainment = Segmented.node car Names.infotainment in
+  let car = segmented () in
+  Tcar.run car ~seconds:0.3;
+  let infotainment = Tcar.node car Names.infotainment in
   Secpol_can.Controller.set_filters (Node.controller infotainment) [];
   ignore
     (Node.send infotainment
        (Secpol_can.Frame.data_std Messages.ecu_command
           (String.make 1 Messages.cmd_disable)));
-  Segmented.run car ~seconds:0.3;
+  Tcar.run car ~seconds:0.3;
   Alcotest.(check bool) "gateway forwards the forged crossing ID" false
-    car.Segmented.state.State.ev_ecu_enabled
+    (Tcar.state car).State.ev_ecu_enabled
 
 let test_segmented_whitelist_is_minimal () =
-  let ids = Segmented.crossing_ids () in
+  let topo = Tcar.topology (segmented ()) in
+  let ids =
+    Secpol_can.Topology.crossing_ids topo ~gateway:"gateway" `A_to_b
+    @ Secpol_can.Topology.crossing_ids topo ~gateway:"gateway" `B_to_a
+  in
   Alcotest.(check bool) "ecu_command crosses" true
     (List.mem Messages.ecu_command ids);
   Alcotest.(check bool) "eps_command does not" false
