@@ -731,7 +731,6 @@ let perf () =
 
 type par_row = {
   domains : int;
-  batched : bool;  (** served through {!Par.Serve.run_batch}? *)
   served : int;
   elapsed_s : float;
   throughput : float;  (** median over the protocol's repeats *)
@@ -752,11 +751,20 @@ let parscale () =
   let work =
     Array.init total (fun k -> (float_of_int k *. 1e-3, reqs.(k mod n)))
   in
+  (* the reference every run must reproduce: one engine deciding the
+     whole workload in input order *)
+  let expected =
+    let engine = Policy.Engine.create db in
+    Array.map
+      (fun (now, req) -> (Policy.Engine.decide ~now engine req).decision)
+      work
+  in
   let ladder = [ 1; 2; 4; 8 ] in
   let repeats = if !quick_mode then 2 else 3 in
   Printf.printf
     "%d requests per run over %d distinct request shapes, partitioned by \
-     subject (host has %d core(s));\n\
+     subject, one batch job per shard on a fresh pool (host has %d \
+     core(s));\n\
      domain ladder %s, 1 warmup + %d timed repeats per rung, median \
      throughput reported\n"
     total n
@@ -765,80 +773,38 @@ let parscale () =
     repeats;
   Printf.printf "%-22s %12s %14s   %s\n" "configuration" "elapsed s" "req/s"
     "per-shard";
-  let report name (s : Par.Serve.stats) =
-    Printf.printf "%-22s %12.4f %14.0f   %s\n" name s.elapsed_s s.throughput
-      (String.concat "+"
-         (Array.to_list (Array.map string_of_int s.per_shard)))
-  in
-  (* warmup run + [repeats] timed runs; keep the run with the median
-     throughput so elapsed/throughput/per-shard stay one consistent
-     observation *)
-  let median_run run =
-    ignore (run ());
-    let rs = ref [] in
-    for _ = 1 to repeats do
-      rs := run () :: !rs
-    done;
-    let sorted =
-      List.sort
-        (fun (a : Par.Serve.stats) b -> compare a.throughput b.throughput)
-        !rs
-    in
-    List.nth sorted (List.length sorted / 2)
-  in
-  let seq = Par.Serve.run_sequential db work in
-  report "sequential" seq.Par.Serve.stats;
-  let seq_decisions =
-    Array.map
-      (fun (o : Policy.Engine.outcome) -> o.Policy.Engine.decision)
-      seq.Par.Serve.outcomes
+  let run domains =
+    let r = Par.Serve.run ~domains db work in
+    if r.Par.Serve.decisions <> expected then begin
+      Printf.eprintf
+        "parscale: %d-domain decisions diverge from the in-order engine\n"
+        domains;
+      exit 4
+    end;
+    r.Par.Serve.stats
   in
   List.iter
     (fun domains ->
-      let s =
-        median_run (fun () ->
-            let r = Par.Serve.run ~domains db work in
-            if r.Par.Serve.outcomes <> seq.Par.Serve.outcomes then
-              Printf.printf
-                "  WARNING: %d-domain outcomes diverge from the sequential \
-                 engine\n"
-                domains;
-            r.Par.Serve.stats)
+      (* warmup run + [repeats] timed runs; keep the run with the median
+         throughput so elapsed/throughput/per-shard stay one consistent
+         observation *)
+      ignore (run domains);
+      let sorted =
+        List.sort
+          (fun (a : Par.Serve.stats) b -> compare a.throughput b.throughput)
+          (List.init repeats (fun _ -> run domains))
       in
-      report (Printf.sprintf "%d domain(s)" domains) s;
+      let s = List.nth sorted (repeats / 2) in
+      Printf.printf "%-22s %12.4f %14.0f   %s\n"
+        (Printf.sprintf "%d domain(s)" domains)
+        s.elapsed_s s.throughput
+        (String.concat "+"
+           (Array.to_list (Array.map string_of_int s.per_shard)));
       par_rows :=
         !par_rows
         @ [
             {
               domains;
-              batched = false;
-              served = s.served;
-              elapsed_s = s.elapsed_s;
-              throughput = s.throughput;
-            };
-          ])
-    ladder;
-  (* the same ladder through the batched path: whole sub-batches per
-     shard, one decide_batch call each *)
-  List.iter
-    (fun domains ->
-      let s =
-        median_run (fun () ->
-            let r = Par.Serve.run_batch ~domains db work in
-            if r.Par.Serve.decisions <> seq_decisions then
-              Printf.printf
-                "  WARNING: %d-domain batched decisions diverge from the \
-                 sequential engine\n"
-                domains;
-            r.Par.Serve.stats)
-      in
-      report (Printf.sprintf "%d domain(s), batched" domains) s;
-      par_rows :=
-        !par_rows
-        @ [
-            {
-              domains;
-              batched = true;
               served = s.served;
               elapsed_s = s.elapsed_s;
               throughput = s.throughput;
@@ -846,32 +812,25 @@ let parscale () =
           ])
     ladder
 
-(* top-rung over 1-domain throughput, separately for the scalar and the
-   batched ladder — ratios survive a machine change, absolute req/s does
-   not, which is why the trajectory gate tracks these *)
-let par_scaling ~batched () =
-  let rows = List.filter (fun r -> r.batched = batched) !par_rows in
+(* top-rung over 1-domain throughput — ratios survive a machine change,
+   absolute req/s does not, which is why the trajectory gate tracks it *)
+let par_scaling () =
   match
-    ( List.find_opt (fun r -> r.domains = 1) rows,
+    ( List.find_opt (fun r -> r.domains = 1) !par_rows,
       List.fold_left
         (fun acc r -> match acc with
           | Some b when b.domains >= r.domains -> acc
           | _ -> Some r)
-        None rows )
+        None !par_rows )
   with
   | Some base, Some top when base.throughput > 0.0 ->
-      Some (base, top, top.throughput /. base.throughput)
-  | _ -> None
+      Policy.Json.Float (top.throughput /. base.throughput)
+  | _ -> Policy.Json.Null
 
 let par_report () =
-  let scaling_json batched =
-    match par_scaling ~batched () with
-    | Some (_, _, s) -> Policy.Json.Float s
-    | None -> Policy.Json.Null
-  in
   Policy.Json.Obj
     [
-      ("schema", Policy.Json.Int 2);
+      ("schema", Policy.Json.Int 3);
       ("suite", Policy.Json.String "secpol-parscale");
       ("quick", Policy.Json.Bool !quick_mode);
       ("partition_key", Policy.Json.String "subject");
@@ -883,14 +842,12 @@ let par_report () =
                Policy.Json.Obj
                  [
                    ("domains", Policy.Json.Int r.domains);
-                   ("batched", Policy.Json.Bool r.batched);
                    ("served", Policy.Json.Int r.served);
                    ("elapsed_s", Policy.Json.Float r.elapsed_s);
                    ("throughput_per_s", Policy.Json.Float r.throughput);
                  ])
              !par_rows) );
-      ("scaling", scaling_json false);
-      ("batched_scaling", scaling_json true);
+      ("batched_scaling", par_scaling ());
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1297,7 +1254,7 @@ let json_float f =
 module Faults = Secpol_faults
 module Tcar = V.Topology_car
 module Topology = Can.Topology
-module Gate = Par.Frame_gate
+module Gate = Hpe.Frame_gate
 
 let topology_json_file : string option ref = ref None
 
@@ -1417,26 +1374,14 @@ let topology_bench () =
   in
   let dist_med, _ =
     Protocol.measure ~warmup ~repeats (fun () ->
-        ignore (Gate.run_sequential node_configs events))
+        ignore (Gate.run node_configs events))
   in
   let central_med, _ =
     Protocol.measure ~warmup ~repeats (fun () ->
-        ignore (Gate.run_sequential gateway_configs central_events))
+        ignore (Gate.run gateway_configs central_events))
   in
   let dist_ns = per_event ~count:(Array.length events) dist_med in
   let central_ns = per_event ~count:(Array.length central_events) central_med in
-  (* the sharded bank grouped one-bank-per-segment must agree with the
-     sequential reference verdict for verdict *)
-  let seq = Gate.run_sequential node_configs events in
-  let sharded =
-    Gate.run ~domains:2
-      ~group:(fun e ->
-        match Tcar.segment_of car e.Gate.node with
-        | Some seg -> seg
-        | None -> e.Gate.node)
-      node_configs events
-  in
-  let sharded_ok = sharded.Gate.verdicts = seq.Gate.verdicts in
   let central_fraction =
     if Array.length events = 0 then 0.0
     else float_of_int (Array.length central_events)
@@ -1448,10 +1393,8 @@ let topology_bench () =
   Printf.printf "%-58s %14.1f %10d\n" "central (gateway whitelists only)"
     central_ns
     (Array.length central_events);
-  Printf.printf
-    "central evaluates %.3f of the distributed workload; segment-sharded \
-     bank matches sequential verdicts: %b\n"
-    central_fraction sharded_ok;
+  Printf.printf "central evaluates %.3f of the distributed workload\n"
+    central_fraction;
   (* blast containment per (plan x placement): the distributed-enforcement
      claim the trajectory gate tracks.  Deterministic for a fixed seed. *)
   subsection "Blast containment (plan x placement)";
@@ -1510,7 +1453,6 @@ let topology_bench () =
                [
                  ("distributed_ns_per_event", json_float dist_ns);
                  ("central_ns_per_event", json_float central_ns);
-                 ("sharded_matches_sequential", Policy.Json.Bool sharded_ok);
                ] );
            ( "checks",
              Policy.Json.Obj
@@ -1569,7 +1511,8 @@ let targets =
 (*                                                                     *)
 (* Exit codes: 0 ok; 1 unknown target / bad flag; 4 a gate failed:     *)
 (* compiled-vs-interpreted speedup below --check-speedup, batched-vs-  *)
-(* compiled speedup below --check-batched-speedup, or a ratio in a     *)
+(* compiled speedup below --check-batched-speedup, a parscale run      *)
+(* whose decisions diverge from the in-order engine, or a ratio in a   *)
 (* --baseline / --parallel-baseline artifact regressed beyond the      *)
 (* --tolerance band (the CI trajectory gates).                         *)
 (* ------------------------------------------------------------------ *)
@@ -1832,10 +1775,7 @@ let () =
     ];
   run_checks ~what:"parscale" ~fresh:(par_report ())
     ~file:!parallel_baseline_file
-    [
-      ("scaling", [ "scaling" ]);
-      ("batched_scaling", [ "batched_scaling" ]);
-    ];
+    [ ("batched_scaling", [ "batched_scaling" ]) ];
   run_checks ~what:"topology"
     ~fresh:(Option.value ~default:Policy.Json.Null !topology_report)
     ~file:!topology_baseline_file

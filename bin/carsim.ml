@@ -73,64 +73,8 @@ let table1_cmd =
 
 (* ---------- run ---------- *)
 
-module Gate = Secpol.Par.Frame_gate
-
-(* Every gate crossing of the drive: one Tx event per transmission attempt
-   (at the sender's gate) and one Rx event per reception (at the
-   receiver's). *)
-let gate_events car =
-  List.map
-    (fun (e : Secpol.Can.Trace.entry) ->
-      let event node dir =
-        { Gate.time = e.time; node; dir; id = e.frame.Secpol.Can.Frame.id }
-      in
-      match e.event with
-      | Secpol.Can.Trace.Tx_ok | Tx_error | Tx_abandoned | Tx_refused ->
-          event e.node Gate.Tx
-      | Rx_delivered r | Rx_filtered r | Rx_blocked (r, _) | Rx_line_error r ->
-          event r Gate.Rx)
-    (Secpol.Can.Trace.entries (Car.trace car))
-  |> Array.of_list
-
-let gate_replay ~domains car =
-  let events = gate_events car in
-  let nodes =
-    Array.to_list (Array.map (fun (e : Gate.event) -> e.node) events)
-    |> List.sort_uniq String.compare
-  in
-  let engine = V.Policy_map.engine (V.Policy_map.baseline ()) in
-  let configs =
-    (* nodes outside the message map (replayers, attackers) have no HPE:
-       the gate passes their traffic through, as on a mixed bus *)
-    List.filter_map
-      (fun node ->
-        match
-          V.Policy_map.hpe_config_for engine ~mode:V.Modes.Normal ~node
-        with
-        | cfg -> Some (node, cfg)
-        | exception Invalid_argument _ -> None)
-      nodes
-  in
-  let seq = Gate.run_sequential configs events in
-  let par = Gate.run ~domains configs events in
-  Printf.printf "parallel gate replay: %d events, %d guarded nodes\n"
-    (Array.length events) (List.length configs);
-  Printf.printf "  sequential: %10.0f events/s\n" seq.Gate.stats.throughput;
-  Printf.printf "  %d domain(s): %10.0f events/s (shards: %s)\n" domains
-    par.Gate.stats.throughput
-    (String.concat "+"
-       (Array.to_list (Array.map string_of_int par.Gate.stats.per_shard)));
-  Printf.printf
-    "  granted %d, blocked %d, rate-limited %d; identical to sequential: %b\n"
-    par.Gate.stats.granted par.Gate.stats.blocked par.Gate.stats.rate_blocked
-    (par.Gate.verdicts = seq.Gate.verdicts);
-  List.iter
-    (fun (name, c) ->
-      Printf.printf "  %s = %d\n" name (Secpol.Obs.Counter.value c))
-    (Secpol.Obs.Registry.counters par.Gate.registry)
-
 let run_cmd =
-  let run level seed seconds metrics_out parallel =
+  let run level seed seconds metrics_out =
     let obs = Secpol.Obs.Registry.create () in
     let car =
       Car.create ~seed ~enforcement:(Campaign.enforcement_of level) ~obs ()
@@ -162,9 +106,6 @@ let run_cmd =
             output_string oc json;
             output_char oc '\n');
         Printf.printf "metrics written to %s\n" file);
-    (match parallel with
-    | None -> ()
-    | Some domains -> gate_replay ~domains car);
     0
   in
   let seconds =
@@ -176,16 +117,12 @@ let run_cmd =
              ~doc:"Write the run's telemetry registry (counters, gauges, \
                    latency histograms, event trace) to $(docv) as JSON.")
   in
-  let parallel =
-    Arg.(value & opt (some int) None
-         & info [ "parallel" ] ~docv:"N"
-             ~doc:"After the drive, replay the captured bus traffic \
-                   through the sharded per-node HPE frame gate on $(docv) \
-                   worker domains and compare against the sequential \
-                   gate.")
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Drive the car and print what happened.")
-    Term.(const run $ enforcement $ seed $ seconds $ metrics_out $ parallel)
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:
+         "Drive the car on benign traffic and print its state, bus load, \
+          HPE statistics and event log.")
+    Term.(const run $ enforcement $ seed $ seconds $ metrics_out)
 
 (* ---------- attack ---------- *)
 

@@ -11,8 +11,8 @@
     - {!Can}: the CAN bus simulator (ISO 11898 classic frames).
     - {!Hpe}: the hardware policy engine (paper Fig. 4).
     - {!Selinux}: the SELinux-style software policy engine.
-    - {!Par}: shard-per-domain parallel serving of policy decisions and
-      HPE frame gating (one engine per domain, merged telemetry).
+    - {!Par}: shard-per-domain parallel serving of policy decisions on a
+      persistent domain pool (one engine per worker, merged telemetry).
     - {!Serve}: the [secpold] decision daemon — wire protocol, persistent
       pool serving, RCU-style hot policy swap.
     - {!Vehicle}: the connected-car case study (paper §V).

@@ -1,10 +1,6 @@
 module Identifier = Secpol_can.Identifier
-module Config = Secpol_hpe.Config
-module Approved_list = Secpol_hpe.Approved_list
-module Rate_limiter = Secpol_hpe.Rate_limiter
 module Registry = Secpol_obs.Registry
 module Counter = Secpol_obs.Counter
-module Clock = Secpol_obs.Clock
 
 type dir = Rx | Tx
 
@@ -12,16 +8,7 @@ type event = { time : float; node : string; dir : dir; id : Identifier.t }
 
 type verdict = Grant | Block | Rate_block
 
-type stats = {
-  domains : int;
-  served : int;
-  per_shard : int array;
-  elapsed_s : float;
-  throughput : float;
-  granted : int;
-  blocked : int;
-  rate_blocked : int;
-}
+type stats = { granted : int; blocked : int; rate_blocked : int }
 
 type result = {
   verdicts : verdict array;
@@ -29,7 +16,7 @@ type result = {
   stats : stats;
 }
 
-(* Per-node gate state, private to the shard that owns the node. *)
+(* One node's gate: its approved lists and write budgets. *)
 type gate = {
   read : Approved_list.t;
   write : Approved_list.t;
@@ -83,76 +70,21 @@ let gate_event gates registry (e : event) =
             Counter.incr (Registry.counter registry "hpe.gate.rx_blocked");
             Block))
 
-let gate_slice configs (events : event array) idxs =
+let run configs events =
   let registry = Registry.create () in
   let gates = Hashtbl.create (List.length configs) in
   List.iter
     (fun (node, config) -> Hashtbl.replace gates node (gate_of_config config))
     configs;
-  let verdicts = Array.map (fun i -> gate_event gates registry events.(i)) idxs in
-  (verdicts, registry)
-
-let scatter n slices =
-  let out = Array.make n None in
-  List.iter
-    (fun (idxs, verdicts) ->
-      Array.iteri (fun k i -> out.(i) <- Some verdicts.(k)) idxs)
-    slices;
-  Array.map (function Some v -> v | None -> assert false) out
-
-let finish ~domains ~started slices =
-  let n = List.fold_left (fun a (idxs, _, _) -> a + Array.length idxs) 0 slices in
-  let registry = Registry.create () in
-  List.iter
-    (fun (_, _, shard_registry) ->
-      Registry.merge_into ~into:registry shard_registry)
-    slices;
-  let verdicts =
-    scatter n (List.map (fun (idxs, vs, _) -> (idxs, vs)) slices)
-  in
+  let verdicts = Array.map (gate_event gates registry) events in
   let count v = Array.fold_left (fun a x -> if x = v then a + 1 else a) 0 in
-  let elapsed_s = Clock.now () -. started in
-  let throughput = if elapsed_s > 0. then float_of_int n /. elapsed_s else 0. in
   {
     verdicts;
     registry;
     stats =
       {
-        domains;
-        served = n;
-        per_shard =
-          Array.of_list (List.map (fun (idxs, _, _) -> Array.length idxs) slices);
-        elapsed_s;
-        throughput;
         granted = count Grant verdicts;
         blocked = count Block verdicts;
         rate_blocked = count Rate_block verdicts;
       };
   }
-
-let run ?(domains = 1) ?group configs events =
-  if domains < 1 then invalid_arg "Frame_gate.run: domains < 1";
-  let key = match group with Some f -> f | None -> fun (e : event) -> e.node in
-  let shards = Partition.assign_by ~shards:domains key events in
-  (* timed region: gating only — partitioning is a one-time cost *)
-  let started = Clock.now () in
-  let workers =
-    Array.map
-      (fun idxs -> Domain.spawn (fun () -> gate_slice configs events idxs))
-      shards
-  in
-  let slices =
-    Array.to_list
-      (Array.map2
-         (fun idxs worker ->
-           let verdicts, registry = Domain.join worker in
-           (idxs, verdicts, registry))
-         shards workers)
-  in
-  finish ~domains ~started slices
-
-let run_sequential configs events =
-  let idxs = Array.init (Array.length events) Fun.id in
-  let started = Clock.now () in
-  let verdicts, registry = gate_slice configs events idxs in
-  finish ~domains:1 ~started [ (idxs, verdicts, registry) ]

@@ -1,9 +1,3 @@
-module Ir = Secpol_policy.Ir
-
-type key = Subject | Asset
-
-let key_name = function Subject -> "subject" | Asset -> "asset"
-
 (* 32-bit FNV-1a; OCaml's native int is at least 63 bits, so the masked
    multiply never overflows into the sign bit *)
 let fnv_offset = 0x811c9dc5
@@ -23,11 +17,6 @@ let shard_of_string ~shards s =
   if shards < 1 then invalid_arg "Partition.shard_of_string: shards < 1";
   hash_string s mod shards
 
-let label_of key (req : Ir.request) =
-  match key with Subject -> req.Ir.subject | Asset -> req.Ir.asset
-
-let shard_of key ~shards req = shard_of_string ~shards (label_of key req)
-
 let assign_by ~shards label items =
   if shards < 1 then invalid_arg "Partition.assign_by: shards < 1";
   let counts = Array.make shards 0 in
@@ -41,5 +30,3 @@ let assign_by ~shards label items =
       filled.(s) <- filled.(s) + 1)
     shard;
   slots
-
-let assign key ~shards reqs = assign_by ~shards (label_of key) reqs

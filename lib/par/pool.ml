@@ -115,13 +115,16 @@ let ring_create capacity =
     cv = Condition.create ();
   }
 
-(* Returns false when the ring is full — admission control is the
-   caller's problem (the daemon retries then sheds, per the gateway
-   discipline), not the ring's. *)
-let ring_push ring job =
+(* Returns false when the ring is full or the pool is stopping —
+   admission control is the caller's problem (the daemon retries then
+   sheds, per the gateway discipline), not the ring's.  [stop] is read
+   under [mu] so that a worker re-checking emptiness under [mu] before
+   it exits cannot miss a job admitted concurrently. *)
+let ring_push ring ~stop job =
   Mutex.lock ring.mu;
   let tail = Atomic.get ring.tail in
-  if tail - Atomic.get ring.head >= Array.length ring.slots then begin
+  if Atomic.get stop || tail - Atomic.get ring.head >= Array.length ring.slots
+  then begin
     Mutex.unlock ring.mu;
     false
   end
@@ -148,7 +151,14 @@ let ring_pop ring ~stop =
   let rec go spins =
     let head = Atomic.get ring.head in
     if Atomic.get ring.tail > head then take head
-    else if Atomic.get stop then None
+    else if Atomic.get stop then begin
+      (* exit only if the ring is still empty under the producers' lock:
+         past this point [ring_push] refuses *)
+      Mutex.lock ring.mu;
+      let empty = Atomic.get ring.tail = Atomic.get ring.head in
+      Mutex.unlock ring.mu;
+      if empty then None else go spins
+    end
     else if spins > 0 then begin
       Domain.cpu_relax ();
       go (spins - 1)
@@ -262,14 +272,9 @@ let rec swap pool new_table new_db =
 let try_submit pool ~shard f =
   if shard < 0 || shard >= Array.length pool.rings then
     invalid_arg "Pool.try_submit: shard out of range";
-  if Atomic.get pool.stop then None
-  else begin
-    let t = ticket () in
-    let job w =
-      resolve t (try Done (f w) with e -> Raised e)
-    in
-    if ring_push pool.rings.(shard) job then Some t else None
-  end
+  let t = ticket () in
+  let job w = resolve t (try Done (f w) with e -> Raised e) in
+  if ring_push pool.rings.(shard) ~stop:pool.stop job then Some t else None
 
 let worker_shard w = w.shard
 

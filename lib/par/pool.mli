@@ -1,9 +1,9 @@
-(** A persistent domain pool: the serving core behind [secpold].
+(** A persistent domain pool: the one place [lib/par] starts domains.
 
-    {!Serve.run} spawns and joins a fresh set of domains on every call —
-    fine for a one-shot batch, hopeless for a daemon, where domain
-    startup would dominate small requests.  The pool spawns one pinned
-    worker per shard {e once}; each worker owns a private
+    [secpold] keeps one pool for its lifetime, so domain startup never
+    lands on a request; {!Serve.run} builds a fresh one per call and
+    keeps its startup off the clock.  The pool spawns one pinned worker
+    per shard {e once}; each worker owns a private
     {!Secpol_policy.Engine.of_table} engine and
     {!Secpol_obs.Registry} over the shared immutable
     {!Secpol_policy.Table}, and drains jobs from its own request ring.
@@ -65,8 +65,10 @@ val swap : t -> Secpol_policy.Table.t -> Secpol_policy.Ir.db -> int
 
 val try_submit : t -> shard:int -> (worker -> 'a) -> 'a ticket option
 (** Enqueue a job on a shard's ring.  [None] means the ring is full
-    (shed or retry — caller's choice); [Some ticket] means the job
-    {e will} run, in submission order for that shard.
+    (shed or retry — caller's choice) or {!shutdown} has begun;
+    [Some ticket] means the job {e will} run, in submission order for
+    that shard, even if a shutdown from another domain races the
+    submit.
     @raise Invalid_argument when [shard] is out of range. *)
 
 val await : 'a ticket -> 'a

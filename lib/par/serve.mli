@@ -1,18 +1,22 @@
-(** Shard-per-domain policy decision serving.
+(** Shard-per-domain policy decision serving over a {!Pool}.
 
-    The parallel execution model of the layer: the policy database is
-    compiled {e once} into an immutable {!Secpol_policy.Table}, shared
-    read-only by every domain; each domain then owns a fully private
+    The policy database is compiled {e once} into an immutable
+    {!Secpol_policy.Table}, shared read-only by every domain; each
+    worker of a fresh {!Pool} owns a fully private
     {!Secpol_policy.Engine} (its own rate budgets and counters) and a
     private {!Secpol_obs.Registry}, and serves only the slice of the
-    workload that {!Partition} routes to it.  Nothing mutable crosses a
-    domain boundary, so the hot path takes no locks at all.
+    workload that {!Partition.assign_by} routes to it by subject.
+    Nothing mutable crosses a domain boundary, so the hot path takes no
+    locks at all.
 
-    Because the partitioner keeps every piece of per-key mutable state
-    (rate budgets keyed by [(rule, subject)]) inside a single shard, and
-    each shard sees its requests in input order, the sharded run is
-    decision-for-decision identical to {!run_sequential} — the qcheck
-    harness in [test/test_par.ml] pins this. *)
+    Each shard's slice is one pool job in [secpold]'s job shape: packed
+    into a {!Secpol_policy.Batch} arena and decided by one
+    {!Secpol_policy.Engine.decide_batch} call.  Because rate budgets are
+    keyed by [(rule, subject)], every budget lives in a single shard, and
+    each shard sees its requests in input order, so a sharded run is
+    decision-for-decision identical to one engine deciding the whole
+    workload in order — the qcheck harness in [test/test_par.ml] pins
+    this. *)
 
 type stats = {
   domains : int;
@@ -24,7 +28,7 @@ type stats = {
 }
 
 type result = {
-  outcomes : Secpol_policy.Engine.outcome array;
+  decisions : Secpol_policy.Ast.decision array;
       (** one per request, in input order *)
   registry : Secpol_obs.Registry.t;
       (** per-shard registries merged ({!Secpol_obs.Registry.merge_into}) *)
@@ -33,54 +37,15 @@ type result = {
 
 val run :
   ?domains:int ->
-  ?key:Partition.key ->
   ?strategy:Secpol_policy.Engine.strategy ->
   Secpol_policy.Ir.db ->
   (float * Secpol_policy.Ir.request) array ->
   result
-(** [run db work] decides every [(now, request)] pair of [work].
-    [domains] (default 1) worker domains are spawned, each serving the
-    shard {!Partition.assign} gives it under [key] (default
-    {!Partition.Subject}).  [strategy] is that of
-    {!Secpol_policy.Engine.create}.  Timestamps must be non-decreasing
-    per partition key (see {!Secpol_policy.Rate_window}).
+(** [run db work] decides every [(now, request)] pair of [work] on a
+    fresh pool of [domains] (default 1) workers, shut down before
+    returning.  [strategy] is that of {!Secpol_policy.Engine.create}.
+    Timestamps must be non-decreasing per subject (see
+    {!Secpol_policy.Rate_window}).  [stats.elapsed_s] covers submitting
+    the jobs, awaiting them and scattering the decisions back to input
+    order; compile, partition and domain startup are excluded.
     @raise Invalid_argument when [domains < 1]. *)
-
-val run_sequential :
-  ?strategy:Secpol_policy.Engine.strategy ->
-  Secpol_policy.Ir.db ->
-  (float * Secpol_policy.Ir.request) array ->
-  result
-(** The single-engine baseline: same compiled table, one engine, no
-    spawned domain.  Reference semantics for {!run}. *)
-
-type batch_result = {
-  decisions : Secpol_policy.Ast.decision array;
-      (** one per request, in input order *)
-  registry : Secpol_obs.Registry.t;
-  stats : stats;
-}
-
-val run_batch :
-  ?domains:int ->
-  ?key:Partition.key ->
-  ?strategy:Secpol_policy.Engine.strategy ->
-  Secpol_policy.Ir.db ->
-  (float * Secpol_policy.Ir.request) array ->
-  batch_result
-(** [run] over the batched decision path: each shard packs its whole
-    slice into a {!Secpol_policy.Batch} struct-of-arrays arena and serves
-    it with one {!Secpol_policy.Engine.decide_batch} call, so the
-    per-request work inside a shard is the allocation-free column sweep
-    rather than a per-request [decide] (and outcome record).  Decisions
-    are identical to {!run}'s [outcome.decision] for the same inputs;
-    what the batch path gives up is per-request matched-rule attribution.
-    @raise Invalid_argument when [domains < 1]. *)
-
-val run_batch_sequential :
-  ?strategy:Secpol_policy.Engine.strategy ->
-  Secpol_policy.Ir.db ->
-  (float * Secpol_policy.Ir.request) array ->
-  batch_result
-(** Single-engine, no-spawn reference for {!run_batch} — one arena, one
-    [decide_batch] call over the whole workload. *)

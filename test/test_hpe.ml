@@ -13,6 +13,7 @@ module Node = Secpol_can.Node
 module Engine = Secpol_sim.Engine
 module Compile = Secpol_policy.Compile
 module PEngine = Secpol_policy.Engine
+module Frame_gate = Secpol_hpe.Frame_gate
 
 let check = Alcotest.check
 
@@ -676,6 +677,68 @@ let test_hpe_uninstall () =
   Engine.run_until sim 0.01;
   check Alcotest.int "gates removed" 1 (Node.received_count b)
 
+(* ---------- Frame-gate replay ---------- *)
+
+let gate_configs =
+  let rate count window_ms = Secpol_policy.Ast.rate_limit ~count ~window_ms in
+  [
+    ( "alpha",
+      Config.make
+        ~write_rates:[ (0x10, rate 1 1000) ]
+        ~own_ids:[ 0x20 ] ~read_ids:[ 0x30; 0x31 ] ~write_ids:[ 0x10 ] () );
+    ( "beta",
+      Config.make ~own_ids:[ 0x30 ] ~read_ids:[ 0x10; 0x20 ]
+        ~write_ids:[ 0x30; 0x31 ] () );
+  ]
+
+let gate_events =
+  (* interleaved traffic for two guarded nodes and one unguarded alien;
+     alpha's writes exceed their budget, both nodes see a spoof attempt *)
+  let e time node dir id =
+    { Frame_gate.time; node; dir; id = Identifier.standard id }
+  in
+  [|
+    e 0.0 "alpha" Frame_gate.Tx 0x10;
+    e 0.1 "beta" Frame_gate.Tx 0x30;
+    e 0.2 "alpha" Frame_gate.Tx 0x10;
+    e 0.3 "beta" Frame_gate.Rx 0x10;
+    e 0.4 "alpha" Frame_gate.Rx 0x20;
+    e 0.5 "alien" Frame_gate.Tx 0x7f;
+    e 0.6 "beta" Frame_gate.Rx 0x30;
+    e 0.7 "alpha" Frame_gate.Rx 0x30;
+    e 0.8 "beta" Frame_gate.Tx 0x31;
+    e 0.9 "alpha" Frame_gate.Tx 0x55;
+    e 1.3 "alpha" Frame_gate.Tx 0x10;
+  |]
+
+let test_frame_gate_verdicts () =
+  let r = Frame_gate.run gate_configs gate_events in
+  let expect =
+    [|
+      Frame_gate.Grant (* alpha write within budget *);
+      Frame_gate.Grant (* beta writes its own id *);
+      Frame_gate.Rate_block (* alpha's budget is spent *);
+      Frame_gate.Grant (* beta reads 0x10 *);
+      Frame_gate.Block (* 0x20 is alpha's own id: spoof *);
+      Frame_gate.Grant (* alien node is unguarded *);
+      Frame_gate.Block (* 0x30 is beta's own id: spoof *);
+      Frame_gate.Grant (* alpha reads 0x30 *);
+      Frame_gate.Grant (* beta writes 0x31 *);
+      Frame_gate.Block (* 0x55 not write-approved for alpha *);
+      Frame_gate.Grant (* alpha's grant at 0.0 expired at 1.0 *);
+    |]
+  in
+  Alcotest.(check bool) "verdict sequence" true (r.Frame_gate.verdicts = expect);
+  check Alcotest.int "granted" 7 r.Frame_gate.stats.granted;
+  check Alcotest.int "blocked" 3 r.Frame_gate.stats.blocked;
+  check Alcotest.int "rate blocked" 1 r.Frame_gate.stats.rate_blocked;
+  let counter name =
+    Secpol_obs.Counter.value
+      (Secpol_obs.Registry.counter r.Frame_gate.registry ("hpe.gate." ^ name))
+  in
+  check Alcotest.int "spoof counter" 2 (counter "spoof_blocked");
+  check Alcotest.int "unguarded counter" 1 (counter "unguarded")
+
 let () =
   Alcotest.run "secpol_hpe"
     [
@@ -739,4 +802,5 @@ let () =
             test_gate_rx_batch_fails_closed;
           quick "candump replay" test_replay_candump;
         ] );
+      ("frame gate", [ quick "verdicts" test_frame_gate_verdicts ]);
     ]

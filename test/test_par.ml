@@ -1,6 +1,6 @@
 (* Tests for the shard-per-domain parallel layer: partitioning, sharded
-   decision serving, sharded HPE frame gating, and the property that every
-   sharded run is observably identical to the sequential engine. *)
+   decision serving on the pool, and the property that every sharded run
+   is observably identical to one engine deciding in input order. *)
 
 module Ast = Secpol_policy.Ast
 module Ir = Secpol_policy.Ir
@@ -8,12 +8,8 @@ module Compile = Secpol_policy.Compile
 module Engine = Secpol_policy.Engine
 module Partition = Secpol_par.Partition
 module Serve = Secpol_par.Serve
-module Frame_gate = Secpol_par.Frame_gate
-module Config = Secpol_hpe.Config
-module Identifier = Secpol_can.Identifier
 module Registry = Secpol_obs.Registry
 module Counter = Secpol_obs.Counter
-module Histogram = Secpol_obs.Histogram
 module Clock = Secpol_obs.Clock
 
 let check = Alcotest.check
@@ -54,29 +50,27 @@ let test_assign_validates () =
     (Invalid_argument "Partition.assign_by: shards < 1") (fun () ->
       ignore (Partition.assign_by ~shards:0 Fun.id [| "a" |]))
 
-(* ---------- Sharded serving vs the sequential engine ---------- *)
+(* ---------- Sharded serving vs one in-order engine ---------- *)
 
 let registry_counters r =
   List.map (fun (name, c) -> (name, Counter.value c)) (Registry.counters r)
 
-let registry_histogram_counts r =
-  List.map (fun (name, h) -> (name, Histogram.count h)) (Registry.histograms r)
-
+(* Latency histograms are left out: [decide_batch] observes once per
+   batch, so k shards record k observations where the scalar engine
+   records one per request. *)
 let same_as_sequential ?strategy db work =
-  let seq = Serve.run_sequential ?strategy db work in
+  let obs = Registry.create () in
+  let engine = Engine.create ?strategy ~obs db in
+  let decisions =
+    Array.map (fun (now, req) -> (Engine.decide ~now engine req).decision) work
+  in
   List.for_all
-    (fun key ->
-      List.for_all
-        (fun domains ->
-          let par = Serve.run ~domains ~key ?strategy db work in
-          par.Serve.outcomes = seq.Serve.outcomes
-          && par.Serve.stats.engine = seq.Serve.stats.engine
-          && registry_counters par.Serve.registry
-             = registry_counters seq.Serve.registry
-          && registry_histogram_counts par.Serve.registry
-             = registry_histogram_counts seq.Serve.registry)
-        [ 1; 2; 4 ])
-    [ Partition.Subject; Partition.Asset ]
+    (fun domains ->
+      let par = Serve.run ~domains ?strategy db work in
+      par.Serve.decisions = decisions
+      && par.Serve.stats.engine = Engine.stats engine
+      && registry_counters par.Serve.registry = registry_counters obs)
+    [ 1; 2; 4 ]
 
 let rated_source =
   "policy \"p\" version 1 { default deny; asset lock { allow write from any \
@@ -98,7 +92,7 @@ let test_serve_matches_sequential () =
           { Ir.mode = "normal"; subject; asset; op; msg_id = None } ))
   in
   Alcotest.(check bool)
-    "sharded runs identical to the sequential engine (rates, telemetry)"
+    "sharded runs identical to the in-order engine (rates, telemetry)"
     true
     (same_as_sequential db work)
 
@@ -130,8 +124,9 @@ let test_serve_stats_shape () =
    time made the measured region scale with the domain count.  The
    observable contract: the wall time of a [Serve.run] call spent
    OUTSIDE the reported [elapsed_s] must at least cover the cost of
-   spawning the domains.  Before the barrier fix that gap was only the
-   policy compile + partition (microseconds), so the assertion bites. *)
+   spawning the domains.  Without [Pool.create]'s readiness wait that gap
+   would be only the policy compile + partition (microseconds), so the
+   assertion bites. *)
 let test_serve_excludes_spawn_overhead () =
   let db = compile_ok rated_source in
   let domains = 8 in
@@ -147,7 +142,7 @@ let test_serve_excludes_spawn_overhead () =
           } ))
   in
   (* startup cost: spawn [domains] domains and wait until all are
-     running — exactly the phase the start barrier keeps off the clock.
+     running — exactly the phase [Pool.create] keeps off the clock.
      Joins happen outside the measurement. *)
   let spawn_sample () =
     let mu = Mutex.create () in
@@ -216,16 +211,12 @@ let test_serve_throughput_clamped () =
         } );
     |]
   in
-  let r = Serve.run_sequential db work in
+  let r = Serve.run db work in
   check Alcotest.bool "elapsed at least clock resolution" true
     (r.Serve.stats.elapsed_s >= Clock.resolution);
   check Alcotest.bool "throughput positive and finite" true
     (r.Serve.stats.throughput > 0.
-    && Float.is_finite r.Serve.stats.throughput);
-  let b = Serve.run_batch_sequential db work in
-  check Alcotest.bool "batched throughput positive and finite" true
-    (b.Serve.stats.throughput > 0.
-    && Float.is_finite b.Serve.stats.throughput)
+    && Float.is_finite r.Serve.stats.throughput)
 
 let test_serve_validates_domains () =
   let db = compile_ok rated_source in
@@ -233,41 +224,39 @@ let test_serve_validates_domains () =
     (Invalid_argument "Serve.run: domains < 1") (fun () ->
       ignore (Serve.run ~domains:0 db [||]))
 
-(* The batched server must scatter exactly the decisions the scalar
-   sharded run produces — same rate consumption per shard, same input
-   order — at every domain count and partition key. *)
-let test_serve_batch_matches_run () =
+(* ---------- Idle shards ---------- *)
+
+(* Every request from one subject lands in one shard; the other workers
+   get an empty job and must neither decide nor disturb the merge. *)
+let test_idle_shards_single_subject () =
   let db = compile_ok rated_source in
-  let subjects = [ "alice"; "bob"; "carol"; "infotainment"; "dave" ] in
   let work =
-    Array.init 400 (fun k ->
-        let subject = List.nth subjects (k mod 5) in
-        let asset = if k mod 3 = 0 then "telemetry" else "lock" in
-        let op = if k mod 3 = 0 then Ir.Read else Ir.Write in
-        ( float_of_int k *. 0.01,
-          { Ir.mode = "normal"; subject; asset; op; msg_id = None } ))
+    Array.init 60 (fun k ->
+        let asset = if k mod 2 = 0 then "lock" else "telemetry" in
+        let op = if k mod 2 = 0 then Ir.Write else Ir.Read in
+        ( float_of_int k *. 0.1,
+          { Ir.mode = "normal"; subject = "alice"; asset; op; msg_id = None } ))
   in
-  let seq = Serve.run_batch_sequential db work in
-  let scalar = Serve.run_sequential db work in
-  Alcotest.(check bool) "sequential batch = sequential scalar decisions" true
-    (Array.to_list seq.Serve.decisions
-    = List.map
-        (fun (o : Secpol_policy.Engine.outcome) -> o.decision)
-        (Array.to_list scalar.Serve.outcomes));
-  List.iter
-    (fun key ->
-      List.iter
-        (fun domains ->
-          let par = Serve.run_batch ~domains ~key db work in
-          Alcotest.(check bool)
-            (Printf.sprintf "batched %d-domain run = sequential (%s)" domains
-               (match key with
-               | Partition.Subject -> "subject"
-               | Partition.Asset -> "asset"))
-            true
-            (par.Serve.decisions = seq.Serve.decisions))
-        [ 1; 2; 4 ])
-    [ Partition.Subject; Partition.Asset ]
+  Alcotest.(check bool) "identical to the in-order engine" true
+    (same_as_sequential db work);
+  let r = Serve.run ~domains:4 db work in
+  check
+    Alcotest.(list int)
+    "one busy shard, three idle" [ 0; 0; 0; 60 ]
+    (List.sort compare (Array.to_list r.Serve.stats.per_shard))
+
+let test_idle_shards_empty_work () =
+  let db = compile_ok rated_source in
+  let r = Serve.run ~domains:2 db [||] in
+  check Alcotest.int "no decisions" 0 (Array.length r.Serve.decisions);
+  check Alcotest.int "served" 0 r.Serve.stats.served;
+  check
+    Alcotest.(list int)
+    "both shards idle" [ 0; 0 ]
+    (Array.to_list r.Serve.stats.per_shard);
+  check Alcotest.int "engine decided nothing" 0
+    r.Serve.stats.engine.Engine.decisions;
+  check (Alcotest.float 0.) "throughput" 0. r.Serve.stats.throughput
 
 (* ---------- Random policies: the qcheck determinism harness ---------- *)
 
@@ -376,84 +365,11 @@ let prop_sharded_equals_sequential =
   QCheck.Test.make
     ~name:
       "sharded runs = sequential engine on random policies (decisions, \
-       stats, merged telemetry)"
+       stats, merged counters)"
     ~count:30 (QCheck.make policy_gen) (fun p ->
       match Compile.compile p with
       | Error _ -> QCheck.assume_fail ()
       | Ok (db, _) -> same_as_sequential db (work_for db))
-
-(* ---------- Sharded frame gating ---------- *)
-
-let rate count window_ms = Ast.rate_limit ~count ~window_ms
-
-let gate_configs =
-  [
-    ( "alpha",
-      Config.make
-        ~write_rates:[ (0x10, rate 1 1000) ]
-        ~own_ids:[ 0x20 ] ~read_ids:[ 0x30; 0x31 ] ~write_ids:[ 0x10 ] () );
-    ( "beta",
-      Config.make ~own_ids:[ 0x30 ] ~read_ids:[ 0x10; 0x20 ]
-        ~write_ids:[ 0x30; 0x31 ] () );
-  ]
-
-let gate_events =
-  (* interleaved traffic for two guarded nodes and one unguarded alien;
-     alpha's writes exceed their budget, both nodes see a spoof attempt *)
-  let e time node dir id =
-    { Frame_gate.time; node; dir; id = Identifier.standard id }
-  in
-  [|
-    e 0.0 "alpha" Frame_gate.Tx 0x10;
-    e 0.1 "beta" Frame_gate.Tx 0x30;
-    e 0.2 "alpha" Frame_gate.Tx 0x10;
-    e 0.3 "beta" Frame_gate.Rx 0x10;
-    e 0.4 "alpha" Frame_gate.Rx 0x20;
-    e 0.5 "alien" Frame_gate.Tx 0x7f;
-    e 0.6 "beta" Frame_gate.Rx 0x30;
-    e 0.7 "alpha" Frame_gate.Rx 0x30;
-    e 0.8 "beta" Frame_gate.Tx 0x31;
-    e 0.9 "alpha" Frame_gate.Tx 0x55;
-    e 1.3 "alpha" Frame_gate.Tx 0x10;
-  |]
-
-let test_frame_gate_verdicts () =
-  let r = Frame_gate.run_sequential gate_configs gate_events in
-  let expect =
-    [|
-      Frame_gate.Grant (* alpha write within budget *);
-      Frame_gate.Grant (* beta writes its own id *);
-      Frame_gate.Rate_block (* alpha's budget is spent *);
-      Frame_gate.Grant (* beta reads 0x10 *);
-      Frame_gate.Block (* 0x20 is alpha's own id: spoof *);
-      Frame_gate.Grant (* alien node is unguarded *);
-      Frame_gate.Block (* 0x30 is beta's own id: spoof *);
-      Frame_gate.Grant (* alpha reads 0x30 *);
-      Frame_gate.Grant (* beta writes 0x31 *);
-      Frame_gate.Block (* 0x55 not write-approved for alpha *);
-      Frame_gate.Grant (* alpha's grant at 0.0 expired at 1.0 *);
-    |]
-  in
-  Alcotest.(check bool) "verdict sequence" true (r.Frame_gate.verdicts = expect);
-  check Alcotest.int "granted" 7 r.Frame_gate.stats.granted;
-  check Alcotest.int "blocked" 3 r.Frame_gate.stats.blocked;
-  check Alcotest.int "rate blocked" 1 r.Frame_gate.stats.rate_blocked
-
-let test_frame_gate_matches_sequential () =
-  let seq = Frame_gate.run_sequential gate_configs gate_events in
-  List.iter
-    (fun domains ->
-      let par = Frame_gate.run ~domains gate_configs gate_events in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d-domain verdicts" domains)
-        true
-        (par.Frame_gate.verdicts = seq.Frame_gate.verdicts);
-      Alcotest.(check bool)
-        (Printf.sprintf "%d-domain merged counters" domains)
-        true
-        (registry_counters par.Frame_gate.registry
-        = registry_counters seq.Frame_gate.registry))
-    [ 1; 2; 4 ]
 
 let () =
   Alcotest.run "par"
@@ -473,12 +389,11 @@ let () =
           quick "throughput clamped at clock resolution"
             test_serve_throughput_clamped;
           quick "validation" test_serve_validates_domains;
-          quick "batched run matches scalar run" test_serve_batch_matches_run;
           QCheck_alcotest.to_alcotest prop_sharded_equals_sequential;
         ] );
-      ( "frame gate",
+      ( "idle shard",
         [
-          quick "verdicts" test_frame_gate_verdicts;
-          quick "matches sequential" test_frame_gate_matches_sequential;
+          quick "one subject on four domains" test_idle_shards_single_subject;
+          quick "empty workload" test_idle_shards_empty_work;
         ] );
     ]

@@ -323,6 +323,45 @@ let test_pool_shutdown_drains () =
   (* idempotent *)
   Pool.shutdown pool
 
+(* [try_submit] racing [shutdown] from another domain: a job admitted
+   while the pool stops must still run.  Each round is a fresh pool whose
+   producer domain submits until refused; the main domain shuts the pool
+   down as soon as the first job is in. *)
+let test_pool_admission_races_shutdown () =
+  let db = compile_ok old_source in
+  let table = Table.compile ~strategy:Engine.Deny_overrides db in
+  let admitted_total = ref 0 and stranded = ref 0 in
+  for _ = 1 to 1000 do
+    let pool = Pool.create ~domains:1 table db in
+    let admitted = Atomic.make 0 in
+    let producer =
+      Domain.spawn (fun () ->
+          let rec go acc =
+            match Pool.try_submit pool ~shard:0 (fun _ -> ()) with
+            | Some t ->
+                Atomic.incr admitted;
+                go (t :: acc)
+            | None -> acc
+          in
+          go [])
+    in
+    while Atomic.get admitted = 0 do
+      Domain.cpu_relax ()
+    done;
+    Pool.shutdown pool;
+    let tickets = Domain.join producer in
+    admitted_total := !admitted_total + List.length tickets;
+    List.iter
+      (fun t ->
+        match Pool.await_timeout t ~timeout_s:0.05 with
+        | Some (Ok ()) -> ()
+        | Some (Error _) | None -> incr stranded)
+      tickets
+  done;
+  check Alcotest.int
+    (Printf.sprintf "admitted jobs never run (of %d admitted)" !admitted_total)
+    0 !stranded
+
 (* ------------------------------------------------------------------ *)
 (* Daemon over a real socket                                           *)
 (* ------------------------------------------------------------------ *)
@@ -668,6 +707,7 @@ let () =
           quick "full ring refuses admission" test_pool_backpressure;
           quick "await timeout" test_pool_await_timeout;
           quick "shutdown drains" test_pool_shutdown_drains;
+          quick "admission races shutdown" test_pool_admission_races_shutdown;
         ] );
       ( "daemon",
         [
