@@ -1254,7 +1254,6 @@ let json_float f =
 module Faults = Secpol_faults
 module Tcar = V.Topology_car
 module Topology = Can.Topology
-module Gate = Hpe.Frame_gate
 
 let topology_json_file : string option ref = ref None
 
@@ -1262,26 +1261,69 @@ let topology_baseline_file : string option ref = ref None
 
 let topology_report : Policy.Json.t option ref = ref None
 
-(* Every gate crossing of a topology drive: one Tx event per transmission
-   attempt at the sender's gate, one Rx event per reception at the
-   receiver's — across every segment bus. *)
-let topo_gate_events car =
+(* One gate crossing of a topology drive: the segment bus it was traced
+   on, the node whose HPE gate the frame crossed, in which direction, and
+   whether the live car's HPE blocked it there. *)
+type crossing = {
+  seg : string;
+  time : float;
+  node : string;
+  tx : bool;
+  frame : Can.Frame.t;
+  blocked : bool;
+}
+
+(* Every gate crossing, across every segment bus: one tx crossing per
+   transmission attempt at the sender's gate, one rx crossing per
+   reception at the receiver's. *)
+let topo_crossings car =
   List.concat_map
     (fun seg ->
       List.map
         (fun (e : Can.Trace.entry) ->
-          let event node dir =
-            { Gate.time = e.time; node; dir; id = e.frame.Can.Frame.id }
+          let crossing node tx blocked =
+            { seg; time = e.time; node; tx; frame = e.frame; blocked }
           in
           match e.event with
-          | Can.Trace.Tx_ok | Tx_error | Tx_abandoned | Tx_refused ->
-              event e.node Gate.Tx
-          | Rx_delivered r | Rx_filtered r | Rx_blocked (r, _) | Rx_line_error r
-            ->
-              event r Gate.Rx)
+          | Can.Trace.Tx_ok | Tx_error | Tx_abandoned ->
+              crossing e.node true false
+          | Tx_refused -> crossing e.node true true
+          | Rx_blocked (r, gate) -> crossing r false (gate = "hpe")
+          | Rx_delivered r | Rx_filtered r | Rx_line_error r ->
+              crossing r false false)
         (Can.Trace.entries (Can.Bus.trace (Tcar.bus car seg))))
     (Tcar.segments car)
   |> Array.of_list
+
+(* A bank of real HPEs, one per (node, config), installed on nodes of a
+   private bus that never runs: the replay calls their gates directly.
+   Each replay re-provisions every engine first, so rate budgets start
+   fresh, and answers one verdict per crossing.  A node without an engine
+   passes its traffic, as an unguarded ECU would. *)
+let hpe_bank configs =
+  let bus = Can.Bus.create ~bitrate:500_000.0 (Secpol_sim.Engine.create ()) in
+  let engines = Hashtbl.create 16 in
+  let bank =
+    List.map
+      (fun (node, cfg) ->
+        let hpe = Hpe.Engine.install (Can.Node.create ~name:node bus) in
+        Hashtbl.replace engines node hpe;
+        (hpe, cfg))
+      configs
+  in
+  fun crossings ->
+    List.iter
+      (fun (hpe, cfg) ->
+        Hpe.Registers.hard_reset (Hpe.Engine.registers hpe);
+        Result.iter_error failwith (Hpe.Engine.provision hpe cfg))
+      bank;
+    Array.map
+      (fun c ->
+        match Hashtbl.find_opt engines c.node with
+        | None -> true
+        | Some hpe when c.tx -> Hpe.Engine.gate_tx hpe ~now:c.time c.frame
+        | Some hpe -> Hpe.Engine.gate_rx hpe c.frame)
+      crossings
 
 let topology_bench () =
   section "Topology: enforcement placement over the four-segment car";
@@ -1312,73 +1354,91 @@ let topology_bench () =
           ])
       (Tcar.segments car)
   in
-  (* Distributed placement replays EVERY gate crossing through the
-     per-node HPE bank; central placement evaluates only what reaches a
-     gateway: each transmission is checked once per gateway attached to
-     its segment.  Same captured traffic, two enforcement workloads. *)
-  subsection "Enforcement replay: per-node HPE banks vs gateway whitelists";
-  let events = topo_gate_events car in
+  (* Distributed placement replays EVERY gate crossing through one HPE
+     per ECU; central placement evaluates only what reaches a gateway:
+     each transmission is checked once per gateway attached to its
+     segment, by an HPE whose reading list is that gateway's crossing
+     whitelist.  Same captured traffic, the same gate code, two
+     enforcement workloads. *)
+  subsection "Enforcement replay: per-node HPEs vs gateway whitelists";
+  let events = topo_crossings car in
   let engine = V.Policy_map.engine (V.Policy_map.baseline ()) in
-  let node_configs =
-    List.filter_map
-      (fun (node, _) ->
-        match
-          V.Policy_map.hpe_config_for engine ~mode:V.Modes.Normal ~node
-        with
-        | cfg -> Some (node, cfg)
-        | exception Invalid_argument _ -> None)
-      (Tcar.nodes car)
+  let guarded = List.map fst (Tcar.hpes car) in
+  let distributed =
+    hpe_bank
+      (List.map
+         (fun node ->
+           ( node,
+             V.Policy_map.hpe_config_for engine ~mode:V.Modes.Normal ~node ))
+         guarded)
   in
   let gateway_names = Topology.gateway_names topo in
-  let gateway_configs =
-    List.map
-      (fun gw ->
-        let ids =
-          Topology.crossing_ids topo ~gateway:gw `A_to_b
-          @ Topology.crossing_ids topo ~gateway:gw `B_to_a
-          |> List.sort_uniq compare
-        in
-        (gw, Hpe.Config.make ~read_ids:ids ~write_ids:[] ()))
-      gateway_names
+  let central =
+    hpe_bank
+      (List.map
+         (fun gw ->
+           let ids =
+             Topology.crossing_ids topo ~gateway:gw `A_to_b
+             @ Topology.crossing_ids topo ~gateway:gw `B_to_a
+             |> List.sort_uniq compare
+           in
+           (gw, Hpe.Config.make ~read_ids:ids ~write_ids:[] ()))
+         gateway_names)
   in
+  (* each transmission reaches every gateway attached to its segment *)
   let central_events =
     Array.of_list
       (List.concat_map
-         (fun seg ->
-           let attached =
-             List.filter
+         (fun c ->
+           if c.tx && not c.blocked then
+             List.filter_map
                (fun gw ->
                  let a, b = Topology.link topo gw in
-                 a = seg || b = seg)
+                 if a = c.seg || b = c.seg then
+                   Some { c with node = gw; tx = false }
+                 else None)
                gateway_names
-           in
-           List.concat_map
-             (fun (e : Can.Trace.entry) ->
-               match e.event with
-               | Can.Trace.Tx_ok | Tx_error | Tx_abandoned ->
-                   List.map
-                     (fun gw ->
-                       {
-                         Gate.time = e.time;
-                         node = gw;
-                         dir = Gate.Rx;
-                         id = e.frame.Can.Frame.id;
-                       })
-                     attached
-               | _ -> [])
-             (Can.Trace.entries (Can.Bus.trace (Tcar.bus car seg))))
-         (Tcar.segments car))
+           else [])
+         (Array.to_list events))
   in
+  (* self-check: at every HPE-guarded node the replay must reproduce the
+     verdict the live car's gate gave the same crossing *)
+  let dist_verdicts = distributed events in
+  let checked = ref 0 and mismatches = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if List.mem c.node guarded then begin
+        incr checked;
+        if dist_verdicts.(i) = c.blocked then begin
+          incr mismatches;
+          Format.printf "  MISMATCH t=%.6f %s %s %a: live blocked=%b@." c.time
+            c.node
+            (if c.tx then "tx" else "rx")
+            Can.Identifier.pp c.frame.Can.Frame.id c.blocked
+        end
+      end)
+    events;
+  Printf.printf
+    "self-check: replay vs live car, %d mismatches over %d guarded crossings\n"
+    !mismatches !checked;
+  if !mismatches > 0 then begin
+    Printf.eprintf "topology: the HPE replay diverges from the live car\n";
+    exit 4
+  end;
+  let grants verdicts =
+    Array.fold_left (fun n ok -> if ok then n + 1 else n) 0 verdicts
+  in
+  let dist_grants = grants dist_verdicts in
+  let central_grants = grants (central central_events) in
   let per_event ~count median_s =
     if count = 0 then Float.nan else median_s /. float_of_int count *. 1e9
   in
   let dist_med, _ =
-    Protocol.measure ~warmup ~repeats (fun () ->
-        ignore (Gate.run node_configs events))
+    Protocol.measure ~warmup ~repeats (fun () -> ignore (distributed events))
   in
   let central_med, _ =
     Protocol.measure ~warmup ~repeats (fun () ->
-        ignore (Gate.run gateway_configs central_events))
+        ignore (central central_events))
   in
   let dist_ns = per_event ~count:(Array.length events) dist_med in
   let central_ns = per_event ~count:(Array.length central_events) central_med in
@@ -1387,12 +1447,14 @@ let topology_bench () =
     else float_of_int (Array.length central_events)
          /. float_of_int (Array.length events)
   in
-  Printf.printf "%-58s %14s %10s\n" "placement" "ns/event" "events";
-  Printf.printf "%-58s %14.1f %10d\n" "distributed (per-node HPE gate banks)"
-    dist_ns (Array.length events);
-  Printf.printf "%-58s %14.1f %10d\n" "central (gateway whitelists only)"
+  Printf.printf "%-50s %14s %10s %8s\n" "placement" "ns/event" "events"
+    "grants";
+  Printf.printf "%-50s %14.1f %10d %8d\n" "distributed (one HPE per ECU)"
+    dist_ns (Array.length events) dist_grants;
+  Printf.printf "%-50s %14.1f %10d %8d\n" "central (one HPE per gateway)"
     central_ns
-    (Array.length central_events);
+    (Array.length central_events)
+    central_grants;
   Printf.printf "central evaluates %.3f of the distributed workload\n"
     central_fraction;
   (* blast containment per (plan x placement): the distributed-enforcement

@@ -16,11 +16,6 @@ let bit_set bytes i v =
   let byte = if v then byte lor mask else byte land lnot mask in
   Bytes.set bytes (i lsr 3) (Char.chr byte)
 
-(* membership for a raw standard ID without building an [Identifier.t]:
-   the batched rx gate streams over an [int array] of IDs and this keeps
-   it allocation-free per lookup *)
-let mem_std t i = bit_get t.std i
-
 let mem t = function
   | Identifier.Standard i -> bit_get t.std i
   | Identifier.Extended i -> Hashtbl.mem t.ext i

@@ -19,11 +19,8 @@ val add_range : t -> lo:int -> hi:int -> unit
 val remove : t -> Secpol_can.Identifier.t -> unit
 
 val mem : t -> Secpol_can.Identifier.t -> bool
-
-val mem_std : t -> int -> bool
-(** [mem] for a raw {e standard} (11-bit) ID, skipping the
-    {!Secpol_can.Identifier.t} construction — the lookup the batched rx
-    gate ({!Engine.gate_rx_batch}) streams with.  Allocation-free. *)
+(** Allocation-free: one bit test for a standard ID, one hash lookup for
+    an extended one. *)
 
 val cardinal : t -> int
 

@@ -31,16 +31,6 @@ let decide t (frame : Secpol_can.Frame.t) =
     Block
   end
 
-let decide_std t raw =
-  if Approved_list.mem_std t.approved raw then begin
-    Counter.incr t.grants;
-    true
-  end
-  else begin
-    Counter.incr t.blocks;
-    false
-  end
-
 let grants t = Counter.value t.grants
 
 let blocks t = Counter.value t.blocks

@@ -1,5 +1,7 @@
 (** The HPE decision block (paper Fig. 4): compares a frame's message ID
-    against the approved list for its direction and grants or blocks. *)
+    against the approved list for its direction and grants or blocks.
+    An engine holds one block per direction; {!Engine.gate_rx} and
+    {!Engine.gate_tx} are its only callers on the frame path. *)
 
 type direction = Reading | Writing
 
@@ -13,13 +15,9 @@ val create : direction -> Approved_list.t -> t
 val direction : t -> direction
 
 val decide : t -> Secpol_can.Frame.t -> verdict
-(** Grant iff the frame's identifier is on the approved list.  Remote
-    frames are judged by the same identifier rule. *)
-
-val decide_std : t -> int -> bool
-(** [decide] for a raw standard ID, as a bare boolean ([true] = grant):
-    same counters, no [Frame.t] or verdict to build.  The form the batched
-    rx gate uses ({!Approved_list.mem_std}). *)
+(** Grant iff the frame's identifier is on the approved list, bumping the
+    matching counter.  Remote frames are judged by the same identifier
+    rule. *)
 
 val grants : t -> int
 

@@ -11,18 +11,16 @@ let class_names =
     "diagnostic"; "other"; "extended";
   |]
 
-let class_of_std id =
-  if id < 0x100 then 0
-  else if id < 0x200 then 1
-  else if id < 0x300 then 2
-  else if id < 0x400 then 3
-  else if id < 0x500 then 4
-  else if id < 0x600 then 5
-  else 6
-
 let class_of_id = function
   | Secpol_can.Identifier.Extended _ -> 7
-  | Secpol_can.Identifier.Standard id -> class_of_std id
+  | Secpol_can.Identifier.Standard id ->
+      if id < 0x100 then 0
+      else if id < 0x200 then 1
+      else if id < 0x300 then 2
+      else if id < 0x400 then 3
+      else if id < 0x500 then 4
+      else if id < 0x600 then 5
+      else 6
 
 let event_names = [| "rx.accept"; "rx.drop"; "tx.accept"; "tx.drop" |]
 
@@ -50,10 +48,11 @@ let node_name t = Node.name t.node
 
 (* per-frame class accounting: array-indexed, no allocation after a
    (event, class) pair's first occurrence; nothing at all without obs *)
-let bump_slot t event cls =
+let bump_class t event id =
   match t.obs with
   | None -> ()
   | Some reg ->
+      let cls = class_of_id id in
       let slot = (event * n_classes) + cls in
       let c =
         match t.class_counters.(slot) with
@@ -69,32 +68,47 @@ let bump_slot t event cls =
       in
       Obs.Counter.incr c
 
-let bump_class t event id = bump_slot t event (class_of_id id)
+(* Fail closed: a register file that no longer matches its sealed
+   checksum cannot be trusted to encode the provisioned policy, so both
+   gates deny everything until re-provisioning restores it. *)
+let sealed t =
+  if Registers.integrity_ok t.regs then true
+  else begin
+    Obs.Counter.incr t.integrity_blocks;
+    false
+  end
 
-(* The rx gate's decision, shared between the per-frame gate closure
-   planted on the node and the bulk candump-replay path. *)
-let rx_decide t (frame : Secpol_can.Frame.t) =
+let gate_rx t (frame : Secpol_can.Frame.t) =
   (* impersonation detection: a frame arriving with an ID this node is
      the sole producer of cannot be genuine.  Detection, not prevention:
      the frame is flagged but filtering is still governed by the approved
      reading list. *)
-  (match frame.Secpol_can.Frame.id with
+  (match frame.id with
   | Secpol_can.Identifier.Standard id when Hashtbl.mem t.own_ids id ->
       Obs.Counter.incr t.spoof_alerts
   | Secpol_can.Identifier.Standard _ | Secpol_can.Identifier.Extended _ -> ());
   let accept =
-    (* fail closed: a register file that no longer matches its sealed
-       checksum cannot be trusted to encode the provisioned policy, so
-       the gate denies everything until re-provisioning restores it *)
-    if not (Registers.integrity_ok t.regs) then begin
-      Obs.Counter.incr t.integrity_blocks;
-      false
-    end
-    else
-      (not (Registers.read_filter_enabled t.regs))
-      || Decision.decide t.read_block frame = Decision.Grant
+    if not (sealed t) then false
+    else if not (Registers.read_filter_enabled t.regs) then true
+    else Decision.decide t.read_block frame = Decision.Grant
   in
-  bump_class t (if accept then 0 else 1) frame.Secpol_can.Frame.id;
+  bump_class t (if accept then 0 else 1) frame.id;
+  accept
+
+let gate_tx t ~now (frame : Secpol_can.Frame.t) =
+  let accept =
+    if not (sealed t) then false
+    else if not (Registers.write_filter_enabled t.regs) then true
+    else if Decision.decide t.write_block frame <> Decision.Grant then false
+    else
+      match frame.id with
+      | Secpol_can.Identifier.Standard id ->
+          let ok = Rate_limiter.admit t.rates ~now ~msg_id:id in
+          if not ok then Obs.Counter.incr t.rate_blocks;
+          ok
+      | Secpol_can.Identifier.Extended _ -> true
+  in
+  bump_class t (if accept then 2 else 3) frame.id;
   accept
 
 let install ?obs node =
@@ -126,28 +140,10 @@ let install ?obs node =
       register "rate_blocks" t.rate_blocks;
       register "integrity_blocks" t.integrity_blocks;
       register "spoof_alerts" t.spoof_alerts);
-  let now () = Secpol_sim.Engine.now (Secpol_can.Bus.sim (Node.bus node)) in
-  Node.set_rx_gate node ~name:gate_name (fun frame -> rx_decide t frame);
+  let clock = Secpol_can.Bus.sim (Node.bus node) in
+  Node.set_rx_gate node ~name:gate_name (gate_rx t);
   Node.set_tx_gate node ~name:gate_name (fun frame ->
-      let accept =
-        if not (Registers.integrity_ok regs) then begin
-          Obs.Counter.incr t.integrity_blocks;
-          false
-        end
-        else
-          (not (Registers.write_filter_enabled regs))
-          ||
-        if Decision.decide write_block frame <> Decision.Grant then false
-        else
-          match frame.Secpol_can.Frame.id with
-          | Secpol_can.Identifier.Standard id ->
-              let ok = Rate_limiter.admit t.rates ~now:(now ()) ~msg_id:id in
-              if not ok then Obs.Counter.incr t.rate_blocks;
-              ok
-          | Secpol_can.Identifier.Extended _ -> true
-      in
-      bump_class t (if accept then 2 else 3) frame.Secpol_can.Frame.id;
-      accept);
+      gate_tx t ~now:(Secpol_sim.Engine.now clock) frame);
   t
 
 let registers t = t.regs
@@ -194,81 +190,6 @@ let integrity_ok t = Registers.integrity_ok t.regs
 let spoof_alerts t = Obs.Counter.value t.spoof_alerts
 
 let uninstall t = Node.clear_gates t.node
-
-(* ------------------------------------------------------------------ *)
-(* Bulk gating                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let gate_rx_batch t ?n ~(ids : int array) ~(out : bool array) () =
-  let n = match n with None -> Array.length ids | Some n -> n in
-  if n < 0 || n > Array.length ids then
-    invalid_arg "Hpe.Engine.gate_rx_batch: n outside the ids column";
-  if Array.length out < n then
-    invalid_arg "Hpe.Engine.gate_rx_batch: out array shorter than the batch";
-  (* the register file cannot change mid-batch (nothing yields), so the
-     integrity and filter-enable checks of the per-frame gate hoist out of
-     the loop; each arm below is counter-for-counter what n calls of
-     [rx_decide] on standard-ID frames would record *)
-  if not (Registers.integrity_ok t.regs) then
-    for i = 0 to n - 1 do
-      let id = ids.(i) in
-      if Hashtbl.mem t.own_ids id then Obs.Counter.incr t.spoof_alerts;
-      Obs.Counter.incr t.integrity_blocks;
-      bump_slot t 1 (class_of_std id);
-      out.(i) <- false
-    done
-  else if not (Registers.read_filter_enabled t.regs) then
-    for i = 0 to n - 1 do
-      let id = ids.(i) in
-      if Hashtbl.mem t.own_ids id then Obs.Counter.incr t.spoof_alerts;
-      bump_slot t 0 (class_of_std id);
-      out.(i) <- true
-    done
-  else
-    for i = 0 to n - 1 do
-      let id = ids.(i) in
-      if Hashtbl.mem t.own_ids id then Obs.Counter.incr t.spoof_alerts;
-      let accept = Decision.decide_std t.read_block id in
-      bump_slot t (if accept then 0 else 1) (class_of_std id);
-      out.(i) <- accept
-    done
-
-type replay = { frames : int; accepted : int; dropped : int }
-
-let replay_chunk = 1024
-
-let replay_candump t records =
-  let ids = Array.make replay_chunk 0 in
-  let out = Array.make replay_chunk false in
-  let accepted = ref 0 in
-  let frames = ref 0 in
-  let fill = ref 0 in
-  let flush () =
-    if !fill > 0 then begin
-      gate_rx_batch t ~n:!fill ~ids ~out ();
-      for i = 0 to !fill - 1 do
-        if out.(i) then incr accepted
-      done;
-      frames := !frames + !fill;
-      fill := 0
-    end
-  in
-  List.iter
-    (fun (r : Secpol_can.Candump.record) ->
-      match r.frame.Secpol_can.Frame.id with
-      | Secpol_can.Identifier.Standard id ->
-          ids.(!fill) <- id;
-          incr fill;
-          if !fill = replay_chunk then flush ()
-      | Secpol_can.Identifier.Extended _ ->
-          (* drain the pending standard-ID column first so the engine's
-             counters advance in capture order *)
-          flush ();
-          incr frames;
-          if rx_decide t r.frame then incr accepted)
-    records;
-  flush ();
-  { frames = !frames; accepted = !accepted; dropped = !frames - !accepted }
 
 let pp_stats ppf t =
   Format.fprintf ppf "%s: read grant=%d block=%d; write grant=%d block=%d%s"

@@ -1,17 +1,23 @@
 (** The hardware policy engine, installed on a CAN node (paper Fig. 4).
 
-    The engine owns a register file and two decision blocks.  [install]
-    plants read/write gates between the node's transceiver and controller;
-    the gates consult the decision blocks, which consult the approved lists
-    in the register file.  The engine is *transparent*: node firmware (the
-    processor callback, the acceptance filters) is untouched, and once the
-    register file is locked firmware cannot influence filtering at all. *)
+    The engine owns a register file and two decision blocks.  Its whole
+    decision is two functions, one per direction: {!gate_rx} judges a
+    frame arriving from the bus against the approved reading list, and
+    {!gate_tx} judges a frame the node wants to send against the approved
+    writing list and its write budgets.  [install] plants exactly these two
+    between the node's transceiver and controller; a replay of captured
+    traffic calls them directly.  The engine is *transparent*: node
+    firmware (the processor callback, the acceptance filters) is
+    untouched, and once the register file is locked firmware cannot
+    influence filtering at all. *)
 
 type t
 
 val install : ?obs:Secpol_obs.Registry.t -> Secpol_can.Node.t -> t
 (** Create an HPE with a reset register file and attach its gates to the
-    node.  Until filters are enabled by provisioning, everything passes.
+    node: {!gate_rx} as the read gate, and {!gate_tx} with the bus
+    simulator's clock as the write gate.  Until filters are enabled by
+    provisioning, everything passes.
 
     [obs] exports the engine's counters under [hpe.<node>.*]: the decision
     blocks' [read/write.grants/blocks], the behavioural [rate_blocks] and
@@ -20,6 +26,23 @@ val install : ?obs:Secpol_obs.Registry.t -> Secpol_can.Node.t -> t
     class counters materialise lazily on the first frame of that class, so
     a snapshot only lists traffic the node actually saw; without [obs] the
     gates do no per-class work at all. *)
+
+val gate_rx : t -> Secpol_can.Frame.t -> bool
+(** The read gate: [true] delivers the frame to the controller.  A frame
+    carrying one of the node's own IDs ({!Config.t.own_ids}) raises a
+    spoof alert and is then judged like any other frame.  A frame passes
+    when the register file holds its seal (else it is denied and counted
+    in {!integrity_blocks}), and either the read filter is disabled or
+    the reading {!Decision} block grants it.  Every call also bumps the
+    per-class [rx.accept] or [rx.drop] tally when the engine exports
+    telemetry. *)
+
+val gate_tx : t -> now:float -> Secpol_can.Frame.t -> bool
+(** The write gate: [true] lets the frame onto the bus.  The seal and the
+    write-filter enable are checked as in {!gate_rx}.  A frame the
+    writing {!Decision} block grants must then fit its ID's write budget
+    at time [now] (seconds), or it is refused and counted in
+    {!rate_blocks}.  Extended IDs carry no budget. *)
 
 val node_name : t -> string
 
@@ -64,33 +87,5 @@ val spoof_alerts : t -> int
 
 val uninstall : t -> unit
 (** Remove the gates from the node (for baseline comparisons). *)
-
-val gate_rx_batch : t -> ?n:int -> ids:int array -> out:bool array -> unit -> unit
-(** Run the first [n] (default: all) raw standard IDs of the [ids] column
-    through the rx gate in bulk, writing each frame's accept verdict into
-    [out.(i)].  Counter-for-counter equivalent to the per-frame gate on
-    the same IDs — spoof alerts, integrity blocks, read grants/blocks and
-    per-class tallies all advance identically — but the integrity and
-    filter-enable register checks are hoisted out of the loop (nothing
-    can change the register file mid-batch), and membership is tested
-    with {!Approved_list.mem_std}, so the loop allocates nothing.  This
-    is the shape bulk candump replay decomposes into.
-    @raise Invalid_argument when [n] is outside [ids] or [out] is shorter
-    than the batch. *)
-
-type replay = {
-  frames : int;  (** records judged *)
-  accepted : int;  (** frames the rx gate passed *)
-  dropped : int;  (** frames the rx gate blocked *)
-}
-
-val replay_candump : t -> Secpol_can.Candump.record list -> replay
-(** Replay a parsed candump capture ({!Secpol_can.Candump.import})
-    through this engine's rx gate, without a simulator: standard-ID runs
-    are packed into a reusable column and judged with {!gate_rx_batch}
-    (flushed at chunk boundaries and before any extended-ID frame, so
-    counters advance in capture order); extended frames take the
-    per-frame path.  Useful for asking "what would this HPE have dropped
-    from a real capture?" at bulk speed. *)
 
 val pp_stats : Format.formatter -> t -> unit

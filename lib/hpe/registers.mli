@@ -71,9 +71,10 @@ val integrity_ok : t -> bool
     on the approved-list RAM — and the engine's gates must fail closed
     (deny everything) rather than enforce a corrupted policy.
 
-    The HPE's gates call this on every frame, and each call recomputes
-    the digest from the lists' contents: nothing is cached, because an
-    out-of-band write would not invalidate a cache.  It reads the
+    Both of the engine's gates ({!Engine.gate_rx} and {!Engine.gate_tx})
+    call this on every frame, before any list lookup, and each call
+    recomputes the digest from the lists' contents: nothing is cached,
+    because an out-of-band write would not invalidate a cache.  It reads the
     bitmaps in place and allocates nothing while the lists hold no
     extended IDs: well under a microsecond a call (the
     [hpe/registers/integrity_ok] row of [bench perf]). *)

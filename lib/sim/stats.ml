@@ -121,21 +121,3 @@ let pp_summary ppf t =
   else
     Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p99=%.3f max=%.3f"
       t.count (mean t) (stddev t) t.min_v (median t) (percentile t 99.0) t.max_v
-
-module Counter = struct
-  type t = (string, int) Hashtbl.t
-
-  let create () : t = Hashtbl.create 16
-
-  let add t name n =
-    let cur = Option.value ~default:0 (Hashtbl.find_opt t name) in
-    Hashtbl.replace t name (cur + n)
-
-  let incr t name = add t name 1
-
-  let get t name = Option.value ~default:0 (Hashtbl.find_opt t name)
-
-  let to_list t =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-end

@@ -54,15 +54,3 @@ val median : t -> float
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line [n/mean/sd/min/p50/p99/max] summary. *)
-
-(** Named counters, e.g. per-event-kind tallies. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
-  val get : t -> string -> int
-  val to_list : t -> (string * int) list
-  (** Sorted by name. *)
-end

@@ -13,7 +13,6 @@ module Node = Secpol_can.Node
 module Engine = Secpol_sim.Engine
 module Compile = Secpol_policy.Compile
 module PEngine = Secpol_policy.Engine
-module Frame_gate = Secpol_hpe.Frame_gate
 
 let check = Alcotest.check
 
@@ -565,105 +564,6 @@ let test_hpe_write_rate_shaping () =
   Engine.run_until sim 11.0;
   Alcotest.(check bool) "recovered" true (Node.send a (Frame.data_std 0x200 "\x01"))
 
-(* ---------- batched rx gate / candump replay ---------- *)
-
-let batch_config () =
-  Config.make ~read_ids:[ 0x100; 0x101; 0x102; 0x200 ] ~own_ids:[ 0x300 ]
-    ~write_ids:[] ()
-
-(* every shape the rx gate distinguishes: approved, unapproved, spoofed
-   (own id arriving from the bus), repeated so per-class counters move *)
-let batch_ids = [| 0x100; 0x555; 0x101; 0x300; 0x200; 0x102; 0x555; 0x100 |]
-
-let test_gate_rx_batch_matches_scalar () =
-  (* scalar side: frames delivered one at a time through the simulator *)
-  let sim, bus = make_net () in
-  let a = Node.create ~name:"a" bus in
-  let b = Node.create ~name:"b" bus in
-  let scalar = Hpe.install b in
-  (match Hpe.provision scalar (batch_config ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Array.iter (fun id -> ignore (Node.send a (Frame.data_std id ""))) batch_ids;
-  Engine.run_until sim 0.1;
-  (* batched side: same IDs as one column through an identical engine *)
-  let _sim2, bus2 = make_net () in
-  let b2 = Node.create ~name:"b2" bus2 in
-  let batched = Hpe.install b2 in
-  (match Hpe.provision batched (batch_config ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  let out = Array.make (Array.length batch_ids) false in
-  Hpe.gate_rx_batch batched ~ids:batch_ids ~out ();
-  let accepted = Array.fold_left (fun n ok -> if ok then n + 1 else n) 0 out in
-  check Alcotest.int "accepts = scalar deliveries" (Node.received_count b)
-    accepted;
-  check Alcotest.int "read grants agree" (Hpe.read_grants scalar)
-    (Hpe.read_grants batched);
-  check Alcotest.int "read blocks agree" (Hpe.read_blocks scalar)
-    (Hpe.read_blocks batched);
-  check Alcotest.int "spoof alerts agree" (Hpe.spoof_alerts scalar)
-    (Hpe.spoof_alerts batched);
-  (* prefix form: judging only the first 3 must leave the tail untouched *)
-  let out3 = Array.make 3 true in
-  let before = Hpe.read_grants batched + Hpe.read_blocks batched in
-  Hpe.gate_rx_batch batched ~n:3 ~ids:batch_ids ~out:out3 ();
-  check Alcotest.int "n limits the sweep" (before + 3)
-    (Hpe.read_grants batched + Hpe.read_blocks batched);
-  Alcotest.check_raises "out too short"
-    (Invalid_argument "Hpe.Engine.gate_rx_batch: out array shorter than the batch")
-    (fun () -> Hpe.gate_rx_batch batched ~ids:batch_ids ~out:out3 ())
-
-let test_gate_rx_batch_fails_closed () =
-  let _sim, bus = make_net () in
-  let b = Node.create ~name:"b" bus in
-  let hpe = Hpe.install b in
-  (match Hpe.provision hpe (batch_config ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Approved_list.add (Registers.read_list (Hpe.registers hpe))
-    (Identifier.standard 0x700);
-  let out = Array.make (Array.length batch_ids) true in
-  Hpe.gate_rx_batch hpe ~ids:batch_ids ~out ();
-  Alcotest.(check bool) "nothing passes a corrupted file" true
-    (Array.for_all not out);
-  check Alcotest.int "all land on the integrity counter"
-    (Array.length batch_ids)
-    (Hpe.integrity_blocks hpe)
-
-let test_replay_candump () =
-  let _sim, bus = make_net () in
-  let b = Node.create ~name:"b" bus in
-  let hpe = Hpe.install b in
-  (match Hpe.provision hpe (batch_config ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (* a capture mixing standard runs with an extended frame in the middle,
-     so the replay has to flush its column to keep capture order *)
-  let record t frame =
-    { Secpol_can.Candump.time = t; interface = "can0"; frame }
-  in
-  let records =
-    [
-      record 0.001 (Frame.data_std 0x100 "\x01");
-      record 0.002 (Frame.data_std 0x555 "\x02");
-      record 0.003 (Frame.data_ext 0x1abcd "\x03");
-      record 0.004 (Frame.data_std 0x200 "\x04");
-      record 0.005 (Frame.data_std 0x300 "\x05");
-    ]
-  in
-  let r = Hpe.replay_candump hpe records in
-  check Alcotest.int "frames" 5 r.Hpe.frames;
-  check Alcotest.int "accepted + dropped = frames" 5
-    (r.Hpe.accepted + r.Hpe.dropped);
-  (* 0x100 and 0x200 approved; 0x555, the extended id and the spoofed
-     0x300 are not *)
-  check Alcotest.int "accepted" 2 r.Hpe.accepted;
-  check Alcotest.int "dropped" 3 r.Hpe.dropped;
-  check Alcotest.int "spoof alert recorded" 1 (Hpe.spoof_alerts hpe);
-  check Alcotest.int "grants counted" 2 (Hpe.read_grants hpe);
-  check Alcotest.int "blocks counted" 3 (Hpe.read_blocks hpe)
-
 let test_hpe_uninstall () =
   let sim, bus = make_net () in
   let a = Node.create ~name:"a" bus in
@@ -677,10 +577,22 @@ let test_hpe_uninstall () =
   Engine.run_until sim 0.01;
   check Alcotest.int "gates removed" 1 (Node.received_count b)
 
-(* ---------- Frame-gate replay ---------- *)
+(* ---------- Per-frame gates, driven directly ---------- *)
+
+let provisioned name config =
+  let _, bus = make_net () in
+  let hpe = Hpe.install (Node.create ~name bus) in
+  (match Hpe.provision hpe config with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  hpe
+
+let gate hpe ~now dir frame =
+  match dir with
+  | `Rx -> Hpe.gate_rx hpe frame
+  | `Tx -> Hpe.gate_tx hpe ~now frame
 
 let gate_configs =
-  let rate count window_ms = Secpol_policy.Ast.rate_limit ~count ~window_ms in
   [
     ( "alpha",
       Config.make
@@ -689,55 +601,101 @@ let gate_configs =
     ( "beta",
       Config.make ~own_ids:[ 0x30 ] ~read_ids:[ 0x10; 0x20 ]
         ~write_ids:[ 0x30; 0x31 ] () );
+    (* reads back the ID it alone produces *)
+    ( "gamma",
+      Config.make ~own_ids:[ 0x40 ] ~read_ids:[ 0x40 ] ~write_ids:[ 0x40 ] () );
   ]
 
+(* interleaved traffic for three guarded nodes and one alien without an
+   HPE; alpha's writes exceed their budget, every guarded node sees a
+   spoof attempt *)
 let gate_events =
-  (* interleaved traffic for two guarded nodes and one unguarded alien;
-     alpha's writes exceed their budget, both nodes see a spoof attempt *)
-  let e time node dir id =
-    { Frame_gate.time; node; dir; id = Identifier.standard id }
-  in
-  [|
-    e 0.0 "alpha" Frame_gate.Tx 0x10;
-    e 0.1 "beta" Frame_gate.Tx 0x30;
-    e 0.2 "alpha" Frame_gate.Tx 0x10;
-    e 0.3 "beta" Frame_gate.Rx 0x10;
-    e 0.4 "alpha" Frame_gate.Rx 0x20;
-    e 0.5 "alien" Frame_gate.Tx 0x7f;
-    e 0.6 "beta" Frame_gate.Rx 0x30;
-    e 0.7 "alpha" Frame_gate.Rx 0x30;
-    e 0.8 "beta" Frame_gate.Tx 0x31;
-    e 0.9 "alpha" Frame_gate.Tx 0x55;
-    e 1.3 "alpha" Frame_gate.Tx 0x10;
-  |]
+  [
+    (0.0, "alpha", `Tx, 0x10);
+    (0.1, "beta", `Tx, 0x30);
+    (0.2, "alpha", `Tx, 0x10);
+    (0.3, "beta", `Rx, 0x10);
+    (0.4, "alpha", `Rx, 0x20);
+    (0.5, "alien", `Tx, 0x7f);
+    (0.6, "beta", `Rx, 0x30);
+    (0.7, "alpha", `Rx, 0x30);
+    (0.8, "beta", `Tx, 0x31);
+    (0.9, "alpha", `Tx, 0x55);
+    (1.0, "gamma", `Rx, 0x40);
+    (1.3, "alpha", `Tx, 0x10);
+  ]
 
-let test_frame_gate_verdicts () =
-  let r = Frame_gate.run gate_configs gate_events in
+let test_gate_verdicts () =
+  let engines =
+    List.map (fun (name, cfg) -> (name, provisioned name cfg)) gate_configs
+  in
+  let verdicts =
+    List.filter_map
+      (fun (time, node, dir, id) ->
+        (* the alien has no engine, so nothing decides its frame *)
+        Option.map
+          (fun hpe -> gate hpe ~now:time dir (Frame.data_std id ""))
+          (List.assoc_opt node engines))
+      gate_events
+  in
   let expect =
-    [|
-      Frame_gate.Grant (* alpha write within budget *);
-      Frame_gate.Grant (* beta writes its own id *);
-      Frame_gate.Rate_block (* alpha's budget is spent *);
-      Frame_gate.Grant (* beta reads 0x10 *);
-      Frame_gate.Block (* 0x20 is alpha's own id: spoof *);
-      Frame_gate.Grant (* alien node is unguarded *);
-      Frame_gate.Block (* 0x30 is beta's own id: spoof *);
-      Frame_gate.Grant (* alpha reads 0x30 *);
-      Frame_gate.Grant (* beta writes 0x31 *);
-      Frame_gate.Block (* 0x55 not write-approved for alpha *);
-      Frame_gate.Grant (* alpha's grant at 0.0 expired at 1.0 *);
-    |]
+    [
+      true (* alpha write within budget *);
+      true (* beta writes its own id *);
+      false (* alpha's budget is spent *);
+      true (* beta reads 0x10 *);
+      false (* 0x20 is alpha's own id and not on its read list *);
+      false (* 0x30 is beta's own id and not on its read list *);
+      true (* alpha reads 0x30 *);
+      true (* beta writes 0x31 *);
+      false (* 0x55 not write-approved for alpha *);
+      true (* the spoof alert does not block an approved read *);
+      true (* alpha's grant at 0.0 expired at 1.0 *);
+    ]
   in
-  Alcotest.(check bool) "verdict sequence" true (r.Frame_gate.verdicts = expect);
-  check Alcotest.int "granted" 7 r.Frame_gate.stats.granted;
-  check Alcotest.int "blocked" 3 r.Frame_gate.stats.blocked;
-  check Alcotest.int "rate blocked" 1 r.Frame_gate.stats.rate_blocked;
-  let counter name =
-    Secpol_obs.Counter.value
-      (Secpol_obs.Registry.counter r.Frame_gate.registry ("hpe.gate." ^ name))
+  Alcotest.(check (list bool)) "verdict sequence" expect verdicts;
+  let engine name = List.assoc name engines in
+  check Alcotest.int "rate blocked" 1 (Hpe.rate_blocks (engine "alpha"));
+  check Alcotest.int "unapproved write blocked" 1
+    (Hpe.write_blocks (engine "alpha"));
+  check Alcotest.int "spoof alerts" 2
+    (Hpe.spoof_alerts (engine "alpha") + Hpe.spoof_alerts (engine "beta"));
+  check Alcotest.int "alert on an approved read" 1
+    (Hpe.spoof_alerts (engine "gamma"));
+  (* every frame shape the rx gate distinguishes: approved, unapproved,
+     extended and spoofed own id *)
+  let hpe =
+    provisioned "delta"
+      (Config.make ~read_ids:[ 0x100; 0x101; 0x102; 0x200 ] ~own_ids:[ 0x300 ]
+         ~write_ids:[] ())
   in
-  check Alcotest.int "spoof counter" 2 (counter "spoof_blocked");
-  check Alcotest.int "unguarded counter" 1 (counter "unguarded")
+  let shapes =
+    List.map (Hpe.gate_rx hpe)
+      [
+        Frame.data_std 0x100 "\x01";
+        Frame.data_std 0x555 "\x02";
+        Frame.data_ext 0x1abcd "\x03";
+        Frame.data_std 0x200 "\x04";
+        Frame.data_std 0x300 "\x05";
+      ]
+  in
+  Alcotest.(check (list bool)) "frame shapes" [ true; false; false; true; false ]
+    shapes;
+  check Alcotest.int "shape grants" 2 (Hpe.read_grants hpe);
+  check Alcotest.int "shape blocks" 3 (Hpe.read_blocks hpe);
+  check Alcotest.int "shape spoof alert" 1 (Hpe.spoof_alerts hpe);
+  (* both gates fail closed once list RAM changes out of band *)
+  let hpe =
+    provisioned "epsilon"
+      (Config.make ~read_ids:[ 0x100 ] ~write_ids:[ 0x100 ] ())
+  in
+  Approved_list.add (Registers.read_list (Hpe.registers hpe))
+    (Identifier.standard 0x200);
+  let frame = Frame.data_std 0x100 "" in
+  Alcotest.(check bool) "corrupted rx denied" false (Hpe.gate_rx hpe frame);
+  Alcotest.(check bool) "corrupted tx denied" false
+    (Hpe.gate_tx hpe ~now:0.0 frame);
+  check Alcotest.int "integrity blocks" 2 (Hpe.integrity_blocks hpe)
 
 let () =
   Alcotest.run "secpol_hpe"
@@ -794,13 +752,5 @@ let () =
           quick "unlocked reconfigurable" test_hpe_unlocked_is_reconfigurable;
           quick "uninstall" test_hpe_uninstall;
         ] );
-      ( "batched",
-        [
-          quick "gate_rx_batch matches the scalar gate"
-            test_gate_rx_batch_matches_scalar;
-          quick "gate_rx_batch fails closed on corruption"
-            test_gate_rx_batch_fails_closed;
-          quick "candump replay" test_replay_candump;
-        ] );
-      ("frame gate", [ quick "verdicts" test_frame_gate_verdicts ]);
+      ("frame gate", [ quick "verdicts" test_gate_verdicts ]);
     ]

@@ -412,19 +412,6 @@ let prop_mean_welford_matches_naive =
       let naive = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
       Float.abs (Stats.mean s -. naive) < 1e-6 *. (1.0 +. Float.abs naive))
 
-let test_counter () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c "a";
-  Stats.Counter.incr c "a";
-  Stats.Counter.add c "b" 5;
-  check Alcotest.int "a" 2 (Stats.Counter.get c "a");
-  check Alcotest.int "b" 5 (Stats.Counter.get c "b");
-  check Alcotest.int "missing" 0 (Stats.Counter.get c "zzz");
-  Alcotest.(check (list (pair string int)))
-    "sorted list"
-    [ ("a", 2); ("b", 5) ]
-    (Stats.Counter.to_list c)
-
 let quick name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -480,7 +467,6 @@ let () =
           quick "single sample" test_stats_single_sample;
           quick "p0/p100 exact past capacity" test_stats_p0_p100_exact;
           quick "bounded memory" test_stats_bounded_memory;
-          quick "counters" test_counter;
           QCheck_alcotest.to_alcotest prop_percentile_bounded;
           QCheck_alcotest.to_alcotest prop_mean_welford_matches_naive;
         ] );
