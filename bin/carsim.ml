@@ -194,6 +194,7 @@ let campaign_cmd =
           (if r.FC.gate.FC.passed then "passed" else "REFUSED")
           r.FC.gate.FC.widened r.FC.gate.FC.tightened
           r.FC.gate.FC.violations_before r.FC.gate.FC.violations_after;
+        Option.iter (Printf.printf "  %s\n") r.FC.gate.FC.refusal;
         List.iter
           (fun (s : FC.stage_report) ->
             Printf.printf "stage %-8s day %4g  %7d vehicles, %7d adopted%s\n"

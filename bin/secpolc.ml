@@ -295,14 +295,6 @@ let load_db path =
                   issues))
       | Ok (db, _warnings) -> Ok (ast, db))
 
-(* Threat entry points name attack surfaces; requests arrive as the asset
-   names of the CAN nodes behind them, which is what policy rules bind. *)
-let vehicle_obligations () =
-  Secpol.Threat.Obligation.of_model
-    ~subjects_of_entry_point:(fun ep ->
-      List.map Vehicle.Names.asset_of_node (Vehicle.Names.nodes_of_entry_point ep))
-    (Vehicle.Threat_catalog.model ())
-
 let verify_cmd =
   let run file format strategy fail_on modes subjects assets vehicle =
     match load_db file with
@@ -311,7 +303,9 @@ let verify_cmd =
         3
     | Ok (_ast, db) ->
         let cfg = lint_config ~strategy ~modes ~subjects ~assets ~vehicle in
-        let obligations = if vehicle then vehicle_obligations () else [] in
+        let obligations =
+          if vehicle then Vehicle.Threat_catalog.obligations () else []
+        in
         let report =
           Policy.Verify.analyse ~strategy:cfg.Lint.strategy
             ?modes:cfg.Lint.modes ?subjects:cfg.Lint.subjects
@@ -792,10 +786,11 @@ let diff_cmd =
             write_file path
               (Policy.Json.to_string (Policy.Verify.diff_to_json r) ^ "\n")
         | None -> ());
-        if fail_on = `Widened
-           && Policy.Verify.count_direction Policy.Verify.Widened r > 0
-        then 1
-        else 0
+        match (fail_on, (Policy.Verify.gate r).Policy.Verify.refusal) with
+        | `Widened, Some why ->
+            prerr_endline why;
+            1
+        | `Widened, None | `Never, _ -> 0
   in
   let old_file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc:"Old policy.")
@@ -811,9 +806,10 @@ let diff_cmd =
   let fail_on =
     Arg.(value & opt (enum [ ("widened", `Widened); ("never", `Never) ]) `Never
          & info [ "fail-on" ] ~docv:"DIR"
-             ~doc:"Exit 1 when the update has deltas of this kind: \
+             ~doc:"Exit 1 when the update gate refuses for this reason: \
                    $(b,widened) (the new version allows requests the old \
-                   one denied, SP012) or $(b,never).")
+                   one denied, SP012; the first widened flow is printed on \
+                   stderr) or $(b,never).")
   in
   Cmd.v
     (Cmd.info "diff"

@@ -189,7 +189,8 @@ let reload_cmd =
            `P "Ships the policy source to the daemon, which compiles it \
                off-path, computes the exact decision-region diff against \
                the running policy, and refuses the swap when any region \
-               widens unless $(b,--allow-widen) is passed.  On acceptance \
+               widens unless $(b,--allow-widen) is passed; the refusal \
+               names the first widened flow.  On acceptance \
                the new table is published atomically: every request \
                answered after this command returns was decided under the \
                new policy.";

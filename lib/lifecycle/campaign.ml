@@ -94,37 +94,20 @@ let validate cfg =
 
 (* ---------- verifier gate ---------- *)
 
-type gate = {
+type gate = Verify.gate = {
   widened : int;
   tightened : int;
   changed : int;
   violations_before : int;
   violations_after : int;
   passed : bool;
+  refusal : string option;
 }
 
-let violations ~obligations db =
-  let r = Verify.analyse ~obligations db in
-  List.fold_left
-    (fun acc (s : Verify.obligation_status) -> acc + List.length s.violations)
-    0 r.Verify.obligations
-
 let gate ~old_db ~new_db () =
-  let d = Verify.diff old_db new_db in
-  let widened = Verify.count_direction Verify.Widened d in
-  let tightened = Verify.count_direction Verify.Tightened d in
-  let changed = Verify.count_direction Verify.Changed d in
-  let obligations = Threat_catalog.obligations () in
-  let violations_before = violations ~obligations old_db in
-  let violations_after = violations ~obligations new_db in
-  {
-    widened;
-    tightened;
-    changed;
-    violations_before;
-    violations_after;
-    passed = widened = 0 && violations_after <= violations_before;
-  }
+  Verify.gate
+    ~obligations:(Threat_catalog.obligations ())
+    (Verify.diff old_db new_db)
 
 (* ---------- reports ---------- *)
 

@@ -20,13 +20,13 @@
     never conflate two vehicles' budgets.
 
     {b Gating.}  The rollout is staged (canary, then cohort, then fleet)
-    and every stage promotion is gated by the semantic verifier: the
-    update must not widen any decision region
-    ({!Secpol_policy.Verify.diff}) and must not regress any
-    threat-derived obligation ({!Secpol_policy.Verify.analyse} over the
-    Table-I obligations).  A refused gate halts the rollout before the
-    first stage — the fleet keeps answering traffic on the old version,
-    which is exactly what the mitigation histogram then shows.
+    and every stage promotion is gated by the semantic verifier's one
+    update gate ({!Secpol_policy.Verify.gate}): the update must not widen
+    any decision region and must not add violations of the Table-I
+    obligations, both versions counted over the diff's one universe.  A
+    refused gate halts the rollout before the first stage — the fleet
+    keeps answering traffic on the old version, which is exactly what the
+    mitigation histogram then shows.
 
     {b Determinism.}  Per-vehicle randomness is derived from
     [(seed, vehicle id)], stage starts are absolute campaign days and the
@@ -67,21 +67,24 @@ val default_config :
 
 (** {2 Verifier gate} *)
 
-type gate = {
+type gate = Secpol_policy.Verify.gate = {
   widened : int;  (** decision regions the update makes more permissive *)
   tightened : int;
   changed : int;  (** incomparable deltas (e.g. two different rates) *)
   violations_before : int;  (** obligation violations under the old version *)
   violations_after : int;  (** ... and under the new *)
   passed : bool;  (** [widened = 0] and no obligation regression *)
+  refusal : string option;
+      (** why the gate refused, naming the first widened flow; [None] when
+          passed *)
 }
 
 val gate :
   old_db:Secpol_policy.Ir.db -> new_db:Secpol_policy.Ir.db -> unit -> gate
-(** The static promotion gate: {!Secpol_policy.Verify.diff} between the
-    versions plus {!Secpol_policy.Verify.analyse} of both against the
-    Table-I obligations (entry points mapped to subjects as
-    [secpolc verify --vehicle] does). *)
+(** The static promotion gate: {!Secpol_policy.Verify.gate} over
+    {!Secpol_policy.Verify.diff} of the versions, with the Table-I
+    obligations ({!Secpol_vehicle.Threat_catalog.obligations}, entry
+    points mapped to subjects as [secpolc verify --vehicle] does). *)
 
 (** {2 Running and reporting} *)
 

@@ -45,14 +45,6 @@ let shadow_pass =
             ~asset:dead.asset)
         (Conflict.shadowed db))
 
-let range_span = function
-  | [] -> None
-  | (g : Ast.msg_range) :: _ as ranges ->
-      let hi =
-        List.fold_left (fun acc (g : Ast.msg_range) -> max acc g.hi) g.hi ranges
-      in
-      Some (g.lo, hi)
-
 let coverage_pass =
   pass ~name:"coverage"
     ~short:"access cells falling silently to the default (SP003)"
@@ -76,38 +68,51 @@ let coverage_pass =
       let assets =
         match cfg.assets with Some l -> l | None -> Ir.assets db
       in
-      if subjects = [] || assets = [] then []
-      else
-        let report = Coverage.analyse db ~modes ~subjects ~assets in
-        (* a gap under default deny fails safe; under default allow it is an
-           unreviewed permission *)
-        let severity =
-          match report.Coverage.default with
-          | Ast.Deny -> Diagnostic.Info
-          | Ast.Allow -> Diagnostic.Warning
-        in
-        let dflt = Ast.decision_name report.Coverage.default in
-        List.map
-          (fun (c : Coverage.cell) ->
+      (* a gap under default deny fails safe; under default allow it is an
+         unreviewed permission *)
+      let severity =
+        match db.Ir.default with
+        | Ast.Deny -> Diagnostic.Info
+        | Ast.Allow -> Diagnostic.Warning
+      in
+      let dflt = Ast.decision_name db.Ir.default in
+      (* the message region the rules decide in a cell: everything but
+         the default region of the cell's verifier partition *)
+      let decided c =
+        List.fold_left
+          (fun acc (s : Verify.segment) ->
+            if s.rule = None then Region.diff acc s.region else acc)
+          Region.full
+          (Verify.partition ~strategy:cfg.strategy db c)
+      in
+      let gaps, partial =
+        Verify.cells { Verify.modes; subjects; assets }
+        |> List.map (fun c -> (c, decided c))
+        |> List.filter (fun (_, r) -> not (Region.equal r Region.full))
+        |> List.partition (fun (_, r) -> Region.is_empty r)
+      in
+      List.map
+        (fun ((c : Verify.cell), _) ->
+          Diagnostic.make Diagnostic.Coverage_gap ~severity
+            (Printf.sprintf
+               "no rule decides %s %s on %s in mode %s; the request falls to \
+                default %s"
+               c.subject (Ir.op_name c.op) c.asset c.mode dflt)
+            ~asset:c.asset ~subject:c.subject ~mode:c.mode ~op:c.op)
+        gaps
+      @ List.map
+          (fun ((c : Verify.cell), region) ->
             Diagnostic.make Diagnostic.Coverage_gap ~severity
               (Printf.sprintf
-                 "no rule decides %s %s on %s in mode %s; the request falls \
-                  to default %s"
-                 c.subject (Ir.op_name c.op) c.asset c.mode dflt)
-              ~asset:c.asset ~subject:c.subject ~mode:c.mode ~op:c.op)
-          report.Coverage.gaps
-        @ List.map
-            (fun ((c : Coverage.cell), ranges) ->
-              Diagnostic.make Diagnostic.Coverage_gap ~severity
-                (Printf.sprintf
-                   "%s %s on %s in mode %s is decided only for messages %s; \
-                    other ids fall to default %s"
-                   c.subject (Ir.op_name c.op) c.asset c.mode
-                   (String.concat "," (List.map Ir.range_text ranges))
-                   dflt)
-                ~asset:c.asset ~subject:c.subject ~mode:c.mode ~op:c.op
-                ?msg_range:(range_span ranges))
-            report.Coverage.partial)
+                 "%s %s on %s in mode %s is decided only for messages %s; \
+                  other ids fall to default %s"
+                 c.subject (Ir.op_name c.op) c.asset c.mode
+                 (String.concat ","
+                    (List.map Ir.range_text (Region.to_ranges region)))
+                 dflt)
+              ~asset:c.asset ~subject:c.subject ~mode:c.mode ~op:c.op
+              ?msg_range:(Region.span region))
+          partial)
 
 let unreachable_pass =
   pass ~name:"unreachable"

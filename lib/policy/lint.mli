@@ -41,9 +41,12 @@ val shadow_pass : pass
 
 val coverage_pass : pass
 (** [SP003]: cells of the (mode, subject, asset, op) grid that no rule
-    decides — including cells decided only for some message ids.  Gaps
-    falling to [default deny] are informational (fail-safe); gaps falling
-    to [default allow] are warnings (unreviewed permission). *)
+    decides — including cells decided only for some message ids.  Each
+    cell is classified by the default region of its
+    {!Verify.partition}: a gap when the default decides every message, a
+    partial cell (with the ranges the rules decide) when it decides some.
+    Gaps falling to [default deny] are informational (fail-safe); gaps
+    falling to [default allow] are warnings (unreviewed permission). *)
 
 val unreachable_pass : pass
 (** [SP004]: rules no request can trigger under [config.strategy] — an

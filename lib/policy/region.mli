@@ -3,9 +3,10 @@
     A request's message coordinate is either absent ([msg_id = None]) or a
     29-bit CAN identifier, so a region is "does it include the id-less
     request" plus an {!Intervals} set over [0..max_id].  This is the shared
-    symbolic message semantics: the conflict and coverage lints, the
-    semantic verifier and the update differ all reduce rule message clauses
-    to regions and reason with set algebra instead of ad-hoc range walks. *)
+    symbolic message semantics: the conflict lint, the semantic verifier
+    (whose partitions the coverage lint reads) and the update differ all
+    reduce rule message clauses to regions and reason with set algebra
+    instead of ad-hoc range walks. *)
 
 type t = { none : bool; ids : Intervals.t }
 

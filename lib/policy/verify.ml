@@ -639,6 +639,7 @@ type diff_report = {
   old_db : Ir.db;
   new_db : Ir.db;
   strategy : Engine.strategy;
+  universe : universe;
   deltas : delta list;
   diagnostics : Diagnostic.t list;  (** SP012, one per widened delta *)
 }
@@ -718,10 +719,60 @@ let diff ?(strategy = Engine.Deny_overrides) ?modes ?subjects ?assets
       deltas
     |> List.sort_uniq Diagnostic.compare
   in
-  { old_db; new_db; strategy; deltas; diagnostics }
+  { old_db; new_db; strategy; universe = u; deltas; diagnostics }
 
 let count_direction dir r =
   List.length (List.filter (fun d -> d.direction = dir) r.deltas)
+
+(* ------------------------------------------------------------------ *)
+(* Update gate                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type gate = {
+  widened : int;
+  tightened : int;
+  changed : int;
+  violations_before : int;
+  violations_after : int;
+  passed : bool;
+  refusal : string option;
+}
+
+(* Both versions are counted over the diff's one universe.  Counted over
+   its own names, each version would skip cells the other counts: a
+   subject only the new version names is still decided by the old one,
+   through its wildcard rules or its default. *)
+let gate ?(obligations = []) (d : diff_report) =
+  let violations db =
+    List.fold_left
+      (fun acc o ->
+        acc
+        + List.length
+            (check_obligation ~strategy:d.strategy db d.universe o).violations)
+      0 obligations
+  in
+  let violations_before = violations d.old_db in
+  let violations_after = violations d.new_db in
+  let widened = count_direction Widened d in
+  let passed = widened = 0 && violations_after <= violations_before in
+  {
+    widened;
+    tightened = count_direction Tightened d;
+    changed = count_direction Changed d;
+    violations_before;
+    violations_after;
+    passed;
+    refusal =
+      (if passed then None
+       else
+         match d.diagnostics with
+         | first :: _ -> Some first.Diagnostic.message
+         | [] ->
+             Some
+               (Printf.sprintf
+                  "update adds threat-obligation violations: %d -> %d"
+                  violations_before violations_after));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

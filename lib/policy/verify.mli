@@ -13,7 +13,8 @@
       reachable rate-budget state (SP014 on divergence), and finds dead
       rules (SP011) and mergeable modes (SP010);
     - {!diff} computes the exact decision-region delta between two policy
-      versions (SP012 when an update widens an allow region);
+      versions (SP012 when an update widens an allow region), and {!gate}
+      decides from it whether the update may ship;
     - threat-derived {!Secpol_threat.Obligation}s are checked against the
       partitions (SP013).
 
@@ -161,6 +162,7 @@ type diff_report = {
   old_db : Ir.db;
   new_db : Ir.db;
   strategy : Engine.strategy;
+  universe : universe;  (** the one universe both versions were compared on *)
   deltas : delta list;
   diagnostics : Diagnostic.t list;  (** SP012, one per widened delta *)
 }
@@ -180,6 +182,28 @@ val diff :
 val direction_name : direction -> string
 
 val count_direction : direction -> diff_report -> int
+
+(** {2 Update gate} *)
+
+type gate = {
+  widened : int;  (** decision regions the update makes more permissive *)
+  tightened : int;
+  changed : int;  (** incomparable deltas (e.g. two different rates) *)
+  violations_before : int;  (** obligation violations under the old version *)
+  violations_after : int;  (** ... and under the new *)
+  passed : bool;  (** [widened = 0] and no obligation regression *)
+  refusal : string option;
+      (** why the gate refused: the first SP012 message, naming the first
+          widened flow; [None] when [passed] *)
+}
+
+val gate : ?obligations:Secpol_threat.Obligation.t list -> diff_report -> gate
+(** The one decision on whether an update may ship.  It passes when the
+    diff has no widened delta and the new version has no more
+    [obligations] violations (default none) than the old.  Both versions
+    are checked against the obligations over the diff's {e one} universe,
+    by the obligation check alone; the counts equal those of {!analyse}
+    over that universe.  With no obligations it only counts the diff. *)
 
 (** {2 Rendering} *)
 

@@ -165,46 +165,45 @@ let handle_reload t id ~allow_widen source =
           }
     | Ok new_db ->
         let old_db = Pool.db t.pool in
-        let report = Verify.diff ~strategy:t.config.strategy old_db new_db in
-        let widened = Verify.count_direction Verify.Widened report in
-        let tightened = Verify.count_direction Verify.Tightened report in
-        let changed = Verify.count_direction Verify.Changed report in
-        if widened > 0 && not allow_widen then begin
-          Obs.Counter.incr t.c_reloads_refused;
-          Wire.Reload_resp
-            {
-              id;
-              status = Wire.Refused_widened;
-              widened;
-              tightened;
-              changed;
-              epoch = Pool.epoch t.pool;
-              detail =
-                Printf.sprintf
-                  "update widens %d decision region(s); pass allow_widen to \
-                   accept"
-                  widened;
-            }
-        end
-        else begin
-          (* Compile off-path, publish atomically, and only then ack:
-             any client that has seen this response can no longer
-             observe a pre-swap decision. *)
-          let table = Table.compile ~strategy:t.config.strategy new_db in
-          let epoch = Pool.swap t.pool table new_db in
-          Obs.Counter.incr t.c_reloads;
-          Wire.Reload_resp
-            {
-              id;
-              status = Wire.Swapped;
-              widened;
-              tightened;
-              changed;
-              epoch;
-              detail =
-                Printf.sprintf "%s v%d" new_db.Ir.name new_db.Ir.version;
-            }
-        end
+        let g =
+          Verify.gate (Verify.diff ~strategy:t.config.strategy old_db new_db)
+        in
+        let { Verify.widened; tightened; changed; _ } = g in
+        match g.refusal with
+        | Some why when not allow_widen ->
+            Obs.Counter.incr t.c_reloads_refused;
+            Wire.Reload_resp
+              {
+                id;
+                status = Wire.Refused_widened;
+                widened;
+                tightened;
+                changed;
+                epoch = Pool.epoch t.pool;
+                detail =
+                  Printf.sprintf
+                    "%s; %d decision region(s) widened in all; pass \
+                     allow_widen to accept"
+                    why widened;
+              }
+        | Some _ | None ->
+            (* Compile off-path, publish atomically, and only then ack:
+               any client that has seen this response can no longer
+               observe a pre-swap decision. *)
+            let table = Table.compile ~strategy:t.config.strategy new_db in
+            let epoch = Pool.swap t.pool table new_db in
+            Obs.Counter.incr t.c_reloads;
+            Wire.Reload_resp
+              {
+                id;
+                status = Wire.Swapped;
+                widened;
+                tightened;
+                changed;
+                epoch;
+                detail =
+                  Printf.sprintf "%s v%d" new_db.Ir.name new_db.Ir.version;
+              }
   in
   Mutex.unlock t.reload_mu;
   resp

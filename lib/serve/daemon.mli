@@ -9,10 +9,11 @@
       worker per shard, requests routed by subject so rate budgets stay
       shard-local;
     - a reload compiles the new policy {e off-path}, gates it with
-      {!Secpol_policy.Verify.diff} (widenings are refused unless
-      explicitly allowed), then publishes it with one atomic pointer
-      swap — zero dropped requests, and no decision made after the ack
-      is stale;
+      {!Secpol_policy.Verify.gate} over the diff against the live policy
+      (no obligations; a widening is refused unless explicitly allowed,
+      and the refusal names the first widened flow), then publishes it
+      with one atomic pointer swap — zero dropped requests, and no
+      decision made after the ack is stale;
     - overload sheds at admission with fail-safe denies (the gateway's
       retry-then-shed discipline), and a per-batch watchdog answers
       denies when a shard misses its deadline rather than hanging the

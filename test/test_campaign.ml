@@ -294,7 +294,7 @@ let test_campaign_identity () =
     "b78cbda67de0f98c4eece9e03df4db28"
     (digest (run_ok (Campaign.default_config ~fleet:3000 ~seed:3L ())));
   check Alcotest.string "refused gate (permissive update)"
-    "e162fda40ea70a016567429e7986c981"
+    "662b47981414b36f45f99c468a3733e9"
     (digest
        (run_ok
           ~new_policy:(Policy_map.permissive ~version:2 ())
@@ -313,6 +313,13 @@ let test_campaign_gate_refuses_widened_update () =
   check Alcotest.bool "gate refused" false r.Campaign.gate.Campaign.passed;
   check Alcotest.bool "widenings detected" true
     (r.Campaign.gate.Campaign.widened > 0);
+  (* both versions counted over the diff's one universe: the allow-all
+     update breaks the Table-I obligations for every name either names *)
+  check
+    Alcotest.(pair int int)
+    "obligation violations 32 -> 138" (32, 138)
+    ( r.Campaign.gate.Campaign.violations_before,
+      r.Campaign.gate.Campaign.violations_after );
   List.iter
     (fun (s : Campaign.stage_report) ->
       check Alcotest.bool "no stage started" false s.Campaign.started;

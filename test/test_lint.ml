@@ -8,7 +8,6 @@ module Parser = Secpol_policy.Parser
 module Compile = Secpol_policy.Compile
 module Ir = Secpol_policy.Ir
 module Engine = Secpol_policy.Engine
-module Coverage = Secpol_policy.Coverage
 module Lint = Secpol_policy.Lint
 module Diagnostic = Secpol_policy.Diagnostic
 module Json = Secpol_policy.Json
@@ -134,27 +133,6 @@ let test_sp003_partial_coverage () =
       Alcotest.(check bool) "info under default deny" true
         (d.severity = Diagnostic.Info)
   | l -> Alcotest.fail (Printf.sprintf "expected 1 partial gap, got %d" (List.length l))
-
-let test_rule_covers_respects_messages () =
-  let db =
-    compile_ok
-      "policy \"x\" version 1 { asset a { allow read from alice messages \
-       0x100..0x10f; } }"
-  in
-  let cell =
-    { Coverage.mode = "(any)"; subject = "alice"; asset = "a"; op = Ir.Read }
-  in
-  (match db.Ir.rules with
-  | [ r ] ->
-      Alcotest.(check bool) "touches the cell" true (Coverage.rule_touches r cell);
-      Alcotest.(check bool) "does not fully cover it" false
-        (Coverage.rule_covers r cell)
-  | _ -> Alcotest.fail "expected one rule");
-  match Coverage.classify db cell with
-  | Coverage.Partial [ g ] ->
-      check Alcotest.int "lo" 0x100 g.Ast.lo;
-      check Alcotest.int "hi" 0x10f g.Ast.hi
-  | _ -> Alcotest.fail "expected a partial verdict"
 
 let test_sp004_unreachable_deny_overrides () =
   let diags =
@@ -447,7 +425,6 @@ let () =
           quick "SP002 shadowed" test_sp002_shadowed;
           quick "SP003 coverage gap" test_sp003_coverage_gap;
           quick "SP003 partial coverage" test_sp003_partial_coverage;
-          quick "rule_covers respects messages" test_rule_covers_respects_messages;
           quick "SP004 deny-overrides" test_sp004_unreachable_deny_overrides;
           quick "SP004 allow-overrides" test_sp004_unreachable_allow_overrides;
           quick "SP004 first-match" test_sp004_unreachable_first_match;

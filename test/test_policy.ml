@@ -1091,9 +1091,27 @@ let test_install_signed () =
   | Some installed -> check Alcotest.int "v1 live" 1 installed.Update.version
   | None -> Alcotest.fail "nothing installed"
 
-(* ---------- Coverage ---------- *)
+(* ---------- SP003 coverage lint ---------- *)
 
-module Coverage = Secpol_policy.Coverage
+module Lint = Secpol_policy.Lint
+module Diagnostic = Secpol_policy.Diagnostic
+
+let coverage_findings db ~modes ~subjects ~assets =
+  Lint.coverage_pass.Lint.run
+    {
+      Lint.default_config with
+      modes = Some modes;
+      subjects = Some subjects;
+      assets = Some assets;
+    }
+    db
+
+let reported findings ~mode ~subject ~asset ~op =
+  List.exists
+    (fun (d : Diagnostic.t) ->
+      d.mode = Some mode && d.subject = Some subject && d.asset = Some asset
+      && d.op = Some op)
+    findings
 
 let test_coverage_analysis () =
   let db =
@@ -1101,34 +1119,34 @@ let test_coverage_analysis () =
       "policy \"c\" version 1 { default deny; asset a { allow rw from alice; \
        } mode m1 { asset b { allow read from any; } } }"
   in
-  let r =
-    Coverage.analyse db ~modes:[ "m1"; "m2" ]
+  let findings =
+    coverage_findings db ~modes:[ "m1"; "m2" ]
       ~subjects:[ "alice"; "bob" ] ~assets:[ "a"; "b" ]
   in
   (* grid: 2 modes x 2 subjects x 2 assets x 2 ops = 16 cells.
      covered: asset a / alice (both ops, both modes) = 4;
               asset b / read / any subject / m1 only = 2. *)
-  check Alcotest.int "total" 16 r.Coverage.total;
-  check Alcotest.int "covered" 6 r.Coverage.covered;
-  check Alcotest.int "gaps" 10 (List.length r.Coverage.gaps);
+  check Alcotest.int "gaps" 10 (List.length findings);
+  List.iter
+    (fun (d : Diagnostic.t) ->
+      check Alcotest.bool "SP003" true (d.code = Diagnostic.Coverage_gap);
+      (* no rule is message-scoped, so no cell is partial *)
+      check Alcotest.bool "a whole-cell gap" true
+        (String.starts_with ~prefix:"no rule decides" d.message
+        && d.msg_range = None))
+    findings;
   Alcotest.(check bool) "gap example: bob write a in m2" true
-    (List.mem
-       { Coverage.mode = "m2"; subject = "bob"; asset = "a"; op = Ir.Write }
-       r.Coverage.gaps);
+    (reported findings ~mode:"m2" ~subject:"bob" ~asset:"a" ~op:Ir.Write);
   Alcotest.(check bool) "not a gap: alice write a in m2" false
-    (List.mem
-       { Coverage.mode = "m2"; subject = "alice"; asset = "a"; op = Ir.Write }
-       r.Coverage.gaps)
+    (reported findings ~mode:"m2" ~subject:"alice" ~asset:"a" ~op:Ir.Write)
 
 let test_coverage_full () =
   let db =
     compile_ok "policy \"c\" version 1 { asset a { allow rw from any; } }"
   in
-  let r = Coverage.analyse db ~modes:[ "m" ] ~subjects:[ "x" ] ~assets:[ "a" ] in
-  check Alcotest.(float 0.0) "fully covered" 1.0 (Coverage.ratio r);
-  Alcotest.check_raises "empty universe"
-    (Invalid_argument "Coverage.analyse: empty universe") (fun () ->
-      ignore (Coverage.analyse db ~modes:[] ~subjects:[ "x" ] ~assets:[ "a" ]))
+  check Alcotest.int "fully covered" 0
+    (List.length
+       (coverage_findings db ~modes:[ "m" ] ~subjects:[ "x" ] ~assets:[ "a" ]))
 
 (* ---------- Audit ---------- *)
 

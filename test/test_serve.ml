@@ -425,6 +425,13 @@ let test_daemon_reload_gate () =
           check Alcotest.bool "refused" true
             (r.Client.status = Wire.Refused_widened);
           check Alcotest.int "widened count" 1 r.Client.widened;
+          (* the refusal names the widened flow: who, what, where, and
+             the decision before and after *)
+          check Alcotest.string "refusal names the flow"
+            "update widens access: sensors may now read engine in mode \
+             normal over any message (deny -> allow); 1 decision region(s) \
+             widened in all; pass allow_widen to accept"
+            r.Client.detail;
           check Alcotest.int "epoch unchanged" 1 (Daemon.epoch daemon);
           check Alcotest.bool "still denied" false
             (Client.decide_one client (probe ()));

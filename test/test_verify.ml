@@ -607,6 +607,120 @@ policy "p" version 1 {
   check Alcotest.string "the rogue one" "rogue"
     (List.hd status.Verify.violations).Verify.subject
 
+(* ---------- Update gate ---------- *)
+
+let obligation ?(modes = []) ?(exempt = []) asset operation =
+  {
+    Obligation.threat_id = "T-" ^ asset;
+    title = "generated";
+    asset;
+    operation;
+    modes;
+    exempt_subjects = exempt;
+    residual = exempt <> [];
+  }
+
+(* Denial obligations over the generator's name pools, plus names no
+   generated policy mentions (a3, m3) *)
+let obligations_gen =
+  QCheck.Gen.(
+    let sublist pool =
+      map
+        (fun keep -> List.filteri (fun i _ -> List.nth keep i) pool)
+        (list_repeat (List.length pool) bool)
+    in
+    list_size (1 -- 3)
+      (let* asset = oneofl [ "a1"; "a2"; "a3" ] in
+       let* op = oneofl [ Threat.Read; Threat.Write ] in
+       let* modes = sublist [ "m1"; "m2"; "m3" ] in
+       let* exempt = sublist [ "s1"; "s2"; "s3" ] in
+       return (obligation ~modes ~exempt asset op)))
+
+let gate_case_gen =
+  QCheck.Gen.triple small_policy_gen small_policy_gen obligations_gen
+
+let gate_cases strategy (p, p', obligations) =
+  let old_db = compile_gen p in
+  let new_db = compile_gen p' in
+  let d = Verify.diff ~strategy old_db new_db in
+  (old_db, new_db, d, Verify.gate ~obligations d)
+
+(* Over one universe a denial obligation can only fail where a widening
+   already has: a (subject, mode) pair newly allowed the obligation's
+   operation is a region the old version denied and the new allows. *)
+let prop_gate_no_widening_no_new_violation =
+  QCheck.Test.make ~name:"no widened delta never adds obligation violations"
+    ~count:150 (QCheck.make gate_case_gen) (fun case ->
+      List.for_all
+        (fun strategy ->
+          let _, _, _, g = gate_cases strategy case in
+          g.Verify.widened > 0
+          || g.Verify.violations_after <= g.Verify.violations_before)
+        strategies)
+
+let violations_by_analyse ~strategy (u : Verify.universe) obligations db =
+  let r =
+    Verify.analyse ~strategy ~modes:u.modes ~subjects:u.subjects
+      ~assets:u.assets ~obligations db
+  in
+  List.fold_left
+    (fun acc (s : Verify.obligation_status) -> acc + List.length s.violations)
+    0 r.Verify.obligations
+
+let prop_gate_counts_match_analyse =
+  QCheck.Test.make ~name:"gate counts = analyse over the diff's universe"
+    ~count:60 (QCheck.make gate_case_gen) (fun ((_, _, obligations) as case) ->
+      List.for_all
+        (fun strategy ->
+          let old_db, new_db, d, g = gate_cases strategy case in
+          let count =
+            violations_by_analyse ~strategy d.Verify.universe obligations
+          in
+          g.Verify.violations_before = count old_db
+          && g.Verify.violations_after = count new_db)
+        strategies)
+
+(* A deny on an unrelated asset changes no decision, but it names a new
+   subject: counted over each version's own universe the old policy has
+   one violating (subject, mode) pair and the new two, which would refuse
+   a no-op update. *)
+let test_gate_noop_update_passes () =
+  let old_db =
+    compile_ok
+      {|
+policy "p" version 1 {
+  default deny;
+  asset door_locks { allow write from any; }
+}
+|}
+  in
+  let new_db =
+    compile_ok
+      {|
+policy "p" version 2 {
+  default deny;
+  asset door_locks { allow write from any; }
+  asset engine { deny read from diag_tool; }
+}
+|}
+  in
+  let obligations =
+    [ obligation ~modes:[ "normal" ] "door_locks" Threat.Write ]
+  in
+  let d = Verify.diff old_db new_db in
+  check Alcotest.int "no delta" 0 (List.length d.Verify.deltas);
+  let g = Verify.gate ~obligations d in
+  check Alcotest.bool "passed" true g.Verify.passed;
+  check Alcotest.(option string) "no refusal" None g.Verify.refusal;
+  check Alcotest.(pair int int) "violations 2 -> 2" (2, 2)
+    (g.Verify.violations_before, g.Verify.violations_after);
+  let own db =
+    violations_by_analyse ~strategy:Engine.Deny_overrides
+      (Verify.universe db) obligations db
+  in
+  check Alcotest.(pair int int) "per-version universes: 1 -> 2" (1, 2)
+    (own old_db, own new_db)
+
 (* ---------- Diagnostic catalogue ---------- *)
 
 let test_codes_roundtrip () =
@@ -679,6 +793,12 @@ let () =
           quick "discharged" test_obligation_discharged;
           quick "violated" test_obligation_violated;
           quick "residual exemption" test_obligation_residual_exemption;
+        ] );
+      ( "gate",
+        [
+          QCheck_alcotest.to_alcotest prop_gate_no_widening_no_new_violation;
+          QCheck_alcotest.to_alcotest prop_gate_counts_match_analyse;
+          quick "no-op update passes" test_gate_noop_update_passes;
         ] );
       ( "codes",
         [
