@@ -8,6 +8,9 @@
      verify  semantic verification: symbolic decision-space analysis
      diff    semantic + rule-level difference between two policy files
      bundle  seal a policy file into an update bundle (prints the checksum)
+
+   secpolc times nothing: bench/main.exe (perf, parscale) is the one
+   benchmark driver.
 *)
 
 module Policy = Secpol.Policy
@@ -21,6 +24,12 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path text =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc text)
 
 let load path =
   match Policy.Parser.parse (read_file path) with
@@ -350,418 +359,6 @@ let verify_cmd =
     Term.(const run $ policy_file $ format_arg $ strategy_arg $ fail_on_arg
           $ modes_arg $ subjects_arg $ assets_arg $ vehicle)
 
-(* ---------- bench ---------- *)
-
-(* Exit codes: 0 measured (and above --min-speedup / --check-scaling when
-   given); 1 the compiled fast path fell below --min-speedup or parallel
-   scaling fell below --check-scaling; 3 unreadable / unparsable /
-   uncompilable policy.  Coarse CPU-clock timing on purpose: this is the
-   CI-friendly smoke check, bench/main.exe perf is the precise harness. *)
-
-let write_file path text =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc text)
-
-(* Shard-per-domain scaling on the same synthesised workload: one
-   Serve.run per requested domain count, timestamps strictly increasing so
-   rate-limited rules behave identically across runs. *)
-let bench_parallel ~strategy ~iters ~domains db workload =
-  let n = Array.length workload in
-  let work =
-    Array.init iters (fun k -> (float_of_int k *. 1e-3, workload.(k mod n)))
-  in
-  List.map
-    (fun d ->
-      let r = Secpol.Par.Serve.run ~domains:d ~strategy db work in
-      (d, r.Secpol.Par.Serve.stats))
-    domains
-
-let parallel_json ~name ~version ~iters runs scaling =
-  Policy.Json.Obj
-    [
-      ("policy", Policy.Json.String name);
-      ("version", Policy.Json.Int version);
-      ("iterations", Policy.Json.Int iters);
-      ("partition_key", Policy.Json.String "subject");
-      ( "runs",
-        Policy.Json.List
-          (List.map
-             (fun (d, (s : Secpol.Par.Serve.stats)) ->
-               Policy.Json.Obj
-                 [
-                   ("domains", Policy.Json.Int d);
-                   ("served", Policy.Json.Int s.served);
-                   ("elapsed_s", Policy.Json.Float s.elapsed_s);
-                   ("throughput_per_s", Policy.Json.Float s.throughput);
-                   ( "per_shard",
-                     Policy.Json.List
-                       (Array.to_list
-                          (Array.map
-                             (fun c -> Policy.Json.Int c)
-                             s.per_shard)) );
-                 ])
-             runs) );
-      ("scaling", Policy.Json.Float scaling);
-    ]
-
-let bench_cmd =
-  let json_num = function
-    | Policy.Json.Float f -> Some f
-    | Policy.Json.Int i -> Some (float_of_int i)
-    | _ -> None
-  in
-  let run file strategy iters min_speedup json domains check_scaling
-      parallel_out batch baseline tolerance =
-    match load file with
-    | Error e ->
-        prerr_endline e;
-        3
-    | Ok ast -> (
-        match Policy.Compile.compile ast with
-        | Error issues ->
-            List.iter
-              (fun i -> Format.eprintf "%a@." Policy.Compile.pp_issue i)
-              issues;
-            3
-        | Ok (db, _) ->
-            (* synthesise a request mix covering every asset and subject the
-               policy names, plus a stranger falling to the default *)
-            let modes =
-              "normal"
-              :: List.concat_map
-                   (fun (r : Policy.Ir.rule) ->
-                     Option.value ~default:[] r.Policy.Ir.modes)
-                   db.Policy.Ir.rules
-              |> List.sort_uniq String.compare
-            in
-            let subjects = "stranger" :: Policy.Ir.subjects db in
-            let workload =
-              List.concat_map
-                (fun asset ->
-                  List.concat_map
-                    (fun subject ->
-                      List.concat_map
-                        (fun mode ->
-                          List.concat_map
-                            (fun op ->
-                              [
-                                { Policy.Ir.mode; subject; asset; op; msg_id = None };
-                                {
-                                  Policy.Ir.mode;
-                                  subject;
-                                  asset;
-                                  op;
-                                  msg_id = Some 0x100;
-                                };
-                              ])
-                            [ Policy.Ir.Read; Policy.Ir.Write ])
-                        modes)
-                    subjects)
-                (Policy.Ir.assets db)
-              |> Array.of_list
-            in
-            if Array.length workload = 0 then begin
-              prerr_endline "policy has no rules to benchmark";
-              3
-            end
-            else begin
-              let n = Array.length workload in
-              let time decide =
-                (* warm up allocators and the table *)
-                for k = 0 to min n 1000 - 1 do
-                  ignore (decide workload.(k mod n))
-                done;
-                (* wall time from the shared monotonic helper, not
-                   [Sys.time]: CPU seconds under-count when the process is
-                   descheduled and drift from what bench/ and the parallel
-                   layer report, so all timing now goes through one clock *)
-                let t0 = Secpol.Obs.Clock.now () in
-                for k = 0 to iters - 1 do
-                  ignore (decide workload.(k mod n))
-                done;
-                (Secpol.Obs.Clock.now () -. t0) /. float_of_int iters *. 1e9
-              in
-              (* a fresh decider for each pass, so no pass inherits
-                 another's rate budgets *)
-              let reference () =
-                Policy.Reference.decide (Policy.Reference.create ~strategy db)
-              in
-              let engine () =
-                Policy.Engine.decide (Policy.Engine.create ~strategy db)
-              in
-              let interpreted = time (reference ()) in
-              let compiled = time (engine ()) in
-              let batched =
-                if not batch then None
-                else begin
-                  let engine = Policy.Engine.create ~strategy db in
-                  let b = Policy.Batch.create ~capacity:n () in
-                  Array.iter (fun req -> Policy.Batch.push b req) workload;
-                  let out = Array.make n Policy.Ast.Deny in
-                  let rounds = max 1 (iters / n) in
-                  (* same warmup discipline as the per-request loops *)
-                  Policy.Engine.decide_batch engine b ~out;
-                  let t0 = Secpol.Obs.Clock.now () in
-                  for _ = 1 to rounds do
-                    Policy.Engine.decide_batch engine b ~out
-                  done;
-                  Some
-                    ((Secpol.Obs.Clock.now () -. t0)
-                    /. float_of_int (rounds * n)
-                    *. 1e9)
-                end
-              in
-              let batched_speedup =
-                match batched with
-                | Some b when b > 0.0 -> Some (compiled /. b)
-                | _ -> None
-              in
-              (* separate instrumented pass: the timing loops above stay
-                 free of per-decision clock reads.  Both histograms share
-                 the engine's latency layout. *)
-              let histogram decide =
-                let h =
-                  Secpol.Obs.Histogram.create ~lo:50.0 ~ratio:2.0 ~buckets:32
-                    ()
-                in
-                for k = 0 to min iters 10_000 - 1 do
-                  let t0 = Secpol.Obs.Clock.now () in
-                  ignore (decide workload.(k mod n));
-                  Secpol.Obs.Histogram.observe h
-                    (Secpol.Obs.Clock.elapsed_ns ~since:t0)
-                done;
-                h
-              in
-              let h_interpreted = histogram (reference ()) in
-              let h_compiled = histogram (engine ()) in
-              let speedup =
-                if compiled > 0.0 then interpreted /. compiled else 0.0
-              in
-              (match json with
-              | false ->
-                  Printf.printf
-                    "policy %s v%d: %d rules, %d-request workload, %d \
-                     iterations\ninterpreted: %8.1f ns/op\ncompiled:    \
-                     %8.1f ns/op\nspeedup:     %8.2fx\n"
-                    db.Policy.Ir.name db.Policy.Ir.version
-                    (List.length db.Policy.Ir.rules)
-                    (Array.length workload) iters interpreted compiled speedup;
-                  (match (batched, batched_speedup) with
-                  | Some b, Some s ->
-                      Printf.printf
-                        "batched:     %8.1f ns/op\nbatched speedup: %.2fx \
-                         over per-request compiled\n"
-                        b s
-                  | _ -> ());
-                  Format.printf "interpreted latency: %a@.compiled latency:    %a@."
-                    Secpol.Obs.Histogram.pp_summary h_interpreted
-                    Secpol.Obs.Histogram.pp_summary h_compiled
-              | true ->
-                  print_endline
-                    (Policy.Json.to_string
-                       (Policy.Json.Obj
-                          ([
-                            ("policy", Policy.Json.String db.Policy.Ir.name);
-                            ("version", Policy.Json.Int db.Policy.Ir.version);
-                            ("rules", Policy.Json.Int (List.length db.Policy.Ir.rules));
-                            ("iterations", Policy.Json.Int iters);
-                            ("interpreted_ns_per_op", Policy.Json.Float interpreted);
-                            ("compiled_ns_per_op", Policy.Json.Float compiled);
-                            ("speedup", Policy.Json.Float speedup);
-                          ]
-                          @ (match (batched, batched_speedup) with
-                            | Some b, Some s ->
-                                [
-                                  ( "batched_ns_per_op",
-                                    Policy.Json.Float b );
-                                  ("batched_speedup", Policy.Json.Float s);
-                                ]
-                            | _ -> [])
-                          @ [
-                            ( "interpreted_latency_ns",
-                              Policy.Obs_json.histogram h_interpreted );
-                            ( "compiled_latency_ns",
-                              Policy.Obs_json.histogram h_compiled );
-                          ]))));
-              let speedup_rc =
-                match min_speedup with
-                | Some m when speedup < m ->
-                    Printf.eprintf
-                      "speedup %.2fx below required minimum %.2fx\n" speedup m;
-                    1
-                | Some _ | None -> 0
-              in
-              let parallel_rc =
-                match domains with
-                | [] -> 0
-                | domains ->
-                    let runs =
-                      bench_parallel ~strategy ~iters ~domains db workload
-                      |> List.sort (fun (a, _) (b, _) -> compare a b)
-                    in
-                    let base_d, (base : Secpol.Par.Serve.stats) =
-                      List.hd runs
-                    in
-                    let top_d, (top : Secpol.Par.Serve.stats) =
-                      List.hd (List.rev runs)
-                    in
-                    let scaling =
-                      if base.throughput > 0.0 then
-                        top.throughput /. base.throughput
-                      else 0.0
-                    in
-                    if not json then begin
-                      List.iter
-                        (fun (d, (s : Secpol.Par.Serve.stats)) ->
-                          Printf.printf
-                            "parallel %d domain(s): %10.0f decisions/s\n" d
-                            s.throughput)
-                        runs;
-                      Printf.printf
-                        "scaling %d -> %d domains: %.2fx throughput\n" base_d
-                        top_d scaling
-                    end;
-                    (match parallel_out with
-                    | Some path ->
-                        write_file path
-                          (Policy.Json.to_string
-                             (parallel_json ~name:db.Policy.Ir.name
-                                ~version:db.Policy.Ir.version ~iters runs
-                                scaling)
-                          ^ "\n")
-                    | None -> ());
-                    (match check_scaling with
-                    | Some m when scaling < m ->
-                        Printf.eprintf
-                          "parallel scaling %.2fx below required minimum \
-                           %.2fx\n"
-                          scaling m;
-                        1
-                    | Some _ | None -> 0)
-              in
-              let baseline_rc =
-                match baseline with
-                | None -> 0
-                | Some path -> (
-                    match Policy.Json.of_string (read_file path) with
-                    | Error e ->
-                        Printf.eprintf "%s: %s\n" path e;
-                        3
-                    | Ok base ->
-                        (* speedups are ratios, so they transfer across
-                           machines in a way absolute ns/op numbers do not;
-                           only a drop below the tolerance band fails —
-                           getting faster never does *)
-                        let floor_of b = b *. (1.0 -. (tolerance /. 100.0)) in
-                        let check name fresh =
-                          match
-                            Option.bind (Policy.Json.member name base) json_num
-                          with
-                          | None -> 0
-                          | Some b when fresh >= floor_of b ->
-                              Printf.eprintf
-                                "baseline %s: %.2f vs %.2f (floor %.2f) ok\n"
-                                name fresh b (floor_of b);
-                              0
-                          | Some b ->
-                              Printf.eprintf
-                                "baseline %s REGRESSED: %.2f below floor \
-                                 %.2f (baseline %.2f, tolerance %.0f%%)\n"
-                                name fresh (floor_of b) b tolerance;
-                              4
-                        in
-                        let rc = check "speedup" speedup in
-                        let rc' =
-                          match batched_speedup with
-                          | Some s -> check "batched_speedup" s
-                          | None -> 0
-                        in
-                        max rc rc')
-              in
-              if speedup_rc <> 0 then speedup_rc
-              else if parallel_rc <> 0 then parallel_rc
-              else baseline_rc
-            end)
-  in
-  let iters =
-    Arg.(value & opt int 100_000
-         & info [ "iters" ] ~docv:"N" ~doc:"Decision iterations per engine.")
-  in
-  let min_speedup =
-    Arg.(value & opt (some float) None
-         & info [ "min-speedup" ] ~docv:"X"
-             ~doc:"Exit 1 when the compiled engine's speedup over the \
-                   interpreted engine is below $(docv).")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the measurements as a JSON object.")
-  in
-  let domains =
-    Arg.(value & opt (list int) []
-         & info [ "domains" ] ~docv:"N1,N2"
-             ~doc:"Also serve the workload through the shard-per-domain \
-                   parallel layer at each given domain count and report \
-                   throughput.")
-  in
-  let check_scaling =
-    Arg.(value & opt (some float) None
-         & info [ "check-scaling" ] ~docv:"X"
-             ~doc:"Exit 1 when the highest $(b,--domains) count's \
-                   throughput over the lowest count's is below $(docv).")
-  in
-  let parallel_out =
-    Arg.(value & opt (some string) None
-         & info [ "parallel-out" ] ~docv:"FILE"
-             ~doc:"Write the $(b,--domains) scaling measurements as JSON \
-                   to $(docv).")
-  in
-  let batch =
-    Arg.(value & flag
-         & info [ "batch" ]
-             ~doc:"Also time the zero-allocation batched decision path \
-                   ($(b,decide_batch) over a struct-of-arrays buffer) and \
-                   report its ns/op and speedup over the per-request \
-                   compiled engine.")
-  in
-  let baseline =
-    Arg.(value & opt (some file) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Compare this run's speedup ratios against a previous \
-                   $(b,--json) report saved in $(docv); exit 4 when one \
-                   regresses more than $(b,--tolerance) below it.")
-  in
-  let tolerance =
-    Arg.(value & opt float 10.0
-         & info [ "tolerance" ] ~docv:"PCT"
-             ~doc:"Allowed regression below the $(b,--baseline) ratios, in \
-                   percent.")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:"Micro-benchmark the interpreted vs compiled engine on a policy."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P "Compiles $(i,POLICY), synthesises a request workload covering \
-               its assets, subjects and modes, and times the interpreted \
-               rule scan against the compiled decision table.  With \
-               $(b,--batch) the batched decision path is timed as well; \
-               with $(b,--baseline) the measured speedup ratios are gated \
-               against a previously saved $(b,--json) report.";
-           `S Manpage.s_exit_status;
-           `P "0 when measured (and at or above $(b,--min-speedup) when \
-               given); 1 below the minimum or below $(b,--check-scaling); \
-               3 when the policy or $(b,--baseline) file cannot be read, \
-               parsed or compiled; 4 when a ratio regressed more than \
-               $(b,--tolerance) below the $(b,--baseline).";
-         ])
-    Term.(
-      const run $ policy_file $ strategy_arg $ iters $ min_speedup $ json
-      $ domains $ check_scaling $ parallel_out $ batch $ baseline $ tolerance)
-
 (* ---------- diff ---------- *)
 
 let diff_cmd =
@@ -869,6 +466,6 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            lint_cmd; check_cmd; fmt_cmd; eval_cmd; verify_cmd; bench_cmd;
-            diff_cmd; bundle_cmd;
+            lint_cmd; check_cmd; fmt_cmd; eval_cmd; verify_cmd; diff_cmd;
+            bundle_cmd;
           ]))

@@ -1,3 +1,4 @@
+module Binheap = Secpol_sim.Binheap
 module Engine = Secpol_sim.Engine
 module Rng = Secpol_sim.Rng
 module Obs = Secpol_obs

@@ -14,5 +14,4 @@ let now () =
   in
   clamp ()
 
-let elapsed_ns ~since = Float.max 0.0 ((now () -. since) *. 1e9)
 let resolution = 1e-6

@@ -1,11 +1,7 @@
-(** One shared measurement clock for every benchmark entry point.
-
-    [secpolc bench] used to time with [Sys.time] (process CPU seconds)
-    while [bench/main.exe] timed with wall-clock seconds — two numbers
-    that silently disagree the moment anything sleeps, blocks or runs on
-    more than one core.  Every timing loop now reads this module instead,
-    so a ns/op from one harness is comparable with a ns/op from the
-    other.
+(** One shared measurement clock for every timing loop.  The benchmark
+    protocol, the parallel serving layer, the daemon and the fleet
+    campaign all read it, so an interval from one is comparable with an
+    interval from another.
 
     The clock is wall time made {e monotonic}: readings are clamped to a
     process-wide high-water mark, so a backwards NTP step can flatten an
@@ -16,9 +12,6 @@
 val now : unit -> float
 (** Monotonic-ized wall clock, in seconds.  Absolute values are only
     meaningful relative to other [now] readings in the same process. *)
-
-val elapsed_ns : since:float -> float
-(** Nanoseconds elapsed since an earlier [now] reading (never negative). *)
 
 val resolution : float
 (** Smallest interval this clock can distinguish, in seconds (1 µs — the

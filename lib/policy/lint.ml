@@ -248,21 +248,9 @@ let rate_pass =
 let builtin =
   [ conflict_pass; shadow_pass; coverage_pass; unreachable_pass; mode_pass; rate_pass ]
 
-(* ---------- registry ---------- *)
-
-let extra : pass list ref = ref []
-
-let register p =
-  extra := List.filter (fun q -> q.name <> p.name) !extra @ [ p ]
-
-let registered () =
-  let names = List.map (fun p -> p.name) !extra in
-  List.filter (fun p -> not (List.mem p.name names)) builtin @ !extra
-
 (* ---------- running ---------- *)
 
-let run ?passes config db =
-  let passes = match passes with Some l -> l | None -> registered () in
+let run ?(passes = builtin) config db =
   List.concat_map (fun p -> p.run config db) passes
   |> List.sort_uniq Diagnostic.compare
 

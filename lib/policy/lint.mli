@@ -1,11 +1,11 @@
-(** The lint pass framework: a registry of static analyses that run over a
-    compiled {!Ir.db} and return {!Diagnostic.t}s.
+(** The lint pass framework: static analyses that run over a compiled
+    {!Ir.db} and return {!Diagnostic.t}s.
 
     The paper's policy-update story (ship a policy, not a redesign) only
     holds if an updated policy can be verified {e before} deployment; this
     is the verification stage.  Passes are plain values, so layers above
-    the policy library (the HPE, the vehicle case study) can contribute
-    cross-layer analyses by registering passes of their own — see
+    the policy library (the HPE, the vehicle case study) contribute
+    cross-layer analyses by handing passes of their own to {!run} — see
     [Secpol_vehicle.Lint_passes]. *)
 
 type config = {
@@ -66,19 +66,10 @@ val rate_pass : pass
 val builtin : pass list
 (** The passes above, in order. *)
 
-(** {1 Registry} *)
-
-val register : pass -> unit
-(** Add a pass to the global registry (replacing any registered pass with
-    the same name).  Built-ins are always present. *)
-
-val registered : unit -> pass list
-(** Built-ins followed by registered passes, registration order. *)
-
 (** {1 Running} *)
 
 val run : ?passes:pass list -> config -> Ir.db -> Diagnostic.t list
-(** Run [passes] (default {!registered}[ ()]) and return all diagnostics in
+(** Run [passes] (default {!builtin}) and return all diagnostics in
     {!Diagnostic.compare} order. *)
 
 val report_to_json : Ir.db -> Diagnostic.t list -> Json.t

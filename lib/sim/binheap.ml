@@ -54,16 +54,21 @@ let push t v =
 
 let peek t = if t.size = 0 then None else t.data.(0)
 
+(* returns the root's own [Some] cell, so a pop allocates nothing *)
 let pop t =
   if t.size = 0 then None
   else begin
-    let root = get t 0 in
+    let root = t.data.(0) in
     t.size <- t.size - 1;
     t.data.(0) <- t.data.(t.size);
     t.data.(t.size) <- None;
     if t.size > 0 then sift_down t 0;
-    Some root
+    root
   end
+
+let clear t =
+  Array.fill t.data 0 t.size None;
+  t.size <- 0
 
 (* Heapify bottom-up: O(n), versus O(n log n) for repeated pushes. *)
 let rebuild t =

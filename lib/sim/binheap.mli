@@ -1,10 +1,10 @@
-(** A mutable binary min-heap, the arbitration queue behind {!Bus}.
+(** A mutable binary min-heap: the one priority queue behind the
+    simulator's {!Event_queue} and the CAN bus's arbitration queue.
 
-    The bus used to keep pending frames in a list: [pending] was
-    [List.length], every arbitration slot re-filtered the losers, and the
-    load gauges walked the whole list — O(n²) under a babbling-idiot
-    storm, which the fault-plan runs pay for.  A heap makes the winning
-    frame a O(log n) pop and the queue depth an O(1) field read. *)
+    A vacated slot is cleared on pop, [drain_if] and [clear], so a heap
+    that shrinks after a burst does not pin the burst's elements against
+    the GC.  The winning frame of a babbling-idiot storm is an O(log n)
+    pop and the queue depth an O(1) field read. *)
 
 type 'a t
 
@@ -25,6 +25,9 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the minimum element. *)
+
+val clear : 'a t -> unit
+(** Remove every element, releasing them all.  O(n). *)
 
 val drain_if : 'a t -> ('a -> bool) -> 'a list
 (** Remove every element satisfying the predicate in one O(n) sweep

@@ -1,86 +1,33 @@
 type 'a entry = { time : float; seq : int; payload : 'a }
 
-(* Slots at or beyond [size] hold [None]: a popped entry's payload must
-   become collectable immediately, not survive in the vacated slot until
-   some later [add] overwrites it (a space leak for large payloads in long
-   simulations). *)
-type 'a t = {
-  mutable heap : 'a entry option array;
-  mutable size : int;
-  mutable next_seq : int;
-}
+type 'a t = { heap : 'a entry Binheap.t; mutable next_seq : int }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+(* [seq] is unique, so the order is total: equal times fire FIFO *)
+let order a b =
+  if a.time < b.time then -1
+  else if a.time > b.time then 1
+  else Int.compare a.seq b.seq
 
-let is_empty t = t.size = 0
+let create () = { heap = Binheap.create ~cmp:order (); next_seq = 0 }
 
-let length t = t.size
+let is_empty t = Binheap.is_empty t.heap
 
-let get t i = match t.heap.(i) with Some e -> e | None -> assert false
-
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let grow t =
-  let cap = Array.length t.heap in
-  let new_cap = if cap = 0 then 16 else cap * 2 in
-  let heap = Array.make new_cap None in
-  Array.blit t.heap 0 heap 0 t.size;
-  t.heap <- heap
-
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before (get t i) (get t parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before (get t l) (get t !smallest) then smallest := l;
-  if r < t.size && before (get t r) (get t !smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+let length t = Binheap.length t.heap
 
 let add t ~time payload =
   if Float.is_nan time then invalid_arg "Event_queue.add: NaN time";
-  let entry = { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
-  if t.size = Array.length t.heap then grow t;
-  t.heap.(t.size) <- Some entry;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  Binheap.push t.heap { time; seq = t.next_seq; payload };
+  t.next_seq <- t.next_seq + 1
 
-let peek_time t = if t.size = 0 then None else Some (get t 0).time
+let peek_time t =
+  match Binheap.peek t.heap with None -> None | Some e -> Some e.time
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = get t 0 in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      (* clear the vacated slot so the moved entry is not retained twice
-         and, once it pops too, not retained at all *)
-      t.heap.(t.size) <- None;
-      sift_down t 0
-    end
-    else t.heap.(0) <- None;
-    Some (top.time, top.payload)
-  end
+  match Binheap.pop t.heap with
+  | None -> None
+  | Some e -> Some (e.time, e.payload)
 
-let clear t =
-  Array.fill t.heap 0 t.size None;
-  t.size <- 0
+let clear t = Binheap.clear t.heap
 
 let drain t =
   let rec loop acc =

@@ -1,7 +1,7 @@
 (** Priority queue of timestamped events.
 
-    A binary min-heap ordered by [(time, sequence)]: events fire in time
-    order, and events scheduled for the same instant fire in insertion order
+    A {!Binheap} ordered by [(time, sequence)]: events fire in time order,
+    and events scheduled for the same instant fire in insertion order
     (FIFO), which keeps simulations deterministic. *)
 
 type 'a t

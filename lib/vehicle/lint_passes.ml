@@ -98,5 +98,3 @@ let threat_traceability ?(rows = Threat_catalog.rows) () =
         rows)
 
 let passes () = [ hpe_consistency (); threat_traceability () ]
-
-let register () = List.iter Lint.register (passes ())

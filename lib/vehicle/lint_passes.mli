@@ -34,6 +34,3 @@ val threat_traceability : ?rows:Threat_catalog.row list -> unit -> Policy.Lint.p
 
 val passes : unit -> Policy.Lint.pass list
 (** Both passes with their defaults. *)
-
-val register : unit -> unit
-(** Add {!passes} to the global [Lint] registry. *)

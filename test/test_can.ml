@@ -21,7 +21,7 @@ let quick name f = Alcotest.test_case name `Quick f
 
 (* ---------- Binary heap (the bus arbitration queue) ---------- *)
 
-module Binheap = Secpol_can.Binheap
+module Binheap = Secpol_sim.Binheap
 
 let heap_drain h =
   let rec go acc =

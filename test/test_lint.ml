@@ -236,23 +236,6 @@ let test_clean_policy_no_diagnostics () =
   in
   Alcotest.(check (list string)) "no findings" [] (codes diags)
 
-(* ---------- registry ---------- *)
-
-let test_registry () =
-  let marker =
-    Lint.pass ~name:"test-marker" ~short:"always fires" (fun _ _ ->
-        [ Diagnostic.make Diagnostic.Coverage_gap "marker" ])
-  in
-  Lint.register marker;
-  Alcotest.(check bool) "registered" true
-    (List.exists (fun (p : Lint.pass) -> p.name = "test-marker") (Lint.registered ()));
-  let diags =
-    Lint.run Lint.default_config
-      (compile_ok "policy \"x\" version 1 { default deny; }")
-  in
-  Alcotest.(check bool) "registered pass ran" true
-    (List.exists (fun (d : Diagnostic.t) -> d.message = "marker") diags)
-
 (* ---------- JSON ---------- *)
 
 let test_json_value_roundtrip () =
@@ -432,7 +415,6 @@ let () =
           quick "SP006 rate on deny" test_sp006_rate_on_deny;
           quick "SP007 rate ineffective" test_sp007_rate_ineffective;
           quick "clean policy" test_clean_policy_no_diagnostics;
-          quick "registry" test_registry;
         ] );
       ( "json",
         [

@@ -1,5 +1,5 @@
 (* Tests for the policy DSL: lexer, parser, printer, compiler, engine,
-   conflict analysis, derivation, updates and audit. *)
+   conflict analysis, derivation and updates. *)
 
 module Ast = Secpol_policy.Ast
 module Lexer = Secpol_policy.Lexer
@@ -12,7 +12,6 @@ module Reference = Secpol_policy.Reference
 module Conflict = Secpol_policy.Conflict
 module Derive = Secpol_policy.Derive
 module Update = Secpol_policy.Update
-module Audit = Secpol_policy.Audit
 module Threat = Secpol_threat.Threat
 
 let check = Alcotest.check
@@ -1148,31 +1147,6 @@ let test_coverage_full () =
     (List.length
        (coverage_findings db ~modes:[ "m" ] ~subjects:[ "x" ] ~assets:[ "a" ]))
 
-(* ---------- Audit ---------- *)
-
-let test_audit_log () =
-  let e = Engine.create (compile_ok sample_source) in
-  let audit = Audit.create ~capacity:10 () in
-  let log req = Audit.log audit ~time:1.0 req (Engine.decide e req) in
-  log (request ());
-  log (request ~subject:"stranger" ());
-  check Alcotest.int "two entries" 2 (List.length (Audit.entries audit));
-  check Alcotest.int "one denial" 1 (List.length (Audit.denials audit));
-  check Alcotest.int "one allow" 1 (List.length (Audit.allows audit));
-  check Alcotest.int "by subject" 1
-    (List.length (Audit.denials_for_subject audit "stranger"));
-  check Alcotest.int "total" 2 (Audit.total_logged audit)
-
-let test_audit_ring_buffer () =
-  let e = Engine.create (compile_ok sample_source) in
-  let audit = Audit.create ~capacity:5 () in
-  for i = 0 to 19 do
-    let req = request ~subject:(Printf.sprintf "s%d" i) () in
-    Audit.log audit ~time:(float_of_int i) req (Engine.decide e req)
-  done;
-  Alcotest.(check bool) "bounded" true (List.length (Audit.entries audit) <= 5);
-  check Alcotest.int "total counts evictions" 20 (Audit.total_logged audit)
-
 let () =
   Alcotest.run "secpol_policy"
     [
@@ -1287,10 +1261,5 @@ let () =
         [
           quick "grid analysis" test_coverage_analysis;
           quick "full coverage + validation" test_coverage_full;
-        ] );
-      ( "audit",
-        [
-          quick "log + queries" test_audit_log;
-          quick "ring buffer" test_audit_ring_buffer;
         ] );
     ]
