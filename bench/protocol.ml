@@ -1,6 +1,5 @@
 (* Fixed measurement protocol for the hand-rolled (non-bechamel) benchmark
-   rows and for the benchmark-trajectory artifacts CI diffs against
-   committed baselines.
+   rows, and the gates the benchmark-trajectory artifacts are held to.
 
    The protocol is deliberately rigid so two runs are comparable: a fixed
    number of warmup executions (JIT-free here, but the allocator, branch
@@ -9,9 +8,8 @@
    one repeat that caught a GC slice or a scheduler migration, where a
    mean would smear it over the result.  Every artifact embeds machine and
    git metadata, because a baseline number is meaningless without knowing
-   what it was measured on; the trajectory gate therefore compares
-   *ratios* (speedups, scaling), which survive a machine change, rather
-   than absolute ns. *)
+   what it was measured on; the gates therefore bound *ratios* (speedups,
+   scaling), which survive a machine change, rather than absolute ns. *)
 
 module Clock = Secpol_obs.Clock
 module Json = Secpol_policy.Json
@@ -66,10 +64,6 @@ let meta () =
           (first_line_of "git rev-parse --abbrev-ref HEAD 2>/dev/null") );
     ]
 
-(* ------------------------------------------------------------------ *)
-(* Baseline comparison                                                 *)
-(* ------------------------------------------------------------------ *)
-
 let load_json path =
   match
     let ic = open_in_bin path in
@@ -80,46 +74,147 @@ let load_json path =
   | exception Sys_error e -> Error e
   | text -> Json.of_string text
 
-(* float at a path of object fields, e.g. ["batched_vs_compiled";"speedup"] *)
-let rec float_at json = function
-  | [] -> (
-      match json with
-      | Json.Float f -> Some f
-      | Json.Int i -> Some (float_of_int i)
-      | _ -> None)
-  | field :: rest -> (
-      match Json.member field json with
-      | Some j -> float_at j rest
-      | None -> None)
+(* ------------------------------------------------------------------ *)
+(* Reading numbers out of an artifact                                  *)
+(* ------------------------------------------------------------------ *)
 
-type verdict =
-  | Ok_within of { fresh : float; base : float }
-  | Regressed of { fresh : float; base : float; floor : float }
-  | Missing of string
+let rec member_at json = function
+  | [] -> Some json
+  | field :: rest ->
+      Option.bind (Json.member field json) (fun j -> member_at j rest)
 
-(* A ratio metric must stay within [tolerance] (a fraction, e.g. 0.10) of
-   its baseline value, from below — getting faster is never a failure. *)
-let check_ratio ~tolerance ~name ~fresh ~baseline path =
-  match (float_at fresh path, float_at baseline path) with
-  | Some f, Some b ->
-      let floor = b *. (1.0 -. tolerance) in
-      if f >= floor then Ok_within { fresh = f; base = b }
-      else Regressed { fresh = f; base = b; floor }
-  | None, _ -> Missing (Printf.sprintf "%s missing from fresh report" name)
-  | _, None -> Missing (Printf.sprintf "%s missing from baseline" name)
+let number = function
+  | Json.Float f -> Some f
+  | Json.Int i -> Some (float_of_int i)
+  | _ -> None
 
-(* Pretty-print and fold a list of (name, verdict): true = all ok. *)
-let report_checks checks =
+(* the number at a path of object fields, e.g. ["blast"; "containment"] *)
+let at path json = Option.bind (member_at json path) number
+
+(* [field] of the first element of the list at [path] whose [key] is
+   [value], e.g. the throughput of the 2-domain run *)
+let row path ~key value field json =
+  match Option.bind (member_at json path) Json.to_list with
+  | None -> None
+  | Some rows ->
+      Option.bind
+        (List.find_opt (fun r -> Json.member key r = Some value) rows)
+        (at [ field ])
+
+let ratio num den json =
+  match (num json, den json) with
+  | Some a, Some b when b > 0.0 -> Some (a /. b)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Gates                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A gate reads one number out of an artifact and bounds it: from below
+   ([Floor]), from above ([Ceiling]), or from below relative to the same
+   number in a baseline artifact ([Tolerance f]: at least [1 - f] of the
+   baseline's value, so getting faster never fails).  [cores] is what the
+   number needs to mean anything: where an artifact's [meta.cores] is
+   smaller, the gate is ungated, never failed.  An artifact that does not
+   say counts as one core. *)
+type bound = Floor of float | Ceiling of float | Tolerance of float
+
+type gate = {
+  metric : string;
+  read : Json.t -> float option;
+  bound : bound;
+  cores : int;
+}
+
+(* [metric] names the number; unless [read] says otherwise, it is also
+   the dotted path the number is read from *)
+let gate ?(cores = 1) ?read metric bound =
+  let read =
+    match read with
+    | Some read -> read
+    | None -> at (String.split_on_char '.' metric)
+  in
+  { metric; read; bound; cores }
+
+type verdict = Pass of string | Fail of string | Ungated of string
+
+(* a baseline is only comparable with a fresh artifact of the same run *)
+let same_run = [ "suite"; "schema"; "quick" ]
+
+let cores json =
+  match at [ "meta"; "cores" ] json with Some c -> int_of_float c | None -> 1
+
+(* [baseline] is the artifact at the baseline path, or the error loading
+   it gave; only a [Tolerance] gate reads it.  A baseline that cannot be
+   read or comes from another run fails the gate whatever the cores. *)
+let evaluate g ~fresh ~baseline =
+  let ( let* ) = Result.bind in
+  let fail fmt = Printf.ksprintf (fun d -> Error (Fail d)) fmt in
+  let verdict ok =
+    Printf.ksprintf (fun d -> Ok (if ok then Pass d else Fail d))
+  in
+  let enough what json =
+    let c = cores json in
+    if c >= g.cores then Ok ()
+    else
+      Error
+        (Ungated
+           (Printf.sprintf "needs %d cores, the %s artifact has %d" g.cores
+              what c))
+  in
+  let value what json =
+    match g.read json with
+    | Some v -> Ok v
+    | None -> fail "value missing from the %s artifact" what
+  in
+  let result =
+    match g.bound with
+    | Floor x ->
+        let* () = enough "fresh" fresh in
+        let* v = value "fresh" fresh in
+        verdict (v >= x) "%.3f, floor %.3f" v x
+    | Ceiling x ->
+        let* () = enough "fresh" fresh in
+        let* v = value "fresh" fresh in
+        verdict (v <= x) "%.3f, ceiling %.3f" v x
+    | Tolerance f ->
+        let* baseline =
+          Result.map_error (fun e -> Fail ("no baseline: " ^ e)) baseline
+        in
+        let* () =
+          let differs k = Json.member k fresh <> Json.member k baseline in
+          match List.find_opt differs same_run with
+          | None -> Ok ()
+          | Some k ->
+              let show j =
+                Option.fold ~none:"none" ~some:Json.to_string (Json.member k j)
+              in
+              fail "baseline from another run: %s %s, fresh %s" k
+                (show baseline) (show fresh)
+        in
+        let* () = enough "fresh" fresh in
+        let* () = enough "baseline" baseline in
+        let* v = value "fresh" fresh in
+        let* b = value "baseline" baseline in
+        let floor = b *. (1.0 -. f) in
+        verdict (v >= floor) "%.3f, floor %.3f = %.0f%% of baseline %.3f" v
+          floor
+          (100.0 *. (1.0 -. f))
+          b
+  in
+  match result with Ok v | Error v -> v
+
+(* Evaluate [target]'s gates on its fresh artifact, printing one verdict
+   line each; true when none failed. *)
+let check ~target gates ~fresh ~baseline =
   List.fold_left
-    (fun ok (name, v) ->
-      (match v with
-      | Ok_within { fresh; base } ->
-          Printf.printf "trajectory: %-28s %.3f (baseline %.3f) ok\n" name
-            fresh base
-      | Regressed { fresh; base; floor } ->
-          Printf.printf
-            "trajectory: %-28s %.3f REGRESSED below %.3f (baseline %.3f)\n"
-            name fresh floor base
-      | Missing what -> Printf.printf "trajectory: %-28s %s\n" name what);
-      ok && match v with Ok_within _ -> true | _ -> false)
-    true checks
+    (fun ok g ->
+      let status, detail, passed =
+        match evaluate g ~fresh ~baseline with
+        | Pass d -> ("ok", d, true)
+        | Fail d -> ("FAILED", d, false)
+        | Ungated d -> ("ungated", d, true)
+      in
+      Printf.printf "gate: %-9s %-32s %s: %s\n" target g.metric status detail;
+      ok && passed)
+    true gates
