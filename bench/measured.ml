@@ -37,8 +37,11 @@ let top_over_one runs =
    bechamel OLS fit, or from the fixed protocol for the batched rows. *)
 type perf_row = { bench : string; ns_per_op : float; minor_per_op : float }
 
-(* the row perf's zero-allocation gate reads *)
+(* the rows perf's allocation gates read; bechamel prefixes its rows
+   with the group name, "secpol" *)
 let decide_batch_row = "policy/engine/decide_batch (car workload)"
+
+let hpe_frame_row = "secpol/can/bus/frame across 8 HPE nodes"
 
 (* Minor-heap words as [Gc.minor_words] counts them.  Bechamel's own
    [minor_allocated] reads [Gc.quick_stat], whose [minor_words] on OCaml 5
@@ -257,7 +260,7 @@ let perf ~quick =
             Secpol_sim.Engine.run_until sim
               (Secpol_sim.Engine.now sim +. 0.001)))
   in
-  (* the seal every HPE gate call recomputes (DESIGN.md §8.1) *)
+  (* the seal every HPE gate call checks (DESIGN.md §8.1) *)
   let bench_seal =
     let regs = Hpe.Registers.create () in
     Result.get_ok (Hpe.Config.provision regs hpe_config ());
@@ -942,6 +945,14 @@ let registry =
           gate "decide_batch.minor_words_per_op" (Ceiling 0.0)
             ~read:
               (row [ "results" ] ~key:"name" (Json.String decide_batch_row)
+                 "minor_words_per_op");
+          (* one frame's encode, decode, eight HPE gate calls and the
+             bus's own bookkeeping: about 260 words, most of them the trace
+             and the event queue; a codec or seal that allocates per bit
+             or per call breaks it *)
+          gate "hpe_frame.minor_words_per_op" (Ceiling 500.0)
+            ~read:
+              (row [ "results" ] ~key:"name" (Json.String hpe_frame_row)
                  "minor_words_per_op");
         ];
     };

@@ -146,7 +146,7 @@ let fig3 () =
   Printf.printf
     "transceiver (TX):      %d wire bits (incl. stuffing + trailer), %.1f us \
      at 500 kbit/s\n"
-    (List.length wire)
+    (Can.Wire.length wire)
     (1e6 *. Can.Frame.transmission_time frame ~bitrate:500_000.0);
   let rx = Can.Transceiver.receive wire in
   (match rx with

@@ -39,10 +39,10 @@ val attach :
     corrupted on the wire.
 
     The bus samples each transmission once: the frame that wins
-    arbitration is encoded once (the wire's length gives its transmission
-    time) and, when the transmission completes, decoded once, and every
-    station is handed that one decoded value.  This is exact, not an
-    approximation: a corrupted transmission never reaches [deliver] (the
+    arbitration is encoded once into a packed {!Wire.t} (its length gives
+    the transmission time) and, when the transmission completes, decoded
+    once, and every station is handed that one decoded value.  This is
+    exact, not an approximation: a corrupted transmission never reaches [deliver] (the
     stations see it only through [on_wire_error], and the frame is
     retried), so every station would sample identical bits, and decoding
     an uncorrupted encoding gives back the frame ([Frame.of_wire

@@ -2,16 +2,11 @@
     i.e. 0x4599) computed over the frame bits from start-of-frame through
     the end of the data field, as ISO 11898-1 specifies. *)
 
-val compute : bool list -> int
-(** 15-bit checksum of a bit sequence (MSB-first). *)
-
-val step : int -> bool -> int
-(** [step crc bit] feeds one more bit: [compute bits] is
-    [List.fold_left step 0 bits], so a decoder can checksum bits as it
-    parses them. *)
+val feed : int -> int -> bits:int -> int
+(** [feed crc value ~bits] feeds the low [bits] bits of [value], most
+    significant first: a frame's checksum is [0] fed each of its fields
+    in turn, so encoder and decoder checksum a field as they write or
+    parse it.  The result is 15 bits wide. *)
 
 val width : int
 (** 15. *)
-
-val to_bits : int -> bool list
-(** The checksum as its 15 wire bits, MSB first. *)

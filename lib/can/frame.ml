@@ -13,47 +13,52 @@ let data_ext id payload = data (Identifier.extended id) payload
 
 let data_std id payload = data (Identifier.standard id) payload
 
-(* Bit helpers: [true] is the recessive level (logical 1), [false]
-   dominant (logical 0).  Fields are transmitted MSB first. *)
-let int_bits value width =
-  List.init width (fun i -> value land (1 lsl (width - 1 - i)) <> 0)
-
-(* Unstuffed body: SOF through the data field. *)
-let body_bits t =
-  let sof = [ false ] in
-  let arbitration_and_control =
-    match t.id with
-    | Identifier.Standard id ->
-        (* ID[10..0]  RTR  IDE=0  r0=0 *)
-        int_bits id 11 @ [ t.rtr; false; false ]
-    | Identifier.Extended id ->
-        (* ID[28..18]  SRR=1  IDE=1  ID[17..0]  RTR  r1=0  r0=0 *)
-        int_bits (id lsr 18) 11
-        @ [ true; true ]
-        @ int_bits (id land 0x3FFFF) 18
-        @ [ t.rtr; false; false ]
-  in
-  let dlc = int_bits t.dlc 4 in
-  let data_bits =
-    List.concat_map
-      (fun i -> int_bits (Char.code t.payload.[i]) 8)
-      (List.init (String.length t.payload) Fun.id)
-  in
-  sof @ arbitration_and_control @ dlc @ data_bits
+type line_error = Stuff_violation | Crc_mismatch | Form_error
 
 (* CRC delimiter, ACK slot (transmitted recessive), ACK delimiter and seven
    end-of-frame bits; not subject to stuffing. *)
-let trailer = List.init 10 (fun _ -> true)
+let trailer_bits = 10
 
+(* The longest classic frame: an extended data frame with 8 bytes has 118
+   bits from SOF through the CRC, at most 29 stuff bits among them, then
+   the trailer. *)
+let max_wire_bits = 118 + 29 + trailer_bits
+
+(* One pass over the fields, as ints: each field feeds the CRC and the
+   stuffing writer together.  Fields are transmitted MSB first; a 1 bit is
+   recessive. *)
 let to_wire t =
-  let body = body_bits t in
-  let crc = Crc.compute body in
-  Bitstuff.stuff (body @ Crc.to_bits crc) @ trailer
+  let w = Wire.writer max_wire_bits in
+  let crc = ref 0 in
+  let field value bits =
+    crc := Crc.feed !crc value ~bits;
+    Wire.stuffed w value ~bits
+  in
+  (* SOF *)
+  field 0 1;
+  let rtr = Bool.to_int t.rtr in
+  (match t.id with
+  | Identifier.Standard id ->
+      (* ID[10..0]  RTR  IDE=0  r0=0 *)
+      field id 11;
+      field rtr 1;
+      field 0 2
+  | Identifier.Extended id ->
+      (* ID[28..18]  SRR=1  IDE=1  ID[17..0]  RTR  r1=0  r0=0 *)
+      field (id lsr 18) 11;
+      field 0b11 2;
+      field (id land 0x3FFFF) 18;
+      field rtr 1;
+      field 0 2);
+  field t.dlc 4;
+  for i = 0 to String.length t.payload - 1 do
+    field (Char.code t.payload.[i]) 8
+  done;
+  Wire.stuffed w !crc ~bits:Crc.width;
+  Wire.raw w ((1 lsl trailer_bits) - 1) ~bits:trailer_bits;
+  Wire.contents w
 
-let wire_length t =
-  let body = body_bits t in
-  let crc = Crc.compute body in
-  Bitstuff.stuffed_length (body @ Crc.to_bits crc) + List.length trailer
+let wire_length t = Wire.length (to_wire t)
 
 let interframe_space = 3
 
@@ -66,92 +71,67 @@ let transmission_time t ~bitrate =
 
 let wire_time wire ~bitrate =
   if bitrate <= 0.0 then invalid_arg "Frame.wire_time: bitrate <= 0";
-  time_of_bits (List.length wire) ~bitrate
+  time_of_bits (Wire.length wire) ~bitrate
 
-let take n l =
-  let rec loop n acc = function
-    | rest when n = 0 -> Some (List.rev acc, rest)
-    | [] -> None
-    | x :: rest -> loop (n - 1) (x :: acc) rest
-  in
-  loop n [] l
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+(* A form error in the unstuffed bits: raised by the parser, caught by
+   [of_wire]. *)
+exception Form of string
 
 (* A read position in the unstuffed bits.  Every field read folds its
    bits into [crc], so once the data field is read [crc] is the CRC of
    the SOF-to-data bits exactly as they arrived. *)
-type cursor = { mutable rest : bool list; mutable crc : int }
+type cursor = { bits : Wire.t; mutable pos : int; mutable crc : int }
 
 (* The next [n] bits as an unsigned integer, MSB first. *)
 let field c name n =
-  let rec loop acc n =
-    if n = 0 then Ok acc
-    else
-      match c.rest with
-      | [] -> Error (Printf.sprintf "truncated frame: missing %s" name)
-      | b :: rest ->
-          c.rest <- rest;
-          c.crc <- Crc.step c.crc b;
-          loop ((acc lsl 1) lor Bool.to_int b) (n - 1)
+  if c.pos + n > Wire.length c.bits then
+    raise (Form ("truncated frame: missing " ^ name));
+  let v = Wire.read c.bits ~pos:c.pos ~bits:n in
+  c.pos <- c.pos + n;
+  c.crc <- Crc.feed c.crc v ~bits:n;
+  v
+
+let parse bits =
+  let c = { bits; pos = 0; crc = 0 } in
+  if field c "SOF" 1 = 1 then raise (Form "SOF must be dominant");
+  let id_base = field c "base id" 11 in
+  let flag1 = field c "RTR/SRR" 1 in
+  let extended = field c "IDE" 1 = 1 in
+  let id, rtr =
+    if extended then begin
+      (* flag1 is SRR, which must be recessive *)
+      if flag1 = 0 then raise (Form "SRR must be recessive");
+      let id_ext = field c "extended id" 18 in
+      let rtr = field c "RTR" 1 = 1 in
+      (Identifier.extended ((id_base lsl 18) lor id_ext), rtr)
+    end
+    else (Identifier.standard id_base, flag1 = 1)
   in
-  loop 0 n
+  if field c "reserved" (if extended then 2 else 1) <> 0 then
+    raise (Form "reserved bits must be dominant");
+  let dlc = field c "DLC" 4 in
+  if dlc > 8 then raise (Form (Printf.sprintf "DLC %d out of range" dlc));
+  let payload = Bytes.create (if rtr then 0 else dlc) in
+  for i = 0 to Bytes.length payload - 1 do
+    Bytes.set payload i (Char.chr (field c "data" 8))
+  done;
+  let body_crc = c.crc in
+  let crc = field c "CRC" Crc.width in
+  if c.pos <> Wire.length bits then raise (Form "trailing bits after CRC");
+  if body_crc <> crc then Error (Crc_mismatch, "CRC mismatch")
+  else Ok { id; rtr; dlc; payload = Bytes.unsafe_to_string payload }
 
 let of_wire wire =
-  let n = List.length wire in
-  if n < 10 then Error "frame too short"
-  else begin
-    let stuffed, tail =
-      match take (n - 10) wire with
-      | Some (s, t) -> (s, t)
-      | None -> assert false
-    in
-    if List.exists not tail then Error "malformed trailer (expected recessive bits)"
-    else
-      let* bits = Bitstuff.unstuff stuffed in
-      let c = { rest = bits; crc = 0 } in
-      let* sof = field c "SOF" 1 in
-      if sof = 1 then Error "SOF must be dominant"
-      else
-        let* id_base = field c "base id" 11 in
-        let* flag1 = field c "RTR/SRR" 1 in
-        let* ide = field c "IDE" 1 in
-        let parse_tail ~id ~rtr reserved_count =
-          let* reserved = field c "reserved" reserved_count in
-          if reserved <> 0 then Error "reserved bits must be dominant"
-          else
-            let* dlc = field c "DLC" 4 in
-            if dlc > 8 then Error (Printf.sprintf "DLC %d out of range" dlc)
-            else
-              let data_len = if rtr then 0 else dlc in
-              let payload = Bytes.create data_len in
-              let rec read_data i =
-                if i = data_len then Ok ()
-                else
-                  let* byte = field c "data" 8 in
-                  Bytes.set payload i (Char.chr byte);
-                  read_data (i + 1)
-              in
-              let* () = read_data 0 in
-              let body_crc = c.crc in
-              let* crc = field c "CRC" Crc.width in
-              if c.rest <> [] then Error "trailing bits after CRC"
-              else if body_crc <> crc then Error "CRC mismatch"
-              else
-                Ok { id; rtr; dlc; payload = Bytes.unsafe_to_string payload }
-        in
-        if ide = 1 then
-          (* extended: flag1 is SRR (must be recessive) *)
-          if flag1 = 0 then Error "SRR must be recessive"
-          else
-            let* id_ext = field c "extended id" 18 in
-            let* rtr = field c "RTR" 1 in
-            let id = Identifier.extended ((id_base lsl 18) lor id_ext) in
-            parse_tail ~id ~rtr:(rtr = 1) 2
-        else
-          let id = Identifier.standard id_base in
-          parse_tail ~id ~rtr:(flag1 = 1) 1
-  end
+  let n = Wire.length wire in
+  if n < trailer_bits then Error (Form_error, "frame too short")
+  else if
+    Wire.read wire ~pos:(n - trailer_bits) ~bits:trailer_bits
+    <> (1 lsl trailer_bits) - 1
+  then Error (Form_error, "malformed trailer (expected recessive bits)")
+  else
+    match Wire.unstuff wire ~len:(n - trailer_bits) with
+    | Error msg -> Error (Stuff_violation, msg)
+    | Ok bits -> ( try parse bits with Form msg -> Error (Form_error, msg))
 
 let payload_bytes t = List.init (String.length t.payload) (fun i -> Char.code t.payload.[i])
 

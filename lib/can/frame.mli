@@ -2,11 +2,13 @@
 
     A frame is a data frame (payload of 0..8 bytes) or a remote frame
     (payload-less request carrying only a DLC).  [to_wire] produces the
-    physical bit sequence: the bit-stuffed segment from start-of-frame
-    through the CRC sequence, followed by the unstuffed trailer (CRC
-    delimiter, ACK slot, ACK delimiter, seven end-of-frame bits).
-    [of_wire] inverts it, checking structure, stuffing and CRC — the
-    round-trip is exercised by property tests. *)
+    physical bit sequence as a packed {!Wire.t}: the bit-stuffed segment
+    from start-of-frame through the CRC sequence, followed by the
+    unstuffed trailer (CRC delimiter, ACK slot, ACK delimiter, seven
+    end-of-frame bits).  [of_wire] inverts it, checking structure,
+    stuffing and CRC — the round-trip, the stuffing rule, the CRC's burst
+    coverage and the decoder's verdicts on a seeded corpus of damaged
+    wires are pinned by property tests. *)
 
 type t = private {
   id : Identifier.t;
@@ -29,19 +31,29 @@ val data_ext : int -> string -> t
 val data_std : int -> string -> t
 (** Convenience: standard-identifier data frame. *)
 
-val to_wire : t -> bool list
-(** Physical bit sequence (false = dominant). *)
+type line_error = Stuff_violation | Crc_mismatch | Form_error
+(** How a controller signals a wire it cannot decode: a stuffing
+    violation, a CRC mismatch, or a form error (a malformed field or
+    trailer, a truncated frame). *)
 
-val of_wire : bool list -> (t, string) result
+val to_wire : t -> Wire.t
+(** Physical bit sequence, stuffed and checksummed in one pass over the
+    frame's fields. *)
+
+val of_wire : Wire.t -> (t, line_error * string) result
+(** Decode a wire, or say why not: the line-error class and a message.
+    Checks run in a fixed order — length, trailer, stuffing, then the
+    fields in wire order, trailing bits and finally the CRC — and the
+    first failure is the one reported. *)
 
 val wire_length : t -> int
-(** [List.length (to_wire t)]: used for transmission timing. *)
+(** [Wire.length (to_wire t)]: used for transmission timing. *)
 
 val transmission_time : t -> bitrate:float -> float
 (** Seconds on a bus of [bitrate] bits/s, including the 3-bit interframe
     space. *)
 
-val wire_time : bool list -> bitrate:float -> float
+val wire_time : Wire.t -> bitrate:float -> float
 (** {!transmission_time} of an already encoded frame: [wire_time (to_wire
     f)] equals [transmission_time f] to the bit, without encoding [f]
     again. *)

@@ -1,4 +1,7 @@
-type line_error = Stuff_violation | Crc_mismatch | Form_error
+type line_error = Frame.line_error =
+  | Stuff_violation
+  | Crc_mismatch
+  | Form_error
 
 type rx = Frame of Frame.t | Line_error of line_error
 
@@ -7,19 +10,14 @@ let transmit = Frame.to_wire
 let receive wire =
   match Frame.of_wire wire with
   | Ok frame -> Frame frame
-  | Error msg ->
-      if String.length msg >= 5 && String.sub msg 0 5 = "stuff" then
-        Line_error Stuff_violation
-      else if msg = "CRC mismatch" then Line_error Crc_mismatch
-      else Line_error Form_error
+  | Error (e, _) -> Line_error e
 
 let corrupt rng wire =
-  match wire with
-  | [] -> []
-  | _ ->
-      let n = List.length wire in
-      let target = Secpol_sim.Rng.int rng n in
-      List.mapi (fun i b -> if i = target then not b else b) wire
+  let n = Wire.length wire in
+  if n = 0 then wire
+  else
+    let target = Secpol_sim.Rng.int rng n in
+    Wire.init n (fun i -> Wire.get wire i <> (i = target))
 
 let line_error_name = function
   | Stuff_violation -> "stuff violation"

@@ -188,7 +188,7 @@ let inject t r =
       | Some hpe ->
           (* a bit flip lands straight in approved-list RAM, bypassing the
              register interface — the seal is not updated, so the file
-             fails its checksum and both gates fail closed *)
+             no longer matches it and both gates fail closed *)
           Hpe.Approved_list.add
             (Hpe.Registers.read_list (Hpe.Engine.registers hpe))
             (Can.Identifier.standard 0x7DF));

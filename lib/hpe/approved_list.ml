@@ -65,24 +65,20 @@ let to_ids t =
   done;
   !std @ List.map Identifier.extended (sorted_ext t)
 
-(* FNV-1a over the contents.  The 2048-bit standard bitmap goes in as 64
-   words of 32 bits, read in place: every bit feeds the hash, and each
-   word fits an OCaml int whole (a 64-bit word would lose its top bit).
-   Extended IDs follow, count first, then ascending.  Each step
-   [h -> (h xor v) * p] is a bijection for odd [p], so a change confined
-   to one word always changes the digest. *)
-let fnv_prime = 0x100000001b3
+(* Every byte of both bitmaps, then the extended IDs: [Bytes.equal] stops
+   early only where the bitmaps already differ.  Nothing allocates unless
+   extended IDs are present. *)
+let equal a b =
+  Bytes.equal a.std b.std
+  && Hashtbl.length a.ext = Hashtbl.length b.ext
+  && (Hashtbl.length a.ext = 0
+     || Hashtbl.fold (fun i () same -> same && Hashtbl.mem b.ext i) a.ext true)
 
-let mix h v = (h lxor v) * fnv_prime
-
-let digest t =
-  let h = ref 0x2545F4914F6CDD1D in
-  for w = 0 to 63 do
-    let word = Int32.to_int (Bytes.get_int32_le t.std (w * 4)) in
-    h := mix !h (word land 0xFFFF_FFFF)
-  done;
-  let h = mix !h (Hashtbl.length t.ext) in
-  if Hashtbl.length t.ext = 0 then h else List.fold_left mix h (sorted_ext t)
+let blit ~src ~dst =
+  Bytes.blit src.std 0 dst.std 0 (Bytes.length src.std);
+  Hashtbl.clear dst.ext;
+  Hashtbl.iter (fun i () -> Hashtbl.replace dst.ext i ()) src.ext;
+  dst.cardinal <- src.cardinal
 
 let pp ppf t =
   Format.fprintf ppf "{%s}"

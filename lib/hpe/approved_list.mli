@@ -31,12 +31,13 @@ val of_ids : Secpol_can.Identifier.t list -> t
 val to_ids : t -> Secpol_can.Identifier.t list
 (** Sorted: standard IDs ascending, then extended ascending. *)
 
-val digest : t -> int
-(** FNV-1a digest of the contents: all 2048 bits of the standard-ID
-    bitmap, as 32-bit words, then the extended IDs in ascending order.
-    Any change confined to one bitmap word (in particular any single
-    added or removed standard ID) changes the digest.  The digest reads
-    the bitmap in place, allocating nothing unless extended IDs are
-    present. *)
+val equal : t -> t -> bool
+(** Same standard and extended IDs.  Reads both 2048-bit bitmaps in full,
+    in place, unless they differ early, and allocates nothing while the
+    first list holds no extended IDs: the register file's integrity seal
+    ({!Registers.integrity_ok}) calls it on every frame. *)
+
+val blit : src:t -> dst:t -> unit
+(** Make [dst] hold exactly [src]'s IDs, copying the bitmap in place. *)
 
 val pp : Format.formatter -> t -> unit

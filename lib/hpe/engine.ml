@@ -69,7 +69,7 @@ let bump_class t event id =
       Obs.Counter.incr c
 
 (* Fail closed: a register file that no longer matches its sealed
-   checksum cannot be trusted to encode the provisioned policy, so both
+   shadow copy cannot be trusted to encode the provisioned policy, so both
    gates deny everything until re-provisioning restores it. *)
 let sealed t =
   if Registers.integrity_ok t.regs then true

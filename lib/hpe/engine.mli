@@ -73,7 +73,7 @@ val integrity_ok : t -> bool
 (** {!Registers.integrity_ok} of this engine's register file. *)
 
 val integrity_blocks : t -> int
-(** Frames denied because the register file failed its checksum: after
+(** Frames denied because the register file failed its seal: after
     out-of-band corruption (fault injection, bit flips) both gates fail
     closed and every crossing frame lands here until the file is
     re-provisioned. *)

@@ -4,11 +4,14 @@ type t = {
   mutable read_enable : bool;
   mutable write_enable : bool;
   mutable locked : bool;
-  (* checksum over the whole file, refreshed on every *programmed* write:
-     only out-of-band corruption (a bit flip in the approved-list RAM, not
-     a register-interface write) can make the stored and recomputed values
-     diverge *)
-  mutable sealed : int;
+  (* the seal: a shadow copy of both lists and the control bits, updated
+     only by authorised programming ([reseal]), so only out-of-band
+     corruption (a bit flip in the approved-list RAM, not a
+     register-interface write) can make the live file and its shadow
+     differ *)
+  shadow_read : Approved_list.t;
+  shadow_write : Approved_list.t;
+  mutable shadow_ctrl : int;
 }
 
 let ctrl = 0x00
@@ -30,20 +33,15 @@ let ctrl_value t =
   lor (Bool.to_int t.write_enable lsl 1)
   lor (Bool.to_int t.locked lsl 2)
 
-(* FNV-1a over the register file contents: each approved list's own
-   digest (its whole bitmap, see {!Approved_list.digest}), then the
-   control bits.  Every step is a bijection of the running hash, so a
-   change to one list's digest or to the control bits always shows. *)
-let checksum t =
-  let fnv_prime = 0x100000001b3 in
-  let mix h v = (h lxor v) * fnv_prime in
-  let h = mix 0x2545F4914F6CDD1D (Approved_list.digest t.read_list) in
-  let h = mix h (Approved_list.digest t.write_list) in
-  mix h (ctrl_value t)
+let reseal t =
+  Approved_list.blit ~src:t.read_list ~dst:t.shadow_read;
+  Approved_list.blit ~src:t.write_list ~dst:t.shadow_write;
+  t.shadow_ctrl <- ctrl_value t
 
-let reseal t = t.sealed <- checksum t
-
-let integrity_ok t = t.sealed = checksum t
+let integrity_ok t =
+  t.shadow_ctrl = ctrl_value t
+  && Approved_list.equal t.read_list t.shadow_read
+  && Approved_list.equal t.write_list t.shadow_write
 
 let create () =
   let t =
@@ -53,7 +51,9 @@ let create () =
       read_enable = false;
       write_enable = false;
       locked = false;
-      sealed = 0;
+      shadow_read = Approved_list.create ();
+      shadow_write = Approved_list.create ();
+      shadow_ctrl = 0;
     }
   in
   reseal t;
@@ -95,10 +95,14 @@ let write_reg_unsealed t ~addr value =
     Error (Printf.sprintf "register 0x%02x is read-only" addr)
   else Error (Printf.sprintf "unknown register 0x%02x" addr)
 
+(* A file locked before the write accepts only the idempotent CTRL
+   rewrite, which changes nothing the seal covers; resealing there would
+   bless whatever reached the lists out of band since the lock. *)
 let write_reg t ~addr value =
+  let was_locked = t.locked in
   match write_reg_unsealed t ~addr value with
   | Ok () ->
-      reseal t;
+      if not was_locked then reseal t;
       Ok ()
   | Error _ as e -> e
 

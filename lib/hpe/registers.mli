@@ -48,7 +48,9 @@ val locked : t -> bool
 val write_reg : t -> addr:int -> int -> (unit, string) result
 (** Refused when locked (except that re-writing CTRL with the lock bit
     already set is idempotent), on read-only or unknown addresses, and on
-    out-of-range IDs. *)
+    out-of-range IDs.  An accepted write to an unlocked file, including
+    the one that sets the lock, updates the integrity seal
+    ({!integrity_ok}); an accepted write to a locked file never does. *)
 
 val read_reg : t -> addr:int -> (int, string) result
 
@@ -56,25 +58,24 @@ val hard_reset : t -> unit
 (** Clears everything including the lock — models a power cycle with
     re-provisioning, not something reachable from software. *)
 
-val checksum : t -> int
-(** FNV-1a digest of the whole register file: each approved list's
-    {!Approved_list.digest} (every bit of its 2048-bit standard-ID
-    bitmap, then its extended IDs in sorted order), then the enables and
-    the lock bit.  Independent of insertion order.  Any single added or
-    removed ID in either list changes it. *)
-
 val integrity_ok : t -> bool
-(** The register file re-seals its stored checksum on every successful
-    {!write_reg} (the authorised programming path) and on {!hard_reset};
-    [integrity_ok] recomputes the digest and compares.  [false] therefore
-    means the file was altered out of band — a bit flip or glitch attack
-    on the approved-list RAM — and the engine's gates must fail closed
-    (deny everything) rather than enforce a corrupted policy.
+(** The register file keeps a shadow copy of both approved lists (their
+    2048-bit standard-ID bitmaps and their extended IDs) and of the
+    control bits.  Only the authorised paths update it: a successful
+    {!write_reg} to a file that was not locked before the write, and
+    {!hard_reset}.  [integrity_ok] compares the live file with the shadow.
+    [false] therefore means the file was altered out of band — a bit flip
+    or glitch attack on the approved-list RAM — and the engine's gates
+    must fail closed (deny everything) rather than enforce a corrupted
+    policy.  Unlike a digest, the comparison cannot collide.
+
+    A locked file accepts only the idempotent CTRL rewrite, and that write
+    does not update the shadow: otherwise it would bless a change made out
+    of band since the lock.
 
     Both of the engine's gates ({!Engine.gate_rx} and {!Engine.gate_tx})
-    call this on every frame, before any list lookup, and each call
-    recomputes the digest from the lists' contents: nothing is cached,
-    because an out-of-band write would not invalidate a cache.  It reads the
+    call this on every frame, before any list lookup, and every call reads
+    every byte of both live lists: there is no cached verdict and no dirty
+    flag, because an out-of-band write would update neither.  It reads the
     bitmaps in place and allocates nothing while the lists hold no
-    extended IDs: well under a microsecond a call (the
-    [hpe/registers/integrity_ok] row of [bench perf]). *)
+    extended IDs (the [hpe/registers/integrity_ok] row of [bench perf]). *)

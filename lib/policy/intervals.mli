@@ -2,11 +2,10 @@
     membership.
 
     The compiled decision table ({!Table}) lowers every rule's message-ID
-    ranges into one of these, and the HPE reuses the same structure as an
-    approved-list backend, so a membership probe is [O(log n)] in the
-    number of disjoint ranges regardless of how wide they are — a bitset
-    would pay in memory for wide ranges, a per-ID hash table in population
-    time.  Values are immutable; [add]/[remove] rebuild, which is fine for
+    ranges into one of these, and the verifier's regions ({!Region}) are
+    built on them, so a membership probe is [O(log n)] in the number of
+    disjoint ranges regardless of how wide they are — a bitset would pay
+    in memory for wide ranges, a per-ID hash table in population time.  Values are immutable; [add]/[remove] rebuild, which is fine for
     compile-/provisioning-time mutation and keeps the hot [mem] path a
     pure array probe. *)
 

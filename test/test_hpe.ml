@@ -339,6 +339,32 @@ let test_hpe_integrity_gates_tx () =
     (Node.send a (Frame.data_std 0x200 ""));
   check Alcotest.int "tx integrity blocks" 2 (Hpe.integrity_blocks hpe)
 
+(* A locked file still accepts the idempotent CTRL rewrite.  That write
+   must not reseal: it would bless an ID flipped into the list since the
+   lock, and the gate would start granting it. *)
+let test_hpe_locked_rewrite_keeps_seal_broken () =
+  let sim = Engine.create () in
+  let bus = Bus.create ~bitrate:500_000.0 sim in
+  let hpe = Hpe.install (Node.create ~name:"a" bus) in
+  (match
+     Hpe.provision hpe (Config.make ~read_ids:[ 0x100 ] ~write_ids:[ 0x200 ] ())
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let regs = Hpe.registers hpe in
+  Approved_list.add (Registers.write_list regs) (Identifier.standard 0x0A5);
+  Alcotest.(check bool) "integrity lost" false (Hpe.integrity_ok hpe);
+  (match Registers.write_reg regs ~addr:Registers.ctrl 0b111 with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "idempotent CTRL rewrite refused: %s" e);
+  Alcotest.(check bool) "still broken after the rewrite" false
+    (Hpe.integrity_ok hpe);
+  let blocks = Hpe.integrity_blocks hpe in
+  Alcotest.(check bool) "flipped-in id denied" false
+    (Hpe.gate_tx hpe ~now:0.0 (Frame.data_std 0x0A5 ""));
+  check Alcotest.int "on the integrity counter" (blocks + 1)
+    (Hpe.integrity_blocks hpe)
+
 (* ---------- Policy -> config ---------- *)
 
 let policy_engine src =
@@ -727,6 +753,8 @@ let () =
         [
           quick "rx fails closed" test_hpe_integrity_fails_closed;
           quick "tx fails closed" test_hpe_integrity_gates_tx;
+          quick "locked rewrite keeps the seal broken"
+            test_hpe_locked_rewrite_keeps_seal_broken;
         ] );
       ( "config",
         [
