@@ -267,6 +267,29 @@ let perf ~quick =
     Test.make ~name:"hpe/registers/integrity_ok"
       (Staged.stage (fun () -> ignore (Hpe.Registers.integrity_ok regs)))
   in
+  (* the update gate (DESIGN.md §9), ungated: a fleet campaign's
+     pre-flight, and what a secpold reload of the policy it already serves
+     pays *)
+  let baseline_db =
+    V.Policy_map.compile (V.Policy_map.baseline ~version:1 ())
+  in
+  let hardened_db =
+    V.Policy_map.compile (V.Policy_map.hardened ~version:2 ())
+  in
+  let bench_campaign_gate =
+    Test.make ~name:"policy/verify/Campaign.gate (baseline -> hardened)"
+      (Staged.stage (fun () ->
+           ignore
+             (Lifecycle.Campaign.gate ~old_db:baseline_db ~new_db:hardened_db
+                ())))
+  in
+  let bench_reload_gate =
+    Test.make ~name:"policy/verify/reload gate (baseline self-diff)"
+      (Staged.stage (fun () ->
+           ignore
+             (Policy.Verify.gate
+                (Policy.Verify.diff baseline_db baseline_db))))
+  in
   let rows =
     run_bechamel ~quick
       [
@@ -281,14 +304,16 @@ let perf ~quick =
         bench_bus ~name:"can/bus/frame across 8 nodes" ~hpe:false;
         bench_bus ~name:"can/bus/frame across 8 HPE nodes" ~hpe:true;
         bench_seal;
+        bench_campaign_gate;
+        bench_reload_gate;
       ]
   in
   (* batched vs per-request compiled path, on the fixed protocol rather
      than bechamel: both sides get the *same* manual harness (whole-
-     workload passes, median of repeats), so the ratio compares the two
+     workload passes, repeats interleaved), so the ratio compares the two
      decision paths and not two measurement methodologies.  This is the
      ratio the trajectory gates track. *)
-  subsection "Batched decision path (fixed protocol, median of repeats)";
+  subsection "Batched decision path (fixed protocol, interleaved repeats)";
   let n = Array.length workload in
   let rounds = if quick then 50 else 400 in
   let warmup, repeats = if quick then (2, 7) else (5, 21) in
@@ -316,37 +341,34 @@ let perf ~quick =
     f ();
     (Gc.minor_words () -. w0) /. float_of_int ops
   in
-  (* start both measurements from the same heap shape: the bechamel suite
-     above leaves an unpredictable minor/major heap behind, and the scalar
-     loop's 20 w/op make its GC tax sensitive to that starting state *)
+  (* start from a compacted heap: the bechamel suite above leaves an
+     unpredictable minor/major heap behind, and the scalar loop's 20 w/op
+     make its GC tax sensitive to that starting state *)
   Gc.compact ();
-  let scalar_med, _ = Protocol.measure ~warmup ~repeats scalar in
-  Gc.compact ();
-  let batched_med, _ = Protocol.measure ~warmup ~repeats batched in
+  let scalar_s, batched_s =
+    Protocol.interleave ~warmup ~repeats scalar batched
+  in
   let compiled_loop =
     {
       bench = "policy/engine/compiled-loop (car workload)";
-      ns_per_op = per_req scalar_med;
+      ns_per_op = per_req (Protocol.median scalar_s);
       minor_per_op = words_per_op scalar;
     }
   in
   let decide_batch =
     {
       bench = decide_batch_row;
-      ns_per_op = per_req batched_med;
+      ns_per_op = per_req (Protocol.median batched_s);
       minor_per_op = words_per_op batched;
     }
   in
   Printf.printf
-    "protocol: %d warmup + %d timed repeats, %d passes x %d requests per \
-     repeat, median reported\n"
+    "protocol: %d warmup + %d timed repeats, each timing one scalar then one \
+     batched run of %d passes x %d requests; medians reported\n"
     warmup repeats rounds n;
   print_rows [ compiled_loop; decide_batch ];
-  let speedup =
-    if decide_batch.ns_per_op > 0.0 then
-      compiled_loop.ns_per_op /. decide_batch.ns_per_op
-    else 0.0
-  in
+  (* the median of the per-repeat ratios, each from one adjacent pair *)
+  let speedup = Protocol.median (Array.map2 ( /. ) scalar_s batched_s) in
   Printf.printf "batched vs per-request compiled: %.2fx\n" speedup;
   let rows = rows @ [ compiled_loop; decide_batch ] in
   (* one extra pass through an obs-registered compiled engine: bechamel

@@ -37,6 +37,26 @@ let measure ~warmup ~repeats f =
   done;
   (median samples, samples)
 
+(* [interleave ~warmup ~repeats f g] is [measure] of two functions
+   alternating repeat by repeat: a spell of host speed meets both sides of
+   the same repeat, so their per-repeat ratio barely moves with it.
+   Returns each side's samples, chronological. *)
+let interleave ~warmup ~repeats f g =
+  for _ = 1 to warmup do
+    f ();
+    g ()
+  done;
+  let fs = Array.make repeats 0.0 and gs = Array.make repeats 0.0 in
+  for i = 0 to repeats - 1 do
+    let t0 = Clock.now () in
+    f ();
+    let t1 = Clock.now () in
+    g ();
+    fs.(i) <- t1 -. t0;
+    gs.(i) <- Clock.now () -. t1
+  done;
+  (fs, gs)
+
 (* ------------------------------------------------------------------ *)
 (* Run metadata                                                        *)
 (* ------------------------------------------------------------------ *)

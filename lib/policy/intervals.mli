@@ -33,6 +33,9 @@ val is_empty : t -> bool
 val equal : t -> t -> bool
 (** Set equality.  The normal form is unique, so this is structural. *)
 
+(** [union], [inter] and [diff] each walk both operands' ranges once, in
+    order: linear in the number of ranges. *)
+
 val union : t -> t -> t
 
 val inter : t -> t -> t

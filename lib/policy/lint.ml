@@ -76,14 +76,14 @@ let coverage_pass =
         | Ast.Allow -> Diagnostic.Warning
       in
       let dflt = Ast.decision_name db.Ir.default in
+      let partition = Verify.partition ~strategy:cfg.strategy db in
       (* the message region the rules decide in a cell: everything but
          the default region of the cell's verifier partition *)
       let decided c =
         List.fold_left
           (fun acc (s : Verify.segment) ->
             if s.rule = None then Region.diff acc s.region else acc)
-          Region.full
-          (Verify.partition ~strategy:cfg.strategy db c)
+          Region.full (partition c)
       in
       let gaps, partial =
         Verify.cells { Verify.modes; subjects; assets }

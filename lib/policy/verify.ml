@@ -112,34 +112,75 @@ let cells u =
 (* Symbolic partition                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The rules that can decide a cell.  This is provably the set both
-   engines consider: the compiled table's exact bucket filters the
-   (asset, op) group by subject match, its wildcard bucket keeps exactly
-   the any-subject rules, and mode matching (mask, unknown-mode bit or
-   literal list) equals {!Ir.mode_matches} on every universe member. *)
-let applicable (db : Ir.db) c =
-  List.filter
+(* A rule as the scans read it, its message region built once. *)
+type entry = { ir : Ir.rule; msgs : Region.t }
+
+(* A db's rules grouped by (asset, op), each group in source order.  An
+   index lives for one call: [partition], [analyse], [diff] and [gate]
+   each build one per db they read, and every cell then filters only its
+   own group. *)
+type index = {
+  default : Ast.decision;
+  buckets : (string * Ir.op, entry list) Hashtbl.t;
+}
+
+let index (db : Ir.db) =
+  let buckets = Hashtbl.create 32 in
+  List.iter
     (fun (r : Ir.rule) ->
-      r.asset = c.asset
-      && List.mem c.op r.ops
-      && Ir.subject_matches r.subjects c.subject
-      && Ir.mode_matches r.modes c.mode)
-    db.rules
+      let e = { ir = r; msgs = Region.of_messages r.messages } in
+      List.iter
+        (fun op ->
+          let key = (r.asset, op) in
+          Hashtbl.replace buckets key
+            (e :: Option.value ~default:[] (Hashtbl.find_opt buckets key)))
+        (List.sort_uniq compare r.ops))
+    (List.rev db.rules);
+  { default = db.default; buckets }
+
+let bucket ix asset op =
+  Option.value ~default:[] (Hashtbl.find_opt ix.buckets (asset, op))
+
+(* The rules of a cell's (asset, op) bucket that can decide it.  This is
+   provably the set both engines consider: the compiled table's exact
+   bucket filters the (asset, op) group by subject match, its wildcard
+   bucket keeps exactly the any-subject rules, and mode matching (mask,
+   unknown-mode bit or literal list) equals {!Ir.mode_matches} on every
+   universe member. *)
+let select entries (c : cell) =
+  List.filter
+    (fun e ->
+      Ir.subject_matches e.ir.subjects c.subject
+      && Ir.mode_matches e.ir.modes c.mode)
+    entries
+
+let applicable ix c = select (bucket ix c.asset c.op) c
+
+(* A cell's partition reads, of each applicable rule, only its decision,
+   region and rate, in order (never [idx] or [origin]): two rule lists
+   equal in those decide every cell alike under one default.  Equal in
+   subjects and modes too, two (asset, op) buckets select such lists for
+   every cell. *)
+let same_effect a b =
+  a.ir.decision = b.ir.decision
+  && a.ir.rate = b.ir.rate
+  && Region.equal a.msgs b.msgs
+
+let same_scope a b =
+  same_effect a b
+  && a.ir.subjects = b.ir.subjects
+  && a.ir.modes = b.ir.modes
 
 (* Fold the strategy into rule order exactly as {!Table.compile} does:
    after this, every strategy is "first taken rule wins". *)
-let reorder strategy rules =
+let reorder strategy entries =
   match strategy with
-  | Engine.First_match -> rules
+  | Engine.First_match -> entries
   | Engine.Deny_overrides ->
-      let d, a =
-        List.partition (fun (r : Ir.rule) -> r.decision = Ast.Deny) rules
-      in
+      let d, a = List.partition (fun e -> e.ir.decision = Ast.Deny) entries in
       d @ a
   | Engine.Allow_overrides ->
-      let d, a =
-        List.partition (fun (r : Ir.rule) -> r.decision = Ast.Deny) rules
-      in
+      let d, a = List.partition (fun e -> e.ir.decision = Ast.Deny) entries in
       a @ d
 
 (* One symbolic evaluation of a cell under a rate oracle: scan the folded
@@ -149,7 +190,7 @@ let reorder strategy rules =
    so a caller can reproduce the oracle state on a real engine by draining
    exactly those budgets.  The returned segments are disjoint and, with
    the default tail, cover the whole message dimension. *)
-let scan ~strategy ~exhausted rules ~default =
+let scan ~strategy ~exhausted entries ~default =
   let rec go remaining taken skipped = function
     | [] ->
         let tail =
@@ -158,8 +199,8 @@ let scan ~strategy ~exhausted rules ~default =
             [ { region = remaining; cls = cls_of_decision default; rule = None } ]
         in
         (List.rev taken @ tail, List.rev skipped)
-    | (r : Ir.rule) :: rest ->
-        let hit = Region.inter remaining (Region.of_messages r.messages) in
+    | { ir = r; msgs } :: rest ->
+        let hit = Region.inter remaining msgs in
         if Region.is_empty hit then go remaining taken skipped rest
         else if List.mem r.idx exhausted then
           go remaining taken ((r, hit) :: skipped) rest
@@ -169,10 +210,12 @@ let scan ~strategy ~exhausted rules ~default =
             ({ region = hit; cls = cls_of_rule r; rule = Some r } :: taken)
             skipped rest
   in
-  go Region.full [] [] (reorder strategy rules)
+  go Region.full [] [] (reorder strategy entries)
 
-let partition ~strategy (db : Ir.db) c =
-  fst (scan ~strategy ~exhausted:[] (applicable db c) ~default:db.default)
+let partition_in ~strategy ix c =
+  fst (scan ~strategy ~exhausted:[] (applicable ix c) ~default:ix.default)
+
+let partition ~strategy db = partition_in ~strategy (index db)
 
 (* Canonical form of a partition for semantic comparison: the union of
    regions per decision class, keyed and ordered by class. *)
@@ -203,17 +246,17 @@ let subsets idxs =
   List.init (1 lsl n) (fun bits ->
       List.filteri (fun i _ -> bits land (1 lsl i) <> 0) idxs)
 
-let rated_idxs rules =
+let rated_idxs entries =
   List.filter_map
-    (fun (r : Ir.rule) ->
+    (fun { ir = r; _ } ->
       if r.rate <> None && r.decision = Ast.Allow then Some r.idx else None)
-    rules
+    entries
 
 (* Every budget state of a cell: each subset of its rated allow rules
    marked exhausted.  Past [max_oracle_bits] rated rules in one bucket the
    powerset is truncated to the two extremes (and the report says so). *)
-let assignments rules =
-  let idxs = rated_idxs rules in
+let assignments entries =
+  let idxs = rated_idxs entries in
   if List.length idxs <= max_oracle_bits then (subsets idxs, false)
   else ([ []; idxs ], true)
 
@@ -291,15 +334,16 @@ let distinguishes (db : Ir.db) m1 m2 =
       | Some l -> List.mem m1 l <> List.mem m2 l)
     db.rules
 
-let modes_equivalent ~strategy (db : Ir.db) u m1 m2 =
+let modes_equivalent ~strategy ix u m1 m2 =
   List.for_all
     (fun subject ->
       List.for_all
         (fun asset ->
           List.for_all
             (fun op ->
-              let bucket m = applicable db { mode = m; subject; asset; op } in
-              let r1 = bucket m1 and r2 = bucket m2 in
+              let entries = bucket ix asset op in
+              let r1 = select entries { mode = m1; subject; asset; op }
+              and r2 = select entries { mode = m2; subject; asset; op } in
               let rated =
                 List.sort_uniq Int.compare (rated_idxs r1 @ rated_idxs r2)
               in
@@ -309,11 +353,11 @@ let modes_equivalent ~strategy (db : Ir.db) u m1 m2 =
               in
               List.for_all
                 (fun set ->
-                  let map rules =
+                  let map entries =
                     class_map
                       (fst
-                         (scan ~strategy ~exhausted:set rules
-                            ~default:db.default))
+                         (scan ~strategy ~exhausted:set entries
+                            ~default:ix.default))
                   in
                   class_maps_equal (map r1) (map r2))
                 sets)
@@ -321,13 +365,13 @@ let modes_equivalent ~strategy (db : Ir.db) u m1 m2 =
         u.assets)
     u.subjects
 
-let merge_classes ~strategy db u =
+let merge_classes ~strategy db ix u =
   let named = List.filter (fun m -> m <> other) u.modes in
   let place classes m =
     let rec go = function
       | [] -> [ [ m ] ]
       | (rep :: _ as cls) :: rest ->
-          if distinguishes db rep m && modes_equivalent ~strategy db u rep m
+          if distinguishes db rep m && modes_equivalent ~strategy ix u rep m
           then (cls @ [ m ]) :: rest
           else cls :: go rest
       | [] :: _ -> assert false
@@ -357,7 +401,8 @@ let discharged s = s.violations = []
 
 let ir_op = function Threat.Read -> Ir.Read | Threat.Write -> Ir.Write
 
-let check_obligation ~strategy db u (o : Obligation.t) =
+(* [partition] is one db's staged {!partition}. *)
+let check_obligation partition u (o : Obligation.t) =
   let op = ir_op o.Obligation.operation in
   let modes = match o.modes with [] -> u.modes | l -> l in
   let subjects =
@@ -368,9 +413,7 @@ let check_obligation ~strategy db u (o : Obligation.t) =
       (fun mode ->
         List.filter_map
           (fun subject ->
-            let segments =
-              partition ~strategy db { mode; subject; asset = o.asset; op }
-            in
+            let segments = partition { mode; subject; asset = o.asset; op } in
             let allowing =
               List.filter (fun (s : segment) -> permissive s.cls) segments
             in
@@ -438,6 +481,7 @@ type report = {
 let analyse ?(strategy = Engine.Deny_overrides) ?modes ?subjects ?assets
     ?(obligations = []) (db : Ir.db) =
   let u = universe ?modes ?subjects ?assets db in
+  let ix = index db in
   let cs = cells u in
   let effective = Hashtbl.create 64 in
   List.iter
@@ -479,14 +523,14 @@ let analyse ?(strategy = Engine.Deny_overrides) ?modes ?subjects ?assets
   in
   List.iter
     (fun (c : cell) ->
-      let rules = applicable db c in
-      let sets, was_truncated = assignments rules in
+      let entries = applicable ix c in
+      let sets, was_truncated = assignments entries in
       if was_truncated then incr truncated;
       List.iter
         (fun set ->
           incr assignments_n;
           let segments, skipped =
-            scan ~strategy ~exhausted:set rules ~default:db.default
+            scan ~strategy ~exhausted:set entries ~default:db.default
           in
           List.iter
             (fun seg ->
@@ -572,7 +616,7 @@ let analyse ?(strategy = Engine.Deny_overrides) ?modes ?subjects ?assets
                ~rules:[ r.idx ] ~asset:r.asset))
       db.rules
   in
-  let mergeable = merge_classes ~strategy db u in
+  let mergeable = merge_classes ~strategy db ix u in
   let sp010 =
     List.map
       (fun cls ->
@@ -585,7 +629,9 @@ let analyse ?(strategy = Engine.Deny_overrides) ?modes ?subjects ?assets
           ~mode:(List.hd cls))
       mergeable
   in
-  let obligations = List.map (check_obligation ~strategy db u) obligations in
+  let obligations =
+    List.map (check_obligation (partition_in ~strategy ix) u) obligations
+  in
   let sp013s =
     List.filter_map
       (fun s -> if discharged s then None else Some (sp013 s))
@@ -674,31 +720,67 @@ let diff ?(strategy = Engine.Deny_overrides) ?modes ?subjects ?assets
           | Some [] | None -> both Ir.assets);
     }
   in
-  let deltas =
+  let ix_old = index old_db and ix_new = index new_db in
+  let same_default = old_db.default = new_db.default in
+  let class_map_of entries default =
+    class_map (fst (scan ~strategy ~exhausted:[] entries ~default))
+  in
+  let cell_deltas c r_old r_new =
+    let m_old = class_map_of r_old old_db.default in
+    let m_new = class_map_of r_new new_db.default in
     List.concat_map
-      (fun c ->
-        let m_old = class_map (partition ~strategy old_db c) in
-        let m_new = class_map (partition ~strategy new_db c) in
+      (fun (before, r_old) ->
+        List.filter_map
+          (fun (after, r_new) ->
+            if before = after then None
+            else
+              let region = Region.inter r_old r_new in
+              if Region.is_empty region then None
+              else
+                Some
+                  {
+                    cell = c;
+                    before;
+                    after;
+                    region;
+                    direction = direction ~before ~after;
+                  })
+          m_new)
+      m_old
+  in
+  (* Only cells that can differ are partitioned (see [same_effect]): a
+     whole (asset, op) bucket is skipped when both versions hold it rule
+     for rule, and a cell of a differing bucket when both select equal
+     rule lists for it.  A default change leaves nothing to skip. *)
+  let buckets =
+    List.concat_map
+      (fun asset ->
+        List.map
+          (fun op ->
+            let b_old = bucket ix_old asset op in
+            let b_new = bucket ix_new asset op in
+            let skip = same_default && List.equal same_scope b_old b_new in
+            (asset, op, b_old, b_new, skip))
+          [ Ir.Read; Ir.Write ])
+      u.assets
+  in
+  let deltas =
+    (* the loops run in [cells u] order, so the deltas do too *)
+    List.concat_map
+      (fun mode ->
         List.concat_map
-          (fun (before, r_old) ->
-            List.filter_map
-              (fun (after, r_new) ->
-                if before = after then None
+          (fun subject ->
+            List.concat_map
+              (fun (asset, op, b_old, b_new, skip) ->
+                if skip then []
                 else
-                  let region = Region.inter r_old r_new in
-                  if Region.is_empty region then None
-                  else
-                    Some
-                      {
-                        cell = c;
-                        before;
-                        after;
-                        region;
-                        direction = direction ~before ~after;
-                      })
-              m_new)
-          m_old)
-      (cells u)
+                  let c = { mode; subject; asset; op } in
+                  let r_old = select b_old c and r_new = select b_new c in
+                  if same_default && List.equal same_effect r_old r_new then []
+                  else cell_deltas c r_old r_new)
+              buckets)
+          u.subjects)
+      u.modes
   in
   let diagnostics =
     List.filter_map
@@ -743,16 +825,32 @@ type gate = {
    subject only the new version names is still decided by the old one,
    through its wildcard rules or its default. *)
 let gate ?(obligations = []) (d : diff_report) =
-  let violations db =
-    List.fold_left
-      (fun acc o ->
-        acc
-        + List.length
-            (check_obligation ~strategy:d.strategy db d.universe o).violations)
-      0 obligations
+  let ix_old = index d.old_db and ix_new = index d.new_db in
+  let count ix o =
+    List.length
+      (check_obligation (partition_in ~strategy:d.strategy ix) d.universe o)
+        .violations
   in
-  let violations_before = violations d.old_db in
-  let violations_after = violations d.new_db in
+  (* An obligation reads only its own (asset, op) bucket.  Held rule for
+     rule by both versions under one default, that bucket decides every
+     cell alike on both sides (see [same_effect]), so its violations are
+     counted once for both. *)
+  let violations_before, violations_after =
+    List.fold_left
+      (fun (before, after) (o : Obligation.t) ->
+        let op = ir_op o.operation in
+        let n_old = count ix_old o in
+        let n_new =
+          if
+            d.old_db.default = d.new_db.default
+            && List.equal same_scope (bucket ix_old o.asset op)
+                 (bucket ix_new o.asset op)
+          then n_old
+          else count ix_new o
+        in
+        (before + n_old, after + n_new))
+      (0, 0) obligations
+  in
   let widened = count_direction Widened d in
   let passed = widened = 0 && violations_after <= violations_before in
   {

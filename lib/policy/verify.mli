@@ -69,7 +69,13 @@ val cells : universe -> cell list
 val partition : strategy:Engine.strategy -> Ir.db -> cell -> segment list
 (** The cell's exact steady-state decision function (all rate budgets
     available): disjoint segments covering the whole message dimension,
-    in strategy-folded rule order, default segment last. *)
+    in strategy-folded rule order, default segment last.
+
+    Staged: [partition ~strategy db] groups [db]'s rules by (asset, op)
+    once, and each cell then reads only its own group.  Partitioning many
+    cells of one db, apply it once and keep the result, e.g.
+    [let p = Verify.partition ~strategy db in List.map p cells].  Nothing
+    is kept across such applications. *)
 
 val class_map : segment list -> (cls * Region.t) list
 (** Canonical semantic form: union of regions per decision class, ordered

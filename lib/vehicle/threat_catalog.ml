@@ -280,9 +280,11 @@ let model () =
     (Derive.countermeasures m)
 
 (* Threat entry points name attack surfaces; requests arrive as the asset
-   names of the CAN nodes behind them, which is what policy rules bind. *)
+   names of the CAN nodes behind them, which is what policy rules bind.
+   An obligation reads only its threat, so this maps [threats] rather
+   than building and validating [model ()]. *)
 let obligations () =
-  Secpol_threat.Obligation.of_model
-    ~subjects_of_entry_point:(fun ep ->
-      List.map Names.asset_of_node (Names.nodes_of_entry_point ep))
-    (model ())
+  List.map
+    (Secpol_threat.Obligation.of_threat ~subjects_of_entry_point:(fun ep ->
+         List.map Names.asset_of_node (Names.nodes_of_entry_point ep)))
+    threats

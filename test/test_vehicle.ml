@@ -296,6 +296,19 @@ let test_table1_model_validates () =
   check Alcotest.int "8 assets" 8 (List.length m.Model.assets);
   check Alcotest.(float 0.0) "full countermeasure coverage" 1.0 (Model.coverage m)
 
+(* the obligations map the threats alone; they must equal those read off
+   the whole validated model *)
+let test_table1_obligations_match_model () =
+  let expect =
+    Secpol_threat.Obligation.of_model
+      ~subjects_of_entry_point:(fun ep ->
+        List.map Names.asset_of_node (Names.nodes_of_entry_point ep))
+      (Catalog.model ())
+  in
+  check Alcotest.int "16 obligations" 16 (List.length expect);
+  Alcotest.(check bool) "obligations () = of_model (model ())" true
+    (Catalog.obligations () = expect)
+
 let test_table1_stride_strings () =
   let expect =
     [
@@ -727,6 +740,8 @@ let () =
           quick "residual rows" test_table1_residual_rows;
           quick "residual iff not R" test_table1_residual_iff_not_r;
           quick "model validates" test_table1_model_validates;
+          quick "obligations match the model"
+            test_table1_obligations_match_model;
           quick "stride strings" test_table1_stride_strings;
           quick "format round trip" test_table1_model_roundtrips_through_format;
           quick "highest risk row" test_table1_highest_risk_is_door_lock_in_accident;

@@ -96,6 +96,107 @@ let test_intervals_algebra () =
     (Intervals.equal (c (Intervals.union a b))
        (Intervals.inter (c a) (c b)))
 
+(* The algebra against a membership model.  Every set here is a union of
+   ranges, so membership can only change at a range's [lo] or just past
+   its [hi]: checking the model at each drawn or resulting endpoint and
+   at its neighbours checks it at every point of [0..max_id]. *)
+let point_gen =
+  QCheck.Gen.(
+    oneof [ 0 -- 12; map (fun d -> max_id - d) (0 -- 12); 0 -- max_id ])
+
+let ranges_gen =
+  QCheck.Gen.(
+    let range =
+      let* lo = point_gen in
+      let* w = oneof [ 0 -- 6; 0 -- (max_id - lo) ] in
+      return (lo, min max_id (lo + w))
+    in
+    (* a range and one that touches or overlaps it *)
+    let touching =
+      let* lo, hi = range in
+      let* next = oneofl [ hi + 1; hi; lo; lo + ((hi - lo) / 2) ] in
+      let* w = 0 -- 6 in
+      let next = min max_id next in
+      return [ (lo, hi); (next, min max_id (next + w)) ]
+    in
+    map List.concat
+      (list_size (0 -- 3) (oneof [ map (fun r -> [ r ]) range; touching ])))
+
+(* each range cut into two adjacent halves: the same set, unnormalised *)
+let halves =
+  List.concat_map (fun (lo, hi) ->
+      if lo = hi then [ (lo, hi) ]
+      else
+        let mid = lo + ((hi - lo) / 2) in
+        [ (mid + 1, hi); (lo, mid) ])
+
+let interval_case_gen =
+  QCheck.Gen.(
+    let* ra = ranges_gen in
+    let* rb =
+      oneof
+        [
+          ranges_gen;
+          return (halves ra);
+          map (fun extra -> List.rev_append ra extra) ranges_gen;
+        ]
+    in
+    let* c1 = point_gen in
+    let* c2 = point_gen in
+    return (ra, rb, (min c1 c2, max c1 c2)))
+
+let print_interval_case =
+  let rs l =
+    String.concat "; "
+      (List.map (fun (lo, hi) -> Printf.sprintf "%d..%d" lo hi) l)
+  in
+  fun (ra, rb, (lo, hi)) ->
+    Printf.sprintf "a = [%s]  b = [%s]  complement in %d..%d" (rs ra) (rs rb)
+      lo hi
+
+let normal_form t =
+  let rec apart = function
+    | (_, h1) :: ((l2, _) :: _ as rest) -> h1 + 1 < l2 && apart rest
+    | [ _ ] | [] -> true
+  in
+  let rs = Intervals.ranges t in
+  List.for_all (fun (lo, hi) -> 0 <= lo && lo <= hi && hi <= max_id) rs
+  && apart rs
+
+let prop_intervals_model =
+  QCheck.Test.make ~name:"algebra matches a set model, in normal form"
+    ~count:1000
+    (QCheck.make ~print:print_interval_case interval_case_gen)
+    (fun (ra, rb, (lo, hi)) ->
+      let a = iv ra and b = iv rb in
+      let in_ rs x = List.exists (fun (l, h) -> l <= x && x <= h) rs in
+      let results =
+        [
+          (a, in_ ra);
+          (b, in_ rb);
+          (Intervals.union a b, fun x -> in_ ra x || in_ rb x);
+          (Intervals.inter a b, fun x -> in_ ra x && in_ rb x);
+          (Intervals.diff a b, fun x -> in_ ra x && not (in_ rb x));
+          ( Intervals.complement a ~lo ~hi,
+            fun x -> lo <= x && x <= hi && not (in_ ra x) );
+        ]
+      in
+      let points =
+        List.concat_map
+          (fun (l, h) -> [ 0; l - 1; l; h; h + 1; max_id ])
+          (((lo, hi) :: ra) @ rb
+          @ List.concat_map (fun (r, _) -> Intervals.ranges r) results)
+        |> List.filter (fun x -> 0 <= x && x <= max_id)
+        |> List.sort_uniq Int.compare
+      in
+      let holds p = List.for_all p points in
+      List.for_all
+        (fun (r, model) ->
+          normal_form r && holds (fun x -> Intervals.mem r x = model x))
+        results
+      && Intervals.subset a b = holds (fun x -> (not (in_ ra x)) || in_ rb x)
+      && Intervals.equal a b = holds (fun x -> in_ ra x = in_ rb x))
+
 (* ---------- Region ---------- *)
 
 let test_region_of_messages () =
@@ -203,44 +304,51 @@ let test_partition_strategy_folding () =
    overlap, conflict and occlude; small message ranges for shared
    boundaries; small rate budgets so exhausted-oracle states are
    reproducible. *)
+let name_from pool =
+  QCheck.Gen.(map (List.nth pool) (0 -- (List.length pool - 1)))
+
+let subjects_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return Ast.Any_subject;
+        map
+          (fun l -> Ast.Subjects l)
+          (list_size (1 -- 2) (name_from [ "s1"; "s2"; "s3" ]));
+      ])
+
+let messages_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return None;
+        map
+          (fun rs -> Some (List.map (fun (lo, w) -> Ast.range lo (lo + w)) rs))
+          (list_size (1 -- 2) (pair (0 -- 20) (0 -- 6)));
+      ])
+
+let rate_gen =
+  QCheck.Gen.(
+    map
+      (fun (count, window_ms) -> Ast.rate_limit ~count ~window_ms)
+      (pair (1 -- 3) (100 -- 1000)))
+
+let modes_gen = QCheck.Gen.(list_size (1 -- 2) (name_from [ "m1"; "m2" ]))
+
+let rule_gen =
+  QCheck.Gen.(
+    let* decision = oneofl [ Ast.Allow; Ast.Deny ] in
+    let* op = oneofl [ Ast.Read; Ast.Write; Ast.Rw ] in
+    let* subjects = subjects_gen in
+    let* messages = messages_gen in
+    let* rate =
+      if decision = Ast.Deny then return None
+      else oneof [ return None; map Option.some rate_gen ]
+    in
+    return { Ast.decision; op; subjects; messages; rate })
+
 let small_policy_gen =
   QCheck.Gen.(
-    let name_from pool = map (List.nth pool) (0 -- (List.length pool - 1)) in
-    let rule_gen =
-      let* decision = oneofl [ Ast.Allow; Ast.Deny ] in
-      let* op = oneofl [ Ast.Read; Ast.Write; Ast.Rw ] in
-      let* subjects =
-        oneof
-          [
-            return Ast.Any_subject;
-            map
-              (fun l -> Ast.Subjects l)
-              (list_size (1 -- 2) (name_from [ "s1"; "s2"; "s3" ]));
-          ]
-      in
-      let* messages =
-        oneof
-          [
-            return None;
-            map
-              (fun rs ->
-                Some (List.map (fun (lo, w) -> Ast.range lo (lo + w)) rs))
-              (list_size (1 -- 2) (pair (0 -- 20) (0 -- 6)));
-          ]
-      in
-      let* rate =
-        if decision = Ast.Deny then return None
-        else
-          oneof
-            [
-              return None;
-              map
-                (fun (count, window_ms) -> Some (Ast.rate_limit ~count ~window_ms))
-                (pair (1 -- 3) (100 -- 1000));
-            ]
-      in
-      return { Ast.decision; op; subjects; messages; rate }
-    in
     let block_gen =
       let* asset = name_from [ "a1"; "a2" ] in
       let* rules = list_size (1 -- 3) rule_gen in
@@ -250,7 +358,7 @@ let small_policy_gen =
       oneof
         [
           map (fun b -> Ast.Global b) block_gen;
-          (let* modes = list_size (1 -- 2) (name_from [ "m1"; "m2" ]) in
+          (let* modes = modes_gen in
            let* blocks = list_size (1 -- 2) block_gen in
            return (Ast.Modes (modes, blocks)));
         ]
@@ -721,6 +829,278 @@ policy "p" version 2 {
   check Alcotest.(pair int int) "per-version universes: 1 -> 2" (1, 2)
     (own old_db, own new_db)
 
+(* ---------- Update pairs: one edit apart ---------- *)
+
+(* The diff and the gate skip what both versions hold alike, which two
+   independently drawn policies rarely do; an update that changes one
+   thing leaves almost everything alike. *)
+type edit =
+  | Add_rule of int * Ast.rule
+  | Drop_rule of int
+  | Flip_decision of int
+  | Set_messages of int * Ast.msg_range list option
+  | Add_rate of int * Ast.rate
+  | Set_subjects of int * Ast.subjects
+  | Set_modes of int * string list option  (** [None] unscopes the section *)
+  | Flip_default
+  | Version_bump
+
+let edit_name = function
+  | Add_rule (i, _) -> Printf.sprintf "add a rule after rule %d" i
+  | Drop_rule i -> Printf.sprintf "drop rule %d" i
+  | Flip_decision i -> Printf.sprintf "flip rule %d" i
+  | Set_messages (i, _) -> Printf.sprintf "new messages on rule %d" i
+  | Add_rate (i, _) -> Printf.sprintf "rate on rule %d" i
+  | Set_subjects (i, _) -> Printf.sprintf "new subjects on rule %d" i
+  | Set_modes (i, _) -> Printf.sprintf "new mode scope on section %d" i
+  | Flip_default -> "flip the default"
+  | Version_bump -> "version bump"
+
+let rule_count (p : Ast.policy) =
+  List.fold_left
+    (fun n -> function
+      | Ast.Default _ -> n
+      | Ast.Global b -> n + List.length b.Ast.rules
+      | Ast.Modes (_, bs) ->
+          List.fold_left
+            (fun n (b : Ast.asset_block) -> n + List.length b.rules)
+            n bs)
+    0 p.sections
+
+(* the [n]th rule in source order replaced by [f] of it *)
+let map_rule n f (p : Ast.policy) =
+  let k = ref (-1) in
+  let block (b : Ast.asset_block) =
+    {
+      b with
+      rules =
+        List.concat_map
+          (fun r ->
+            incr k;
+            if !k = n then f r else [ r ])
+          b.rules;
+    }
+  in
+  {
+    p with
+    sections =
+      List.map
+        (function
+          | Ast.Default _ as d -> d
+          | Ast.Global b -> Ast.Global (block b)
+          | Ast.Modes (ms, bs) -> Ast.Modes (ms, List.map block bs))
+        p.sections;
+  }
+
+let apply_edit (p : Ast.policy) edit =
+  let p = { p with version = p.version + 1 } in
+  match edit with
+  | Add_rule (i, r) -> map_rule i (fun old -> [ old; r ]) p
+  | Drop_rule i -> map_rule i (fun _ -> []) p
+  | Flip_decision i ->
+      map_rule i
+        (fun r ->
+          match r.decision with
+          | Ast.Allow -> [ { r with decision = Ast.Deny; rate = None } ]
+          | Ast.Deny -> [ { r with decision = Ast.Allow } ])
+        p
+  | Set_messages (i, messages) ->
+      map_rule i (fun r -> [ { r with messages } ]) p
+  | Add_rate (i, rate) ->
+      map_rule i
+        (fun r ->
+          let rated = { r with decision = Ast.Allow; rate = Some rate } in
+          match r.decision with
+          | Ast.Allow -> [ rated ]
+          | Ast.Deny -> [ r; rated ])
+        p
+  | Set_subjects (i, subjects) ->
+      map_rule i (fun r -> [ { r with subjects } ]) p
+  | Set_modes (i, modes) ->
+      let blocks = function
+        | Ast.Global b -> [ b ]
+        | Ast.Modes (_, bs) -> bs
+        | Ast.Default _ -> []
+      in
+      {
+        p with
+        sections =
+          List.concat
+            (List.mapi
+               (fun k section ->
+                 if k <> i || blocks section = [] then [ section ]
+                 else
+                   match modes with
+                   | Some ms -> [ Ast.Modes (ms, blocks section) ]
+                   | None -> List.map (fun b -> Ast.Global b) (blocks section))
+               p.sections);
+      }
+  | Flip_default ->
+      let flip = function Ast.Allow -> Ast.Deny | Ast.Deny -> Ast.Allow in
+      {
+        p with
+        sections =
+          List.map
+            (function Ast.Default d -> Ast.Default (flip d) | s -> s)
+            p.sections;
+      }
+  | Version_bump -> p
+
+let edit_gen (p : Ast.policy) =
+  QCheck.Gen.(
+    let rule = 0 -- (rule_count p - 1) in
+    (* section 0 is the default *)
+    let section = 1 -- (List.length p.sections - 1) in
+    oneof
+      [
+        map2 (fun i r -> Add_rule (i, r)) rule rule_gen;
+        map (fun i -> Drop_rule i) rule;
+        map (fun i -> Flip_decision i) rule;
+        map2 (fun i m -> Set_messages (i, m)) rule messages_gen;
+        map2 (fun i r -> Add_rate (i, r)) rule rate_gen;
+        map2 (fun i s -> Set_subjects (i, s)) rule subjects_gen;
+        map2 (fun i m -> Set_modes (i, m)) section (option modes_gen);
+        return Flip_default;
+        return Version_bump;
+      ])
+
+let edit_case_gen =
+  QCheck.Gen.(
+    let* p = small_policy_gen in
+    let* edit = edit_gen p in
+    let* obligations = obligations_gen in
+    return (p, edit, obligations))
+
+let print_edit_case (p, edit, _) =
+  Printf.sprintf "%s\n-- %s:\n%s" (Printer.to_string p) (edit_name edit)
+    (Printer.to_string (apply_edit p edit))
+
+(* The test's own class map of a cell: its rules from a plain filter over
+   every rule of the db, folded by strategy and scanned in order. *)
+let oracle_class_map ~strategy (db : Ir.db) (c : Verify.cell) =
+  let rules =
+    List.filter
+      (fun (r : Ir.rule) ->
+        r.asset = c.asset && List.mem c.op r.ops
+        && Ir.subject_matches r.subjects c.subject
+        && Ir.mode_matches r.modes c.mode)
+      db.rules
+  in
+  let denies, allows =
+    List.partition (fun (r : Ir.rule) -> r.decision = Ast.Deny) rules
+  in
+  let folded =
+    match strategy with
+    | Engine.First_match -> rules
+    | Engine.Deny_overrides -> denies @ allows
+    | Engine.Allow_overrides -> allows @ denies
+  in
+  let cls (r : Ir.rule) =
+    match (r.decision, r.rate) with
+    | Ast.Deny, _ -> Verify.Deny
+    | Ast.Allow, None -> Verify.Allow
+    | Ast.Allow, Some rate -> Verify.Rated rate
+  in
+  let rest, segments =
+    List.fold_left
+      (fun (rest, segments) (r : Ir.rule) ->
+        let hit = Region.inter rest (Region.of_messages r.messages) in
+        if Region.is_empty hit then (rest, segments)
+        else (Region.diff rest hit, (cls r, hit) :: segments))
+      (Region.full, []) folded
+  in
+  let default =
+    match db.default with Ast.Allow -> Verify.Allow | Ast.Deny -> Verify.Deny
+  in
+  let segments = (default, rest) :: segments in
+  List.sort_uniq compare (List.map fst segments)
+  |> List.filter_map (fun k ->
+         let region =
+           List.fold_left
+             (fun acc (k', r) -> if k' = k then Region.union acc r else acc)
+             Region.empty segments
+         in
+         if Region.is_empty region then None else Some (k, region))
+
+let oracle_deltas ~strategy old_db new_db (u : Verify.universe) =
+  let direction before after =
+    match (before, after) with
+    | Verify.Deny, (Verify.Allow | Verify.Rated _)
+    | Verify.Rated _, Verify.Allow ->
+        Verify.Widened
+    | (Verify.Allow | Verify.Rated _), Verify.Deny
+    | Verify.Allow, Verify.Rated _ ->
+        Verify.Tightened
+    | _ -> Verify.Changed
+  in
+  List.concat_map
+    (fun c ->
+      let m_old = oracle_class_map ~strategy old_db c in
+      let m_new = oracle_class_map ~strategy new_db c in
+      List.concat_map
+        (fun (before, r_old) ->
+          List.filter_map
+            (fun (after, r_new) ->
+              let region = Region.inter r_old r_new in
+              if before = after || Region.is_empty region then None
+              else Some (c, before, after, region, direction before after))
+            m_new)
+        m_old)
+    (Verify.cells u)
+
+(* an obligation's violations in one db, each (mode, subject) pair from
+   the oracle's own class map *)
+let oracle_violations ~strategy (u : Verify.universe) obligations db =
+  List.fold_left
+    (fun n (o : Obligation.t) ->
+      let op =
+        match o.operation with Threat.Read -> Ir.Read | Threat.Write -> Ir.Write
+      in
+      let modes = match o.modes with [] -> u.modes | l -> l in
+      let subjects =
+        List.filter (fun s -> not (List.mem s o.exempt_subjects)) u.subjects
+      in
+      List.fold_left
+        (fun n mode ->
+          List.fold_left
+            (fun n subject ->
+              let map =
+                oracle_class_map ~strategy db
+                  { Verify.mode; subject; asset = o.asset; op }
+              in
+              if List.exists (fun (k, _) -> k <> Verify.Deny) map then n + 1
+              else n)
+            n subjects)
+        n modes)
+    0 obligations
+
+let prop_edit_pairs_match_oracle =
+  QCheck.Test.make
+    ~name:"one-edit updates: deltas and gate counts = unshared oracle"
+    ~count:300
+    (QCheck.make ~print:print_edit_case edit_case_gen)
+    (fun (p, edit, obligations) ->
+      let old_db = compile_gen p and new_db = compile_gen (apply_edit p edit) in
+      List.for_all
+        (fun strategy ->
+          let d = Verify.diff ~strategy old_db new_db in
+          let g = Verify.gate ~obligations d in
+          let got =
+            List.map
+              (fun (x : Verify.delta) ->
+                (x.cell, x.before, x.after, x.region, x.direction))
+              d.deltas
+          in
+          let count = oracle_violations ~strategy d.universe obligations in
+          List.equal
+            (fun (c, b, a, r, dir) (c', b', a', r', dir') ->
+              c = c' && b = b' && a = a' && Region.equal r r' && dir = dir')
+            got
+            (oracle_deltas ~strategy old_db new_db d.universe)
+          && g.violations_before = count old_db
+          && g.violations_after = count new_db)
+        strategies)
+
 (* ---------- Diagnostic catalogue ---------- *)
 
 let test_codes_roundtrip () =
@@ -751,6 +1131,7 @@ let () =
           quick "complement boundaries" test_intervals_complement_boundaries;
           quick "adjacent coalescing" test_intervals_adjacent_coalescing;
           quick "algebra" test_intervals_algebra;
+          QCheck_alcotest.to_alcotest prop_intervals_model;
         ] );
       ( "region",
         [
@@ -799,6 +1180,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_gate_no_widening_no_new_violation;
           QCheck_alcotest.to_alcotest prop_gate_counts_match_analyse;
           quick "no-op update passes" test_gate_noop_update_passes;
+          QCheck_alcotest.to_alcotest prop_edit_pairs_match_oracle;
         ] );
       ( "codes",
         [
