@@ -43,6 +43,8 @@ let decide_batch_row = "policy/engine/decide_batch (car workload)"
 
 let hpe_frame_row = "secpol/can/bus/frame across 8 HPE nodes"
 
+let car_create_row = "secpol/vehicle/Car.create (Hpe baseline)"
+
 (* Minor-heap words as [Gc.minor_words] counts them.  Bechamel's own
    [minor_allocated] reads [Gc.quick_stat], whose [minor_words] on OCaml 5
    advances only at minor collections, so a row allocating a few
@@ -267,6 +269,14 @@ let perf ~quick =
     Test.make ~name:"hpe/registers/integrity_ok"
       (Staged.stage (fun () -> ignore (Hpe.Registers.integrity_ok regs)))
   in
+  (* car-attack's build: compile and table, every node's HPE config in
+     Normal and in Fail_safe, eight provisioned HPEs *)
+  let car_policy = V.Policy_map.baseline () in
+  let bench_car_create =
+    Test.make ~name:"vehicle/Car.create (Hpe baseline)"
+      (Staged.stage (fun () ->
+           ignore (V.Car.create ~enforcement:(V.Car.Hpe car_policy) ())))
+  in
   (* the update gate (DESIGN.md §9), ungated: a fleet campaign's
      pre-flight, and what a secpold reload of the policy it already serves
      pays *)
@@ -304,6 +314,7 @@ let perf ~quick =
         bench_bus ~name:"can/bus/frame across 8 nodes" ~hpe:false;
         bench_bus ~name:"can/bus/frame across 8 HPE nodes" ~hpe:true;
         bench_seal;
+        bench_car_create;
         bench_campaign_gate;
         bench_reload_gate;
       ]
@@ -628,15 +639,14 @@ let topology ~quick =
      enforcement workloads. *)
   subsection "Enforcement replay: per-node HPEs vs gateway whitelists";
   let events = topo_crossings car in
-  let engine = V.Policy_map.engine (V.Policy_map.baseline ()) in
+  let configs =
+    V.Policy_map.hpe_configs
+      (Policy.Engine.table (V.Policy_map.engine (V.Policy_map.baseline ())))
+      V.Modes.Normal
+  in
   let guarded = List.map fst (Tcar.hpes car) in
   let distributed =
-    hpe_bank
-      (List.map
-         (fun node ->
-           ( node,
-             V.Policy_map.hpe_config_for engine ~mode:V.Modes.Normal ~node ))
-         guarded)
+    hpe_bank (List.map (fun node -> (node, List.assoc node configs)) guarded)
   in
   let gateway_names = Topology.gateway_names topo in
   let central =
@@ -975,6 +985,13 @@ let registry =
           gate "hpe_frame.minor_words_per_op" (Ceiling 500.0)
             ~read:
               (row [ "results" ] ~key:"name" (Json.String hpe_frame_row)
+                 "minor_words_per_op");
+          (* one HPE car built: about 27 k words when each node's config
+             is read off the compiled table in one static pass; a private
+             engine or a rule scan per binding brings back the ~50 k *)
+          gate "car_create.minor_words_per_op" (Ceiling 35_000.0)
+            ~read:
+              (row [ "results" ] ~key:"name" (Json.String car_create_row)
                  "minor_words_per_op");
         ];
     };

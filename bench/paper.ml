@@ -192,10 +192,11 @@ let fig3 () =
 
 let fig4 () =
   section "Fig. 4: CAN node with integrated hardware policy engine";
-  let engine = V.Policy_map.engine (V.Policy_map.baseline ()) in
   let cfg =
-    V.Policy_map.hpe_config_for engine ~mode:V.Modes.Normal
-      ~node:V.Names.infotainment
+    List.assoc V.Names.infotainment
+      (V.Policy_map.hpe_configs
+         (Policy.Engine.table (V.Policy_map.engine (V.Policy_map.baseline ())))
+         V.Modes.Normal)
   in
   Format.printf "infotainment HPE config (normal mode): %a@." Hpe.Config.pp cfg;
   let sim = Secpol_sim.Engine.create () in

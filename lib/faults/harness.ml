@@ -278,12 +278,12 @@ let create ?(placement = `Distributed) ?(unbounded_gateway = false) ~seed
     match Tcar.policy_engine car with
     | None -> []
     | Some engine ->
+        let table = Policy.Engine.table engine in
         List.concat_map
           (fun mode ->
             List.map
-              (fun node ->
-                ((mode, node), Policy_map.hpe_config_for engine ~mode ~node))
-              Names.nodes)
+              (fun (node, config) -> ((mode, node), config))
+              (Policy_map.hpe_configs table mode))
           Modes.all
   in
   let clock = Clock.create (Tcar.sim car) in

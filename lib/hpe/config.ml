@@ -12,75 +12,56 @@ type t = {
 let make ?(write_rates = []) ?(own_ids = []) ~read_ids ~write_ids () =
   { read_ids; write_ids; write_rates; own_ids }
 
-(* The strictest (smallest-budget) rate among the allow-write rules that
-   match this binding; None when some matching allow rule is unlimited. *)
-let write_rate_for db request =
-  let matching =
-    List.filter
-      (fun (r : Policy.Ir.rule) ->
-        r.decision = Policy.Ast.Allow && Policy.Ir.rule_matches r request)
-      db.Policy.Ir.rules
-  in
-  if List.exists (fun (r : Policy.Ir.rule) -> r.rate = None) matching then None
-  else
-    List.fold_left
-      (fun acc (r : Policy.Ir.rule) ->
-        match (acc, r.rate) with
-        | None, rate -> rate
-        | Some a, Some b ->
-            let per_sec (x : Policy.Ast.rate) =
-              float_of_int x.count /. float_of_int x.window_ms
-            in
-            Some (if per_sec b < per_sec a then b else a)
-        | Some _, None -> acc)
-      None matching
+(* The bindings grouped by asset, so every (subject, asset, op) bucket is
+   dispatched once however many message IDs the asset carries. *)
+let by_asset bindings =
+  List.fold_left
+    (fun groups (b : binding) ->
+      match List.assoc_opt b.asset groups with
+      | Some ids ->
+          ids := b.msg_id :: !ids;
+          groups
+      | None -> (b.asset, ref [ b.msg_id ]) :: groups)
+    [] bindings
 
-let of_policy engine ~mode ~subject ~bindings =
-  let request op (b : binding) =
-    {
-      Policy.Ir.mode;
-      subject;
-      asset = b.asset;
-      op;
-      msg_id = Some b.msg_id;
-    }
-  in
-  (* rate budgets must not be consumed during compilation: query a
-     private Deny_overrides engine (the composition the hardware lists
-     model, SP008) rather than the live one.  When the live engine already
-     decides over a Deny_overrides table, the private engine shares that
-     frozen table instead of compiling its own copy; only its rate
-     budgets are fresh. *)
-  let db = Policy.Engine.db engine in
-  let static_engine =
-    match Policy.Engine.strategy engine with
-    | Policy.Engine.Deny_overrides ->
-        Policy.Engine.of_table (Policy.Engine.table engine) db
-    | Allow_overrides | First_match -> Policy.Engine.create db
-  in
-  let allowed op b = Policy.Engine.permitted static_engine (request op b) in
-  let read_ids =
-    List.filter_map
-      (fun b -> if allowed Policy.Ir.Read b then Some b.msg_id else None)
-      bindings
-  in
-  let writable =
-    List.filter (fun b -> allowed Policy.Ir.Write b) bindings
-  in
-  let write_rates =
-    List.filter_map
-      (fun b ->
-        match write_rate_for db (request Policy.Ir.Write b) with
-        | Some rate -> Some (b.msg_id, rate)
-        | None -> None)
-      writable
-  in
-  {
-    read_ids = List.sort_uniq compare read_ids;
-    write_ids = List.sort_uniq compare (List.map (fun b -> b.msg_id) writable);
-    write_rates = List.sort_uniq compare write_rates;
-    own_ids = [];
-  }
+let of_policy table ~mode ~subjects ~bindings =
+  if Policy.Table.strategy table <> Policy.Table.Deny_overrides then
+    invalid_arg "Config.of_policy: the HPE lists model Deny_overrides";
+  let groups = by_asset bindings in
+  List.map
+    (fun subject ->
+      let read_ids = ref [] and write_ids = ref [] and write_rates = ref [] in
+      List.iter
+        (fun (asset, ids) ->
+          let read =
+            Policy.Table.static_query table ~mode ~subject ~asset
+              Policy.Ir.Read
+          and write =
+            Policy.Table.static_query table ~mode ~subject ~asset
+              Policy.Ir.Write
+          in
+          List.iter
+            (fun id ->
+              (match read id with
+              | Policy.Ast.Allow, _ -> read_ids := id :: !read_ids
+              | Policy.Ast.Deny, _ -> ());
+              match write id with
+              | Policy.Ast.Allow, rate ->
+                  write_ids := id :: !write_ids;
+                  Option.iter
+                    (fun r -> write_rates := (id, r) :: !write_rates)
+                    rate
+              | Policy.Ast.Deny, _ -> ())
+            !ids)
+        groups;
+      ( subject,
+        {
+          read_ids = List.sort_uniq compare !read_ids;
+          write_ids = List.sort_uniq compare !write_ids;
+          write_rates = List.sort_uniq compare !write_rates;
+          own_ids = [];
+        } ))
+    subjects
 
 let provision regs config ?(enable_read = true) ?(enable_write = true)
     ?(lock = true) () =

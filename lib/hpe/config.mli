@@ -31,14 +31,24 @@ val make :
   t
 
 val of_policy :
-  Secpol_policy.Engine.t ->
+  Secpol_policy.Table.t ->
   mode:string ->
-  subject:string ->
+  subjects:string list ->
   bindings:binding list ->
-  t
-(** Evaluate the policy for every binding in both directions.  Message-ID-
-    scoped policy rules are honoured: each query carries its binding's
-    [msg_id]. *)
+  (string * t) list
+(** Each subject's approved lists in one mode, read off a table compiled
+    for [Deny_overrides] (the composition the hardware lists model, SP008)
+    with {!Secpol_policy.Table.static_query}: one dispatch per (subject,
+    asset, op), then one answer per bound message ID.  The query is
+    static: every binding is decided with a fresh rate budget that is
+    never spent, so a rated allow approves every ID it covers while its
+    count is positive, and no decision depends on the bindings decided
+    before it.  An approved write ID's rate is the strictest rate among
+    the matching allow rules, and it has none when one of them is
+    unlimited.  [own_ids] is left empty.  The result lists [subjects] in
+    order.
+    @raise Invalid_argument when the table was compiled for another
+    strategy. *)
 
 val provision :
   Registers.t ->

@@ -28,6 +28,7 @@ let compile ?known_modes ?known_assets ?known_subjects (p : Ast.policy) =
   if List.length defaults > 1 then error "policy %S has multiple default sections" p.name;
   let default = match defaults with d :: _ -> d | [] -> Ast.Deny in
   let next_idx = ref 0 in
+  let origin = Printf.sprintf "%s v%d" p.name p.version in
   let lower_block modes (b : Ast.asset_block) =
     check_known "asset" known_assets b.asset;
     if b.rules = [] then warn "asset block %S has no rules" b.asset;
@@ -50,7 +51,7 @@ let compile ?known_modes ?known_assets ?known_subjects (p : Ast.policy) =
           modes;
           messages = r.messages;
           rate = r.rate;
-          origin = Printf.sprintf "%s v%d" p.name p.version;
+          origin;
         })
       b.rules
   in

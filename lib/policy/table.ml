@@ -229,20 +229,16 @@ let compile ~strategy (db : Ir.db) =
     match strategy with
     | First_match -> rules
     | Deny_overrides ->
-        let denies, allows =
-          List.partition (fun (r : Ir.rule) -> r.decision = Ast.Deny) rules
-        in
+        let allows, denies = List.partition (fun c -> c.allow) rules in
         denies @ allows
     | Allow_overrides ->
-        let denies, allows =
-          List.partition (fun (r : Ir.rule) -> r.decision = Ast.Deny) rules
-        in
+        let allows, denies = List.partition (fun c -> c.allow) rules in
         allows @ denies
   in
   let mode_only c = c.cmsgs = Any_msg && not c.rated in
   let mask_of c = match c.cmodes with Mask m -> m | Listed _ -> 0 in
   let to_verdict default rules =
-    let arr = Array.of_list (List.map compile_rule (reorder rules)) in
+    let arr = Array.of_list (reorder rules) in
     match arr.(0) with
     | { cmodes = Mask (-1); cmsgs = Any_msg; rated = false; rule; _ } ->
         (* everything after an unconditional head is unreachable *)
@@ -267,18 +263,21 @@ let compile ~strategy (db : Ir.db) =
         By_mode { decisions; rules }
     | _ -> Scan arr
   in
-  (* group rules by (asset, op) in source order *)
+  (* group rules by (asset, op) in source order, each compiled once
+     however many buckets it lands in (an [any] rule lands in every named
+     subject's bucket and the wildcard one) *)
   let groups = AH.create 32 in
   let group_order = ref [] in
   List.iter
     (fun (r : Ir.rule) ->
+      let c = compile_rule r in
       List.iter
         (fun op ->
           let key = { Asset_key.asset = r.asset; op } in
           match AH.find_opt groups key with
-          | Some rules -> rules := r :: !rules
+          | Some rules -> rules := c :: !rules
           | None ->
-              AH.replace groups key (ref [ r ]);
+              AH.replace groups key (ref [ c ]);
               group_order := key :: !group_order)
         r.ops)
     db.rules;
@@ -289,8 +288,8 @@ let compile ~strategy (db : Ir.db) =
       let rules = List.rev !(AH.find groups key) in
       let named =
         rules
-        |> List.concat_map (fun (r : Ir.rule) ->
-               match r.subjects with
+        |> List.concat_map (fun c ->
+               match c.rule.Ir.subjects with
                | Ast.Any_subject -> []
                | Ast.Subjects l -> l)
         |> List.sort_uniq String.compare
@@ -299,7 +298,7 @@ let compile ~strategy (db : Ir.db) =
         (fun subject ->
           let bucket =
             List.filter
-              (fun (r : Ir.rule) -> Ir.subject_matches r.subjects subject)
+              (fun c -> Ir.subject_matches c.rule.Ir.subjects subject)
               rules
           in
           exact_entries :=
@@ -311,7 +310,7 @@ let compile ~strategy (db : Ir.db) =
             :: !exact_entries)
         named;
       match
-        List.filter (fun (r : Ir.rule) -> r.subjects = Ast.Any_subject) rules
+        List.filter (fun c -> c.rule.Ir.subjects = Ast.Any_subject) rules
       with
       | [] -> ()
       | any_rules ->
@@ -368,21 +367,23 @@ let rec scan_scalar t arr n i ~bit ~mode ~msg ~rate_available ~rate_consume =
     else
       scan_scalar t arr n (i + 1) ~bit ~mode ~msg ~rate_available ~rate_consume
 
+(* the [(subject, asset, op)] bucket, or the [(asset, op)] wildcard one
+   for a subject the policy never names *)
+let[@inline] find_verdict t ~subject ~asset op =
+  let tag = op_tag op in
+  match
+    find_dispatch t.exact
+      ~h:(Ir.Request.triple_hash ~subject ~asset op)
+      ~k1:subject ~k2:asset ~op:tag
+  with
+  | Some _ as v -> v
+  | None ->
+      find_dispatch t.wildcard
+        ~h:(Ir.Request.pair_hash ~asset op)
+        ~k1:asset ~k2:"" ~op:tag
+
 let decide t ~rate_available ~rate_consume (req : Ir.request) =
-  let op = op_tag req.op in
-  let verdict =
-    match
-      find_dispatch t.exact
-        ~h:(Ir.Request.triple_hash ~subject:req.subject ~asset:req.asset req.op)
-        ~k1:req.subject ~k2:req.asset ~op
-    with
-    | Some _ as v -> v
-    | None ->
-        find_dispatch t.wildcard
-          ~h:(Ir.Request.pair_hash ~asset:req.asset req.op)
-          ~k1:req.asset ~k2:"" ~op
-  in
-  match verdict with
+  match find_verdict t ~subject:req.subject ~asset:req.asset req.op with
   | None -> (t.default, None)
   | Some (Const (decision, rule)) -> (decision, Some rule)
   | Some (By_mode { decisions; rules }) ->
@@ -393,6 +394,69 @@ let decide t ~rate_available ~rate_consume (req : Ir.request) =
       let msg = match req.msg_id with None -> -1 | Some id -> id in
       scan_scalar t arr (Array.length arr) 0 ~bit ~mode:req.mode ~msg
         ~rate_available ~rate_consume
+
+(* ------------------------------------------------------------------ *)
+(* Static queries                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [b] grants fewer requests per second than [a] *)
+let stricter (a : Ast.rate) (b : Ast.rate) =
+  float_of_int b.count /. float_of_int b.window_ms
+  < float_of_int a.count /. float_of_int a.window_ms
+
+(* The whole bucket in order, with every budget fresh: a rated allow
+   grounds an Allow while its count is positive.  The first matching deny
+   decides unless an allow already has; every matching allow feeds the
+   budget, the earliest of equally strict rates winning. *)
+let rec static_scan t arr i ~bit ~mode ~msg ~allowed ~budget ~unlimited =
+  if i = Array.length arr then
+    if allowed || t.default = Ast.Allow then
+      (Ast.Allow, if unlimited then None else budget)
+    else (Ast.Deny, None)
+  else
+    let c = arr.(i) in
+    if not (crule_matches c ~bit ~mode ~msg) then
+      static_scan t arr (i + 1) ~bit ~mode ~msg ~allowed ~budget ~unlimited
+    else if not c.allow then
+      if allowed then
+        static_scan t arr (i + 1) ~bit ~mode ~msg ~allowed ~budget ~unlimited
+      else (Ast.Deny, None)
+    else
+      match c.rule.Ir.rate with
+      | None ->
+          static_scan t arr (i + 1) ~bit ~mode ~msg ~allowed:true ~budget
+            ~unlimited:true
+      | Some r as rate ->
+          let budget =
+            match budget with
+            | Some b when not (stricter b r) -> budget
+            | Some _ | None -> rate
+          in
+          static_scan t arr (i + 1) ~bit ~mode ~msg
+            ~allowed:(allowed || r.count > 0)
+            ~budget ~unlimited
+
+(* an unconditional answer, without allocating a fresh pair *)
+let unrated = function
+  | Ast.Allow -> (Ast.Allow, None)
+  | Ast.Deny -> (Ast.Deny, None)
+
+let static_query t ~mode ~subject ~asset op =
+  match find_verdict t ~subject ~asset op with
+  | None ->
+      let answer = unrated t.default in
+      fun _ -> answer
+  | Some (Const (decision, _)) ->
+      let answer = unrated decision in
+      fun _ -> answer
+  | Some (By_mode { decisions; _ }) ->
+      let answer = unrated decisions.(mode_id t mode) in
+      fun _ -> answer
+  | Some (Scan arr) ->
+      let bit = 1 lsl mode_id t mode in
+      fun msg ->
+        static_scan t arr 0 ~bit ~mode ~msg ~allowed:false ~budget:None
+          ~unlimited:false
 
 (* ------------------------------------------------------------------ *)
 (* The batched path                                                    *)

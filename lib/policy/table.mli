@@ -68,6 +68,26 @@ val decide :
     when [r] grounds an [Allow] decision.  Rules without a rate limit never
     reach the callbacks. *)
 
+val static_query :
+  t ->
+  mode:string ->
+  subject:string ->
+  asset:string ->
+  Ir.op ->
+  int ->
+  Ast.decision * Ast.rate option
+(** The table read statically, with no budget state: [static_query t
+    ~mode ~subject ~asset op] dispatches the [(subject, asset, op)] bucket
+    once, and the function it returns answers for one message ID at a
+    time.  The decision is {!decide}'s when every rate-limited allow has a
+    fresh budget that is never spent, so such a rule grounds an [Allow]
+    while its count is positive, for every ID and every caller.  The rate
+    is the budget an [Allow] is held to: the strictest rate (fewest grants
+    per second, the earliest rule on a tie) among the matching allow
+    rules, or [None] when one of them is unlimited, none matches, or the
+    decision is [Deny].  The HPE's approved lists are read this way, one
+    query per (subject, asset, op) and mode. *)
+
 val decide_row :
   t ->
   rate_available:(Ir.rule -> Batch.t -> int -> bool) ->

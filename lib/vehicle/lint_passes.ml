@@ -17,29 +17,31 @@ let hpe_consistency ?(bindings = Messages.bindings)
           msg_id = Some b.msg_id;
         }
       in
-      (* a fresh engine per request: budgets of rate-limited rules must not
-         leak between probe requests *)
+      (* the software side is the reference scan, independent of the
+         table the lists are read from; a fresh one per request, so
+         budgets of rate-limited rules never leak between probes *)
       let software_allows req =
-        Policy.Engine.permitted
-          (Policy.Engine.create ~strategy:cfg.Lint.strategy db)
-          req
+        fst
+          (Policy.Reference.decide
+             (Policy.Reference.create ~strategy:cfg.Lint.strategy db)
+             req)
+        = Policy.Ast.Allow
+      in
+      let table =
+        Policy.Table.compile ~strategy:Policy.Table.Deny_overrides db
       in
       List.concat_map
         (fun mode ->
           List.concat_map
-            (fun subject ->
-              let hpe =
-                Hpe_config.of_policy (Policy.Engine.create db) ~mode ~subject
-                  ~bindings
-              in
+            (fun (subject, (hpe : Hpe_config.t)) ->
               List.concat_map
                 (fun (b : Hpe_config.binding) ->
                   List.filter_map
                     (fun op ->
                       let approved =
                         match op with
-                        | Policy.Ir.Read -> hpe.Hpe_config.read_ids
-                        | Policy.Ir.Write -> hpe.Hpe_config.write_ids
+                        | Policy.Ir.Read -> hpe.read_ids
+                        | Policy.Ir.Write -> hpe.write_ids
                       in
                       let hardware = List.mem b.msg_id approved in
                       let software =
@@ -61,7 +63,7 @@ let hpe_consistency ?(bindings = Messages.bindings)
                              ~msg_range:(b.msg_id, b.msg_id)))
                     [ Policy.Ir.Read; Policy.Ir.Write ])
                 bindings)
-            subjects)
+            (Hpe_config.of_policy table ~mode ~subjects ~bindings))
         modes)
 
 let threat_traceability ?(rows = Threat_catalog.rows) () =

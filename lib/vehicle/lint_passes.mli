@@ -4,9 +4,9 @@
     database.  These passes also see the layers the paper deploys it to:
 
     - {!hpe_consistency} checks the paper's transparency property (Fig. 4):
-      compiling the policy down to hardware approved-ID lists
-      ([Secpol_hpe.Config.of_policy]) and asking the software engine
-      ([Secpol_policy.Engine.decide]) must agree on every (binding, op).
+      the hardware approved-ID lists read off the compiled table
+      ([Secpol_hpe.Config.of_policy]) and the reference semantics
+      ([Secpol_policy.Reference.decide]) must agree on every (binding, op).
       The HPE filters per message id, so two bindings sharing an id on
       different assets — or a resolution strategy the hardware compiler
       does not model — surface here as [SP008 hpe-mismatch].
@@ -25,9 +25,11 @@ val hpe_consistency :
   unit ->
   Policy.Lint.pass
 (** Defaults: the vehicle message map ({!Messages.bindings}), all car modes
-    and all node subjects.  The software side is evaluated under the lint
-    config's strategy with a fresh engine per request, so rate budgets
-    cannot skew the comparison. *)
+    and all node subjects.  The lists come from one [Deny_overrides] table
+    per run, one {!Secpol_hpe.Config.of_policy} pass per mode.  The
+    software side is the reference scan under the lint config's strategy,
+    a fresh one per request, so rate budgets cannot skew the
+    comparison. *)
 
 val threat_traceability : ?rows:Threat_catalog.row list -> unit -> Policy.Lint.pass
 (** Defaults to the full sixteen-row catalogue. *)

@@ -143,15 +143,20 @@ let compile policy =
 let engine ?strategy ?obs policy =
   Secpol_policy.Engine.create ?strategy ?obs (compile policy)
 
-let hpe_config_for engine ~mode ~node =
-  let cfg =
-    Secpol_hpe.Config.of_policy engine ~mode:(Modes.name mode)
-      ~subject:(Names.asset_of_node node) ~bindings:Messages.bindings
-  in
-  (* spoof detection: IDs this node is the only designed producer of *)
-  let own_ids =
+(* spoof detection: the IDs each node is the only designed producer of *)
+let own_ids node =
+  List.filter_map
+    (fun (m : Messages.t) ->
+      match m.producers with
+      | [ p ] when String.equal p node -> Some m.id
+      | _ -> None)
     Messages.all
-    |> List.filter (fun (m : Messages.t) -> m.producers = [ node ])
-    |> List.map (fun (m : Messages.t) -> m.id)
-  in
-  { cfg with Secpol_hpe.Config.own_ids }
+
+let hpe_configs table mode =
+  List.map2
+    (fun node (_, cfg) ->
+      (node, { cfg with Secpol_hpe.Config.own_ids = own_ids node }))
+    Names.nodes
+    (Secpol_hpe.Config.of_policy table ~mode:(Modes.name mode)
+       ~subjects:(List.map Names.asset_of_node Names.nodes)
+       ~bindings:Messages.bindings)

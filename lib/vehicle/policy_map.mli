@@ -43,7 +43,11 @@ val engine :
     (see {!Secpol_policy.Engine.create}).
     @raise Invalid_argument if the policy does not compile. *)
 
-val hpe_config_for :
-  Secpol_policy.Engine.t -> mode:Modes.t -> node:string -> Secpol_hpe.Config.t
-(** The HPE approved lists for one node under one mode, over the full
-    message map. *)
+val hpe_configs :
+  Secpol_policy.Table.t -> Modes.t -> (string * Secpol_hpe.Config.t) list
+(** Every node's HPE approved lists in one mode, in {!Names.nodes} order,
+    over the full message map: one static pass over a table compiled for
+    [Deny_overrides] ({!Secpol_hpe.Config.of_policy}), plus each node's
+    [own_ids], the IDs it is the only designed producer of.
+    @raise Invalid_argument when the table was compiled for another
+    strategy. *)

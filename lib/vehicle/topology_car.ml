@@ -40,16 +40,20 @@ let builders =
     (Names.safety, Safety.create);
   ]
 
-let provision_hpes hpes policy_engine mode =
+(* Hard-reset and re-provision every HPE from one mode's configs; a
+   register file reset this way also recovers from corruption. *)
+let provision_hpes ~what hpes configs =
   List.iter
     (fun (name, hpe) ->
-      let config = Policy_map.hpe_config_for policy_engine ~mode ~node:name in
-      Secpol_hpe.Registers.hard_reset (Secpol_hpe.Engine.registers hpe);
-      match Secpol_hpe.Engine.provision hpe config with
-      | Ok () -> ()
-      | Error e ->
-          invalid_arg
-            (Printf.sprintf "Topology_car: HPE provisioning %s: %s" name e))
+      match List.assoc_opt name configs with
+      | None -> ()
+      | Some config -> (
+          Secpol_hpe.Registers.hard_reset (Secpol_hpe.Engine.registers hpe);
+          match Secpol_hpe.Engine.provision hpe config with
+          | Ok () -> ()
+          | Error e ->
+              invalid_arg
+                (Printf.sprintf "Topology_car: %s %s: %s" what name e)))
     hpes
 
 let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(corrupt_prob = 0.0)
@@ -98,16 +102,10 @@ let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(corrupt_prob = 0.0)
             (fun (name, node) -> (name, Secpol_hpe.Engine.install ?obs node))
             nodes
         in
-        provision_hpes hpes engine state.State.mode;
-        let failsafe_configs =
-          List.map
-            (fun (name, _) ->
-              ( name,
-                Policy_map.hpe_config_for engine ~mode:Modes.Fail_safe
-                  ~node:name ))
-            hpes
-        in
-        (hpes, Some engine, failsafe_configs)
+        let table = Secpol_policy.Engine.table engine in
+        provision_hpes ~what:"HPE provisioning" hpes
+          (Policy_map.hpe_configs table state.State.mode);
+        (hpes, Some engine, Policy_map.hpe_configs table Modes.Fail_safe)
   in
   { sim; topo; state; placement; nodes; hpes; policy_engine; failsafe_configs }
 
@@ -142,7 +140,9 @@ let set_mode t mode =
   State.log t.state ~time:(Engine.now t.sim)
     (Printf.sprintf "car: mode -> %s" (Modes.name mode));
   match t.policy_engine with
-  | Some engine -> provision_hpes t.hpes engine mode
+  | Some engine ->
+      provision_hpes ~what:"HPE provisioning" t.hpes
+        (Policy_map.hpe_configs (Secpol_policy.Engine.table engine) mode)
   | None -> ()
 
 let enter_fail_safe t ~reason =
@@ -151,19 +151,7 @@ let enter_fail_safe t ~reason =
     t.state.State.failsafe_latched <- true;
     State.log t.state ~time:(Engine.now t.sim)
       (Printf.sprintf "car: fail-safe entered (%s)" reason);
-    List.iter
-      (fun (name, hpe) ->
-        match List.assoc_opt name t.failsafe_configs with
-        | None -> ()
-        | Some config ->
-            Secpol_hpe.Registers.hard_reset (Secpol_hpe.Engine.registers hpe);
-            (match Secpol_hpe.Engine.provision hpe config with
-            | Ok () -> ()
-            | Error e ->
-                invalid_arg
-                  (Printf.sprintf "Topology_car: fail-safe provisioning %s: %s"
-                     name e)))
-      t.hpes
+    provision_hpes ~what:"fail-safe provisioning" t.hpes t.failsafe_configs
   end
 
 let segments t = Topology.segments t.topo

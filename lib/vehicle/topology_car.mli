@@ -69,7 +69,8 @@ val hpe : t -> string -> Secpol_hpe.Engine.t option
 (** [None] for every node under [`Central] placement. *)
 
 val policy_engine : t -> Secpol_policy.Engine.t option
-(** The engine the HPEs are provisioned from; [None] under [`Central]. *)
+(** The engine whose compiled table the HPEs are provisioned from
+    ({!Policy_map.hpe_configs}); [None] under [`Central]. *)
 
 val run : t -> seconds:float -> unit
 

@@ -12,7 +12,7 @@ module Bus = Secpol_can.Bus
 module Node = Secpol_can.Node
 module Engine = Secpol_sim.Engine
 module Compile = Secpol_policy.Compile
-module PEngine = Secpol_policy.Engine
+module Table = Secpol_policy.Table
 
 let check = Alcotest.check
 
@@ -367,14 +367,20 @@ let test_hpe_locked_rewrite_keeps_seal_broken () =
 
 (* ---------- Policy -> config ---------- *)
 
-let policy_engine src =
+let policy_table ?(strategy = Table.Deny_overrides) src =
   match Compile.of_source src with
-  | Ok db -> PEngine.create db
+  | Ok db -> Table.compile ~strategy db
   | Error e -> Alcotest.fail e
 
+(* subject ecu's lists in mode normal *)
+let ecu_config table bindings =
+  match Config.of_policy table ~mode:"normal" ~subjects:[ "ecu" ] ~bindings with
+  | [ ("ecu", cfg) ] -> cfg
+  | _ -> Alcotest.fail "expected one config, for ecu"
+
 let test_config_of_policy () =
-  let engine =
-    policy_engine
+  let table =
+    policy_table
       "policy \"p\" version 1 { default deny; asset telemetry { allow read \
        from ecu messages 0x10..0x12; allow write from ecu messages 0x20; } }"
   in
@@ -383,9 +389,33 @@ let test_config_of_policy () =
       (fun id -> { Config.msg_id = id; asset = "telemetry" })
       [ 0x10; 0x11; 0x12; 0x20; 0x30 ]
   in
-  let cfg = Config.of_policy engine ~mode:"normal" ~subject:"ecu" ~bindings in
+  let cfg = ecu_config table bindings in
   Alcotest.(check (list int)) "read ids" [ 0x10; 0x11; 0x12 ] cfg.Config.read_ids;
-  Alcotest.(check (list int)) "write ids" [ 0x20 ] cfg.Config.write_ids
+  Alcotest.(check (list int)) "write ids" [ 0x20 ] cfg.Config.write_ids;
+  (* a rated allow over more IDs than its count: every binding is decided
+     with a fresh budget, so all three are approved, each held to the
+     rate *)
+  let rated =
+    "policy \"p\" version 1 { default deny; asset telematics { allow write \
+     from ecu messages 0x100..0x102 rate 1 per 1000; } }"
+  in
+  let cfg =
+    ecu_config (policy_table rated)
+      (List.map
+         (fun id -> { Config.msg_id = id; asset = "telematics" })
+         [ 0x100; 0x101; 0x102 ])
+  in
+  Alcotest.(check (list int)) "every rated id" [ 0x100; 0x101; 0x102 ]
+    cfg.Config.write_ids;
+  Alcotest.(check (list int)) "each held to the rate" [ 0x100; 0x101; 0x102 ]
+    (List.filter_map
+       (fun (id, (r : Secpol_policy.Ast.rate)) ->
+         if r.count = 1 && r.window_ms = 1000 then Some id else None)
+       cfg.Config.write_rates);
+  (* the lists model deny-overrides only *)
+  match ecu_config (policy_table ~strategy:Table.First_match rated) [] with
+  | _ -> Alcotest.fail "read lists off a first-match table"
+  | exception Invalid_argument _ -> ()
 
 let test_config_provision () =
   let r = Registers.create () in
@@ -462,8 +492,8 @@ let test_rate_limiter_config () =
   check Alcotest.int "cleared" 0 (List.length (Rate_limiter.limits rl))
 
 let test_config_extracts_rates () =
-  let engine =
-    policy_engine
+  let table =
+    policy_table
       "policy \"p\" version 1 { default deny; asset lock { allow write from \
        ecu messages 0x200 rate 2 per 10000; allow write from ecu messages \
        0x201; } }"
@@ -472,7 +502,7 @@ let test_config_extracts_rates () =
     [ { Config.msg_id = 0x200; asset = "lock" };
       { Config.msg_id = 0x201; asset = "lock" } ]
   in
-  let cfg = Config.of_policy engine ~mode:"normal" ~subject:"ecu" ~bindings in
+  let cfg = ecu_config table bindings in
   Alcotest.(check (list int)) "both writable" [ 0x200; 0x201 ] cfg.Config.write_ids;
   Alcotest.(check bool) "rate extracted for 0x200" true
     (List.assoc_opt 0x200 cfg.Config.write_rates = Some (rate 2 10_000));

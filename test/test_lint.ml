@@ -345,19 +345,30 @@ let test_sp008_strategy_mismatch () =
 
 let test_sp008_baseline_policy_consistent () =
   (* the paper's transparency property: for the real car message map, the
-     HPE configuration agrees with the software engine everywhere *)
-  let db =
-    Compile.compile_exn
-      ~known_modes:(List.map V.Modes.name V.Modes.all)
-      ~known_assets:V.Names.assets ~known_subjects:V.Names.assets
-      (V.Policy_map.baseline ())
-  in
-  let diags =
-    Lint.run
-      ~passes:[ V.Lint_passes.hpe_consistency () ]
-      Lint.default_config db
-  in
-  Alcotest.(check (list string)) "no mismatches" [] (codes diags)
+     HPE configuration agrees with the software side everywhere.  The
+     rated rule covers two bound IDs (airbag_deploy 0x10, failsafe_enter
+     0x20) with a budget of one: each ID is decided with a fresh budget,
+     so the safety ECU's lists approve both, as the software does. *)
+  List.iter
+    (fun (name, db) ->
+      let diags =
+        Lint.run
+          ~passes:[ V.Lint_passes.hpe_consistency () ]
+          Lint.default_config db
+      in
+      Alcotest.(check (list string))
+        (name ^ ": no mismatches") [] (codes diags))
+    [
+      ( "baseline",
+        Compile.compile_exn
+          ~known_modes:(List.map V.Modes.name V.Modes.all)
+          ~known_assets:V.Names.assets ~known_subjects:V.Names.assets
+          (V.Policy_map.baseline ()) );
+      ( "rated",
+        compile_ok
+          "policy \"x\" version 1 { asset safety_critical { allow write \
+           from safety_critical messages 0x10..0x20 rate 1 per 1000; } }" );
+    ]
 
 (* ---------- cross-layer: threat traceability (SP009) ---------- *)
 

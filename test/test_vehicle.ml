@@ -157,26 +157,58 @@ let test_permissive_allows_everything () =
        })
 
 let test_hpe_config_for_nodes () =
-  let e = Policy_map.engine (Policy_map.baseline ()) in
-  let cfg_inf =
-    Policy_map.hpe_config_for e ~mode:Modes.Normal ~node:Names.infotainment
+  let configs =
+    Policy_map.hpe_configs
+      (PEngine.table (Policy_map.engine (Policy_map.baseline ())))
+      Modes.Normal
   in
+  Alcotest.(check (list string)) "every node, in order" Names.nodes
+    (List.map fst configs);
+  let cfg_inf = List.assoc Names.infotainment configs in
   Alcotest.(check bool) "infotainment cannot write commands" false
     (List.mem Messages.ecu_command cfg_inf.Secpol_hpe.Config.write_ids);
   Alcotest.(check bool) "infotainment reads telemetry" true
     (List.mem Messages.accel_status cfg_inf.Secpol_hpe.Config.read_ids);
-  let cfg_safety =
-    Policy_map.hpe_config_for e ~mode:Modes.Normal ~node:Names.safety
-  in
+  let cfg_safety = List.assoc Names.safety configs in
   Alcotest.(check bool) "safety writes ecu_command" true
     (List.mem Messages.ecu_command cfg_safety.Secpol_hpe.Config.write_ids);
-  let cfg_sensors =
-    Policy_map.hpe_config_for e ~mode:Modes.Normal ~node:Names.sensors
-  in
+  let cfg_sensors = List.assoc Names.sensors configs in
   Alcotest.(check bool) "sensors write their telemetry" true
     (List.mem Messages.brake_status cfg_sensors.Secpol_hpe.Config.write_ids);
   Alcotest.(check bool) "sensors cannot write engine_command" false
     (List.mem Messages.engine_command cfg_sensors.Secpol_hpe.Config.write_ids)
+
+(* Every node's config in every mode, own_ids included, one line each.
+   The digests were recorded from a per-node derivation that decided each
+   binding on a private engine and scanned every rule for each write
+   rate; the static pass must reproduce them exactly.  A failing run
+   prints the dump to its log. *)
+let test_hpe_configs_pinned () =
+  let hex ids = String.concat "," (List.map (Printf.sprintf "0x%x") ids) in
+  List.iter
+    (fun (name, policy, digest) ->
+      let table = PEngine.table (Policy_map.engine policy) in
+      let dump =
+        String.concat ""
+          (List.concat_map
+             (fun mode ->
+               List.map
+                 (fun (node, (c : Secpol_hpe.Config.t)) ->
+                   Format.asprintf "%s %s %a own:{%s}\n" (Modes.name mode) node
+                     Secpol_hpe.Config.pp c (hex c.own_ids))
+                 (Policy_map.hpe_configs table mode))
+             Modes.all)
+      in
+      print_string dump;
+      check Alcotest.string (name ^ " configs") digest
+        (Digest.to_hex (Digest.string dump)))
+    [
+      ("baseline", Policy_map.baseline (), "226fb07890755d82182a72d0a12f9ae1");
+      ("hardened", Policy_map.hardened (), "6fd3a4021655c7487277fb8d8753ee5b");
+      ( "permissive",
+        Policy_map.permissive (),
+        "0b5659d9d1d386173eb6efbd807d1dde" );
+    ]
 
 let test_hardened_situational_and_behavioural () =
   let e = Policy_map.engine (Policy_map.hardened ()) in
@@ -725,6 +757,7 @@ let () =
           quick "least privilege" test_baseline_least_privilege;
           quick "permissive factory" test_permissive_allows_everything;
           quick "hpe configs" test_hpe_config_for_nodes;
+          quick "hpe configs pinned" test_hpe_configs_pinned;
           quick "hardened: situational + behavioural"
             test_hardened_situational_and_behavioural;
           quick "hardened closes row 14" test_hardened_closes_row14_on_car;

@@ -13,6 +13,9 @@ module Intervals = Secpol_policy.Intervals
 module Region = Secpol_policy.Region
 module Verify = Secpol_policy.Verify
 module Diagnostic = Secpol_policy.Diagnostic
+module Reference = Secpol_policy.Reference
+module Table = Secpol_policy.Table
+module Hpe_config = Secpol_hpe.Config
 module Threat = Secpol_threat.Threat
 module Stride = Secpol_threat.Stride
 module Dread = Secpol_threat.Dread
@@ -388,6 +391,84 @@ let prop_proof_holds =
           Verify.proved r.Verify.proof
           && not (has_code Diagnostic.Semantics_divergence r.Verify.diagnostics))
         strategies)
+
+(* ---------- HPE lists read off the table ---------- *)
+
+(* The oracle for write rates: every rule scanned per request, the
+   strictest rate among the matching allows (fewest grants per second,
+   the earliest on a tie), none when one of them is unlimited. *)
+let oracle_write_rate (db : Ir.db) request =
+  let matching =
+    List.filter
+      (fun (r : Ir.rule) ->
+        r.decision = Ast.Allow && Ir.rule_matches r request)
+      db.rules
+  in
+  if List.exists (fun (r : Ir.rule) -> r.rate = None) matching then None
+  else
+    List.fold_left
+      (fun acc (r : Ir.rule) ->
+        match (acc, r.rate) with
+        | None, rate -> rate
+        | Some a, Some b ->
+            let per_sec (x : Ast.rate) =
+              float_of_int x.count /. float_of_int x.window_ms
+            in
+            Some (if per_sec b < per_sec a then b else a)
+        | Some _, None -> acc)
+      None matching
+
+(* IDs 0..27 on both generated assets: every generated range, shared IDs
+   across assets, and IDs no rule names *)
+let hpe_bindings =
+  List.concat_map
+    (fun asset ->
+      List.init 28 (fun msg_id -> { Hpe_config.msg_id; asset }))
+    [ "a1"; "a2" ]
+
+let prop_hpe_lists_match_reference =
+  QCheck.Test.make ~name:"HPE lists = per-query reference on random policies"
+    ~count:100 (QCheck.make small_policy_gen) (fun p ->
+      let db = compile_gen p in
+      let table = Table.compile ~strategy:Table.Deny_overrides db in
+      (* s4 and m3 are never named: the wildcard bucket, the unknown mode *)
+      List.for_all
+        (fun mode ->
+          List.for_all
+            (fun (subject, (cfg : Hpe_config.t)) ->
+              let request op (b : Hpe_config.binding) =
+                { Ir.mode; subject; asset = b.asset; op; msg_id = Some b.msg_id }
+              in
+              (* a fresh reference per query: no budget is ever spent *)
+              let allows op b =
+                fst (Reference.decide (Reference.create db) (request op b))
+                = Ast.Allow
+              in
+              let ids op =
+                List.sort_uniq compare
+                  (List.filter_map
+                     (fun (b : Hpe_config.binding) ->
+                       if allows op b then Some b.msg_id else None)
+                     hpe_bindings)
+              in
+              let rates =
+                List.sort_uniq compare
+                  (List.filter_map
+                     (fun (b : Hpe_config.binding) ->
+                       if allows Ir.Write b then
+                         Option.map
+                           (fun r -> (b.msg_id, r))
+                           (oracle_write_rate db (request Ir.Write b))
+                       else None)
+                     hpe_bindings)
+              in
+              cfg.read_ids = ids Ir.Read
+              && cfg.write_ids = ids Ir.Write
+              && cfg.write_rates = rates && cfg.own_ids = [])
+            (Hpe_config.of_policy table ~mode
+               ~subjects:[ "s1"; "s2"; "s3"; "s4" ]
+               ~bindings:hpe_bindings))
+        [ "m1"; "m2"; "m3" ])
 
 let test_proof_on_rated_policy () =
   (* the rated allow falls through to the plain allow when exhausted; the
@@ -1149,6 +1230,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_proof_holds;
           quick "rated oracle states" test_proof_on_rated_policy;
         ] );
+      ( "hpe lists",
+        [ QCheck_alcotest.to_alcotest prop_hpe_lists_match_reference ] );
       ( "sp010",
         [
           quick "equivalent modes" test_sp010_equivalent_modes;
