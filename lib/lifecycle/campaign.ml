@@ -1,7 +1,6 @@
 module Ast = Secpol_policy.Ast
 module Ir = Secpol_policy.Ir
 module Table = Secpol_policy.Table
-module Batch = Secpol_policy.Batch
 module Verify = Secpol_policy.Verify
 module Json = Secpol_policy.Json
 module Rng = Secpol_sim.Rng
@@ -86,10 +85,10 @@ let validate cfg =
         | Some (t_on, _, _) when t_on >= cfg.horizon_days ->
             err "threat activates at day %g, past the %g-day horizon" t_on
               cfg.horizon_days
-        | Some _ -> (
+        | Some window -> (
             match Threat_catalog.find cfg.threat_id with
             | None -> err "unknown threat id %S" cfg.threat_id
-            | Some row -> Ok row))
+            | Some row -> Ok (row, window)))
   end
 
 (* ---------- verifier gate ---------- *)
@@ -156,10 +155,11 @@ let vehicle_seed seed id = Int64.add seed (Int64.mul golden (Int64.of_int (id + 
 
 let recall_salt = 0x5DEECE66DA5A5A5AL
 
+(* -1: past every stage's fraction *)
 let stage_index stages u =
   let rec go i = function
-    | [] -> None
-    | s :: rest -> if u < s.fraction then Some i else go (i + 1) rest
+    | [] -> -1
+    | s :: rest -> if u < s.fraction then i else go (i + 1) rest
   in
   go 0 stages
 
@@ -168,7 +168,7 @@ let stage_index stages u =
    across shards *)
 let day_histogram () = Histogram.create ~lo:0.25 ~ratio:1.25 ~buckets:48 ()
 
-(* ---------- benign traffic ---------- *)
+(* ---------- traffic ---------- *)
 
 (* Designed normal-mode traffic: each message probed as its first designed
    producer (write) and first designed consumer (read).  Lock-command
@@ -214,6 +214,46 @@ let benign_templates () =
          end)
   |> Array.of_list
 
+(* the benign templates, then the attack probe, then the lock-burst frame *)
+let requests ((row : Threat_catalog.row), (_, _, msg_id)) =
+  let threat = row.Threat_catalog.threat in
+  let attack =
+    (* the forged frame as the policy layer sees it: the threat's live
+       mode, arriving over its first entry point *)
+    let mode =
+      match threat.Secpol_threat.Threat.modes with
+      | m :: _ -> m
+      | [] -> Modes.name Modes.Normal
+    in
+    let subject =
+      match threat.Secpol_threat.Threat.entry_points with
+      | ep :: _ -> (
+          match Names.nodes_of_entry_point ep with
+          | node :: _ -> Names.asset_of_node node
+          | [] -> Verify.other)
+      | [] -> Verify.other
+    in
+    {
+      Ir.mode;
+      subject;
+      asset = threat.Secpol_threat.Threat.asset;
+      op = Ir.Write;
+      msg_id = Some msg_id;
+    }
+  in
+  let lock =
+    {
+      Ir.mode = Modes.name Modes.Normal;
+      subject = Names.asset_connectivity;
+      asset = Names.door_locks;
+      op = Ir.Write;
+      msg_id = Some Secpol_vehicle.Messages.lock_command;
+    }
+  in
+  Array.append (benign_templates ()) [| attack; lock |]
+
+let traffic cfg = Result.map requests (validate cfg)
+
 (* ---------- shard execution ---------- *)
 
 type shard_out = {
@@ -230,34 +270,50 @@ type shard_out = {
   s_recall_never : int;
 }
 
-let run_shard ~(cfg : config) ~gate_passed ~table_old ~v_old ~table_new
-    ~v_new ~benign ~attack ~lock ~t_on ~t_off ids =
-  let n = Array.length ids in
+(* A fixed answer is one array read.  Only a request that a rated allow
+   matches reads the tick's clock and the vehicle's own windows. *)
+let[@inline] answer (cfg : config) inst (answers : Table.resolved array)
+    (requests : Ir.request array) row k =
+  let r = answers.(row) in
+  if Array.length r.Table.rated = 0 then r.Table.otherwise
+  else
+    Instance.decide inst r ~subject:requests.(row).Ir.subject
+      ~now:(float_of_int k *. cfg.tick_days *. 86_400.0)
+
+(* Each vehicle runs all of its ticks in one loop.  Everything a tick
+   touches belongs to that vehicle, the counters are integer sums and
+   every time-to-mitigation is a whole number of ticks (an exact float
+   sum), so the report is the one a sweep of the fleet tick by tick
+   gives. *)
+let run_shard ~(cfg : config) ~gate_passed ~v_old ~answers_old ~v_new
+    ~answers_new ~requests ~t_on ~t_off ids =
   let stages = Array.of_list cfg.stages in
   let n_stages = Array.length stages in
   let decisions = ref 0
   and benign_denied = ref 0
   and lock_allowed = ref 0
   and lock_denied = ref 0
+  and old_count = ref 0
   and recall_never = ref 0 in
   let assigned = Array.make n_stages 0 and adopted = Array.make n_stages 0 in
   let hist = day_histogram () and recall_hist = day_histogram () in
-  let insts = Array.map (fun id -> Instance.create ~id ~version:v_old ()) ids in
-  let adopt = Array.make n infinity in
-  let stage_of = Array.make n (-1) in
-  let mitigated = Array.make n false in
-  for i = 0 to n - 1 do
+  let n_benign = Array.length requests - 2 in
+  let attack_row = n_benign and lock_row = n_benign + 1 in
+  let every = cfg.lock_bursts_every in
+  let ticks = int_of_float (ceil (cfg.horizon_days /. cfg.tick_days)) in
+  for i = 0 to Array.length ids - 1 do
     let id = ids.(i) in
     let rng = Rng.create (vehicle_seed cfg.seed id) in
-    let u = Rng.float rng 1.0 in
-    (match stage_index cfg.stages u with
-    | Some s ->
-        stage_of.(i) <- s;
-        assigned.(s) <- assigned.(s) + 1;
+    let stage = stage_index cfg.stages (Rng.float rng 1.0) in
+    let adopt =
+      if stage < 0 then infinity
+      else begin
+        assigned.(stage) <- assigned.(stage) + 1;
         if gate_passed then
-          adopt.(i) <-
-            stages.(s).start_day +. Rng.exponential rng cfg.ota_mean_days
-    | None -> ());
+          stages.(stage).start_day +. Rng.exponential rng cfg.ota_mean_days
+        else infinity
+      end
+    in
     let rrng = Rng.create (Int64.logxor (vehicle_seed cfg.seed id) recall_salt) in
     if Rng.chance rrng cfg.recall_no_show then incr recall_never
     else begin
@@ -265,73 +321,43 @@ let run_shard ~(cfg : config) ~gate_passed ~table_old ~v_old ~table_new
          for years, so exposure simply ends when the garage visit lands *)
       let landed = Rng.exponential rrng cfg.recall_mean_days in
       Histogram.observe recall_hist (Float.max 0.0 (landed -. t_on))
-    end
-  done;
-  (* The fleet's distinct requests, hashed once.  The batch's mode memo is
-     mutable, so every shard (domain) owns its rows. *)
-  let n_benign = Array.length benign in
-  let rows = Batch.create ~capacity:(n_benign + 2) () in
-  Array.iter (Batch.push rows) benign;
-  let attack_row = n_benign and lock_row = n_benign + 1 in
-  Batch.push rows attack;
-  Batch.push rows lock;
-  (* rated rules draw on the windows of the vehicle being decided for, at
-     the tick's clock; the rows' own timestamps are unused *)
-  let current = ref 0 and now = ref 0.0 in
-  let rate_available r (b : Batch.t) row =
-    Instance.rate_available insts.(!current) r b.Batch.subjects.(row)
-      ~now:!now
-  in
-  let rate_consume r (b : Batch.t) row =
-    Instance.rate_consume insts.(!current) r b.Batch.subjects.(row) ~now:!now
-  in
-  let decide table row =
-    Table.decide_row table ~rate_available ~rate_consume rows row
-  in
-  let ticks = int_of_float (ceil (cfg.horizon_days /. cfg.tick_days)) in
-  for k = 0 to ticks - 1 do
-    let day = float_of_int k *. cfg.tick_days in
-    now := day *. 86_400.0;
-    let threat_live = day >= t_on && day < t_off in
-    for i = 0 to n - 1 do
-      let inst = insts.(i) in
-      current := i;
-      if Instance.version inst = v_old && day >= adopt.(i) then begin
+    end;
+    let inst = Instance.create ~id ~version:v_old () in
+    let answers = ref answers_old in
+    let row = ref (id mod n_benign) in
+    let burst = ref (if every > 0 then id mod every else 0) in
+    let mitigated = ref false in
+    for k = 0 to ticks - 1 do
+      let day = float_of_int k *. cfg.tick_days in
+      if Instance.version inst = v_old && day >= adopt then begin
         Instance.install inst ~version:v_new;
-        adopted.(stage_of.(i)) <- adopted.(stage_of.(i)) + 1
+        answers := answers_new;
+        adopted.(stage) <- adopted.(stage) + 1
       end;
-      let table =
-        if Instance.version inst = v_new then table_new else table_old
-      in
+      let answers = !answers in
       incr decisions;
-      if decide table ((Instance.id inst + k) mod n_benign) = Ast.Deny then
+      if answer cfg inst answers requests !row k = Ast.Deny then
         incr benign_denied;
-      if threat_live && not mitigated.(i) then begin
+      row := if !row = n_benign - 1 then 0 else !row + 1;
+      if (not !mitigated) && day >= t_on && day < t_off then begin
         incr decisions;
-        if decide table attack_row = Ast.Deny then begin
-          mitigated.(i) <- true;
+        if answer cfg inst answers requests attack_row k = Ast.Deny then begin
+          mitigated := true;
           Histogram.observe hist (day -. t_on)
         end
       end;
-      if
-        cfg.lock_bursts_every > 0
-        && (k + Instance.id inst) mod cfg.lock_bursts_every = 0
-      then begin
-        (* the lock row is the vehicle's request only in its own mode *)
-        if not (String.equal (Instance.mode inst) lock.Ir.mode) then
-          invalid_arg "Campaign: a vehicle left the lock row's mode";
-        for _ = 1 to 3 do
-          match decide table lock_row with
-          | Ast.Allow -> incr lock_allowed
-          | Ast.Deny -> incr lock_denied
-        done
+      if every > 0 then begin
+        if !burst = 0 then
+          for _ = 1 to 3 do
+            match answer cfg inst answers requests lock_row k with
+            | Ast.Allow -> incr lock_allowed
+            | Ast.Deny -> incr lock_denied
+          done;
+        burst := if !burst = every - 1 then 0 else !burst + 1
       end
-    done
+    done;
+    if Instance.version inst = v_old then incr old_count
   done;
-  let old_count = ref 0 in
-  Array.iter
-    (fun inst -> if Instance.version inst = v_old then incr old_count)
-    insts;
   {
     s_decisions = !decisions;
     s_benign_denied = !benign_denied;
@@ -340,7 +366,7 @@ let run_shard ~(cfg : config) ~gate_passed ~table_old ~v_old ~table_new
     s_assigned = assigned;
     s_adopted = adopted;
     s_old_count = !old_count;
-    s_new_count = n - !old_count;
+    s_new_count = Array.length ids - !old_count;
     s_hist = hist;
     s_recall_hist = recall_hist;
     s_recall_never = !recall_never;
@@ -369,66 +395,33 @@ let run ?(old_policy = Policy_map.baseline ~version:1 ())
     ?(new_policy = Policy_map.hardened ~version:2 ()) cfg =
   match validate cfg with
   | Error _ as e -> e
-  | Ok row ->
+  | Ok ((row, (t_on, t_off, _)) as threat) ->
       let started_at = Clock.now () in
       let db_old = Policy_map.compile old_policy
       and db_new = Policy_map.compile new_policy in
       if db_old.Ir.version = db_new.Ir.version then
         Error "campaign: update must change the policy version"
       else begin
-        (* the only two table compiles of the whole campaign: every
-           vehicle on a version shares that version's table *)
-        let table_old = Table.compile ~strategy:Table.Deny_overrides db_old in
-        let table_new = Table.compile ~strategy:Table.Deny_overrides db_new in
+        (* the only two table compiles of the whole campaign, each asked
+           every distinct request once: every vehicle on a version reads
+           that version's answers, which are immutable and shared by all
+           shards *)
+        let requests = requests threat in
+        let answers db =
+          Array.map
+            (Table.resolve (Table.compile ~strategy:Table.Deny_overrides db))
+            requests
+        in
+        let answers_old = answers db_old and answers_new = answers db_new in
         let g = gate ~old_db:db_old ~new_db:db_new () in
-        let t_on, t_off, msg_id =
-          match Plan.threat_window cfg.plan with
-          | Some w -> w
-          | None -> assert false (* validated *)
-        in
-        let threat = row.Threat_catalog.threat in
-        let attack =
-          (* the forged frame as the policy layer sees it: the threat's
-             live mode, arriving over its first entry point *)
-          let mode =
-            match threat.Secpol_threat.Threat.modes with
-            | m :: _ -> m
-            | [] -> Modes.name Modes.Normal
-          in
-          let subject =
-            match threat.Secpol_threat.Threat.entry_points with
-            | ep :: _ -> (
-                match Names.nodes_of_entry_point ep with
-                | node :: _ -> Names.asset_of_node node
-                | [] -> Verify.other)
-            | [] -> Verify.other
-          in
-          {
-            Ir.mode;
-            subject;
-            asset = threat.Secpol_threat.Threat.asset;
-            op = Ir.Write;
-            msg_id = Some msg_id;
-          }
-        in
-        let lock =
-          {
-            Ir.mode = Modes.name Modes.Normal;
-            subject = Names.asset_connectivity;
-            asset = Names.door_locks;
-            op = Ir.Write;
-            msg_id = Some Secpol_vehicle.Messages.lock_command;
-          }
-        in
-        let benign = benign_templates () in
         let shards =
           Partition.assign_by ~shards:cfg.domains string_of_int
             (Array.init cfg.fleet Fun.id)
         in
         let shard ids =
-          run_shard ~cfg ~gate_passed:g.passed ~table_old
-            ~v_old:db_old.Ir.version ~table_new ~v_new:db_new.Ir.version
-            ~benign ~attack ~lock ~t_on ~t_off ids
+          run_shard ~cfg ~gate_passed:g.passed ~v_old:db_old.Ir.version
+            ~answers_old ~v_new:db_new.Ir.version ~answers_new ~requests ~t_on
+            ~t_off ids
         in
         let outs =
           if cfg.domains = 1 then [| shard shards.(0) |]
@@ -465,7 +458,7 @@ let run ?(old_policy = Policy_map.baseline ~version:1 ())
         Ok
           {
             config = cfg;
-            threat_title = threat.Secpol_threat.Threat.title;
+            threat_title = row.Threat_catalog.threat.Secpol_threat.Threat.title;
             threat_day = t_on;
             gate = g;
             stages =

@@ -9,15 +9,16 @@
 
     {b Sharing.}  The fleet holds exactly one compiled
     {!Secpol_policy.Table} per policy version — a million instances over
-    a two-version rollout share two tables.  Instances are sharded across
-    OCaml domains by {!Secpol_par.Partition.assign_by}.  Each shard pushes
-    the fleet's distinct requests into one shard-local
-    {!Secpol_policy.Batch} once, and every vehicle decision is one
-    {!Secpol_policy.Table.decide_row} over those pre-hashed rows against
-    the vehicle's version's table.  The shard's row callbacks send a
-    rate-limited rule to the windows of the vehicle being decided for
-    ({!Secpol_vehicle.Instance.rate_available}), so the shared tables
-    never conflate two vehicles' budgets.
+    a two-version rollout share two tables.  A campaign asks a few dozen
+    fixed requests ({!traffic}) over and over, so it resolves each one
+    against each table once ({!Secpol_policy.Table.resolve}); the answers
+    are immutable and every shard reads the same ones.  Instances are
+    sharded across OCaml domains by {!Secpol_par.Partition.assign_by},
+    and each vehicle runs all of its ticks in one loop, where a decision
+    is an array read.  Only a request that a rate-limited allow matches
+    (the hardened lock-command limit) goes to the windows of the vehicle
+    being decided for ({!Secpol_vehicle.Instance.decide}), so the shared
+    tables never conflate two vehicles' budgets.
 
     {b Gating.}  The rollout is staged (canary, then cohort, then fleet)
     and every stage promotion is gated by the semantic verifier's one
@@ -125,6 +126,14 @@ type report = {
   elapsed_s : float;
   throughput_per_s : float;
 }
+
+val traffic : config -> (Secpol_policy.Ir.request array, string) result
+(** The fleet's distinct requests, in the order {!run} resolves them:
+    the designed normal-mode traffic (each message written by its first
+    producer and read by its first consumer, lock-command writes left
+    out), then the attack probe, then the lock-burst frame.  Every
+    decision a campaign serves is one of them.  Errors as {!run} does on
+    an invalid configuration. *)
 
 val run :
   ?old_policy:Secpol_policy.Ast.policy ->

@@ -6,12 +6,14 @@ let fnv_prime = 0x01000193
 
 let mask32 = 0xFFFFFFFF
 
-let hash_string s =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * fnv_prime land mask32)
-    s;
-  !h
+(* top-level recursion: no closure per hashed string *)
+let rec fnv1a s i h =
+  if i = String.length s then h
+  else
+    fnv1a s (i + 1)
+      ((h lxor Char.code (String.unsafe_get s i)) * fnv_prime land mask32)
+
+let hash_string s = fnv1a s 0 fnv_offset
 
 let shard_of_string ~shards s =
   if shards < 1 then invalid_arg "Partition.shard_of_string: shards < 1";
@@ -19,14 +21,21 @@ let shard_of_string ~shards s =
 
 let assign_by ~shards label items =
   if shards < 1 then invalid_arg "Partition.assign_by: shards < 1";
-  let counts = Array.make shards 0 in
-  let shard = Array.map (fun item -> shard_of_string ~shards (label item)) items in
-  Array.iter (fun s -> counts.(s) <- counts.(s) + 1) shard;
-  let slots = Array.map (fun n -> Array.make n 0) counts in
-  let filled = Array.make shards 0 in
-  Array.iteri
-    (fun i s ->
-      slots.(s).(filled.(s)) <- i;
-      filled.(s) <- filled.(s) + 1)
-    shard;
-  slots
+  if shards = 1 then
+    (* every hash mod 1 is 0: no label is needed *)
+    [| Array.init (Array.length items) Fun.id |]
+  else begin
+    let counts = Array.make shards 0 in
+    let shard =
+      Array.map (fun item -> shard_of_string ~shards (label item)) items
+    in
+    Array.iter (fun s -> counts.(s) <- counts.(s) + 1) shard;
+    let slots = Array.map (fun n -> Array.make n 0) counts in
+    let filled = Array.make shards 0 in
+    Array.iteri
+      (fun i s ->
+        slots.(s).(filled.(s)) <- i;
+        filled.(s) <- filled.(s) + 1)
+      shard;
+    slots
+  end

@@ -27,4 +27,5 @@ val assign_by : shards:int -> ('a -> string) -> 'a array -> int array array
     [shard_of_string ~shards (label item)] and returns, per shard, the
     indices into [items] it owns — input order preserved within every
     shard, so per-key state observes the same event order it would
-    sequentially. *)
+    sequentially.  With [~shards:1] every index lands in the one shard,
+    in order, and [label] is never called. *)

@@ -75,6 +75,37 @@ let normalise_section = function
       Modes (List.sort_uniq String.compare modes, List.map normalise_block blocks)
   | Global b -> Global (normalise_block b)
 
-let normalise p = { p with sections = List.map normalise_section p.sections }
+let rec strictly_sorted = function
+  | a :: (b :: _ as rest) -> String.compare a b < 0 && strictly_sorted rest
+  | _ -> true
+
+(* each range starts past the end of the one before, with a gap: since
+   [lo <= hi] (see [range]), that is the sorted, merged form *)
+let rec merged = function
+  | a :: (b :: _ as rest) -> b.lo > a.hi + 1 && merged rest
+  | _ -> true
+
+let normal_subjects = function
+  | Any_subject -> true
+  | Subjects [] -> false
+  | Subjects l -> strictly_sorted l
+
+let normal_rule r =
+  normal_subjects r.subjects
+  && match r.messages with None -> true | Some rs -> merged rs
+
+let normal_block b = List.for_all normal_rule b.rules
+
+let normal_section = function
+  | Default _ -> true
+  | Modes (modes, blocks) ->
+      strictly_sorted modes && List.for_all normal_block blocks
+  | Global b -> normal_block b
+
+(* a policy already in normal form comes back as is, so normalising it
+   again (as [Compile] does) allocates nothing *)
+let normalise p =
+  if List.for_all normal_section p.sections then p
+  else { p with sections = List.map normalise_section p.sections }
 
 let equal a b = normalise a = normalise b

@@ -87,7 +87,8 @@ val normalise : policy -> policy
 (** Canonical form: subjects normalised, message ranges sorted and merged
     where overlapping/adjacent, mode lists sorted and deduplicated.
     Pretty-printing then parsing a normalised policy yields it back
-    unchanged. *)
+    unchanged.  A policy already in normal form is returned as is
+    (physically), without allocating. *)
 
 val equal : policy -> policy -> bool
 (** Structural equality of normal forms. *)

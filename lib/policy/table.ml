@@ -395,6 +395,37 @@ let decide t ~rate_available ~rate_consume (req : Ir.request) =
       scan_scalar t arr (Array.length arr) 0 ~bit ~mode:req.mode ~msg
         ~rate_available ~rate_consume
 
+type resolved = { rated : Ir.rule array; otherwise : Ast.decision }
+
+(* a fixed answer shares the empty array, so it allocates one record *)
+let fixed otherwise = { rated = [||]; otherwise }
+
+(* [scan_scalar] with every budget left open: a matching rated allow is
+   collected and passed over, the first other matching rule decides *)
+let rec resolve_scan t arr i ~bit ~mode ~msg rated =
+  if i = Array.length arr then (rated, t.default)
+  else
+    let c = arr.(i) in
+    if not (crule_matches c ~bit ~mode ~msg) then
+      resolve_scan t arr (i + 1) ~bit ~mode ~msg rated
+    else if not c.allow then (rated, Ast.Deny)
+    else if c.rated then
+      resolve_scan t arr (i + 1) ~bit ~mode ~msg (c.rule :: rated)
+    else (rated, Ast.Allow)
+
+let resolve t (req : Ir.request) =
+  match find_verdict t ~subject:req.subject ~asset:req.asset req.op with
+  | None -> fixed t.default
+  | Some (Const (decision, _)) -> fixed decision
+  | Some (By_mode { decisions; _ }) -> fixed decisions.(mode_id t req.mode)
+  | Some (Scan arr) ->
+      let msg = match req.msg_id with None -> -1 | Some id -> id in
+      let rated, otherwise =
+        resolve_scan t arr 0 ~bit:(1 lsl mode_id t req.mode) ~mode:req.mode
+          ~msg []
+      in
+      { rated = Array.of_list (List.rev rated); otherwise }
+
 (* ------------------------------------------------------------------ *)
 (* Static queries                                                      *)
 (* ------------------------------------------------------------------ *)

@@ -68,6 +68,23 @@ val decide :
     when [r] grounds an [Allow] decision.  Rules without a rate limit never
     reach the callbacks. *)
 
+type resolved = {
+  rated : Ir.rule array;
+      (** the rate-limited allows {!decide} would consult, in its order *)
+  otherwise : Ast.decision;  (** the answer when none of them has budget *)
+}
+(** One request's answer with the budgets left open. *)
+
+val resolve : t -> Ir.request -> resolved
+(** [resolve t req] dispatches and scans [req] once, so a caller that
+    asks the same request many times pays the lookup once.  [otherwise]
+    is the first matching rule that is not a rated allow, or the default
+    when none matches.  {!decide}[ t ~rate_available ~rate_consume req]
+    equals: the first [r] in [rated] with [rate_available r] is consumed
+    and grounds [Allow]; with none, the answer is [otherwise].  A request
+    no rated allow matches has [rated = [||]], a fixed answer.  The
+    result is immutable, so any number of domains can share it. *)
+
 val static_query :
   t ->
   mode:string ->
@@ -101,10 +118,11 @@ val decide_row :
     callbacks, which get the rule, the batch and the row:
     [rate_available r b i] reports whether [r] has budget for that row,
     and [rate_consume r b i] is called exactly when [r] grounds the
-    [Allow].  Whose budget that is is the caller's choice: an {!Engine}
-    keys its own by the row's subject and timestamp, a fleet campaign
-    uses the windows of the vehicle it is deciding for.  A batch's mode
-    memo is mutable, so a batch belongs to one domain at a time.
+    [Allow].  Whose budget that is is the caller's choice; an {!Engine}
+    keys its own by the row's subject and timestamp.  (A caller that
+    asks a few fixed requests over and over reads them off {!resolve}
+    instead.)  A batch's mode memo is mutable, so a batch belongs to one
+    domain at a time.
     @raise Invalid_argument when [i < 0] or [i >= Batch.length b]. *)
 
 val decide_batch :

@@ -1,4 +1,6 @@
+module Ast = Secpol_policy.Ast
 module Ir = Secpol_policy.Ir
+module Table = Secpol_policy.Table
 module Rate_window = Secpol_policy.Rate_window
 
 type window = { idx : int; subject : string; window : Rate_window.t }
@@ -38,16 +40,22 @@ let rec window_in t rate idx subject = function
       t.windows <- { idx; subject; window } :: t.windows;
       window
 
-let rate_available t (r : Ir.rule) subject ~now =
-  match r.rate with
-  | None -> true
-  | Some rate ->
-      Rate_window.available (window_in t rate r.idx subject t.windows) ~now
+(* the table's fold over the rated allows, each on this vehicle's window:
+   the first with room grounds the Allow *)
+let rec first_with_room t (res : Table.resolved) subject now i =
+  if i = Array.length res.rated then res.otherwise
+  else
+    let r = res.rated.(i) in
+    match r.Ir.rate with
+    | None -> Ast.Allow (* an unlimited allow always has room *)
+    | Some rate ->
+        let w = window_in t rate r.idx subject t.windows in
+        if Rate_window.available w ~now then begin
+          Rate_window.consume w ~now;
+          Ast.Allow
+        end
+        else first_with_room t res subject now (i + 1)
 
-let rate_consume t (r : Ir.rule) subject ~now =
-  match r.rate with
-  | None -> ()
-  | Some rate ->
-      Rate_window.consume (window_in t rate r.idx subject t.windows) ~now
+let decide t res ~subject ~now = first_with_room t res subject now 0
 
 let live_budgets t = List.length t.windows

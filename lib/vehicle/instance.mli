@@ -7,14 +7,16 @@
     two-version rollout therefore share exactly two tables; nothing about
     an instance scales with policy size.
 
-    {b Decision routing.}  Every decision for a vehicle is one
-    {!Secpol_policy.Table.decide_row} against its version's shared table.
+    {b Decision routing.}  A fleet asks a few fixed requests over and
+    over, so each one is resolved once per version
+    ({!Secpol_policy.Table.resolve}) and a vehicle's decision reads that
+    answer.  Only a request that a rated allow matches consults a budget,
+    and {!decide} walks those rules against this vehicle's own windows.
     Subjects are {e role} names shared by every vehicle, so an engine's
     budgets, keyed [(rule, subject)], would conflate vehicles; the
-    caller's row callbacks send a rated rule to {!rate_available} and
-    {!rate_consume} of the vehicle being decided for instead.  Decisions
-    then match {!Secpol_policy.Engine.decide} on a private engine fed the
-    same request sequence. *)
+    windows here are keyed the same way but live inside one instance.
+    Decisions then match {!Secpol_policy.Engine.decide} on a private
+    engine fed the same request sequence. *)
 
 type t
 
@@ -36,16 +38,17 @@ val install : t -> version:int -> unit
     policy starts with full budgets — exactly what a device-side policy
     swap does ({!Secpol_policy.Engine.swap_db} behaves the same way). *)
 
-val rate_available : t -> Secpol_policy.Ir.rule -> string -> now:float -> bool
-(** [rate_available t r subject ~now]: has rated rule [r] room at [now]
-    in this vehicle's window for [subject]?  Windows are keyed
-    [(rule index, subject)] {e inside this instance}, so two vehicles
-    never share one; the first look materialises the window.  A rule
-    without a rate is always available.  Does not consume. *)
-
-val rate_consume : t -> Secpol_policy.Ir.rule -> string -> now:float -> unit
-(** Record a grant of [r] for [subject] at [now] in this vehicle's
-    window (a no-op for a rule without a rate). *)
+val decide :
+  t ->
+  Secpol_policy.Table.resolved ->
+  subject:string ->
+  now:float ->
+  Secpol_policy.Ast.decision
+(** [decide t res ~subject ~now] answers a resolved request for this
+    vehicle: the first rule in [res.rated] whose window for [(rule index,
+    subject)] has room at [now] is consumed and grounds [Allow], and with
+    none the answer is [res.otherwise].  The first look at a rule
+    materialises its window, so two vehicles never share one. *)
 
 val live_budgets : t -> int
 (** Rate windows materialised so far (0 until a rated rule is looked

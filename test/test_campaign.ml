@@ -12,7 +12,6 @@ module Ast = Secpol_policy.Ast
 module Ir = Secpol_policy.Ir
 module Engine = Secpol_policy.Engine
 module Table = Secpol_policy.Table
-module Batch = Secpol_policy.Batch
 module Json = Secpol_policy.Json
 
 let check = Alcotest.check
@@ -42,18 +41,13 @@ let lock_req =
     msg_id = Some Messages.lock_command;
   }
 
-(* One vehicle decision routed as a campaign routes it: a row of the
-   version's shared table, with rated rules sent to the vehicle's own
-   windows. *)
+(* One vehicle decision routed as a campaign routes it: the request
+   resolved against the version's shared table, its rated rules walked
+   against the vehicle's own windows. *)
 let vehicle_decide inst ~now req =
-  let b = Batch.create ~capacity:1 () in
-  Batch.push ~now b req;
-  Table.decide_row (Lazy.force hardened_table)
-    ~rate_available:(fun r b i ->
-      Instance.rate_available inst r b.Batch.subjects.(i) ~now:b.Batch.nows.(i))
-    ~rate_consume:(fun r b i ->
-      Instance.rate_consume inst r b.Batch.subjects.(i) ~now:b.Batch.nows.(i))
-    b 0
+  Instance.decide inst
+    (Table.resolve (Lazy.force hardened_table) req)
+    ~subject:req.Ir.subject ~now
 
 (* ---------- Instance ---------- *)
 
@@ -300,6 +294,39 @@ let test_campaign_identity () =
           ~new_policy:(Policy_map.permissive ~version:2 ())
           (small_config ~fleet:600 ())))
 
+(* Across the stock baseline -> hardened rollout only one (version,
+   request) pair ever consults a budget, hardened's normal-mode lock
+   write; every other decision a campaign serves is a fixed answer. *)
+let test_campaign_rated_traffic () =
+  let requests =
+    match Campaign.traffic (small_config ()) with
+    | Ok requests -> Array.to_list requests
+    | Error e -> Alcotest.failf "traffic: %s" e
+  in
+  check Alcotest.int "distinct requests" 36 (List.length requests);
+  let rated version policy =
+    let table =
+      Table.compile ~strategy:Table.Deny_overrides (Policy_map.compile policy)
+    in
+    List.filter_map
+      (fun (req : Ir.request) ->
+        match (Table.resolve table req).Table.rated with
+        | [||] -> None
+        | rules ->
+            Some
+              ( version,
+                Printf.sprintf "%s %s %s in %s: %d rated" req.subject
+                  (Ir.op_name req.op) req.asset req.mode (Array.length rules)
+              ))
+      requests
+  in
+  check
+    Alcotest.(list (pair int string))
+    "only hardened's lock write is rated"
+    [ (2, "connectivity write door_locks in normal: 1 rated") ]
+    (rated 1 (Policy_map.baseline ~version:1 ())
+    @ rated 2 (Policy_map.hardened ~version:2 ()))
+
 (* more domains than vehicles leaves shards with no vehicle at all *)
 let test_campaign_empty_shards () =
   let a = run_ok (small_config ~fleet:2 ~domains:1 ()) in
@@ -386,6 +413,8 @@ let () =
           slow "deterministic" test_campaign_deterministic;
           slow "domain-count invariant" test_campaign_domain_count_invariant;
           slow "report digests unchanged" test_campaign_identity;
+          quick "only the hardened lock write is rated"
+            test_campaign_rated_traffic;
           quick "empty shards" test_campaign_empty_shards;
           slow "gate refuses widened update"
             test_campaign_gate_refuses_widened_update;

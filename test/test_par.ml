@@ -45,6 +45,22 @@ let test_assign_partitions () =
     shards;
   Alcotest.(check bool) "every item owned" true (Array.for_all Fun.id seen)
 
+(* every hash mod 1 is 0, so one shard owns every index, in order, and
+   the labels need not be computed *)
+let test_assign_one_shard_skips_labels () =
+  let labels = ref 0 in
+  let shards =
+    Partition.assign_by ~shards:1
+      (fun i ->
+        incr labels;
+        string_of_int i)
+      (Array.init 50 Fun.id)
+  in
+  check
+    Alcotest.(array (array int))
+    "every index in order" [| Array.init 50 Fun.id |] shards;
+  check Alcotest.int "no label computed" 0 !labels
+
 let test_assign_validates () =
   Alcotest.check_raises "shards < 1"
     (Invalid_argument "Partition.assign_by: shards < 1") (fun () ->
@@ -378,6 +394,7 @@ let () =
         [
           quick "fnv-1a pins" test_fnv_pins;
           quick "assign covers and preserves order" test_assign_partitions;
+          quick "one shard needs no labels" test_assign_one_shard_skips_labels;
           quick "validation" test_assign_validates;
         ] );
       ( "serve",

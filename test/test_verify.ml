@@ -16,6 +16,7 @@ module Diagnostic = Secpol_policy.Diagnostic
 module Reference = Secpol_policy.Reference
 module Table = Secpol_policy.Table
 module Hpe_config = Secpol_hpe.Config
+module Policy_map = Secpol_vehicle.Policy_map
 module Threat = Secpol_threat.Threat
 module Stride = Secpol_threat.Stride
 module Dread = Secpol_threat.Dread
@@ -469,6 +470,149 @@ let prop_hpe_lists_match_reference =
                ~subjects:[ "s1"; "s2"; "s3"; "s4" ]
                ~bindings:hpe_bindings))
         [ "m1"; "m2"; "m3" ])
+
+(* ---------- Table.resolve ---------- *)
+
+(* subjects s1-s3 and s4 (never named), assets a1-a2, modes m1-m2 and m3
+   (never named), IDs 0-27 or none: every bucket shape, both dispatches *)
+let resolve_requests =
+  List.concat_map
+    (fun mode ->
+      List.concat_map
+        (fun subject ->
+          List.concat_map
+            (fun asset ->
+              List.concat_map
+                (fun op ->
+                  List.map
+                    (fun msg_id -> { Ir.mode; subject; asset; op; msg_id })
+                    (None :: List.init 28 Option.some))
+                [ Ir.Read; Ir.Write ])
+            [ "a1"; "a2" ])
+        [ "s1"; "s2"; "s3"; "s4" ])
+    [ "m1"; "m2"; "m3" ]
+
+let prop_resolve_matches_decide =
+  QCheck.Test.make ~name:"resolve folded over a budget oracle = decide"
+    ~count:100
+    QCheck.(make Gen.(pair small_policy_gen (array_repeat 64 bool)))
+    (fun (p, budget) ->
+      let db = compile_gen p in
+      (* the oracle: which rules have budget left, the same for every call *)
+      let has_budget (r : Ir.rule) = budget.(r.idx mod 64) in
+      List.for_all
+        (fun strategy ->
+          let table = Table.compile ~strategy db in
+          List.for_all
+            (fun req ->
+              let consumed = ref None in
+              let decision, _ =
+                Table.decide table ~rate_available:has_budget
+                  ~rate_consume:(fun r -> consumed := Some r.Ir.idx)
+                  req
+              in
+              let res = Table.resolve table req in
+              let folded, grant =
+                match List.find_opt has_budget (Array.to_list res.rated) with
+                | Some r -> (Ast.Allow, Some r.Ir.idx)
+                | None -> (res.otherwise, None)
+              in
+              folded = decision && grant = !consumed
+              && Array.for_all
+                   (fun (r : Ir.rule) ->
+                     r.decision = Ast.Allow && r.rate <> None)
+                   res.rated
+              && (Array.length res.rated > 0
+                 || res.otherwise
+                    = fst (Reference.decide (Reference.create ~strategy db) req)
+                 ))
+            resolve_requests)
+        strategies)
+
+(* ---------- Ast.normalise ---------- *)
+
+(* the normaliser as it was before it returned a normal argument as is *)
+let copying_normalise (p : Ast.policy) =
+  let subjects = function
+    | Ast.Any_subject | Ast.Subjects [] -> Ast.Any_subject
+    | Ast.Subjects l -> Ast.Subjects (List.sort_uniq String.compare l)
+  in
+  let ranges rs =
+    let sorted =
+      List.sort
+        (fun (a : Ast.msg_range) (b : Ast.msg_range) ->
+          compare (a.lo, a.hi) (b.lo, b.hi))
+        rs
+    in
+    let rec merge = function
+      | (a : Ast.msg_range) :: (b : Ast.msg_range) :: rest ->
+          if b.lo <= a.hi + 1 then
+            merge ({ Ast.lo = a.lo; hi = max a.hi b.hi } :: rest)
+          else a :: merge (b :: rest)
+      | l -> l
+    in
+    merge sorted
+  in
+  let rule (r : Ast.rule) =
+    {
+      r with
+      subjects = subjects r.subjects;
+      messages = Option.map ranges r.messages;
+    }
+  in
+  let block (b : Ast.asset_block) = { b with rules = List.map rule b.rules } in
+  let section = function
+    | Ast.Default d -> Ast.Default d
+    | Ast.Modes (modes, blocks) ->
+        Ast.Modes
+          (List.sort_uniq String.compare modes, List.map block blocks)
+    | Ast.Global b -> Ast.Global (block b)
+  in
+  { p with sections = List.map section p.sections }
+
+let test_normalise_physically () =
+  List.iter
+    (fun (name, p) ->
+      check Alcotest.bool (name ^ " is returned as is") true
+        (Ast.normalise p == p))
+    [
+      ("baseline", Policy_map.baseline ());
+      ("hardened", Policy_map.hardened ());
+      ("permissive", Policy_map.permissive ());
+    ];
+  (* the generator never builds an empty subject list, which is not
+     normal: it stands for any subject *)
+  let empty =
+    {
+      Ast.name = "empty";
+      version = 1;
+      sections =
+        [
+          Ast.Global
+            {
+              Ast.asset = "a1";
+              rules =
+                [
+                  {
+                    Ast.decision = Ast.Allow;
+                    op = Ast.Read;
+                    subjects = Ast.Subjects [];
+                    messages = None;
+                    rate = None;
+                  };
+                ];
+            };
+        ];
+    }
+  in
+  check Alcotest.bool "empty subjects normalised" true
+    (Ast.normalise empty = copying_normalise empty)
+
+let prop_normalise_idempotent_physically =
+  QCheck.Test.make ~name:"normalise = copying normaliser, then a fixed point"
+    ~count:300 (QCheck.make small_policy_gen) (fun p ->
+      let n = Ast.normalise p in
+      n = copying_normalise p && Ast.normalise n == n)
 
 let test_proof_on_rated_policy () =
   (* the rated allow falls through to the plain allow when exhausted; the
@@ -1232,6 +1376,12 @@ let () =
         ] );
       ( "hpe lists",
         [ QCheck_alcotest.to_alcotest prop_hpe_lists_match_reference ] );
+      ("resolve", [ QCheck_alcotest.to_alcotest prop_resolve_matches_decide ]);
+      ( "normalise",
+        [
+          quick "as is exactly when normal" test_normalise_physically;
+          QCheck_alcotest.to_alcotest prop_normalise_idempotent_physically;
+        ] );
       ( "sp010",
         [
           quick "equivalent modes" test_sp010_equivalent_modes;
