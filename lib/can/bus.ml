@@ -7,7 +7,7 @@ type tx_outcome = Sent | Retried of int | Abandoned
 
 type station = {
   name : string;
-  deliver : time:float -> sender:string -> Transceiver.rx -> unit;
+  deliver : sender:string -> Frame.t -> unit;
   on_wire_error : unit -> unit;
 }
 
@@ -144,13 +144,19 @@ let attach_obs ?(prefix = "can.bus") t reg =
   Obs.Registry.register_gauge reg (key "pending") (fun () ->
       float_of_int (Binheap.length t.queue))
 
+let rec deliver_all stations sender frame =
+  match stations with
+  | [] -> ()
+  | s :: rest ->
+      if s.name <> sender then s.deliver ~sender frame;
+      deliver_all rest sender frame
+
 let rec start_transmission t =
   match Binheap.pop t.queue with
   | None -> t.busy <- false
   | Some winner ->
       t.busy <- true;
-      let wire = Transceiver.transmit winner.frame in
-      let duration = Frame.wire_time wire ~bitrate:t.bitrate in
+      let duration = Frame.transmission_time winner.frame ~bitrate:t.bitrate in
       Engine.schedule_in t.sim ~delay:duration (fun sim ->
           t.busy_time <- t.busy_time +. duration;
           let now = Engine.now sim in
@@ -180,14 +186,9 @@ let rec start_transmission t =
               ((now -. winner.enqueued) *. 1e3);
             Trace.record t.trace ~time:now ~node:winner.sender winner.frame
               Trace.Tx_ok;
-            (* every station samples the same uncorrupted bits, so one
-               decode serves them all *)
-            let rx = Transceiver.receive wire in
-            List.iter
-              (fun s ->
-                if s.name <> winner.sender then
-                  s.deliver ~time:now ~sender:winner.sender rx)
-              t.stations;
+            (* an uncorrupted transmission reads back as the frame sent,
+               so every other station is handed that frame *)
+            deliver_all t.stations winner.sender winner.frame;
             winner.on_outcome Sent
           end;
           start_transmission t)

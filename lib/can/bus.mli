@@ -30,23 +30,23 @@ val trace : t -> Trace.t
 val attach :
   t ->
   name:string ->
-  deliver:(time:float -> sender:string -> Transceiver.rx -> unit) ->
+  deliver:(sender:string -> Frame.t -> unit) ->
   on_wire_error:(unit -> unit) ->
   unit
 (** Connect a station.  [deliver] receives every frame some *other*
-    station transmits, as sampled off the wire by
-    {!Transceiver.receive}; [on_wire_error] fires when a transmission is
-    corrupted on the wire.
+    station transmits, when its transmission completes; [on_wire_error]
+    fires when a transmission is corrupted on the wire.
 
-    The bus samples each transmission once: the frame that wins
-    arbitration is encoded once into a packed {!Wire.t} (its length gives
-    the transmission time) and, when the transmission completes, decoded
-    once, and every station is handed that one decoded value.  This is
-    exact, not an approximation: a corrupted transmission never reaches [deliver] (the
+    The bus never materialises a frame's bits: the frame that wins
+    arbitration is timed by {!Frame.transmission_time}, which counts its
+    stuffed bits, and on a clean completion every other station is handed
+    the very frame the sender queued.  This is exact, not an
+    approximation.  A corrupted transmission never reaches [deliver]: the
     stations see it only through [on_wire_error], and the frame is
-    retried), so every station would sample identical bits, and decoding
-    an uncorrupted encoding gives back the frame ([Frame.of_wire
-    (Frame.to_wire f) = Ok f], a property test).
+    retried.  An uncorrupted encoding decodes back to the frame
+    ([Frame.of_wire (Frame.to_wire f) = Ok f], a property test), and
+    {!Frame.t}'s constructors admit only frames that encode, so no
+    station could have sampled anything else.
     @raise Invalid_argument on a duplicate station name. *)
 
 val detach : t -> string -> unit

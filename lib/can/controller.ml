@@ -47,6 +47,17 @@ let errors t = t.errors
 
 let stats t = t.stats
 
+let accept t (frame : Frame.t) =
+  if Acceptance.accepts t.filters frame.id then begin
+    Errors.on_rx_success t.errors;
+    t.stats.rx_delivered <- t.stats.rx_delivered + 1;
+    true
+  end
+  else begin
+    t.stats.rx_filtered <- t.stats.rx_filtered + 1;
+    false
+  end
+
 let receive t (rx : Transceiver.rx) =
   match rx with
   | Transceiver.Line_error e ->
@@ -54,15 +65,7 @@ let receive t (rx : Transceiver.rx) =
       t.stats.rx_line_errors <- t.stats.rx_line_errors + 1;
       Line_error e
   | Transceiver.Frame frame ->
-      if Acceptance.accepts t.filters frame.Frame.id then begin
-        Errors.on_rx_success t.errors;
-        t.stats.rx_delivered <- t.stats.rx_delivered + 1;
-        Deliver frame
-      end
-      else begin
-        t.stats.rx_filtered <- t.stats.rx_filtered + 1;
-        Filtered frame
-      end
+      if accept t frame then Deliver frame else Filtered frame
 
 let note_tx_ok t =
   Errors.on_tx_success t.errors;

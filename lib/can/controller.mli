@@ -36,13 +36,17 @@ val errors : t -> Errors.t
 
 val stats : t -> stats
 
+val accept : t -> Frame.t -> bool
+(** Take one frame off the bus: [true] when it passes the acceptance
+    filters (counted as delivered, REC decays), [false] when they drop it
+    (counted as filtered).  This is the bus path: {!Bus} hands stations
+    the frame that was sent, never bits, so there is no line error to
+    count here. *)
+
 val receive : t -> Transceiver.rx -> rx_result
-(** Take one sampled transmission: filter a decoded frame, count a line
-    error, and update error counters and statistics.  The controller does
-    not decode: on a bus the sample is the one {!Bus} takes per
-    transmission and hands every station (exact, since the bus never
-    delivers corrupted bits); a caller holding raw bits passes them
-    through {!Transceiver.receive} first. *)
+(** Take one sampled wire: {!accept} a decoded frame, or count a line
+    error.  A caller holding raw bits passes them through
+    {!Transceiver.receive} first. *)
 
 val note_tx_ok : t -> unit
 

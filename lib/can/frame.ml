@@ -58,20 +58,97 @@ let to_wire t =
   Wire.raw w ((1 lsl trailer_bits) - 1) ~bits:trailer_bits;
   Wire.contents w
 
-let wire_length t = Wire.length (to_wire t)
+(* [to_wire]'s pass again, counting the bits it would write instead of
+   writing them.  The transmitter's stuffing run is a state [(run lsl 1)
+   lor level] with [run] 0..4: the length of the run of equal bits the
+   stream ends in, and their level.  Before SOF the run is 0, so either
+   level starts a run of 1, as [Wire]'s writer does. *)
+
+(* the state after driving bit [b], and the stuff bits inserted, 0 or 1 *)
+let drive s b =
+  let run = if b = s land 1 then (s lsr 1) + 1 else 1 in
+  if run = 5 then
+    (* the stuff bit, of the opposite level, starts the next run *)
+    ((1 lsl 1) lor (1 - b), 1)
+  else ((run lsl 1) lor b, 0)
+
+(* A chunk of [k] bits, 1 <= k <= 8, with value [v] is [(1 lsl k) lor v],
+   below 512.  [chunks] holds at [(s lsl 9) lor chunk] the state after
+   driving the chunk's bits MSB first from state [s], plus 16 times the
+   stuff bits inserted (at most two in eight bits). *)
+let chunks =
+  let t = Bytes.create (10 lsl 9) in
+  for s = 0 to 9 do
+    for k = 1 to 8 do
+      for v = 0 to (1 lsl k) - 1 do
+        let s' = ref s and stuffed = ref 0 in
+        for i = k - 1 downto 0 do
+          let s'', n = drive !s' ((v lsr i) land 1) in
+          s' := s'';
+          stuffed := !stuffed + n
+        done;
+        Bytes.set t ((s lsl 9) lor (1 lsl k) lor v)
+          (Char.chr (!s' lor (!stuffed lsl 4)))
+      done
+    done
+  done;
+  t
+
+(* The whole count is one int, so that nothing is allocated: the CRC in
+   bits 0-14, the run state in bits 15-18, and from bit 19 the bits driven
+   so far, stuff bits included. *)
+let crc_of st = st land 0x7FFF
+
+let pos_of st = st lsr 19
+
+let drive_chunk st v k =
+  let e =
+    Char.code
+      (Bytes.get chunks ((((st lsr 15) land 15) lsl 9) lor (1 lsl k) lor v))
+  in
+  crc_of st lor ((e land 15) lsl 15) lor ((pos_of st + k + (e lsr 4)) lsl 19)
+
+(* drives the low [bits] bits of [value], eight at a time from the top *)
+let rec stuff st value bits =
+  if bits <= 8 then drive_chunk st (value land ((1 lsl bits) - 1)) bits
+  else
+    stuff
+      (drive_chunk st ((value lsr (bits - 8)) land 0xFF) 8)
+      value (bits - 8)
+
+(* one field fed to the CRC and driven, as in [to_wire] *)
+let count_field st value bits =
+  let st = stuff st value bits in
+  (st land lnot 0x7FFF) lor Crc.feed (crc_of st) value ~bits
+
+let rec count_payload st payload i =
+  if i = String.length payload then st
+  else count_payload (count_field st (Char.code payload.[i]) 8) payload (i + 1)
+
+let wire_length t =
+  let st = count_field 0 0 1 in
+  let rtr = Bool.to_int t.rtr in
+  let st =
+    match t.id with
+    | Identifier.Standard id ->
+        let st = count_field st id 11 in
+        let st = count_field st rtr 1 in
+        count_field st 0 2
+    | Identifier.Extended id ->
+        let st = count_field st (id lsr 18) 11 in
+        let st = count_field st 0b11 2 in
+        let st = count_field st (id land 0x3FFFF) 18 in
+        let st = count_field st rtr 1 in
+        count_field st 0 2
+  in
+  let st = count_payload (count_field st t.dlc 4) t.payload 0 in
+  pos_of (stuff st (crc_of st) Crc.width) + trailer_bits
 
 let interframe_space = 3
 
-let time_of_bits bits ~bitrate =
-  float_of_int (bits + interframe_space) /. bitrate
-
 let transmission_time t ~bitrate =
   if bitrate <= 0.0 then invalid_arg "Frame.transmission_time: bitrate <= 0";
-  time_of_bits (wire_length t) ~bitrate
-
-let wire_time wire ~bitrate =
-  if bitrate <= 0.0 then invalid_arg "Frame.wire_time: bitrate <= 0";
-  time_of_bits (Wire.length wire) ~bitrate
+  float_of_int (wire_length t + interframe_space) /. bitrate
 
 (* A form error in the unstuffed bits: raised by the parser, caught by
    [of_wire]. *)

@@ -8,7 +8,8 @@
     end-of-frame bits).  [of_wire] inverts it, checking structure,
     stuffing and CRC — the round-trip, the stuffing rule, the CRC's burst
     coverage and the decoder's verdicts on a seeded corpus of damaged
-    wires are pinned by property tests. *)
+    wires are pinned by property tests.  The bus itself never encodes:
+    it times a frame by {!wire_length}, which counts the same bits. *)
 
 type t = private {
   id : Identifier.t;
@@ -47,16 +48,14 @@ val of_wire : Wire.t -> (t, line_error * string) result
     first failure is the one reported. *)
 
 val wire_length : t -> int
-(** [Wire.length (to_wire t)]: used for transmission timing. *)
+(** [Wire.length (to_wire t)], counted rather than encoded: the same CRC
+    and stuffing pass over the fields, with no wire written.  It
+    allocates nothing (a property test and a [Gc.minor_words] test pin
+    both). *)
 
 val transmission_time : t -> bitrate:float -> float
-(** Seconds on a bus of [bitrate] bits/s, including the 3-bit interframe
-    space. *)
-
-val wire_time : Wire.t -> bitrate:float -> float
-(** {!transmission_time} of an already encoded frame: [wire_time (to_wire
-    f)] equals [transmission_time f] to the bit, without encoding [f]
-    again. *)
+(** Seconds on a bus of [bitrate] bits/s: {!wire_length} plus the 3-bit
+    interframe space. *)
 
 val payload_bytes : t -> int list
 (** Payload as unsigned byte values. *)

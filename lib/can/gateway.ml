@@ -73,28 +73,25 @@ let rec submit t ~dst ~side ~attempt ~deadline frame =
           Obs.Counter.incr side.shed
         end)
 
-let bridge t ~dst ~side (rx : Transceiver.rx) =
-  match rx with
-  | Transceiver.Line_error _ -> ()
-  | Transceiver.Frame frame ->
-      if not (side.predicate frame) then Obs.Counter.incr side.dropped
-      else if t.in_flight >= t.max_in_flight then
-        (* shed at admission: the gateway is already carrying its limit,
-           so new load is dropped instead of queued *)
-        Obs.Counter.incr side.shed
-      else begin
-        t.in_flight <- t.in_flight + 1;
-        let deadline = Engine.now (Bus.sim dst) +. t.forward_timeout in
-        submit t ~dst ~side ~attempt:0 ~deadline frame
-      end
+let bridge t ~dst ~side frame =
+  if not (side.predicate frame) then Obs.Counter.incr side.dropped
+  else if t.in_flight >= t.max_in_flight then
+    (* shed at admission: the gateway is already carrying its limit, so
+       new load is dropped instead of queued *)
+    Obs.Counter.incr side.shed
+  else begin
+    t.in_flight <- t.in_flight + 1;
+    let deadline = Engine.now (Bus.sim dst) +. t.forward_timeout in
+    submit t ~dst ~side ~attempt:0 ~deadline frame
+  end
 
 let attach_buses t =
   Bus.attach t.a ~name:t.name
-    ~deliver:(fun ~time:_ ~sender:_ rx -> bridge t ~dst:t.b ~side:t.ab rx)
+    ~deliver:(fun ~sender:_ frame -> bridge t ~dst:t.b ~side:t.ab frame)
     ~on_wire_error:(fun () -> ());
   (try
      Bus.attach t.b ~name:t.name
-       ~deliver:(fun ~time:_ ~sender:_ rx -> bridge t ~dst:t.a ~side:t.ba rx)
+       ~deliver:(fun ~sender:_ frame -> bridge t ~dst:t.a ~side:t.ba frame)
        ~on_wire_error:(fun () -> ())
    with Invalid_argument _ as e ->
      Bus.detach t.a t.name;

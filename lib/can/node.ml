@@ -22,33 +22,22 @@ let trace_rx t ~sender event frame =
   let time = Secpol_sim.Engine.now (Bus.sim t.bus) in
   Trace.record (Bus.trace t.bus) ~time ~node:sender frame event
 
-let deliver_to_controller t ~sender rx =
-  match Controller.receive t.controller rx with
-  | Controller.Line_error _ ->
-      (* nothing to trace against a decodable frame; counters already bumped *)
-      ()
-  | Controller.Filtered frame -> trace_rx t ~sender (Trace.Rx_filtered t.name) frame
-  | Controller.Deliver frame ->
-      trace_rx t ~sender (Trace.Rx_delivered t.name) frame;
-      t.received <- frame :: t.received;
-      t.received_count <- t.received_count + 1;
-      Option.iter (fun f -> f t ~sender frame) t.on_receive
-
-(* [rx] is the bus's one sample of the transmission, shared by every
-   station ({!Bus.attach}); the read gate and the controller both judge
-   that value.  Sharing it is exact: the bus never delivers corrupted
-   bits (a corrupted transmission only fires [on_wire_error]), so every
-   receiver would have decoded the same frame.  Line errors still reach
-   the controller past the gate so error counters behave identically
-   with and without one. *)
-let deliver t ~time:_ ~sender (rx : Transceiver.rx) =
+(* The read gate sits between the bus and the controller: a frame it
+   blocks is traced and never reaches the controller's filters. *)
+let deliver t ~sender frame =
   if t.down then ()
   else
-    match (t.rx_gate, rx) with
-    | Some gate, Transceiver.Frame frame when not (gate.check frame) ->
+    match t.rx_gate with
+    | Some gate when not (gate.check frame) ->
         trace_rx t ~sender (Trace.Rx_blocked (t.name, gate.gate_name)) frame
-    | (Some _ | None), (Transceiver.Frame _ | Transceiver.Line_error _) ->
-        deliver_to_controller t ~sender rx
+    | Some _ | None ->
+        if Controller.accept t.controller frame then begin
+          trace_rx t ~sender (Trace.Rx_delivered t.name) frame;
+          t.received <- frame :: t.received;
+          t.received_count <- t.received_count + 1;
+          match t.on_receive with Some f -> f t ~sender frame | None -> ()
+        end
+        else trace_rx t ~sender (Trace.Rx_filtered t.name) frame
 
 let create ?(filters = []) ~name bus =
   let controller = Controller.create ~name () in
@@ -67,7 +56,7 @@ let create ?(filters = []) ~name bus =
     }
   in
   Bus.attach bus ~name
-    ~deliver:(fun ~time ~sender rx -> deliver t ~time ~sender rx)
+    ~deliver:(fun ~sender frame -> deliver t ~sender frame)
     ~on_wire_error:(fun () -> Controller.note_wire_error controller);
   t
 
@@ -122,7 +111,7 @@ let attached t = List.mem t.name (Bus.stations t.bus)
 let reattach t =
   if not (attached t) then
     Bus.attach t.bus ~name:t.name
-      ~deliver:(fun ~time ~sender rx -> deliver t ~time ~sender rx)
+      ~deliver:(fun ~sender frame -> deliver t ~sender frame)
       ~on_wire_error:(fun () -> Controller.note_wire_error t.controller)
 
 let is_down t = t.down

@@ -3,7 +3,9 @@
     The physical transceiver converts between the differential CAN-H/CAN-L
     pair and the controller's single-ended bit stream.  In the simulator the
     "wire" is the packed bit vector of {!Frame.to_wire}; the transceiver is
-    the boundary where frames become bits and line errors surface. *)
+    the boundary where frames become bits and line errors surface.  The
+    bus simulation does not pass through it ({!Bus.attach} says why it
+    need not); Fig. 3 and the codec tests do. *)
 
 type line_error = Frame.line_error =
   | Stuff_violation

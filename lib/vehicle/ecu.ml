@@ -57,10 +57,16 @@ let diag_responder node (state : State.t) =
              (Messages.find_exn Messages.diag_response)
              (String.make 1 (node_tag node))) )
 
+(* the first handler registered for [id]; [List.assoc_opt] would compare
+   the keys with the polymorphic [compare] *)
+let rec handle handlers id ~sender frame =
+  match handlers with
+  | [] -> ()
+  | (id', handler) :: rest ->
+      if Int.equal id id' then handler ~sender frame
+      else handle rest id ~sender frame
+
 let dispatch handlers _node ~sender (frame : Frame.t) =
   match frame.id with
-  | Identifier.Standard id -> (
-      match List.assoc_opt id handlers with
-      | Some handler -> handler ~sender frame
-      | None -> ())
+  | Identifier.Standard id -> handle handlers id ~sender frame
   | Identifier.Extended _ -> ()

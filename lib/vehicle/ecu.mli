@@ -45,8 +45,9 @@ val dispatch :
   sender:string ->
   Secpol_can.Frame.t ->
   unit
-(** Route a received frame to the handler registered for its standard ID;
-    unknown IDs are ignored (already filtered). *)
+(** Route a received frame to the handler registered for its standard ID
+    (the first one listed, if several are); unknown IDs are ignored
+    (already filtered). *)
 
 val diag_responder :
   Secpol_can.Node.t ->

@@ -266,20 +266,27 @@ let test_frame_truncated () =
   | Ok _ -> Alcotest.fail "accepted garbage"
   | Error _ -> ()
 
-let frame_gen =
+(* a data or remote frame over identifiers from [ident] and payload bytes
+   from [byte] *)
+let frame_of_gen ~ident ~byte =
   QCheck.Gen.(
-    let* extended = bool in
-    let* id = if extended then 0 -- 0x1FFFFFFF else 0 -- 0x7FF in
-    let ident =
-      if extended then Identifier.extended id else Identifier.standard id
-    in
+    let* ident = ident in
     let* rtr = bool in
     if rtr then
       let* dlc = 0 -- 8 in
       return (Frame.remote ident ~dlc)
     else
-      let* payload = string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 8) in
+      let* payload = string_size ~gen:byte (0 -- 8) in
       return (Frame.data ident payload))
+
+let frame_gen =
+  frame_of_gen
+    ~ident:
+      QCheck.Gen.(
+        let* extended = bool in
+        if extended then map Identifier.extended (0 -- 0x1FFFFFFF)
+        else map Identifier.standard (0 -- 0x7FF))
+    ~byte:QCheck.Gen.(map Char.chr (0 -- 255))
 
 let prop_frame_roundtrip =
   QCheck.Test.make ~name:"frame wire round trip" ~count:500 (QCheck.make frame_gen)
@@ -287,6 +294,61 @@ let prop_frame_roundtrip =
       match Frame.of_wire (Frame.to_wire f) with
       | Ok f' -> Frame.equal f f'
       | Error _ -> false)
+
+(* The bus times frames by [wire_length], which counts the stuffed bits
+   without encoding: it must agree with the encoder to the bit. *)
+let counted_matches_encoded f =
+  Frame.wire_length f = Wire.length (Frame.to_wire f)
+
+let prop_wire_length_counted =
+  QCheck.Test.make ~name:"counted length = encoded length" ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" Frame.pp) frame_gen)
+    counted_matches_encoded
+
+(* Frames made of long runs: all-0 and all-1 identifiers, and bytes whose
+   runs of four or five cross byte, field and CRC boundaries, so that
+   stuff bits land everywhere a counter could lose its run. *)
+let stuffing_dense_gen =
+  frame_of_gen
+    ~ident:
+      (QCheck.Gen.oneofl
+         [
+           Identifier.standard 0x000;
+           Identifier.standard 0x7FF;
+           Identifier.extended 0x000;
+           Identifier.extended 0x1FFFFFFF;
+         ])
+    ~byte:(QCheck.Gen.oneofl [ '\x00'; '\xFF'; '\x0F'; '\xF0'; '\x1F'; '\xF8' ])
+
+let prop_wire_length_dense =
+  QCheck.Test.make ~name:"counted length, stuffing-dense" ~count:2000
+    (QCheck.make ~print:(Format.asprintf "%a" Frame.pp) stuffing_dense_gen)
+    counted_matches_encoded
+
+(* Minor words [n] calls of [wire_length] allocate, over a spread of frame
+   shapes; [n = 0] measures the probe's own constant. *)
+let wire_length_words n =
+  let frames =
+    [|
+      Frame.data_std 0x000 "";
+      Frame.data_std 0x7FF "\xFF\x00\x0F\xF0\x1F\xF8\xFF\x00";
+      Frame.data_ext 0x1FFFFFFF "\x01\x02\x03";
+      Frame.remote (Identifier.extended 0x12345) ~dlc:8;
+    |]
+  in
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    sum := !sum + Frame.wire_length frames.(i land 3)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !sum);
+  words
+
+let test_wire_length_allocates_nothing () =
+  Alcotest.(check (float 0.5))
+    "10k calls allocate 0 words" (wire_length_words 0)
+    (wire_length_words 10_000)
 
 (* ---------- Codec properties: what any wire encoding must keep ---------- *)
 
@@ -481,6 +543,26 @@ let test_bus_delivery () =
   | Some f' -> Alcotest.(check bool) "payload intact" true (Frame.equal f f')
   | None -> Alcotest.fail "nothing received");
   check Alcotest.int "frames sent" 1 (Bus.frames_sent bus)
+
+(* A clean transmission reads back as the frame sent, so the bus hands
+   every receiver that frame itself, not a decoded copy. *)
+let test_bus_hands_over_sent_frame () =
+  let sim, bus = make_bus () in
+  let a = Node.create ~name:"a" bus in
+  let b = Node.create ~name:"b" bus in
+  let c = Node.create ~name:"c" bus in
+  let f = Frame.data_ext 0x1ABCDEF "\x00\xFF\x0F" in
+  ignore (Node.send a f);
+  Engine.run_until sim 0.01;
+  List.iter
+    (fun n ->
+      match Node.last_received n with
+      | Some f' ->
+          Alcotest.(check bool)
+            (Node.name n ^ " holds the sent frame")
+            true (f' == f)
+      | None -> Alcotest.fail (Node.name n ^ " received nothing"))
+    [ b; c ]
 
 let test_bus_arbitration_order () =
   let sim, bus = make_bus () in
@@ -1114,6 +1196,10 @@ let () =
           quick "corruption detected" test_frame_corrupt_detected;
           quick "truncated" test_frame_truncated;
           QCheck_alcotest.to_alcotest prop_frame_roundtrip;
+          QCheck_alcotest.to_alcotest prop_wire_length_counted;
+          QCheck_alcotest.to_alcotest prop_wire_length_dense;
+          quick "wire length allocates nothing"
+            test_wire_length_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_wire_never_six;
           QCheck_alcotest.to_alcotest prop_crc_catches_bursts;
           quick "decode corpus" test_decode_corpus;
@@ -1133,6 +1219,7 @@ let () =
       ( "bus",
         [
           quick "broadcast delivery" test_bus_delivery;
+          quick "receivers get the sent frame" test_bus_hands_over_sent_frame;
           quick "arbitration order" test_bus_arbitration_order;
           quick "timing" test_bus_timing;
           quick "corruption + retransmission" test_bus_corruption_retransmits;
