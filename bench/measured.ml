@@ -827,7 +827,11 @@ let topology ~quick =
 (* End-to-end cost of the daemon: wire codec + connection thread +
    admission + pool hand-off + decide_batch, measured from a client over
    the Unix socket — the number a deployment actually sees, as opposed
-   to parscale's in-process shard throughput. *)
+   to parscale's in-process shard throughput.  Each rung also counts the
+   minor collections of its timed batches (client and daemon share this
+   process, and with worker domains alive each collection stops them
+   all), and times one-request decides on the same open connection,
+   whose latency is the hand-off alone. *)
 let serve ~quick =
   section "Decision service: secpold end to end over its unix socket";
   let db = Policy.Compile.compile_exn (V.Policy_map.baseline ()) in
@@ -838,6 +842,7 @@ let serve ~quick =
   let total = batch * batches in
   let batch_reqs = Array.init batch (fun k -> reqs.(k mod n)) in
   let warmup, repeats = if quick then (1, 3) else (2, 7) in
+  let singles = if quick then 200 else 2000 in
   let ladder = [ 1; 2; 4; 8 ] in
   Printf.printf
     "%d requests per timed run (%d batches x %d), one client connection;\n\
@@ -847,7 +852,8 @@ let serve ~quick =
     (String.concat "/" (List.map string_of_int ladder))
     warmup repeats
     (Domain.recommended_domain_count ());
-  Printf.printf "%-22s %12s %14s\n" "configuration" "elapsed s" "req/s";
+  Printf.printf "%-22s %12s %14s %16s %14s\n" "configuration" "elapsed s"
+    "req/s" "minor GC/batch" "1-req p50 us";
   let rungs =
     List.map
       (fun domains ->
@@ -866,19 +872,39 @@ let serve ~quick =
             Fun.protect
               ~finally:(fun () -> Serve_client.close client)
               (fun () ->
+                let collections () = (Gc.quick_stat ()).Gc.minor_collections in
+                let runs = ref 0 and timed_collections = ref 0 in
                 let run () =
+                  let before = collections () in
                   for _ = 1 to batches do
                     let b = Serve_client.decide client batch_reqs in
                     if b.Serve_client.degraded || b.Serve_client.shed then
                       failwith "serve bench: degraded or shed response"
-                  done
+                  done;
+                  (* the warmup runs come first and are not counted *)
+                  if !runs >= warmup then
+                    timed_collections :=
+                      !timed_collections + (collections () - before);
+                  incr runs
                 in
                 let median_s, _ = Protocol.measure ~warmup ~repeats run in
                 let throughput = float_of_int total /. median_s in
-                Printf.printf "%-22s %12.4f %14.0f\n"
+                let per_batch =
+                  float_of_int !timed_collections
+                  /. float_of_int (repeats * batches)
+                in
+                let one = reqs.(0) in
+                let single_us =
+                  Array.init singles (fun _ ->
+                      let t0 = Secpol_obs.Clock.now () in
+                      ignore (Serve_client.decide_one client one);
+                      1e6 *. (Secpol_obs.Clock.now () -. t0))
+                in
+                let one_p50_us = Protocol.median single_us in
+                Printf.printf "%-22s %12.4f %14.0f %16.2f %14.1f\n"
                   (Printf.sprintf "%d domain(s)" domains)
-                  median_s throughput;
-                (domains, median_s, throughput))))
+                  median_s throughput per_batch one_p50_us;
+                (domains, median_s, throughput, per_batch, one_p50_us))))
       ladder
   in
   Json.Obj
@@ -891,7 +917,7 @@ let serve ~quick =
       ( "runs",
         Json.List
           (List.map
-             (fun (domains, elapsed_s, throughput) ->
+             (fun (domains, elapsed_s, throughput, per_batch, one_p50_us) ->
                Json.Obj
                  [
                    ("domains", Json.Int domains);
@@ -899,9 +925,12 @@ let serve ~quick =
                    ("batch", Json.Int batch);
                    ("elapsed_s", Json.Float elapsed_s);
                    ("throughput_per_s", Json.Float throughput);
+                   ("minor_collections_per_batch", Json.Float per_batch);
+                   ("decide_one_p50_us", Json.Float one_p50_us);
                  ])
              rungs) );
-      ("scaling", top_over_one (List.map (fun (d, _, t) -> (d, t)) rungs));
+      ( "scaling",
+        top_over_one (List.map (fun (d, _, t, _, _) -> (d, t)) rungs) );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1035,7 +1064,21 @@ let registry =
           gate "blast.containment" (Floor 1.0);
         ];
     };
-    { name = "serve"; run = serve; artifact = "BENCH_serve.json"; gates = [] };
+    {
+      name = "serve";
+      run = serve;
+      artifact = "BENCH_serve.json";
+      gates =
+        [
+          (* a decide's own allocation fills a 256 k-word minor heap
+             once in dozens of batches; a decoder that seeds its
+             512-element columns with fresh minor-heap values forces a
+             collection per column, about 5 a batch, on every rung *)
+          gate "minor_collections_per_batch"
+            ~read:(largest [ "runs" ] "minor_collections_per_batch")
+            (Ceiling 1.0);
+        ];
+    };
     {
       name = "campaign";
       run = campaign;

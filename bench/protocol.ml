@@ -121,6 +121,20 @@ let row path ~key value field json =
         (List.find_opt (fun r -> Json.member key r = Some value) rows)
         (at [ field ])
 
+(* the largest [field] over every element of the list at [path], e.g. a
+   ladder's worst rung against a ceiling; [None] when the list is missing
+   or empty, or an element lacks the field *)
+let largest path field json =
+  match Option.bind (member_at json path) Json.to_list with
+  | None | Some [] -> None
+  | Some rows ->
+      List.fold_left
+        (fun acc r ->
+          match (acc, at [ field ] r) with
+          | Some m, Some v -> Some (Float.max m v)
+          | _ -> None)
+        (Some neg_infinity) rows
+
 let ratio num den json =
   match (num json, den json) with
   | Some a, Some b when b > 0.0 -> Some (a /. b)

@@ -16,18 +16,109 @@ module Registry = Secpol_obs.Registry
 type generation = { epoch : int; table : Table.t; db : Ir.db }
 
 (* ------------------------------------------------------------------ *)
-(* Tickets                                                             *)
+(* Tickets and the watchdog                                            *)
 (* ------------------------------------------------------------------ *)
 
 type 'a state = Pending | Done of 'a | Raised of exn
+
+(* One timed wait: the awaited ticket's lock and condvar, its deadline,
+   and the flag the watchdog raises under that lock once the deadline
+   has passed. *)
+type wait = {
+  deadline : float;
+  w_mu : Mutex.t;
+  w_cv : Condition.t;
+  mutable expired : bool;
+}
+
+(* The stdlib's [Condition] has no timed wait, so a timed waiter blocks
+   on its ticket's condvar like any other, and one thread per pool keeps
+   the deadlines: it holds every outstanding wait, naps until the
+   earliest deadline but never longer than [max_nap_s] (a wait
+   registered during the nap may fall due first), and wakes each waiter
+   whose deadline has passed.  While no wait is outstanding it parks on
+   its own condvar.  The worker that resolves a ticket wakes the ticket's
+   waiters itself, so a decided job never waits on the watchdog. *)
+type watchdog = {
+  wd_mu : Mutex.t;
+  wd_cv : Condition.t;
+  mutable waits : wait list;
+  mutable closing : bool;
+}
+
+let max_nap_s = 0.001
+
+let expire w =
+  Mutex.lock w.w_mu;
+  w.expired <- true;
+  Condition.broadcast w.w_cv;
+  Mutex.unlock w.w_mu
+
+let rec watch wd =
+  Mutex.lock wd.wd_mu;
+  while List.is_empty wd.waits && not wd.closing do
+    Condition.wait wd.wd_cv wd.wd_mu
+  done;
+  if wd.closing then Mutex.unlock wd.wd_mu
+  else begin
+    let now = Secpol_obs.Clock.now () in
+    let due, waits = List.partition (fun w -> w.deadline <= now) wd.waits in
+    wd.waits <- waits;
+    let next =
+      List.fold_left (fun next w -> Float.min next w.deadline) infinity waits
+    in
+    Mutex.unlock wd.wd_mu;
+    (* a ticket's lock is taken with the watchdog's released, and a
+       waiter never holds both either, so the two cannot deadlock *)
+    List.iter expire due;
+    (if not (List.is_empty waits) then
+       try Thread.delay (Float.min max_nap_s (next -. now))
+       with Unix.Unix_error _ -> ());
+    watch wd
+  end
+
+let watchdog () =
+  {
+    wd_mu = Mutex.create ();
+    wd_cv = Condition.create ();
+    waits = [];
+    closing = false;
+  }
+
+(* The thread is parked only while the list is empty, and a non-empty
+   list is rescanned within [max_nap_s]: only the first wait wakes it. *)
+let register wd w =
+  Mutex.lock wd.wd_mu;
+  if List.is_empty wd.waits then Condition.signal wd.wd_cv;
+  wd.waits <- w :: wd.waits;
+  Mutex.unlock wd.wd_mu
+
+let unregister wd w =
+  Mutex.lock wd.wd_mu;
+  wd.waits <- List.filter (fun w' -> w' != w) wd.waits;
+  Mutex.unlock wd.wd_mu
+
+let close_watchdog wd thread =
+  Mutex.lock wd.wd_mu;
+  wd.closing <- true;
+  Condition.signal wd.wd_cv;
+  Mutex.unlock wd.wd_mu;
+  Thread.join thread
 
 type 'a ticket = {
   t_mu : Mutex.t;
   t_cv : Condition.t;
   mutable state : 'a state;
+  t_wd : watchdog;
 }
 
-let ticket () = { t_mu = Mutex.create (); t_cv = Condition.create (); state = Pending }
+let ticket wd =
+  {
+    t_mu = Mutex.create ();
+    t_cv = Condition.create ();
+    state = Pending;
+    t_wd = wd;
+  }
 
 let resolve ticket st =
   Mutex.lock ticket.t_mu;
@@ -51,28 +142,44 @@ let await ticket =
   | Raised e -> raise e
   | Pending -> assert false
 
-(* [Condition] has no timed wait in the stdlib, so the deadline path
-   polls: check, sleep half a millisecond, re-check.  The watchdog
-   deadlines this serves are milliseconds — a 0.5 ms poll quantum is
-   noise there, and the slow path only runs when a shard has already
-   stalled. *)
+let result = function
+  | Done v -> Some (Ok v)
+  | Raised e -> Some (Error e)
+  | Pending -> None
+
+(* A decided ticket answers at once.  Otherwise the wait is handed to
+   the watchdog and the caller blocks on the ticket until the worker
+   resolves it or the watchdog expires the wait, whichever comes first;
+   nothing here sleeps. *)
 let await_timeout ticket ~timeout_s =
-  let deadline = Secpol_obs.Clock.now () +. timeout_s in
-  let rec wait () =
-    Mutex.lock ticket.t_mu;
-    let st = ticket.state in
-    Mutex.unlock ticket.t_mu;
-    match st with
-    | Done v -> Some (Ok v)
-    | Raised e -> Some (Error e)
-    | Pending ->
-        if Secpol_obs.Clock.now () >= deadline then None
-        else begin
-          (try Unix.sleepf 0.0005 with Unix.Unix_error _ -> ());
-          wait ()
-        end
-  in
-  wait ()
+  Mutex.lock ticket.t_mu;
+  let st = ticket.state in
+  Mutex.unlock ticket.t_mu;
+  match st with
+  | Done _ | Raised _ -> result st
+  | Pending when not (timeout_s > 0.0) -> None
+  | Pending ->
+      let w =
+        {
+          deadline = Secpol_obs.Clock.now () +. timeout_s;
+          w_mu = ticket.t_mu;
+          w_cv = ticket.t_cv;
+          expired = false;
+        }
+      in
+      register ticket.t_wd w;
+      Mutex.lock ticket.t_mu;
+      let rec wait () =
+        match ticket.state with
+        | Pending when not w.expired ->
+            Condition.wait ticket.t_cv ticket.t_mu;
+            wait ()
+        | st -> st
+      in
+      let st = wait () in
+      Mutex.unlock ticket.t_mu;
+      unregister ticket.t_wd w;
+      result st
 
 (* ------------------------------------------------------------------ *)
 (* Workers and rings                                                   *)
@@ -182,6 +289,8 @@ type t = {
   mutable workers : worker array;
   rings : ring array;
   mutable handles : unit Domain.t array;
+  watchdog : watchdog;
+  watcher : Thread.t; (* runs [watch watchdog] from create to shutdown *)
   stop : bool Atomic.t;
   mutable joined : bool;
 }
@@ -220,12 +329,15 @@ let create ?(queue_capacity = 1024) ~domains table db =
   if domains < 1 then invalid_arg "Pool.create: domains < 1";
   if queue_capacity < 1 then invalid_arg "Pool.create: queue_capacity < 1";
   let gen = { epoch = 1; table; db } in
+  let watchdog = watchdog () in
   let pool =
     {
       current = Atomic.make gen;
       workers = [||];
       rings = Array.init domains (fun _ -> ring_create queue_capacity);
       handles = [||];
+      watchdog;
+      watcher = Thread.create watch watchdog;
       stop = Atomic.make false;
       joined = false;
     }
@@ -272,7 +384,7 @@ let rec swap pool new_table new_db =
 let try_submit pool ~shard f =
   if shard < 0 || shard >= Array.length pool.rings then
     invalid_arg "Pool.try_submit: shard out of range";
-  let t = ticket () in
+  let t = ticket pool.watchdog in
   let job w = resolve t (try Done (f w) with e -> Raised e) in
   if ring_push pool.rings.(shard) ~stop:pool.stop job then Some t else None
 
@@ -298,5 +410,8 @@ let shutdown pool =
         Condition.broadcast ring.cv;
         Mutex.unlock ring.mu)
       pool.rings;
-    Array.iter Domain.join pool.handles
+    Array.iter Domain.join pool.handles;
+    (* every admitted job has run and resolved its ticket, so no timed
+       wait can still need the watchdog *)
+    close_watchdog pool.watchdog pool.watcher
   end

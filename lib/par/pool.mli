@@ -22,7 +22,12 @@
     [None] and the caller decides — the daemon retries briefly, then
     sheds with a fail-safe deny, mirroring the gateway's retry-then-shed
     discipline.  Jobs that {e were} admitted are always executed, even
-    during shutdown. *)
+    during shutdown.
+
+    {b Deadlines.}  {!await_timeout} sleeps nowhere: a timed waiter
+    blocks on its ticket, and one watchdog thread per pool holds the
+    outstanding deadlines and wakes each waiter whose deadline has
+    passed. *)
 
 type t
 
@@ -42,10 +47,11 @@ val create :
   Secpol_policy.Ir.db ->
   t
 (** Spawn [domains] pinned workers over a compiled table and its source
-    db (generation 1).  [queue_capacity] (default 1024, rounded up to a
-    power of two) bounds each shard's request ring — the backpressure
-    point.  Returns only once every worker is parked in its serve loop,
-    so first-request latency never includes domain startup.
+    db (generation 1), and the watchdog thread that keeps
+    {!await_timeout}'s deadlines.  [queue_capacity] (default 1024,
+    rounded up to a power of two) bounds each shard's request ring — the
+    backpressure point.  Returns only once every worker is parked in its
+    serve loop, so first-request latency never includes domain startup.
     @raise Invalid_argument when [domains < 1] or [queue_capacity < 1]. *)
 
 val domains : t -> int
@@ -77,8 +83,15 @@ val await : 'a ticket -> 'a
 val await_timeout : 'a ticket -> timeout_s:float -> ('a, exn) result option
 (** Like {!await} with a deadline: [None] when the deadline passed with
     the job still pending (the job is {e not} cancelled — a later await
-    can still collect it).  Polls at ~0.5 ms granularity, which only
-    matters on the already-degraded path. *)
+    can still collect it), [Some (Error e)] when the job raised [e].
+    Nothing polls or sleeps: the caller blocks on the ticket, the worker
+    that resolves it wakes the caller at once, and the pool's watchdog
+    thread — which holds every outstanding deadline, naps at most 1 ms
+    while one is outstanding and parks while none is — wakes the caller
+    once its deadline has passed.  A deadline therefore fires up to
+    about a millisecond late (more on a loaded host), never early.  The
+    watchdog is a thread of the domain that called {!create}; {!shutdown}
+    joins it. *)
 
 val worker_shard : worker -> int
 
@@ -96,5 +109,6 @@ val worker_snapshot : worker -> Secpol_policy.Engine.stats * Secpol_obs.Registry
     shard so it reads quiesced state. *)
 
 val shutdown : t -> unit
-(** Stop accepting jobs, drain every ring, join every worker.
-    Idempotent.  Jobs admitted before shutdown still execute. *)
+(** Stop accepting jobs, drain every ring, join every worker, then the
+    watchdog.  Idempotent.  Jobs admitted before shutdown still
+    execute. *)

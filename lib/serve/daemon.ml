@@ -44,8 +44,8 @@ type t = {
   stop : bool Atomic.t;
   reload_mu : Mutex.t; (* serialises compile + gate + swap *)
   conns_mu : Mutex.t;
-  mutable conns : Unix.file_descr list;
-  mutable conn_threads : Thread.t list;
+  mutable conns : (Unix.file_descr * Thread.t) list;
+      (* the open connections, each with the thread serving it *)
   mutable listeners : Unix.file_descr list;
   mutable accepters : Thread.t list;
   mutable stopped : bool;
@@ -120,6 +120,11 @@ let handle_decide t id reqs =
               shed := true;
               Obs.Counter.add t.c_shed (Array.length idxs))
       shards;
+    (* Each slice's wait blocks on its ticket: the worker that decides
+       the slice wakes this thread as it resolves the ticket, and the
+       pool's watchdog wakes it once the deadline has passed, so a
+       healthy batch never sleeps.  Slices are awaited in turn, each
+       against a deadline of its own that starts when its wait does. *)
     List.iter
       (fun (idxs, ticket) ->
         match
@@ -132,9 +137,9 @@ let handle_decide t id reqs =
             degraded := true;
             Obs.Counter.add t.c_failsafe (Array.length idxs)
         | None ->
-            (* watchdog: the shard missed its deadline — answer denies
-               now rather than hang the client behind a wedged worker;
-               the late result, if any, is discarded *)
+            (* the watchdog woke us: the shard missed its deadline —
+               answer denies now rather than hang the client behind a
+               wedged worker; the late result, if any, is discarded *)
             degraded := true;
             Obs.Counter.incr t.c_watchdog_trips;
             Obs.Counter.add t.c_failsafe (Array.length idxs))
@@ -271,9 +276,11 @@ let stats_json t =
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* A connection's thread ends here: it takes itself out of [conns] and
+   only then closes its fd, so an fd [stop] finds in [conns] is open. *)
 let drop_conn t fd =
   Mutex.lock t.conns_mu;
-  t.conns <- List.filter (fun c -> c <> fd) t.conns;
+  t.conns <- List.filter (fun (c, _) -> c <> fd) t.conns;
   Mutex.unlock t.conns_mu;
   close_quiet fd
 
@@ -324,11 +331,11 @@ let accept_loop t listener =
           | exception Unix.Unix_error _ -> ()
           | fd, _ ->
               Obs.Counter.incr t.c_connections;
-              let th = Thread.create (fun () -> connection_loop t fd) () in
-              Mutex.lock t.conns_mu;
-              t.conns <- fd :: t.conns;
-              t.conn_threads <- th :: t.conn_threads;
-              Mutex.unlock t.conns_mu);
+              (* the thread is listed before it can reach [drop_conn],
+                 which waits for this lock *)
+              Mutex.protect t.conns_mu (fun () ->
+                  let th = Thread.create (fun () -> connection_loop t fd) () in
+                  t.conns <- (fd, th) :: t.conns));
           loop ()
     end
   in
@@ -375,7 +382,6 @@ let start ?(config = default_config) db =
       reload_mu = Mutex.create ();
       conns_mu = Mutex.create ();
       conns = [];
-      conn_threads = [];
       listeners = [];
       accepters = [];
       stopped = false;
@@ -411,6 +417,12 @@ let shed t = Obs.Counter.value t.c_shed
 
 let pool t = t.pool
 
+let connections t =
+  Mutex.lock t.conns_mu;
+  let n = List.length t.conns in
+  Mutex.unlock t.conns_mu;
+  n
+
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
@@ -420,16 +432,17 @@ let stop t =
     List.iter close_quiet t.listeners;
     (* [shutdown] (not [close]) wakes a connection thread blocked in
        read with EOF; each thread then closes its own fd and exits, so
-       no fd is ever closed under a thread still using it *)
+       no fd is ever closed under a thread still using it.  Under the
+       lock every listed fd is still open; the threads of connections
+       that already ended are gone from the list and need no join. *)
     Mutex.lock t.conns_mu;
-    let conns = t.conns and threads = t.conn_threads in
-    t.conn_threads <- [];
-    Mutex.unlock t.conns_mu;
+    let conns = t.conns in
     List.iter
-      (fun fd ->
+      (fun (fd, _) ->
         try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
       conns;
-    List.iter Thread.join threads;
+    Mutex.unlock t.conns_mu;
+    List.iter (fun (_, th) -> Thread.join th) conns;
     Pool.shutdown t.pool;
     try Unix.unlink t.config.socket_path with Unix.Unix_error _ -> ()
   end

@@ -62,6 +62,11 @@ val watchdog_trips : t -> int
 val shed : t -> int
 (** Requests answered with shed fail-safe denies at admission. *)
 
+val connections : t -> int
+(** Open connections, each with the thread serving it.  A connection
+    leaves the count when its thread exits, so a closed session leaves
+    nothing behind for {!stop} to join. *)
+
 val pool : t -> Secpol_par.Pool.t
 (** The serving pool — exposed for tests (stall injection, epoch
     assertions); production callers talk over the socket. *)

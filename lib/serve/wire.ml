@@ -193,6 +193,29 @@ let get_status c =
   | 2 -> Rejected
   | t -> malformed "unknown reload status %d" t
 
+let get_msg_id c =
+  match get_i32 c with
+  | -1 -> None
+  | m when m >= 0 -> Some m
+  | m -> malformed "negative msg id %d" m
+
+(* [n] values read in order, in an array that starts out holding [seed].
+   [Array.init n f] would seed it with [f 0] instead: above 256 elements
+   ([Max_young_wosize]) the array is allocated in the major heap, and
+   [caml_make_vect] forces a minor collection first whenever that seed is
+   a fresh minor-heap value, as a decoded string or [Some m] is.  So every
+   column starts from a constant, which never lives in the minor heap. *)
+let column c n seed read =
+  let a = Array.make n seed in
+  for i = 0 to n - 1 do
+    a.(i) <- read c
+  done;
+  a
+
+(* the seed of a decoded request array: a constant, like a column's *)
+let no_request =
+  { Ir.mode = ""; subject = ""; asset = ""; op = Ir.Read; msg_id = None }
+
 let decode_payload payload =
   let c = { payload; pos = 0 } in
   let msg =
@@ -200,30 +223,23 @@ let decode_payload payload =
     | 1 ->
         let id = get_u32 c in
         let n = get_u16 c in
-        let modes = Array.init n (fun _ -> get_str16 c) in
-        let subjects = Array.init n (fun _ -> get_str16 c) in
-        let assets = Array.init n (fun _ -> get_str16 c) in
-        let ops = Array.init n (fun _ -> get_op c) in
-        let msg_ids =
-          Array.init n (fun _ ->
-              match get_i32 c with
-              | -1 -> None
-              | m when m >= 0 -> Some m
-              | m -> malformed "negative msg id %d" m)
-        in
-        Decide_req
-          {
-            id;
-            reqs =
-              Array.init n (fun i ->
-                  {
-                    Ir.mode = modes.(i);
-                    subject = subjects.(i);
-                    asset = assets.(i);
-                    op = ops.(i);
-                    msg_id = msg_ids.(i);
-                  });
-          }
+        let modes = column c n "" get_str16 in
+        let subjects = column c n "" get_str16 in
+        let assets = column c n "" get_str16 in
+        let ops = column c n Ir.Read get_op in
+        let msg_ids = column c n None get_msg_id in
+        let reqs = Array.make n no_request in
+        for i = 0 to n - 1 do
+          reqs.(i) <-
+            {
+              Ir.mode = modes.(i);
+              subject = subjects.(i);
+              asset = assets.(i);
+              op = ops.(i);
+              msg_id = msg_ids.(i);
+            }
+        done;
+        Decide_req { id; reqs }
     | 2 ->
         let id = get_u32 c in
         let flags = get_u8 c in

@@ -173,6 +173,34 @@ let test_readers () =
   check number "an int reads as a float" (Some 2.0)
     (Protocol.at [ "meta"; "cores" ] runs)
 
+let test_largest () =
+  let rungs values =
+    artifact
+      [
+        ( "runs",
+          Json.List
+            (List.map
+               (fun v ->
+                 Json.Obj
+                   (("domains", Json.Int 1)
+                   :: Option.fold ~none:[]
+                        ~some:(fun v -> [ ("per_batch", Json.Float v) ])
+                        v))
+               values) );
+      ]
+  in
+  let largest = Protocol.largest [ "runs" ] "per_batch" in
+  let number = Alcotest.(option (float 1e-9)) in
+  check number "the worst rung" (Some 0.5)
+    (largest (rungs [ Some 0.1; Some 0.5; Some 0.2 ]));
+  check number "a rung without the field" None
+    (largest (rungs [ Some 0.1; None ]));
+  check number "no rungs" None (largest (rungs []));
+  let g = Protocol.gate "per_batch" ~read:largest (Ceiling 1.0) in
+  expect "every rung under the ceiling" "ok"
+    (eval g (rungs [ Some 0.1; Some 1.0 ]));
+  expect "one rung over it" "FAILED" (eval g (rungs [ Some 0.1; Some 5.2 ]))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "protocol"
@@ -186,5 +214,6 @@ let () =
           quick "missing value fails" test_missing;
           quick "baseline from another run fails" test_other_run;
           quick "readers" test_readers;
+          quick "largest over rows" test_largest;
         ] );
     ]

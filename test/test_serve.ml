@@ -144,6 +144,55 @@ let test_wire_max_batch () =
   | exception Wire.Malformed _ -> ()
   | _ -> Alcotest.fail "oversized batch encoded")
 
+(* A decoded batch of more than 256 requests has its columns and its
+   request array allocated in the major heap.  Seeding one with a fresh
+   minor-heap value, as [Array.init] seeds it with its first element,
+   makes the runtime force a minor collection first, and with the
+   daemon's worker domain alive each one stops every domain.  The test
+   runs on a minor heap large enough for everything the largest decode
+   allocates: 0.92 M words, and 0.33 M major-to-minor pointers, which
+   overflow the default heap's remembered set (an eighth of its size).
+   So a collection counted here is a forced one, never the heap or its
+   remembered set filling up. *)
+let test_wire_no_forced_collection () =
+  let collections () = (Gc.quick_stat ()).Gc.minor_collections in
+  let no_collection what f =
+    Gc.minor ();
+    let before = collections () in
+    let v = Sys.opaque_identity (f ()) in
+    check Alcotest.int (what ^ " forces no minor collection") before
+      (collections ());
+    v
+  in
+  let payloads =
+    List.map
+      (fun n ->
+        let reqs =
+          Array.init n (fun i ->
+              req ~msg_id:(i land 0xFF) (Printf.sprintf "s%d" (i land 7)) "a")
+        in
+        (n, Wire.encode_payload (Wire.Decide_req { id = n; reqs })))
+      [ 511; Wire.max_batch ]
+  in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 4 * 1024 * 1024 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set gc)
+    (fun () ->
+      List.iter
+        (fun (n, payload) ->
+          let msg =
+            no_collection (Printf.sprintf "decoding %d requests" n) (fun () ->
+                Wire.decode_payload payload)
+          in
+          let again =
+            no_collection (Printf.sprintf "encoding %d requests" n) (fun () ->
+                Wire.encode_payload msg)
+          in
+          check Alcotest.bool "byte-identical re-encoding" true
+            (String.equal payload again))
+        payloads)
+
 (* ------------------------------------------------------------------ *)
 (* Wire codec: adversarial decoding                                    *)
 (* ------------------------------------------------------------------ *)
@@ -302,6 +351,83 @@ let test_pool_await_timeout () =
           Atomic.set gate true;
           (* a later await still collects the (late) result *)
           check Alcotest.string "late result" "done" (Pool.await ticket))
+
+(* Deadlines fire in deadline order, whatever the order the waits were
+   registered in: three stalled jobs awaited from three threads, the
+   latest deadline registered first.  Only lower bounds and the order
+   are asserted, never an upper bound on wall-clock time.  The jobs run
+   on three pools, then on three shards of one pool, whose one watchdog
+   holds all three deadlines. *)
+let check_deadline_order targets =
+  let gate = Atomic.make false in
+  let tickets =
+    List.map
+      (fun (pool, shard) ->
+        match
+          Pool.try_submit pool ~shard (fun _ ->
+              while not (Atomic.get gate) do
+                Unix.sleepf 0.001
+              done;
+              shard)
+        with
+        | Some t -> t
+        | None -> Alcotest.fail "submit refused")
+      targets
+  in
+  let timeouts = [ 0.05; 0.03; 0.01 ] in
+  let returned = Atomic.make 0 in
+  let outcomes = Array.make (List.length timeouts) None in
+  let waiter i ticket timeout_s () =
+    let t0 = Secpol_obs.Clock.now () in
+    let r = Pool.await_timeout ticket ~timeout_s in
+    let elapsed = Secpol_obs.Clock.now () -. t0 in
+    outcomes.(i) <- Some (r, elapsed, Atomic.fetch_and_add returned 1)
+  in
+  let threads =
+    List.mapi
+      (fun i (ticket, timeout_s) ->
+        let th = Thread.create (waiter i ticket timeout_s) () in
+        (* let this wait register before the next, earlier one *)
+        Thread.delay 0.002;
+        th)
+      (List.combine tickets timeouts)
+  in
+  List.iter Thread.join threads;
+  (* opened before any check, so a failing one leaves no job wedged *)
+  Atomic.set gate true;
+  let order =
+    List.mapi
+      (fun i timeout_s ->
+        match outcomes.(i) with
+        | Some (None, elapsed, order) ->
+            (* the clock's resolution covers the rounding of a deadline *)
+            check Alcotest.bool
+              (Printf.sprintf "%.2f s wait not before its deadline" timeout_s)
+              true
+              (elapsed +. Secpol_obs.Clock.resolution >= timeout_s);
+            order
+        | Some (Some _, _, _) ->
+            Alcotest.failf "%.2f s wait beat a stalled job" timeout_s
+        | None -> Alcotest.failf "%.2f s wait never returned" timeout_s)
+      timeouts
+  in
+  check Alcotest.bool "the 0.01 s wait returns before the 0.05 s one" true
+    (List.nth order 2 < List.nth order 0);
+  (* no job was cancelled: each ticket still collects its late result *)
+  List.iter2
+    (fun ticket (_, shard) ->
+      check Alcotest.int "late result" shard (Pool.await ticket))
+    tickets targets
+
+let test_pool_deadline_order () =
+  let pools = List.init 3 (fun _ -> pool_of ~domains:1 old_source) in
+  Fun.protect
+    ~finally:(fun () -> List.iter Pool.shutdown pools)
+    (fun () -> check_deadline_order (List.map (fun p -> (p, 0)) pools));
+  let pool = pool_of ~domains:3 old_source in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () -> check_deadline_order (List.init 3 (fun shard -> (pool, shard))))
 
 let test_pool_shutdown_drains () =
   let pool = pool_of ~domains:1 old_source in
@@ -566,6 +692,26 @@ let test_daemon_survives_garbage () =
           check Alcotest.bool "daemon alive" true
             (Client.decide_one client (req "sensors" "telemetry"))))
 
+(* A closed session leaves nothing behind: its thread leaves the
+   daemon's list as it exits, so past sessions hold no memory and [stop]
+   joins only the connections still open. *)
+let test_daemon_forgets_closed_sessions () =
+  with_daemon ~domains:1 old_source (fun daemon socket_path ->
+      for _ = 1 to 1000 do
+        with_client socket_path (fun client ->
+            ignore (Client.decide_one client (req "sensors" "telemetry")))
+      done;
+      (* the last session's thread leaves once it reads the EOF *)
+      let rec settle tries =
+        if Daemon.connections daemon > 0 && tries > 0 then begin
+          Thread.delay 0.001;
+          settle (tries - 1)
+        end
+      in
+      settle 10_000;
+      check Alcotest.int "connection threads tracked after 1000 sessions" 0
+        (Daemon.connections daemon))
+
 let test_daemon_failsafe_on_stall () =
   with_daemon ~domains:1 old_source (fun daemon socket_path ->
       let pool = Daemon.pool daemon in
@@ -705,6 +851,7 @@ let () =
           quick "max batch round trip" test_wire_max_batch;
           quick "truncations fail closed" test_wire_truncations;
           quick "garbage fails closed" test_wire_garbage;
+          quick "decode forces no collection" test_wire_no_forced_collection;
         ] );
       ( "pool",
         [
@@ -713,6 +860,7 @@ let () =
           quick "swap keeps counters" test_pool_swap_keeps_counters;
           quick "full ring refuses admission" test_pool_backpressure;
           quick "await timeout" test_pool_await_timeout;
+          quick "deadlines fire in deadline order" test_pool_deadline_order;
           quick "shutdown drains" test_pool_shutdown_drains;
           quick "admission races shutdown" test_pool_admission_races_shutdown;
         ] );
@@ -724,6 +872,8 @@ let () =
           quick "reload rejects garbage" test_daemon_reload_rejects_garbage;
           quick "hot swap under load" test_daemon_swap_under_load;
           quick "survives malformed frames" test_daemon_survives_garbage;
+          quick "closed sessions leave no thread"
+            test_daemon_forgets_closed_sessions;
           quick "fail-safe denies on stall" test_daemon_failsafe_on_stall;
           quick "watchdog timeout" test_daemon_watchdog_timeout;
           quick "admission shed denies" test_daemon_shed_denies;
