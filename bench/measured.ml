@@ -830,8 +830,11 @@ let topology ~quick =
    to parscale's in-process shard throughput.  Each rung also counts the
    minor collections of its timed batches (client and daemon share this
    process, and with worker domains alive each collection stops them
-   all), and times one-request decides on the same open connection,
-   whose latency is the hand-off alone. *)
+   all) and the minor words they allocate per request ([Gc.minor_words]
+   counts the calling domain, which runs the client and the daemon's
+   connection threads: encode, decode, arena fill and answer), and times
+   one-request decides on the same open connection, whose latency is the
+   hand-off alone. *)
 let serve ~quick =
   section "Decision service: secpold end to end over its unix socket";
   let db = Policy.Compile.compile_exn (V.Policy_map.baseline ()) in
@@ -852,8 +855,8 @@ let serve ~quick =
     (String.concat "/" (List.map string_of_int ladder))
     warmup repeats
     (Domain.recommended_domain_count ());
-  Printf.printf "%-22s %12s %14s %16s %14s\n" "configuration" "elapsed s"
-    "req/s" "minor GC/batch" "1-req p50 us";
+  Printf.printf "%-22s %12s %14s %16s %12s %14s\n" "configuration" "elapsed s"
+    "req/s" "minor GC/batch" "words/req" "1-req p50 us";
   let rungs =
     List.map
       (fun domains ->
@@ -873,18 +876,23 @@ let serve ~quick =
               ~finally:(fun () -> Serve_client.close client)
               (fun () ->
                 let collections () = (Gc.quick_stat ()).Gc.minor_collections in
-                let runs = ref 0 and timed_collections = ref 0 in
+                let runs = ref 0
+                and timed_collections = ref 0
+                and timed_words = ref 0.0 in
                 let run () =
                   let before = collections () in
+                  let words = Gc.minor_words () in
                   for _ = 1 to batches do
                     let b = Serve_client.decide client batch_reqs in
                     if b.Serve_client.degraded || b.Serve_client.shed then
                       failwith "serve bench: degraded or shed response"
                   done;
                   (* the warmup runs come first and are not counted *)
-                  if !runs >= warmup then
+                  if !runs >= warmup then begin
                     timed_collections :=
                       !timed_collections + (collections () - before);
+                    timed_words := !timed_words +. (Gc.minor_words () -. words)
+                  end;
                   incr runs
                 in
                 let median_s, _ = Protocol.measure ~warmup ~repeats run in
@@ -892,6 +900,9 @@ let serve ~quick =
                 let per_batch =
                   float_of_int !timed_collections
                   /. float_of_int (repeats * batches)
+                in
+                let words_per_request =
+                  !timed_words /. float_of_int (repeats * total)
                 in
                 let one = reqs.(0) in
                 let single_us =
@@ -901,10 +912,15 @@ let serve ~quick =
                       1e6 *. (Secpol_obs.Clock.now () -. t0))
                 in
                 let one_p50_us = Protocol.median single_us in
-                Printf.printf "%-22s %12.4f %14.0f %16.2f %14.1f\n"
+                Printf.printf "%-22s %12.4f %14.0f %16.2f %12.2f %14.1f\n"
                   (Printf.sprintf "%d domain(s)" domains)
-                  median_s throughput per_batch one_p50_us;
-                (domains, median_s, throughput, per_batch, one_p50_us))))
+                  median_s throughput per_batch words_per_request one_p50_us;
+                ( domains,
+                  median_s,
+                  throughput,
+                  per_batch,
+                  words_per_request,
+                  one_p50_us ))))
       ladder
   in
   Json.Obj
@@ -917,7 +933,12 @@ let serve ~quick =
       ( "runs",
         Json.List
           (List.map
-             (fun (domains, elapsed_s, throughput, per_batch, one_p50_us) ->
+             (fun ( domains,
+                    elapsed_s,
+                    throughput,
+                    per_batch,
+                    words_per_request,
+                    one_p50_us ) ->
                Json.Obj
                  [
                    ("domains", Json.Int domains);
@@ -926,11 +947,12 @@ let serve ~quick =
                    ("elapsed_s", Json.Float elapsed_s);
                    ("throughput_per_s", Json.Float throughput);
                    ("minor_collections_per_batch", Json.Float per_batch);
+                   ("minor_words_per_request", Json.Float words_per_request);
                    ("decide_one_p50_us", Json.Float one_p50_us);
                  ])
              rungs) );
       ( "scaling",
-        top_over_one (List.map (fun (d, _, t, _, _) -> (d, t)) rungs) );
+        top_over_one (List.map (fun (d, _, t, _, _, _) -> (d, t)) rungs) );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1077,6 +1099,13 @@ let registry =
           gate "minor_collections_per_batch"
             ~read:(largest [ "runs" ] "minor_collections_per_batch")
             (Ceiling 1.0);
+          (* about 1.2-1.7 words a request when each name crosses the
+             wire and is decoded once and the connection's arenas are
+             reused; a decoder that allocates three strings, a record
+             and an option per request reads about 17 *)
+          gate "minor_words_per_request"
+            ~read:(largest [ "runs" ] "minor_words_per_request")
+            (Ceiling 3.0);
         ];
     };
     {

@@ -21,9 +21,10 @@ type result = {
   stats : stats;
 }
 
-(* One shard's slice, run on the shard's worker: the daemon's job shape
-   (pack into the arena, one [decide_batch]) with each request's own
-   timestamp, returning the worker's telemetry alongside. *)
+(* One shard's slice, run on the shard's worker: packed into an arena
+   with each request's own timestamp and decided by one [decide_batch],
+   as the daemon's shards decide theirs, returning the worker's
+   telemetry alongside. *)
 let decide_job work idxs w =
   let n = Array.length idxs in
   let batch = Batch.create ~capacity:(max 1 n) () in

@@ -63,20 +63,25 @@ let grow t =
   t.exact_hash <- extend 0 t.exact_hash;
   t.wild_hash <- extend 0 t.wild_hash
 
-let push ?(now = 0.0) t (req : Ir.request) =
+let push_hashed t ~now ~mode ~subject ~subject_hash ~asset ~asset_hash op
+    ~msg_id =
   if t.len = Array.length t.ops then grow t;
   let i = t.len in
-  t.subjects.(i) <- req.subject;
-  t.assets.(i) <- req.asset;
-  t.modes.(i) <- req.mode;
-  t.ops.(i) <- Ir.Request.op_tag req.op;
-  t.msg_ids.(i) <-
-    (match req.msg_id with None -> no_msg_id | Some id -> id);
+  t.subjects.(i) <- subject;
+  t.assets.(i) <- asset;
+  t.modes.(i) <- mode;
+  t.ops.(i) <- Ir.Request.op_tag op;
+  t.msg_ids.(i) <- msg_id;
   t.nows.(i) <- now;
-  t.exact_hash.(i) <-
-    Ir.Request.triple_hash ~subject:req.subject ~asset:req.asset req.op;
-  t.wild_hash.(i) <- Ir.Request.pair_hash ~asset:req.asset req.op;
+  t.exact_hash.(i) <- Ir.Request.triple_hash ~subject_hash ~asset_hash op;
+  t.wild_hash.(i) <- Ir.Request.pair_hash ~asset_hash op;
   t.len <- i + 1
+
+let push ?(now = 0.0) t (req : Ir.request) =
+  push_hashed t ~now ~mode:req.mode ~subject:req.subject
+    ~subject_hash:(String.hash req.subject) ~asset:req.asset
+    ~asset_hash:(String.hash req.asset) req.op
+    ~msg_id:(match req.msg_id with None -> no_msg_id | Some id -> id)
 
 let of_work work =
   let t = create ~capacity:(max 1 (Array.length work)) () in

@@ -46,11 +46,29 @@ val capacity : t -> int
 val clear : t -> unit
 (** Forget the contents, keep the buffers: O(1), no allocation. *)
 
+val push_hashed :
+  t ->
+  now:float ->
+  mode:string ->
+  subject:string ->
+  subject_hash:int ->
+  asset:string ->
+  asset_hash:int ->
+  Ir.op ->
+  msg_id:int ->
+  unit
+(** Append one request from its names, the [String.hash] of its subject
+    and asset, its operation and its message ID ({!no_msg_id} for none),
+    mixing the dispatch keys by {!Ir.Request.triple_hash} and
+    {!Ir.Request.pair_hash}.  A caller holding many requests over few
+    names (the daemon's wire decode) hashes each name once and passes the
+    same string for every row that names it.  [now] is the timestamp
+    rate-limited rules will see, as in {!Engine.decide}.  Amortised O(1);
+    allocates only when the arena must grow (doubling). *)
+
 val push : ?now:float -> t -> Ir.request -> unit
-(** Append one request, pre-hashing its dispatch keys.  [now] (default
-    [0.]) is the timestamp rate-limited rules will see, as in
-    {!Engine.decide}.  Amortised O(1); allocates only when the arena
-    must grow (doubling). *)
+(** {!push_hashed} of one request record, hashing its subject and asset.
+    [now] defaults to [0.]. *)
 
 val of_work : (float * Ir.request) array -> t
 (** A fresh arena filled from [(now, request)] pairs, sized exactly. *)

@@ -58,13 +58,14 @@ module Request = struct
   (* The two dispatch hashes of the compiled table, split out so the batch
      arena can pre-hash every request once at fill time: [triple_hash]
      keys the exact (subject, asset, op) dispatch, [pair_hash] the
-     wildcard (asset, op) fallback for subjects the policy never names. *)
-  let triple_hash ~subject ~asset op =
-    let h = String.hash subject in
-    let h = (h * 31) + String.hash asset in
-    ((h * 31) + op_tag op) land max_int
+     wildcard (asset, op) fallback for subjects the policy never names.
+     Both take the names' [String.hash] values, so a caller holding many
+     requests over few names hashes each name once, and every caller
+     mixes them by this one formula. *)
+  let triple_hash ~subject_hash ~asset_hash op =
+    ((((subject_hash * 31) + asset_hash) * 31) + op_tag op) land max_int
 
-  let pair_hash ~asset op = ((String.hash asset * 31) + op_tag op) land max_int
+  let pair_hash ~asset_hash op = ((asset_hash * 31) + op_tag op) land max_int
 end
 
 let rule_matches (r : rule) (req : request) =

@@ -60,14 +60,16 @@ module Request : sig
       by {!Batch} (an [int array] of operations stays unboxed and
       comparison-free on the batched decision path). *)
 
-  val triple_hash : subject:string -> asset:string -> op -> int
-  (** Hash of the [(subject, asset, op)] dispatch key (field-wise, no
-      [Hashtbl.hash] on the structured value); precomputed per request by
-      {!Batch.push} and used by {!Table}'s open-addressed dispatch. *)
+  val triple_hash : subject_hash:int -> asset_hash:int -> op -> int
+  (** Hash of the [(subject, asset, op)] dispatch key, mixed from the
+      names' [String.hash] values (field-wise, no [Hashtbl.hash] on the
+      structured value); precomputed per request by {!Batch.push_hashed}
+      and used by {!Table}'s open-addressed dispatch. *)
 
-  val pair_hash : asset:string -> op -> int
+  val pair_hash : asset_hash:int -> op -> int
   (** Hash of the [(asset, op)] wildcard-dispatch key (rules whose subject
-      is [any], matched when the policy never names the subject). *)
+      is [any], matched when the policy never names the subject), from the
+      asset's [String.hash]. *)
 end
 
 val rules_for_asset : db -> string -> rule list

@@ -12,7 +12,7 @@ module Asset_key = struct
 
   let equal a b = a.op = b.op && String.equal a.asset b.asset
 
-  let hash k = Ir.Request.pair_hash ~asset:k.asset k.op
+  let hash k = Ir.Request.pair_hash ~asset_hash:(String.hash k.asset) k.op
 end
 
 module AH = Hashtbl.Make (Asset_key)
@@ -302,7 +302,8 @@ let compile ~strategy (db : Ir.db) =
               rules
           in
           exact_entries :=
-            ( Ir.Request.triple_hash ~subject ~asset:key.asset key.op,
+            ( Ir.Request.triple_hash ~subject_hash:(String.hash subject)
+                ~asset_hash:(String.hash key.asset) key.op,
               subject,
               key.asset,
               op_tag key.op,
@@ -315,7 +316,7 @@ let compile ~strategy (db : Ir.db) =
       | [] -> ()
       | any_rules ->
           wildcard_entries :=
-            ( Ir.Request.pair_hash ~asset:key.asset key.op,
+            ( Ir.Request.pair_hash ~asset_hash:(String.hash key.asset) key.op,
               key.asset,
               "",
               op_tag key.op,
@@ -371,15 +372,18 @@ let rec scan_scalar t arr n i ~bit ~mode ~msg ~rate_available ~rate_consume =
    for a subject the policy never names *)
 let[@inline] find_verdict t ~subject ~asset op =
   let tag = op_tag op in
+  let asset_hash = String.hash asset in
   match
     find_dispatch t.exact
-      ~h:(Ir.Request.triple_hash ~subject ~asset op)
+      ~h:
+        (Ir.Request.triple_hash ~subject_hash:(String.hash subject) ~asset_hash
+           op)
       ~k1:subject ~k2:asset ~op:tag
   with
   | Some _ as v -> v
   | None ->
       find_dispatch t.wildcard
-        ~h:(Ir.Request.pair_hash ~asset op)
+        ~h:(Ir.Request.pair_hash ~asset_hash op)
         ~k1:asset ~k2:"" ~op:tag
 
 let decide t ~rate_available ~rate_consume (req : Ir.request) =

@@ -51,7 +51,7 @@ type decision_batch = {
 
 let decide t reqs =
   let id = fresh_id t in
-  match roundtrip t (Wire.Decide_req { id; reqs }) with
+  match roundtrip t (Wire.Decide_req { id; reqs = Wire.intern reqs }) with
   | Wire.Decide_resp { id = rid; degraded; shed; allows } when rid = id ->
       if Array.length allows <> Array.length reqs then
         raise (Protocol "decide: answer count mismatch");

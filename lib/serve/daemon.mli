@@ -14,10 +14,14 @@
       and the refusal names the first widened flow), then publishes it
       with one atomic pointer swap — zero dropped requests, and no
       decision made after the ack is stale;
+    - a decide's rows are filled, each distinct name hashed once,
+      straight from the wire's name tables into one arena per shard,
+      reused from decide to decide, and each shard's worker decides its
+      arena in bulk;
     - overload sheds at admission with fail-safe denies (the gateway's
       retry-then-shed discipline), and a per-batch watchdog answers
-      denies when a shard misses its deadline rather than hanging the
-      client;
+      denies when a shard misses the batch's deadline rather than
+      hanging the client;
     - undecodable input is counted ([serve.wire_errors]) and the
       connection dropped — the daemon itself never dies from a frame.
 
@@ -30,7 +34,10 @@ type config = {
   domains : int;  (** worker shards *)
   strategy : Secpol_policy.Engine.strategy;
   queue_capacity : int;  (** per-shard ring depth (admission bound) *)
-  watchdog_deadline_s : float;  (** per-shard answer deadline *)
+  watchdog_deadline_s : float;
+      (** a batch's answer deadline, from its submission: shards that miss
+          it are answered with fail-safe denies and count one watchdog
+          trip for the batch *)
   admission_retries : int;  (** retries before shedding a full ring *)
   retry_backoff_s : float;  (** base backoff between admission retries *)
 }

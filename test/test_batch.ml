@@ -1,9 +1,10 @@
 (* Tests for the batched decision path: {!Engine.decide_batch} must agree
    decision-for-decision with per-request {!Engine.decide} and with the
    {!Reference} scan — across all three strategies, random rate-limiter
-   states and batch sizes 0/1/odd/huge — {!Table.decide_row} must decide
-   each row as the batch sweep does, and the compiled path must not
-   allocate per request. *)
+   states and batch sizes 0/1/odd/huge — an arena filled from a decoded
+   wire decide must equal one filled by {!Batch.push}, {!Table.decide_row}
+   must decide each row as the batch sweep does, and the compiled path
+   must not allocate per request. *)
 
 module Ast = Secpol_policy.Ast
 module Parser = Secpol_policy.Parser
@@ -14,6 +15,7 @@ module Reference = Secpol_policy.Reference
 module Batch = Secpol_policy.Batch
 module Table = Secpol_policy.Table
 module Rate_window = Secpol_policy.Rate_window
+module Wire = Secpol_serve.Wire
 
 let quick name f = Alcotest.test_case name `Quick f
 
@@ -133,6 +135,101 @@ let prop_batch_equals_scalar =
                  (fun (req, now) -> fst (Reference.decide ~now reference req))
                  body)
         strategies)
+
+(* A name from a pool, or a fresh copy of one: equal to the pool's
+   string but never physically the same, so neither the wire's interning
+   nor the mode memo can lean on sharing. *)
+let name_gen pool =
+  QCheck.Gen.(
+    let* s = oneofa pool in
+    let* copy = bool in
+    return (if copy then Bytes.to_string (Bytes.of_string s) else s))
+
+let wire_request_gen =
+  QCheck.Gen.(
+    let* subject = name_gen subjects in
+    let* asset = name_gen assets in
+    let* mode = name_gen modes in
+    let* op = oneofl [ Ir.Read; Ir.Write ] in
+    let* msg_id =
+      oneof [ return None; map (fun id -> Some id) (0x0f0 -- 0x320) ]
+    in
+    return { Ir.mode; subject; asset; op; msg_id })
+
+(* The daemon's path: the client interns and encodes the batch, the
+   daemon decodes it and fills an arena from the tables at one [now]. *)
+let wire_batch ~now reqs =
+  let b = Batch.create ~capacity:(max 1 (Array.length reqs)) () in
+  (match
+     Wire.decode_payload
+       (Wire.encode_payload
+          (Wire.Decide_req { id = 0; reqs = Wire.intern reqs }))
+   with
+  | Wire.Decide_req { reqs = r; _ } ->
+      Wire.fill r ~now (Array.make (Array.length r.Wire.subjects) b)
+  | _ -> QCheck.Test.fail_report "a decide decoded as another message");
+  b
+
+let same_rows (a : Batch.t) (b : Batch.t) =
+  Batch.length a = Batch.length b
+  && List.for_all
+       (fun i ->
+         String.equal a.subjects.(i) b.subjects.(i)
+         && String.equal a.assets.(i) b.assets.(i)
+         && String.equal a.modes.(i) b.modes.(i)
+         && a.ops.(i) = b.ops.(i)
+         && a.msg_ids.(i) = b.msg_ids.(i)
+         && a.nows.(i) = b.nows.(i)
+         && a.exact_hash.(i) = b.exact_hash.(i)
+         && a.wild_hash.(i) = b.wild_hash.(i))
+       (List.init (Batch.length a) Fun.id)
+
+(* The tail arrives as one decide, stamped with one [now] as the daemon
+   stamps a batch: the arena the wire fills holds, row for row, what
+   [Batch.push] puts there, and decides as [Batch.push]'s arena and the
+   scalar engine do, from the same random rate-limiter state. *)
+let prop_wire_fill_equals_push =
+  let gen =
+    QCheck.Gen.(
+      let* prefix = list_size (0 -- 20) request_gen in
+      let* size = size_gen in
+      let* body = array_size (return size) wire_request_gen in
+      let* dt = 0 -- 300 in
+      return (sequence prefix, body, float_of_int dt /. 1000.))
+  in
+  QCheck.Test.make
+    ~name:"arena filled from the wire = Batch.push (all strategies)"
+    ~count:150 (QCheck.make gen) (fun (prefix, body, dt) ->
+      let db = compile_ok mixed_source in
+      let now = List.fold_left (fun _ (_, t) -> t) 0.0 prefix +. dt in
+      let n = Array.length body in
+      let pushed = Batch.create ~capacity:(max 1 n) () in
+      Array.iter (Batch.push ~now pushed) body;
+      let wired = wire_batch ~now body in
+      same_rows pushed wired
+      && List.for_all
+           (fun strategy ->
+             let engines = Array.init 3 (fun _ -> Engine.create ~strategy db) in
+             Array.iter
+               (fun e ->
+                 List.iter
+                   (fun (req, t) -> ignore (Engine.decide ~now:t e req))
+                   prefix)
+               engines;
+             let expected =
+               Array.map
+                 (fun req ->
+                   (Engine.decide ~now engines.(0) req).Engine.decision)
+                 body
+             in
+             let decide e b =
+               let out = Array.make (max 1 n) Ast.Deny in
+               Engine.decide_batch e b ~out;
+               Array.sub out 0 n
+             in
+             decide engines.(1) pushed = expected
+             && decide engines.(2) wired = expected)
+           strategies)
 
 let test_huge_batch () =
   let db = compile_ok mixed_source in
@@ -366,6 +463,7 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest prop_batch_equals_scalar;
+          QCheck_alcotest.to_alcotest prop_wire_fill_equals_push;
           quick "huge batch (8192) agrees with scalar" test_huge_batch;
         ] );
       ( "rows",

@@ -99,7 +99,7 @@ let msg_gen =
       [
         (let* n = batch_size_gen in
          let* reqs = array_size (return n) req_gen in
-         return (Wire.Decide_req { id; reqs }));
+         return (Wire.Decide_req { id; reqs = Wire.intern reqs }));
         (let* n = batch_size_gen in
          let* allows = array_size (return n) bool in
          let* degraded = bool in
@@ -136,24 +136,60 @@ let test_wire_max_batch () =
     Array.init Wire.max_batch (fun i ->
         req ~msg_id:(i land 0xFF) (Printf.sprintf "s%d" (i land 7)) "a")
   in
-  let msg = Wire.Decide_req { id = 42; reqs } in
+  let msg = Wire.Decide_req { id = 42; reqs = Wire.intern reqs } in
   check Alcotest.bool "max batch round trips" true
     (Wire.equal msg (Wire.decode_payload (Wire.encode_payload msg)));
-  let over = Wire.Decide_req { id = 1; reqs = Array.make (Wire.max_batch + 1) (probe ()) } in
+  (* every name distinct: three tables of 65535 names each *)
+  let distinct =
+    Array.init Wire.max_batch (fun i ->
+        req ~msg_id:i
+          ~mode:(Printf.sprintf "m%d" i)
+          (Printf.sprintf "s%d" i) (Printf.sprintf "a%d" i))
+  in
+  let msg = Wire.Decide_req { id = 43; reqs = Wire.intern distinct } in
+  check Alcotest.bool "max batch of distinct names round trips" true
+    (Wire.equal msg (Wire.decode_payload (Wire.encode_payload msg)));
+  let over =
+    Wire.Decide_req
+      {
+        id = 1;
+        reqs = Wire.intern (Array.make (Wire.max_batch + 1) (probe ()));
+      }
+  in
   (match Wire.encode_payload over with
   | exception Wire.Malformed _ -> ()
   | _ -> Alcotest.fail "oversized batch encoded")
 
-(* A decoded batch of more than 256 requests has its columns and its
-   request array allocated in the major heap.  Seeding one with a fresh
-   minor-heap value, as [Array.init] seeds it with its first element,
-   makes the runtime force a minor collection first, and with the
-   daemon's worker domain alive each one stops every domain.  The test
-   runs on a minor heap large enough for everything the largest decode
-   allocates: 0.92 M words, and 0.33 M major-to-minor pointers, which
-   overflow the default heap's remembered set (an eighth of its size).
-   So a collection counted here is a forced one, never the heap or its
-   remembered set filling up. *)
+(* A message id travels as an i32 with -1 for none, so one outside
+   [0, 2^31) has no encoding: the encoder refuses it rather than wrap it
+   into another id, or into "none". *)
+let test_wire_unrepresentable_msg_id () =
+  (match Wire.intern [| req ~msg_id:(-5) "sensors" "engine" |] with
+  | exception Wire.Malformed _ -> ()
+  | _ -> Alcotest.fail "negative msg id interned");
+  List.iter
+    (fun m ->
+      match
+        Wire.encode_payload
+          (Wire.Decide_req
+             {
+               id = 1;
+               reqs = Wire.intern [| req ~msg_id:m "sensors" "engine" |];
+             })
+      with
+      | exception Wire.Malformed _ -> ()
+      | _ -> Alcotest.failf "msg id 0x%x encoded" m)
+    [ 0x80000000; 0xFFFFFFFF ]
+
+(* A decoded batch of more than 256 requests has its columns allocated
+   in the major heap.  Seeding one with a fresh minor-heap value, as
+   [Array.init] seeds it with its first element, makes the runtime force
+   a minor collection first, and with the daemon's worker domain alive
+   each one stops every domain.  The test runs on a 4 M-word minor heap,
+   so a collection counted here is a forced one, never the heap or its
+   remembered set (an eighth of its size) filling up.  A decode
+   allocates per distinct name, not per request, so two batches over the
+   same names allocate the same minor words whatever their size. *)
 let test_wire_no_forced_collection () =
   let collections () = (Gc.quick_stat ()).Gc.minor_collections in
   let no_collection what f =
@@ -171,7 +207,9 @@ let test_wire_no_forced_collection () =
           Array.init n (fun i ->
               req ~msg_id:(i land 0xFF) (Printf.sprintf "s%d" (i land 7)) "a")
         in
-        (n, Wire.encode_payload (Wire.Decide_req { id = n; reqs })))
+        ( n,
+          Wire.encode_payload
+            (Wire.Decide_req { id = n; reqs = Wire.intern reqs }) ))
       [ 511; Wire.max_batch ]
   in
   let gc = Gc.get () in
@@ -179,19 +217,36 @@ let test_wire_no_forced_collection () =
   Fun.protect
     ~finally:(fun () -> Gc.set gc)
     (fun () ->
-      List.iter
-        (fun (n, payload) ->
-          let msg =
-            no_collection (Printf.sprintf "decoding %d requests" n) (fun () ->
-                Wire.decode_payload payload)
-          in
-          let again =
-            no_collection (Printf.sprintf "encoding %d requests" n) (fun () ->
-                Wire.encode_payload msg)
-          in
-          check Alcotest.bool "byte-identical re-encoding" true
-            (String.equal payload again))
-        payloads)
+      let words =
+        List.map
+          (fun (n, payload) ->
+            let w0 = Gc.minor_words () in
+            let msg =
+              no_collection (Printf.sprintf "decoding %d requests" n)
+                (fun () -> Wire.decode_payload payload)
+            in
+            let decoded = Gc.minor_words () -. w0 in
+            let again =
+              no_collection (Printf.sprintf "encoding %d requests" n)
+                (fun () -> Wire.encode_payload msg)
+            in
+            check Alcotest.bool "byte-identical re-encoding" true
+              (String.equal payload again);
+            decoded)
+          payloads
+      in
+      (* both batches name the same ten strings (one mode, eight
+         subjects, one asset): a decode that allocates per name, not per
+         request, allocates the same for 511 requests as for 65535 *)
+      match words with
+      | [ small; large ] ->
+          check Alcotest.bool
+            (Printf.sprintf
+               "decode minor words independent of batch size (%.0f vs %.0f)"
+               small large)
+            true
+            (Float.abs (large -. small) <= 64.)
+      | _ -> assert false)
 
 (* ------------------------------------------------------------------ *)
 (* Wire codec: adversarial decoding                                    *)
@@ -205,7 +260,8 @@ let expect_malformed what payload =
 let test_wire_truncations () =
   let payload =
     Wire.encode_payload
-      (Wire.Decide_req { id = 7; reqs = [| probe (); req "a" "b" |] })
+      (Wire.Decide_req
+         { id = 7; reqs = Wire.intern [| probe (); req "a" "b" |] })
   in
   (* every strict prefix must fail closed *)
   for len = 0 to String.length payload - 1 do
@@ -219,7 +275,8 @@ let test_wire_garbage () =
   expect_malformed "unknown type tag" "\xff\x00\x00\x00\x00";
   expect_malformed "unknown op tag"
     (let good =
-       Wire.encode_payload (Wire.Decide_req { id = 0; reqs = [| probe () |] })
+       Wire.encode_payload
+         (Wire.Decide_req { id = 0; reqs = Wire.intern [| probe () |] })
      in
      (* the op byte sits 4 bytes before the trailing i32 msg-id column *)
      let b = Bytes.of_string good in
@@ -227,7 +284,40 @@ let test_wire_garbage () =
      Bytes.to_string b);
   expect_malformed "trailing garbage"
     (Wire.encode_payload (Wire.Stats_req { id = 3 }) ^ "x");
-  expect_malformed "garbage bytes" (String.make 64 '\xAA')
+  expect_malformed "garbage bytes" (String.make 64 '\xAA');
+  expect_malformed "index equal to its table's count"
+    (let good =
+       Wire.encode_payload
+         (Wire.Decide_req { id = 0; reqs = Wire.intern [| probe () |] })
+     in
+     (* one request: its three u16 indices, its op byte and its i32 msg
+        id are the last 11 bytes; the subject index is the second, and
+        every table holds one name *)
+     let b = Bytes.of_string good in
+     Bytes.set_uint16_le b (Bytes.length b - 9) 1;
+     Bytes.to_string b);
+  expect_malformed "table count larger than the bytes that follow"
+    (let b = Bytes.create 13 in
+     Bytes.set_uint8 b 0 8;
+     Bytes.set_int32_le b 1 0l;
+     Bytes.set_uint16_le b 5 1;
+     (* a mode table of 65535 names, and six bytes left *)
+     Bytes.set_uint16_le b 7 0xFFFF;
+     Bytes.fill b 9 4 '\x00';
+     Bytes.to_string b);
+  expect_malformed "a decide in the type-1 layout (every name in full)"
+    (let b = Buffer.create 64 in
+     Buffer.add_uint8 b 1;
+     Buffer.add_int32_le b 0l;
+     Buffer.add_uint16_le b 1;
+     List.iter
+       (fun name ->
+         Buffer.add_uint16_le b (String.length name);
+         Buffer.add_string b name)
+       [ "normal"; "sensors"; "engine" ];
+     Buffer.add_uint8 b 0;
+     Buffer.add_int32_le b (-1l);
+     Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
@@ -767,6 +857,50 @@ let test_daemon_watchdog_timeout () =
           check Alcotest.bool "re-armed" false b.Client.degraded;
           check Alcotest.bool "serves after re-arm" true b.Client.allows.(0)))
 
+(* A batch carries one deadline, however many of its shards stall: with
+   both workers wedged and a request on each shard, the decide answers
+   fail-safe denies once the one deadline has passed and counts one
+   trip.  Awaiting each shard against a deadline of its own would answer
+   only after two, and a deadline never fires early. *)
+let test_daemon_batch_deadline () =
+  let deadline_s = 0.5 in
+  let config =
+    { Daemon.default_config with watchdog_deadline_s = deadline_s }
+  in
+  with_daemon ~domains:2 ~config old_source (fun daemon socket_path ->
+      let shard_of s = Secpol_par.Partition.shard_of_string ~shards:2 s in
+      let subjects = [ "sensors"; "gateway"; "ecu"; "telematics"; "cloud" ] in
+      let on shard = List.find (fun s -> shard_of s = shard) subjects in
+      let reqs = [| req (on 0) "telemetry"; req (on 1) "telemetry" |] in
+      let gate = Atomic.make false in
+      Fun.protect
+        ~finally:(fun () -> Atomic.set gate true)
+        (fun () ->
+          for shard = 0 to 1 do
+            match
+              Pool.try_submit (Daemon.pool daemon) ~shard (fun _ ->
+                  while not (Atomic.get gate) do
+                    Unix.sleepf 0.001
+                  done)
+            with
+            | None -> Alcotest.fail "wedge refused"
+            | Some _ -> ()
+          done;
+          let before = Daemon.watchdog_trips daemon in
+          with_client socket_path (fun client ->
+              let t0 = Unix.gettimeofday () in
+              let b = Client.decide client reqs in
+              let elapsed = Unix.gettimeofday () -. t0 in
+              check Alcotest.bool "degraded" true b.Client.degraded;
+              check Alcotest.bool "every answer denies" true
+                (Array.for_all not b.Client.allows);
+              check Alcotest.bool
+                (Printf.sprintf "answered within one deadline (%.3f s)" elapsed)
+                true
+                (elapsed < 2. *. deadline_s));
+          check Alcotest.int "one trip for the batch" (before + 1)
+            (Daemon.watchdog_trips daemon)))
+
 (* Admission shed fails closed: with the only worker wedged and its
    one-slot ring full, a batch of requests the policy allows is answered
    at once with denies and flagged as shed — never with an allow. *)
@@ -849,6 +983,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_wire_roundtrip;
           quick "max batch round trip" test_wire_max_batch;
+          quick "unrepresentable msg ids refused"
+            test_wire_unrepresentable_msg_id;
           quick "truncations fail closed" test_wire_truncations;
           quick "garbage fails closed" test_wire_garbage;
           quick "decode forces no collection" test_wire_no_forced_collection;
@@ -876,6 +1012,7 @@ let () =
             test_daemon_forgets_closed_sessions;
           quick "fail-safe denies on stall" test_daemon_failsafe_on_stall;
           quick "watchdog timeout" test_daemon_watchdog_timeout;
+          quick "one deadline per batch" test_daemon_batch_deadline;
           quick "admission shed denies" test_daemon_shed_denies;
           quick "stats scrape" test_daemon_stats_scrape;
         ] );
