@@ -17,5 +17,11 @@ let matches t id =
   Identifier.is_extended id = t.extended
   && Identifier.raw id land t.mask = t.value land t.mask
 
+(* top-level recursion: [List.exists] would allocate a closure over [id]
+   for every receiver of every frame *)
+let rec any_matches id = function
+  | [] -> false
+  | f :: rest -> matches f id || any_matches id rest
+
 let accepts filters id =
-  match filters with [] -> true | fs -> List.exists (fun f -> matches f id) fs
+  match filters with [] -> true | fs -> any_matches id fs

@@ -13,11 +13,11 @@ let state t =
   else if t.tec > 127 || t.rec_ > 127 then Error_passive
   else Error_active
 
-let on_tx_success t = t.tec <- max 0 (t.tec - 1)
+let on_tx_success t = t.tec <- Int.max 0 (t.tec - 1)
 
 let on_tx_error t = if state t <> Bus_off then t.tec <- t.tec + 8
 
-let on_rx_success t = t.rec_ <- max 0 (t.rec_ - 1)
+let on_rx_success t = t.rec_ <- Int.max 0 (t.rec_ - 1)
 
 let on_rx_error t = if state t <> Bus_off then t.rec_ <- t.rec_ + 1
 

@@ -33,11 +33,13 @@ val to_ids : t -> Secpol_can.Identifier.t list
 
 val equal : t -> t -> bool
 (** Same standard and extended IDs.  Reads both 2048-bit bitmaps in full,
-    in place, unless they differ early, and allocates nothing while the
-    first list holds no extended IDs: the register file's integrity seal
-    ({!Registers.integrity_ok}) calls it on every frame. *)
+    in place, with one [memcmp] ([Bytes.compare]), unless they differ
+    early, and allocates nothing while the first list holds no extended
+    IDs: the register file's integrity seal ({!Registers.integrity_ok})
+    calls it on every frame. *)
 
 val blit : src:t -> dst:t -> unit
-(** Make [dst] hold exactly [src]'s IDs, copying the bitmap in place. *)
+(** Make [dst] hold exactly [src]'s IDs, copying the bitmap in place.  The
+    extended-ID sets are touched only when either side holds one. *)
 
 val pp : Format.formatter -> t -> unit

@@ -17,8 +17,8 @@ let make ?(write_rates = []) ?(own_ids = []) ~read_ids ~write_ids () =
 let by_asset bindings =
   List.fold_left
     (fun groups (b : binding) ->
-      match List.assoc_opt b.asset groups with
-      | Some ids ->
+      match List.find_opt (fun (a, _) -> String.equal a b.asset) groups with
+      | Some (_, ids) ->
           ids := b.msg_id :: !ids;
           groups
       | None -> (b.asset, ref [ b.msg_id ]) :: groups)

@@ -34,7 +34,8 @@ type t = {
   rates : Rate_limiter.t;
   rate_blocks : Obs.Counter.t;
   integrity_blocks : Obs.Counter.t;
-  own_ids : (int, unit) Hashtbl.t;
+  (* a 2048-bit map over the standard IDs this node alone produces *)
+  own_ids : Bytes.t;
   spoof_alerts : Obs.Counter.t;
   obs : Obs.Registry.t option;
   (* event * class -> counter, created on first frame of that kind so an
@@ -78,13 +79,18 @@ let sealed t =
     false
   end
 
+(* Outside the 11-bit space nothing is an own ID. *)
+let own_id t id =
+  id land lnot 0x7FF = 0
+  && Bytes.get_uint8 t.own_ids (id lsr 3) land (1 lsl (id land 7)) <> 0
+
 let gate_rx t (frame : Secpol_can.Frame.t) =
   (* impersonation detection: a frame arriving with an ID this node is
      the sole producer of cannot be genuine.  Detection, not prevention:
      the frame is flagged but filtering is still governed by the approved
      reading list. *)
   (match frame.id with
-  | Secpol_can.Identifier.Standard id when Hashtbl.mem t.own_ids id ->
+  | Secpol_can.Identifier.Standard id when own_id t id ->
       Obs.Counter.incr t.spoof_alerts
   | Secpol_can.Identifier.Standard _ | Secpol_can.Identifier.Extended _ -> ());
   let accept =
@@ -119,7 +125,7 @@ let install ?obs node =
     { node; regs; read_block; write_block; rates = Rate_limiter.create ();
       rate_blocks = Obs.Counter.create ();
       integrity_blocks = Obs.Counter.create ();
-      own_ids = Hashtbl.create 8;
+      own_ids = Bytes.make 256 '\000';
       spoof_alerts = Obs.Counter.create (); obs;
       class_counters = Array.make (Array.length event_names * n_classes) None }
   in
@@ -153,8 +159,14 @@ let load_rates t (config : Config.t) =
   List.iter
     (fun (msg_id, rate) -> Rate_limiter.set t.rates ~msg_id rate)
     config.Config.write_rates;
-  Hashtbl.reset t.own_ids;
-  List.iter (fun id -> Hashtbl.replace t.own_ids id ()) config.Config.own_ids
+  Bytes.fill t.own_ids 0 (Bytes.length t.own_ids) '\000';
+  List.iter
+    (fun id ->
+      if id land lnot 0x7FF = 0 then
+        let byte = id lsr 3 in
+        Bytes.set_uint8 t.own_ids byte
+          (Bytes.get_uint8 t.own_ids byte lor (1 lsl (id land 7))))
+    config.Config.own_ids
 
 let provision t config =
   match Config.provision t.regs config () with

@@ -77,5 +77,6 @@ val integrity_ok : t -> bool
     call this on every frame, before any list lookup, and every call reads
     every byte of both live lists: there is no cached verdict and no dirty
     flag, because an out-of-band write would update neither.  It reads the
-    bitmaps in place and allocates nothing while the lists hold no
-    extended IDs (the [hpe/registers/integrity_ok] row of [bench perf]). *)
+    bitmaps in place, one [memcmp] per list ({!Approved_list.equal}), and
+    allocates nothing while the lists hold no extended IDs (the
+    [hpe/registers/integrity_ok] row of [bench perf]). *)

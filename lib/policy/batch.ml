@@ -82,18 +82,3 @@ let push ?(now = 0.0) t (req : Ir.request) =
     ~subject_hash:(String.hash req.subject) ~asset:req.asset
     ~asset_hash:(String.hash req.asset) req.op
     ~msg_id:(match req.msg_id with None -> no_msg_id | Some id -> id)
-
-let of_work work =
-  let t = create ~capacity:(max 1 (Array.length work)) () in
-  Array.iter (fun (now, req) -> push ~now t req) work;
-  t
-
-let request t i =
-  if i < 0 || i >= t.len then invalid_arg "Batch.request: index out of bounds";
-  {
-    Ir.mode = t.modes.(i);
-    subject = t.subjects.(i);
-    asset = t.assets.(i);
-    op = (if t.ops.(i) = Ir.Request.op_tag Ir.Read then Ir.Read else Ir.Write);
-    msg_id = (let m = t.msg_ids.(i) in if m = no_msg_id then None else Some m);
-  }

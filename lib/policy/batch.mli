@@ -69,11 +69,3 @@ val push_hashed :
 val push : ?now:float -> t -> Ir.request -> unit
 (** {!push_hashed} of one request record, hashing its subject and asset.
     [now] defaults to [0.]. *)
-
-val of_work : (float * Ir.request) array -> t
-(** A fresh arena filled from [(now, request)] pairs, sized exactly. *)
-
-val request : t -> int -> Ir.request
-(** Reconstruct request [i] as a record (allocates; for tests and the
-    interpreted fallback, never the hot path).
-    @raise Invalid_argument when [i] is out of bounds. *)

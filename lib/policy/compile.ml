@@ -18,7 +18,7 @@ let compile ?known_modes ?known_assets ?known_subjects (p : Ast.policy) =
   in
   let check_known what universe name =
     match universe with
-    | Some names when not (List.mem name names) ->
+    | Some names when not (List.exists (String.equal name) names) ->
         warn "policy %S references unknown %s %S" p.name what name
     | Some _ | None -> ()
   in

@@ -34,13 +34,18 @@ let op_of_ast = function
 
 let op_name = function Read -> "read" | Write -> "write"
 
+(* [List.mem] on strings without polymorphic compare *)
+let rec mem_name name = function
+  | [] -> false
+  | n :: rest -> String.equal n name || mem_name name rest
+
 let subject_matches subjects subject =
   match subjects with
   | Ast.Any_subject -> true
-  | Ast.Subjects l -> List.mem subject l
+  | Ast.Subjects l -> mem_name subject l
 
 let mode_matches modes mode =
-  match modes with None -> true | Some l -> List.mem mode l
+  match modes with None -> true | Some l -> mem_name mode l
 
 let message_matches messages msg_id =
   match messages with

@@ -219,7 +219,7 @@ let compile ~strategy (db : Ir.db) =
             | [ (lo, hi) ] -> Range1 (lo, hi)
             | _ -> Ranges iv));
       allow = r.decision = Ast.Allow;
-      rated = r.rate <> None;
+      rated = Option.is_some r.rate;
     }
   in
   (* fold the strategy into bucket order: after this, every strategy is
@@ -235,7 +235,10 @@ let compile ~strategy (db : Ir.db) =
         let allows, denies = List.partition (fun c -> c.allow) rules in
         allows @ denies
   in
-  let mode_only c = c.cmsgs = Any_msg && not c.rated in
+  let mode_only c =
+    (match c.cmsgs with Any_msg -> true | Range1 _ | Ranges _ -> false)
+    && not c.rated
+  in
   let mask_of c = match c.cmodes with Mask m -> m | Listed _ -> 0 in
   let to_verdict default rules =
     let arr = Array.of_list (reorder rules) in
@@ -311,7 +314,12 @@ let compile ~strategy (db : Ir.db) =
             :: !exact_entries)
         named;
       match
-        List.filter (fun c -> c.rule.Ir.subjects = Ast.Any_subject) rules
+        List.filter
+          (fun c ->
+            match c.rule.Ir.subjects with
+            | Ast.Any_subject -> true
+            | Ast.Subjects _ -> false)
+          rules
       with
       | [] -> ()
       | any_rules ->

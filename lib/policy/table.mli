@@ -112,8 +112,8 @@ val decide_row :
   Batch.t ->
   int ->
   Ast.decision
-(** Decide row [i] of the batch as {!decide} would decide
-    {!Batch.request}[ b i], over the row's pre-computed hashes and without
+(** Decide row [i] of the batch as {!decide} would decide the request
+    that filled it, over the row's pre-computed hashes and without
     matched-rule attribution.  Only rate-limited allow rules reach the
     callbacks, which get the rule, the batch and the row:
     [rate_available r b i] reports whether [r] has budget for that row,

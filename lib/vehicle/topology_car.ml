@@ -45,9 +45,9 @@ let builders =
 let provision_hpes ~what hpes configs =
   List.iter
     (fun (name, hpe) ->
-      match List.assoc_opt name configs with
+      match List.find_opt (fun (n, _) -> String.equal n name) configs with
       | None -> ()
-      | Some config -> (
+      | Some (_, config) -> (
           Secpol_hpe.Registers.hard_reset (Secpol_hpe.Engine.registers hpe);
           match Secpol_hpe.Engine.provision hpe config with
           | Ok () -> ()

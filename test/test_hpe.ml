@@ -365,6 +365,187 @@ let test_hpe_locked_rewrite_keeps_seal_broken () =
   check Alcotest.int "on the integrity counter" (blocks + 1)
     (Hpe.integrity_blocks hpe)
 
+(* The seal against a model.  The model holds the live file (both lists'
+   standard and extended IDs, and the control bits) and the file as last
+   sealed.  An accepted write to an unlocked file reseals the whole file,
+   corruption included; a locked file accepts only its idempotent CTRL
+   rewrite, which reseals nothing; a hard reset seals the empty file; an
+   out-of-band add or remove changes the live file alone.  After every
+   step [integrity_ok] must hold exactly when the live file equals the
+   sealed one, and while it does not both gates deny every frame. *)
+type file_model = { read : Id_set.t; write : Id_set.t; ctrl : int }
+
+let empty_file = { read = Id_set.empty; write = Id_set.empty; ctrl = 0 }
+
+(* an authorised write through the register interface *)
+type register_write = Add_read of int | Add_write of int | Clear | Ctrl of int
+
+type seal_step =
+  | Write of register_write
+  | Hard_reset
+  | Out_of_band of [ `Read | `Write ] * [ `Add | `Remove ] * Identifier.t
+
+let pp_seal_step = function
+  | Write (Add_read v) -> Printf.sprintf "add-read 0x%x" v
+  | Write (Add_write v) -> Printf.sprintf "add-write 0x%x" v
+  | Write Clear -> "clear"
+  | Write (Ctrl v) ->
+      Printf.sprintf "ctrl 0b%d%d%d" ((v lsr 2) land 1) ((v lsr 1) land 1)
+        (v land 1)
+  | Hard_reset -> "hard-reset"
+  | Out_of_band (list, op, id) ->
+      Format.asprintf "out-of-band %s %s %a"
+        (match op with `Add -> "add" | `Remove -> "remove")
+        (match list with `Read -> "read" | `Write -> "write")
+        Identifier.pp id
+
+(* both ends of the bitmap as well as anywhere in it, and few extended
+   raw values, so removals find what adds put there *)
+let seal_std_ids = [ 0x000; 0x001; 0x3A5; 0x7F8; 0x7FE; 0x7FF ]
+
+let seal_ext_ids = [ 0x000; 0x7FF; 0x800; 0x12345; 0x1FFFFFFF ]
+
+let seal_step_gen =
+  QCheck.Gen.(
+    let std = frequency [ (3, 0 -- 0x7FF); (2, oneofl seal_std_ids) ] in
+    let id =
+      frequency
+        [
+          (3, map Identifier.standard std);
+          (1, map Identifier.extended (oneofl seal_ext_ids));
+        ]
+    in
+    frequency
+      [
+        (3, map (fun v -> Write (Add_read v)) std);
+        (3, map (fun v -> Write (Add_write v)) std);
+        (1, return (Write Clear));
+        (3, map (fun v -> Write (Ctrl v)) (0 -- 7));
+        (1, return Hard_reset);
+        ( 5,
+          map3
+            (fun list op id -> Out_of_band (list, op, id))
+            (oneofl [ `Read; `Write ])
+            (oneofl [ `Add; `Remove ])
+            id );
+      ])
+
+(* the register interface's answer to an authorised write, as the model
+   sees it: the live file after an accepted write, [`Locked_rewrite] for
+   the idempotent CTRL rewrite of a locked file, or [`Refused] *)
+let model_write live = function
+  | Ctrl v when live.ctrl land 4 <> 0 ->
+      if v = live.ctrl then `Locked_rewrite else `Refused
+  | _ when live.ctrl land 4 <> 0 -> `Refused
+  | Add_read v -> `Accepted { live with read = Id_set.add (false, v) live.read }
+  | Add_write v ->
+      `Accepted { live with write = Id_set.add (false, v) live.write }
+  | Clear -> `Accepted { live with read = Id_set.empty; write = Id_set.empty }
+  | Ctrl v -> `Accepted { live with ctrl = v }
+
+let address = function
+  | Add_read v -> (Registers.cmd_add_read, v)
+  | Add_write v -> (Registers.cmd_add_write, v)
+  | Clear -> (Registers.cmd_clear, 0)
+  | Ctrl v -> (Registers.ctrl, v)
+
+let seal_step regs (live, sealed) step =
+  match step with
+  | Hard_reset ->
+      Registers.hard_reset regs;
+      (empty_file, empty_file)
+  | Out_of_band (list, op, id) ->
+      let target =
+        match list with
+        | `Read -> Registers.read_list regs
+        | `Write -> Registers.write_list regs
+      in
+      let update =
+        match op with
+        | `Add ->
+            Approved_list.add target id;
+            Id_set.add (key id)
+        | `Remove ->
+            Approved_list.remove target id;
+            Id_set.remove (key id)
+      in
+      let live =
+        match list with
+        | `Read -> { live with read = update live.read }
+        | `Write -> { live with write = update live.write }
+      in
+      (live, sealed)
+  | Write write -> (
+      let addr, value = address write in
+      match (model_write live write, Registers.write_reg regs ~addr value) with
+      | `Accepted live, Ok () -> (live, live)
+      | `Locked_rewrite, Ok () -> (live, sealed)
+      | `Refused, Error _ -> (live, sealed)
+      | (`Accepted _ | `Locked_rewrite), Error e ->
+          QCheck.Test.fail_reportf "%s refused: %s" (pp_seal_step step) e
+      | `Refused, Ok () ->
+          QCheck.Test.fail_reportf "%s accepted by a locked file"
+            (pp_seal_step step))
+
+let seal_probe_frames live =
+  let std =
+    Id_set.fold
+      (fun (ext, raw) acc -> if ext then acc else raw :: acc)
+      (Id_set.union live.read live.write)
+      seal_std_ids
+  in
+  List.map (fun id -> Frame.data_std id "") std
+  @ List.map (fun id -> Frame.data_ext id "") seal_ext_ids
+
+let seal_holds hpe step (live, sealed) =
+  let regs = Hpe.registers hpe in
+  let ids list = List.map key (Approved_list.to_ids list) in
+  if
+    ids (Registers.read_list regs) <> Id_set.elements live.read
+    || ids (Registers.write_list regs) <> Id_set.elements live.write
+    || Registers.read_reg regs ~addr:Registers.ctrl <> Ok live.ctrl
+  then QCheck.Test.fail_reportf "after %s: the live file left the model" step;
+  let expect =
+    Id_set.equal live.read sealed.read
+    && Id_set.equal live.write sealed.write
+    && live.ctrl = sealed.ctrl
+  in
+  if Registers.integrity_ok regs <> expect then
+    QCheck.Test.fail_reportf "after %s: integrity_ok is %b, the model says %b"
+      step (not expect) expect;
+  if not expect then begin
+    let blocks = Hpe.integrity_blocks hpe in
+    let frames = seal_probe_frames live in
+    List.iter
+      (fun frame ->
+        if Hpe.gate_rx hpe frame || Hpe.gate_tx hpe ~now:0.0 frame then
+          QCheck.Test.fail_reportf "after %s: a broken seal passed %a" step
+            Identifier.pp frame.Frame.id)
+      frames;
+    if Hpe.integrity_blocks hpe - blocks <> 2 * List.length frames then
+      QCheck.Test.fail_reportf "after %s: denials missed integrity_blocks" step
+  end
+
+let prop_seal_matches_model =
+  QCheck.Test.make ~name:"seal matches a model" ~count:300
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun steps -> String.concat "; " (List.map pp_seal_step steps))
+       QCheck.Gen.(list_size (0 -- 40) seal_step_gen))
+    (fun steps ->
+      let bus = Bus.create ~bitrate:500_000.0 (Engine.create ()) in
+      let hpe = Hpe.install (Node.create ~name:"a" bus) in
+      let regs = Hpe.registers hpe in
+      let state = (empty_file, empty_file) in
+      seal_holds hpe "install" state;
+      ignore
+        (List.fold_left
+           (fun state step ->
+             let state = seal_step regs state step in
+             seal_holds hpe (pp_seal_step step) state;
+             state)
+           state steps);
+      true)
+
 (* ---------- Policy -> config ---------- *)
 
 let policy_table ?(strategy = Table.Deny_overrides) src =
@@ -753,6 +934,69 @@ let test_gate_verdicts () =
     (Hpe.gate_tx hpe ~now:0.0 frame);
   check Alcotest.int "integrity blocks" 2 (Hpe.integrity_blocks hpe)
 
+(* On a provisioned, locked HPE with no telemetry registry, the seal and
+   both gates allocate nothing: 10,000 calls add no minor-heap words to
+   the measurement's own cost (bechamel's fit reads 0.1-0.4 words on such
+   rows, so the words are counted directly). *)
+let minor_words_of n f =
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (f i))
+  done;
+  Gc.minor_words () -. w0
+
+let test_gates_allocate_nothing () =
+  let hpe =
+    provisioned "zeta"
+      (Config.make ~own_ids:[ 0x3A5 ] ~read_ids:[ 0x100 ] ~write_ids:[ 0x100 ]
+         ())
+  in
+  let regs = Hpe.registers hpe in
+  (* an approved ID, an own ID, an unapproved one; none is rated *)
+  let frames =
+    [|
+      Frame.data_std 0x100 ""; Frame.data_std 0x3A5 ""; Frame.data_std 0x555 "";
+    |]
+  in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.5))
+        (name ^ ": 10k calls allocate 0 words")
+        (minor_words_of 0 f) (minor_words_of 10_000 f))
+    [
+      ("integrity_ok", fun _ -> Registers.integrity_ok regs);
+      ("gate_rx", fun i -> Hpe.gate_rx hpe frames.(i mod 3));
+      ("gate_tx", fun i -> Hpe.gate_tx hpe ~now:0.0 frames.(i mod 3));
+    ];
+  (* the calls did the work: a third of each gate's frames granted *)
+  check Alcotest.int "read grants" 3334 (Hpe.read_grants hpe);
+  check Alcotest.int "write grants" 3334 (Hpe.write_grants hpe);
+  check Alcotest.int "spoof alerts" 3333 (Hpe.spoof_alerts hpe);
+  check Alcotest.int "seal held" 0 (Hpe.integrity_blocks hpe)
+
+(* Own IDs alert exactly on the configured standard IDs, never on an
+   extended ID with the same raw value, and an own ID outside the 11-bit
+   space never alerts. *)
+let test_own_id_alerts () =
+  let own = [ 0x000; 0x7FF; 0x3A5 ] in
+  let hpe =
+    provisioned "eta"
+      (Config.make ~own_ids:(own @ [ 0x800; 0x1ABCD ]) ~read_ids:[]
+         ~write_ids:[] ())
+  in
+  let alerted = ref [] in
+  for id = 0x7FF downto 0 do
+    let before = Hpe.spoof_alerts hpe in
+    ignore (Hpe.gate_rx hpe (Frame.data_std id ""));
+    if Hpe.spoof_alerts hpe > before then alerted := id :: !alerted
+  done;
+  Alcotest.(check (list int))
+    "alerts on exactly the own standard IDs" [ 0x000; 0x3A5; 0x7FF ] !alerted;
+  List.iter
+    (fun raw -> ignore (Hpe.gate_rx hpe (Frame.data_ext raw "")))
+    (own @ [ 0x800; 0x1ABCD ]);
+  check Alcotest.int "no alert on an extended ID" 3 (Hpe.spoof_alerts hpe)
+
 let () =
   Alcotest.run "secpol_hpe"
     [
@@ -778,6 +1022,7 @@ let () =
           quick "hard reset" test_registers_hard_reset;
           quick "integrity seal" test_registers_integrity_seal;
           quick "seal covers every id" test_registers_seal_covers_every_id;
+          QCheck_alcotest.to_alcotest prop_seal_matches_model;
         ] );
       ( "integrity",
         [
@@ -810,5 +1055,10 @@ let () =
           quick "unlocked reconfigurable" test_hpe_unlocked_is_reconfigurable;
           quick "uninstall" test_hpe_uninstall;
         ] );
-      ("frame gate", [ quick "verdicts" test_gate_verdicts ]);
+      ( "frame gate",
+        [
+          quick "verdicts" test_gate_verdicts;
+          quick "gates allocate nothing" test_gates_allocate_nothing;
+          quick "own ids alert" test_own_id_alerts;
+        ] );
     ]
