@@ -974,6 +974,19 @@ let campaign ~quick =
   in
   let median_s, _ = Protocol.measure ~warmup:1 ~repeats run in
   let r = Option.get !last in
+  (* the minor words a vehicle costs, read off one 1-domain run of the
+     repository benchmark's campaign (10k vehicles, seed 42, quick) for
+     any --quick: Gc.minor_words counts the calling domain only, and the
+     count is deterministic for the seed *)
+  let words_per_vehicle =
+    let fleet = 10_000 in
+    let cfg = FC.default_config ~fleet ~seed:42L ~domains:1 ~quick:true () in
+    let before = Gc.minor_words () in
+    (match FC.run cfg with
+    | Error e -> failwith ("campaign bench: " ^ e)
+    | Ok _ -> ());
+    (Gc.minor_words () -. before) /. float_of_int fleet
+  in
   Printf.printf
     "%d vehicles over %d domain(s), two shared decision tables, 1 warmup + \
      %d timed repeats\n"
@@ -988,6 +1001,8 @@ let campaign ~quick =
     (if r.FC.gate.FC.passed then "passed" else "REFUSED")
     r.FC.gate.FC.widened r.FC.ota.FC.p50_days r.FC.ota.FC.p99_days
     r.FC.recall.FC.p50_days r.FC.speedup_p50;
+  Printf.printf "  %.1f minor words a vehicle (10k vehicles, one domain)\n"
+    words_per_vehicle;
   Json.Obj
     [
       ("schema", Json.Int 1);
@@ -995,6 +1010,7 @@ let campaign ~quick =
       ("quick", Json.Bool quick);
       ("meta", Protocol.meta ());
       ("median_elapsed_s", Json.Float median_s);
+      ("minor_words_per_vehicle", Json.Float words_per_vehicle);
       ("report", FC.to_json r);
     ]
 
@@ -1112,6 +1128,14 @@ let registry =
       name = "campaign";
       run = campaign;
       artifact = "BENCH_campaign.json";
-      gates = [];
+      gates =
+        [
+          (* about 75 words a vehicle when its fixed answers are counted
+             per version run and its draws box nothing but their float
+             results; a walk of every tick (101) or a generator that
+             boxes its state on every draw (101 with the counted runs)
+             breaks it *)
+          gate "minor_words_per_vehicle" (Ceiling 95.0);
+        ];
     };
   ]

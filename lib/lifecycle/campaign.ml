@@ -270,37 +270,205 @@ type shard_out = {
   s_recall_never : int;
 }
 
-(* A fixed answer is one array read.  Only a request that a rated allow
-   matches reads the tick's clock and the vehicle's own windows. *)
-let[@inline] answer (cfg : config) inst (answers : Table.resolved array)
-    (requests : Ir.request array) row k =
-  let r = answers.(row) in
-  if Array.length r.Table.rated = 0 then r.Table.otherwise
-  else
-    Instance.decide inst r ~subject:requests.(row).Ir.subject
-      ~now:(float_of_int k *. cfg.tick_days *. 86_400.0)
+(* The shard's tick grid, the same for every vehicle: tick [k] on day
+   [float_of_int k *. tick_days], the threat live on the ticks [[k_on,
+   k_off)] and vehicle [id] bursting on every tick [k] with [(id + k) mod
+   every = 0] ([every = 0]: never).  [requests] are the [n_benign] benign
+   rows, then the attack probe, then the lock row. *)
+type grid = {
+  requests : Ir.request array;
+  n_benign : int;
+  tick_days : float;
+  every : int;
+  k_on : int;
+  k_off : int;
+}
 
-(* Each vehicle runs all of its ticks in one loop.  Everything a tick
-   touches belongs to that vehicle, the counters are integer sums and
-   every time-to-mitigation is a whole number of ticks (an exact float
-   sum), so the report is the one a sweep of the fleet tick by tick
+(* One version's answers, arranged for counting.  A request whose
+   resolved answer has no rated allow is fixed: it is the same for every
+   vehicle at every tick and never touches a window, so its decisions
+   are summed.  A rated one is decided on each tick it comes up. *)
+type plan = {
+  answers : Table.resolved array;
+  denied_below : int array;
+      (* [denied_below.(j)]: benign rows in [[0, j)] with a fixed Deny *)
+  to_rated : int array;
+      (* [to_rated.(r)]: rows from [r] on, round the benign cycle, to the
+         next rated one ([0] when [r] is rated); -1 when none is *)
+  attack_rated : bool;
+  lock_rated : bool;
+}
+
+(* What a shard has served so far, and the current vehicle's
+   mitigating tick (-1 while it is exposed). *)
+type tally = {
+  mutable decisions : int;
+  mutable benign_denied : int;
+  mutable lock_allowed : int;
+  mutable lock_denied : int;
+  mutable mitigated_at : int;
+}
+
+let[@inline] is_rated (r : Table.resolved) = Array.length r.Table.rated > 0
+
+let plan_of g answers =
+  let n = g.n_benign in
+  let denied_below = Array.make (n + 1) 0 in
+  for r = 0 to n - 1 do
+    let fixed_deny =
+      (not (is_rated answers.(r))) && answers.(r).Table.otherwise = Ast.Deny
+    in
+    denied_below.(r + 1) <- (denied_below.(r) + if fixed_deny then 1 else 0)
+  done;
+  (* twice round the cycle backwards: every row meets the nearest rated
+     row at or after it *)
+  let to_rated = Array.make n (-1) and next = ref (-1) in
+  for j = (2 * n) - 1 downto 0 do
+    if is_rated answers.(j mod n) then next := j;
+    if j < n && !next >= 0 then to_rated.(j) <- !next - j
+  done;
+  {
+    answers;
+    denied_below;
+    to_rated;
+    attack_rated = is_rated answers.(n);
+    lock_rated = is_rated answers.(n + 1);
+  }
+
+(* The first tick [k] in [[0, ticks)] with [float_of_int k *. tick_days >=
+   day], or [ticks].  Days grow with [k], so a binary search over the
+   comparison a walk of the ticks would make finds the tick it would. *)
+let[@inline] first_tick ~tick_days ~ticks day =
+  let lo = ref 0 and hi = ref ticks in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if float_of_int mid *. tick_days >= day then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* fixed denials among the first [x] benign rows read round the cycle
+   from row 0; vehicle [id] reads row [(id + k) mod n_benign] at tick
+   [k], so its ticks [[lo, hi)] have [denied_before (id + hi) -
+   denied_before (id + lo)] *)
+let denied_before g p x =
+  let n = g.n_benign in
+  (x / n * p.denied_below.(n)) + p.denied_below.(x mod n)
+
+(* multiples of [e] in [[0, x)] *)
+let multiples e x = (x + e - 1) / e
+
+let[@inline] decide g p inst row k =
+  Instance.decide inst p.answers.(row) ~subject:g.requests.(row).Ir.subject
+    ~now:(float_of_int k *. g.tick_days *. 86_400.0)
+
+(* the first tick at or after [k] on which vehicle [id] meets a rated
+   answer of [p], or [max_int] *)
+let next_visit t g p id k =
+  let d = p.to_rated.((id + k) mod g.n_benign) in
+  let benign = if d < 0 then max_int else k + d in
+  let on = Int.max k g.k_on in
+  let attack =
+    if p.attack_rated && t.mitigated_at < 0 && on < g.k_off then on
+    else max_int
+  in
+  let burst =
+    if p.lock_rated && g.every > 0 then
+      k + ((g.every - ((id + k) mod g.every)) mod g.every)
+    else max_int
+  in
+  Int.min benign (Int.min attack burst)
+
+(* The rated answers of vehicle [id]'s ticks [[k, hi)] on plan [p],
+   decided on the vehicle's own windows tick by tick, and within a tick
+   in the order the requests come: benign row, attack probe, burst.
+   Only the ticks that have one are visited. *)
+let rec visit t g p inst id k hi =
+  let k = next_visit t g p id k in
+  if k < hi then begin
+    let row = (id + k) mod g.n_benign and attack = g.n_benign in
+    if p.to_rated.(row) = 0 && decide g p inst row k = Ast.Deny then
+      t.benign_denied <- t.benign_denied + 1;
+    if p.attack_rated && t.mitigated_at < 0 && k >= g.k_on && k < g.k_off
+    then begin
+      t.decisions <- t.decisions + 1;
+      if decide g p inst attack k = Ast.Deny then t.mitigated_at <- k
+    end;
+    if p.lock_rated && g.every > 0 && (id + k) mod g.every = 0 then
+      for _ = 1 to 3 do
+        match decide g p inst (attack + 1) k with
+        | Ast.Allow -> t.lock_allowed <- t.lock_allowed + 1
+        | Ast.Deny -> t.lock_denied <- t.lock_denied + 1
+      done;
+    visit t g p inst id (k + 1) hi
+  end
+
+(* Vehicle [id]'s ticks [[lo, hi)] on plan [p].  The fixed answers are
+   counted: one benign decision a tick, the fixed denials off the cycle's
+   prefix sums; a fixed attack answer on the run's overlap with the
+   threat window (a Deny mitigates on its first tick, one decision); 3
+   frames a burst tick for a fixed lock answer.  The rated ones are
+   visited. *)
+let run_ticks t g p inst id lo hi =
+  t.decisions <- t.decisions + (hi - lo);
+  t.benign_denied <-
+    t.benign_denied + denied_before g p (id + hi) - denied_before g p (id + lo);
+  if (not p.attack_rated) && t.mitigated_at < 0 then begin
+    let a = Int.max lo g.k_on and b = Int.min hi g.k_off in
+    if a < b then
+      if p.answers.(g.n_benign).Table.otherwise = Ast.Deny then begin
+        t.decisions <- t.decisions + 1;
+        t.mitigated_at <- a
+      end
+      else t.decisions <- t.decisions + (b - a)
+  end;
+  if g.every > 0 && not p.lock_rated then begin
+    let frames =
+      3 * (multiples g.every (id + hi) - multiples g.every (id + lo))
+    in
+    match p.answers.(g.n_benign + 1).Table.otherwise with
+    | Ast.Allow -> t.lock_allowed <- t.lock_allowed + frames
+    | Ast.Deny -> t.lock_denied <- t.lock_denied + frames
+  end;
+  visit t g p inst id lo hi
+
+(* Each vehicle's adoption tick splits its ticks into two runs, one per
+   installed version, and each is one [run_ticks].  A fixed answer
+   touches no window, so it can be summed in any order; each window sees
+   the calls, at the [now]s, of a walk of every tick; everything a tick
+   touches belongs to one vehicle and the counters are integer sums; and
+   each vehicle adds at most one value to each histogram, in vehicle
+   order.  So the report is the one a sweep of the fleet tick by tick
    gives. *)
 let run_shard ~(cfg : config) ~gate_passed ~v_old ~answers_old ~v_new
     ~answers_new ~requests ~t_on ~t_off ids =
   let stages = Array.of_list cfg.stages in
   let n_stages = Array.length stages in
-  let decisions = ref 0
-  and benign_denied = ref 0
-  and lock_allowed = ref 0
-  and lock_denied = ref 0
-  and old_count = ref 0
-  and recall_never = ref 0 in
+  let old_count = ref 0 and recall_never = ref 0 in
   let assigned = Array.make n_stages 0 and adopted = Array.make n_stages 0 in
   let hist = day_histogram () and recall_hist = day_histogram () in
-  let n_benign = Array.length requests - 2 in
-  let attack_row = n_benign and lock_row = n_benign + 1 in
-  let every = cfg.lock_bursts_every in
-  let ticks = int_of_float (ceil (cfg.horizon_days /. cfg.tick_days)) in
+  let tick_days = cfg.tick_days in
+  let ticks = int_of_float (ceil (cfg.horizon_days /. tick_days)) in
+  let k_on = first_tick ~tick_days ~ticks t_on in
+  let g =
+    {
+      requests;
+      n_benign = Array.length requests - 2;
+      tick_days;
+      every = cfg.lock_bursts_every;
+      k_on;
+      k_off = Int.max k_on (first_tick ~tick_days ~ticks t_off);
+    }
+  in
+  let p_old = plan_of g answers_old and p_new = plan_of g answers_new in
+  let t =
+    {
+      decisions = 0;
+      benign_denied = 0;
+      lock_allowed = 0;
+      lock_denied = 0;
+      mitigated_at = -1;
+    }
+  in
   for i = 0 to Array.length ids - 1 do
     let id = ids.(i) in
     let rng = Rng.create (vehicle_seed cfg.seed id) in
@@ -323,46 +491,24 @@ let run_shard ~(cfg : config) ~gate_passed ~v_old ~answers_old ~v_new
       Histogram.observe recall_hist (Float.max 0.0 (landed -. t_on))
     end;
     let inst = Instance.create ~id ~version:v_old () in
-    let answers = ref answers_old in
-    let row = ref (id mod n_benign) in
-    let burst = ref (if every > 0 then id mod every else 0) in
-    let mitigated = ref false in
-    for k = 0 to ticks - 1 do
-      let day = float_of_int k *. cfg.tick_days in
-      if Instance.version inst = v_old && day >= adopt then begin
-        Instance.install inst ~version:v_new;
-        answers := answers_new;
-        adopted.(stage) <- adopted.(stage) + 1
-      end;
-      let answers = !answers in
-      incr decisions;
-      if answer cfg inst answers requests !row k = Ast.Deny then
-        incr benign_denied;
-      row := if !row = n_benign - 1 then 0 else !row + 1;
-      if (not !mitigated) && day >= t_on && day < t_off then begin
-        incr decisions;
-        if answer cfg inst answers requests attack_row k = Ast.Deny then begin
-          mitigated := true;
-          Histogram.observe hist (day -. t_on)
-        end
-      end;
-      if every > 0 then begin
-        if !burst = 0 then
-          for _ = 1 to 3 do
-            match answer cfg inst answers requests lock_row k with
-            | Ast.Allow -> incr lock_allowed
-            | Ast.Deny -> incr lock_denied
-          done;
-        burst := if !burst = every - 1 then 0 else !burst + 1
-      end
-    done;
-    if Instance.version inst = v_old then incr old_count
+    let k_a = first_tick ~tick_days ~ticks adopt in
+    t.mitigated_at <- -1;
+    run_ticks t g p_old inst id 0 k_a;
+    if k_a < ticks then begin
+      Instance.install inst ~version:v_new;
+      adopted.(stage) <- adopted.(stage) + 1;
+      run_ticks t g p_new inst id k_a ticks
+    end
+    else incr old_count;
+    if t.mitigated_at >= 0 then
+      Histogram.observe hist
+        ((float_of_int t.mitigated_at *. tick_days) -. t_on)
   done;
   {
-    s_decisions = !decisions;
-    s_benign_denied = !benign_denied;
-    s_lock_allowed = !lock_allowed;
-    s_lock_denied = !lock_denied;
+    s_decisions = t.decisions;
+    s_benign_denied = t.benign_denied;
+    s_lock_allowed = t.lock_allowed;
+    s_lock_denied = t.lock_denied;
     s_assigned = assigned;
     s_adopted = adopted;
     s_old_count = !old_count;

@@ -2,23 +2,29 @@
 
     Where {!Ota} and {!Fleet} model {e when} a new policy version lands on
     each vehicle, a campaign executes the whole update story end to end
-    and measures what the update buys: every vehicle is a live
-    {!Secpol_vehicle.Instance} making real policy decisions before,
-    during and after the rollout, and the campaign records how long each
-    vehicle stays exposed to a Table-I threat that goes live mid-run.
+    and measures what the update buys: every vehicle is served its
+    policy decisions before, during and after the rollout by the version
+    it has installed, and the campaign records how long each vehicle
+    stays exposed to a Table-I threat that goes live mid-run.
 
     {b Sharing.}  The fleet holds exactly one compiled
-    {!Secpol_policy.Table} per policy version — a million instances over
-    a two-version rollout share two tables.  A campaign asks a few dozen
+    {!Secpol_policy.Table} per policy version — a million vehicles over a
+    two-version rollout share two tables.  A campaign asks a few dozen
     fixed requests ({!traffic}) over and over, so it resolves each one
     against each table once ({!Secpol_policy.Table.resolve}); the answers
-    are immutable and every shard reads the same ones.  Instances are
-    sharded across OCaml domains by {!Secpol_par.Partition.assign_by},
-    and each vehicle runs all of its ticks in one loop, where a decision
-    is an array read.  Only a request that a rate-limited allow matches
-    (the hardened lock-command limit) goes to the windows of the vehicle
-    being decided for ({!Secpol_vehicle.Instance.decide}), so the shared
-    tables never conflate two vehicles' budgets.
+    are immutable and every shard reads the same ones.  Vehicles are
+    sharded across OCaml domains by {!Secpol_par.Partition.assign_by}.
+
+    {b Counted runs.}  A vehicle's adoption tick splits its ticks into
+    two runs, one per installed version.  A request whose answer no
+    rate-limited allow matches is fixed, and a run {e counts} its fixed
+    answers in closed form: prefix sums over the benign cycle, the first
+    tick of the threat window, the lattice of burst ticks.  Only a
+    request that a rated allow matches (the hardened lock-command limit)
+    is visited, in tick order, on the windows of the vehicle being
+    decided for ({!Secpol_vehicle.Instance.decide}), so the shared tables
+    never conflate two vehicles' budgets.  The report is the one a walk
+    of every tick of every vehicle gives.
 
     {b Gating.}  The rollout is staged (canary, then cohort, then fleet)
     and every stage promotion is gated by the semantic verifier's one
@@ -113,7 +119,8 @@ type report = {
   stages : stage_report list;
   versions : (int * int) list;  (** version -> vehicle count at horizon *)
   decisions : int;
-      (** benign and attack-probe decisions served (lock bursts are
+      (** benign and attack-probe decisions served, most of them fixed
+          answers counted per run rather than visited (lock bursts are
           counted in [lock_allowed] and [lock_denied]) *)
   benign_denied : int;  (** designed traffic denied — 0 on a sound update *)
   lock_allowed : int;  (** burst frames admitted by per-vehicle budgets *)
@@ -125,6 +132,8 @@ type report = {
           (the measurement resolution) *)
   elapsed_s : float;
   throughput_per_s : float;
+      (** [decisions] over [elapsed_s]: decisions served, most of them
+          counted, not visited *)
 }
 
 val traffic : config -> (Secpol_policy.Ir.request array, string) result

@@ -22,32 +22,59 @@ let channel_name = function
   | Over_the_air -> "over-the-air"
   | Recall -> "recall"
 
-let simulate rng params channel =
-  if params.fleet <= 0 then invalid_arg "Ota.simulate: empty fleet";
-  (* per-vehicle days until protected; infinity = never *)
-  let times =
-    Array.init params.fleet (fun _ ->
-        match channel with
-        | Over_the_air -> Rng.exponential rng params.ota_mean_days
-        | Recall ->
-            if Rng.chance rng params.recall_no_show then infinity
-            else Rng.exponential rng params.recall_mean_days)
-  in
-  (* Float.compare orders never-adopters (infinity) at the tail like the
-     polymorphic compare did, minus its per-element dispatch cost *)
-  Array.sort Float.compare times;
-  let n = float_of_int params.fleet in
+(* Hoare's selection in Wirth's form, in [Float.compare] order: on return
+   [a.(k)] holds the element a full sort would put there, in expected
+   O(n).  Equal elements stop both scans, so a fleet whose tail is all
+   never-adopters (infinity) still splits evenly. *)
+let select a k =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let pivot = a.(k) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while Float.compare a.(!i) pivot < 0 do
+        incr i
+      done;
+      while Float.compare pivot a.(!j) < 0 do
+        decr j
+      done;
+      if !i <= !j then begin
+        let x = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- x;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
+  done;
+  a.(k)
+
+(* [times] is owned and reordered: a quantile selects its element in
+   place, and the array is sorted only when [protected_at] is first
+   asked, so a caller that reads one quantile of a fresh fleet never pays
+   for a sort *)
+let curve channel times =
+  let fleet = Array.length times in
+  let n = float_of_int fleet in
+  let sorted = ref false in
   let days_to_quantile q =
     if q <= 0.0 then Some 0.0
     else if q > 1.0 then None
     else begin
       let idx = int_of_float (ceil (q *. n)) - 1 in
-      let idx = max 0 (min (params.fleet - 1) idx) in
-      let t = times.(idx) in
+      let idx = max 0 (min (fleet - 1) idx) in
+      (* Float.compare orders never-adopters (infinity) at the tail *)
+      let t = if !sorted then times.(idx) else select times idx in
       if Float.is_finite t then Some t else None
     end
   in
   let protected_at d =
+    if not !sorted then begin
+      Array.sort Float.compare times;
+      sorted := true
+    end;
     (* binary search: count of times <= d *)
     let rec bsearch lo hi =
       if lo >= hi then lo
@@ -56,6 +83,21 @@ let simulate rng params channel =
         if times.(mid) <= d then bsearch (mid + 1) hi else bsearch lo mid
       end
     in
-    float_of_int (bsearch 0 params.fleet) /. n
+    float_of_int (bsearch 0 fleet) /. n
   in
   { channel; days_to_quantile; protected_at }
+
+let of_times channel times =
+  if Array.length times = 0 then invalid_arg "Ota.of_times: empty fleet";
+  curve channel (Array.copy times)
+
+let simulate rng params channel =
+  if params.fleet <= 0 then invalid_arg "Ota.simulate: empty fleet";
+  (* per-vehicle days until protected; infinity = never *)
+  curve channel
+    (Array.init params.fleet (fun _ ->
+         match channel with
+         | Over_the_air -> Rng.exponential rng params.ota_mean_days
+         | Recall ->
+             if Rng.chance rng params.recall_no_show then infinity
+             else Rng.exponential rng params.recall_mean_days))

@@ -29,6 +29,13 @@ type rollout = {
 }
 
 val simulate : Secpol_sim.Rng.t -> params -> channel -> rollout
-(** Draw per-vehicle protection times and build the empirical curve. *)
+(** Draw per-vehicle protection times and build the empirical curve.  A
+    quantile is one O(n) selection; the times are sorted only when
+    [protected_at] is first asked. *)
+
+val of_times : channel -> float array -> rollout
+(** The empirical curve of given per-vehicle protection times ([infinity]
+    = never protected), as {!simulate} builds it from its draws.  The
+    array is copied.  @raise Invalid_argument on an empty array. *)
 
 val channel_name : channel -> string

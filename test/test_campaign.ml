@@ -13,6 +13,7 @@ module Ir = Secpol_policy.Ir
 module Engine = Secpol_policy.Engine
 module Table = Secpol_policy.Table
 module Json = Secpol_policy.Json
+module Rng = Secpol_sim.Rng
 
 let check = Alcotest.check
 
@@ -294,6 +295,86 @@ let test_campaign_identity () =
           ~new_policy:(Policy_map.permissive ~version:2 ())
           (small_config ~fleet:600 ())))
 
+(* ---------- a seeded corpus ---------- *)
+
+(* A seeded mutation of [policy]: each allow becomes a deny (its rate
+   dropped, as a deny must) with probability 1/5, or is rated at 1-3
+   grants over a window from 1 s to 46 days with probability 1/4, so
+   some windows outlast a whole benign cycle.  Denies are kept. *)
+let mutate rng (p : Ast.policy) =
+  let rule (r : Ast.rule) =
+    if r.Ast.decision <> Ast.Allow then r
+    else
+      let u = Rng.float rng 1.0 in
+      if u < 0.2 then { r with Ast.decision = Ast.Deny; rate = None }
+      else if u < 0.45 then begin
+        let count = Rng.int_in rng 1 3 in
+        let window_s = exp (Rng.float rng (log (46.0 *. 86_400.0))) in
+        let window_ms = int_of_float (1000.0 *. window_s) in
+        { r with Ast.rate = Some (Ast.rate_limit ~count ~window_ms) }
+      end
+      else r
+  in
+  let block (b : Ast.asset_block) =
+    { b with Ast.rules = List.map rule b.Ast.rules }
+  in
+  let section = function
+    | Ast.Global b -> Ast.Global (block b)
+    | Ast.Modes (modes, blocks) -> Ast.Modes (modes, List.map block blocks)
+    | Ast.Default _ as s -> s
+  in
+  { p with Ast.sections = List.map section p.Ast.sections }
+
+(* One corpus case: a fleet of 1-400 on one of six ticks, three
+   horizons and seven burst periods (none included), the threat live
+   from any day before the horizon, rolled from baseline (or a mutation
+   of it) to hardened, permissive (the gate refuses) or a mutation of
+   hardened. *)
+let corpus_case rng =
+  let fleet = Rng.int_in rng 1 400 in
+  let domains = Rng.int_in rng 1 3 in
+  let tick_days = Rng.pick rng [| 0.1; 0.25; 0.5; 0.7; 1.3; 3.0 |] in
+  let horizon_days = Rng.pick rng [| 12.5; 30.0; 40.0 |] in
+  let at = Rng.float rng horizon_days in
+  let lock_bursts_every = Rng.pick rng [| 0; 1; 2; 3; 5; 16; 32 |] in
+  let seed = Rng.bits64 rng in
+  let baseline = Policy_map.baseline ~version:1 () in
+  let hardened = Policy_map.hardened ~version:2 () in
+  let old_policy = if Rng.bool rng then baseline else mutate rng baseline in
+  let new_policy =
+    match Rng.int rng 3 with
+    | 0 -> hardened
+    | 1 -> Policy_map.permissive ~version:2 ()
+    | _ -> mutate rng hardened
+  in
+  let cfg =
+    {
+      (Campaign.default_config ~fleet ~seed ~domains ~quick:true ()) with
+      Campaign.tick_days;
+      horizon_days;
+      plan = Plan.threat_trigger ~at ~horizon:horizon_days ();
+      lock_bursts_every;
+    }
+  in
+  (cfg, old_policy, new_policy)
+
+(* One MD5 over the fingerprints of 400 seeded campaigns, recorded while
+   every vehicle still walked all of its ticks one by one.  The corpus
+   holds rated benign rows, rated attack probes, windows longer than the
+   benign cycle, adoptions on any tick and bursts on every tick or none,
+   so a campaign that counts fixed answers instead of visiting them must
+   still visit every rated one, on the right tick and in the right
+   order. *)
+let test_campaign_corpus () =
+  let rng = Rng.create 30L in
+  let fingerprints =
+    List.init 400 (fun _ ->
+        let cfg, old_policy, new_policy = corpus_case rng in
+        report_fingerprint (run_ok ~old_policy ~new_policy cfg))
+  in
+  check Alcotest.string "400 seeded campaigns" "03c201b32daf8cd50898f2d9310cfdb1"
+    (Digest.to_hex (Digest.string (String.concat "\n" fingerprints)))
+
 (* Across the stock baseline -> hardened rollout only one (version,
    request) pair ever consults a budget, hardened's normal-mode lock
    write; every other decision a campaign serves is a fixed answer. *)
@@ -413,6 +494,7 @@ let () =
           slow "deterministic" test_campaign_deterministic;
           slow "domain-count invariant" test_campaign_domain_count_invariant;
           slow "report digests unchanged" test_campaign_identity;
+          slow "seeded corpus digest unchanged" test_campaign_corpus;
           quick "only the hardened lock write is rated"
             test_campaign_rated_traffic;
           quick "empty shards" test_campaign_empty_shards;

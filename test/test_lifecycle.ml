@@ -154,6 +154,51 @@ let test_quantile_edges_heavy_no_show () =
   check Alcotest.(float 0.0001) "curve plateau = reachable fraction" reachable
     (r.Ota.protected_at 1e12)
 
+(* A quantile selects its element instead of sorting the fleet: for any
+   fleet (never-adopters and ties included) and any q, asked before or
+   after the curve has been read, it must be the element a full sort
+   puts at the quantile's index. *)
+let prop_quantile_is_sorted_element =
+  let reference times q =
+    let n = Array.length times in
+    let sorted = Array.copy times in
+    Array.sort Float.compare sorted;
+    if q <= 0.0 then Some 0.0
+    else if q > 1.0 then None
+    else
+      let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
+      let t = sorted.(max 0 (min (n - 1) idx)) in
+      if Float.is_finite t then Some t else None
+  in
+  let time =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return infinity);
+          (* a handful of values, so ties are common *)
+          (2, map float_of_int (0 -- 5));
+          (3, float_bound_exclusive 100.0);
+        ])
+  in
+  let qs = [ 0.0; 1e-9; 0.5; 0.95; 1.0; 1.5 ] in
+  QCheck.Test.make ~count:300 ~name:"days_to_quantile = sorted element"
+    QCheck.(make Gen.(array_size (1 -- 60) time))
+    (fun times ->
+      let r = Ota.of_times Ota.Recall times in
+      let agree () =
+        List.for_all (fun q -> r.Ota.days_to_quantile q = reference times q) qs
+      in
+      let before = agree () in
+      (* reading the curve sorts the fleet; it plateaus at the adopters'
+         share, and quantiles then read the sorted array *)
+      let adopters =
+        Array.fold_left (fun c t -> if Float.is_finite t then c + 1 else c) 0 times
+      in
+      let plateau = r.Ota.protected_at 1e9 in
+      before
+      && plateau = float_of_int adopters /. float_of_int (Array.length times)
+      && agree ())
+
 (* ---------- Fleet distribution ---------- *)
 
 module Fleet = Secpol_lifecycle.Fleet
@@ -371,6 +416,9 @@ let () =
           quick "protection curve" test_protected_at_curve;
           quick "quantile edges" test_quantile_edges;
           quick "quantile edges under heavy no-show" test_quantile_edges_heavy_no_show;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 30 |])
+            prop_quantile_is_sorted_element;
         ] );
       ( "fleet",
         [

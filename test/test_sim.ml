@@ -67,6 +67,61 @@ let test_rng_int_power_of_two_stream_unchanged () =
     Alcotest.(check int) "same draw" expected (Rng.int a 64)
   done
 
+(* MD5 of a mixed draw sequence over every entry point, recorded while
+   the state was a mutable [int64] field: how the state is stored is not
+   part of the stream *)
+let test_rng_stream_digest () =
+  let rng = Rng.create 2024L in
+  let child = Rng.split rng in
+  let b = Buffer.create 8192 in
+  let add = Buffer.add_string b in
+  for _ = 1 to 200 do
+    add (Int64.to_string (Rng.bits64 rng));
+    add (string_of_int (Rng.int rng 1_000_003));
+    add (string_of_int (Rng.int rng 64));
+    add (string_of_int (Rng.int_in child (-5) 5));
+    add (Printf.sprintf "%h" (Rng.float rng 3.5));
+    add (Printf.sprintf "%h" (Rng.exponential child 2.0));
+    add (if Rng.bool rng then "t" else "f");
+    add (if Rng.chance child 0.3 then "y" else "n")
+  done;
+  let arr = Array.init 50 Fun.id in
+  Rng.shuffle (Rng.copy rng) arr;
+  Array.iter (fun i -> add (string_of_int i)) arr;
+  add (string_of_int (Rng.pick rng arr));
+  check Alcotest.string "mixed stream" "4805fd89bdd181b5c1ab397523df2425"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* minor words one call of [draw] allocates, over 10k calls *)
+let words_per_draw draw =
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (draw ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_rng_draws_do_not_allocate () =
+  let rng = Rng.create 37L in
+  let nothing name draw =
+    check (Alcotest.float 0.0) (name ^ " allocates nothing") 0.0
+      (words_per_draw draw)
+  in
+  nothing "int" (fun () -> Rng.int rng 1_000_003);
+  nothing "int (power of two)" (fun () -> Rng.int rng 64);
+  nothing "bool" (fun () -> Rng.bool rng);
+  nothing "chance" (fun () -> Rng.chance rng 0.3);
+  (* a float crosses the module boundary boxed: 2 words, nothing more *)
+  let boxed name draw =
+    let words = words_per_draw draw in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s allocates %.2f words, at most its boxed result" name
+         words)
+      true (words <= 2.0)
+  in
+  boxed "float" (fun () -> Rng.float rng 1.0);
+  boxed "exponential" (fun () -> Rng.exponential rng 3.0)
+
 let test_rng_int_invalid () =
   let rng = Rng.create 3L in
   Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int: bound must be positive")
@@ -426,6 +481,8 @@ let () =
           quick "int uniform (non-power-of-two)" test_rng_int_uniform_non_power_of_two;
           quick "int stream unchanged (power-of-two)" test_rng_int_power_of_two_stream_unchanged;
           quick "int invalid" test_rng_int_invalid;
+          quick "stream digest unchanged" test_rng_stream_digest;
+          quick "draws allocate no state" test_rng_draws_do_not_allocate;
           quick "int_in bounds" test_rng_int_in;
           quick "split independent" test_rng_split_independent;
           quick "copy diverges" test_rng_copy_diverges_from_original;
