@@ -202,7 +202,9 @@ let campaign_cmd =
               s.FC.adopted
               (if s.FC.started then "" else "  (not started)"))
           r.FC.stages;
-        Printf.printf "decisions: %d (%.0f/s), benign denied: %d, lock bursts: %d allowed / %d shaped\n"
+        (* most decisions are fixed answers counted per run, not decided
+           one by one, so the rate is counted decisions a second *)
+        Printf.printf "decisions: %d (%.0f counted/s), benign denied: %d, lock bursts: %d allowed / %d shaped\n"
           r.FC.decisions r.FC.throughput_per_s r.FC.benign_denied
           r.FC.lock_allowed r.FC.lock_denied;
         let channel name (c : FC.channel_report) =

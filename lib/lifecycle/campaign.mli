@@ -133,7 +133,8 @@ type report = {
   elapsed_s : float;
   throughput_per_s : float;
       (** [decisions] over [elapsed_s]: decisions served, most of them
-          counted, not visited *)
+          counted, not visited, so it is no decision rate and cannot be
+          compared with a rate read when every tick was walked *)
 }
 
 val traffic : config -> (Secpol_policy.Ir.request array, string) result

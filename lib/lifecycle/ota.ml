@@ -51,14 +51,11 @@ let select a k =
   done;
   a.(k)
 
-(* [times] is owned and reordered: a quantile selects its element in
-   place, and the array is sorted only when [protected_at] is first
-   asked, so a caller that reads one quantile of a fresh fleet never pays
-   for a sort *)
+(* [times] is owned: a quantile reorders it in place by selection, and a
+   point of the curve is a count, which no reordering changes *)
 let curve channel times =
   let fleet = Array.length times in
   let n = float_of_int fleet in
-  let sorted = ref false in
   let days_to_quantile q =
     if q <= 0.0 then Some 0.0
     else if q > 1.0 then None
@@ -66,24 +63,14 @@ let curve channel times =
       let idx = int_of_float (ceil (q *. n)) - 1 in
       let idx = max 0 (min (fleet - 1) idx) in
       (* Float.compare orders never-adopters (infinity) at the tail *)
-      let t = if !sorted then times.(idx) else select times idx in
+      let t = select times idx in
       if Float.is_finite t then Some t else None
     end
   in
   let protected_at d =
-    if not !sorted then begin
-      Array.sort Float.compare times;
-      sorted := true
-    end;
-    (* binary search: count of times <= d *)
-    let rec bsearch lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if times.(mid) <= d then bsearch (mid + 1) hi else bsearch lo mid
-      end
-    in
-    float_of_int (bsearch 0 fleet) /. n
+    let count = ref 0 in
+    Array.iter (fun t -> if t <= d then incr count) times;
+    float_of_int !count /. n
   in
   { channel; days_to_quantile; protected_at }
 

@@ -30,8 +30,10 @@ type rollout = {
 
 val simulate : Secpol_sim.Rng.t -> params -> channel -> rollout
 (** Draw per-vehicle protection times and build the empirical curve.  A
-    quantile is one O(n) selection; the times are sorted only when
-    [protected_at] is first asked. *)
+    quantile is one O(n) selection and a point of the curve one O(n)
+    count; the times are never sorted.  [days_to_quantile] reorders the
+    rollout's own times in place (no answer changes), so a rollout must
+    not be queried from two domains at once. *)
 
 val of_times : channel -> float array -> rollout
 (** The empirical curve of given per-vehicle protection times ([infinity]

@@ -189,8 +189,8 @@ let prop_quantile_is_sorted_element =
         List.for_all (fun q -> r.Ota.days_to_quantile q = reference times q) qs
       in
       let before = agree () in
-      (* reading the curve sorts the fleet; it plateaus at the adopters'
-         share, and quantiles then read the sorted array *)
+      (* the curve plateaus at the adopters' share, and reading it, after
+         the selections reordered the fleet, changes no quantile *)
       let adopters =
         Array.fold_left (fun c t -> if Float.is_finite t then c + 1 else c) 0 times
       in
