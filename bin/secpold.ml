@@ -66,8 +66,7 @@ let serve_cmd =
     | Ok db -> (
         let config =
           {
-            Daemon.default_config with
-            socket_path = socket;
+            Daemon.socket_path = socket;
             tcp_port = tcp;
             domains;
             strategy;

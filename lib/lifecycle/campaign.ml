@@ -7,7 +7,6 @@ module Rng = Secpol_sim.Rng
 module Plan = Secpol_faults.Plan
 module Histogram = Secpol_obs.Histogram
 module Clock = Secpol_obs.Clock
-module Partition = Secpol_par.Partition
 module Names = Secpol_vehicle.Names
 module Modes = Secpol_vehicle.Modes
 module Policy_map = Secpol_vehicle.Policy_map
@@ -440,7 +439,7 @@ let run_ticks t g p inst id lo hi =
    order.  So the report is the one a sweep of the fleet tick by tick
    gives. *)
 let run_shard ~(cfg : config) ~gate_passed ~v_old ~answers_old ~v_new
-    ~answers_new ~requests ~t_on ~t_off ids =
+    ~answers_new ~requests ~t_on ~t_off ~lo ~hi =
   let stages = Array.of_list cfg.stages in
   let n_stages = Array.length stages in
   let old_count = ref 0 and recall_never = ref 0 in
@@ -469,8 +468,7 @@ let run_shard ~(cfg : config) ~gate_passed ~v_old ~answers_old ~v_new
       mitigated_at = -1;
     }
   in
-  for i = 0 to Array.length ids - 1 do
-    let id = ids.(i) in
+  for id = lo to hi - 1 do
     let rng = Rng.create (vehicle_seed cfg.seed id) in
     let stage = stage_index cfg.stages (Rng.float rng 1.0) in
     let adopt =
@@ -512,7 +510,7 @@ let run_shard ~(cfg : config) ~gate_passed ~v_old ~answers_old ~v_new
     s_assigned = assigned;
     s_adopted = adopted;
     s_old_count = !old_count;
-    s_new_count = Array.length ids - !old_count;
+    s_new_count = hi - lo - !old_count;
     s_hist = hist;
     s_recall_hist = recall_hist;
     s_recall_never = !recall_never;
@@ -560,20 +558,19 @@ let run ?(old_policy = Policy_map.baseline ~version:1 ())
         in
         let answers_old = answers db_old and answers_new = answers db_new in
         let g = gate ~old_db:db_old ~new_db:db_new () in
-        let shards =
-          Partition.assign_by ~shards:cfg.domains string_of_int
-            (Array.init cfg.fleet Fun.id)
-        in
-        let shard ids =
+        (* domain [d] takes the contiguous ids
+           [d * fleet / domains, (d + 1) * fleet / domains) *)
+        let shard d =
           run_shard ~cfg ~gate_passed:g.passed ~v_old:db_old.Ir.version
             ~answers_old ~v_new:db_new.Ir.version ~answers_new ~requests ~t_on
-            ~t_off ids
+            ~t_off
+            ~lo:(d * cfg.fleet / cfg.domains)
+            ~hi:((d + 1) * cfg.fleet / cfg.domains)
         in
         let outs =
-          if cfg.domains = 1 then [| shard shards.(0) |]
+          if cfg.domains = 1 then [| shard 0 |]
           else
-            shards
-            |> Array.map (fun ids -> Domain.spawn (fun () -> shard ids))
+            Array.init cfg.domains (fun d -> Domain.spawn (fun () -> shard d))
             |> Array.map Domain.join
         in
         let sum f = Array.fold_left (fun acc o -> acc + f o) 0 outs in

@@ -13,7 +13,8 @@
     fixed requests ({!traffic}) over and over, so it resolves each one
     against each table once ({!Secpol_policy.Table.resolve}); the answers
     are immutable and every shard reads the same ones.  Vehicles are
-    sharded across OCaml domains by {!Secpol_par.Partition.assign_by}.
+    sharded across OCaml domains in contiguous id ranges: domain [d]
+    takes ids [\[d * fleet / domains, (d + 1) * fleet / domains)].
 
     {b Counted runs.}  A vehicle's adoption tick splits its ticks into
     two runs, one per installed version.  A request whose answer no

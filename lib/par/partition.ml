@@ -18,24 +18,3 @@ let hash_string s = fnv1a s 0 fnv_offset
 let shard_of_string ~shards s =
   if shards < 1 then invalid_arg "Partition.shard_of_string: shards < 1";
   hash_string s mod shards
-
-let assign_by ~shards label items =
-  if shards < 1 then invalid_arg "Partition.assign_by: shards < 1";
-  if shards = 1 then
-    (* every hash mod 1 is 0: no label is needed *)
-    [| Array.init (Array.length items) Fun.id |]
-  else begin
-    let counts = Array.make shards 0 in
-    let shard =
-      Array.map (fun item -> shard_of_string ~shards (label item)) items
-    in
-    Array.iter (fun s -> counts.(s) <- counts.(s) + 1) shard;
-    let slots = Array.map (fun n -> Array.make n 0) counts in
-    let filled = Array.make shards 0 in
-    Array.iteri
-      (fun i s ->
-        slots.(s).(filled.(s)) <- i;
-        filled.(s) <- filled.(s) + 1)
-      shard;
-    slots
-  end

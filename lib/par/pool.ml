@@ -1,7 +1,10 @@
 module Ir = Secpol_policy.Ir
+module Ast = Secpol_policy.Ast
+module Batch = Secpol_policy.Batch
 module Engine = Secpol_policy.Engine
 module Table = Secpol_policy.Table
 module Registry = Secpol_obs.Registry
+module Clock = Secpol_obs.Clock
 
 (* ------------------------------------------------------------------ *)
 (* Policy generations                                                  *)
@@ -61,7 +64,7 @@ let rec watch wd =
   done;
   if wd.closing then Mutex.unlock wd.wd_mu
   else begin
-    let now = Secpol_obs.Clock.now () in
+    let now = Clock.now () in
     let due, waits = List.partition (fun w -> w.deadline <= now) wd.waits in
     wd.waits <- waits;
     let next =
@@ -161,7 +164,7 @@ let await_timeout ticket ~timeout_s =
   | Pending ->
       let w =
         {
-          deadline = Secpol_obs.Clock.now () +. timeout_s;
+          deadline = Clock.now () +. timeout_s;
           w_mu = ticket.t_mu;
           w_cv = ticket.t_cv;
           expired = false;
@@ -192,6 +195,7 @@ type worker = {
   retired : Registry.t; (* accumulated telemetry of pre-swap engines *)
   mutable retired_stats : Engine.stats;
   mutable epoch_seen : int;
+  mutable arena : Batch.t; (* the rows of this shard's current decide *)
 }
 
 type job = worker -> unit
@@ -223,7 +227,7 @@ let ring_create capacity =
   }
 
 (* Returns false when the ring is full or the pool is stopping —
-   admission control is the caller's problem (the daemon retries then
+   admission control is the caller's problem ([decide] retries then
    sheds, per the gateway discipline), not the ring's.  [stop] is read
    under [mu] so that a worker re-checking emptiness under [mu] before
    it exits cannot miss a job admitted concurrently. *)
@@ -352,6 +356,7 @@ let create ?(queue_capacity = 1024) ~domains table db =
           retired = Registry.create ();
           retired_stats = Engine.zero_stats;
           epoch_seen = gen.epoch;
+          arena = Batch.create ~capacity:1 ();
         })
   in
   pool.workers <- workers;
@@ -399,6 +404,124 @@ let worker_snapshot w =
   Registry.merge_into ~into:registry w.retired;
   Registry.merge_into ~into:registry w.registry;
   (Engine.add_stats w.retired_stats (Engine.stats w.engine), registry)
+
+(* ------------------------------------------------------------------ *)
+(* The sharded decide                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type decided = {
+  answers : Ast.decision array;
+  stalled : int;
+  late : int;
+  shed : int;
+}
+
+(* Admission follows the gateway's retry-then-shed discipline: a full
+   ring gets a few exponentially backed-off retries (the worker drains
+   in microseconds when merely busy), then the shard's rows are shed
+   instead of queueing the caller's memory without bound. *)
+let admission_retries = 3
+
+let retry_backoff_s = 0.0005
+
+let admit pool ~shard job =
+  let rec go attempt =
+    match try_submit pool ~shard job with
+    | Some _ as admitted -> admitted
+    | None when attempt >= admission_retries -> None
+    | None ->
+        (try Unix.sleepf (retry_backoff_s *. float_of_int (1 lsl attempt))
+         with Unix.Unix_error _ -> ());
+        go (attempt + 1)
+  in
+  go 0
+
+(* A worker keeps its arena from decide to decide, but not one that grew
+   past this many rows, so one huge batch leaves no more memory behind. *)
+let max_arena_rows = 4096
+
+(* One shard's rows, filled and decided on the shard's worker under one
+   epoch.  Only this worker ever touches its arena, and it runs one job
+   at a time, so a job that missed its caller's deadline still owns the
+   arena until it ends.  A stalled engine answers [None]. *)
+let decide_job ~fill ~rows w =
+  if Batch.capacity w.arena < rows then
+    w.arena <- Batch.create ~capacity:rows ()
+  else Batch.clear w.arena;
+  let arena = w.arena in
+  fill ~shard:w.shard arena;
+  if Batch.length arena <> rows then
+    invalid_arg "Pool.decide: fill pushed another number of rows";
+  let out = Array.make rows Ast.Deny in
+  let answered =
+    match Engine.decide_batch w.engine arena ~out with
+    | () -> Some out
+    | exception Engine.Unavailable -> None
+  in
+  if Batch.capacity arena > max_arena_rows then
+    w.arena <- Batch.create ~capacity:1 ();
+  answered
+
+let decide pool ~n ~shard_of_row ~fill ~deadline_s =
+  let shards = Array.length pool.rings in
+  let rows = Array.make shards 0 in
+  for i = 0 to n - 1 do
+    let k = shard_of_row i in
+    rows.(k) <- rows.(k) + 1
+  done;
+  (* One deadline for the whole batch, taken as it is submitted: each
+     wait blocks on its ticket until the worker that decides the shard
+     wakes it, or until the watchdog does once the deadline has passed,
+     so a healthy batch never sleeps and stalled shards cost the caller
+     one deadline, not one each. *)
+  let deadline = Clock.now () +. deadline_s in
+  let shed = ref 0 in
+  let tickets =
+    Array.init shards (fun k ->
+        if rows.(k) = 0 then None
+        else
+          match admit pool ~shard:k (decide_job ~fill ~rows:rows.(k)) with
+          | Some _ as ticket -> ticket
+          | None ->
+              shed := !shed + rows.(k);
+              None)
+  in
+  let outs = Array.make shards [||] in
+  let stalled = ref 0 and late = ref 0 in
+  Array.iteri
+    (fun k -> function
+      | None -> ()
+      | Some ticket -> (
+          match await_timeout ticket ~timeout_s:(deadline -. Clock.now ()) with
+          | Some (Ok (Some out)) -> outs.(k) <- out
+          | Some (Ok None) | Some (Error _) -> stalled := !stalled + rows.(k)
+          | None ->
+              (* the late job's answers are never read *)
+              late := !late + rows.(k)))
+    tickets;
+  (* A shard that answered every row answered them in input order, so a
+     one-domain decide copies nothing: one more major-heap array per
+     decide makes the collections, which stop the worker domains too,
+     more frequent.  Otherwise each answering shard's decisions, in its
+     rows' order, go back to input order; a shard that answered nothing
+     leaves its rows denied. *)
+  let answers =
+    match Array.find_opt (fun out -> Array.length out = n) outs with
+    | Some out -> out
+    | None ->
+        let answers = Array.make n Ast.Deny in
+        let next = Array.make shards 0 in
+        for i = 0 to n - 1 do
+          let k = shard_of_row i in
+          let out = outs.(k) in
+          if Array.length out > 0 then begin
+            answers.(i) <- out.(next.(k));
+            next.(k) <- next.(k) + 1
+          end
+        done;
+        answers
+  in
+  { answers; stalled = !stalled; late = !late; shed = !shed }
 
 let shutdown pool =
   if not pool.joined then begin

@@ -1,11 +1,12 @@
-(** A persistent domain pool: the one place [lib/par] starts domains.
+(** A persistent domain pool: the one place [lib/par] starts domains,
+    and the one sharded decide ({!decide}).
 
     [secpold] keeps one pool for its lifetime, so domain startup never
-    lands on a request; {!Serve.run} builds a fresh one per call and
-    keeps its startup off the clock.  The pool spawns one pinned worker
-    per shard {e once}; each worker owns a private
-    {!Secpol_policy.Engine.of_table} engine and
-    {!Secpol_obs.Registry} over the shared immutable
+    lands on a request; [bench parscale] builds a fresh one per run and
+    starts its clock once {!create} has returned.  The pool spawns one
+    pinned worker per shard {e once}; each worker owns a private
+    {!Secpol_policy.Engine.of_table} engine, {!Secpol_obs.Registry} and
+    {!Secpol_policy.Batch} arena over the shared immutable
     {!Secpol_policy.Table}, and drains jobs from its own request ring.
 
     {b Hot swap (RCU-style).}  The current policy generation — epoch,
@@ -19,7 +20,7 @@
     the worker's cumulative registry before rebinding.
 
     {b Admission.}  {!try_submit} never blocks: a full ring returns
-    [None] and the caller decides — the daemon retries briefly, then
+    [None] and the caller decides — {!decide} retries briefly, then
     sheds with a fail-safe deny, mirroring the gateway's retry-then-shed
     discipline.  Jobs that {e were} admitted are always executed, even
     during shutdown.
@@ -107,6 +108,44 @@ val worker_snapshot : worker -> Secpol_policy.Engine.stats * Secpol_obs.Registry
 (** Cumulative engine stats and a freshly merged registry copy for this
     shard — pre-swap generations included.  Run it {e as a job} on the
     shard so it reads quiesced state. *)
+
+type decided = {
+  answers : Secpol_policy.Ast.decision array;
+      (** one per row, in input order; [Deny] for every row counted
+          below *)
+  stalled : int;
+      (** rows whose shard answered nothing: its engine was stalled
+          ({!Secpol_policy.Engine.Unavailable}) or the job raised *)
+  late : int;  (** rows whose shard missed the batch's deadline *)
+  shed : int;  (** rows whose shard's ring stayed full through admission *)
+}
+
+val decide :
+  t ->
+  n:int ->
+  shard_of_row:(int -> int) ->
+  fill:(shard:int -> Secpol_policy.Batch.t -> unit) ->
+  deadline_s:float ->
+  decided
+(** [decide pool ~n ~shard_of_row ~fill ~deadline_s] decides rows
+    [0 .. n-1], row [i] on shard [shard_of_row i].  Each shard with rows
+    gets one job, run on its worker under one policy generation:
+    [fill ~shard arena] pushes that shard's rows, in input order, into
+    the worker's own arena (cleared, and with room for them), and one
+    {!Secpol_policy.Engine.decide_batch} decides them; a fill that
+    pushes any other number of rows answers nothing.  A worker keeps its
+    arena from decide to decide unless it grew past 4,096 rows.
+
+    Admission retries a full ring 3 times, backing off 0.5 ms and
+    doubling, then sheds the shard's rows.  The batch has one deadline,
+    [deadline_s] from submission: a shard that has not answered by then
+    counts its rows [late], and its answers, if they come, are never
+    read.  Every row not answered is denied.  Rows that share a rate
+    budget must share a shard, as {!Partition.shard_of_string} on the
+    subject gives; then the answers, engine stats and counters are those
+    of one engine deciding the rows in input order with their own
+    timestamps.
+    @raise Invalid_argument when [shard_of_row] leaves [\[0, domains)]. *)
 
 val shutdown : t -> unit
 (** Stop accepting jobs, drain every ring, join every worker, then the

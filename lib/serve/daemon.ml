@@ -1,6 +1,5 @@
 module Ir = Secpol_policy.Ir
 module Ast = Secpol_policy.Ast
-module Batch = Secpol_policy.Batch
 module Engine = Secpol_policy.Engine
 module Table = Secpol_policy.Table
 module Compile = Secpol_policy.Compile
@@ -20,8 +19,6 @@ type config = {
   strategy : Engine.strategy;
   queue_capacity : int;
   watchdog_deadline_s : float;
-  admission_retries : int;
-  retry_backoff_s : float;
 }
 
 let default_config =
@@ -32,8 +29,6 @@ let default_config =
     strategy = Engine.Deny_overrides;
     queue_capacity = 1024;
     watchdog_deadline_s = 1.0;
-    admission_retries = 3;
-    retry_backoff_s = 0.0005;
   }
 
 type t = {
@@ -43,10 +38,6 @@ type t = {
   started_at : float;
   stop : bool Atomic.t;
   reload_mu : Mutex.t; (* serialises compile + gate + swap *)
-  idle_mu : Mutex.t;
-  idle : Batch.t list array;
-      (* per shard, the arenas no decide or worker holds: the next decide
-         on that shard refills one instead of allocating its own *)
   conns_mu : Mutex.t;
   mutable conns : (Unix.file_descr * Thread.t) list;
       (* the open connections, each with the thread serving it *)
@@ -68,153 +59,40 @@ type t = {
 (* Deciding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One shard's arena, decided in bulk on the shard's worker.  A stalled
-   engine answers nothing — the caller turns that into fail-safe
-   denies. *)
-let decide_job batch (w : Pool.worker) =
-  let out = Array.make (Batch.length batch) Ast.Deny in
-  match Engine.decide_batch (Pool.worker_engine w) batch ~out with
-  | () -> Ok out
-  | exception Engine.Unavailable -> Error `Stalled
-
-(* Admission follows the gateway's retry-then-shed discipline: a full
-   ring gets a few exponentially backed-off retries (the worker drains
-   in microseconds when merely busy), then the batch is shed — answered
-   immediately with fail-safe denies — instead of queueing the daemon's
-   memory without bound. *)
-let submit_with_retry t ~shard job =
-  let rec go attempt =
-    match Pool.try_submit t.pool ~shard job with
-    | Some ticket -> Some ticket
-    | None ->
-        if attempt >= t.config.admission_retries then None
-        else begin
-          (try
-             Unix.sleepf
-               (t.config.retry_backoff_s *. float_of_int (1 lsl min attempt 8))
-           with Unix.Unix_error _ -> ());
-          go (attempt + 1)
-        end
-  in
-  go 0
-
-(* Arenas are reused from decide to decide, across connections: a decide
-   takes an idle arena for each shard it routes rows to, fills it on the
-   connection thread, and gives it back once the shard's worker has
-   answered.  An arena whose worker missed the deadline is never given
-   back, since the worker may still read it.  At most [max_idle] arenas
-   of at most [max_idle_rows] rows wait per shard, so neither a burst of
-   concurrent decides nor one huge batch leaves more memory behind. *)
-let max_idle = 4
-
-let max_idle_rows = 4096
-
-let take t shard rows =
-  Mutex.lock t.idle_mu;
-  let b =
-    match t.idle.(shard) with
-    | b :: rest ->
-        t.idle.(shard) <- rest;
-        Some b
-    | [] -> None
-  in
-  Mutex.unlock t.idle_mu;
-  match b with
-  | Some b when Batch.capacity b >= rows ->
-      Batch.clear b;
-      b
-  | Some _ | None -> Batch.create ~capacity:rows ()
-
-let give_back t shard b =
-  Mutex.lock t.idle_mu;
-  if
-    Batch.capacity b <= max_idle_rows
-    && List.compare_length_with t.idle.(shard) max_idle < 0
-  then
-    t.idle.(shard) <- b :: t.idle.(shard);
-  Mutex.unlock t.idle_mu
-
-(* the arena of a shard no row routes to: never filled or decided *)
-let no_rows = Batch.create ~capacity:1 ()
-
+(* Each distinct subject's shard is computed once, on the connection
+   thread; each shard's worker fills its own arena with that shard's
+   rows and decides them. *)
 let handle_decide t id (reqs : Wire.interned) =
   let n = Wire.length reqs in
-  let allows = Array.make n false in
-  let degraded = ref false in
-  let shed = ref false in
-  if n > 0 then begin
-    let now = Clock.now () -. t.started_at in
-    let shards = Pool.domains t.pool in
-    (* each distinct subject's shard, computed once *)
-    let shard_of =
-      Array.map (Partition.shard_of_string ~shards) reqs.Wire.subjects
-    in
-    let rows = Array.make shards 0 in
-    Array.iter
-      (fun s ->
-        let k = shard_of.(s) in
-        rows.(k) <- rows.(k) + 1)
-      reqs.Wire.subject_ix;
-    let arenas =
-      Array.mapi (fun k r -> if r = 0 then no_rows else take t k r) rows
-    in
-    Wire.fill reqs ~now (Array.map (fun k -> arenas.(k)) shard_of);
-    (* One deadline for the whole batch, taken as it is submitted: each
-       wait blocks on its ticket until the worker that decides the slice
-       wakes it, or until the pool's watchdog does once the deadline has
-       passed, so a healthy batch never sleeps and stalled shards cost
-       the client one deadline, not one each. *)
-    let deadline = Clock.now () +. t.config.watchdog_deadline_s in
-    let pending = ref [] in
-    for k = 0 to shards - 1 do
-      if rows.(k) > 0 then
-        match submit_with_retry t ~shard:k (decide_job arenas.(k)) with
-        | Some ticket -> pending := (k, ticket) :: !pending
-        | None ->
-            (* denied by default: [allows] already reads false *)
-            shed := true;
-            Obs.Counter.add t.c_shed rows.(k);
-            give_back t k arenas.(k)
-    done;
-    (* each answering shard's decisions, in its rows' order *)
-    let answers = Array.make shards [||] in
-    let tripped = ref false in
-    List.iter
-      (fun (k, ticket) ->
-        match
-          Pool.await_timeout ticket ~timeout_s:(deadline -. Clock.now ())
-        with
-        | Some (Ok (Ok out)) ->
-            answers.(k) <- out;
-            give_back t k arenas.(k)
-        | Some (Ok (Error `Stalled)) | Some (Error _) ->
-            (* the shard answered "no answer": fail safe, deny its rows *)
-            degraded := true;
-            Obs.Counter.add t.c_failsafe rows.(k);
-            give_back t k arenas.(k)
-        | None ->
-            (* the watchdog woke us: the shard missed the deadline —
-               answer denies now rather than hang the client behind a
-               wedged worker; the late result, if any, is discarded, and
-               the worker keeps the arena *)
-            degraded := true;
-            tripped := true;
-            Obs.Counter.add t.c_failsafe rows.(k))
-      !pending;
-    if !tripped then Obs.Counter.incr t.c_watchdog_trips;
-    let next = Array.make shards 0 in
-    for i = 0 to n - 1 do
-      let k = shard_of.(reqs.Wire.subject_ix.(i)) in
-      let out = answers.(k) in
-      if Array.length out > 0 then begin
-        allows.(i) <- out.(next.(k)) = Ast.Allow;
-        next.(k) <- next.(k) + 1
-      end
-    done
-  end;
+  let now = Clock.now () -. t.started_at in
+  let subject_shard =
+    Array.map
+      (Partition.shard_of_string ~shards:(Pool.domains t.pool))
+      reqs.Wire.subjects
+  in
+  let d =
+    Pool.decide t.pool ~n
+      ~shard_of_row:(fun i -> subject_shard.(reqs.Wire.subject_ix.(i)))
+      ~fill:(fun ~shard arena ->
+        Wire.fill reqs ~now ~subject_shard ~shard arena)
+      ~deadline_s:t.config.watchdog_deadline_s
+  in
+  (* rows a shard answered nothing for, or too late, are fail-safe
+     denies; the batch counts one watchdog trip however many shards were
+     late *)
+  let failsafe = d.stalled + d.late in
+  Obs.Counter.add t.c_shed d.shed;
+  Obs.Counter.add t.c_failsafe failsafe;
+  if d.late > 0 then Obs.Counter.incr t.c_watchdog_trips;
   Obs.Counter.add t.c_requests n;
   Obs.Counter.incr t.c_batches;
-  Wire.Decide_resp { id; degraded = !degraded; shed = !shed; allows }
+  Wire.Decide_resp
+    {
+      id;
+      degraded = failsafe > 0;
+      shed = d.shed > 0;
+      allows = Array.map (fun a -> a = Ast.Allow) d.answers;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Reload                                                              *)
@@ -447,8 +325,6 @@ let start ?(config = default_config) db =
       started_at = Clock.now ();
       stop = Atomic.make false;
       reload_mu = Mutex.create ();
-      idle_mu = Mutex.create ();
-      idle = Array.make config.domains [];
       conns_mu = Mutex.create ();
       conns = [];
       listeners = [];

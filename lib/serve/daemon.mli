@@ -14,10 +14,10 @@
       and the refusal names the first widened flow), then publishes it
       with one atomic pointer swap — zero dropped requests, and no
       decision made after the ack is stale;
-    - a decide's rows are filled, each distinct name hashed once,
-      straight from the wire's name tables into one arena per shard,
-      reused from decide to decide, and each shard's worker decides its
-      arena in bulk;
+    - a decide is one {!Secpol_par.Pool.decide}: each shard's worker
+      fills its own reused arena with the shard's rows, each distinct
+      name hashed once, straight from the wire's name tables, and
+      decides it in bulk;
     - overload sheds at admission with fail-safe denies (the gateway's
       retry-then-shed discipline), and a per-batch watchdog answers
       denies when a shard misses the batch's deadline rather than
@@ -33,19 +33,19 @@ type config = {
   tcp_port : int option;  (** loopback TCP listener when [Some] *)
   domains : int;  (** worker shards *)
   strategy : Secpol_policy.Engine.strategy;
-  queue_capacity : int;  (** per-shard ring depth (admission bound) *)
+  queue_capacity : int;
+      (** per-shard ring depth, the admission bound: a full ring is
+          retried 3 times from 0.5 ms backoff, doubling, then its rows
+          are shed ({!Secpol_par.Pool.decide}) *)
   watchdog_deadline_s : float;
       (** a batch's answer deadline, from its submission: shards that miss
           it are answered with fail-safe denies and count one watchdog
           trip for the batch *)
-  admission_retries : int;  (** retries before shedding a full ring *)
-  retry_backoff_s : float;  (** base backoff between admission retries *)
 }
 
 val default_config : config
 (** Unix socket ["secpold.sock"], no TCP, 1 domain, deny-overrides,
-    1024-deep rings, 1 s watchdog, 3 admission retries at 0.5 ms base
-    backoff. *)
+    1024-deep rings, 1 s watchdog. *)
 
 type t
 

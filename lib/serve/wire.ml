@@ -140,15 +140,18 @@ let intern (reqs : Ir.request array) =
     msg_ids;
   }
 
-let fill r ~now arenas =
+let fill r ~now ~subject_shard ~shard arena =
   let subject_hash = Array.map String.hash r.subjects in
   let asset_hash = Array.map String.hash r.assets in
   for i = 0 to length r - 1 do
-    let s = r.subject_ix.(i) and a = r.asset_ix.(i) in
-    Batch.push_hashed arenas.(s) ~now ~mode:r.modes.(r.mode_ix.(i))
-      ~subject:r.subjects.(s) ~subject_hash:subject_hash.(s)
-      ~asset:r.assets.(a) ~asset_hash:asset_hash.(a) r.ops.(i)
-      ~msg_id:r.msg_ids.(i)
+    let s = r.subject_ix.(i) in
+    if subject_shard.(s) = shard then begin
+      let a = r.asset_ix.(i) in
+      Batch.push_hashed arena ~now ~mode:r.modes.(r.mode_ix.(i))
+        ~subject:r.subjects.(s) ~subject_hash:subject_hash.(s)
+        ~asset:r.assets.(a) ~asset_hash:asset_hash.(a) r.ops.(i)
+        ~msg_id:r.msg_ids.(i)
+    end
   done
 
 (* ------------------------------------------------------------------ *)

@@ -8,9 +8,9 @@
     that many [u16]-length-prefixed names; three columns of [n] [u16]
     indices into those tables; then [n] op bytes and [n] [i32] message
     ids ([-1] for none).  A batch of hundreds of requests over a couple
-    of dozen names ships each name once, and the daemon decodes and
-    hashes each once, filling its {!Secpol_policy.Batch} arenas from the
-    columns.  Type 1, the layout that sent every request's names in
+    of dozen names ships each name once, and the daemon decodes each
+    once; each shard's worker hashes each once as it fills its
+    {!Secpol_policy.Batch} arena from the columns.  Type 1, the layout that sent every request's names in
     full, is an unknown type.  Decide responses pack one decision per
     bit (LSB first, 1 = allow).
 
@@ -60,12 +60,18 @@ val length : interned -> int
 (** Requests in the batch. *)
 
 val fill :
-  interned -> now:float -> Secpol_policy.Batch.t array -> unit
-(** [fill r ~now arenas] appends every request, in order, to
-    [arenas.(s)], where [s] is the index of its subject in [r.subjects],
-    through {!Secpol_policy.Batch.push_hashed} at [now]: each distinct
-    subject and asset is hashed once, and every row naming one holds the
-    same string. *)
+  interned ->
+  now:float ->
+  subject_shard:int array ->
+  shard:int ->
+  Secpol_policy.Batch.t ->
+  unit
+(** [fill r ~now ~subject_shard ~shard arena] appends to [arena], in
+    order, every request whose subject's shard is [shard] (subject [s]
+    of [r.subjects] is on shard [subject_shard.(s)]), through
+    {!Secpol_policy.Batch.push_hashed} at [now]: each distinct subject
+    and asset is hashed once, and every row naming one holds the same
+    string. *)
 
 type msg =
   | Decide_req of { id : int; reqs : interned }

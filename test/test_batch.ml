@@ -166,7 +166,9 @@ let wire_batch ~now reqs =
           (Wire.Decide_req { id = 0; reqs = Wire.intern reqs }))
    with
   | Wire.Decide_req { reqs = r; _ } ->
-      Wire.fill r ~now (Array.make (Array.length r.Wire.subjects) b)
+      Wire.fill r ~now
+        ~subject_shard:(Array.make (Array.length r.Wire.subjects) 0)
+        ~shard:0 b
   | _ -> QCheck.Test.fail_report "a decide decoded as another message");
   b
 

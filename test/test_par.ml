@@ -1,13 +1,16 @@
-(* Tests for the shard-per-domain parallel layer: partitioning, sharded
-   decision serving on the pool, and the property that every sharded run
-   is observably identical to one engine deciding in input order. *)
+(* Tests for the shard-per-domain parallel layer: partitioning, the one
+   sharded decide on the pool ([Pool.decide], which secpold and bench
+   parscale both call), and the property that every sharded decide is
+   observably identical to one engine deciding in input order. *)
 
 module Ast = Secpol_policy.Ast
 module Ir = Secpol_policy.Ir
+module Batch = Secpol_policy.Batch
 module Compile = Secpol_policy.Compile
 module Engine = Secpol_policy.Engine
+module Table = Secpol_policy.Table
 module Partition = Secpol_par.Partition
-module Serve = Secpol_par.Serve
+module Pool = Secpol_par.Pool
 module Registry = Secpol_obs.Registry
 module Counter = Secpol_obs.Counter
 module Clock = Secpol_obs.Clock
@@ -25,48 +28,48 @@ let test_fnv_pins () =
   check Alcotest.int "fnv(a)" 0xe40c292c (Partition.hash_string "a");
   check Alcotest.int "fnv(foobar)" 0xbf9cf968 (Partition.hash_string "foobar")
 
-let test_assign_partitions () =
-  let items = Array.init 100 (fun i -> Printf.sprintf "item%d" i) in
-  let shards = Partition.assign_by ~shards:4 Fun.id items in
-  check Alcotest.int "4 shards" 4 (Array.length shards);
-  let seen = Array.make 100 false in
-  Array.iteri
-    (fun s idxs ->
-      Array.iter
-        (fun i ->
-          Alcotest.(check bool) "no duplicate routing" false seen.(i);
-          seen.(i) <- true;
-          check Alcotest.int "routed by hash" s
-            (Partition.shard_of_string ~shards:4 items.(i)))
-        idxs;
-      let l = Array.to_list idxs in
-      Alcotest.(check bool) "input order preserved" true
-        (List.sort compare l = l))
-    shards;
-  Alcotest.(check bool) "every item owned" true (Array.for_all Fun.id seen)
-
-(* every hash mod 1 is 0, so one shard owns every index, in order, and
-   the labels need not be computed *)
-let test_assign_one_shard_skips_labels () =
-  let labels = ref 0 in
-  let shards =
-    Partition.assign_by ~shards:1
-      (fun i ->
-        incr labels;
-        string_of_int i)
-      (Array.init 50 Fun.id)
-  in
-  check
-    Alcotest.(array (array int))
-    "every index in order" [| Array.init 50 Fun.id |] shards;
-  check Alcotest.int "no label computed" 0 !labels
-
-let test_assign_validates () =
+let test_partition_validates () =
   Alcotest.check_raises "shards < 1"
-    (Invalid_argument "Partition.assign_by: shards < 1") (fun () ->
-      ignore (Partition.assign_by ~shards:0 Fun.id [| "a" |]))
+    (Invalid_argument "Partition.shard_of_string: shards < 1") (fun () ->
+      ignore (Partition.shard_of_string ~shards:0 "a"))
 
-(* ---------- Sharded serving vs one in-order engine ---------- *)
+(* ---------- The sharded decide vs one in-order engine ---------- *)
+
+let table_of db = Table.compile ~strategy:Table.Deny_overrides db
+
+(* [work] decided as secpold and parscale decide a batch: one
+   [Pool.decide] on a fresh pool of [domains] workers, each row routed by
+   its subject and pushed with its own timestamp.  Each shard's
+   cumulative stats and registry are then read by a [worker_snapshot]
+   job on that shard, so they are read quiesced. *)
+let decide_on ~domains db work =
+  let pool = Pool.create ~domains (table_of db) db in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let shard_of =
+        Array.map
+          (fun (_, (req : Ir.request)) ->
+            Partition.shard_of_string ~shards:domains req.subject)
+          work
+      in
+      let fill ~shard arena =
+        Array.iteri
+          (fun i (now, req) ->
+            if shard_of.(i) = shard then Batch.push ~now arena req)
+          work
+      in
+      let d =
+        Pool.decide pool ~n:(Array.length work)
+          ~shard_of_row:(Array.get shard_of) ~fill ~deadline_s:60.0
+      in
+      let snapshots =
+        Array.init domains (fun shard ->
+            match Pool.try_submit pool ~shard Pool.worker_snapshot with
+            | Some ticket -> Pool.await ticket
+            | None -> Alcotest.fail "snapshot refused")
+      in
+      (d, snapshots))
 
 let registry_counters r =
   List.map (fun (name, c) -> (name, Counter.value c)) (Registry.counters r)
@@ -74,18 +77,24 @@ let registry_counters r =
 (* Latency histograms are left out: [decide_batch] observes once per
    batch, so k shards record k observations where the scalar engine
    records one per request. *)
-let same_as_sequential ?strategy db work =
+let same_as_sequential db work =
   let obs = Registry.create () in
-  let engine = Engine.create ?strategy ~obs db in
+  let engine = Engine.create ~obs db in
   let decisions =
     Array.map (fun (now, req) -> (Engine.decide ~now engine req).decision) work
   in
   List.for_all
     (fun domains ->
-      let par = Serve.run ~domains ?strategy db work in
-      par.Serve.decisions = decisions
-      && par.Serve.stats.engine = Engine.stats engine
-      && registry_counters par.Serve.registry = registry_counters obs)
+      let d, snapshots = decide_on ~domains db work in
+      let registry = Registry.create () in
+      Array.iter (fun (_, r) -> Registry.merge_into ~into:registry r) snapshots;
+      d.Pool.answers = decisions
+      && d.stalled + d.late + d.shed = 0
+      && Array.fold_left
+           (fun acc (stats, _) -> Engine.add_stats acc stats)
+           Engine.zero_stats snapshots
+         = Engine.stats engine
+      && registry_counters registry = registry_counters obs)
     [ 1; 2; 4 ]
 
 let rated_source =
@@ -96,7 +105,7 @@ let rated_source =
 let compile_ok src =
   match Compile.of_source src with Ok db -> db | Error e -> failwith e
 
-let test_serve_matches_sequential () =
+let test_decide_matches_sequential () =
   let db = compile_ok rated_source in
   let subjects = [ "alice"; "bob"; "carol"; "infotainment"; "dave" ] in
   let work =
@@ -108,11 +117,13 @@ let test_serve_matches_sequential () =
           { Ir.mode = "normal"; subject; asset; op; msg_id = None } ))
   in
   Alcotest.(check bool)
-    "sharded runs identical to the in-order engine (rates, telemetry)"
+    "sharded decides identical to the in-order engine (rates, telemetry)"
     true
     (same_as_sequential db work)
 
-let test_serve_stats_shape () =
+(* A healthy pool answers every row, and each shard decides exactly the
+   rows routed to it. *)
+let test_decide_shape () =
   let db = compile_ok rated_source in
   let work =
     Array.init 50 (fun k ->
@@ -125,41 +136,36 @@ let test_serve_stats_shape () =
             msg_id = None;
           } ))
   in
-  let r = Serve.run ~domains:3 db work in
-  check Alcotest.int "domains" 3 r.Serve.stats.domains;
-  check Alcotest.int "served" 50 r.Serve.stats.served;
-  check Alcotest.int "one slice per shard" 3
-    (Array.length r.Serve.stats.per_shard);
-  check Alcotest.int "per-shard counts sum to served" 50
-    (Array.fold_left ( + ) 0 r.Serve.stats.per_shard);
-  check Alcotest.int "every request decided" 50
-    r.Serve.stats.engine.Engine.decisions
-
-(* The timed region must start only after every domain is running:
-   [Domain.spawn] costs ~ms per domain, and billing startup as serving
-   time made the measured region scale with the domain count.  The
-   observable contract: the wall time of a [Serve.run] call spent
-   OUTSIDE the reported [elapsed_s] must at least cover the cost of
-   spawning the domains.  Without [Pool.create]'s readiness wait that gap
-   would be only the policy compile + partition (microseconds), so the
-   assertion bites. *)
-let test_serve_excludes_spawn_overhead () =
-  let db = compile_ok rated_source in
-  let domains = 8 in
-  let work =
-    Array.init domains (fun k ->
-        ( float_of_int k,
-          {
-            Ir.mode = "normal";
-            subject = Printf.sprintf "s%d" k;
-            asset = "lock";
-            op = Ir.Write;
-            msg_id = None;
-          } ))
+  let d, snapshots = decide_on ~domains:3 db work in
+  check Alcotest.int "one answer per row" 50 (Array.length d.Pool.answers);
+  check Alcotest.int "none stalled" 0 d.stalled;
+  check Alcotest.int "none late" 0 d.late;
+  check Alcotest.int "none shed" 0 d.shed;
+  let routed shard =
+    Array.fold_left
+      (fun n (_, (req : Ir.request)) ->
+        if Partition.shard_of_string ~shards:3 req.subject = shard then n + 1
+        else n)
+      0 work
   in
+  Array.iteri
+    (fun shard ((stats : Engine.stats), _) ->
+      check Alcotest.int
+        (Printf.sprintf "shard %d decides its rows" shard)
+        (routed shard) stats.decisions)
+    snapshots
+
+(* The clock of a run timed after [Pool.create] returns (bench parscale)
+   must not bill domain startup: [Domain.spawn] costs ~ms per domain, and
+   billing it as serving made the measured region scale with the domain
+   count.  The observable contract: [Pool.create] takes at least the time
+   spawning the domains and waiting until each runs takes. *)
+let test_create_waits_for_workers () =
+  let db = compile_ok rated_source in
+  let table = table_of db in
+  let domains = 8 in
   (* startup cost: spawn [domains] domains and wait until all are
-     running — exactly the phase [Pool.create] keeps off the clock.
-     Joins happen outside the measurement. *)
+     running.  Joins happen outside the measurement. *)
   let spawn_sample () =
     let mu = Mutex.create () in
     let cv = Condition.create () in
@@ -188,62 +194,40 @@ let test_serve_excludes_spawn_overhead () =
     Array.iter Domain.join ds;
     dt
   in
-  let outside_sample () =
+  let create_sample () =
     let t0 = Clock.now () in
-    let r = Serve.run ~domains db work in
-    Clock.now () -. t0 -. r.Serve.stats.elapsed_s
+    let pool = Pool.create ~domains table db in
+    let dt = Clock.now () -. t0 in
+    Pool.shutdown pool;
+    dt
   in
   (* Both sides are wall-clock minima, and under a parallel [dune runtest]
      another test binary can hold the cores: one 8-domain spawn then takes
      anywhere from 0.7 to 20 ms.  Minima over separate phases (or over
      unequal sample counts) let one side catch a quiet machine the other
      never saw, so the samples alternate, the same number on each side. *)
-  let spawn_cost = ref infinity and outside = ref infinity in
+  let spawn_cost = ref infinity and create = ref infinity in
   for _ = 1 to 20 do
     spawn_cost := Float.min !spawn_cost (spawn_sample ());
-    outside := Float.min !outside (outside_sample ())
+    create := Float.min !create (create_sample ())
   done;
-  let spawn_cost = !spawn_cost and outside = !outside in
+  let spawn_cost = !spawn_cost and create = !create in
   check Alcotest.bool
-    (Printf.sprintf
-       "time outside the measured region (%.6fs) covers spawn cost (%.6fs)"
-       outside spawn_cost)
+    (Printf.sprintf "Pool.create (%.6fs) covers spawn cost (%.6fs)" create
+       spawn_cost)
     true
-    (outside >= 0.5 *. spawn_cost)
+    (create >= 0.5 *. spawn_cost)
 
-(* A run faster than the clock can measure must clamp to the clock's
-   resolution, not report a zero or infinite throughput. *)
-let test_serve_throughput_clamped () =
-  let db = compile_ok rated_source in
-  let work =
-    [|
-      ( 0.,
-        {
-          Ir.mode = "normal";
-          subject = "alice";
-          asset = "lock";
-          op = Ir.Write;
-          msg_id = None;
-        } );
-    |]
-  in
-  let r = Serve.run db work in
-  check Alcotest.bool "elapsed at least clock resolution" true
-    (r.Serve.stats.elapsed_s >= Clock.resolution);
-  check Alcotest.bool "throughput positive and finite" true
-    (r.Serve.stats.throughput > 0.
-    && Float.is_finite r.Serve.stats.throughput)
-
-let test_serve_validates_domains () =
+let test_create_validates_domains () =
   let db = compile_ok rated_source in
   Alcotest.check_raises "domains < 1"
-    (Invalid_argument "Serve.run: domains < 1") (fun () ->
-      ignore (Serve.run ~domains:0 db [||]))
+    (Invalid_argument "Pool.create: domains < 1") (fun () ->
+      ignore (Pool.create ~domains:0 (table_of db) db))
 
 (* ---------- Idle shards ---------- *)
 
 (* Every request from one subject lands in one shard; the other workers
-   get an empty job and must neither decide nor disturb the merge. *)
+   get no job and must neither decide nor disturb the merge. *)
 let test_idle_shards_single_subject () =
   let db = compile_ok rated_source in
   let work =
@@ -255,24 +239,25 @@ let test_idle_shards_single_subject () =
   in
   Alcotest.(check bool) "identical to the in-order engine" true
     (same_as_sequential db work);
-  let r = Serve.run ~domains:4 db work in
+  let _, snapshots = decide_on ~domains:4 db work in
   check
     Alcotest.(list int)
     "one busy shard, three idle" [ 0; 0; 0; 60 ]
-    (List.sort compare (Array.to_list r.Serve.stats.per_shard))
+    (List.sort compare
+       (Array.to_list
+          (Array.map (fun ((s : Engine.stats), _) -> s.decisions) snapshots)))
 
 let test_idle_shards_empty_work () =
   let db = compile_ok rated_source in
-  let r = Serve.run ~domains:2 db [||] in
-  check Alcotest.int "no decisions" 0 (Array.length r.Serve.decisions);
-  check Alcotest.int "served" 0 r.Serve.stats.served;
+  let d, snapshots = decide_on ~domains:2 db [||] in
+  check Alcotest.int "no answers" 0 (Array.length d.Pool.answers);
+  check Alcotest.int "nothing stalled, late or shed" 0
+    (d.stalled + d.late + d.shed);
   check
     Alcotest.(list int)
     "both shards idle" [ 0; 0 ]
-    (Array.to_list r.Serve.stats.per_shard);
-  check Alcotest.int "engine decided nothing" 0
-    r.Serve.stats.engine.Engine.decisions;
-  check (Alcotest.float 0.) "throughput" 0. r.Serve.stats.throughput
+    (Array.to_list
+       (Array.map (fun ((s : Engine.stats), _) -> s.decisions) snapshots))
 
 (* ---------- Random policies: the qcheck determinism harness ---------- *)
 
@@ -393,19 +378,15 @@ let () =
       ( "partition",
         [
           quick "fnv-1a pins" test_fnv_pins;
-          quick "assign covers and preserves order" test_assign_partitions;
-          quick "one shard needs no labels" test_assign_one_shard_skips_labels;
-          quick "validation" test_assign_validates;
+          quick "validation" test_partition_validates;
         ] );
       ( "serve",
         [
-          quick "matches sequential (rated policy)" test_serve_matches_sequential;
-          quick "stats shape" test_serve_stats_shape;
-          quick "spawn cost outside timed region"
-            test_serve_excludes_spawn_overhead;
-          quick "throughput clamped at clock resolution"
-            test_serve_throughput_clamped;
-          quick "validation" test_serve_validates_domains;
+          quick "matches sequential (rated policy)"
+            test_decide_matches_sequential;
+          quick "stats shape" test_decide_shape;
+          quick "spawn cost outside timed region" test_create_waits_for_workers;
+          quick "validation" test_create_validates_domains;
           QCheck_alcotest.to_alcotest prop_sharded_equals_sequential;
         ] );
       ( "idle shard",

@@ -845,17 +845,38 @@ let test_daemon_watchdog_timeout () =
       | None -> Alcotest.fail "wedge refused"
       | Some _ -> ());
       with_client socket_path (fun client ->
-          let b = Client.decide client [| req "sensors" "telemetry" |] in
+          let b =
+            Client.decide client (Array.make 8 (req "sensors" "telemetry"))
+          in
           check Alcotest.bool "watchdog degrades" true b.Client.degraded;
-          check Alcotest.bool "watchdog denies" false b.Client.allows.(0));
+          check Alcotest.bool "watchdog denies" true
+            (Array.for_all not b.Client.allows));
       check Alcotest.bool "trip counted" true
         (Daemon.watchdog_trips daemon > before);
       Atomic.set gate true;
-      (* the wedged worker drains and the shard serves again *)
+      (* The wedged worker drains, deciding the late batch of 8 allows
+         into its arena, and the shard serves again.  The next batch is
+         shorter, so it fits that arena, and its first answer is a deny,
+         so the late job's rows or answers showing up in it fail a
+         check. *)
+      let reqs =
+        [|
+          probe ();
+          req "gateway" "telemetry";
+          req ~op:Ir.Write "sensors" "telemetry";
+          req "ecu" "telemetry";
+          req "sensors" "telemetry";
+        |]
+      in
       with_client socket_path (fun client ->
-          let b = Client.decide client [| req "sensors" "telemetry" |] in
+          let b = Client.decide client reqs in
           check Alcotest.bool "re-armed" false b.Client.degraded;
-          check Alcotest.bool "serves after re-arm" true b.Client.allows.(0)))
+          let engine = Engine.create (compile_ok old_source) in
+          check
+            Alcotest.(array bool)
+            "every answer after re-arm is the engine's"
+            (Array.map (Engine.permitted engine) reqs)
+            b.Client.allows))
 
 (* A batch carries one deadline, however many of its shards stall: with
    both workers wedged and a request on each shard, the decide answers
@@ -903,11 +924,10 @@ let test_daemon_batch_deadline () =
 
 (* Admission shed fails closed: with the only worker wedged and its
    one-slot ring full, a batch of requests the policy allows is answered
-   at once with denies and flagged as shed — never with an allow. *)
+   with denies once admission's retries (about 3.5 ms of backoff) are
+   spent, and flagged as shed — never with an allow. *)
 let test_daemon_shed_denies () =
-  let config =
-    { Daemon.default_config with queue_capacity = 1; admission_retries = 0 }
-  in
+  let config = { Daemon.default_config with queue_capacity = 1 } in
   with_daemon ~domains:1 ~config old_source (fun daemon socket_path ->
       let pool = Daemon.pool daemon in
       let started = Atomic.make false in
