@@ -27,7 +27,8 @@
    trades precision for wall-clock.  --out-dir writes each measured
    target's artifact to DIR/<artifact>; --baseline-dir evaluates its gates
    against DIR/<artifact> and prints one verdict line per gate.  Without
-   --baseline-dir nothing is gated.
+   --baseline-dir nothing is gated.  Both directories must exist; a
+   missing one is refused before any target runs.
 
    Exit codes: 0 ok; 1 unknown target or bad option; 4 a gate failed, a
    parscale run's decisions diverged from the in-order engine, or the
@@ -74,6 +75,17 @@ let () =
   let names, quick, out_dir, baseline_dir =
     parse ([], false, None, None) (List.tl (Array.to_list Sys.argv))
   in
+  (* a missing directory would otherwise surface only after every target
+     has run *)
+  List.iter
+    (fun (flag, dir) ->
+      Option.iter
+        (fun dir ->
+          if not (Sys.file_exists dir && Sys.is_directory dir) then (
+            Printf.eprintf "main.exe: %s %s: no such directory\n" flag dir;
+            usage ()))
+        dir)
+    [ ("--out-dir", out_dir); ("--baseline-dir", baseline_dir) ];
   let requested =
     match List.rev names with
     | [] -> List.map snd targets

@@ -5,8 +5,8 @@ type report = {
   model : Threat.Model.t;
   policy : Policy.Ast.policy;
   db : Policy.Ir.db;
-  conflicts : Policy.Conflict.conflict list;
-  shadowed : (Policy.Ir.rule * Policy.Ir.rule) list;
+  conflicts : Policy.Diagnostic.t list;
+  shadowed : Policy.Diagnostic.t list;
   bundle : Policy.Update.bundle;
   residual : Threat.Threat.t list;
 }
@@ -19,12 +19,15 @@ let derive ?(version = 1) ?(at = 0.0) model =
       ~known_assets:(List.map (fun (a : Threat.Asset.t) -> a.id) model.assets)
       policy
   in
+  let lint pass =
+    Policy.Lint.run ~passes:[ pass ] Policy.Lint.default_config db
+  in
   {
     model;
     policy;
     db;
-    conflicts = Policy.Conflict.conflicts db;
-    shadowed = Policy.Conflict.shadowed db;
+    conflicts = lint Policy.Lint.conflict_pass;
+    shadowed = lint Policy.Lint.shadow_pass;
     bundle = Policy.Update.bundle ~at policy;
     residual = Policy.Derive.residual_risks model;
   }

@@ -13,8 +13,8 @@ type report = {
   model : Secpol_threat.Model.t;
   policy : Secpol_policy.Ast.policy;
   db : Secpol_policy.Ir.db;
-  conflicts : Secpol_policy.Conflict.conflict list;
-  shadowed : (Secpol_policy.Ir.rule * Secpol_policy.Ir.rule) list;
+  conflicts : Secpol_policy.Diagnostic.t list;  (** lint's SP001 findings *)
+  shadowed : Secpol_policy.Diagnostic.t list;  (** lint's SP002 findings *)
   bundle : Secpol_policy.Update.bundle;
   residual : Secpol_threat.Threat.t list;
       (** threats a read/write policy cannot fully block (Table I's W/RW

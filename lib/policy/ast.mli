@@ -19,7 +19,7 @@
 
     A [mode] section scopes its asset blocks to the listed operating modes;
     a top-level asset block applies in every mode.  Rules are evaluated with
-    an explicit conflict-resolution strategy (see {!Conflict}); the
+    an explicit conflict-resolution strategy (see {!Engine.strategy}); the
     [default] section gives the decision when no rule matches. *)
 
 type op = Read | Write | Rw

@@ -119,8 +119,12 @@ let explain = function
   | Rate_ineffective ->
       "A rate limit can never bind because an unlimited allow rule \
        covers the same scope: when the budget runs out, the request \
-       falls through to the unlimited rule and is allowed anyway.  \
-       Either drop the rate or narrow the unlimited rule."
+       falls through to the unlimited rule and is allowed anyway.  Under \
+       first-match a spent request falls through in source order, so the \
+       finding needs the unlimited rule to come first or no deny rule \
+       overlapping the rated one to lie between them; such a deny would \
+       catch the request first, and then the rate binds.  Either drop \
+       the rate or narrow the unlimited rule."
   | Hpe_mismatch ->
       "The hardware policy engine's approved-id lists disagree with the \
        software engine's decision for some (binding, operation): one \

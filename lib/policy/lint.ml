@@ -16,34 +16,90 @@ type pass = {
 
 let pass ~name ~short run = { name; short; run }
 
+(* ---------- the rule-pair relation ---------- *)
+
+module Cells = Set.Make (struct
+  type t = Verify.cell
+
+  let compare = compare
+end)
+
+(* SP001, SP002, SP004 and SP007 compare rules by their {!Verify.scope}:
+   the cells of the policy's universe a rule applies to, times its
+   message region.  Two rules overlap when they share a cell and their
+   regions meet; [a] covers [b] when [a] is unrated (a rated rule stops
+   matching once its budget is spent) and [b]'s cells and region lie
+   inside [a]'s. *)
+let relation (db : Ir.db) =
+  let scope = Verify.scope db in
+  let scopes = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Ir.rule) ->
+      let cells, region = scope r in
+      Hashtbl.replace scopes r.idx (Cells.of_list cells, region))
+    db.rules;
+  let scope (r : Ir.rule) = Hashtbl.find scopes r.idx in
+  let overlap a b =
+    let ca, ra = scope a and cb, rb = scope b in
+    (not (Region.is_empty (Region.inter ra rb))) && not (Cells.disjoint ca cb)
+  and covers (a : Ir.rule) b =
+    let ca, ra = scope a and cb, rb = scope b in
+    a.rate = None && Region.subset rb ra && Cells.subset cb ca
+  in
+  (overlap, covers)
+
+(* Every (earlier, later) pair of rules in source order. *)
+let pairs (db : Ir.db) =
+  List.concat_map
+    (fun (a : Ir.rule) ->
+      List.filter_map
+        (fun (b : Ir.rule) -> if a.idx < b.idx then Some (a, b) else None)
+        db.rules)
+    db.rules
+
 (* ---------- built-in passes ---------- *)
 
 let conflict_pass =
   pass ~name:"conflict"
     ~short:"overlapping rules with opposite decisions (SP001)"
     (fun _cfg db ->
-      List.map
-        (fun (c : Conflict.conflict) ->
-          Diagnostic.make Diagnostic.Conflict c.reason
-            ~rules:[ c.rule_a.Ir.idx; c.rule_b.Ir.idx ]
-            ~asset:c.rule_a.Ir.asset)
-        (Conflict.conflicts db))
+      let overlap, _ = relation db in
+      List.filter_map
+        (fun ((a : Ir.rule), (b : Ir.rule)) ->
+          if a.decision = b.decision || not (overlap a b) then None
+          else
+            Some
+              (Diagnostic.make Diagnostic.Conflict
+                 (Printf.sprintf
+                    "rules #%d (%s) and #%d (%s) overlap on asset %s with \
+                     opposite decisions"
+                    a.idx
+                    (Ast.decision_name a.decision)
+                    b.idx
+                    (Ast.decision_name b.decision)
+                    a.asset)
+                 ~rules:[ a.idx; b.idx ] ~asset:a.asset))
+        (pairs db))
 
 let shadow_pass =
   pass ~name:"shadow"
     ~short:"rules covered by an earlier same-decision rule (SP002)"
     (fun _cfg db ->
-      List.map
+      let _, covers = relation db in
+      List.filter_map
         (fun ((winner : Ir.rule), (dead : Ir.rule)) ->
-          Diagnostic.make Diagnostic.Shadowed
-            (Printf.sprintf
-               "rule #%d is redundant: rule #%d precedes it and covers its \
-                entire scope with the same decision (%s)"
-               dead.idx winner.idx
-               (Ast.decision_name dead.decision))
-            ~rules:[ winner.idx; dead.idx ]
-            ~asset:dead.asset)
-        (Conflict.shadowed db))
+          if winner.decision <> dead.decision || not (covers winner dead) then
+            None
+          else
+            Some
+              (Diagnostic.make Diagnostic.Shadowed
+                 (Printf.sprintf
+                    "rule #%d is redundant: rule #%d precedes it and covers \
+                     its entire scope with the same decision (%s)"
+                    dead.idx winner.idx
+                    (Ast.decision_name dead.decision))
+                 ~rules:[ winner.idx; dead.idx ] ~asset:dead.asset))
+        (pairs db))
 
 let coverage_pass =
   pass ~name:"coverage"
@@ -119,6 +175,7 @@ let unreachable_pass =
     ~short:"rules no request can trigger under the strategy (SP004)"
     (fun cfg db ->
       let rules = db.Ir.rules in
+      let _, covers = relation db in
       let diag ~(dead : Ir.rule) ~(coverer : Ir.rule) why =
         Diagnostic.make Diagnostic.Unreachable_rule
           (Printf.sprintf "rule #%d (%s on %s) can never take effect: %s"
@@ -136,7 +193,7 @@ let unreachable_pass =
               else
                 List.find_opt
                   (fun (d : Ir.rule) ->
-                    d.decision = Ast.Deny && Conflict.covers d a)
+                    d.decision = Ast.Deny && covers d a)
                   rules
                 |> Option.map (fun (d : Ir.rule) ->
                        diag ~dead:a ~coverer:d
@@ -152,7 +209,7 @@ let unreachable_pass =
               else
                 List.find_opt
                   (fun (a : Ir.rule) ->
-                    a.decision = Ast.Allow && Conflict.covers a d)
+                    a.decision = Ast.Allow && covers a d)
                   rules
                 |> Option.map (fun (a : Ir.rule) ->
                        diag ~dead:d ~coverer:a
@@ -170,7 +227,7 @@ let unreachable_pass =
                 (fun (earlier : Ir.rule) ->
                   earlier.idx < later.idx
                   && earlier.decision <> later.decision
-                  && Conflict.covers earlier later)
+                  && covers earlier later)
                 rules
               |> Option.map (fun (earlier : Ir.rule) ->
                      diag ~dead:later ~coverer:earlier
@@ -210,8 +267,22 @@ let mode_pass =
 
 let rate_pass =
   pass ~name:"rates" ~short:"rate-limit sanity (SP006, SP007)"
-    (fun _cfg db ->
+    (fun cfg db ->
       let rules = db.Ir.rules in
+      let overlap, covers = relation db in
+      (* a spent rated rule falls through to the rules after it; under
+         first-match a deny between it and a later coverer that overlaps
+         it is reached first, and then the rate binds *)
+      let falls_to (a : Ir.rule) (r : Ir.rule) =
+        cfg.strategy <> Engine.First_match
+        || a.idx < r.idx
+        || not
+             (List.exists
+                (fun (d : Ir.rule) ->
+                  d.decision = Ast.Deny && r.idx < d.idx && d.idx < a.idx
+                  && overlap d r)
+                rules)
+      in
       List.concat_map
         (fun (r : Ir.rule) ->
           match (r.decision, r.rate) with
@@ -229,8 +300,8 @@ let rate_pass =
               match
                 List.find_opt
                   (fun (a : Ir.rule) ->
-                    a.idx <> r.idx && a.decision = Ast.Allow
-                    && Conflict.covers a r)
+                    a.idx <> r.idx && a.decision = Ast.Allow && covers a r
+                    && falls_to a r)
                   rules
               with
               | None -> []

@@ -30,7 +30,14 @@ type pass = {
 
 val pass : name:string -> short:string -> (config -> Ir.db -> Diagnostic.t list) -> pass
 
-(** {1 Built-in passes} *)
+(** {1 Built-in passes}
+
+    The rule-pair codes (SP001, SP002, SP004, SP007) compare rules by
+    {!Verify.scope}: the cells of the policy's own universe a rule applies
+    to, times its message region, whatever [config]'s universe overrides
+    say.  Two rules {e overlap} when they share a cell and their regions
+    meet; [a] {e covers} [b] when [a] is unrated and [b]'s cells and
+    region lie inside [a]'s. *)
 
 val conflict_pass : pass
 (** [SP001]: overlapping rules with opposite decisions. *)
@@ -53,7 +60,8 @@ val unreachable_pass : pass
     allow covered by a deny under [Deny_overrides], a deny covered by an
     unlimited allow under [Allow_overrides], a rule covered by an earlier
     opposite-decision rule under [First_match].  (Same-decision cover is
-    [SP002].) *)
+    [SP002]; a rule that only several rules jointly occlude is the
+    verifier's [SP011].) *)
 
 val mode_pass : pass
 (** [SP005]: rules naming modes outside [config.modes] — typos that
@@ -61,7 +69,10 @@ val mode_pass : pass
 
 val rate_pass : pass
 (** [SP006]: a rate limit on a deny rule; [SP007]: a rate limit that never
-    binds because an unlimited allow rule covers the same scope. *)
+    binds because an unlimited allow rule covers the same scope.  Under
+    [First_match] a coverer after the rated rule counts only when no deny
+    rule between the two overlaps the rated rule: a spent budget falls
+    through in source order, and such a deny is reached first. *)
 
 val builtin : pass list
 (** The passes above, in order. *)

@@ -217,6 +217,18 @@ let partition_in ~strategy ix c =
 
 let partition ~strategy db = partition_in ~strategy (index db)
 
+(* Each rule's cells in the policy's own universe, read off the index: a
+   rule applies to a cell exactly when [select] keeps it there. *)
+let scope db =
+  let ix = index db in
+  let cells_of = Hashtbl.create 64 in
+  List.iter
+    (fun c ->
+      List.iter (fun e -> Hashtbl.add cells_of e.ir.idx c) (applicable ix c))
+    (cells (universe db));
+  fun (r : Ir.rule) ->
+    (List.rev (Hashtbl.find_all cells_of r.idx), Region.of_messages r.messages)
+
 (* Canonical form of a partition for semantic comparison: the union of
    regions per decision class, keyed and ordered by class. *)
 let class_map segments =

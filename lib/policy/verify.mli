@@ -77,6 +77,16 @@ val partition : strategy:Engine.strategy -> Ir.db -> cell -> segment list
     [let p = Verify.partition ~strategy db in List.map p cells].  Nothing
     is kept across such applications. *)
 
+val scope : Ir.db -> Ir.rule -> cell list * Region.t
+(** A rule's scope: the cells of the policy's own universe
+    ([universe db], never an override) that {!partition} reads the rule
+    in, in {!cells} order, and the rule's message region.  Lint's
+    rule-pair codes (SP001, SP002, SP004, SP007) compare rules by these
+    scopes alone.
+
+    Staged like {!partition}: [scope db] indexes [db] and walks its
+    universe once, and each rule of [db] is then a lookup. *)
+
 val class_map : segment list -> (cls * Region.t) list
 (** Canonical semantic form: union of regions per decision class, ordered
     by class — two cells behave identically iff their class maps are

@@ -1,10 +1,13 @@
 (* Tests for the static-analysis subsystem: diagnostics, the lint pass
-   framework, the message-range-aware coverage fix, and the cross-layer
-   HPE-consistency and threat-traceability passes.  One fixture policy per
-   diagnostic code, asserting the exact code and rule indices emitted. *)
+   framework, the message-range-aware coverage fix, the rule-pair codes
+   against a brute-force oracle, and the cross-layer HPE-consistency and
+   threat-traceability passes.  One fixture policy per diagnostic code,
+   asserting the exact code and rule indices emitted, and for the
+   rule-pair codes the exact message. *)
 
 module Ast = Secpol_policy.Ast
 module Parser = Secpol_policy.Parser
+module Printer = Secpol_policy.Printer
 module Compile = Secpol_policy.Compile
 module Ir = Secpol_policy.Ir
 module Engine = Secpol_policy.Engine
@@ -38,6 +41,8 @@ let codes diags =
 let only code diags = Diagnostic.by_code code diags
 
 let rules_of (d : Diagnostic.t) = d.rules
+
+let message = Alcotest.(check string) "message"
 
 (* ---------- diagnostic core ---------- *)
 
@@ -88,7 +93,11 @@ let test_sp001_conflict () =
   | [ d ] ->
       Alcotest.(check (list int)) "rule indices" [ 0; 1 ] (rules_of d);
       Alcotest.(check bool) "error severity" true (d.severity = Diagnostic.Error);
-      Alcotest.(check (option string)) "asset" (Some "a") d.asset
+      Alcotest.(check (option string)) "asset" (Some "a") d.asset;
+      message
+        "rules #0 (allow) and #1 (deny) overlap on asset a with opposite \
+         decisions"
+        d.message
   | l -> Alcotest.fail (Printf.sprintf "expected 1 conflict, got %d" (List.length l))
 
 let test_sp002_shadowed () =
@@ -98,7 +107,12 @@ let test_sp002_shadowed () =
        alice; } }"
   in
   match only Diagnostic.Shadowed diags with
-  | [ d ] -> Alcotest.(check (list int)) "winner and dead" [ 0; 1 ] (rules_of d)
+  | [ d ] ->
+      Alcotest.(check (list int)) "winner and dead" [ 0; 1 ] (rules_of d);
+      message
+        "rule #1 is redundant: rule #0 precedes it and covers its entire \
+         scope with the same decision (allow)"
+        d.message
   | l -> Alcotest.fail (Printf.sprintf "expected 1 shadowed, got %d" (List.length l))
 
 let test_sp003_coverage_gap () =
@@ -141,7 +155,13 @@ let test_sp004_unreachable_deny_overrides () =
        from evil; } }"
   in
   match only Diagnostic.Unreachable_rule diags with
-  | [ d ] -> Alcotest.(check (list int)) "deny #0 kills allow #1" [ 0; 1 ] (rules_of d)
+  | [ d ] ->
+      Alcotest.(check (list int))
+        "deny #0 kills allow #1" [ 0; 1 ] (rules_of d);
+      message
+        "rule #1 (allow on a) can never take effect: deny rule #0 covers its \
+         scope and deny overrides allow"
+        d.message
   | l -> Alcotest.fail (Printf.sprintf "expected 1 unreachable, got %d" (List.length l))
 
 let test_sp004_unreachable_allow_overrides () =
@@ -151,7 +171,13 @@ let test_sp004_unreachable_allow_overrides () =
      from evil; } }"
   in
   (match only Diagnostic.Unreachable_rule (lint ~config src) with
-  | [ d ] -> Alcotest.(check (list int)) "allow #0 kills deny #1" [ 0; 1 ] (rules_of d)
+  | [ d ] ->
+      Alcotest.(check (list int))
+        "allow #0 kills deny #1" [ 0; 1 ] (rules_of d);
+      message
+        "rule #1 (deny on a) can never take effect: unlimited allow rule #0 \
+         covers its scope and allow overrides deny"
+        d.message
   | l -> Alcotest.fail (Printf.sprintf "expected 1 unreachable, got %d" (List.length l)));
   (* under deny-overrides the deny still wins somewhere, so it is reachable *)
   Alcotest.(check int) "reachable under deny-overrides" 0
@@ -165,7 +191,12 @@ let test_sp004_unreachable_first_match () =
           "policy \"x\" version 1 { asset a { allow write from any; deny \
            write from evil; } }")
    with
-  | [ d ] -> Alcotest.(check (list int)) "earlier allow wins" [ 0; 1 ] (rules_of d)
+  | [ d ] ->
+      Alcotest.(check (list int)) "earlier allow wins" [ 0; 1 ] (rules_of d);
+      message
+        "rule #1 (deny on a) can never take effect: rule #0 precedes it, \
+         covers its scope and decides allow first"
+        d.message
   | l -> Alcotest.fail (Printf.sprintf "expected 1 unreachable, got %d" (List.length l)));
   (* narrower rule first: both are reachable under first-match *)
   Alcotest.(check int) "narrow-first is fine" 0
@@ -221,10 +252,52 @@ let test_sp007_rate_ineffective () =
   in
   match only Diagnostic.Rate_ineffective diags with
   | [ d ] ->
-      Alcotest.(check (list int)) "unlimited #1 defeats rated #0" [ 0; 1 ] (rules_of d)
+      Alcotest.(check (list int))
+        "unlimited #1 defeats rated #0" [ 0; 1 ] (rules_of d);
+      message
+        "rate limit 1 per 100ms on rule #0 never binds: unlimited allow rule \
+         #1 covers the same scope"
+        d.message
   | l ->
       Alcotest.fail
         (Printf.sprintf "expected 1 rate-ineffective, got %d" (List.length l))
+
+let test_sp007_binding_under_first_match () =
+  (* once rule #0's budget is spent, first-match reaches the deny before
+     the unlimited allow, so the rate binds for messages 1..5 *)
+  let src =
+    "policy \"x\" version 1 { asset a { allow write from e rate 1 per 100; \
+     deny write from e messages 1..5; allow write from any; } }"
+  in
+  let e = Engine.create ~strategy:Engine.First_match (compile_ok src) in
+  let req =
+    {
+      Ir.mode = "normal";
+      subject = "e";
+      asset = "a";
+      op = Ir.Write;
+      msg_id = Some 3;
+    }
+  in
+  Alcotest.(check (list (option int)))
+    "allow #0, then deny #1 twice" [ Some 0; Some 1; Some 1 ]
+    (List.init 3 (fun _ ->
+         Option.map
+           (fun (r : Ir.rule) -> r.idx)
+           (Engine.decide ~now:0.0 e req).matched));
+  let sp007 strategy =
+    List.map rules_of
+      (only Diagnostic.Rate_ineffective
+         (lint ~config:{ Lint.default_config with strategy } src))
+  in
+  Alcotest.(check (list (list int))) "not reported under first-match" []
+    (sp007 Engine.First_match);
+  (* under either override strategy a spent rule #0 falls to rule #2 *)
+  Alcotest.(check (list (list int)))
+    "reported under deny-overrides" [ [ 0; 2 ] ] (sp007 Engine.Deny_overrides);
+  Alcotest.(check (list (list int)))
+    "reported under allow-overrides" [ [ 0; 2 ] ]
+    (sp007 Engine.Allow_overrides)
 
 (* ---------- clean policy ---------- *)
 
@@ -235,6 +308,244 @@ let test_clean_policy_no_diagnostics () =
        alice; deny write from alice; } }"
   in
   Alcotest.(check (list string)) "no findings" [] (codes diags)
+
+(* ---------- rule-pair codes against brute force ---------- *)
+
+(* Names from small pools, so rules overlap, cover and conflict; message
+   ranges inside 0..26 and rate budgets of 1..3. *)
+let name_from pool =
+  QCheck.Gen.(map (List.nth pool) (0 -- (List.length pool - 1)))
+
+let pair_policy_gen =
+  QCheck.Gen.(
+    let subjects_gen =
+      oneof
+        [
+          return Ast.Any_subject;
+          map
+            (fun l -> Ast.Subjects l)
+            (list_size (1 -- 2) (name_from [ "s1"; "s2"; "s3" ]));
+        ]
+    in
+    let messages_gen =
+      oneof
+        [
+          return None;
+          map
+            (fun rs ->
+              Some (List.map (fun (lo, w) -> Ast.range lo (lo + w)) rs))
+            (list_size (1 -- 2) (pair (0 -- 20) (0 -- 6)));
+        ]
+    in
+    let rule_gen =
+      let* decision = oneofl [ Ast.Allow; Ast.Deny ] in
+      let* op = oneofl [ Ast.Read; Ast.Write; Ast.Rw ] in
+      let* subjects = subjects_gen in
+      let* messages = messages_gen in
+      let* rate =
+        if decision = Ast.Deny then return None
+        else
+          oneof
+            [
+              return None;
+              map
+                (fun (count, window_ms) ->
+                  Some (Ast.rate_limit ~count ~window_ms))
+                (pair (1 -- 3) (100 -- 1000));
+            ]
+      in
+      return { Ast.decision; op; subjects; messages; rate }
+    in
+    let block_gen =
+      let* asset = name_from [ "a1"; "a2" ] in
+      let* rules = list_size (1 -- 3) rule_gen in
+      return { Ast.asset; rules }
+    in
+    let section_gen =
+      oneof
+        [
+          map (fun b -> Ast.Global b) block_gen;
+          (let* modes = list_size (1 -- 2) (name_from [ "m1"; "m2" ]) in
+           let* blocks = list_size (1 -- 2) block_gen in
+           return (Ast.Modes (modes, blocks)));
+        ]
+    in
+    let* default = oneofl [ Ast.Deny; Ast.Allow ] in
+    let* sections = list_size (1 -- 4) section_gen in
+    return
+      {
+        Ast.name = "gen";
+        version = 1;
+        sections = Ast.Default default :: sections;
+      })
+
+(* Every concrete request of a policy's universe: each named mode,
+   subject and asset plus one the policy does not name, both ops, and
+   message ids 0..31 plus none.  Generated ranges end below 32, so these
+   requests tell every two rule scopes apart. *)
+let concrete_requests (db : Ir.db) =
+  let named f =
+    List.sort_uniq String.compare (List.concat_map f db.rules) @ [ "unnamed" ]
+  in
+  let modes = named (fun (r : Ir.rule) -> Option.value ~default:[] r.modes)
+  and subjects =
+    named (fun (r : Ir.rule) ->
+        match r.subjects with Ast.Any_subject -> [] | Ast.Subjects l -> l)
+  and assets = named (fun (r : Ir.rule) -> [ r.asset ]) in
+  List.concat_map
+    (fun mode ->
+      List.concat_map
+        (fun subject ->
+          List.concat_map
+            (fun asset ->
+              List.concat_map
+                (fun op ->
+                  List.map
+                    (fun msg_id -> { Ir.mode; subject; asset; op; msg_id })
+                    (None :: List.init 32 Option.some))
+                [ Ir.Read; Ir.Write ])
+            assets)
+        subjects)
+    modes
+
+(* SP001, SP002, SP004 and SP007 by their definitions, each rule's scope
+   being the set of concrete requests it matches; (code, rule indices),
+   sorted *)
+let pair_oracle strategy (db : Ir.db) =
+  let rules = db.rules in
+  let reqs = concrete_requests db in
+  let matched =
+    List.map
+      (fun (r : Ir.rule) -> (r.idx, List.filter (Ir.rule_matches r) reqs))
+      rules
+  in
+  let overlap (a : Ir.rule) b =
+    List.exists (Ir.rule_matches b) (List.assoc a.idx matched)
+  in
+  let covers (a : Ir.rule) (b : Ir.rule) =
+    a.rate = None && List.for_all (Ir.rule_matches a) (List.assoc b.idx matched)
+  in
+  let first p = List.find_opt p rules in
+  let finding code (a : Ir.rule) (b : Ir.rule) =
+    (code, List.sort_uniq Int.compare [ a.idx; b.idx ])
+  in
+  let pairs =
+    List.concat_map
+      (fun (a : Ir.rule) ->
+        List.filter_map
+          (fun (b : Ir.rule) -> if a.idx < b.idx then Some (a, b) else None)
+          rules)
+      rules
+  in
+  let conflicts =
+    List.filter_map
+      (fun ((a : Ir.rule), (b : Ir.rule)) ->
+        if a.decision <> b.decision && overlap a b then
+          Some (finding Diagnostic.Conflict a b)
+        else None)
+      pairs
+  and shadowed =
+    List.filter_map
+      (fun ((a : Ir.rule), (b : Ir.rule)) ->
+        if a.decision = b.decision && covers a b then
+          Some (finding Diagnostic.Shadowed a b)
+        else None)
+      pairs
+  and unreachable =
+    List.filter_map
+      (fun (dead : Ir.rule) ->
+        let wins (c : Ir.rule) =
+          match strategy with
+          | Engine.Deny_overrides ->
+              dead.decision = Ast.Allow && c.decision = Ast.Deny
+          | Engine.Allow_overrides ->
+              dead.decision = Ast.Deny && c.decision = Ast.Allow
+          | Engine.First_match ->
+              c.idx < dead.idx && c.decision <> dead.decision
+        in
+        Option.map
+          (fun c -> finding Diagnostic.Unreachable_rule c dead)
+          (first (fun c -> wins c && covers c dead)))
+      rules
+  and ineffective =
+    List.filter_map
+      (fun (r : Ir.rule) ->
+        (* under first-match a spent [r] reaches a deny between it and a
+           later coverer first *)
+        let falls_to (a : Ir.rule) =
+          strategy <> Engine.First_match
+          || a.idx < r.idx
+          || not
+               (List.exists
+                  (fun (d : Ir.rule) ->
+                    d.decision = Ast.Deny && r.idx < d.idx && d.idx < a.idx
+                    && overlap d r)
+                  rules)
+        in
+        if r.rate = None then None
+        else
+          Option.map
+            (fun a -> finding Diagnostic.Rate_ineffective a r)
+            (first (fun (a : Ir.rule) ->
+                 a.idx <> r.idx && a.decision = Ast.Allow && covers a r
+                 && falls_to a)))
+      rules
+  in
+  List.sort compare (conflicts @ shadowed @ unreachable @ ineffective)
+
+(* A rate that never binds: every request whose first answer, on a fresh
+   engine, is grounded by the rated rule is still allowed on each of its
+   next [count] repeats at the same [now]. *)
+let rate_never_binds strategy (db : Ir.db) (r : Ir.rule) =
+  let table = Engine.table (Engine.create ~strategy db) in
+  let count = (Option.get r.rate).Ast.count in
+  List.for_all
+    (fun req ->
+      let e = Engine.of_table table db in
+      match (Engine.decide ~now:0.0 e req).matched with
+      | Some m when m.idx = r.idx ->
+          List.for_all
+            (fun _ -> Engine.permitted ~now:0.0 e req)
+            (List.init count Fun.id)
+      | _ -> true)
+    (List.filter (Ir.rule_matches r) (concrete_requests db))
+
+let prop_pair_codes_match_oracle =
+  QCheck.Test.make
+    ~name:"SP001/SP002/SP004/SP007 = brute force, and SP007 holds on the engine"
+    ~count:300
+    (QCheck.make ~print:Printer.to_string pair_policy_gen)
+    (fun p ->
+      match Compile.compile p with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok (db, _) ->
+          List.for_all
+            (fun strategy ->
+              let found =
+                Lint.run
+                  ~passes:
+                    [
+                      Lint.conflict_pass; Lint.shadow_pass;
+                      Lint.unreachable_pass; Lint.rate_pass;
+                    ]
+                  { Lint.default_config with strategy }
+                  db
+              in
+              List.sort compare
+                (List.map (fun (d : Diagnostic.t) -> (d.code, d.rules)) found)
+              = pair_oracle strategy db
+              && List.for_all
+                   (fun (d : Diagnostic.t) ->
+                     d.code <> Diagnostic.Rate_ineffective
+                     || rate_never_binds strategy db
+                          (List.find
+                             (fun (r : Ir.rule) ->
+                               r.rate <> None && List.mem r.idx d.rules)
+                             db.rules))
+                   found)
+            [
+              Engine.Deny_overrides; Engine.Allow_overrides; Engine.First_match;
+            ])
 
 (* ---------- JSON ---------- *)
 
@@ -425,7 +736,15 @@ let () =
           quick "SP005 mode unknown" test_sp005_mode_unknown;
           quick "SP006 rate on deny" test_sp006_rate_on_deny;
           quick "SP007 rate ineffective" test_sp007_rate_ineffective;
+          quick "SP007 binds under first-match"
+            test_sp007_binding_under_first_match;
           quick "clean policy" test_clean_policy_no_diagnostics;
+        ] );
+      ( "rule-pairs",
+        [
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 32 |])
+            prop_pair_codes_match_oracle;
         ] );
       ( "json",
         [

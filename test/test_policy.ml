@@ -1,5 +1,5 @@
 (* Tests for the policy DSL: lexer, parser, printer, compiler, engine,
-   conflict analysis, derivation and updates. *)
+   the lint's rule-pair findings, derivation and updates. *)
 
 module Ast = Secpol_policy.Ast
 module Lexer = Secpol_policy.Lexer
@@ -9,7 +9,8 @@ module Compile = Secpol_policy.Compile
 module Ir = Secpol_policy.Ir
 module Engine = Secpol_policy.Engine
 module Reference = Secpol_policy.Reference
-module Conflict = Secpol_policy.Conflict
+module Lint = Secpol_policy.Lint
+module Diagnostic = Secpol_policy.Diagnostic
 module Derive = Secpol_policy.Derive
 module Update = Secpol_policy.Update
 module Threat = Secpol_threat.Threat
@@ -49,6 +50,16 @@ let compile_ok ?known_modes ?known_assets ?known_subjects src =
         ("compile failed: "
         ^ String.concat "; "
             (List.map (fun (i : Compile.issue) -> i.message) issues))
+
+(* the rule pairs one lint pass reports, each as its sorted rule indices *)
+let findings pass db =
+  List.map
+    (fun (d : Diagnostic.t) -> d.rules)
+    (Lint.run ~passes:[ pass ] Lint.default_config db)
+
+let conflicts = findings Lint.conflict_pass
+
+let shadowed = findings Lint.shadow_pass
 
 (* ---------- Lexer ---------- *)
 
@@ -512,7 +523,7 @@ let prop_strategies_agree_without_conflicts =
       match Compile.compile p with
       | Error _ -> QCheck.assume_fail ()
       | Ok (db, _) ->
-          QCheck.assume (Conflict.conflicts db = []);
+          QCheck.assume (conflicts db = []);
           let engines =
             List.map
               (fun s -> Engine.create ~strategy:s db)
@@ -823,7 +834,7 @@ let test_rate_reset_on_swap () =
   Alcotest.(check bool) "fresh budget after update" true
     (Engine.permitted ~now:0.0 e rated_req)
 
-(* ---------- Conflict analysis ---------- *)
+(* ---------- Rule-pair findings (SP001, SP002) ---------- *)
 
 let test_conflicts_detected () =
   let db =
@@ -831,7 +842,7 @@ let test_conflicts_detected () =
       "policy \"x\" version 1 { asset a { allow write from evil; deny write \
        from evil; } }"
   in
-  check Alcotest.int "one conflict" 1 (List.length (Conflict.conflicts db))
+  check Alcotest.int "one conflict" 1 (List.length (conflicts db))
 
 let test_no_conflict_on_disjoint () =
   let db =
@@ -839,7 +850,7 @@ let test_no_conflict_on_disjoint () =
       "policy \"x\" version 1 { asset a { allow write from alice; deny write \
        from bob; } asset b { deny write from alice; } }"
   in
-  check Alcotest.int "no conflicts" 0 (List.length (Conflict.conflicts db))
+  check Alcotest.int "no conflicts" 0 (List.length (conflicts db))
 
 let test_no_conflict_disjoint_messages () =
   let db =
@@ -848,14 +859,14 @@ let test_no_conflict_disjoint_messages () =
        deny write from e messages 6..9; } }"
   in
   check Alcotest.int "disjoint ranges no conflict" 0
-    (List.length (Conflict.conflicts db));
+    (List.length (conflicts db));
   let db2 =
     compile_ok
       "policy \"x\" version 1 { asset a { allow write from e messages 1..5; \
        deny write from e messages 5..9; } }"
   in
   check Alcotest.int "overlapping ranges conflict" 1
-    (List.length (Conflict.conflicts db2))
+    (List.length (conflicts db2))
 
 let test_shadowed_rules () =
   let db =
@@ -863,7 +874,7 @@ let test_shadowed_rules () =
       "policy \"x\" version 1 { asset a { allow rw from any; allow read from \
        alice; } }"
   in
-  check Alcotest.int "one shadowed pair" 1 (List.length (Conflict.shadowed db))
+  check Alcotest.int "one shadowed pair" 1 (List.length (shadowed db))
 
 let test_mode_overlap_rules () =
   let db =
@@ -872,27 +883,29 @@ let test_mode_overlap_rules () =
        mode m2 { asset a { deny write from e; } } }"
   in
   check Alcotest.int "disjoint modes no conflict" 0
-    (List.length (Conflict.conflicts db));
+    (List.length (conflicts db));
   let db2 =
     compile_ok
       "policy \"x\" version 1 { mode m1, m2 { asset a { allow write from e; } \
        } mode m2 { asset a { deny write from e; } } }"
   in
   check Alcotest.int "shared mode conflicts" 1
-    (List.length (Conflict.conflicts db2))
+    (List.length (conflicts db2))
 
 let test_covers () =
-  let db =
+  let broad_first =
     compile_ok
       "policy \"x\" version 1 { asset a { allow rw from any; allow read from \
        alice messages 1..5; } }"
+  and narrow_first =
+    compile_ok
+      "policy \"x\" version 1 { asset a { allow read from alice messages \
+       1..5; allow rw from any; } }"
   in
-  match db.Ir.rules with
-  | [ broad; narrow ] ->
-      Alcotest.(check bool) "broad covers narrow" true (Conflict.covers broad narrow);
-      Alcotest.(check bool) "narrow does not cover broad" false
-        (Conflict.covers narrow broad)
-  | _ -> Alcotest.fail "expected two rules"
+  Alcotest.(check (list (list int)))
+    "broad covers narrow" [ [ 0; 1 ] ] (shadowed broad_first);
+  Alcotest.(check (list (list int)))
+    "narrow does not cover broad" [] (shadowed narrow_first)
 
 (* ---------- Derivation ---------- *)
 
@@ -1091,9 +1104,6 @@ let test_install_signed () =
   | None -> Alcotest.fail "nothing installed"
 
 (* ---------- SP003 coverage lint ---------- *)
-
-module Lint = Secpol_policy.Lint
-module Diagnostic = Secpol_policy.Diagnostic
 
 let coverage_findings db ~modes ~subjects ~assets =
   Lint.coverage_pass.Lint.run

@@ -15,7 +15,7 @@ module Threat = Secpol_threat.Threat
 module Dread = Secpol_threat.Dread
 module Model = Secpol_threat.Model
 module Derive = Secpol_policy.Derive
-module Conflict = Secpol_policy.Conflict
+module Lint = Secpol_policy.Lint
 module Compile = Secpol_policy.Compile
 module PEngine = Secpol_policy.Engine
 module Node = Secpol_can.Node
@@ -100,7 +100,9 @@ let test_baseline_compiles_cleanly () =
       ~known_assets:Names.assets ~known_subjects:Names.assets p
   in
   Alcotest.(check bool) "default deny" true (db.Secpol_policy.Ir.default = Secpol_policy.Ast.Deny);
-  check Alcotest.int "no conflicts" 0 (List.length (Conflict.conflicts db));
+  check Alcotest.int "no conflicts" 0
+    (List.length
+       (Lint.run ~passes:[ Lint.conflict_pass ] Lint.default_config db));
   Alcotest.(check bool) "plenty of rules" true
     (List.length db.Secpol_policy.Ir.rules > 20)
 
