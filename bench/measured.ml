@@ -267,10 +267,29 @@ let perf ~quick =
             Secpol_sim.Engine.run_until sim
               (Secpol_sim.Engine.now sim +. 0.001)))
   in
-  (* the seal every HPE gate call checks (DESIGN.md §8.1) *)
+  (* the seal every HPE gate call checks (DESIGN.md §8.1), over a file
+     whose budget table holds a rated ID, as the hardened car's writers'
+     do *)
   let bench_seal =
     let regs = Hpe.Registers.create () in
-    Result.get_ok (Hpe.Config.provision regs hpe_config ());
+    let rated =
+      {
+        hpe_config with
+        Hpe.Config.budgets =
+          {
+            Hpe.Registers.slots =
+              [| Policy.Ast.rate_limit ~count:2 ~window_ms:10_000 |];
+            reads = [||];
+            writes =
+              [|
+                ( V.Messages.ecu_status,
+                  { Policy.Table.rated = [| 0 |]; otherwise = Policy.Ast.Deny }
+                );
+              |];
+          };
+      }
+    in
+    Result.get_ok (Hpe.Config.provision regs rated ());
     Test.make ~name:"hpe/registers/integrity_ok"
       (Staged.stage (fun () -> ignore (Hpe.Registers.integrity_ok regs)))
   in
@@ -317,9 +336,11 @@ let perf ~quick =
         bench_encode;
         bench_decode;
         bench_length;
+        (* before the bus rows: after them this row read several times
+           a direct probe of the seal, for reasons not yet understood *)
+        bench_seal;
         bench_bus ~name:"can/bus/frame across 8 nodes" ~hpe:false;
         bench_bus ~name:"can/bus/frame across 8 HPE nodes" ~hpe:true;
-        bench_seal;
         bench_car_create;
         bench_campaign_gate;
         bench_reload_gate;
@@ -641,7 +662,7 @@ let hpe_bank configs =
         match Hashtbl.find_opt engines c.node with
         | None -> true
         | Some hpe when c.tx -> Hpe.Engine.gate_tx hpe ~now:c.time c.frame
-        | Some hpe -> Hpe.Engine.gate_rx hpe c.frame)
+        | Some hpe -> Hpe.Engine.gate_rx hpe ~now:c.time c.frame)
       crossings
 
 let topology ~quick =

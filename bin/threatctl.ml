@@ -90,7 +90,10 @@ let derive_cmd =
     0
   in
   let version =
-    Arg.(value & opt int 1 & info [ "version" ] ~docv:"V" ~doc:"Policy version.")
+    Arg.(
+      value & opt int 1
+      & info [ "policy-version" ] ~docv:"V"
+          ~doc:"Version of the derived policy.")
   in
   Cmd.v
     (Cmd.info "derive"

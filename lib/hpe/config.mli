@@ -1,4 +1,4 @@
-(** Compiling a policy database into HPE approved lists.
+(** Compiling a policy database into HPE approved lists and budgets.
 
     The bridge between the policy world (subject/asset/operation) and the
     HPE world (message IDs): a [binding] declares which asset's state each
@@ -13,9 +13,9 @@ type binding = { msg_id : int; asset : string }
 type t = {
   read_ids : int list;
   write_ids : int list;
-  write_rates : (int * Secpol_policy.Ast.rate) list;
-      (** behavioural budgets for approved write IDs, from rate-carrying
-          policy rules *)
+  budgets : Registers.budgets;
+      (** behavioural budgets for approved IDs, from rate-carrying policy
+          rules *)
   own_ids : int list;
       (** IDs this node is the *exclusive* designed producer of; an
           incoming frame carrying one of them must be an impersonation and
@@ -23,7 +23,7 @@ type t = {
 }
 
 val make :
-  ?write_rates:(int * Secpol_policy.Ast.rate) list ->
+  ?budgets:Registers.budgets ->
   ?own_ids:int list ->
   read_ids:int list ->
   write_ids:int list ->
@@ -36,16 +36,15 @@ val of_policy :
   subjects:string list ->
   bindings:binding list ->
   (string * t) list
-(** Each subject's approved lists in one mode, read off a table compiled
-    for [Deny_overrides] (the composition the hardware lists model, SP008)
-    with {!Secpol_policy.Table.static_query}: one dispatch per (subject,
-    asset, op), then one answer per bound message ID.  The query is
-    static: every binding is decided with a fresh rate budget that is
-    never spent, so a rated allow approves every ID it covers while its
-    count is positive, and no decision depends on the bindings decided
-    before it.  An approved write ID's rate is the strictest rate among
-    the matching allow rules, and it has none when one of them is
-    unlimited.  [own_ids] is left empty.  The result lists [subjects] in
+(** Each subject's approved lists and budgets in one mode, read off a
+    table compiled for [Deny_overrides] (the composition the hardware
+    lists model, SP008) with {!Secpol_policy.Table.resolver}: one
+    dispatch per (subject, asset, op), then one answer per bound message
+    ID.  An ID is approved when a fresh budget allows it (its answer has
+    a rated allow or [otherwise = Allow]); a rated answer becomes its
+    chain, one slot per rule.  An ID bound to several assets is approved
+    when any binding approves it and takes its first rated binding's
+    chain.  [own_ids] is left empty.  The result lists [subjects] in
     order.
     @raise Invalid_argument when the table was compiled for another
     strategy. *)
@@ -59,7 +58,8 @@ val provision :
   unit ->
   (unit, string) result
 (** Boot-time provisioning through the register file: clear, load both
-    lists, set the enables (default both [true]) and finally the lock
-    (default [true]).  Fails if the register file is already locked. *)
+    lists and the budgets, set the enables (default both [true]) and
+    finally the lock (default [true]).  Fails if the register file is
+    already locked or refuses the budgets. *)
 
 val pp : Format.formatter -> t -> unit

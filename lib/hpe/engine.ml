@@ -1,5 +1,7 @@
 module Node = Secpol_can.Node
 module Obs = Secpol_obs
+module Table = Secpol_policy.Table
+module Rate_window = Secpol_policy.Rate_window
 
 (* Coarse message-id classes for per-node telemetry: the CAN identifier's
    priority page, named after the traffic that lives there in automotive
@@ -31,7 +33,6 @@ type t = {
   regs : Registers.t;
   read_block : Decision.t;
   write_block : Decision.t;
-  rates : Rate_limiter.t;
   rate_blocks : Obs.Counter.t;
   integrity_blocks : Obs.Counter.t;
   (* a 2048-bit map over the standard IDs this node alone produces *)
@@ -84,7 +85,41 @@ let own_id t id =
   id land lnot 0x7FF = 0
   && Bytes.get_uint8 t.own_ids (id lsr 3) land (1 lsl (id land 7)) <> 0
 
-let gate_rx t (frame : Secpol_can.Frame.t) =
+let unrated = { Table.rated = [||]; otherwise = Secpol_policy.Ast.Allow }
+
+(* an ID's chain by binary search over the ascending rated IDs, or
+   [unrated]; top-level, so a lookup builds no closure *)
+let rec chain chains id lo hi =
+  if lo >= hi then unrated
+  else
+    let mid = (lo + hi) lsr 1 in
+    let m, c = Array.unsafe_get chains mid in
+    if m = id then c
+    else if m < id then chain chains id (mid + 1) hi
+    else chain chains id lo mid
+
+let admit_slot windows slot ~now = Rate_window.admit windows.(slot) ~now
+
+(* A frame its list grants must still pass its ID's chain: the one walk
+   over a resolved answer, over this file's slots.  An unrated ID grants
+   without touching a window; extended IDs carry no budget. *)
+let[@inline] within_budget t chains ~now (frame : Secpol_can.Frame.t) =
+  Array.length chains = 0
+  ||
+  match frame.id with
+  | Secpol_can.Identifier.Extended _ -> true
+  | Secpol_can.Identifier.Standard id ->
+      let room =
+        Table.first_with_room admit_slot
+          (Registers.windows t.regs)
+          (chain chains id 0 (Array.length chains))
+          ~now
+        = Secpol_policy.Ast.Allow
+      in
+      if not room then Obs.Counter.incr t.rate_blocks;
+      room
+
+let gate_rx t ~now (frame : Secpol_can.Frame.t) =
   (* impersonation detection: a frame arriving with an ID this node is
      the sole producer of cannot be genuine.  Detection, not prevention:
      the frame is flagged but filtering is still governed by the approved
@@ -96,7 +131,8 @@ let gate_rx t (frame : Secpol_can.Frame.t) =
   let accept =
     if not (sealed t) then false
     else if not (Registers.read_filter_enabled t.regs) then true
-    else Decision.decide t.read_block frame = Decision.Grant
+    else if Decision.decide t.read_block frame <> Decision.Grant then false
+    else within_budget t (Registers.budgets t.regs).reads ~now frame
   in
   bump_class t (if accept then 0 else 1) frame.id;
   accept
@@ -106,13 +142,7 @@ let gate_tx t ~now (frame : Secpol_can.Frame.t) =
     if not (sealed t) then false
     else if not (Registers.write_filter_enabled t.regs) then true
     else if Decision.decide t.write_block frame <> Decision.Grant then false
-    else
-      match frame.id with
-      | Secpol_can.Identifier.Standard id ->
-          let ok = Rate_limiter.admit t.rates ~now ~msg_id:id in
-          if not ok then Obs.Counter.incr t.rate_blocks;
-          ok
-      | Secpol_can.Identifier.Extended _ -> true
+    else within_budget t (Registers.budgets t.regs).writes ~now frame
   in
   bump_class t (if accept then 2 else 3) frame.id;
   accept
@@ -122,7 +152,7 @@ let install ?obs node =
   let read_block = Decision.create Decision.Reading (Registers.read_list regs) in
   let write_block = Decision.create Decision.Writing (Registers.write_list regs) in
   let t =
-    { node; regs; read_block; write_block; rates = Rate_limiter.create ();
+    { node; regs; read_block; write_block;
       rate_blocks = Obs.Counter.create ();
       integrity_blocks = Obs.Counter.create ();
       own_ids = Bytes.make 256 '\000';
@@ -147,18 +177,15 @@ let install ?obs node =
       register "integrity_blocks" t.integrity_blocks;
       register "spoof_alerts" t.spoof_alerts);
   let clock = Secpol_can.Bus.sim (Node.bus node) in
-  Node.set_rx_gate node ~name:gate_name (gate_rx t);
+  Node.set_rx_gate node ~name:gate_name (fun frame ->
+      gate_rx t ~now:(Secpol_sim.Engine.now clock) frame);
   Node.set_tx_gate node ~name:gate_name (fun frame ->
       gate_tx t ~now:(Secpol_sim.Engine.now clock) frame);
   t
 
 let registers t = t.regs
 
-let load_rates t (config : Config.t) =
-  Rate_limiter.clear t.rates;
-  List.iter
-    (fun (msg_id, rate) -> Rate_limiter.set t.rates ~msg_id rate)
-    config.Config.write_rates;
+let load_own_ids t (config : Config.t) =
   Bytes.fill t.own_ids 0 (Bytes.length t.own_ids) '\000';
   List.iter
     (fun id ->
@@ -168,20 +195,16 @@ let load_rates t (config : Config.t) =
           (Bytes.get_uint8 t.own_ids byte lor (1 lsl (id land 7))))
     config.Config.own_ids
 
-let provision t config =
-  match Config.provision t.regs config () with
+let provision_locking ~lock t config =
+  match Config.provision t.regs config ~lock () with
   | Error _ as e -> e
   | Ok () ->
-      (* the rate table freezes under the same lock as the lists *)
-      load_rates t config;
+      load_own_ids t config;
       Ok ()
 
-let provision_unlocked t config =
-  match Config.provision t.regs config ~lock:false () with
-  | Error _ as e -> e
-  | Ok () ->
-      load_rates t config;
-      Ok ()
+let provision t config = provision_locking ~lock:true t config
+
+let provision_unlocked t config = provision_locking ~lock:false t config
 
 let locked t = Registers.locked t.regs
 

@@ -4,7 +4,8 @@
     decision is two functions, one per direction: {!gate_rx} judges a
     frame arriving from the bus against the approved reading list, and
     {!gate_tx} judges a frame the node wants to send against the approved
-    writing list and its write budgets.  [install] plants exactly these two
+    writing list, each then against its ID's budgets.  [install] plants
+    exactly these two
     between the node's transceiver and controller; a replay of captured
     traffic calls them directly.  The engine is *transparent*: node
     firmware (the processor callback, the acceptance filters) is
@@ -15,8 +16,8 @@ type t
 
 val install : ?obs:Secpol_obs.Registry.t -> Secpol_can.Node.t -> t
 (** Create an HPE with a reset register file and attach its gates to the
-    node: {!gate_rx} as the read gate, and {!gate_tx} with the bus
-    simulator's clock as the write gate.  Until filters are enabled by
+    node, {!gate_rx} as the read gate and {!gate_tx} as the write gate,
+    each with the bus simulator's clock.  Until filters are enabled by
     provisioning, everything passes.
 
     [obs] exports the engine's counters under [hpe.<node>.*]: the decision
@@ -27,22 +28,24 @@ val install : ?obs:Secpol_obs.Registry.t -> Secpol_can.Node.t -> t
     a snapshot only lists traffic the node actually saw; without [obs] the
     gates do no per-class work at all. *)
 
-val gate_rx : t -> Secpol_can.Frame.t -> bool
+val gate_rx : t -> now:float -> Secpol_can.Frame.t -> bool
 (** The read gate: [true] delivers the frame to the controller.  A frame
     carrying one of the node's own IDs ({!Config.t.own_ids}) raises a
     spoof alert and is then judged like any other frame.  A frame passes
     when the register file holds its seal (else it is denied and counted
     in {!integrity_blocks}), and either the read filter is disabled or
-    the reading {!Decision} block grants it.  Every call also bumps the
+    the reading {!Decision} block grants it and its ID's read chain
+    admits it at [now] (as in {!gate_tx}).  Every call also bumps the
     per-class [rx.accept] or [rx.drop] tally when the engine exports
     telemetry. *)
 
 val gate_tx : t -> now:float -> Secpol_can.Frame.t -> bool
 (** The write gate: [true] lets the frame onto the bus.  The seal and the
     write-filter enable are checked as in {!gate_rx}.  A frame the
-    writing {!Decision} block grants must then fit its ID's write budget
-    at time [now] (seconds), or it is refused and counted in
-    {!rate_blocks}.  Extended IDs carry no budget. *)
+    writing {!Decision} block grants must then pass its ID's write chain
+    ({!Registers.budgets}) at [now] (seconds), walked by
+    {!Secpol_policy.Table.first_with_room}, or it is refused and counted in
+    {!rate_blocks}.  Unrated and extended IDs touch no window. *)
 
 val node_name : t -> string
 
@@ -66,8 +69,8 @@ val write_grants : t -> int
 val write_blocks : t -> int
 
 val rate_blocks : t -> int
-(** Writes that passed the approved list but exceeded their behavioural
-    budget (see {!Rate_limiter}). *)
+(** Reads and writes that passed their approved list but found no room in
+    their ID's budget chain (see {!gate_tx}). *)
 
 val integrity_ok : t -> bool
 (** {!Registers.integrity_ok} of this engine's register file. *)

@@ -31,14 +31,12 @@ type t = {
   mutable db : Ir.db;
   mutable stalled : bool;
   mutable table : Table.t;
-  (* sliding-window grant budgets per (rate-limited rule, subject) *)
+  (* sliding-window grant budgets per (rate-limited rule, subject); a
+     winning deny spends none *)
   buckets : (int * string, Rate_window.t) Hashtbl.t;
-  (* the batch path's rate callbacks, closed over [buckets] once at
-     construction so decide_batch passes pre-existing closures instead of
-     allocating fresh ones per call; each reads its row's subject and
-     timestamp itself *)
-  rate_avail_cb : Ir.rule -> Batch.t -> int -> bool;
-  rate_cons_cb : Ir.rule -> Batch.t -> int -> unit;
+  (* the batch path's rate callback, closed over [buckets] once so
+     decide_batch allocates none; it reads its row's subject and time *)
+  rate_admit_cb : Ir.rule -> Batch.t -> int -> bool;
   (* one consistent registry instead of ad-hoc mutable stat fields; the
      counters exist (and cost one word each) even without a registry, so
      the hot path never branches on whether telemetry is attached *)
@@ -50,34 +48,6 @@ type t = {
   clock : unit -> float;
   events : Obs.Ring.t option;
 }
-
-(* Behavioural budgets, shared by the scalar and batched paths: a
-   rate-limited allow rule is *available* while its sliding window has
-   room, and its budget is consumed only when the rule actually produces
-   the Allow decision.  Keyed by (rule index, subject) over the engine's
-   bucket table — free functions so the batch callbacks can close over
-   the table before the engine record exists.  Matching alongside a
-   winning deny costs nothing; deny rules never carry rates (the compiler
-   refuses them).  Window semantics live in {!Rate_window}, shared with
-   the HPE's hardware shaper. *)
-let bucket_of buckets (r : Ir.rule) rate subject =
-  let key = (r.Ir.idx, subject) in
-  match Hashtbl.find_opt buckets key with
-  | Some w -> w
-  | None ->
-      let w = Rate_window.of_rate rate in
-      Hashtbl.replace buckets key w;
-      w
-
-let rate_available_in buckets ~now (r : Ir.rule) subject =
-  match r.rate with
-  | None -> true
-  | Some rate -> Rate_window.available (bucket_of buckets r rate subject) ~now
-
-let rate_consume_in buckets ~now (r : Ir.rule) subject =
-  match r.rate with
-  | None -> ()
-  | Some rate -> Rate_window.consume (bucket_of buckets r rate subject) ~now
 
 let of_table ?obs table db =
   let counter name =
@@ -93,12 +63,10 @@ let of_table ?obs table db =
     stalled = false;
     table;
     buckets;
-    rate_avail_cb =
+    rate_admit_cb =
       (fun r b i ->
-        rate_available_in buckets ~now:b.Batch.nows.(i) r b.Batch.subjects.(i));
-    rate_cons_cb =
-      (fun r b i ->
-        rate_consume_in buckets ~now:b.Batch.nows.(i) r b.Batch.subjects.(i));
+        Rate_window.admit_rule buckets r b.Batch.subjects.(i)
+          ~now:b.Batch.nows.(i));
     c_decisions = counter "decisions";
     c_allows = counter "allows";
     c_denies = counter "denies";
@@ -139,9 +107,7 @@ let record t decision =
 let decide_untimed t ~now (req : Ir.request) =
   let decision, matched =
     Table.decide t.table
-      ~rate_available:(fun r ->
-        rate_available_in t.buckets ~now r req.Ir.subject)
-      ~rate_consume:(fun r -> rate_consume_in t.buckets ~now r req.Ir.subject)
+      ~rate_admit:(fun r -> Rate_window.admit_rule t.buckets r req.subject ~now)
       req
   in
   record t decision;
@@ -165,14 +131,13 @@ let permitted ?now t req = (decide ?now t req).decision = Ast.Allow
 
 (* The batched fast path.  Per-request work is free of minor-heap
    allocation: the batch's columns are flat arrays, dispatch lookups
-   probe open-addressed arrays, the rate callbacks are the closures
+   probe open-addressed arrays, the rate callback is the closure
    stored at construction, and the decision counters are one-word cells.
    Per-*batch* costs (the latency observation, interning a mode the memo
    has not seen) stay O(1) regardless of batch size. *)
 let decide_batch_untimed t (b : Batch.t) ~out =
   let allows =
-    Table.decide_batch t.table ~rate_available:t.rate_avail_cb
-      ~rate_consume:t.rate_cons_cb b ~out
+    Table.decide_batch t.table ~rate_admit:t.rate_admit_cb b ~out
   in
   (* bulk stats: three counter adds per batch, not two bumps per request *)
   Obs.Counter.add t.c_decisions b.Batch.len;

@@ -18,10 +18,13 @@ let pass ~name ~short run = { name; short; run }
 
 (* ---------- the rule-pair relation ---------- *)
 
+(* Asset first: two rules on different assets hold cells in disjoint
+   ranges of the order, so [Cells.disjoint] settles them at once. *)
 module Cells = Set.Make (struct
   type t = Verify.cell
 
-  let compare = compare
+  let compare (a : t) (b : t) =
+    match String.compare a.asset b.asset with 0 -> compare a b | c -> c
 end)
 
 (* SP001, SP002, SP004 and SP007 compare rules by their {!Verify.scope}:
@@ -269,7 +272,9 @@ let rate_pass =
   pass ~name:"rates" ~short:"rate-limit sanity (SP006, SP007)"
     (fun cfg db ->
       let rules = db.Ir.rules in
-      let overlap, covers = relation db in
+      let relation = lazy (relation db) (* only a rated rule needs it *) in
+      let overlap a b = fst (Lazy.force relation) a b
+      and covers a b = snd (Lazy.force relation) a b in
       (* a spent rated rule falls through to the rules after it; under
          first-match a deny between it and a later coverer that overlaps
          it is reached first, and then the rate binds *)

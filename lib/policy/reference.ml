@@ -20,25 +20,6 @@ let create ?(strategy = Table.Deny_overrides) (db : Ir.db) =
   Hashtbl.filter_map_inplace (fun _ rules -> Some (List.rev rules)) by_asset;
   { db; strategy; by_asset; budgets = Hashtbl.create 8 }
 
-let window t (r : Ir.rule) rate subject =
-  let key = (r.idx, subject) in
-  match Hashtbl.find_opt t.budgets key with
-  | Some w -> w
-  | None ->
-      let w = Rate_window.of_rate rate in
-      Hashtbl.replace t.budgets key w;
-      w
-
-let available t ~now (r : Ir.rule) subject =
-  match r.rate with
-  | None -> true
-  | Some rate -> Rate_window.available (window t r rate subject) ~now
-
-let consume t ~now (r : Ir.rule) subject =
-  match r.rate with
-  | None -> ()
-  | Some rate -> Rate_window.consume (window t r rate subject) ~now
-
 let decide ?(now = 0.0) t (req : Ir.request) =
   let matching =
     List.filter
@@ -46,19 +27,13 @@ let decide ?(now = 0.0) t (req : Ir.request) =
       (Option.value ~default:[] (Hashtbl.find_opt t.by_asset req.asset))
   in
   let subject = req.subject in
+  let admit r = Rate_window.admit_rule t.budgets r subject ~now in
   let is_deny (r : Ir.rule) = r.decision = Ast.Deny in
-  (* the first allow rule whose budget (if any) has room; consuming it *)
+  (* the first allow rule whose budget (if any) admits the request *)
   let take_allow rules =
-    match
-      List.find_opt
-        (fun (r : Ir.rule) ->
-          r.decision = Ast.Allow && available t ~now r subject)
-        rules
-    with
-    | Some r ->
-        consume t ~now r subject;
-        Some r
-    | None -> None
+    List.find_opt
+      (fun (r : Ir.rule) -> r.decision = Ast.Allow && admit r)
+      rules
   in
   match t.strategy with
   | First_match ->
@@ -69,10 +44,7 @@ let decide ?(now = 0.0) t (req : Ir.request) =
             match r.decision with
             | Ast.Deny -> (Ast.Deny, Some r)
             | Ast.Allow ->
-                if available t ~now r subject then begin
-                  consume t ~now r subject;
-                  (Ast.Allow, Some r)
-                end
+                if admit r then (Ast.Allow, Some r)
                 else scan rest)
       in
       scan matching

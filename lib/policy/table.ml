@@ -360,21 +360,15 @@ let[@inline] crule_matches (c : crule) ~bit ~mode ~msg =
   | Range1 (lo, hi) -> lo <= msg && msg <= hi
   | Ranges iv -> Intervals.mem iv msg
 
-let rec scan_scalar t arr n i ~bit ~mode ~msg ~rate_available ~rate_consume =
+let rec scan_scalar t arr n i ~bit ~mode ~msg ~rate_admit =
   if i = n then (t.default, None)
   else
     let c = arr.(i) in
     if crule_matches c ~bit ~mode ~msg then
       if not c.allow then (Ast.Deny, Some c.rule)
-      else if not c.rated then (Ast.Allow, Some c.rule)
-      else if rate_available c.rule then begin
-        rate_consume c.rule;
-        (Ast.Allow, Some c.rule)
-      end
-      else scan_scalar t arr n (i + 1) ~bit ~mode ~msg ~rate_available
-             ~rate_consume
-    else
-      scan_scalar t arr n (i + 1) ~bit ~mode ~msg ~rate_available ~rate_consume
+      else if (not c.rated) || rate_admit c.rule then (Ast.Allow, Some c.rule)
+      else scan_scalar t arr n (i + 1) ~bit ~mode ~msg ~rate_admit
+    else scan_scalar t arr n (i + 1) ~bit ~mode ~msg ~rate_admit
 
 (* the [(subject, asset, op)] bucket, or the [(asset, op)] wildcard one
    for a subject the policy never names *)
@@ -394,7 +388,7 @@ let[@inline] find_verdict t ~subject ~asset op =
         ~h:(Ir.Request.pair_hash ~asset_hash op)
         ~k1:asset ~k2:"" ~op:tag
 
-let decide t ~rate_available ~rate_consume (req : Ir.request) =
+let decide t ~rate_admit (req : Ir.request) =
   match find_verdict t ~subject:req.subject ~asset:req.asset req.op with
   | None -> (t.default, None)
   | Some (Const (decision, rule)) -> (decision, Some rule)
@@ -405,101 +399,62 @@ let decide t ~rate_available ~rate_consume (req : Ir.request) =
       let bit = 1 lsl mode_id t req.mode in
       let msg = match req.msg_id with None -> -1 | Some id -> id in
       scan_scalar t arr (Array.length arr) 0 ~bit ~mode:req.mode ~msg
-        ~rate_available ~rate_consume
+        ~rate_admit
 
-type resolved = { rated : Ir.rule array; otherwise : Ast.decision }
+type 'budget answer = { rated : 'budget array; otherwise : Ast.decision }
 
-(* a fixed answer shares the empty array, so it allocates one record *)
-let fixed otherwise = { rated = [||]; otherwise }
+type resolved = Ir.rule answer
+
+(* fixed answers are constants: resolving one allocates nothing *)
+let fixed = function
+  | Ast.Allow -> { rated = [||]; otherwise = Ast.Allow }
+  | Ast.Deny -> { rated = [||]; otherwise = Ast.Deny }
+
+let answer rated otherwise =
+  match rated with
+  | [] -> fixed otherwise
+  | _ -> { rated = Array.of_list (List.rev rated); otherwise }
 
 (* [scan_scalar] with every budget left open: a matching rated allow is
    collected and passed over, the first other matching rule decides *)
 let rec resolve_scan t arr i ~bit ~mode ~msg rated =
-  if i = Array.length arr then (rated, t.default)
+  if i = Array.length arr then answer rated t.default
   else
     let c = arr.(i) in
     if not (crule_matches c ~bit ~mode ~msg) then
       resolve_scan t arr (i + 1) ~bit ~mode ~msg rated
-    else if not c.allow then (rated, Ast.Deny)
+    else if not c.allow then answer rated Ast.Deny
     else if c.rated then
       resolve_scan t arr (i + 1) ~bit ~mode ~msg (c.rule :: rated)
-    else (rated, Ast.Allow)
+    else answer rated Ast.Allow
 
-let resolve t (req : Ir.request) =
-  match find_verdict t ~subject:req.subject ~asset:req.asset req.op with
-  | None -> fixed t.default
-  | Some (Const (decision, _)) -> fixed decision
-  | Some (By_mode { decisions; _ }) -> fixed decisions.(mode_id t req.mode)
-  | Some (Scan arr) ->
-      let msg = match req.msg_id with None -> -1 | Some id -> id in
-      let rated, otherwise =
-        resolve_scan t arr 0 ~bit:(1 lsl mode_id t req.mode) ~mode:req.mode
-          ~msg []
-      in
-      { rated = Array.of_list (List.rev rated); otherwise }
-
-(* ------------------------------------------------------------------ *)
-(* Static queries                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* [b] grants fewer requests per second than [a] *)
-let stricter (a : Ast.rate) (b : Ast.rate) =
-  float_of_int b.count /. float_of_int b.window_ms
-  < float_of_int a.count /. float_of_int a.window_ms
-
-(* The whole bucket in order, with every budget fresh: a rated allow
-   grounds an Allow while its count is positive.  The first matching deny
-   decides unless an allow already has; every matching allow feeds the
-   budget, the earliest of equally strict rates winning. *)
-let rec static_scan t arr i ~bit ~mode ~msg ~allowed ~budget ~unlimited =
-  if i = Array.length arr then
-    if allowed || t.default = Ast.Allow then
-      (Ast.Allow, if unlimited then None else budget)
-    else (Ast.Deny, None)
-  else
-    let c = arr.(i) in
-    if not (crule_matches c ~bit ~mode ~msg) then
-      static_scan t arr (i + 1) ~bit ~mode ~msg ~allowed ~budget ~unlimited
-    else if not c.allow then
-      if allowed then
-        static_scan t arr (i + 1) ~bit ~mode ~msg ~allowed ~budget ~unlimited
-      else (Ast.Deny, None)
-    else
-      match c.rule.Ir.rate with
-      | None ->
-          static_scan t arr (i + 1) ~bit ~mode ~msg ~allowed:true ~budget
-            ~unlimited:true
-      | Some r as rate ->
-          let budget =
-            match budget with
-            | Some b when not (stricter b r) -> budget
-            | Some _ | None -> rate
-          in
-          static_scan t arr (i + 1) ~bit ~mode ~msg
-            ~allowed:(allowed || r.count > 0)
-            ~budget ~unlimited
-
-(* an unconditional answer, without allocating a fresh pair *)
-let unrated = function
-  | Ast.Allow -> (Ast.Allow, None)
-  | Ast.Deny -> (Ast.Deny, None)
-
-let static_query t ~mode ~subject ~asset op =
+let resolver t ~mode ~subject ~asset op =
   match find_verdict t ~subject ~asset op with
   | None ->
-      let answer = unrated t.default in
+      let answer = fixed t.default in
       fun _ -> answer
   | Some (Const (decision, _)) ->
-      let answer = unrated decision in
+      let answer = fixed decision in
       fun _ -> answer
   | Some (By_mode { decisions; _ }) ->
-      let answer = unrated decisions.(mode_id t mode) in
+      let answer = fixed decisions.(mode_id t mode) in
       fun _ -> answer
   | Some (Scan arr) ->
       let bit = 1 lsl mode_id t mode in
-      fun msg ->
-        static_scan t arr 0 ~bit ~mode ~msg ~allowed:false ~budget:None
-          ~unlimited:false
+      fun msg -> resolve_scan t arr 0 ~bit ~mode ~msg []
+
+let resolve t (req : Ir.request) =
+  resolver t ~mode:req.mode ~subject:req.subject ~asset:req.asset req.op
+    (match req.msg_id with None -> -1 | Some id -> id)
+
+(* Top-level recursion: walking an answer builds no closure, and [now]
+   reaches [admit] as the caller boxed it. *)
+let rec walk admit budgets (a : _ answer) ~now i =
+  if i = Array.length a.rated then a.otherwise
+  else if admit budgets (Array.unsafe_get a.rated i) ~now then Ast.Allow
+  else walk admit budgets a ~now (i + 1)
+
+let first_with_room admit budgets a ~now = walk admit budgets a ~now 0
 
 (* ------------------------------------------------------------------ *)
 (* The batched path                                                    *)
@@ -526,30 +481,20 @@ let[@inline] batch_mode_id t (b : Batch.t) i =
    and row, not the row's subject and timestamp, so the float [now] is
    never boxed here and every branch touches only ints and pre-existing
    pointers; what a callback reads from the row is its own cost. *)
-let rec scan_batched t arr n k ~bit ~mode ~msg (b : Batch.t) i rate_available
-    rate_consume =
+let rec scan_batched t arr n k ~bit ~mode ~msg (b : Batch.t) i rate_admit =
   if k = n then t.default
   else
     let c = Array.unsafe_get arr k (* k < n = Array.length arr *) in
     if crule_matches c ~bit ~mode ~msg then
       if not c.allow then Ast.Deny
-      else if not c.rated then Ast.Allow
-      else if rate_available c.rule b i then begin
-        rate_consume c.rule b i;
-        Ast.Allow
-      end
-      else
-        scan_batched t arr n (k + 1) ~bit ~mode ~msg b i rate_available
-          rate_consume
-    else
-      scan_batched t arr n (k + 1) ~bit ~mode ~msg b i rate_available
-        rate_consume
+      else if (not c.rated) || rate_admit c.rule b i then Ast.Allow
+      else scan_batched t arr n (k + 1) ~bit ~mode ~msg b i rate_admit
+    else scan_batched t arr n (k + 1) ~bit ~mode ~msg b i rate_admit
 
-(* The one row decision behind both entry points.  Callers guarantee
+(* One row's decision.  [decide_batch] guarantees
    [0 <= i < Batch.length b <= capacity], the invariant every column
    shares, so the column reads skip their bounds checks. *)
-let[@inline] decide_row_unchecked t ~rate_available ~rate_consume
-    (b : Batch.t) i =
+let[@inline] row_decision t ~rate_admit (b : Batch.t) i =
   let subject = Array.unsafe_get b.Batch.subjects i in
   let asset = Array.unsafe_get b.Batch.assets i in
   let op = Array.unsafe_get b.Batch.ops i in
@@ -576,19 +521,13 @@ let[@inline] decide_row_unchecked t ~rate_available ~rate_consume
         ~bit:(1 lsl batch_mode_id t b i)
         ~mode:(Array.unsafe_get b.Batch.modes i)
         ~msg:(Array.unsafe_get b.Batch.msg_ids i)
-        b i rate_available rate_consume
+        b i rate_admit
 
-let decide_row t ~rate_available ~rate_consume (b : Batch.t) i =
-  if i < 0 || i >= b.Batch.len then
-    invalid_arg "Table.decide_row: row out of bounds";
-  decide_row_unchecked t ~rate_available ~rate_consume b i
-
-let decide_batch t ~rate_available ~rate_consume (b : Batch.t)
-    ~(out : Ast.decision array) =
+let decide_batch t ~rate_admit (b : Batch.t) ~(out : Ast.decision array) =
   let allows = ref 0 in
   (* [out] is the only caller-supplied array; the engine length-checked it *)
   for i = 0 to b.Batch.len - 1 do
-    let decision = decide_row_unchecked t ~rate_available ~rate_consume b i in
+    let decision = row_decision t ~rate_admit b i in
     if decision = Ast.Allow then incr allows;
     out.(i) <- decision
   done;

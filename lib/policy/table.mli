@@ -30,8 +30,8 @@
       read indexed by the request's mode — no scan, no branches.
 
     Rate-limited rules cannot be folded (their outcome is time-dependent);
-    buckets containing one keep the scan form and consult the engine's
-    budget through the callbacks passed to {!decide}.
+    buckets containing one keep the scan form and ask the caller's budget
+    through the [rate_admit] callback passed to {!decide}.
 
     {b Immutability.}  A table is frozen once {!compile} returns: no
     operation in this interface (or in the implementation) mutates it, so
@@ -58,84 +58,64 @@ val default : t -> Ast.decision
 
 val decide :
   t ->
-  rate_available:(Ir.rule -> bool) ->
-  rate_consume:(Ir.rule -> unit) ->
+  rate_admit:(Ir.rule -> bool) ->
   Ir.request ->
   Ast.decision * Ir.rule option
 (** One table lookup (+ bucket scan when the bucket could not be folded).
-    [rate_available r] must report whether rate-limited allow rule [r] has
-    budget for this request's subject; [rate_consume r] is called exactly
-    when [r] grounds an [Allow] decision.  Rules without a rate limit never
-    reach the callbacks. *)
+    [rate_admit r] asks rated allow rule [r]'s budget for this request's
+    subject once: room records the grant, which grounds the [Allow]. *)
 
-type resolved = {
-  rated : Ir.rule array;
-      (** the rate-limited allows {!decide} would consult, in its order *)
-  otherwise : Ast.decision;  (** the answer when none of them has budget *)
+type 'budget answer = {
+  rated : 'budget array;
+      (** the rate-limited allows a request consults, in decide order *)
+  otherwise : Ast.decision;  (** the answer when none of them has room *)
 }
-(** One request's answer with the budgets left open. *)
+(** A request's answer with its budgets left open.  The table's own
+    answers name the rules ({!resolved}); an HPE holds the same answer
+    over its budget slot indices. *)
+
+type resolved = Ir.rule answer
 
 val resolve : t -> Ir.request -> resolved
 (** [resolve t req] dispatches and scans [req] once, so a caller that
     asks the same request many times pays the lookup once.  [otherwise]
     is the first matching rule that is not a rated allow, or the default
-    when none matches.  {!decide}[ t ~rate_available ~rate_consume req]
-    equals: the first [r] in [rated] with [rate_available r] is consumed
-    and grounds [Allow]; with none, the answer is [otherwise].  A request
-    no rated allow matches has [rated = [||]], a fixed answer.  The
-    result is immutable, so any number of domains can share it. *)
+    when none matches.  {!decide}[ t ~rate_admit req] equals
+    {!first_with_room} over [rate_admit] on this answer.  A request no
+    rated allow matches has [rated = [||]], a fixed answer; fixed answers
+    are shared records, so resolving one allocates nothing.  The result
+    is immutable, so any number of domains can share it. *)
 
-val static_query :
-  t ->
-  mode:string ->
-  subject:string ->
-  asset:string ->
-  Ir.op ->
-  int ->
-  Ast.decision * Ast.rate option
-(** The table read statically, with no budget state: [static_query t
-    ~mode ~subject ~asset op] dispatches the [(subject, asset, op)] bucket
-    once, and the function it returns answers for one message ID at a
-    time.  The decision is {!decide}'s when every rate-limited allow has a
-    fresh budget that is never spent, so such a rule grounds an [Allow]
-    while its count is positive, for every ID and every caller.  The rate
-    is the budget an [Allow] is held to: the strictest rate (fewest grants
-    per second, the earliest rule on a tie) among the matching allow
-    rules, or [None] when one of them is unlimited, none matches, or the
-    decision is [Deny].  The HPE's approved lists are read this way, one
-    query per (subject, asset, op) and mode. *)
+val resolver :
+  t -> mode:string -> subject:string -> asset:string -> Ir.op -> int -> resolved
+(** {!resolve} staged: one dispatch of the [(subject, asset, op)] bucket,
+    then one message ID at a time ([-1]: none).  The HPE's budgets and the
+    gateway's flows are read this way. *)
 
-val decide_row :
-  t ->
-  rate_available:(Ir.rule -> Batch.t -> int -> bool) ->
-  rate_consume:(Ir.rule -> Batch.t -> int -> unit) ->
-  Batch.t ->
-  int ->
+val first_with_room :
+  ('budgets -> 'budget -> now:float -> bool) ->
+  'budgets ->
+  'budget answer ->
+  now:float ->
   Ast.decision
-(** Decide row [i] of the batch as {!decide} would decide the request
-    that filled it, over the row's pre-computed hashes and without
-    matched-rule attribution.  Only rate-limited allow rules reach the
-    callbacks, which get the rule, the batch and the row:
-    [rate_available r b i] reports whether [r] has budget for that row,
-    and [rate_consume r b i] is called exactly when [r] grounds the
-    [Allow].  Whose budget that is is the caller's choice; an {!Engine}
-    keys its own by the row's subject and timestamp.  (A caller that
-    asks a few fixed requests over and over reads them off {!resolve}
-    instead.)  A batch's mode memo is mutable, so a batch belongs to one
-    domain at a time.
-    @raise Invalid_argument when [i < 0] or [i >= Batch.length b]. *)
+(** The one walk over an answer: [admit budgets b ~now] for each [b] of
+    [a.rated] in order, over the caller's own [budgets] (a vehicle's
+    windows, an HPE's slots); the first that admits grants [Allow], and
+    with none [a.otherwise] decides.  The walk allocates nothing. *)
 
 val decide_batch :
   t ->
-  rate_available:(Ir.rule -> Batch.t -> int -> bool) ->
-  rate_consume:(Ir.rule -> Batch.t -> int -> unit) ->
+  rate_admit:(Ir.rule -> Batch.t -> int -> bool) ->
   Batch.t ->
   out:Ast.decision array ->
   int
-(** {!decide_row} over every row in order, writing [out.(i)] for row [i]
-    (the caller guarantees [Array.length out >= Batch.length]) and
-    returning the number of [Allow] decisions, counted inside the sweep
-    so the engine's stats need no second pass.  The sweep itself
+(** {!decide} for every row in order, without matched-rule attribution,
+    writing [out.(i)] for row [i] (the caller guarantees [Array.length out
+    >= Batch.length]) and returning the number of [Allow] decisions,
+    counted inside the sweep so the engine's stats need no second pass.
+    [rate_admit r b i] asks [r]'s budget for row [i]; an {!Engine} keys
+    its own by the row's subject and timestamp.  A batch's mode memo is
+    mutable, so a batch belongs to one domain at a time.  The sweep itself
     allocates nothing (see {!Engine.decide_batch}). *)
 
 type stats = {

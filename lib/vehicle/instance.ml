@@ -1,22 +1,23 @@
 module Ast = Secpol_policy.Ast
 module Ir = Secpol_policy.Ir
 module Table = Secpol_policy.Table
-module Rate_window = Secpol_policy.Rate_window
+module Window = Secpol_policy.Rate_window
 
-type window = { idx : int; subject : string; window : Rate_window.t }
+(* one subject's windows, keyed by rule index *)
+type budgets = { subject : string; mutable windows : (int * Window.t) list }
 
 type t = {
   id : int;
   mutable version : int;
   mutable mode : string;
-  (* keyed (rule index, subject); a campaign holds one record per vehicle
-     and a vehicle touches one or two rated rules, so an empty list costs
-     nothing and a short scan beats a hash table *)
-  mutable windows : window list;
+  (* keyed subject, then rule index; a campaign holds one record per
+     vehicle and a vehicle touches one or two rated rules, so an empty
+     list costs nothing and a short scan beats a hash table *)
+  mutable budgets : budgets list;
 }
 
 let create ?(mode = "normal") ~id ~version () =
-  { id; version; mode; windows = [] }
+  { id; version; mode; budgets = [] }
 
 let id t = t.id
 
@@ -28,34 +29,34 @@ let set_mode t mode = t.mode <- mode
 
 let install t ~version =
   t.version <- version;
-  t.windows <- []
+  t.budgets <- []
 
-(* top-level recursion over the key's parts: no tuple key, no closure *)
-let rec window_in t rate idx subject = function
-  | w :: rest ->
-      if w.idx = idx && String.equal w.subject subject then w.window
-      else window_in t rate idx subject rest
+(* top-level recursion over the keys: no tuple key, no closure *)
+let rec budgets_in t subject = function
+  | b :: rest ->
+      if b.subject == subject || String.equal b.subject subject then b
+      else budgets_in t subject rest
   | [] ->
-      let window = Rate_window.of_rate rate in
-      t.windows <- { idx; subject; window } :: t.windows;
+      let b = { subject; windows = [] } in
+      t.budgets <- b :: t.budgets;
+      b
+
+let rec window_in b rate idx = function
+  | (i, w) :: rest -> if i = idx then w else window_in b rate idx rest
+  | [] ->
+      let window = Window.of_rate rate in
+      b.windows <- (idx, window) :: b.windows;
       window
 
-(* the table's fold over the rated allows, each on this vehicle's window:
-   the first with room grounds the Allow *)
-let rec first_with_room t (res : Table.resolved) subject now i =
-  if i = Array.length res.rated then res.otherwise
+let admit b (r : Ir.rule) ~now =
+  match r.rate with
+  | None -> true (* an unlimited allow always has room *)
+  | Some rate -> Window.admit (window_in b rate r.idx b.windows) ~now
+
+let decide t (res : Table.resolved) ~subject ~now =
+  if Array.length res.rated = 0 then res.otherwise
   else
-    let r = res.rated.(i) in
-    match r.Ir.rate with
-    | None -> Ast.Allow (* an unlimited allow always has room *)
-    | Some rate ->
-        let w = window_in t rate r.idx subject t.windows in
-        if Rate_window.available w ~now then begin
-          Rate_window.consume w ~now;
-          Ast.Allow
-        end
-        else first_with_room t res subject now (i + 1)
+    Table.first_with_room admit (budgets_in t subject t.budgets) res ~now
 
-let decide t res ~subject ~now = first_with_room t res subject now 0
-
-let live_budgets t = List.length t.windows
+let live_budgets t =
+  List.fold_left (fun n b -> n + List.length b.windows) 0 t.budgets

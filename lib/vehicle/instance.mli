@@ -45,10 +45,10 @@ val decide :
   now:float ->
   Secpol_policy.Ast.decision
 (** [decide t res ~subject ~now] answers a resolved request for this
-    vehicle: the first rule in [res.rated] whose window for [(rule index,
-    subject)] has room at [now] is consumed and grounds [Allow], and with
-    none the answer is [res.otherwise].  The first look at a rule
-    materialises its window, so two vehicles never share one. *)
+    vehicle: {!Secpol_policy.Table.first_with_room} over its windows for
+    [(rule index, subject)], so the first that admits at [now] grounds
+    [Allow], and with none the answer is [res.otherwise].  The first look
+    at a rule materialises its window, so two vehicles never share one. *)
 
 val live_budgets : t -> int
 (** Rate windows materialised so far (0 until a rated rule is looked

@@ -75,23 +75,25 @@ let segment_of_node_exn spec node =
 
 (* Designed flows, policy-filtered: one flow per (message, producing
    segment), with destination segments restricted to consumers the policy
-   lets read the message in at least one mode.  Rate budgets must not be
-   consumed while deriving routes, so the policy database is queried
-   through a fresh uninstrumented engine. *)
+   lets read the message in at least one mode.  A consumer may read when
+   the resolved answer has a rated allow or its [otherwise] allows: a
+   fresh budget's answer, read off the table the HPE lists model, so no
+   budget is spent while deriving routes. *)
 let flows ?policy ~spec () =
   let policy = match policy with Some p -> p | None -> Policy_map.baseline () in
-  let engine = Policy.Engine.create (Policy_map.compile policy) in
+  let table =
+    Policy.Table.compile ~strategy:Policy.Table.Deny_overrides
+      (Policy_map.compile policy)
+  in
   let readable (m : Messages.t) node =
     List.exists
       (fun mode ->
-        Policy.Engine.permitted engine
-          {
-            Policy.Ir.mode = Modes.name mode;
-            subject = Names.asset_of_node node;
-            asset = m.asset;
-            op = Policy.Ir.Read;
-            msg_id = Some m.id;
-          })
+        let (a : Policy.Table.resolved) =
+          Policy.Table.resolver table ~mode:(Modes.name mode)
+            ~subject:(Names.asset_of_node node) ~asset:m.asset Policy.Ir.Read
+            m.id
+        in
+        Array.length a.rated > 0 || a.otherwise = Policy.Ast.Allow)
       Modes.all
   in
   List.concat_map

@@ -49,7 +49,9 @@ val flows :
   Secpol_can.Topology.flow list
 (** One flow per (message, producing segment); destinations are the
     segments of consumers the policy (default {!Policy_map.baseline})
-    permits to read the message in at least one mode.  Messages no policy
+    permits to read the message in at least one mode, with fresh budgets:
+    {!Secpol_policy.Table.resolver} on a [Deny_overrides] table, the
+    answer the consumer's HPE read list is built from.  Messages no policy
     lets anyone read produce no flow, so they never cross a gateway. *)
 
 val minimal_crossing_ids : unit -> int list

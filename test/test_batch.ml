@@ -2,9 +2,9 @@
    decision-for-decision with per-request {!Engine.decide} and with the
    {!Reference} scan — across all three strategies, random rate-limiter
    states and batch sizes 0/1/odd/huge — an arena filled from a decoded
-   wire decide must equal one filled by {!Batch.push}, {!Table.decide_row}
-   must decide each row as the batch sweep does, and the compiled path
-   must not allocate per request. *)
+   wire decide must equal one filled by {!Batch.push}, a batch must decide
+   as its rows do one at a time and against two tables in turn, and the
+   compiled path must not allocate per request. *)
 
 module Ast = Secpol_policy.Ast
 module Parser = Secpol_policy.Parser
@@ -257,49 +257,31 @@ let test_huge_batch () =
         (List.map (fun d -> d = Ast.Allow) (batch_decisions batched reqs)))
     strategies
 
-(* Row callbacks equivalent to an engine's: a fresh budget table keyed
+(* A row callback equivalent to an engine's: a fresh budget table keyed
    (rule index, subject), read at each row's own timestamp. *)
 let fresh_budgets () =
   let windows = Hashtbl.create 8 in
-  let window (r : Ir.rule) rate (b : Batch.t) i =
-    let key = (r.Ir.idx, b.Batch.subjects.(i)) in
-    match Hashtbl.find_opt windows key with
-    | Some w -> w
-    | None ->
-        let w = Rate_window.of_rate rate in
-        Hashtbl.replace windows key w;
-        w
-  in
-  let rate_available (r : Ir.rule) (b : Batch.t) i =
-    match r.rate with
-    | None -> true
-    | Some rate ->
-        Rate_window.available (window r rate b i) ~now:b.Batch.nows.(i)
-  in
-  let rate_consume (r : Ir.rule) (b : Batch.t) i =
-    match r.rate with
-    | None -> ()
-    | Some rate ->
-        Rate_window.consume (window r rate b i) ~now:b.Batch.nows.(i)
-  in
-  (rate_available, rate_consume)
+  fun (r : Ir.rule) (b : Batch.t) i ->
+    Rate_window.admit_rule windows r b.Batch.subjects.(i) ~now:b.Batch.nows.(i)
 
 let batch_of reqs =
   let b = Batch.create ~capacity:(max 1 (List.length reqs)) () in
   List.iter (fun (req, now) -> Batch.push ~now b req) reqs;
   b
 
-(* Deciding rows one at a time, in order, over a fresh budget table must
-   reproduce the sweep's decisions and allow count: rated rows consume in
-   the same order, and modes change from row to row. *)
+(* Deciding rows one at a time, in order, each as a batch of its own over
+   one fresh budget table, must reproduce the whole sweep's decisions and
+   allow count: rated rows consume in the same order, and modes change
+   from row to row. *)
 let prop_row_equals_batch =
   let gen =
     QCheck.Gen.(
       let* size = size_gen in
       list_size (return size) request_gen)
   in
-  QCheck.Test.make ~name:"decide_row in order = decide_batch (all strategies)"
-    ~count:150 (QCheck.make gen) (fun reqs ->
+  QCheck.Test.make
+    ~name:"rows one at a time = decide_batch (all strategies)" ~count:150
+    (QCheck.make gen) (fun reqs ->
       let db = compile_ok mixed_source in
       let reqs = sequence reqs in
       List.for_all
@@ -308,14 +290,19 @@ let prop_row_equals_batch =
           let b = batch_of reqs in
           let n = Batch.length b in
           let out = Array.make (max 1 n) Ast.Deny in
-          let rate_available, rate_consume = fresh_budgets () in
           let allows =
-            Table.decide_batch table ~rate_available ~rate_consume b ~out
+            Table.decide_batch table ~rate_admit:(fresh_budgets ()) b ~out
           in
-          let rate_available, rate_consume = fresh_budgets () in
+          let rate_admit = fresh_budgets () in
+          let one = Array.make 1 Ast.Deny in
           let rows =
-            List.init n (fun i ->
-                Table.decide_row table ~rate_available ~rate_consume b i)
+            List.map
+              (fun row ->
+                ignore
+                  (Table.decide_batch table ~rate_admit (batch_of [ row ])
+                     ~out:one);
+                one.(0))
+              reqs
           in
           rows = Array.to_list (Array.sub out 0 n)
           && allows = List.length (List.filter (( = ) Ast.Allow) rows))
@@ -348,65 +335,38 @@ policy "batch_swapped" version 1 {
 }
 |}
 
-(* One batch decided row by row, each row against a randomly chosen one
-   of two tables, must answer as two private engines that each see only
-   their own table's rows. *)
-let prop_row_alternating_tables =
+(* One batch decided whole against one table, then the other, then the
+   first again, must answer each time as a private engine over that
+   table: the batch's mode memo, filled against one table, must not be
+   reused against the next. *)
+let prop_batch_alternating_tables =
   let gen =
     QCheck.Gen.(
       let* size = size_gen in
-      list_size (return size) (pair request_gen bool))
+      list_size (return size) request_gen)
   in
-  QCheck.Test.make ~name:"decide_row against two tables in turn = engines"
-    ~count:150 (QCheck.make gen) (fun steps ->
+  QCheck.Test.make ~name:"one batch against two tables in turn = engines"
+    ~count:150 (QCheck.make gen) (fun reqs ->
       let dbs = [| compile_ok mixed_source; compile_ok swapped_source |] in
-      let reqs = sequence (List.map fst steps) in
-      let picks =
-        Array.of_list (List.map (fun (_, second) -> Bool.to_int second) steps)
-      in
+      let reqs = sequence reqs in
       List.for_all
         (fun strategy ->
           let tables = Array.map (Table.compile ~strategy) dbs in
-          let engines = Array.map (Engine.create ~strategy) dbs in
-          let budgets = Array.init 2 (fun _ -> fresh_budgets ()) in
           let b = batch_of reqs in
+          let out = Array.make (max 1 (Batch.length b)) Ast.Deny in
           List.for_all
-            (fun (i, (req, now)) ->
-              let k = picks.(i) in
-              let rate_available, rate_consume = budgets.(k) in
-              Table.decide_row tables.(k) ~rate_available ~rate_consume b i
-              = (Engine.decide ~now engines.(k) req).Engine.decision)
-            (List.mapi (fun i r -> (i, r)) reqs))
+            (fun k ->
+              let engine = Engine.create ~strategy dbs.(k) in
+              ignore
+                (Table.decide_batch tables.(k) ~rate_admit:(fresh_budgets ()) b
+                   ~out);
+              List.for_all2
+                (fun (req, now) decision ->
+                  decision = (Engine.decide ~now engine req).Engine.decision)
+                reqs
+                (Array.to_list (Array.sub out 0 (Batch.length b))))
+            [ 0; 1; 0 ])
         strategies)
-
-let test_row_bounds () =
-  let table =
-    Table.compile ~strategy:Engine.Deny_overrides (compile_ok mixed_source)
-  in
-  let rate_available, rate_consume = fresh_budgets () in
-  let row b i () =
-    ignore (Table.decide_row table ~rate_available ~rate_consume b i)
-  in
-  let oob = Invalid_argument "Table.decide_row: row out of bounds" in
-  Alcotest.check_raises "row 0 of an empty batch" oob
-    (row (Batch.create ~capacity:4 ()) 0);
-  let b = Batch.create ~capacity:8 () in
-  for _ = 1 to 3 do
-    Batch.push b
-      {
-        Ir.mode = "normal";
-        subject = "dashboard";
-        asset = "brakes";
-        op = Ir.Read;
-        msg_id = None;
-      }
-  done;
-  Alcotest.check_raises "row -1" oob (row b (-1));
-  Alcotest.check_raises "row = length" oob (row b 3);
-  Alcotest.check_raises "row past the length, within capacity" oob (row b 5);
-  Alcotest.check_raises "row = capacity" oob (row b 8);
-  Alcotest.(check bool) "last row decides" true
-    (Table.decide_row table ~rate_available ~rate_consume b 2 = Ast.Allow)
 
 (* No rates here: rate callbacks are outside the zero-allocation contract
    (they box the timestamp), so this policy keeps the whole batch on the
@@ -471,8 +431,7 @@ let () =
       ( "rows",
         [
           QCheck_alcotest.to_alcotest prop_row_equals_batch;
-          QCheck_alcotest.to_alcotest prop_row_alternating_tables;
-          quick "decide_row bounds" test_row_bounds;
+          QCheck_alcotest.to_alcotest prop_batch_alternating_tables;
         ] );
       ("allocation", [ quick "compiled batch path is zero-allocation"
                          test_zero_allocation ]);

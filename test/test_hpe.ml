@@ -13,6 +13,7 @@ module Node = Secpol_can.Node
 module Engine = Secpol_sim.Engine
 module Compile = Secpol_policy.Compile
 module Table = Secpol_policy.Table
+module Ast = Secpol_policy.Ast
 
 let check = Alcotest.check
 
@@ -518,7 +519,8 @@ let seal_holds hpe step (live, sealed) =
     let frames = seal_probe_frames live in
     List.iter
       (fun frame ->
-        if Hpe.gate_rx hpe frame || Hpe.gate_tx hpe ~now:0.0 frame then
+        if Hpe.gate_rx hpe ~now:0.0 frame || Hpe.gate_tx hpe ~now:0.0 frame
+        then
           QCheck.Test.fail_reportf "after %s: a broken seal passed %a" step
             Identifier.pp frame.Frame.id)
       frames;
@@ -559,6 +561,11 @@ let ecu_config table bindings =
   | [ ("ecu", cfg) ] -> cfg
   | _ -> Alcotest.fail "expected one config, for ecu"
 
+let rate count window_ms = Ast.rate_limit ~count ~window_ms
+
+(* a chain that consults slot 0 alone and denies when it is spent *)
+let slot0 = { Table.rated = [| 0 |]; otherwise = Ast.Deny }
+
 let test_config_of_policy () =
   let table =
     policy_table
@@ -574,8 +581,8 @@ let test_config_of_policy () =
   Alcotest.(check (list int)) "read ids" [ 0x10; 0x11; 0x12 ] cfg.Config.read_ids;
   Alcotest.(check (list int)) "write ids" [ 0x20 ] cfg.Config.write_ids;
   (* a rated allow over more IDs than its count: every binding is decided
-     with a fresh budget, so all three are approved, each held to the
-     rate *)
+     with a fresh budget, so all three are approved, and all three consult
+     the rule's one budget *)
   let rated =
     "policy \"p\" version 1 { default deny; asset telematics { allow write \
      from ecu messages 0x100..0x102 rate 1 per 1000; } }"
@@ -588,11 +595,12 @@ let test_config_of_policy () =
   in
   Alcotest.(check (list int)) "every rated id" [ 0x100; 0x101; 0x102 ]
     cfg.Config.write_ids;
-  Alcotest.(check (list int)) "each held to the rate" [ 0x100; 0x101; 0x102 ]
-    (List.filter_map
-       (fun (id, (r : Secpol_policy.Ast.rate)) ->
-         if r.count = 1 && r.window_ms = 1000 then Some id else None)
-       cfg.Config.write_rates);
+  Alcotest.(check bool) "one slot, the rule's rate" true
+    (cfg.Config.budgets.slots = [| rate 1 1000 |]);
+  Alcotest.(check bool) "each id chained to it" true
+    (cfg.Config.budgets.writes
+     = Array.map (fun id -> (id, slot0)) [| 0x100; 0x101; 0x102 |]
+    && cfg.Config.budgets.reads = [||]);
   (* the lists model deny-overrides only *)
   match ecu_config (policy_table ~strategy:Table.First_match rated) [] with
   | _ -> Alcotest.fail "read lists off a first-match table"
@@ -612,66 +620,6 @@ let test_config_provision () =
   | Ok () -> Alcotest.fail "provisioned over a locked register file"
   | Error _ -> ()
 
-(* ---------- Rate limiter ---------- *)
-
-module Rate_limiter = Secpol_hpe.Rate_limiter
-
-let rate count window_ms = Secpol_policy.Ast.rate_limit ~count ~window_ms
-
-let test_rate_limiter_window () =
-  let rl = Rate_limiter.create () in
-  Rate_limiter.set rl ~msg_id:0x200 (rate 2 1000);
-  Alcotest.(check bool) "unlimited id" true (Rate_limiter.admit rl ~now:0.0 ~msg_id:0x100);
-  Alcotest.(check bool) "1st" true (Rate_limiter.admit rl ~now:0.0 ~msg_id:0x200);
-  Alcotest.(check bool) "2nd" true (Rate_limiter.admit rl ~now:0.5 ~msg_id:0x200);
-  Alcotest.(check bool) "3rd blocked" false (Rate_limiter.admit rl ~now:0.9 ~msg_id:0x200);
-  Alcotest.(check bool) "window slides" true (Rate_limiter.admit rl ~now:1.1 ~msg_id:0x200)
-
-let test_rate_limiter_boundary () =
-  (* the shared window semantics: a grant at time g stops counting at
-     exactly g + window (inclusive expiry) *)
-  let rl = Rate_limiter.create () in
-  Rate_limiter.set rl ~msg_id:0x200 (rate 1 1000);
-  Alcotest.(check bool) "grant at 0" true
-    (Rate_limiter.admit rl ~now:0.0 ~msg_id:0x200);
-  Alcotest.(check bool) "blocked just inside" false
-    (Rate_limiter.admit rl ~now:0.9999 ~msg_id:0x200);
-  Alcotest.(check bool) "admitted exactly at the boundary" true
-    (Rate_limiter.admit rl ~now:1.0 ~msg_id:0x200)
-
-let test_rate_limiter_backwards_clock () =
-  (* hardware budgets inherit Rate_window's clamp: a backwards clock step
-     keeps live grants blocking until their original expiry *)
-  let rl = Rate_limiter.create () in
-  Rate_limiter.set rl ~msg_id:0x200 (rate 1 1000);
-  Alcotest.(check bool) "grant at 5" true
-    (Rate_limiter.admit rl ~now:5.0 ~msg_id:0x200);
-  Alcotest.(check bool) "blocked at the regressed clock" false
-    (Rate_limiter.admit rl ~now:0.0 ~msg_id:0x200);
-  Alcotest.(check bool) "blocked just before expiry" false
-    (Rate_limiter.admit rl ~now:5.999 ~msg_id:0x200);
-  Alcotest.(check bool) "admitted once the grant expires" true
-    (Rate_limiter.admit rl ~now:6.0 ~msg_id:0x200)
-
-let test_rate_limiter_config () =
-  let rl = Rate_limiter.create () in
-  Rate_limiter.set rl ~msg_id:1 (rate 1 100);
-  Rate_limiter.set rl ~msg_id:2 (rate 5 200);
-  check Alcotest.int "two limits" 2 (List.length (Rate_limiter.limits rl));
-  Alcotest.(check bool) "limit lookup" true
-    (Rate_limiter.limit rl ~msg_id:1 = Some (rate 1 100));
-  Rate_limiter.remove rl ~msg_id:1;
-  Alcotest.(check bool) "removed" true (Rate_limiter.limit rl ~msg_id:1 = None);
-  ignore (Rate_limiter.admit rl ~now:0.0 ~msg_id:2);
-  Rate_limiter.reset_state rl;
-  (* full budget again *)
-  for _ = 1 to 5 do
-    Alcotest.(check bool) "fresh budget" true
-      (Rate_limiter.admit rl ~now:0.0 ~msg_id:2)
-  done;
-  Rate_limiter.clear rl;
-  check Alcotest.int "cleared" 0 (List.length (Rate_limiter.limits rl))
-
 let test_config_extracts_rates () =
   let table =
     policy_table
@@ -686,9 +634,31 @@ let test_config_extracts_rates () =
   let cfg = ecu_config table bindings in
   Alcotest.(check (list int)) "both writable" [ 0x200; 0x201 ] cfg.Config.write_ids;
   Alcotest.(check bool) "rate extracted for 0x200" true
-    (List.assoc_opt 0x200 cfg.Config.write_rates = Some (rate 2 10_000));
+    (cfg.Config.budgets.slots = [| rate 2 10_000 |]
+    && cfg.Config.budgets.writes = [| (0x200, slot0) |]);
   Alcotest.(check bool) "0x201 unlimited" true
-    (List.assoc_opt 0x201 cfg.Config.write_rates = None)
+    (not (Array.exists (fun (id, _) -> id = 0x201) cfg.Config.budgets.writes));
+  (* a strict rule before a loose one: the chain consults both, in
+     order, and a read that ends in an unrated allow keeps it *)
+  let table =
+    policy_table
+      "policy \"p\" version 1 { default deny; asset lock { allow write from \
+       ecu messages 0x200 rate 1 per 1000; allow write from ecu messages \
+       0x200..0x201 rate 2 per 1000; allow read from ecu messages 0x200 rate \
+       1 per 1000; allow read from ecu messages 0x200; } }"
+  in
+  let cfg = ecu_config table bindings in
+  Alcotest.(check bool) "one slot per rule, numbered in order of use" true
+    (cfg.Config.budgets.slots = [| rate 1 1000; rate 1 1000; rate 2 1000 |]);
+  Alcotest.(check bool) "a read that ends in an unrated allow" true
+    (cfg.Config.budgets.reads
+    = [| (0x200, { Table.rated = [| 0 |]; otherwise = Ast.Allow }) |]);
+  Alcotest.(check bool) "writes chain both rules, 0x201 the loose one" true
+    (cfg.Config.budgets.writes
+    = [|
+        (0x200, { Table.rated = [| 1; 2 |]; otherwise = Ast.Deny });
+        (0x201, { Table.rated = [| 2 |]; otherwise = Ast.Deny });
+      |])
 
 (* ---------- Engine on a node ---------- *)
 
@@ -784,7 +754,12 @@ let test_hpe_write_rate_shaping () =
   let hpe = Hpe.install a in
   let cfg =
     Config.make ~read_ids:[] ~write_ids:[ 0x200 ]
-      ~write_rates:[ (0x200, rate 2 10_000) ]
+      ~budgets:
+        {
+          Registers.slots = [| rate 2 10_000 |];
+          reads = [||];
+          writes = [| (0x200, slot0) |];
+        }
       ()
   in
   (match Hpe.provision hpe cfg with Ok () -> () | Error e -> Alcotest.fail e);
@@ -826,14 +801,176 @@ let provisioned name config =
 
 let gate hpe ~now dir frame =
   match dir with
-  | `Rx -> Hpe.gate_rx hpe frame
+  | `Rx -> Hpe.gate_rx hpe ~now frame
   | `Tx -> Hpe.gate_tx hpe ~now frame
+
+(* ---------- Budget slots, driven through the gates ---------- *)
+
+(* an HPE approving 0x100 unrated plus [reads] and [writes], each
+   direction's IDs consulting one slot of their own, [count] grants per
+   [window_ms] *)
+let rated_hpe ?(reads = []) ?(writes = []) count window_ms =
+  let write_slot = if reads = [] then 0 else 1 in
+  let chained ids slot =
+    Array.of_list
+      (List.map
+         (fun id -> (id, { Table.rated = [| slot |]; otherwise = Ast.Deny }))
+         ids)
+  in
+  provisioned "rated"
+    (Config.make ~read_ids:(0x100 :: reads) ~write_ids:(0x100 :: writes)
+       ~budgets:
+         {
+           Registers.slots = Array.make (write_slot + 1) (rate count window_ms);
+           reads = chained reads 0;
+           writes = chained writes write_slot;
+         }
+       ())
+
+let test_rate_limiter_window () =
+  let hpe = rated_hpe ~writes:[ 0x200 ] 2 1000 in
+  let tx now id = Hpe.gate_tx hpe ~now (Frame.data_std id "") in
+  Alcotest.(check bool) "unlimited id" true (tx 0.0 0x100);
+  Alcotest.(check bool) "1st" true (tx 0.0 0x200);
+  Alcotest.(check bool) "2nd" true (tx 0.5 0x200);
+  Alcotest.(check bool) "3rd blocked" false (tx 0.9 0x200);
+  Alcotest.(check bool) "window slides" true (tx 1.1 0x200);
+  check Alcotest.int "one rate block" 1 (Hpe.rate_blocks hpe)
+
+let test_rate_limiter_boundary () =
+  (* the shared window semantics: a grant at time g stops counting at
+     exactly g + window (inclusive expiry), on the read gate as on the
+     write gate *)
+  let hpe = rated_hpe ~reads:[ 0x200 ] ~writes:[ 0x200 ] 1 1000 in
+  List.iter
+    (fun (name, gate) ->
+      let pass now = gate ~now (Frame.data_std 0x200 "") in
+      Alcotest.(check bool) (name ^ ": grant at 0") true (pass 0.0);
+      Alcotest.(check bool)
+        (name ^ ": blocked just inside")
+        false (pass 0.9999);
+      Alcotest.(check bool)
+        (name ^ ": admitted exactly at the boundary")
+        true (pass 1.0))
+    [ ("rx", Hpe.gate_rx hpe); ("tx", Hpe.gate_tx hpe) ];
+  check Alcotest.int "a block on each gate" 2 (Hpe.rate_blocks hpe)
+
+let test_rate_limiter_backwards_clock () =
+  (* hardware budgets are Rate_window's: a backwards clock step keeps
+     live grants blocking until their original expiry *)
+  let hpe = rated_hpe ~writes:[ 0x200 ] 1 1000 in
+  let tx now = Hpe.gate_tx hpe ~now (Frame.data_std 0x200 "") in
+  Alcotest.(check bool) "grant at 5" true (tx 5.0);
+  Alcotest.(check bool) "blocked at the regressed clock" false (tx 0.0);
+  Alcotest.(check bool) "blocked just before expiry" false (tx 5.999);
+  Alcotest.(check bool) "admitted once the grant expires" true (tx 6.0)
+
+(* The budgets are sealed with the lists: grants spend them without
+   breaking the seal, an out-of-band change to a slot or a chain breaks
+   it, a locked file refuses a new table, and a hard reset clears the
+   table and its grants.  A table the file cannot hold is refused. *)
+let test_budget_table_sealed () =
+  let hpe = rated_hpe ~writes:[ 0x200 ] 1 1000 in
+  let regs = Hpe.registers hpe in
+  let tx now = Hpe.gate_tx hpe ~now (Frame.data_std 0x200 "") in
+  Alcotest.(check bool) "grant" true (tx 0.0);
+  Alcotest.(check bool) "spent" false (tx 0.5);
+  Alcotest.(check bool) "grants leave the seal" true (Hpe.integrity_ok hpe);
+  let b = Registers.budgets regs in
+  Alcotest.(check bool) "a locked file refuses a table" true
+    (Result.is_error (Registers.load_budgets regs b));
+  b.slots.(0) <- rate 100 1000;
+  Alcotest.(check bool) "a slot is sealed" false (Hpe.integrity_ok hpe);
+  Alcotest.(check bool) "and the gate fails closed" false (tx 1.5);
+  b.slots.(0) <- rate 1 1000;
+  Alcotest.(check bool) "undone" true (Hpe.integrity_ok hpe);
+  let _, chain = b.writes.(0) in
+  chain.rated.(0) <- 5;
+  Alcotest.(check bool) "a chain is sealed" false (Hpe.integrity_ok hpe);
+  chain.rated.(0) <- 0;
+  Alcotest.(check bool) "undone again" true (Hpe.integrity_ok hpe);
+  Registers.hard_reset regs;
+  Alcotest.(check bool) "hard reset clears the table" true
+    (Registers.budgets regs == Registers.no_budgets
+    && Registers.windows regs = [||]);
+  let load slots chain =
+    Result.is_ok
+      (Registers.load_budgets regs
+         { Registers.slots; reads = [| (0x200, chain) |]; writes = [||] })
+  in
+  let chain slot = { Table.rated = [| slot |]; otherwise = Ast.Deny } in
+  Alcotest.(check bool) "a slot and its chain" true
+    (load [| rate 1 1000 |] (chain 0));
+  Alcotest.(check bool) "negative count" false
+    (load [| { Ast.count = -1; window_ms = 1000 } |] (chain 0));
+  Alcotest.(check bool) "empty window" false
+    (load [| { Ast.count = 1; window_ms = 0 } |] (chain 0));
+  Alcotest.(check bool) "unknown slot" false (load [| rate 1 1000 |] (chain 1))
+
+(* A generous budget costs what its traffic uses: [rate 1000000000 per
+   1000] compiles, provisions an HPE and decides through both the policy
+   engine and a fleet vehicle in well under a thousand words, where a
+   ring sized to its count would take 8 GB. *)
+let test_huge_budget () =
+  let db =
+    Result.get_ok
+      (Compile.of_source
+         "policy \"p\" version 1 { default deny; asset lock { allow write \
+          from ecu messages 0x200 rate 1000000000 per 1000; } }")
+  in
+  let table = Table.compile ~strategy:Table.Deny_overrides db in
+  let engine = Secpol_policy.Engine.of_table table db in
+  let req =
+    {
+      Secpol_policy.Ir.mode = "normal";
+      subject = "ecu";
+      asset = "lock";
+      op = Secpol_policy.Ir.Write;
+      msg_id = Some 0x200;
+    }
+  in
+  let res = Table.resolve table req in
+  let vehicle = Secpol_vehicle.Instance.create ~id:0 ~version:1 () in
+  let _, bus = make_net () in
+  let hpe = Hpe.install (Node.create ~name:"ecu" bus) in
+  let frame = Frame.data_std 0x200 "" in
+  (* minor and major words both: a ring sized to the count would be
+     allocated on the major heap directly *)
+  let allocated () =
+    Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
+  in
+  let words0 = allocated () in
+  (match
+     Hpe.provision hpe
+       (ecu_config table [ { Config.msg_id = 0x200; asset = "lock" } ])
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let allowed = ref 0 in
+  for i = 0 to 9 do
+    let now = float_of_int i in
+    if Hpe.gate_tx hpe ~now frame then incr allowed;
+    if Secpol_policy.Engine.permitted ~now engine req then incr allowed;
+    if
+      Secpol_vehicle.Instance.decide vehicle res ~subject:"ecu" ~now
+      = Ast.Allow
+    then incr allowed
+  done;
+  let words = allocated () -. words0 in
+  check Alcotest.int "every decision allowed" 30 !allowed;
+  if words >= 1000.0 then
+    Alcotest.failf "provisioning and 30 decisions allocated %.0f words" words
 
 let gate_configs =
   [
     ( "alpha",
       Config.make
-        ~write_rates:[ (0x10, rate 1 1000) ]
+        ~budgets:
+          {
+            Registers.slots = [| rate 1 1000 |];
+            reads = [||];
+            writes = [| (0x10, slot0) |];
+          }
         ~own_ids:[ 0x20 ] ~read_ids:[ 0x30; 0x31 ] ~write_ids:[ 0x10 ] () );
     ( "beta",
       Config.make ~own_ids:[ 0x30 ] ~read_ids:[ 0x10; 0x20 ]
@@ -907,7 +1044,7 @@ let test_gate_verdicts () =
          ~write_ids:[] ())
   in
   let shapes =
-    List.map (Hpe.gate_rx hpe)
+    List.map (Hpe.gate_rx hpe ~now:0.0)
       [
         Frame.data_std 0x100 "\x01";
         Frame.data_std 0x555 "\x02";
@@ -929,7 +1066,8 @@ let test_gate_verdicts () =
   Approved_list.add (Registers.read_list (Hpe.registers hpe))
     (Identifier.standard 0x200);
   let frame = Frame.data_std 0x100 "" in
-  Alcotest.(check bool) "corrupted rx denied" false (Hpe.gate_rx hpe frame);
+  Alcotest.(check bool) "corrupted rx denied" false
+    (Hpe.gate_rx hpe ~now:0.0 frame);
   Alcotest.(check bool) "corrupted tx denied" false
     (Hpe.gate_tx hpe ~now:0.0 frame);
   check Alcotest.int "integrity blocks" 2 (Hpe.integrity_blocks hpe)
@@ -946,18 +1084,37 @@ let minor_words_of n f =
   Gc.minor_words () -. w0
 
 let test_gates_allocate_nothing () =
+  (* 0x200 consults a budget on each gate, one grant per 2 s *)
+  let chain slot =
+    (0x200, { Table.rated = [| slot |]; otherwise = Ast.Deny })
+  in
   let hpe =
     provisioned "zeta"
-      (Config.make ~own_ids:[ 0x3A5 ] ~read_ids:[ 0x100 ] ~write_ids:[ 0x100 ]
+      (Config.make ~own_ids:[ 0x3A5 ] ~read_ids:[ 0x100; 0x200 ]
+         ~write_ids:[ 0x100; 0x200 ]
+         ~budgets:
+           {
+             Registers.slots = [| rate 1 2000; rate 1 2000 |];
+             reads = [| chain 0 |];
+             writes = [| chain 1 |];
+           }
          ())
   in
   let regs = Hpe.registers hpe in
-  (* an approved ID, an own ID, an unapproved one; none is rated *)
+  (* an approved ID, an own ID, an unapproved one and a rated one *)
   let frames =
     [|
       Frame.data_std 0x100 ""; Frame.data_std 0x3A5 ""; Frame.data_std 0x555 "";
+      Frame.data_std 0x200 "";
     |]
   in
+  (* boxed ahead of time, as a bus clock's reading is: every 0.3 s, so
+     the rated ID comes up every 1.2 s and its budget alternately grants
+     and refuses *)
+  let nows = Array.init 10_000 (fun i -> (float_of_int i *. 0.3, ())) in
+  (* the first grant sizes each slot's ring *)
+  ignore (Hpe.gate_rx hpe ~now:0.0 frames.(3));
+  ignore (Hpe.gate_tx hpe ~now:0.0 frames.(3));
   List.iter
     (fun (name, f) ->
       Alcotest.(check (float 0.5))
@@ -965,13 +1122,17 @@ let test_gates_allocate_nothing () =
         (minor_words_of 0 f) (minor_words_of 10_000 f))
     [
       ("integrity_ok", fun _ -> Registers.integrity_ok regs);
-      ("gate_rx", fun i -> Hpe.gate_rx hpe frames.(i mod 3));
-      ("gate_tx", fun i -> Hpe.gate_tx hpe ~now:0.0 frames.(i mod 3));
+      ( "gate_rx",
+        fun i -> Hpe.gate_rx hpe ~now:(fst nows.(i)) frames.(i mod 4) );
+      ( "gate_tx",
+        fun i -> Hpe.gate_tx hpe ~now:(fst nows.(i)) frames.(i mod 4) );
     ];
-  (* the calls did the work: a third of each gate's frames granted *)
-  check Alcotest.int "read grants" 3334 (Hpe.read_grants hpe);
-  check Alcotest.int "write grants" 3334 (Hpe.write_grants hpe);
-  check Alcotest.int "spoof alerts" 3333 (Hpe.spoof_alerts hpe);
+  (* the calls did the work: half of each gate's frames granted by its
+     list, and half of the rated ones refused by their budget *)
+  check Alcotest.int "read grants" 5001 (Hpe.read_grants hpe);
+  check Alcotest.int "write grants" 5001 (Hpe.write_grants hpe);
+  check Alcotest.int "rate blocks" 2500 (Hpe.rate_blocks hpe);
+  check Alcotest.int "spoof alerts" 2500 (Hpe.spoof_alerts hpe);
   check Alcotest.int "seal held" 0 (Hpe.integrity_blocks hpe)
 
 (* Own IDs alert exactly on the configured standard IDs, never on an
@@ -987,13 +1148,13 @@ let test_own_id_alerts () =
   let alerted = ref [] in
   for id = 0x7FF downto 0 do
     let before = Hpe.spoof_alerts hpe in
-    ignore (Hpe.gate_rx hpe (Frame.data_std id ""));
+    ignore (Hpe.gate_rx hpe ~now:0.0 (Frame.data_std id ""));
     if Hpe.spoof_alerts hpe > before then alerted := id :: !alerted
   done;
   Alcotest.(check (list int))
     "alerts on exactly the own standard IDs" [ 0x000; 0x3A5; 0x7FF ] !alerted;
   List.iter
-    (fun raw -> ignore (Hpe.gate_rx hpe (Frame.data_ext raw "")))
+    (fun raw -> ignore (Hpe.gate_rx hpe ~now:0.0 (Frame.data_ext raw "")))
     (own @ [ 0x800; 0x1ABCD ]);
   check Alcotest.int "no alert on an extended ID" 3 (Hpe.spoof_alerts hpe)
 
@@ -1036,13 +1197,14 @@ let () =
           quick "of_policy" test_config_of_policy;
           quick "provision + lock" test_config_provision;
           quick "rate extraction" test_config_extracts_rates;
+          quick "a billion-grant budget stays small" test_huge_budget;
         ] );
       ( "rate-limiter",
         [
           quick "sliding window" test_rate_limiter_window;
           quick "window boundary" test_rate_limiter_boundary;
           quick "backwards clock" test_rate_limiter_backwards_clock;
-          quick "configuration" test_rate_limiter_config;
+          quick "budget table sealed" test_budget_table_sealed;
           quick "write shaping on a node" test_hpe_write_rate_shaping;
         ] );
       ( "engine",

@@ -801,15 +801,49 @@ let test_rate_backwards_clock () =
 let test_rate_window_clamp () =
   let module W = Secpol_policy.Rate_window in
   let w = W.create ~count:2 ~window_ms:1000 in
-  W.consume w ~now:5.0;
-  (* a regressed consume is stamped at the newest recorded grant (5.0),
-     keeping the queue sorted for front-only pruning *)
-  W.consume w ~now:3.0;
+  ignore (W.admit w ~now:5.0);
+  (* a regressed admit is stamped at the newest recorded grant (5.0),
+     keeping the ring sorted for front-only pruning *)
+  ignore (W.admit w ~now:3.0);
   check Alcotest.int "both live at 5.5" 2 (W.in_window w ~now:5.5);
   check Alcotest.int "both expire together at 6" 0 (W.in_window w ~now:6.0);
   W.reset w;
   (* reset clears the watermark too: early timestamps are usable again *)
   Alcotest.(check bool) "fresh window after reset" true (W.admit w ~now:0.0)
+
+(* The ring against a list of live grant times: counts up to 9, so the
+   ring grows past its first two slots and wraps, and a clock that mostly
+   advances but sometimes steps back past a whole window.  Some steps only
+   count the live grants, so a grant can expire before a regressed one is
+   made: that one is still stamped with the newest grant. *)
+let prop_rate_window_model =
+  let module W = Secpol_policy.Rate_window in
+  QCheck.Test.make ~name:"ring window = list of grants" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          triple (0 -- 9) (1 -- 2000)
+            (list_size (0 -- 60)
+               (triple
+                  (frequency [ (4, return 1); (1, return (-4)) ])
+                  (0 -- 700)
+                  (frequency [ (3, return true); (1, return false) ])))))
+    (fun (count, window_ms, steps) ->
+      let w = W.create ~count ~window_ms in
+      let window = float_of_int window_ms /. 1000.0 in
+      let live = ref [] and newest = ref neg_infinity and now = ref 0.0 in
+      List.for_all
+        (fun (dir, ms, ask) ->
+          now := !now +. (float_of_int (dir * ms) /. 1000.0);
+          let admitted = ask && W.admit w ~now:!now in
+          live := List.filter (fun g -> g > !now -. window) !live;
+          let room = ask && List.length !live < count in
+          if room then begin
+            newest := Float.max !now !newest;
+            live := !live @ [ !newest ]
+          end;
+          admitted = room && W.in_window w ~now:!now = List.length !live)
+        steps)
 
 let test_rate_per_subject () =
   let e =
@@ -1235,6 +1269,7 @@ let () =
           quick "window boundary" test_rate_window_boundary;
           quick "backwards clock" test_rate_backwards_clock;
           quick "backwards-clock clamp" test_rate_window_clamp;
+          QCheck_alcotest.to_alcotest prop_rate_window_model;
           quick "per subject" test_rate_per_subject;
           quick "reset on update" test_rate_reset_on_swap;
         ] );

@@ -132,6 +132,69 @@ let test_components_blast_regions () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted an unknown gateway name")
 
+(* The sensors' 0x60 and 0x70 read rules written as one rated rule over
+   0x60..0x70, with one grant a second per reader: the flows read fresh
+   budgets, so probing 0x60 spends nothing and 0x70 keeps the route it
+   has unrated. *)
+let test_rated_read_keeps_flows () =
+  let module Ast = Secpol_policy.Ast in
+  let merged (r : Ast.rule) =
+    r.op = Ast.Read
+    && (r.messages = Some [ Ast.single 0x60 ]
+       || r.messages = Some [ Ast.single 0x70 ])
+  in
+  let block (b : Ast.asset_block) =
+    match List.find_opt merged b.rules with
+    | None -> b
+    | Some r ->
+        {
+          b with
+          rules =
+            List.filter (fun r -> not (merged r)) b.rules
+            @ [
+                {
+                  r with
+                  messages = Some [ Ast.range 0x60 0x70 ];
+                  rate = Some (Ast.rate_limit ~count:1 ~window_ms:1000);
+                };
+              ];
+        }
+  in
+  let baseline = V.Policy_map.baseline () in
+  let policy =
+    Ast.normalise
+      {
+        baseline with
+        sections =
+          List.map
+            (function
+              | Ast.Global b -> Ast.Global (block b)
+              | Ast.Modes (modes, bs) -> Ast.Modes (modes, List.map block bs)
+              | section -> section)
+            baseline.sections;
+      }
+  in
+  let routes policy =
+    List.filter_map
+      (fun (f : Topology.flow) ->
+        if f.id = 0x60 || f.id = 0x70 then Some (f.id, f.src, f.dsts) else None)
+      (Segment_map.flows ~policy ~spec:(Segment_map.spec ()) ())
+  in
+  let expect =
+    List.map
+      (fun id ->
+        ( id,
+          Segment_map.seg_powertrain,
+          [ Segment_map.seg_infotainment; Segment_map.seg_powertrain ] ))
+      [ 0x60; 0x70 ]
+  in
+  check
+    Alcotest.(list (triple int string (list string)))
+    "unrated" expect (routes baseline);
+  check
+    Alcotest.(list (triple int string (list string)))
+    "one rated rule" expect (routes policy)
+
 (* ---------- The two-segment special case ---------- *)
 
 (* The hand-written oracle for the two-bus split: an ID crosses iff some
@@ -603,6 +666,7 @@ let () =
           quick "derived whitelists and routing"
             test_derived_whitelists_and_route;
           quick "components = blast regions" test_components_blast_regions;
+          quick "a rated read keeps its flows" test_rated_read_keeps_flows;
         ] );
       ( "segmented",
         [ quick "two-segment special case" test_two_segment_matches_historical ]

@@ -395,30 +395,6 @@ let prop_proof_holds =
 
 (* ---------- HPE lists read off the table ---------- *)
 
-(* The oracle for write rates: every rule scanned per request, the
-   strictest rate among the matching allows (fewest grants per second,
-   the earliest on a tie), none when one of them is unlimited. *)
-let oracle_write_rate (db : Ir.db) request =
-  let matching =
-    List.filter
-      (fun (r : Ir.rule) ->
-        r.decision = Ast.Allow && Ir.rule_matches r request)
-      db.rules
-  in
-  if List.exists (fun (r : Ir.rule) -> r.rate = None) matching then None
-  else
-    List.fold_left
-      (fun acc (r : Ir.rule) ->
-        match (acc, r.rate) with
-        | None, rate -> rate
-        | Some a, Some b ->
-            let per_sec (x : Ast.rate) =
-              float_of_int x.count /. float_of_int x.window_ms
-            in
-            Some (if per_sec b < per_sec a then b else a)
-        | Some _, None -> acc)
-      None matching
-
 (* IDs 0..27 on both generated assets: every generated range, shared IDs
    across assets, and IDs no rule names *)
 let hpe_bindings =
@@ -452,24 +428,203 @@ let prop_hpe_lists_match_reference =
                        if allows op b then Some b.msg_id else None)
                      hpe_bindings)
               in
-              let rates =
+              (* each rated ID's chain is its first rated binding's
+                 resolved answer, every rule on its own slot *)
+              let slots = cfg.budgets.slots in
+              let chains op =
+                List.fold_left
+                  (fun acc (b : Hpe_config.binding) ->
+                    let res = Table.resolve table (request op b) in
+                    if Array.length res.rated = 0 || List.mem_assoc b.msg_id acc
+                    then acc
+                    else (b.msg_id, res) :: acc)
+                  [] hpe_bindings
+                |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+              in
+              let chain_matches rules (id, (res : Table.resolved)) =
+                match List.assoc_opt id (Array.to_list rules) with
+                | None -> false
+                | Some (c : Secpol_hpe.Registers.chain) ->
+                    c.otherwise = res.otherwise
+                    && Array.length c.rated = Array.length res.rated
+                    && Array.for_all2
+                         (fun slot (r : Ir.rule) ->
+                           Some slots.(slot) = r.rate)
+                         c.rated res.rated
+              in
+              let rated = chains Ir.Read @ chains Ir.Write in
+              let rules =
                 List.sort_uniq compare
-                  (List.filter_map
-                     (fun (b : Hpe_config.binding) ->
-                       if allows Ir.Write b then
-                         Option.map
-                           (fun r -> (b.msg_id, r))
-                           (oracle_write_rate db (request Ir.Write b))
-                       else None)
-                     hpe_bindings)
+                  (List.concat_map
+                     (fun (_, (res : Table.resolved)) ->
+                       List.map (fun (r : Ir.rule) -> r.idx)
+                         (Array.to_list res.rated))
+                     rated)
               in
               cfg.read_ids = ids Ir.Read
               && cfg.write_ids = ids Ir.Write
-              && cfg.write_rates = rates && cfg.own_ids = [])
+              && Array.to_list (Array.map fst cfg.budgets.reads)
+                 = List.map fst (chains Ir.Read)
+              && Array.to_list (Array.map fst cfg.budgets.writes)
+                 = List.map fst (chains Ir.Write)
+              && List.for_all (chain_matches cfg.budgets.reads) (chains Ir.Read)
+              && List.for_all
+                   (chain_matches cfg.budgets.writes)
+                   (chains Ir.Write)
+              && Array.length cfg.budgets.slots = List.length rules
+              && cfg.own_ids = [])
             (Hpe_config.of_policy table ~mode
                ~subjects:[ "s1"; "s2"; "s3"; "s4" ]
                ~bindings:hpe_bindings))
         [ "m1"; "m2"; "m3" ])
+
+(* ---------- HPE gates against the engine, frame by frame ---------- *)
+
+(* Each ID bound once, even IDs to a1 and odd ones to a2, so a frame is
+   one request and every generated range spans bound IDs of both assets *)
+let gate_bindings =
+  List.init 28 (fun msg_id ->
+      { Hpe_config.msg_id; asset = (if msg_id mod 2 = 0 then "a1" else "a2") })
+
+(* one node per subject; s4 is never named *)
+let gate_subjects = [| "s1"; "s2"; "s3"; "s4" |]
+
+type gate_frame = { node : int; write : bool; id : int; dt : float }
+
+(* a policy, a mode, and frames mostly from one node on a few IDs, so
+   the node meets the same budgets again and again *)
+let gate_case_gen =
+  QCheck.Gen.(
+    let* p = small_policy_gen in
+    let* mode = oneofl [ "m1"; "m2"; "m3" ] in
+    let* hot_node = 0 -- 3 in
+    let* hot = list_repeat 3 (0 -- 27) in
+    let frame =
+      let* node = frequency [ (3, return hot_node); (1, 0 -- 3) ] in
+      let* write = bool in
+      let* id = frequency [ (4, oneofl hot); (1, 0 -- 27) ] in
+      let* dt = oneofl [ 0.0; 0.0; 0.05; 0.3; 1.0 ] in
+      return { node; write; id; dt }
+    in
+    let* frames = list_size (0 -- 40) frame in
+    return (p, mode, frames))
+
+let print_gate_case (p, mode, frames) =
+  Printf.sprintf "%s\nmode %s\n%s" (Printer.to_string p) mode
+    (String.concat "; "
+       (List.map
+          (fun f ->
+            Printf.sprintf "+%.2fs %s %s 0x%x" f.dt gate_subjects.(f.node)
+              (if f.write then "tx" else "rx")
+              f.id)
+          frames))
+
+(* Every frame through its node's HPE, provisioned from [db] for [mode],
+   and, as the request it carries, through one Deny-overrides engine: the
+   (gate, engine) answers in order.  Node [i] hosts [subjects.(i)]. *)
+let replay db ~mode ~subjects ~bindings frames =
+  let engine = Engine.create db in
+  let bus =
+    Secpol_can.Bus.create ~bitrate:500_000.0 (Secpol_sim.Engine.create ())
+  in
+  let hpes =
+    Array.of_list
+      (List.map
+         (fun (subject, cfg) ->
+           let hpe =
+             Secpol_hpe.Engine.install
+               (Secpol_can.Node.create ~name:subject bus)
+           in
+           (match Secpol_hpe.Engine.provision hpe cfg with
+           | Ok () -> ()
+           | Error e -> failwith ("provisioning: " ^ e));
+           hpe)
+         (Hpe_config.of_policy (Engine.table engine) ~mode
+            ~subjects:(Array.to_list subjects) ~bindings))
+  in
+  let now = ref 0.0 in
+  List.map
+    (fun f ->
+      now := !now +. f.dt;
+      let frame = Secpol_can.Frame.data_std f.id "" in
+      let hpe = hpes.(f.node) in
+      let gate =
+        if f.write then Secpol_hpe.Engine.gate_tx hpe ~now:!now frame
+        else Secpol_hpe.Engine.gate_rx hpe ~now:!now frame
+      in
+      let software =
+        Engine.permitted ~now:!now engine
+          {
+            Ir.mode;
+            subject = subjects.(f.node);
+            asset =
+              (List.find (fun (b : Hpe_config.binding) -> b.msg_id = f.id)
+                 bindings)
+                .asset;
+            op = (if f.write then Ir.Write else Ir.Read);
+            msg_id = Some f.id;
+          }
+      in
+      (gate, software))
+    frames
+
+(* Each node's HPE must give each frame on a bound ID the answer the
+   engine gives the request it carries, budgets included: a rated allow's
+   budget is one per (rule, subject) whichever IDs and direction spend
+   it, and a spent one falls through to the next matching rule. *)
+let prop_gates_match_engine =
+  QCheck.Test.make ~name:"HPE gates = engine frame by frame, with budgets"
+    ~count:3000
+    (QCheck.make ~print:print_gate_case gate_case_gen)
+    (fun (p, mode, frames) ->
+      List.for_all
+        (fun (gate, software) -> gate = software)
+        (replay (compile_gen p) ~mode ~subjects:gate_subjects
+           ~bindings:gate_bindings frames))
+
+(* The two shapes a per-ID hardware budget gets wrong, frames at t = 0: a
+   rated rule over a range holds one budget for all its IDs, on reads as
+   on writes, and a strict rated rule before a loose one falls through to
+   it once spent. *)
+let test_gate_probe_shapes () =
+  let bindings =
+    [
+      { Hpe_config.msg_id = 0x10; asset = "safety_critical" };
+      { Hpe_config.msg_id = 0x20; asset = "safety_critical" };
+    ]
+  in
+  let frames node write ids =
+    List.map (fun id -> { node; write; id; dt = 0.0 }) ids
+  in
+  let granted db frames =
+    let answers =
+      replay db ~mode:"normal"
+        ~subjects:[| "safety_critical"; "door_locks" |]
+        ~bindings frames
+    in
+    if List.exists (fun (gate, software) -> gate <> software) answers then
+      Alcotest.fail "a gate disagrees with the engine";
+    List.length (List.filter fst answers)
+  in
+  let range =
+    compile_ok
+      "policy \"p\" version 1 { default deny; asset safety_critical { allow \
+       write from safety_critical messages 0x10..0x20 rate 1 per 1000; allow \
+       read from door_locks messages 0x10..0x20 rate 1 per 1000; } }"
+  in
+  let burst node write = frames node write [ 0x10; 0x20; 0x10; 0x20 ] in
+  check Alcotest.int "rule over a range: one write" 1
+    (granted range (burst 0 true));
+  check Alcotest.int "rule over a range: one read" 1
+    (granted range (burst 1 false));
+  let strict_then_loose =
+    compile_ok
+      "policy \"p\" version 1 { default deny; asset safety_critical { allow \
+       write from safety_critical messages 0x10 rate 1 per 1000; allow write \
+       from safety_critical messages 0x10..0x20 rate 2 per 1000; } }"
+  in
+  check Alcotest.int "strict rule before a loose one: three of four" 3
+    (granted strict_then_loose (frames 0 true [ 0x10; 0x10; 0x10; 0x10 ]))
 
 (* ---------- Table.resolve ---------- *)
 
@@ -507,8 +662,13 @@ let prop_resolve_matches_decide =
             (fun req ->
               let consumed = ref None in
               let decision, _ =
-                Table.decide table ~rate_available:has_budget
-                  ~rate_consume:(fun r -> consumed := Some r.Ir.idx)
+                Table.decide table
+                  ~rate_admit:(fun r ->
+                    has_budget r
+                    && begin
+                         consumed := Some r.Ir.idx;
+                         true
+                       end)
                   req
               in
               let res = Table.resolve table req in
@@ -1376,6 +1536,11 @@ let () =
         ] );
       ( "hpe lists",
         [ QCheck_alcotest.to_alcotest prop_hpe_lists_match_reference ] );
+      ( "hpe gates",
+        [
+          QCheck_alcotest.to_alcotest prop_gates_match_engine;
+          quick "probe shapes" test_gate_probe_shapes;
+        ] );
       ("resolve", [ QCheck_alcotest.to_alcotest prop_resolve_matches_decide ]);
       ( "normalise",
         [
