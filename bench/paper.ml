@@ -556,23 +556,32 @@ let extension () =
      raises %d spoof alerts\n  (it is the sole designed producer of that ID; \
      alert-only — feeds intrusion detection)\n"
     (Hpe.Engine.spoof_alerts sensors_hpe);
-  subsection "Fleet distribution with hostile deliveries";
-  (match Lifecycle.Fleet.create ~size:1000 (V.Policy_map.baseline ()) with
-  | Error e -> Printf.printf "  fleet creation failed: %s\n" e
-  | Ok fleet -> (
-      let v2 = Policy.Update.bundle (V.Policy_map.hardened ()) in
-      match Lifecycle.Fleet.distribute fleet ~corruption:0.2 v2 with
-      | Error e -> Printf.printf "  distribution failed: %s\n" e
-      | Ok dist ->
-          Printf.printf
-            "  1000 devices, 20%% of deliveries tampered in transit: %d \
-             corrupt bundles rejected by device\n  integrity checks; fleet \
-             versions after the campaign: %s\n"
-            dist.Lifecycle.Fleet.tampered_rejections
-            (String.concat ", "
-               (List.map
-                  (fun (v, n) -> Printf.sprintf "v%d: %d" v n)
-                  (Lifecycle.Fleet.versions fleet)))))
+  subsection "Fleet rollout with hostile deliveries";
+  let module FC = Lifecycle.Campaign in
+  let cfg =
+    let cfg = FC.default_config ~fleet:1000 () in
+    {
+      cfg with
+      FC.adoption = { cfg.FC.adoption with Lifecycle.Ota.corruption = 0.2 };
+    }
+  in
+  let v1 = V.Policy_map.baseline ~version:1 ()
+  and v2 = V.Policy_map.hardened ~version:2 () in
+  (match FC.run ~old_policy:v1 ~new_policy:v2 cfg with
+  | Error e -> Printf.printf "  campaign failed: %s\n" e
+  | Ok r ->
+      Printf.printf
+        "  1000 vehicles, 20%% of deliveries tampered in transit: %d tampered \
+         bundles refused by the\n  vehicles' integrity check, each retried \
+         over the air\n  fleet versions at the %g-day horizon: %s\n"
+        r.FC.tampered cfg.FC.horizon_days
+        (String.concat ", "
+           (List.map
+              (fun (v, n) -> Printf.sprintf "v%d: %d" v n)
+              r.FC.versions)));
+  match FC.run ~old_policy:v2 ~new_policy:v1 cfg with
+  | Error e -> Printf.printf "  downgrade v2 -> v1: refused (%s)\n" e
+  | Ok _ -> Printf.printf "  downgrade v2 -> v1: ACCEPTED\n"
 
 (* ------------------------------------------------------------------ *)
 (* Targets                                                             *)

@@ -6,7 +6,7 @@
      fmt     pretty-print the normal form
      eval    evaluate one access request against a policy
      verify  semantic verification: symbolic decision-space analysis
-     diff    semantic + rule-level difference between two policy files
+     diff    semantic difference between two policy files
      bundle  seal a policy file into an update bundle (prints the checksum)
 
    secpolc times nothing: bench/main.exe (perf, parscale) is the one
@@ -302,7 +302,7 @@ let load_db path =
                (List.map
                   (fun i -> Format.asprintf "%a" Policy.Compile.pp_issue i)
                   issues))
-      | Ok (db, _warnings) -> Ok (ast, db))
+      | Ok (db, _warnings) -> Ok db)
 
 let verify_cmd =
   let run file format strategy fail_on modes subjects assets vehicle =
@@ -310,7 +310,7 @@ let verify_cmd =
     | Error e ->
         prerr_endline e;
         3
-    | Ok (_ast, db) ->
+    | Ok db ->
         let cfg = lint_config ~strategy ~modes ~subjects ~assets ~vehicle in
         let obligations =
           if vehicle then Vehicle.Threat_catalog.obligations () else []
@@ -367,12 +367,10 @@ let diff_cmd =
     | Error e, _ | _, Error e ->
         prerr_endline e;
         3
-    | Ok (old_p, old_db), Ok (new_p, new_db) ->
+    | Ok old_db, Ok new_db ->
         let r = Policy.Verify.diff ~strategy old_db new_db in
         (match format with
         | `Text ->
-            Format.printf "%a" Policy.Update.pp_diff
-              (Policy.Update.diff old_p new_p);
             Format.printf "%a" Policy.Verify.pp_diff_report r;
             if r.Policy.Verify.deltas = [] then
               print_endline "policies are semantically identical"
@@ -418,9 +416,8 @@ let diff_cmd =
            `P "Computes the exact per-cell decision-region changes between \
                $(i,OLD) and $(i,NEW) by symbolic analysis (see $(b,secpolc \
                verify)), classifying each delta as widened, tightened or \
-               changed, alongside the rule-level add/remove summary.  A \
-               widened delta means the update silently allows requests the \
-               old version denied (SP012).";
+               changed.  A widened delta means the update silently allows \
+               requests the old version denied (SP012).";
            `S Manpage.s_exit_status;
            `P "0 when the update is acceptable under $(b,--fail-on); 1 \
                otherwise; 3 when either policy cannot be read, parsed or \

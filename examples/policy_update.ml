@@ -77,9 +77,9 @@ let () =
     (match Policy.Update.current store v2.Secpol.Pipeline.policy.Policy.Ast.name with
     | Some b -> b.Policy.Update.version
     | None -> -1);
-  print_endline "  rule-level diff shipped to the fleet:";
-  Format.printf "%a@." Policy.Update.pp_diff
-    (Policy.Update.diff v1.Secpol.Pipeline.policy v2.Secpol.Pipeline.policy);
+  print_endline "  what the update changes, decision region by region:";
+  Format.printf "%a@." Policy.Verify.pp_diff_report
+    (Policy.Verify.diff v1.Secpol.Pipeline.db v2.Secpol.Pipeline.db);
 
   (* Fleet-level comparison: exposure window distributions. *)
   print_endline "Exposure window (discovery -> 95% of a 100k fleet protected):";

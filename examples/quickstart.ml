@@ -112,6 +112,6 @@ let () =
         "New threat %s countered by policy v%d — an update, not a redesign.@."
         new_threat.Threat.Threat.id r2.Secpol.Pipeline.bundle.Policy.Update.version;
       print_endline "Diff against v1:";
-      Format.printf "%a@." Policy.Update.pp_diff
-        (Policy.Update.diff report.Secpol.Pipeline.policy r2.Secpol.Pipeline.policy)
+      Format.printf "%a@." Policy.Verify.pp_diff_report
+        (Policy.Verify.diff report.Secpol.Pipeline.db r2.Secpol.Pipeline.db)
   | Error es -> failwith (String.concat "; " es)

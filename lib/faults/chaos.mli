@@ -5,7 +5,11 @@
     slices, checking the {!Invariant} suite at every slice boundary.  It
     then runs the never-faulted twin to the same horizon, which serves
     both the convergence check and the report's per-segment latency
-    ratios.  Fully deterministic in [(seed, plan, placement)].
+    ratios.  Fully deterministic in [(seed, plan, placement)]: the
+    report is the same byte for byte, because nothing in it reads the
+    host's clock.  The car's policy engine is therefore not in the
+    telemetry registry; [bench/main.exe perf] is where decision latency
+    is measured.
 
     The report is one JSON object per run:
     - [plan], [seed], [horizon], [placement], [degrading], [verdict];

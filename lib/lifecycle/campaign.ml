@@ -2,6 +2,7 @@ module Ast = Secpol_policy.Ast
 module Ir = Secpol_policy.Ir
 module Table = Secpol_policy.Table
 module Verify = Secpol_policy.Verify
+module Update = Secpol_policy.Update
 module Json = Secpol_policy.Json
 module Rng = Secpol_sim.Rng
 module Plan = Secpol_faults.Plan
@@ -16,13 +17,10 @@ module Threat_catalog = Secpol_vehicle.Threat_catalog
 type stage = { name : string; fraction : float; start_day : float }
 
 type config = {
-  fleet : int;
+  adoption : Ota.params;
   seed : int64;
   domains : int;
   stages : stage list;
-  ota_mean_days : float;
-  recall_mean_days : float;
-  recall_no_show : float;
   horizon_days : float;
   tick_days : float;
   plan : Plan.t;
@@ -34,7 +32,7 @@ let default_config ?(fleet = 100_000) ?(seed = 42L) ?(domains = 1)
     ?(quick = false) () =
   let horizon_days = 30.0 in
   {
-    fleet;
+    adoption = { Ota.default_params with fleet };
     seed;
     domains;
     stages =
@@ -43,9 +41,6 @@ let default_config ?(fleet = 100_000) ?(seed = 42L) ?(domains = 1)
         { name = "cohort"; fraction = 0.10; start_day = 2.0 };
         { name = "fleet"; fraction = 1.0; start_day = 5.0 };
       ];
-    ota_mean_days = 3.0;
-    recall_mean_days = 90.0;
-    recall_no_show = 0.25;
     horizon_days;
     tick_days = (if quick then 0.5 else 0.25);
     plan = Plan.threat_trigger ~at:6.0 ~horizon:horizon_days ();
@@ -57,38 +52,34 @@ let default_config ?(fleet = 100_000) ?(seed = 42L) ?(domains = 1)
 
 let validate cfg =
   let err fmt = Printf.ksprintf (fun m -> Error ("campaign: " ^ m)) fmt in
-  if cfg.fleet <= 0 then err "fleet must be positive"
-  else if cfg.domains < 1 then err "domains must be >= 1"
-  else if cfg.horizon_days <= 0.0 then err "horizon must be positive"
-  else if cfg.tick_days <= 0.0 then err "tick must be positive"
-  else if cfg.ota_mean_days <= 0.0 then err "ota mean must be positive"
-  else if cfg.recall_mean_days <= 0.0 then err "recall mean must be positive"
-  else if cfg.recall_no_show < 0.0 || cfg.recall_no_show > 1.0 then
-    err "recall no-show outside [0,1]"
-  else if cfg.stages = [] then err "no rollout stages"
-  else begin
-    let rec stages_ok prev_f prev_d = function
-      | [] -> Ok ()
-      | s :: rest ->
-          if s.fraction <= prev_f || s.fraction > 1.0 then
-            err "stage %S: fractions must ascend within (0,1]" s.name
-          else if s.start_day < prev_d then
-            err "stage %S: start days must not decrease" s.name
-          else stages_ok s.fraction s.start_day rest
-    in
-    match stages_ok 0.0 0.0 cfg.stages with
-    | Error _ as e -> e
-    | Ok () -> (
-        match Plan.threat_window cfg.plan with
-        | None -> err "plan %S carries no threat window" cfg.plan.Plan.name
-        | Some (t_on, _, _) when t_on >= cfg.horizon_days ->
-            err "threat activates at day %g, past the %g-day horizon" t_on
-              cfg.horizon_days
-        | Some window -> (
-            match Threat_catalog.find cfg.threat_id with
-            | None -> err "unknown threat id %S" cfg.threat_id
-            | Some row -> Ok (row, window)))
-  end
+  let rec stages_ok prev_f prev_d = function
+    | [] -> Ok ()
+    | s :: rest ->
+        if s.fraction <= prev_f || s.fraction > 1.0 then
+          err "stage %S: fractions must ascend within (0,1]" s.name
+        else if s.start_day < prev_d then
+          err "stage %S: start days must not decrease" s.name
+        else stages_ok s.fraction s.start_day rest
+  in
+  match Ota.validate cfg.adoption with
+  | Error e -> err "%s" e
+  | Ok () when cfg.domains < 1 -> err "domains must be >= 1"
+  | Ok () when cfg.horizon_days <= 0.0 -> err "horizon must be positive"
+  | Ok () when cfg.tick_days <= 0.0 -> err "tick must be positive"
+  | Ok () when cfg.stages = [] -> err "no rollout stages"
+  | Ok () -> (
+      match stages_ok 0.0 0.0 cfg.stages with
+      | Error _ as e -> e
+      | Ok () -> (
+          match Plan.threat_window cfg.plan with
+          | None -> err "plan %S carries no threat window" cfg.plan.Plan.name
+          | Some (t_on, _, _) when t_on >= cfg.horizon_days ->
+              err "threat activates at day %g, past the %g-day horizon" t_on
+                cfg.horizon_days
+          | Some window -> (
+              match Threat_catalog.find cfg.threat_id with
+              | None -> err "unknown threat id %S" cfg.threat_id
+              | Some row -> Ok (row, window))))
 
 (* ---------- verifier gate ---------- *)
 
@@ -136,6 +127,7 @@ type report = {
   benign_denied : int;
   lock_allowed : int;
   lock_denied : int;
+  tampered : int;
   ota : channel_report;
   recall : channel_report;
   speedup_p50 : float;
@@ -267,6 +259,8 @@ type shard_out = {
   s_hist : Histogram.t;
   s_recall_hist : Histogram.t;
   s_recall_never : int;
+  s_tampered : int;
+  s_verified_tampered : int;
 }
 
 (* The shard's tick grid, the same for every vehicle: tick [k] on day
@@ -298,14 +292,17 @@ type plan = {
   lock_rated : bool;
 }
 
-(* What a shard has served so far, and the current vehicle's
-   mitigating tick (-1 while it is exposed). *)
+(* What a shard has served so far, the current vehicle's mitigating
+   tick (-1 while it is exposed), and the rollout's tampered deliveries
+   with those whose copy passed the integrity check (none may). *)
 type tally = {
   mutable decisions : int;
   mutable benign_denied : int;
   mutable lock_allowed : int;
   mutable lock_denied : int;
   mutable mitigated_at : int;
+  mutable tampered : int;
+  mutable verified_tampered : int;
 }
 
 let[@inline] is_rated (r : Table.resolved) = Array.length r.Table.rated > 0
@@ -438,7 +435,7 @@ let run_ticks t g p inst id lo hi =
    each vehicle adds at most one value to each histogram, in vehicle
    order.  So the report is the one a sweep of the fleet tick by tick
    gives. *)
-let run_shard ~(cfg : config) ~gate_passed ~v_old ~answers_old ~v_new
+let run_shard ~(cfg : config) ~gate_passed ~forged ~v_old ~answers_old ~v_new
     ~answers_new ~requests ~t_on ~t_off ~lo ~hi =
   let stages = Array.of_list cfg.stages in
   let n_stages = Array.length stages in
@@ -466,7 +463,19 @@ let run_shard ~(cfg : config) ~gate_passed ~v_old ~answers_old ~v_new
       lock_allowed = 0;
       lock_denied = 0;
       mitigated_at = -1;
+      tampered = 0;
+      verified_tampered = 0;
     }
+  in
+  (* a tampered delivery meets the first check a vehicle's install
+     makes, the bundle's checksum; [forged] is [Some] whenever a
+     delivery can be tampered *)
+  let on_tampered () =
+    t.tampered <- t.tampered + 1;
+    match forged with
+    | Some copy when Update.verify copy ->
+        t.verified_tampered <- t.verified_tampered + 1
+    | Some _ | None -> ()
   in
   for id = lo to hi - 1 do
     let rng = Rng.create (vehicle_seed cfg.seed id) in
@@ -476,18 +485,18 @@ let run_shard ~(cfg : config) ~gate_passed ~v_old ~answers_old ~v_new
       else begin
         assigned.(stage) <- assigned.(stage) + 1;
         if gate_passed then
-          stages.(stage).start_day +. Rng.exponential rng cfg.ota_mean_days
+          stages.(stage).start_day
+          +. Ota.delay rng cfg.adoption Ota.Over_the_air ~on_tampered
         else infinity
       end
     in
     let rrng = Rng.create (Int64.logxor (vehicle_seed cfg.seed id) recall_salt) in
-    if Rng.chance rrng cfg.recall_no_show then incr recall_never
-    else begin
-      (* the recall comparator is statistical and untruncated: recalls run
-         for years, so exposure simply ends when the garage visit lands *)
-      let landed = Rng.exponential rrng cfg.recall_mean_days in
+    (* the recall comparator is statistical and untruncated: recalls run
+       for years, so exposure simply ends when the garage visit lands *)
+    let landed = Ota.delay rrng cfg.adoption Ota.Recall ~on_tampered:ignore in
+    if Float.is_finite landed then
       Histogram.observe recall_hist (Float.max 0.0 (landed -. t_on))
-    end;
+    else incr recall_never;
     let inst = Instance.create ~id ~version:v_old () in
     let k_a = first_tick ~tick_days ~ticks adopt in
     t.mitigated_at <- -1;
@@ -514,6 +523,8 @@ let run_shard ~(cfg : config) ~gate_passed ~v_old ~answers_old ~v_new
     s_hist = hist;
     s_recall_hist = recall_hist;
     s_recall_never = !recall_never;
+    s_tampered = t.tampered;
+    s_verified_tampered = t.verified_tampered;
   }
 
 (* ---------- the campaign ---------- *)
@@ -543,8 +554,11 @@ let run ?(old_policy = Policy_map.baseline ~version:1 ())
       let started_at = Clock.now () in
       let db_old = Policy_map.compile old_policy
       and db_new = Policy_map.compile new_policy in
-      if db_old.Ir.version = db_new.Ir.version then
-        Error "campaign: update must change the policy version"
+      if db_new.Ir.version <= db_old.Ir.version then
+        Error
+          (Printf.sprintf
+             "campaign: update must raise the policy version (v%d -> v%d)"
+             db_old.Ir.version db_new.Ir.version)
       else begin
         (* the only two table compiles of the whole campaign, each asked
            every distinct request once: every vehicle on a version reads
@@ -558,14 +572,24 @@ let run ?(old_policy = Policy_map.baseline ~version:1 ())
         in
         let answers_old = answers db_old and answers_new = answers db_new in
         let g = gate ~old_db:db_old ~new_db:db_new () in
+        (* what a tampered delivery carries: the new version's bundle with
+           its source replaced, built only when a delivery can be *)
+        let forged =
+          if cfg.adoption.Ota.corruption > 0.0 then
+            Some
+              (Update.tampered (Update.bundle new_policy)
+                 ~payload:"policy \"evil\" version 99 { }")
+          else None
+        in
+        let fleet = cfg.adoption.Ota.fleet in
         (* domain [d] takes the contiguous ids
            [d * fleet / domains, (d + 1) * fleet / domains) *)
         let shard d =
-          run_shard ~cfg ~gate_passed:g.passed ~v_old:db_old.Ir.version
-            ~answers_old ~v_new:db_new.Ir.version ~answers_new ~requests ~t_on
-            ~t_off
-            ~lo:(d * cfg.fleet / cfg.domains)
-            ~hi:((d + 1) * cfg.fleet / cfg.domains)
+          run_shard ~cfg ~gate_passed:g.passed ~forged
+            ~v_old:db_old.Ir.version ~answers_old ~v_new:db_new.Ir.version
+            ~answers_new ~requests ~t_on ~t_off
+            ~lo:(d * fleet / cfg.domains)
+            ~hi:((d + 1) * fleet / cfg.domains)
         in
         let outs =
           if cfg.domains = 1 then [| shard 0 |]
@@ -586,7 +610,7 @@ let run ?(old_policy = Policy_map.baseline ~version:1 ())
         let recall_hist = merge_hists (fun o -> o.s_recall_hist) in
         let decisions = sum (fun o -> o.s_decisions) in
         let ota =
-          channel_report ~fleet_never:(cfg.fleet - Histogram.count hist) hist
+          channel_report ~fleet_never:(fleet - Histogram.count hist) hist
         in
         let recall =
           channel_report
@@ -598,40 +622,44 @@ let run ?(old_policy = Policy_map.baseline ~version:1 ())
           else recall.p50_days /. Float.max ota.p50_days cfg.tick_days
         in
         let elapsed_s = Clock.now () -. started_at in
-        Ok
-          {
-            config = cfg;
-            threat_title = row.Threat_catalog.threat.Secpol_threat.Threat.title;
-            threat_day = t_on;
-            gate = g;
-            stages =
-              List.mapi
-                (fun s stage ->
-                  {
-                    stage;
-                    gate_passed = g.passed;
-                    started = g.passed && stage.start_day < cfg.horizon_days;
-                    vehicles = sum_at (fun o -> o.s_assigned) s;
-                    adopted = sum_at (fun o -> o.s_adopted) s;
-                  })
-                cfg.stages;
-            versions =
-              [
-                (db_old.Ir.version, sum (fun o -> o.s_old_count));
-                (db_new.Ir.version, sum (fun o -> o.s_new_count));
-              ];
-            decisions;
-            benign_denied = sum (fun o -> o.s_benign_denied);
-            lock_allowed = sum (fun o -> o.s_lock_allowed);
-            lock_denied = sum (fun o -> o.s_lock_denied);
-            ota;
-            recall;
-            speedup_p50;
-            elapsed_s;
-            throughput_per_s =
-              (if elapsed_s > 0.0 then float_of_int decisions /. elapsed_s
-               else 0.0);
-          }
+        if sum (fun o -> o.s_verified_tampered) > 0 then
+          Error "campaign: a vehicle accepted a tampered bundle"
+        else
+          Ok
+            {
+              config = cfg;
+              threat_title = row.Threat_catalog.threat.Secpol_threat.Threat.title;
+              threat_day = t_on;
+              gate = g;
+              stages =
+                List.mapi
+                  (fun s stage ->
+                    {
+                      stage;
+                      gate_passed = g.passed;
+                      started = g.passed && stage.start_day < cfg.horizon_days;
+                      vehicles = sum_at (fun o -> o.s_assigned) s;
+                      adopted = sum_at (fun o -> o.s_adopted) s;
+                    })
+                  cfg.stages;
+              versions =
+                [
+                  (db_old.Ir.version, sum (fun o -> o.s_old_count));
+                  (db_new.Ir.version, sum (fun o -> o.s_new_count));
+                ];
+              decisions;
+              benign_denied = sum (fun o -> o.s_benign_denied);
+              lock_allowed = sum (fun o -> o.s_lock_allowed);
+              lock_denied = sum (fun o -> o.s_lock_denied);
+              tampered = sum (fun o -> o.s_tampered);
+              ota;
+              recall;
+              speedup_p50;
+              elapsed_s;
+              throughput_per_s =
+                (if elapsed_s > 0.0 then float_of_int decisions /. elapsed_s
+                 else 0.0);
+            }
       end
 
 (* ---------- JSON ---------- *)
@@ -652,7 +680,7 @@ let to_json r =
     [
       ("schema", Json.Int 1);
       ("suite", Json.String "secpol-campaign");
-      ("fleet", Json.Int cfg.fleet);
+      ("fleet", Json.Int cfg.adoption.Ota.fleet);
       ("seed", Json.String (Int64.to_string cfg.seed));
       ("domains", Json.Int cfg.domains);
       ("tick_days", Json.Float cfg.tick_days);

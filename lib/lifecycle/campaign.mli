@@ -1,11 +1,20 @@
-(** Fleet-scale policy-update campaigns.
+(** Fleet-scale policy-update campaigns: the one fleet rollout.
 
-    Where {!Ota} and {!Fleet} model {e when} a new policy version lands on
-    each vehicle, a campaign executes the whole update story end to end
-    and measures what the update buys: every vehicle is served its
-    policy decisions before, during and after the rollout by the version
-    it has installed, and the campaign records how long each vehicle
-    stays exposed to a Table-I threat that goes live mid-run.
+    {!Ota.delay} draws {e when} a new policy version lands on each
+    vehicle; a campaign executes the whole update story end to end and
+    measures what the update buys: every vehicle is served its policy
+    decisions before, during and after the rollout by the version it has
+    installed, and the campaign records how long each vehicle stays
+    exposed to a Table-I threat that goes live mid-run.
+
+    {b Deliveries.}  An update must raise the policy version; an older
+    or equal one is refused before any vehicle is touched.  A delivery
+    arrives tampered with the probability [adoption.corruption]: the
+    vehicle runs the check its install makes first
+    ({!Secpol_policy.Update.verify} on a tampered copy of the new
+    version's bundle), refuses it, and waits for a clean copy over the
+    same channel ({!Ota.delay}).  So every vehicle ends on one of the two
+    versions rolled out.
 
     {b Sharing.}  The fleet holds exactly one compiled
     {!Secpol_policy.Table} per policy version — a million vehicles over a
@@ -48,13 +57,13 @@ type stage = {
 }
 
 type config = {
-  fleet : int;
+  adoption : Ota.params;
+      (** the fleet size and every vehicle's delivery: the staged
+          rollout's delay over the air after its stage starts, and the
+          recall baseline's *)
   seed : int64;
   domains : int;
   stages : stage list;  (** ordered by [start_day], fractions ascending *)
-  ota_mean_days : float;  (** per-vehicle OTA adoption delay mean *)
-  recall_mean_days : float;  (** recall-baseline adoption delay mean *)
-  recall_no_show : float;  (** recall-baseline no-show probability *)
   horizon_days : float;
   tick_days : float;  (** decision-traffic resolution *)
   plan : Secpol_faults.Plan.t;
@@ -69,9 +78,9 @@ type config = {
 val default_config :
   ?fleet:int -> ?seed:int64 -> ?domains:int -> ?quick:bool -> unit -> config
 (** Canary 1% at day 0, cohort 10% at day 2, full fleet at day 5;
-    threat live from day 6; 30-day horizon.  [quick] (default false)
-    halves the tick resolution for smoke runs.  Defaults: [fleet]
-    100_000, [seed] 42, [domains] 1. *)
+    threat live from day 6; 30-day horizon; {!Ota.default_params} with
+    [fleet] vehicles.  [quick] (default false) halves the tick resolution
+    for smoke runs.  Defaults: [fleet] 100_000, [seed] 42, [domains] 1. *)
 
 (** {2 Verifier gate} *)
 
@@ -126,6 +135,8 @@ type report = {
   benign_denied : int;  (** designed traffic denied — 0 on a sound update *)
   lock_allowed : int;  (** burst frames admitted by per-vehicle budgets *)
   lock_denied : int;  (** burst frames shaped off by per-vehicle budgets *)
+  tampered : int;
+      (** the rollout's tampered deliveries, each refused and retried *)
   ota : channel_report;  (** time-to-mitigation under the staged OTA *)
   recall : channel_report;  (** ... under the recall baseline *)
   speedup_p50 : float;
@@ -154,11 +165,13 @@ val run :
 (** Execute a campaign rolling the fleet from [old_policy] (default
     {!Secpol_vehicle.Policy_map.baseline} v1, which leaves row 14 open)
     to [new_policy] (default {!Secpol_vehicle.Policy_map.hardened} v2,
-    which closes it).  Errors on an invalid configuration or a plan
-    without a threat window; a {e refused gate} is not an error — the
-    report carries the verdict and the unmitigated fleet. *)
+    which closes it).  Errors on an invalid configuration, a plan
+    without a threat window, an update that does not raise the version,
+    or a tampered copy that passed the integrity check; a {e refused
+    gate} is not an error — the report carries the verdict and the
+    unmitigated fleet. *)
 
 val to_json : report -> Secpol_policy.Json.t
-(** Stable machine-readable form ([schema] 1).  [elapsed_s] and
-    [throughput_per_s] are the only fields that vary between identical
-    runs. *)
+(** Stable machine-readable form ([schema] 1; [tampered] is not in it).
+    [elapsed_s] and [throughput_per_s] are the only fields that vary
+    between identical runs. *)

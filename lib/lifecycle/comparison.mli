@@ -25,7 +25,9 @@ val run :
   ?params:Ota.params ->
   Response.kind ->
   result
-(** [trials] default 500; [target] default 0.95 of the fleet. *)
+(** [trials] default 500; [target] default 0.95 of the fleet.
+    @raise Invalid_argument on no trials, a target outside (0, 1\], or
+    [params] that fail {!Ota.validate} (from {!Ota.simulate}). *)
 
 val compare_all :
   ?seed:int64 ->

@@ -7,10 +7,56 @@ type params = {
   ota_mean_days : float;
   recall_mean_days : float;
   recall_no_show : float;
+  corruption : float;
 }
 
 let default_params =
-  { fleet = 100_000; ota_mean_days = 3.0; recall_mean_days = 90.0; recall_no_show = 0.25 }
+  {
+    fleet = 100_000;
+    ota_mean_days = 3.0;
+    recall_mean_days = 90.0;
+    recall_no_show = 0.25;
+    corruption = 0.0;
+  }
+
+(* written so that a NaN fails every test *)
+let validate p =
+  if not (p.fleet > 0) then Error "fleet must be positive"
+  else if not (p.ota_mean_days > 0.0) then Error "ota mean must be positive"
+  else if not (p.recall_mean_days > 0.0) then
+    Error "recall mean must be positive"
+  else if not (p.recall_no_show >= 0.0 && p.recall_no_show <= 1.0) then
+    Error "recall no-show outside [0,1]"
+  else if not (p.corruption >= 0.0 && p.corruption < 1.0) then
+    (* at exactly 1 every retry arrives tampered too, and the retry loop
+       would never end *)
+    Error "corruption outside [0,1)"
+  else Ok ()
+
+(* [days], then a clean copy's wait after each tampered delivery.  A
+   delivery that lands at once returns [days] as drawn: no float is
+   boxed beyond the draw's own. *)
+let rec retried rng p mean ~on_tampered days =
+  if Rng.chance rng p.corruption then begin
+    on_tampered ();
+    retried rng p mean ~on_tampered (days +. Rng.exponential rng mean)
+  end
+  else days
+
+let[@inline] delay rng p channel ~on_tampered =
+  match channel with
+  | Recall when Rng.chance rng p.recall_no_show -> infinity
+  | Over_the_air | Recall ->
+      (* a clean copy after a tampered one travels the same channel *)
+      let mean =
+        match channel with
+        | Over_the_air -> p.ota_mean_days
+        | Recall -> p.recall_mean_days
+      in
+      let days = Rng.exponential rng mean in
+      (* a campaign calls this twice a vehicle: at corruption 0 it costs
+         the draw and no further call *)
+      if p.corruption > 0.0 then retried rng p mean ~on_tampered days else days
 
 type rollout = {
   channel : channel;
@@ -79,12 +125,8 @@ let of_times channel times =
   curve channel (Array.copy times)
 
 let simulate rng params channel =
-  if params.fleet <= 0 then invalid_arg "Ota.simulate: empty fleet";
-  (* per-vehicle days until protected; infinity = never *)
+  Result.iter_error (fun e -> invalid_arg ("Ota.simulate: " ^ e))
+    (validate params);
   curve channel
     (Array.init params.fleet (fun _ ->
-         match channel with
-         | Over_the_air -> Rng.exponential rng params.ota_mean_days
-         | Recall ->
-             if Rng.chance rng params.recall_no_show then infinity
-             else Rng.exponential rng params.recall_mean_days))
+         delay rng params channel ~on_tampered:ignore))

@@ -115,50 +115,8 @@ let current_db store name =
   | None -> None
   | Some b -> ( match Compile.of_source b.source with Ok db -> Some db | Error _ -> None)
 
-let rollback store name =
-  match Hashtbl.find_opt store name with
-  | Some (_ :: (prev :: _ as rest)) ->
-      Hashtbl.replace store name rest;
-      Ok prev
-  | Some _ | None -> Error (Printf.sprintf "no earlier version of %s to roll back to" name)
-
 let history store name =
   List.rev (Option.value ~default:[] (Hashtbl.find_opt store name))
 
 let names store =
   Hashtbl.fold (fun k _ acc -> k :: acc) store [] |> List.sort_uniq String.compare
-
-type diff = {
-  added : Ir.rule list;
-  removed : Ir.rule list;
-  default_changed : (Ast.decision * Ast.decision) option;
-}
-
-(* Compare rules by scope + decision, ignoring idx and origin. *)
-let rule_key (r : Ir.rule) =
-  (r.decision, List.sort compare r.ops, r.subjects, r.asset, r.modes, r.messages)
-
-let diff old_p new_p =
-  let old_db = Compile.compile_exn old_p and new_db = Compile.compile_exn new_p in
-  let old_keys = List.map rule_key old_db.rules in
-  let new_keys = List.map rule_key new_db.rules in
-  let added =
-    List.filter (fun r -> not (List.mem (rule_key r) old_keys)) new_db.rules
-  in
-  let removed =
-    List.filter (fun r -> not (List.mem (rule_key r) new_keys)) old_db.rules
-  in
-  let default_changed =
-    if old_db.default <> new_db.default then Some (old_db.default, new_db.default)
-    else None
-  in
-  { added; removed; default_changed }
-
-let pp_diff ppf d =
-  (match d.default_changed with
-  | None -> ()
-  | Some (o, n) ->
-      Format.fprintf ppf "default: %s -> %s@." (Ast.decision_name o)
-        (Ast.decision_name n));
-  List.iter (fun r -> Format.fprintf ppf "+ %a@." Ir.pp_rule r) d.added;
-  List.iter (fun r -> Format.fprintf ppf "- %a@." Ir.pp_rule r) d.removed

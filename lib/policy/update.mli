@@ -3,7 +3,8 @@
 
     A {!bundle} wraps policy source with an integrity checksum; a {!store}
     models the policy state of one device, enforcing monotonically
-    increasing versions with rollback support. *)
+    increasing versions.  A rollback is a newer bundle carrying the old
+    rules. *)
 
 type bundle = private {
   name : string;
@@ -62,23 +63,7 @@ val current : store -> string -> bundle option
 val current_db : store -> string -> Ir.db option
 (** Compiled form of {!current}. *)
 
-val rollback : store -> string -> (bundle, string) result
-(** Revert to the previously installed version.  Errors when there is no
-    earlier version. *)
-
 val history : store -> string -> bundle list
-(** All versions ever installed, oldest first (rollbacks truncate). *)
+(** All versions ever installed, oldest first. *)
 
 val names : store -> string list
-
-type diff = {
-  added : Ir.rule list;
-  removed : Ir.rule list;
-  default_changed : (Ast.decision * Ast.decision) option;
-}
-
-val diff : Ast.policy -> Ast.policy -> diff
-(** Rule-level difference between two policy versions (matching rules by
-    their scope and decision, ignoring source order). *)
-
-val pp_diff : Format.formatter -> diff -> unit

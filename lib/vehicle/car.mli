@@ -46,9 +46,10 @@ val create :
 (** Build the car at simulation time 0.  [enforcement] defaults to
     [Software_filters]; [driving] (default [true]) starts in normal mode at
     speed, engine running.  With [Hpe p] every node's HPE is provisioned
-    for the initial mode and locked.  [obs] wires the bus, the policy
-    engine and every HPE into one telemetry registry; omit it and no
-    telemetry work happens beyond each component's own counters. *)
+    for the initial mode and locked.  [obs] wires the bus and every HPE
+    into one telemetry registry, on simulation time (the policy engine
+    stays out, as in {!Topology_car.create}); omit it and no telemetry
+    work happens beyond each component's own counters. *)
 
 val node : t -> string -> Secpol_can.Node.t
 (** @raise Invalid_argument on unknown node names; use {!Names}. *)

@@ -140,8 +140,8 @@ let compile policy =
     ~known_modes:(List.map Modes.name Modes.all)
     ~known_assets:Names.assets ~known_subjects:Names.assets policy
 
-let engine ?strategy ?obs policy =
-  Secpol_policy.Engine.create ?strategy ?obs (compile policy)
+let engine ?strategy policy =
+  Secpol_policy.Engine.create ?strategy (compile policy)
 
 (* spoof detection: the IDs each node is the only designed producer of *)
 let own_ids node =

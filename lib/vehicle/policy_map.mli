@@ -36,11 +36,9 @@ val compile : Secpol_policy.Ast.policy -> Secpol_policy.Ir.db
 
 val engine :
   ?strategy:Secpol_policy.Engine.strategy ->
-  ?obs:Secpol_obs.Registry.t ->
   Secpol_policy.Ast.policy ->
   Secpol_policy.Engine.t
-(** Compile and wrap in an evaluation engine, optionally instrumented
-    (see {!Secpol_policy.Engine.create}).
+(** Compile and wrap in an evaluation engine.
     @raise Invalid_argument if the policy does not compile. *)
 
 val hpe_configs :

@@ -96,7 +96,9 @@ let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(corrupt_prob = 0.0)
     match placement with
     | `Central -> ([], None, [])
     | `Distributed ->
-        let engine = Policy_map.engine ?obs (Lazy.force policy) in
+        (* not on [obs]: the engine would time its decisions on the host
+           clock, and everything [obs] holds runs on the simulation's *)
+        let engine = Policy_map.engine (Lazy.force policy) in
         let hpes =
           List.map
             (fun (name, node) -> (name, Secpol_hpe.Engine.install ?obs node))

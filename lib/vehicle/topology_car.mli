@@ -46,8 +46,9 @@ val create :
     flows.  [max_in_flight] bounds every gateway's admission queue
     (default {!Secpol_can.Gateway.connect}'s).  [obs] registers every
     segment bus (under [can.seg.<segment>.*], or [can.bus.*] for a
-    one-segment spec), gateway, HPE and the policy engine in one
-    registry. *)
+    one-segment spec), gateway and HPE in one registry, all of them on
+    simulation time.  The policy engine is not in it: it would time its
+    decisions on the host clock (see {!Secpol_policy.Engine.create}). *)
 
 val sim : t -> Secpol_sim.Engine.t
 

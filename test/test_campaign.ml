@@ -3,6 +3,7 @@
    determinism of the whole report across seeds and domain counts. *)
 
 module Campaign = Secpol_lifecycle.Campaign
+module Ota = Secpol_lifecycle.Ota
 module Instance = Secpol_vehicle.Instance
 module Policy_map = Secpol_vehicle.Policy_map
 module Names = Secpol_vehicle.Names
@@ -231,20 +232,20 @@ let test_campaign_completes () =
         s.Campaign.started)
     r.Campaign.stages;
   check Alcotest.int "three stages" 3 (List.length r.Campaign.stages);
-  check Alcotest.int "stages cover the fleet" cfg.Campaign.fleet
+  check Alcotest.int "stages cover the fleet" cfg.Campaign.adoption.Ota.fleet
     (List.fold_left
        (fun acc (s : Campaign.stage_report) -> acc + s.Campaign.vehicles)
        0 r.Campaign.stages);
-  check Alcotest.int "versions cover the fleet" cfg.Campaign.fleet
+  check Alcotest.int "versions cover the fleet" cfg.Campaign.adoption.Ota.fleet
     (List.fold_left (fun acc (_, n) -> acc + n) 0 r.Campaign.versions);
   (* designed traffic stays designed under both versions *)
   check Alcotest.int "no benign denial" 0 r.Campaign.benign_denied;
   (* per-vehicle budgets shape the 3-frame bursts once hardened *)
   check Alcotest.bool "bursts shaped" true (r.Campaign.lock_denied > 0);
-  check Alcotest.int "ota mitigation accounted" cfg.Campaign.fleet
+  check Alcotest.int "ota mitigation accounted" cfg.Campaign.adoption.Ota.fleet
     (r.Campaign.ota.Campaign.mitigated + r.Campaign.ota.Campaign.never);
   check Alcotest.bool "most of the fleet mitigated" true
-    (r.Campaign.ota.Campaign.mitigated > cfg.Campaign.fleet * 9 / 10);
+    (r.Campaign.ota.Campaign.mitigated > cfg.Campaign.adoption.Ota.fleet * 9 / 10);
   check Alcotest.bool "ota beats recall at the median" true
     (r.Campaign.ota.Campaign.p50_days < r.Campaign.recall.Campaign.p50_days);
   check Alcotest.bool "an order of magnitude faster" true
@@ -433,7 +434,7 @@ let test_campaign_gate_refuses_widened_update () =
       check Alcotest.bool "no stage started" false s.Campaign.started;
       check Alcotest.int "nothing adopted" 0 s.Campaign.adopted)
     r.Campaign.stages;
-  check Alcotest.int "whole fleet still on v1" cfg.Campaign.fleet
+  check Alcotest.int "whole fleet still on v1" cfg.Campaign.adoption.Ota.fleet
     (List.assoc 1 r.Campaign.versions);
   check Alcotest.int "nothing mitigated" 0 r.Campaign.ota.Campaign.mitigated;
   (* the old policy keeps answering traffic while the update is refused *)
@@ -449,7 +450,8 @@ let test_campaign_validation () =
           (String.length e >= 9 && String.sub e 0 9 = "campaign:")
   in
   let cfg = small_config () in
-  expect_error "empty fleet" { cfg with Campaign.fleet = 0 };
+  expect_error "empty fleet"
+    { cfg with Campaign.adoption = { cfg.Campaign.adoption with Ota.fleet = 0 } };
   expect_error "no domains" { cfg with Campaign.domains = 0 };
   expect_error "no stages" { cfg with Campaign.stages = [] };
   expect_error "descending fractions"

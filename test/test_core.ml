@@ -91,10 +91,30 @@ let test_respond_to_new_threat () =
        with
       | Some b -> check Alcotest.int "v2 installed" 2 b.Policy.Update.version
       | None -> Alcotest.fail "nothing installed");
-      (* diff against v1 shows added rules, nothing dropped *)
-      let d = Policy.Update.diff first.Pipeline.policy report.Pipeline.policy in
-      Alcotest.(check bool) "rules added" true (d.Policy.Update.added <> []);
-      check Alcotest.int "no rules removed" 0 (List.length d.Policy.Update.removed)
+      (* the update widens exactly one flow: the new threat's legitimate
+         read is granted to its entry point, which v1 denied.  Pinned as
+         it stands; whether it should need an explicit allow-widen is an
+         open question for the one install check *)
+      let d = Policy.Verify.diff first.Pipeline.db report.Pipeline.db in
+      check
+        Alcotest.(list string)
+        "one widened flow"
+        [ "widened: ep_any_node read ev_ecu in normal: deny -> allow" ]
+        (List.map
+           (fun (x : Policy.Verify.delta) ->
+             Printf.sprintf "%s: %s %s %s in %s: %s -> %s"
+               (Policy.Verify.direction_name x.direction)
+               x.cell.subject
+               (Policy.Ir.op_name x.cell.op)
+               x.cell.asset x.cell.mode
+               (Policy.Verify.cls_name x.before)
+               (Policy.Verify.cls_name x.after))
+           d.Policy.Verify.deltas);
+      check Alcotest.bool "the region is every message" true
+        (List.for_all
+           (fun (x : Policy.Verify.delta) ->
+             Policy.Region.equal Policy.Region.full x.region)
+           d.Policy.Verify.deltas)
 
 let test_respond_rejects_invalid_threat () =
   let store = Policy.Update.create () in

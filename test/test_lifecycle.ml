@@ -5,6 +5,9 @@ module Phases = Secpol_lifecycle.Phases
 module Response = Secpol_lifecycle.Response
 module Ota = Secpol_lifecycle.Ota
 module Comparison = Secpol_lifecycle.Comparison
+module Campaign = Secpol_lifecycle.Campaign
+module Policy_map = Secpol_vehicle.Policy_map
+module Plan = Secpol_faults.Plan
 module Rng = Secpol_sim.Rng
 module Stats = Secpol_sim.Stats
 
@@ -90,8 +93,7 @@ let test_policy_always_faster_development () =
 
 (* ---------- OTA / recall roll-out ---------- *)
 
-let small_params =
-  { Ota.fleet = 2000; ota_mean_days = 3.0; recall_mean_days = 90.0; recall_no_show = 0.25 }
+let small_params = { Ota.default_params with Ota.fleet = 2000 }
 
 let test_ota_quantiles_monotone () =
   let rng = Rng.create 3L in
@@ -199,152 +201,169 @@ let prop_quantile_is_sorted_element =
       && plateau = float_of_int adopters /. float_of_int (Array.length times)
       && agree ())
 
-(* ---------- Fleet distribution ---------- *)
-
-module Fleet = Secpol_lifecycle.Fleet
-module Policy = Secpol_policy
-
-let v n =
-  match
-    Policy.Parser.parse
-      (Printf.sprintf "policy \"fleetpol\" version %d { default deny; }" n)
-  with
-  | Ok p -> p
-  | Error e -> Alcotest.fail e
-
-let make_fleet ?(size = 200) () =
-  match Fleet.create ~size (v 1) with
-  | Ok f -> f
-  | Error e -> Alcotest.fail e
-
-let test_fleet_factory_state () =
-  let f = make_fleet () in
-  check Alcotest.int "size" 200 (Fleet.size f);
-  Alcotest.(check (list (pair int int))) "all on v1" [ (1, 200) ] (Fleet.versions f)
-
-let test_fleet_ota_distribution () =
-  let f = make_fleet () in
-  match Fleet.distribute f (Policy.Update.bundle (v 2)) with
-  | Error e -> Alcotest.fail e
-  | Ok dist ->
-      check Alcotest.int "everyone adopts" 200 (Array.length dist.Fleet.adoption_days);
-      check Alcotest.int "none left behind" 0 dist.Fleet.never;
-      Alcotest.(check (list (pair int int))) "all on v2" [ (2, 200) ] (Fleet.versions f);
-      (match Fleet.days_to_quantile dist f 0.95 with
-      | Some d -> Alcotest.(check bool) "p95 within days" true (d > 0.0 && d < 60.0)
-      | None -> Alcotest.fail "p95 unreachable");
-      Alcotest.(check bool) "fraction grows" true
-        (Fleet.protected_fraction dist f ~days:30.0
-        > Fleet.protected_fraction dist f ~days:1.0)
-
-let test_fleet_recall_no_shows () =
-  let f = make_fleet () in
-  let params = { Secpol_lifecycle.Ota.default_params with recall_no_show = 0.5 } in
-  match
-    Fleet.distribute f ~channel:Secpol_lifecycle.Ota.Recall ~params
-      (Policy.Update.bundle (v 2))
-  with
-  | Error e -> Alcotest.fail e
-  | Ok dist ->
-      Alcotest.(check bool) "many never adopt" true (dist.Fleet.never > 50);
-      Alcotest.(check bool) "fleet split across versions" true
-        (List.length (Fleet.versions f) = 2);
-      Alcotest.(check bool) "full protection unreachable" true
-        (Fleet.days_to_quantile dist f 0.99 = None)
-
-let test_fleet_rejects_tampered_deliveries () =
-  let f = make_fleet ~size:100 () in
-  match Fleet.distribute f ~corruption:0.3 (Policy.Update.bundle (v 2)) with
-  | Error e -> Alcotest.fail e
-  | Ok dist ->
-      Alcotest.(check bool) "some deliveries arrived tampered" true
-        (dist.Fleet.tampered_rejections > 5);
-      (* integrity checking means everyone still converges on the real v2 *)
-      Alcotest.(check (list (pair int int))) "clean convergence" [ (2, 100) ]
-        (Fleet.versions f)
-
-let test_fleet_total_corruption_rejected () =
-  (* regression: corruption = 1.0 used to pass validation and then spin
-     forever in the clean-retry loop (every retry arrives tampered too).
-     The boundary is now rejected up front — and the call must return, not
-     hang, which is the real property this test pins. *)
-  let f = make_fleet ~size:5 () in
-  (match Fleet.distribute f ~corruption:1.0 (Policy.Update.bundle (v 2)) with
-  | Ok _ -> Alcotest.fail "corruption=1.0 accepted"
-  | Error e ->
-      Alcotest.(check bool) "error names the open interval" true
-        (String.length e > 0 && e = "Fleet.distribute: corruption outside [0,1)"));
-  (* values strictly inside [0,1) still terminate and converge *)
-  match Fleet.distribute f ~corruption:0.99 (Policy.Update.bundle (v 2)) with
-  | Ok dist ->
-      Alcotest.(check bool) "heavy corruption still converges" true
-        (dist.Fleet.tampered_rejections > 0);
-      Alcotest.(check (list (pair int int))) "on v2" [ (2, 5) ] (Fleet.versions f)
-  | Error e -> Alcotest.fail e
-
-let test_fleet_recall_retries_use_recall_mean () =
-  (* regression: corrupted recall deliveries used to retry after a delay
-     drawn from [ota_mean_days], silently flattering the recall baseline.
-     With a tiny OTA mean and a large recall mean, heavy corruption makes
-     retry delays dominate total adoption time: the distribution is only
-     plausible if retries travelled the recall channel. *)
-  let params =
-    { Secpol_lifecycle.Ota.fleet = 0; ota_mean_days = 0.001;
-      recall_mean_days = 100.0; recall_no_show = 0.0 }
+(* Every vehicle's time on both channels at seed 42, read back as the
+   sorted fleet (a reordered or extra draw changes it), recorded before
+   the campaign drew through the same sampler. *)
+let test_sampler_pinned () =
+  let times channel =
+    let r = Ota.simulate (Rng.create 42L) small_params channel in
+    let n = small_params.Ota.fleet in
+    String.concat ";"
+      (List.init n (fun i ->
+           match
+             r.Ota.days_to_quantile ((float_of_int i +. 0.5) /. float_of_int n)
+           with
+           | Some t -> Printf.sprintf "%h" t
+           | None -> "never"))
   in
-  let f = make_fleet ~size:300 () in
-  match
-    Fleet.distribute f ~channel:Secpol_lifecycle.Ota.Recall ~params
-      ~corruption:0.9 (Policy.Update.bundle (v 2))
-  with
-  | Error e -> Alcotest.fail e
-  | Ok dist ->
-      let n = Array.length dist.Fleet.adoption_days in
-      check Alcotest.int "everyone eventually adopts" 300 n;
-      let mean = Array.fold_left ( +. ) 0.0 dist.Fleet.adoption_days /. float_of_int n in
-      (* expected ~9 retries per device, each ~100 days: the true mean is
-         ~1000 days; under the bug retries cost ~0.001 days and the mean
-         collapses to the ~100-day base delay *)
-      Alcotest.(check bool)
-        (Printf.sprintf "retry delays dominate (mean %.0f days)" mean)
-        true (mean > 400.0)
+  check Alcotest.string "2000 vehicles, seed 42, both channels"
+    "d7f31a9b6c1df82e898443bf79523bf0"
+    (Digest.to_hex
+       (Digest.string (times Ota.Over_the_air ^ "\n" ^ times Ota.Recall)))
 
-let test_fleet_versions_after_partial_rollout () =
-  (* a recall with no-shows leaves the fleet split; versions must account
-     for every device, with the stragglers still on v1 *)
-  let f = make_fleet ~size:400 () in
-  let params = { Secpol_lifecycle.Ota.default_params with recall_no_show = 0.3 } in
-  match
-    Fleet.distribute f ~channel:Secpol_lifecycle.Ota.Recall ~params
-      (Policy.Update.bundle (v 2))
-  with
-  | Error e -> Alcotest.fail e
-  | Ok dist ->
-      let versions = Fleet.versions f in
-      let total = List.fold_left (fun acc (_, n) -> acc + n) 0 versions in
-      check Alcotest.int "every device accounted for" 400 total;
-      let count v = Option.value ~default:0 (List.assoc_opt v versions) in
-      check Alcotest.int "stragglers still on v1" dist.Fleet.never (count 1);
-      check Alcotest.int "adopters on v2"
-        (Array.length dist.Fleet.adoption_days) (count 2);
-      Alcotest.(check bool) "rollout genuinely partial" true
-        (dist.Fleet.never > 0 && count 2 > 0)
+(* ---------- Fleet rollout: tampered deliveries and downgrades ---------- *)
 
-let test_fleet_refuses_downgrade () =
-  let f = make_fleet ~size:10 () in
-  (match Fleet.distribute f (Policy.Update.bundle (v 2)) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  match Fleet.distribute f (Policy.Update.bundle (v 2)) with
-  | Ok _ -> Alcotest.fail "fleet accepted a non-newer bundle"
-  | Error _ -> ()
+(* vehicle [i]'s delay on its own stream, as a campaign draws it, and the
+   deliveries that arrived tampered on the way *)
+let delays ?(fleet = 2000) params channel =
+  let tampered = ref 0 in
+  let days =
+    Array.init fleet (fun i ->
+        Ota.delay (Rng.create (Int64.of_int i)) params channel
+          ~on_tampered:(fun () -> incr tampered))
+  in
+  (days, !tampered)
+
+let mean_finite days =
+  let finite = List.filter Float.is_finite (Array.to_list days) in
+  List.fold_left ( +. ) 0.0 finite /. float_of_int (List.length finite)
+
+let test_tampering_lengthens_ota () =
+  let clean, none = delays Ota.default_params Ota.Over_the_air in
+  let hostile, tampered =
+    delays { Ota.default_params with Ota.corruption = 0.3 } Ota.Over_the_air
+  in
+  check Alcotest.int "no tampering at 0" 0 none;
+  Alcotest.(check bool) "tampered deliveries at 0.3" true (tampered > 0);
+  Alcotest.(check bool) "no delay shorter than on the same seed at 0" true
+    (Array.for_all2 ( <= ) clean hostile);
+  Alcotest.(check bool)
+    (Printf.sprintf "mean %.2f d longer than %.2f d" (mean_finite hostile)
+       (mean_finite clean))
+    true
+    (mean_finite hostile > mean_finite clean)
+
+(* a no-show receives no delivery, so tampering changes none of them *)
+let test_recall_no_shows_untouched () =
+  let never days = Array.map (fun d -> not (Float.is_finite d)) days in
+  let clean, _ = delays Ota.default_params Ota.Recall in
+  let hostile, _ =
+    delays { Ota.default_params with Ota.corruption = 0.5 } Ota.Recall
+  in
+  Alcotest.(check bool) "the same vehicles never show" true
+    (never clean = never hostile);
+  Alcotest.(check bool) "about a quarter" true
+    (let n = Array.fold_left (fun c d -> if d then c + 1 else c) 0 (never clean) in
+     n > 400 && n < 600)
+
+(* regression: a tampered recall delivery was once retried after a delay
+   drawn from the OTA mean, flattering the recall baseline.  With a tiny
+   OTA mean, a large recall mean and heavy tampering, the retries
+   dominate: ~9 of them at ~100 d each put the mean near 1000 d, where
+   retries at the OTA mean would leave it near the 100-d first visit *)
+let test_recall_retries_use_recall_mean () =
+  let params =
+    {
+      Ota.default_params with
+      Ota.ota_mean_days = 0.001;
+      recall_mean_days = 100.0;
+      recall_no_show = 0.0;
+      corruption = 0.9;
+    }
+  in
+  let days, _ = delays ~fleet:300 params Ota.Recall in
+  let mean = mean_finite days in
+  Alcotest.(check bool)
+    (Printf.sprintf "retry delays dominate (mean %.0f days)" mean)
+    true (mean > 400.0)
+
+let quick_config ?(fleet = 400) ?(corruption = 0.0) () =
+  let cfg = Campaign.default_config ~fleet ~quick:true () in
+  { cfg with Campaign.adoption = { cfg.Campaign.adoption with Ota.corruption } }
+
+let run_ok ?old_policy ?new_policy cfg =
+  match Campaign.run ?old_policy ?new_policy cfg with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "campaign failed: %s" e
+
+let check_versions_cover r fleet =
+  Alcotest.(check (list int)) "on v1 and v2 only" [ 1; 2 ]
+    (List.map fst r.Campaign.versions);
+  check Alcotest.int "versions cover the fleet" fleet
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 r.Campaign.versions)
+
+let test_campaign_refuses_tampered () =
+  let clean = run_ok (quick_config ()) in
+  check Alcotest.int "none tampered at 0" 0 clean.Campaign.tampered;
+  let r = run_ok (quick_config ~corruption:0.3 ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d tampered deliveries refused" r.Campaign.tampered)
+    true (r.Campaign.tampered > 0);
+  check_versions_cover r 400
+
+(* corruption 1 would retry forever; the call must return, not hang *)
+let test_total_corruption_refused () =
+  (match Campaign.run (quick_config ~corruption:1.0 ()) with
+  | Ok _ -> Alcotest.fail "corruption 1.0 accepted"
+  | Error e ->
+      check Alcotest.string "refused" "campaign: corruption outside [0,1)" e);
+  Alcotest.check_raises "the sampler's fleet curve refuses it too"
+    (Invalid_argument "Ota.simulate: corruption outside [0,1)") (fun () ->
+      ignore
+        (Ota.simulate (Rng.create 1L)
+           { Ota.default_params with Ota.corruption = 1.0 }
+           Ota.Over_the_air));
+  let r = run_ok (quick_config ~fleet:20 ~corruption:0.99 ()) in
+  Alcotest.(check bool) "0.99 finishes" true (r.Campaign.tampered > 0);
+  check_versions_cover r 20
+
+(* the horizon cuts the fleet stage short: every vehicle is on one of the
+   two versions, and those on v2 are the stages' adopters *)
+let test_versions_after_partial_rollout () =
+  let cfg =
+    {
+      (quick_config ~corruption:0.2 ()) with
+      Campaign.horizon_days = 8.0;
+      plan = Plan.threat_trigger ~at:6.0 ~horizon:8.0 ();
+    }
+  in
+  let r = run_ok cfg in
+  check_versions_cover r 400;
+  let adopted =
+    List.fold_left (fun acc s -> acc + s.Campaign.adopted) 0 r.Campaign.stages
+  in
+  check Alcotest.int "v2 = the stages' adopters" adopted
+    (List.assoc 2 r.Campaign.versions);
+  Alcotest.(check bool) "genuinely partial" true
+    (List.assoc 1 r.Campaign.versions > 0 && adopted > 0)
+
+let test_downgrade_refused () =
+  let v1 = Policy_map.baseline ~version:1 ()
+  and v2 = Policy_map.hardened ~version:2 () in
+  let refused what ~old_policy ~new_policy =
+    match Campaign.run ~old_policy ~new_policy (quick_config ()) with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+        Alcotest.(check bool) (what ^ " refused: " ^ e) true
+          (String.starts_with ~prefix:"campaign: update must raise" e)
+  in
+  refused "v2 -> v1" ~old_policy:v2 ~new_policy:v1;
+  refused "v2 -> v2" ~old_policy:v2 ~new_policy:v2
 
 (* ---------- Comparison (experiment Q2) ---------- *)
 
 let test_comparison_orders_of_magnitude () =
-  let params =
-    { Ota.fleet = 1000; ota_mean_days = 3.0; recall_mean_days = 90.0; recall_no_show = 0.0 }
-  in
+  let params = { Ota.default_params with Ota.fleet = 1000; recall_no_show = 0.0 } in
   let results = Comparison.compare_all ~trials:100 ~target:0.95 ~params () in
   check Alcotest.int "three kinds" 3 (List.length results);
   match Comparison.speedup results with
@@ -356,9 +375,7 @@ let test_comparison_orders_of_magnitude () =
 
 let test_comparison_unreachable_counted () =
   (* with no-shows, a 0.95 target is usually unreachable by recall *)
-  let params =
-    { Ota.fleet = 500; ota_mean_days = 3.0; recall_mean_days = 90.0; recall_no_show = 0.25 }
-  in
+  let params = { Ota.default_params with Ota.fleet = 500 } in
   let r =
     Comparison.run ~trials:50 ~target:0.95 ~params Response.Guideline_redesign
   in
@@ -373,8 +390,8 @@ let test_comparison_robust_across_parameters () =
   List.iter
     (fun (ota_mean, recall_mean) ->
       let params =
-        { Ota.fleet = 500; ota_mean_days = ota_mean; recall_mean_days = recall_mean;
-          recall_no_show = 0.0 }
+        { Ota.default_params with Ota.fleet = 500; ota_mean_days = ota_mean;
+          recall_mean_days = recall_mean; recall_no_show = 0.0 }
       in
       let results = Comparison.compare_all ~trials:50 ~target:0.9 ~params () in
       match Comparison.speedup results with
@@ -391,7 +408,14 @@ let test_comparison_validation () =
       ignore (Comparison.run ~trials:0 Response.Policy_update));
   Alcotest.check_raises "bad target"
     (Invalid_argument "Comparison.run: target outside (0,1]") (fun () ->
-      ignore (Comparison.run ~target:1.5 Response.Policy_update))
+      ignore (Comparison.run ~target:1.5 Response.Policy_update));
+  Alcotest.check_raises "bad params: Ota.validate's reason"
+    (Invalid_argument "Ota.simulate: recall no-show outside [0,1]")
+    (fun () ->
+      ignore
+        (Comparison.run
+           ~params:{ Ota.default_params with Ota.recall_no_show = 1.5 }
+           Response.Policy_update))
 
 let () =
   Alcotest.run "secpol_lifecycle"
@@ -419,17 +443,17 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 30 |])
             prop_quantile_is_sorted_element;
+          quick "sampler draws pinned" test_sampler_pinned;
         ] );
       ( "fleet",
         [
-          quick "factory state" test_fleet_factory_state;
-          quick "OTA distribution" test_fleet_ota_distribution;
-          quick "recall no-shows" test_fleet_recall_no_shows;
-          quick "tampered deliveries rejected" test_fleet_rejects_tampered_deliveries;
-          quick "total corruption rejected" test_fleet_total_corruption_rejected;
-          quick "recall retries use recall mean" test_fleet_recall_retries_use_recall_mean;
-          quick "versions after partial rollout" test_fleet_versions_after_partial_rollout;
-          quick "downgrade refused" test_fleet_refuses_downgrade;
+          quick "OTA distribution" test_tampering_lengthens_ota;
+          quick "recall no-shows" test_recall_no_shows_untouched;
+          quick "tampered deliveries rejected" test_campaign_refuses_tampered;
+          quick "total corruption rejected" test_total_corruption_refused;
+          quick "recall retries use recall mean" test_recall_retries_use_recall_mean;
+          quick "versions after partial rollout" test_versions_after_partial_rollout;
+          quick "downgrade refused" test_downgrade_refused;
         ] );
       ( "comparison",
         [

@@ -1067,22 +1067,6 @@ let test_store_rejects_tampered () =
   | Ok () -> Alcotest.fail "installed tampered bundle"
   | Error _ -> ()
 
-let test_store_rollback () =
-  let store = Update.create () in
-  let v1 = Update.bundle (parse_ok "policy \"p\" version 1 { default deny; }") in
-  let v2 = Update.bundle (parse_ok "policy \"p\" version 2 { default deny; }") in
-  (match Update.rollback store "p" with
-  | Ok _ -> Alcotest.fail "rollback on empty store"
-  | Error _ -> ());
-  ignore (Update.install store v1);
-  ignore (Update.install store v2);
-  (match Update.rollback store "p" with
-  | Ok b -> check Alcotest.int "back to v1" 1 b.Update.version
-  | Error e -> Alcotest.fail e);
-  match Update.rollback store "p" with
-  | Ok _ -> Alcotest.fail "rolled back past the first version"
-  | Error _ -> ()
-
 let test_current_db () =
   let store = Update.create () in
   ignore
@@ -1092,18 +1076,6 @@ let test_current_db () =
   match Update.current_db store "p" with
   | Some db -> check Alcotest.int "compiled" 1 (List.length db.Ir.rules)
   | None -> Alcotest.fail "expected a compiled db"
-
-let test_diff () =
-  let old_p = parse_ok "policy \"p\" version 1 { asset a { allow read from x; } }" in
-  let new_p =
-    parse_ok
-      "policy \"p\" version 2 { default allow; asset a { allow read from x; \
-       allow write from y; } }"
-  in
-  let d = Update.diff old_p new_p in
-  check Alcotest.int "added" 1 (List.length d.Update.added);
-  check Alcotest.int "removed" 0 (List.length d.Update.removed);
-  Alcotest.(check bool) "default changed" true (d.Update.default_changed <> None)
 
 let test_signed_bundles () =
   let key = "oem-provisioned-key" in
@@ -1296,9 +1268,7 @@ let () =
           quick "bundle_of_source" test_bundle_of_source_validates;
           quick "install + downgrade" test_store_install_and_downgrade;
           quick "tampered install" test_store_rejects_tampered;
-          quick "rollback" test_store_rollback;
           quick "current_db" test_current_db;
-          quick "diff" test_diff;
           quick "signed bundles" test_signed_bundles;
           quick "install_signed" test_install_signed;
         ] );
