@@ -23,9 +23,6 @@ type t = {
   watchdog : Watchdog.t;
   plan : Plan.t;
   records : record list;
-  configs : ((Modes.t * string) * Hpe.Config.t) list;
-      (* per (mode, node), cached while the policy engine answers: the
-         scrub path must not depend on a live engine *)
   base_corrupt_prob : float;
   mutable mode_changes : (float * Modes.t) list; (* newest first *)
   mutable stall_started : float option;
@@ -109,12 +106,14 @@ let region_of car kind =
 
 (* ---------- injection ---------- *)
 
+let config_for t ~mode ~node =
+  List.assoc_opt node (Tcar.hpe_configs t.car mode)
+
 let scrub_hpe t node =
   match Tcar.hpe t.car node with
   | None -> ()
   | Some hpe -> (
-      let key = (Tcar.mode t.car, node) in
-      match List.assoc_opt key t.configs with
+      match config_for t ~mode:(Tcar.mode t.car) ~node with
       | None -> ()
       | Some config ->
           Hpe.Registers.hard_reset (Hpe.Engine.registers hpe);
@@ -250,9 +249,10 @@ let create ?(placement = `Distributed) ?(unbounded_gateway = false) ~seed
      check must catch: admission effectively never sheds, so a saturated
      destination grows the in-flight backlog without limit *)
   let max_in_flight = if unbounded_gateway then Some 1_000_000 else None in
+  (* one policy value, so the twin shares the car's image *)
+  let policy = Policy_map.baseline () in
   let build ?obs () =
-    Tcar.create ~seed ~placement ~policy:(Policy_map.baseline ()) ~spec ?obs
-      ?max_in_flight ()
+    Tcar.create ~seed ~placement ~policy ~spec ?obs ?max_in_flight ()
   in
   let obs = Secpol_obs.Registry.create () in
   let car = build ~obs () in
@@ -274,18 +274,6 @@ let create ?(placement = `Distributed) ?(unbounded_gateway = false) ~seed
           placement has none"
          plan.Plan.name
          (Tcar.placement_name placement));
-  let configs =
-    match Tcar.policy_engine car with
-    | None -> []
-    | Some engine ->
-        let table = Policy.Engine.table engine in
-        List.concat_map
-          (fun mode ->
-            List.map
-              (fun (node, config) -> ((mode, node), config))
-              (Policy_map.hpe_configs table mode))
-          Modes.all
-  in
   let clock = Clock.create (Tcar.sim car) in
   let records =
     List.map
@@ -306,7 +294,6 @@ let create ?(placement = `Distributed) ?(unbounded_gateway = false) ~seed
             (Tcar.sim car);
         plan;
         records;
-        configs;
         base_corrupt_prob = Can.Bus.corrupt_prob (lone_bus car);
         mode_changes = [ (0.0, Tcar.mode car) ];
         stall_started = None;
@@ -352,8 +339,6 @@ let mode_at t time =
     | (at, mode) :: older -> if at <= time then mode else find older
   in
   find t.mode_changes
-
-let config_for t ~mode ~node = List.assoc_opt (mode, node) t.configs
 
 (* The fail-safe deadline bound: from the moment the stall starts, the
    watchdog needs one period to notice, [deadline] seconds of *local*

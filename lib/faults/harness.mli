@@ -55,9 +55,9 @@ val create :
     the gateways with an effectively unlimited admission queue — the
     negative-containment configuration CI uses to prove the
     [blast_gateway_backlog] check can fail.  The watchdog pings every
-    10 ms and trips after 50 ms.  Per-(mode, node) HPE configs are cached
-    here, while the policy engine still answers, so scrubs and the
-    fail-safe transition never consult it live.
+    10 ms and trips after 50 ms.  Scrubs and the fail-safe transition
+    read the car's HPE configs ({!Secpol_vehicle.Topology_car.hpe_configs},
+    its policy's image), so they never consult the policy engine.
     @raise Invalid_argument on a plan that fails {!Plan.validate} against
     the car's topology, or that stalls the policy engine of a car that
     has none ([`Central] placement). *)
@@ -104,7 +104,8 @@ val config_for :
   mode:Secpol_vehicle.Modes.t ->
   node:string ->
   Secpol_hpe.Config.t option
-(** The cached HPE config for one (mode, node); [None] without HPE
+(** The car's HPE config for one (mode, node)
+    ({!Secpol_vehicle.Topology_car.hpe_configs}); [None] without HPE
     enforcement. *)
 
 val failsafe_bound : t -> stall_at:float -> float

@@ -137,13 +137,9 @@ type report = {
 
 (* ---------- per-vehicle determinism ---------- *)
 
-let golden = 0x9E3779B97F4A7C15L
-
 (* one independent stream per (seed, vehicle); a second, salted stream
    for the recall baseline so the comparator can never perturb the OTA
    draws *)
-let vehicle_seed seed id = Int64.add seed (Int64.mul golden (Int64.of_int (id + 1)))
-
 let recall_salt = 0x5DEECE66DA5A5A5AL
 
 (* -1: past every stage's fraction *)
@@ -477,8 +473,9 @@ let run_shard ~(cfg : config) ~gate_passed ~forged ~v_old ~answers_old ~v_new
         t.verified_tampered <- t.verified_tampered + 1
     | Some _ | None -> ()
   in
+  let recall_seed = Int64.logxor cfg.seed recall_salt in
   for id = lo to hi - 1 do
-    let rng = Rng.create (vehicle_seed cfg.seed id) in
+    let rng = Rng.keyed cfg.seed id in
     let stage = stage_index cfg.stages (Rng.float rng 1.0) in
     let adopt =
       if stage < 0 then infinity
@@ -490,7 +487,7 @@ let run_shard ~(cfg : config) ~gate_passed ~forged ~v_old ~answers_old ~v_new
         else infinity
       end
     in
-    let rrng = Rng.create (Int64.logxor (vehicle_seed cfg.seed id) recall_salt) in
+    let rrng = Rng.keyed recall_seed id in
     (* the recall comparator is statistical and untruncated: recalls run
        for years, so exposure simply ends when the garage visit lands *)
     let landed = Ota.delay rrng cfg.adoption Ota.Recall ~on_tampered:ignore in

@@ -46,7 +46,8 @@
     mitigation histogram then shows.
 
     {b Determinism.}  Per-vehicle randomness is derived from
-    [(seed, vehicle id)], stage starts are absolute campaign days and the
+    [(seed, vehicle id)] ({!Secpol_sim.Rng.keyed}, so neighbouring
+    vehicles draw unrelated streams), stage starts are absolute campaign days and the
     gate is a static property of the two versions, so shards never
     communicate and the report is identical for every [domains] value. *)
 

@@ -27,6 +27,14 @@ let[@inline] bits64 t =
 
 let split t = create (bits64 t)
 
+(* written out rather than through [create], which would take the mixed
+   counter boxed *)
+let keyed seed key =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0
+    (mix (Int64.add seed (Int64.mul golden_gamma (Int64.of_int (key + 1)))));
+  t
+
 (* The next output cut to an [int], which crosses a call unboxed: its
    low 62 bits, or its top 53 *)
 let bits62 t = Int64.to_int (Int64.logand (bits64 t) 0x3FFFFFFFFFFFFFFFL)

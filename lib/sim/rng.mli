@@ -9,8 +9,17 @@ type t
 (** Mutable generator state. *)
 
 val create : int64 -> t
-(** [create seed] makes a fresh generator from a 64-bit seed.  Distinct seeds
-    give statistically independent streams. *)
+(** [create seed] makes a fresh generator from a 64-bit seed, used as
+    SplitMix64's counter as it is.  Seeds a multiple of the counter's
+    increment apart therefore give one stream shifted by whole draws:
+    [create (Int64.add s gamma)]'s first draw is [create s]'s second.
+    Derive a family of generators from one seed with {!keyed}. *)
+
+val keyed : int64 -> int -> t
+(** [keyed seed key] is the generator of one member of a seeded family,
+    such as one vehicle of a fleet: its counter is SplitMix64's output
+    function over [seed + gamma * (key + 1)], so neighbouring keys give
+    unrelated streams and no key's draws are another's, shifted. *)
 
 val copy : t -> t
 (** [copy t] duplicates the state; the copy evolves independently. *)

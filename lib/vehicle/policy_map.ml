@@ -1,4 +1,5 @@
 module Ast = Secpol_policy.Ast
+module Table = Secpol_policy.Table
 
 let subject_of_node = Names.asset_of_node
 
@@ -160,3 +161,54 @@ let hpe_configs table mode =
     (Secpol_hpe.Config.of_policy table ~mode:(Modes.name mode)
        ~subjects:(List.map Names.asset_of_node Names.nodes)
        ~bindings:Messages.bindings)
+
+(* ---------- the image: one derivation per policy ---------- *)
+
+type image = {
+  policy : Ast.policy;  (* the key, compared physically *)
+  db : Secpol_policy.Ir.db;
+  table : Table.t;
+  configs : (string * Secpol_hpe.Config.t) list Atomic.t array;
+      (* one slot per mode, published on first read; [[]] until then, as
+         every mode's configs list every node *)
+}
+
+let mode_slot = function
+  | Modes.Normal -> 0
+  | Modes.Remote_diagnostic -> 1
+  | Modes.Fail_safe -> 2
+
+(* the image of the last policy built *)
+let last = Atomic.make None
+
+let image policy =
+  match Atomic.get last with
+  | Some i when i.policy == policy -> i
+  | Some _ | None ->
+      let db = compile policy in
+      let i =
+        {
+          policy;
+          db;
+          table = Table.compile ~strategy:Table.Deny_overrides db;
+          configs =
+            Array.init (List.length Modes.all) (fun _ -> Atomic.make []);
+        }
+      in
+      Atomic.set last (Some i);
+      i
+
+let db i = i.db
+
+let table i = i.table
+
+(* two domains that both find a slot empty derive equal lists, and
+   either may publish *)
+let configs i mode =
+  let slot = i.configs.(mode_slot mode) in
+  match Atomic.get slot with
+  | _ :: _ as c -> c
+  | [] ->
+      let c = hpe_configs i.table mode in
+      Atomic.set slot c;
+      c

@@ -49,3 +49,45 @@ val hpe_configs :
     [own_ids], the IDs it is the only designed producer of.
     @raise Invalid_argument when the table was compiled for another
     strategy. *)
+
+(** {2 The image: one derivation per policy}
+
+    A policy's image is everything a car is provisioned from: the
+    compiled database, its frozen [Deny_overrides] table, and every
+    node's HPE configs ({!hpe_configs}) in each mode.  These belong to
+    the policy, not to the vehicle, so cars built from one policy value
+    share one image, and a car build only builds the ECUs, installs the
+    HPEs and provisions them.
+
+    One slot keeps the image of the last policy built, keyed by physical
+    equality of the policy value (the AST is immutable): a build from the
+    same value finds it there, and a build from any other value, even a
+    structurally equal copy, derives a fresh image and replaces it.
+
+    The image is safe to share across domains.  The slot and each mode's
+    configs are [Atomic] cells, and everything they publish is immutable
+    once built (the table is frozen; a provisioned register file copies
+    the lists and budgets it is loaded from).  A mode's configs are
+    derived the first time they are read; two domains that read an
+    empty mode at once both derive it, deterministically, and either
+    publishes. *)
+
+type image
+
+val image : Secpol_policy.Ast.policy -> image
+(** The policy's image: the one in the slot when it was built from this
+    very value, else a fresh one, which then takes the slot.
+    @raise Invalid_argument if the policy does not compile; the slot is
+    left as it was. *)
+
+val db : image -> Secpol_policy.Ir.db
+(** The database, as {!compile} gives it. *)
+
+val table : image -> Secpol_policy.Table.t
+(** The database compiled for [Deny_overrides], the composition the HPE
+    lists model.  Frozen, so it can back any number of engines
+    ({!Secpol_policy.Engine.of_table}). *)
+
+val configs : image -> Modes.t -> (string * Secpol_hpe.Config.t) list
+(** {!hpe_configs} of the image's table in one mode, derived on the first
+    read and shared from then on. *)

@@ -77,14 +77,11 @@ let segment_of_node_exn spec node =
    segment), with destination segments restricted to consumers the policy
    lets read the message in at least one mode.  A consumer may read when
    the resolved answer has a rated allow or its [otherwise] allows: a
-   fresh budget's answer, read off the table the HPE lists model, so no
-   budget is spent while deriving routes. *)
+   fresh budget's answer, read off the image's table the HPE lists
+   model, so no budget is spent while deriving routes. *)
 let flows ?policy ~spec () =
   let policy = match policy with Some p -> p | None -> Policy_map.baseline () in
-  let table =
-    Policy.Table.compile ~strategy:Policy.Table.Deny_overrides
-      (Policy_map.compile policy)
-  in
+  let table = Policy_map.table (Policy_map.image policy) in
   let readable (m : Messages.t) node =
     List.exists
       (fun mode ->

@@ -50,9 +50,10 @@ val flows :
 (** One flow per (message, producing segment); destinations are the
     segments of consumers the policy (default {!Policy_map.baseline})
     permits to read the message in at least one mode, with fresh budgets:
-    {!Secpol_policy.Table.resolver} on a [Deny_overrides] table, the
-    answer the consumer's HPE read list is built from.  Messages no policy
-    lets anyone read produce no flow, so they never cross a gateway. *)
+    {!Secpol_policy.Table.resolver} on the policy's image's table
+    ({!Policy_map.table}), the answer the consumer's HPE read list is
+    built from.  Messages no policy lets anyone read produce no flow, so
+    they never cross a gateway. *)
 
 val minimal_crossing_ids : unit -> int list
 (** Mode-unrestricted safety-critical messages that cross segments of the

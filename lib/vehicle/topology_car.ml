@@ -22,10 +22,11 @@ type t = {
   nodes : (string * Node.t) list;
   hpes : (string * Secpol_hpe.Engine.t) list;
   policy_engine : Secpol_policy.Engine.t option;
-  (* fail-safe HPE configs computed at build time: entering Fail_safe must
-     not depend on the policy engine still answering — the degradation
-     path is exactly for when it does not *)
-  failsafe_configs : (string * Secpol_hpe.Config.t) list;
+  (* what the HPEs are provisioned from in every mode, shared with every
+     car built from the same policy value; never the engine, so entering
+     Fail_safe does not depend on the engine still answering, the
+     degradation path being exactly for when it does not *)
+  image : Policy_map.image option;
 }
 
 let builders =
@@ -40,14 +41,20 @@ let builders =
     (Names.safety, Safety.create);
   ]
 
+(* no closure per node, and no polymorphic compare *)
+let rec config_of name = function
+  | [] -> None
+  | (n, config) :: rest ->
+      if String.equal n name then Some config else config_of name rest
+
 (* Hard-reset and re-provision every HPE from one mode's configs; a
    register file reset this way also recovers from corruption. *)
 let provision_hpes ~what hpes configs =
   List.iter
     (fun (name, hpe) ->
-      match List.find_opt (fun (n, _) -> String.equal n name) configs with
+      match config_of name configs with
       | None -> ()
-      | Some (_, config) -> (
+      | Some config -> (
           Secpol_hpe.Registers.hard_reset (Secpol_hpe.Engine.registers hpe);
           match Secpol_hpe.Engine.provision hpe config with
           | Ok () -> ()
@@ -65,8 +72,8 @@ let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(corrupt_prob = 0.0)
   in
   let spec = match spec with Some s -> s | None -> Segment_map.spec () in
   let sim = Engine.create ~seed () in
-  (* flows only feed gateway whitelists, and deriving them re-compiles the
-     policy and probes every (message, consumer, mode): a spec without
+  (* flows only feed gateway whitelists, and deriving them probes every
+     (message, consumer, mode) of the policy's image: a spec without
      links skips it *)
   let flows =
     if spec.Topology.links = [] then []
@@ -92,24 +99,31 @@ let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(corrupt_prob = 0.0)
      acceptance filters); distributed adds a per-node HPE bank on every
      segment, so a forged-but-legitimately-crossing ID is stopped at its
      source instead of being forwarded. *)
-  let hpes, policy_engine, failsafe_configs =
+  let hpes, policy_engine, image =
     match placement with
-    | `Central -> ([], None, [])
+    | `Central -> ([], None, None)
     | `Distributed ->
-        (* not on [obs]: the engine would time its decisions on the host
-           clock, and everything [obs] holds runs on the simulation's *)
-        let engine = Policy_map.engine (Lazy.force policy) in
+        let image = Policy_map.image (Lazy.force policy) in
+        (* the car's own engine over the shared table: its budgets,
+           counters and stall flag are private.  Not on [obs]: the engine
+           would time its decisions on the host clock, and everything
+           [obs] holds runs on the simulation's *)
+        let engine =
+          Secpol_policy.Engine.of_table (Policy_map.table image)
+            (Policy_map.db image)
+        in
         let hpes =
           List.map
             (fun (name, node) -> (name, Secpol_hpe.Engine.install ?obs node))
             nodes
         in
-        let table = Secpol_policy.Engine.table engine in
         provision_hpes ~what:"HPE provisioning" hpes
-          (Policy_map.hpe_configs table state.State.mode);
-        (hpes, Some engine, Policy_map.hpe_configs table Modes.Fail_safe)
+          (Policy_map.configs image state.State.mode);
+        (* derived now, so entering Fail_safe derives nothing *)
+        ignore (Policy_map.configs image Modes.Fail_safe);
+        (hpes, Some engine, Some image)
   in
-  { sim; topo; state; placement; nodes; hpes; policy_engine; failsafe_configs }
+  { sim; topo; state; placement; nodes; hpes; policy_engine; image }
 
 let sim t = t.sim
 
@@ -133,6 +147,9 @@ let hpe t name = List.assoc_opt name t.hpes
 
 let policy_engine t = t.policy_engine
 
+let hpe_configs t mode =
+  match t.image with Some image -> Policy_map.configs image mode | None -> []
+
 let run t ~seconds = Engine.run_until t.sim (Engine.now t.sim +. seconds)
 
 let mode t = t.state.State.mode
@@ -141,11 +158,7 @@ let set_mode t mode =
   t.state.State.mode <- mode;
   State.log t.state ~time:(Engine.now t.sim)
     (Printf.sprintf "car: mode -> %s" (Modes.name mode));
-  match t.policy_engine with
-  | Some engine ->
-      provision_hpes ~what:"HPE provisioning" t.hpes
-        (Policy_map.hpe_configs (Secpol_policy.Engine.table engine) mode)
-  | None -> ()
+  provision_hpes ~what:"HPE provisioning" t.hpes (hpe_configs t mode)
 
 let enter_fail_safe t ~reason =
   if t.state.State.mode <> Modes.Fail_safe then begin
@@ -153,7 +166,8 @@ let enter_fail_safe t ~reason =
     t.state.State.failsafe_latched <- true;
     State.log t.state ~time:(Engine.now t.sim)
       (Printf.sprintf "car: fail-safe entered (%s)" reason);
-    provision_hpes ~what:"fail-safe provisioning" t.hpes t.failsafe_configs
+    provision_hpes ~what:"fail-safe provisioning" t.hpes
+      (hpe_configs t Modes.Fail_safe)
   end
 
 let segments t = Topology.segments t.topo

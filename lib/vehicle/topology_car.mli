@@ -15,8 +15,12 @@
       provisioned from the policy for the current mode, so forged traffic
       is blocked at its source segment and spoofed IDs at the write gate.
 
-    HPE configs for [Fail_safe] are cached at build time, so degradation
-    never depends on the policy engine answering. *)
+    The HPEs are provisioned from the policy's image
+    ({!Policy_map.image}): cars built from one policy value share its
+    table and its per-mode HPE configs, so a build only builds the ECUs,
+    installs the HPEs and provisions them.  The [Fail_safe] configs are
+    derived by the time the car is built, and no mode change consults
+    the policy engine, so degradation never depends on it answering. *)
 
 type placement = [ `Central | `Distributed ]
 
@@ -70,8 +74,16 @@ val hpe : t -> string -> Secpol_hpe.Engine.t option
 (** [None] for every node under [`Central] placement. *)
 
 val policy_engine : t -> Secpol_policy.Engine.t option
-(** The engine whose compiled table the HPEs are provisioned from
-    ({!Policy_map.hpe_configs}); [None] under [`Central]. *)
+(** The car's own engine over its image's table
+    ({!Secpol_policy.Engine.of_table}): cars built from one policy value
+    share the table, and each keeps its own rate budgets, counters and
+    stall flag.  The HPEs follow the image, not the engine: a
+    {!Secpol_policy.Engine.swap_db} on it moves no HPE.  [None] under
+    [`Central]. *)
+
+val hpe_configs : t -> Modes.t -> (string * Secpol_hpe.Config.t) list
+(** Every HPE's config in one mode, as {!set_mode} provisions it: the
+    image's ({!Policy_map.configs}).  Empty under [`Central]. *)
 
 val run : t -> seconds:float -> unit
 
@@ -80,17 +92,18 @@ val mode : t -> Modes.t
 val set_mode : t -> Modes.t -> unit
 (** Change operating mode.  The mode line enters each HPE as a hardware
     input: under [`Distributed] the engines are hard-reset and
-    re-provisioned for the new mode (firmware is not involved and the
-    lock is re-applied). *)
+    re-provisioned from the new mode's {!hpe_configs} (firmware is not
+    involved and the lock is re-applied). *)
 
 val enter_fail_safe : t -> reason:string -> unit
 (** The degradation path (paper Table I's Fail-safe operating mode): latch
     [Fail_safe], log the reason, and re-provision every HPE from the
-    fail-safe configs cached at build time.  Never consults the policy
-    engine — this is the transition a watchdog takes precisely when the
-    engine has stopped answering — and, because each register file is
-    hard-reset and re-programmed, it also restores HPE integrity after
-    register corruption.  Idempotent once in [Fail_safe]. *)
+    image's fail-safe configs, derived by the time the car was built.
+    Never consults the policy engine — this is the transition a watchdog
+    takes precisely when the engine has stopped answering — and, because
+    each register file is hard-reset and re-programmed, it also restores
+    HPE integrity after register corruption.  Idempotent once in
+    [Fail_safe]. *)
 
 val segments : t -> string list
 

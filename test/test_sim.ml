@@ -144,6 +144,33 @@ let test_rng_split_independent () =
   done;
   Alcotest.(check bool) "split streams differ" true (!same < 4)
 
+(* One seed's keyed family, as a fleet campaign draws its vehicles'
+   rollout streams: over 1,000 consecutive keys, no key's first eight
+   draws share a value with its neighbour's.  The same seeds taken as
+   [create]'s counter unmixed are a SplitMix increment apart, so each
+   stream is its neighbour's shifted by one draw, and every key shares
+   one. *)
+let test_rng_keyed_neighbours_share_no_draw () =
+  let seed = 42L and keys = 1000 in
+  let first8 r = List.init 8 (fun _ -> Rng.bits64 r) in
+  let sharing stream =
+    let rec go key prev acc =
+      if key > keys then acc
+      else
+        let cur = first8 (stream key) in
+        let shares = List.exists (fun x -> List.mem x prev) cur in
+        go (key + 1) cur (if shares then acc + 1 else acc)
+    in
+    go 1 (first8 (stream 0)) 0
+  in
+  check Alcotest.int "keyed neighbours sharing a draw" 0
+    (sharing (Rng.keyed seed));
+  let unmixed key =
+    Rng.create
+      (Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (key + 1))))
+  in
+  check Alcotest.int "unmixed neighbours sharing a draw" keys (sharing unmixed)
+
 let test_rng_copy_diverges_from_original () =
   let a = Rng.create 13L in
   let b = Rng.copy a in
@@ -485,6 +512,8 @@ let () =
           quick "draws allocate no state" test_rng_draws_do_not_allocate;
           quick "int_in bounds" test_rng_int_in;
           quick "split independent" test_rng_split_independent;
+          quick "keyed neighbours share no draw"
+            test_rng_keyed_neighbours_share_no_draw;
           quick "copy diverges" test_rng_copy_diverges_from_original;
           quick "chance extremes" test_rng_chance_extremes;
           quick "float bounds" test_rng_float_bounds;

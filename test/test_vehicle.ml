@@ -739,6 +739,212 @@ let test_os_runtime_hardening () =
   | Ok _ -> Alcotest.fail "escalation survived the policy update"
   | Error _ -> ()
 
+(* ---------- One image per policy ---------- *)
+
+module Table = Secpol_policy.Table
+module Hpe = Secpol_hpe
+
+let engine_of car =
+  match car.Car.policy_engine with
+  | Some e -> e
+  | None -> Alcotest.fail "HPE car without a policy engine"
+
+let test_image_shared_by_value () =
+  let car p = engine_of (Car.create ~enforcement:(Car.Hpe p) ()) in
+  let p = Policy_map.baseline () in
+  let a = car p in
+  let b = car p in
+  Alcotest.(check bool) "one value, one table" true
+    (PEngine.table a == PEngine.table b);
+  let copy = car (Policy_map.baseline ()) in
+  Alcotest.(check bool) "an equal copy, its own table" false
+    (PEngine.table copy == PEngine.table a);
+  let c = car (Policy_map.hardened ()) in
+  let b' = car p in
+  Alcotest.(check bool) "another policy in between, its own table" false
+    (PEngine.table c == PEngine.table a || PEngine.table c == PEngine.table b')
+
+(* Two hardened cars from one value share a table and nothing mutable:
+   one car's engine and HPE budgets, and its stall flag, are its own. *)
+let test_image_cars_isolated () =
+  let p = Policy_map.hardened () in
+  let a = Car.create ~enforcement:(Car.Hpe p) () in
+  let b = Car.create ~enforcement:(Car.Hpe p) () in
+  let lock_write =
+    {
+      Secpol_policy.Ir.mode = Modes.name Modes.Normal;
+      subject = Names.asset_connectivity;
+      asset = Names.door_locks;
+      op = Secpol_policy.Ir.Write;
+      msg_id = Some Messages.lock_command;
+    }
+  in
+  let grants car =
+    List.length
+      (List.filter
+         (fun now -> PEngine.permitted ~now (engine_of car) lock_write)
+         [ 1.0; 2.0; 3.0 ])
+  in
+  let hpe_grants car =
+    match Car.hpe car Names.telematics with
+    | None -> Alcotest.fail "no HPE on telematics"
+    | Some hpe ->
+        List.length
+          (List.filter
+             (fun now ->
+               Hpe.Engine.gate_tx hpe ~now
+                 (Secpol_can.Frame.data_std Messages.lock_command "\x01"))
+             [ 1.0; 2.0; 3.0 ])
+  in
+  check Alcotest.int "car A's engine spends its budget" 2 (grants a);
+  check Alcotest.int "car A's HPE spends its budget" 2 (hpe_grants a);
+  check Alcotest.int "car B's engine still grants 2" 2 (grants b);
+  check Alcotest.int "car B's HPE still grants 2" 2 (hpe_grants b);
+  PEngine.set_stalled (engine_of a) true;
+  Alcotest.(check bool) "car A's engine stalled" true
+    (match PEngine.decide (engine_of a) lock_write with
+    | _ -> false
+    | exception PEngine.Unavailable -> true);
+  Alcotest.(check bool) "car B's engine still answers" true
+    (match PEngine.decide ~now:20.0 (engine_of b) lock_write with
+    | _ -> true
+    | exception PEngine.Unavailable -> false)
+
+(* What a car's HPEs hold in its current mode, by node name: read list,
+   write list and budget table. *)
+let provisioned car =
+  let ids l =
+    List.sort_uniq compare
+      (List.map Secpol_can.Identifier.raw (Hpe.Approved_list.to_ids l))
+  in
+  List.sort compare
+    (List.map
+       (fun (node, hpe) ->
+         let regs = Hpe.Engine.registers hpe in
+         ( node,
+           ( ids (Hpe.Registers.read_list regs),
+             ids (Hpe.Registers.write_list regs),
+             Hpe.Registers.budgets regs ) ))
+       (Tcar.hpes car))
+
+(* ... and what they should hold: the configs of a table compiled afresh
+   from the car's own policy, independent of any image *)
+let expected policy mode =
+  let table =
+    Table.compile ~strategy:Table.Deny_overrides (Policy_map.compile policy)
+  in
+  List.sort compare
+    (List.map
+       (fun (node, (c : Hpe.Config.t)) ->
+         ( node,
+           ( List.sort_uniq compare c.read_ids,
+             List.sort_uniq compare c.write_ids,
+             c.budgets ) ))
+       (Policy_map.hpe_configs table mode))
+
+(* A seeded mutation, as test_campaign's: each allow becomes a deny with
+   probability 1/5, or is rated at 1-3 grants a second with probability
+   1/4. *)
+let mutate rng (p : Secpol_policy.Ast.policy) =
+  let module Ast = Secpol_policy.Ast in
+  let rule (r : Ast.rule) =
+    if r.Ast.decision <> Ast.Allow then r
+    else
+      let u = Secpol_sim.Rng.float rng 1.0 in
+      if u < 0.2 then { r with Ast.decision = Ast.Deny; rate = None }
+      else if u < 0.45 then
+        let count = Secpol_sim.Rng.int_in rng 1 3 in
+        { r with Ast.rate = Some (Ast.rate_limit ~count ~window_ms:1000) }
+      else r
+  in
+  let block (b : Ast.asset_block) =
+    { b with Ast.rules = List.map rule b.Ast.rules }
+  in
+  let section = function
+    | Ast.Global b -> Ast.Global (block b)
+    | Ast.Modes (modes, blocks) -> Ast.Modes (modes, List.map block blocks)
+    | Ast.Default _ as s -> s
+  in
+  { p with Ast.sections = List.map section p.Ast.sections }
+
+(* A seeded build sequence: 1-6 cars, each from a value of a small pool
+   (baseline, hardened, permissive and two mutations) or from a fresh
+   value, on the flat or the four-segment car.  Once every car is built,
+   each is walked through every mode (set_mode, then enter_fail_safe)
+   and its HPEs must hold exactly its own policy's configs. *)
+let prop_image_per_car =
+  QCheck.Test.make ~name:"every car's HPEs hold its own policy's configs"
+    ~count:60 QCheck.int64
+    (fun seed ->
+      let rng = Secpol_sim.Rng.create seed in
+      let fresh k =
+        match k with
+        | 0 -> Policy_map.baseline ()
+        | 1 -> Policy_map.hardened ()
+        | 2 -> Policy_map.permissive ()
+        | 3 -> mutate rng (Policy_map.baseline ())
+        | _ -> mutate rng (Policy_map.hardened ())
+      in
+      let pool = Array.init 5 fresh in
+      let builds = Secpol_sim.Rng.int_in rng 1 6 in
+      let cars =
+        List.init builds (fun _ ->
+            let k = Secpol_sim.Rng.int rng 5 in
+            let policy =
+              if Secpol_sim.Rng.bool rng then pool.(k) else fresh k
+            in
+            let spec =
+              if Secpol_sim.Rng.bool rng then V.Segment_map.flat_spec ()
+              else V.Segment_map.spec ()
+            in
+            (policy, Tcar.create ~policy ~spec ()))
+      in
+      let holds mode =
+        List.for_all
+          (fun (policy, car) -> provisioned car = expected policy mode)
+          cars
+      in
+      holds Modes.Normal
+      && List.for_all
+           (fun mode ->
+             List.iter (fun (_, car) -> Tcar.set_mode car mode) cars;
+             holds mode)
+           [ Modes.Remote_diagnostic; Modes.Normal; Modes.Fail_safe ]
+      && begin
+           List.iter
+             (fun (_, car) ->
+               Tcar.set_mode car Modes.Normal;
+               Tcar.enter_fail_safe car ~reason:"test")
+             cars;
+           holds Modes.Fail_safe
+         end)
+
+(* Two domains build 100 cars each, alternating two policy values, so
+   the slot changes hands between and during builds. *)
+let test_image_two_domains () =
+  let base = Policy_map.baseline () and hard = Policy_map.hardened () in
+  let want =
+    List.map
+      (fun p -> (p, List.map (fun m -> (m, expected p m)) Modes.all))
+      [ base; hard ]
+  in
+  let build_and_check first () =
+    let wrong = ref 0 in
+    for i = 0 to 99 do
+      let policy = if (i + first) mod 2 = 0 then base else hard in
+      let car = Tcar.create ~policy ~spec:(V.Segment_map.flat_spec ()) () in
+      let own = List.assq policy want in
+      if provisioned car <> List.assoc Modes.Normal own then incr wrong;
+      Tcar.enter_fail_safe car ~reason:"test";
+      if provisioned car <> List.assoc Modes.Fail_safe own then incr wrong
+    done;
+    !wrong
+  in
+  let other = Domain.spawn (build_and_check 1) in
+  let here = build_and_check 0 () in
+  check Alcotest.int "cars with another policy's lists" 0
+    (here + Domain.join other)
+
 let () =
   Alcotest.run "secpol_vehicle"
     [
@@ -767,6 +973,14 @@ let () =
           quick "hardened closes row 14" test_hardened_closes_row14_on_car;
           quick "hardened leaves benign traffic alone"
             test_hardened_benign_unharmed;
+        ] );
+      ( "image",
+        [
+          quick "one policy value, one table" test_image_shared_by_value;
+          quick "cars keep their own budgets and stall"
+            test_image_cars_isolated;
+          QCheck_alcotest.to_alcotest prop_image_per_car;
+          quick "two domains" test_image_two_domains;
         ] );
       ( "table1",
         [
