@@ -899,7 +899,7 @@ let topology ~quick =
 (* Decision service                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* End-to-end cost of the daemon: wire codec + connection thread +
+(* End-to-end cost of the daemon: wire codec + server thread +
    admission + pool hand-off + decide_batch, measured from a client over
    the Unix socket — the number a deployment actually sees, as opposed
    to parscale's in-process shard throughput.  Each rung also counts the
@@ -907,10 +907,12 @@ let topology ~quick =
    process, and with worker domains alive each collection stops them
    all) and the minor words they allocate per request ([Gc.minor_words]
    counts the calling domain, which runs the client and the daemon's
-   connection threads: encode, decode, routing and answer; the arena
-   fill runs on the workers), and times
-   one-request decides on the same open connection, whose latency is the
-   hand-off alone. *)
+   server threads: encode, decode, routing and answer; the arena fill
+   runs on the workers), times one-request decides on the same open
+   connection, whose latency is the hand-off alone, and times short
+   sessions (connect, one decide of the batch, close), whose latency
+   adds what the daemon spends taking on and letting go of a
+   connection. *)
 let serve ~quick =
   section "Decision service: secpold end to end over its unix socket";
   let db = Policy.Compile.compile_exn (V.Policy_map.baseline ()) in
@@ -931,8 +933,9 @@ let serve ~quick =
     (String.concat "/" (List.map string_of_int ladder))
     warmup repeats
     (Domain.recommended_domain_count ());
-  Printf.printf "%-22s %12s %14s %16s %12s %14s\n" "configuration" "elapsed s"
-    "req/s" "minor GC/batch" "words/req" "1-req p50 us";
+  Printf.printf "%-22s %12s %14s %16s %12s %14s %16s\n" "configuration"
+    "elapsed s" "req/s" "minor GC/batch" "words/req" "1-req p50 us"
+    "session p50 us";
   let rungs =
     List.map
       (fun domains ->
@@ -988,15 +991,34 @@ let serve ~quick =
                       1e6 *. (Secpol_obs.Clock.now () -. t0))
                 in
                 let one_p50_us = Protocol.median single_us in
-                Printf.printf "%-22s %12.4f %14.0f %16.2f %12.2f %14.1f\n"
+                let session_us =
+                  Array.init singles (fun _ ->
+                      let t0 = Secpol_obs.Clock.now () in
+                      let session = Serve_client.connect socket_path in
+                      ignore (Serve_client.decide session batch_reqs);
+                      Serve_client.close session;
+                      1e6 *. (Secpol_obs.Clock.now () -. t0))
+                in
+                let session_p50_us = Protocol.median session_us in
+                Printf.printf
+                  "%-22s %12.4f %14.0f %16.2f %12.2f %14.1f %16.1f\n"
                   (Printf.sprintf "%d domain(s)" domains)
-                  median_s throughput per_batch words_per_request one_p50_us;
+                  median_s throughput per_batch words_per_request one_p50_us
+                  session_p50_us;
                 ( domains,
-                  median_s,
                   throughput,
-                  per_batch,
-                  words_per_request,
-                  one_p50_us ))))
+                  Json.Obj
+                    [
+                      ("domains", Json.Int domains);
+                      ("requests", Json.Int total);
+                      ("batch", Json.Int batch);
+                      ("elapsed_s", Json.Float median_s);
+                      ("throughput_per_s", Json.Float throughput);
+                      ("minor_collections_per_batch", Json.Float per_batch);
+                      ("minor_words_per_request", Json.Float words_per_request);
+                      ("decide_one_p50_us", Json.Float one_p50_us);
+                      ("session_p50_us", Json.Float session_p50_us);
+                    ] ))))
       ladder
   in
   Json.Obj
@@ -1006,29 +1028,8 @@ let serve ~quick =
       ("quick", Json.Bool quick);
       ("transport", Json.String "unix-socket");
       ("meta", Protocol.meta ());
-      ( "runs",
-        Json.List
-          (List.map
-             (fun ( domains,
-                    elapsed_s,
-                    throughput,
-                    per_batch,
-                    words_per_request,
-                    one_p50_us ) ->
-               Json.Obj
-                 [
-                   ("domains", Json.Int domains);
-                   ("requests", Json.Int total);
-                   ("batch", Json.Int batch);
-                   ("elapsed_s", Json.Float elapsed_s);
-                   ("throughput_per_s", Json.Float throughput);
-                   ("minor_collections_per_batch", Json.Float per_batch);
-                   ("minor_words_per_request", Json.Float words_per_request);
-                   ("decide_one_p50_us", Json.Float one_p50_us);
-                 ])
-             rungs) );
-      ( "scaling",
-        top_over_one (List.map (fun (d, _, t, _, _, _) -> (d, t)) rungs) );
+      ("runs", Json.List (List.map (fun (_, _, run) -> run) rungs));
+      ("scaling", top_over_one (List.map (fun (d, t, _) -> (d, t)) rungs));
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -93,7 +93,7 @@ let serve_cmd =
             in
             Sys.set_signal Sys.sigint (Sys.Signal_handle stop_on);
             Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_on);
-            (* the accept threads do the work; park the main thread *)
+            (* the server threads accept and serve; park the main thread *)
             let rec sleep () =
               Unix.sleep 3600;
               sleep ()

@@ -38,11 +38,14 @@ type t = {
   started_at : float;
   stop : bool Atomic.t;
   reload_mu : Mutex.t; (* serialises compile + gate + swap *)
-  conns_mu : Mutex.t;
-  mutable conns : (Unix.file_descr * Thread.t) list;
-      (* the open connections, each with the thread serving it *)
-  mutable listeners : Unix.file_descr list;
-  mutable accepters : Thread.t list;
+  mu : Mutex.t; (* guards the accept role, [servers] and [conns] *)
+  role_free : Condition.t; (* the accept role was given up, or [stop] set *)
+  mutable leader : bool;
+      (* a server thread holds the accept role or was started to take it *)
+  mutable waiting : int; (* server threads waiting for the role *)
+  mutable servers : Thread.t list; (* the live server threads *)
+  mutable conns : Unix.file_descr list; (* the open connections *)
+  listeners : Unix.file_descr list;
   mutable stopped : bool;
   c_connections : Obs.Counter.t;
   c_requests : Obs.Counter.t;
@@ -53,6 +56,8 @@ type t = {
   c_wire_errors : Obs.Counter.t;
   c_reloads : Obs.Counter.t;
   c_reloads_refused : Obs.Counter.t;
+  c_threads_started : Obs.Counter.t;
+  c_thread_errors : Obs.Counter.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -174,6 +179,10 @@ let stats_json t =
   let domains = Pool.domains t.pool in
   let merged = Registry.create () in
   Registry.merge_into ~into:merged t.registry;
+  (* merging leaves gauges out: sample the daemon's own into the view *)
+  List.iter
+    (fun (name, v) -> Registry.register_gauge merged name (fun () -> v))
+    (Registry.gauges t.registry);
   let engine = ref Engine.zero_stats in
   let missing = ref 0 in
   (* Each shard snapshots itself as a job, so the snapshot reads
@@ -221,12 +230,12 @@ let stats_json t =
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* A connection's thread ends here: it takes itself out of [conns] and
-   only then closes its fd, so an fd [stop] finds in [conns] is open. *)
+(* A session ends here: its fd leaves [conns] and only then is closed, so
+   an fd [stop] finds in [conns] is open. *)
 let drop_conn t fd =
-  Mutex.lock t.conns_mu;
-  t.conns <- List.filter (fun (c, _) -> c <> fd) t.conns;
-  Mutex.unlock t.conns_mu;
+  Mutex.lock t.mu;
+  t.conns <- List.filter (fun c -> c <> fd) t.conns;
+  Mutex.unlock t.mu;
   close_quiet fd
 
 let handle_msg t = function
@@ -261,30 +270,98 @@ let connection_loop t fd =
   in
   loop ()
 
+(* Sessions are served leader/followers.  One server thread at a time
+   holds the accept role: it accepts a connection, gives the role up and
+   serves that connection itself, so no session is handed to another
+   thread.  The role goes to a thread waiting for it, or to a thread
+   started for it when none waits.  A thread whose session closes takes
+   the role if it is free, waits for it unless two threads already wait,
+   and exits otherwise: one waiter takes the role at the next accept, and
+   the other covers the moment before the thread that just served gets
+   back.  So sequential sessions start no thread, and a burst's threads
+   leave once it ends. *)
+
 (* A blocked [accept] is not reliably woken by closing the listener from
-   another thread, so the loop polls readability with a short [select]
+   another thread, so the leader polls readability with a short [select]
    timeout and re-checks the stop flag between polls — shutdown latency
    is bounded by the poll period, with no wake-up trickery. *)
-let accept_loop t listener =
-  let rec loop () =
-    if not (Atomic.get t.stop) then begin
-      match Unix.select [ listener ] [] [] 0.1 with
-      | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ ->
-          (match Unix.accept listener with
-          | exception Unix.Unix_error _ -> ()
-          | fd, _ ->
-              Obs.Counter.incr t.c_connections;
-              (* the thread is listed before it can reach [drop_conn],
-                 which waits for this lock *)
-              Mutex.protect t.conns_mu (fun () ->
-                  let th = Thread.create (fun () -> connection_loop t fd) () in
-                  t.conns <- (fd, th) :: t.conns));
-          loop ()
+let rec accept_one t =
+  if Atomic.get t.stop then None
+  else
+    match Unix.select t.listeners [] [] 0.1 with
+    | exception Unix.Unix_error (EINTR, _, _) -> accept_one t
+    | [], _, _ -> accept_one t
+    | listener :: _, _, _ -> (
+        match Unix.accept listener with
+        | exception Unix.Unix_error _ -> accept_one t
+        | fd, _ -> Some fd)
+
+(* Under [t.mu], which it releases: the calling thread takes itself off
+   [servers], and its thread function returns next. *)
+let leave t =
+  let me = Thread.id (Thread.self ()) in
+  t.servers <- List.filter (fun th -> Thread.id th <> me) t.servers;
+  Mutex.unlock t.mu
+
+(* Holding the accept role. *)
+let rec lead t =
+  match accept_one t with
+  | None ->
+      Mutex.lock t.mu;
+      leave t
+  | Some fd ->
+      Mutex.lock t.mu;
+      if Atomic.get t.stop then begin
+        (* [stop] may have shut its connections down already *)
+        leave t;
+        close_quiet fd
+      end
+      else begin
+        Obs.Counter.incr t.c_connections;
+        t.conns <- fd :: t.conns;
+        pass_role t;
+        Mutex.unlock t.mu;
+        connection_loop t fd;
+        follow t
+      end
+
+(* Under [t.mu]: the leader gives the accept role to a waiting thread, or
+   to one started for it.  If none can be started the role is left free
+   and the first thread whose session closes takes it, the leader itself
+   at the latest: every accepted connection is served, and accepting
+   resumes. *)
+and pass_role t =
+  if t.waiting > 0 then begin
+    t.leader <- false;
+    Condition.signal t.role_free
+  end
+  else
+    match Thread.create lead t with
+    | th ->
+        t.servers <- th :: t.servers;
+        Obs.Counter.incr t.c_threads_started
+    | exception (Sys_error _ | Out_of_memory) ->
+        t.leader <- false;
+        Obs.Counter.incr t.c_thread_errors
+
+(* After a session: take the accept role when it is free, wait for it
+   unless two threads already wait, or exit. *)
+and follow t =
+  Mutex.lock t.mu;
+  if Atomic.get t.stop || (t.leader && t.waiting >= 2) then leave t
+  else begin
+    t.waiting <- t.waiting + 1;
+    while t.leader && not (Atomic.get t.stop) do
+      Condition.wait t.role_free t.mu
+    done;
+    t.waiting <- t.waiting - 1;
+    if Atomic.get t.stop then leave t
+    else begin
+      t.leader <- true;
+      Mutex.unlock t.mu;
+      lead t
     end
-  in
-  loop ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -317,6 +394,12 @@ let start ?(config = default_config) db =
     Registry.register_counter registry ("serve." ^ name) c;
     c
   in
+  let listeners =
+    listen_unix config.socket_path
+    :: (match config.tcp_port with
+       | None -> []
+       | Some port -> [ listen_tcp port ])
+  in
   let t =
     {
       config;
@@ -325,10 +408,13 @@ let start ?(config = default_config) db =
       started_at = Clock.now ();
       stop = Atomic.make false;
       reload_mu = Mutex.create ();
-      conns_mu = Mutex.create ();
+      mu = Mutex.create ();
+      role_free = Condition.create ();
+      leader = true;
+      waiting = 0;
+      servers = [];
       conns = [];
-      listeners = [];
-      accepters = [];
+      listeners;
       stopped = false;
       c_connections = counter "connections";
       c_requests = counter "requests";
@@ -339,17 +425,16 @@ let start ?(config = default_config) db =
       c_wire_errors = counter "wire_errors";
       c_reloads = counter "reloads";
       c_reloads_refused = counter "reloads_refused";
+      c_threads_started = counter "threads_started";
+      c_thread_errors = counter "thread_errors";
     }
   in
-  let listeners =
-    listen_unix config.socket_path
-    :: (match config.tcp_port with
-       | None -> []
-       | Some port -> [ listen_tcp port ])
-  in
-  t.listeners <- listeners;
-  t.accepters <-
-    List.map (fun l -> Thread.create (fun () -> accept_loop t l) ()) listeners;
+  Registry.register_gauge registry "serve.threads" (fun () ->
+      float_of_int (List.length t.servers));
+  (* the first leader, listed before it can reach [leave] *)
+  Mutex.protect t.mu (fun () ->
+      t.servers <- [ Thread.create lead t ];
+      Obs.Counter.incr t.c_threads_started);
   t
 
 let epoch t = Pool.epoch t.pool
@@ -362,32 +447,33 @@ let shed t = Obs.Counter.value t.c_shed
 
 let pool t = t.pool
 
-let connections t =
-  Mutex.lock t.conns_mu;
-  let n = List.length t.conns in
-  Mutex.unlock t.conns_mu;
-  n
+let connections t = Mutex.protect t.mu (fun () -> List.length t.conns)
+
+let threads t = Mutex.protect t.mu (fun () -> List.length t.servers)
+
+let threads_started t = Obs.Counter.value t.c_threads_started
 
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
+    (* The leader notices the flag at its next poll, a waiting thread at
+       the broadcast.  [shutdown] (not [close]) wakes a thread blocked in
+       read with EOF; it then closes its own fd and exits, so no fd is
+       ever closed under a thread still using it.  The flag is set under
+       the lock, so no thread starts after this pass and a connection
+       accepted after it is closed unserved; the threads that already
+       exited are gone from the list and need no join. *)
+    Mutex.lock t.mu;
     Atomic.set t.stop true;
-    (* accept loops notice the flag at their next poll *)
-    List.iter Thread.join t.accepters;
-    List.iter close_quiet t.listeners;
-    (* [shutdown] (not [close]) wakes a connection thread blocked in
-       read with EOF; each thread then closes its own fd and exits, so
-       no fd is ever closed under a thread still using it.  Under the
-       lock every listed fd is still open; the threads of connections
-       that already ended are gone from the list and need no join. *)
-    Mutex.lock t.conns_mu;
-    let conns = t.conns in
+    Condition.broadcast t.role_free;
     List.iter
-      (fun (fd, _) ->
+      (fun fd ->
         try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      conns;
-    Mutex.unlock t.conns_mu;
-    List.iter (fun (_, th) -> Thread.join th) conns;
+      t.conns;
+    let servers = t.servers in
+    Mutex.unlock t.mu;
+    List.iter Thread.join servers;
+    List.iter close_quiet t.listeners;
     Pool.shutdown t.pool;
     try Unix.unlink t.config.socket_path with Unix.Unix_error _ -> ()
   end

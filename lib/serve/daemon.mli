@@ -26,7 +26,15 @@
       connection dropped — the daemon itself never dies from a frame.
 
     Transport is a Unix-domain socket, plus an optional loopback TCP
-    port; one thread per connection, messages framed by {!Wire}. *)
+    port, with messages framed by {!Wire}.  Sessions are served
+    leader/followers: the server thread that accepts a connection serves
+    it, and the accept role passes to a thread waiting for it.  A thread
+    is started only when no thread waits, and a thread whose session
+    closes waits for the role unless two already wait, so sequential
+    sessions start no thread and at most three server threads stay once
+    a burst of sessions has ended.  A thread that cannot be started is
+    counted ([serve.thread_errors]); the leader then serves its own
+    connection and accepts again once it closes. *)
 
 type config = {
   socket_path : string;
@@ -56,8 +64,9 @@ val start : ?config:config -> Secpol_policy.Ir.db -> t
     @raise Unix.Unix_error when a socket cannot be bound. *)
 
 val stop : t -> unit
-(** Stop accepting, close every connection, drain and join the pool,
-    unlink the Unix socket.  Idempotent. *)
+(** Stop accepting, shut every open connection down, join every server
+    thread, drain and join the pool, unlink the Unix socket.
+    Idempotent. *)
 
 val epoch : t -> int
 (** Generation currently being served (1 until the first reload). *)
@@ -70,9 +79,16 @@ val shed : t -> int
 (** Requests answered with shed fail-safe denies at admission. *)
 
 val connections : t -> int
-(** Open connections, each with the thread serving it.  A connection
-    leaves the count when its thread exits, so a closed session leaves
-    nothing behind for {!stop} to join. *)
+(** Open connections.  A connection leaves the count when its session
+    ends, before the thread that served it turns to the accept role. *)
+
+val threads : t -> int
+(** Live server threads: the leader, the threads serving sessions and
+    those waiting for the accept role (the [serve.threads] gauge). *)
+
+val threads_started : t -> int
+(** Server threads started since {!start}, the first leader included
+    (the [serve.threads_started] counter). *)
 
 val pool : t -> Secpol_par.Pool.t
 (** The serving pool — exposed for tests (stall injection, epoch

@@ -782,25 +782,92 @@ let test_daemon_survives_garbage () =
           check Alcotest.bool "daemon alive" true
             (Client.decide_one client (req "sensors" "telemetry"))))
 
-(* A closed session leaves nothing behind: its thread leaves the
-   daemon's list as it exits, so past sessions hold no memory and [stop]
-   joins only the connections still open. *)
-let test_daemon_forgets_closed_sessions () =
+let settle ready =
+  let rec go tries =
+    if (not (ready ())) && tries > 0 then begin
+      Thread.delay 0.001;
+      go (tries - 1)
+    end
+  in
+  go 10_000
+
+(* A closed session's fd leaves the daemon's list, and the thread that
+   served it waits for the accept role again, so 1,000 sequential
+   sessions start almost no thread (one per session would be 1,000).  A
+   burst needs a thread per open session; once it has ended, at most two
+   threads wait beside the leader. *)
+let test_daemon_reuses_session_threads () =
   with_daemon ~domains:1 old_source (fun daemon socket_path ->
-      for _ = 1 to 1000 do
+      let session () =
         with_client socket_path (fun client ->
             ignore (Client.decide_one client (req "sensors" "telemetry")))
-      done;
-      (* the last session's thread leaves once it reads the EOF *)
-      let rec settle tries =
-        if Daemon.connections daemon > 0 && tries > 0 then begin
-          Thread.delay 0.001;
-          settle (tries - 1)
-        end
       in
-      settle 10_000;
-      check Alcotest.int "connection threads tracked after 1000 sessions" 0
-        (Daemon.connections daemon))
+      for _ = 1 to 1000 do
+        session ()
+      done;
+      (* the last session's fd leaves the list once its thread reads EOF *)
+      settle (fun () -> Daemon.connections daemon = 0);
+      check Alcotest.int "connections tracked after 1000 sessions" 0
+        (Daemon.connections daemon);
+      let started = Daemon.threads_started daemon in
+      check Alcotest.bool
+        (Printf.sprintf "threads started by 1000 sequential sessions: %d < 50"
+           started)
+        true (started < 50);
+      let burst = List.init 8 (fun _ -> Client.connect socket_path) in
+      List.iter
+        (fun client ->
+          check Alcotest.bool "burst session answered" true
+            (Client.decide_one client (req "sensors" "telemetry")))
+        burst;
+      List.iter Client.close burst;
+      for _ = 1 to 100 do
+        session ()
+      done;
+      settle (fun () -> Daemon.threads daemon <= 3);
+      let live = Daemon.threads daemon in
+      check Alcotest.bool
+        (Printf.sprintf "server threads live after the burst: %d <= 3" live)
+        true (live <= 3))
+
+(* [stop] shuts an idle open session down rather than waiting for its
+   client: it returns promptly, and the client reads EOF. *)
+let test_daemon_stop_with_open_session () =
+  with_daemon ~domains:1 old_source (fun daemon socket_path ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX socket_path);
+          (* one answer: the session is open and its thread idle in read *)
+          Wire.output_msg fd
+            (Wire.Decide_req
+               { id = 1; reqs = Wire.intern [| req "sensors" "telemetry" |] });
+          (match Wire.input_msg fd with
+          | Wire.Decide_resp { allows = [| true |]; _ } -> ()
+          | m -> Alcotest.failf "unexpected %s" (Wire.type_name m));
+          let stopped = Atomic.make false in
+          let stopper =
+            Thread.create
+              (fun () ->
+                Daemon.stop daemon;
+                Atomic.set stopped true)
+              ()
+          in
+          let t0 = Unix.gettimeofday () in
+          settle (fun () ->
+              Atomic.get stopped || Unix.gettimeofday () -. t0 > 2.0);
+          let elapsed = Unix.gettimeofday () -. t0 in
+          check Alcotest.bool
+            (Printf.sprintf "stop returned within 2 s (%.3f s)" elapsed)
+            true (Atomic.get stopped);
+          Thread.join stopper;
+          let eof =
+            match Unix.select [ fd ] [] [] 2.0 with
+            | [], _, _ -> false
+            | _ -> Unix.read fd (Bytes.create 1) 0 1 = 0
+          in
+          check Alcotest.bool "the client reads EOF" true eof))
 
 let test_daemon_failsafe_on_stall () =
   with_daemon ~domains:1 old_source (fun daemon socket_path ->
@@ -1028,8 +1095,9 @@ let () =
           quick "reload rejects garbage" test_daemon_reload_rejects_garbage;
           quick "hot swap under load" test_daemon_swap_under_load;
           quick "survives malformed frames" test_daemon_survives_garbage;
-          quick "closed sessions leave no thread"
-            test_daemon_forgets_closed_sessions;
+          quick "sessions leave at most two idle threads"
+            test_daemon_reuses_session_threads;
+          quick "stop with an open session" test_daemon_stop_with_open_session;
           quick "fail-safe denies on stall" test_daemon_failsafe_on_stall;
           quick "watchdog timeout" test_daemon_watchdog_timeout;
           quick "one deadline per batch" test_daemon_batch_deadline;
