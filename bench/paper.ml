@@ -497,21 +497,13 @@ let ablation () =
 let extension () =
   section "Extensions: behavioural & situational policies, spoof detection, fleet integrity";
   subsection "Residual row 14 closed by a situational policy update";
+  (* Table I's row-14 scenario: a crash, then the compromised telematics
+     unit relocks the doors *)
+  let row14 =
+    Option.get (Scenarios.find V.Threat_catalog.door_lock_in_accident)
+  in
   let relock_after_crash policy =
-    let car = V.Car.create ~enforcement:(V.Car.Hpe policy) () in
-    V.Car.run car ~seconds:0.3;
-    V.Safety.trigger_crash (V.Car.node car V.Names.safety) car.V.Car.state;
-    V.Car.run car ~seconds:0.1;
-    V.Car.set_mode car V.Modes.Fail_safe;
-    let node = V.Car.node car V.Names.telematics in
-    Can.Controller.set_filters (Can.Node.controller node) [];
-    let _ =
-      Can.Node.send node
-        (Can.Frame.data_std V.Messages.lock_command
-           (String.make 1 V.Messages.cmd_lock))
-    in
-    V.Car.run car ~seconds:0.3;
-    car.V.Car.state.V.State.doors_locked
+    (Scenarios.run ~enforcement:(V.Car.Hpe policy) row14).Scenarios.succeeded
   in
   Printf.printf
     "  baseline policy (Table-I W row):   doors %s after the forged relock\n"

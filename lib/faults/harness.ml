@@ -5,6 +5,7 @@ module Policy = Secpol_policy
 module Tcar = Secpol_vehicle.Topology_car
 module Segment_map = Secpol_vehicle.Segment_map
 module Modes = Secpol_vehicle.Modes
+module State = Secpol_vehicle.State
 module Names = Secpol_vehicle.Names
 module Policy_map = Secpol_vehicle.Policy_map
 
@@ -24,9 +25,7 @@ type t = {
   plan : Plan.t;
   records : record list;
   base_corrupt_prob : float;
-  mutable mode_changes : (float * Modes.t) list; (* newest first *)
   mutable stall_started : float option;
-  mutable failsafe_entered : float option;
   mutable min_clock_factor : float;
   mutable babblers : int;
   mutable faulted : string list; (* union of regions, monotone *)
@@ -54,17 +53,6 @@ let ping car () =
       match Policy.Engine.decide ~now engine probe with
       | _ -> true
       | exception Policy.Engine.Unavailable -> false)
-
-let note_mode t mode =
-  t.mode_changes <- (Engine.now (sim t), mode) :: t.mode_changes
-
-let degrade t () =
-  if Tcar.mode t.car <> Modes.Fail_safe then begin
-    Tcar.enter_fail_safe t.car ~reason:"policy watchdog expired";
-    let now = Engine.now (sim t) in
-    if t.failsafe_entered = None then t.failsafe_entered <- Some now;
-    note_mode t Modes.Fail_safe
-  end
 
 (* ---------- blast regions ---------- *)
 
@@ -105,19 +93,6 @@ let region_of car kind =
       segments
 
 (* ---------- injection ---------- *)
-
-let config_for t ~mode ~node =
-  List.assoc_opt node (Tcar.hpe_configs t.car mode)
-
-let scrub_hpe t node =
-  match Tcar.hpe t.car node with
-  | None -> ()
-  | Some hpe -> (
-      match config_for t ~mode:(Tcar.mode t.car) ~node with
-      | None -> ()
-      | Some config ->
-          Hpe.Registers.hard_reset (Hpe.Engine.registers hpe);
-          ignore (Hpe.Engine.provision hpe config))
 
 (* The bus a bus-wide fault hits: [Plan.validate] admits those only on a
    car with one segment. *)
@@ -191,7 +166,7 @@ let inject t r =
           Hpe.Approved_list.add
             (Hpe.Registers.read_list (Hpe.Engine.registers hpe))
             (Can.Identifier.standard 0x7DF));
-      clear (fun () -> scrub_hpe t node)
+      clear (fun () -> Tcar.reprovision t.car node)
   | Fault.Policy_stall { down_for = _ } ->
       (match Tcar.policy_engine t.car with
       | None -> ()
@@ -281,29 +256,26 @@ let create ?(placement = `Distributed) ?(unbounded_gateway = false) ~seed
         { entry; injected_at = None; cleared_at = None; region = [] })
       plan.Plan.entries
   in
-  let rec t =
-    lazy
-      {
-        car;
-        twin = (fun () -> build ());
-        obs;
-        clock;
-        watchdog =
-          Watchdog.create ~clock ~ping:(ping car)
-            ~on_expire:(fun () -> degrade (Lazy.force t) ())
-            (Tcar.sim car);
-        plan;
-        records;
-        base_corrupt_prob = Can.Bus.corrupt_prob (lone_bus car);
-        mode_changes = [ (0.0, Tcar.mode car) ];
-        stall_started = None;
-        failsafe_entered = None;
-        min_clock_factor = 1.0;
-        babblers = 0;
-        faulted = [];
-      }
+  (* the car's latch makes a later expiry, or one after a crash, a no-op *)
+  let degrade () = Tcar.enter_fail_safe car ~reason:"policy watchdog expired" in
+  let t =
+    {
+      car;
+      twin = (fun () -> build ());
+      obs;
+      clock;
+      watchdog =
+        Watchdog.create ~clock ~ping:(ping car) ~on_expire:degrade
+          (Tcar.sim car);
+      plan;
+      records;
+      base_corrupt_prob = Can.Bus.corrupt_prob (lone_bus car);
+      stall_started = None;
+      min_clock_factor = 1.0;
+      babblers = 0;
+      faulted = [];
+    }
   in
-  let t = Lazy.force t in
   List.iter
     (fun r ->
       Engine.schedule (Tcar.sim car) ~at:r.entry.Plan.at (fun _ -> inject t r))
@@ -328,17 +300,21 @@ let faulted t = t.faulted
 
 let stall_started t = t.stall_started
 
-let failsafe_entered t = t.failsafe_entered
-
 let min_clock_factor t = t.min_clock_factor
 
-(* Mode as the harness saw it at [time]; changes land newest-first. *)
+(* Mode as the car recorded it at [time]; changes land newest-first. *)
 let mode_at t time =
   let rec find = function
     | [] -> Modes.Normal
     | (at, mode) :: older -> if at <= time then mode else find older
   in
-  find t.mode_changes
+  find (Tcar.state t.car).State.modes
+
+(* the first entry, the last one newest-first *)
+let failsafe_entered t =
+  List.fold_left
+    (fun first (at, mode) -> if mode = Modes.Fail_safe then Some at else first)
+    None (Tcar.state t.car).State.modes
 
 (* The fail-safe deadline bound: from the moment the stall starts, the
    watchdog needs one period to notice, [deadline] seconds of *local*

@@ -55,9 +55,9 @@ val create :
     the gateways with an effectively unlimited admission queue — the
     negative-containment configuration CI uses to prove the
     [blast_gateway_backlog] check can fail.  The watchdog pings every
-    10 ms and trips after 50 ms.  Scrubs and the fail-safe transition
-    read the car's HPE configs ({!Secpol_vehicle.Topology_car.hpe_configs},
-    its policy's image), so they never consult the policy engine.
+    10 ms and trips after 50 ms.  Scrubs and the fail-safe transition are
+    the car's ({!Secpol_vehicle.Topology_car.reprovision}, its policy's
+    image), so they never consult the policy engine.
     @raise Invalid_argument on a plan that fails {!Plan.validate} against
     the car's topology, or that stalls the policy engine of a car that
     has none ([`Central] placement). *)
@@ -90,23 +90,15 @@ val stall_started : t -> float option
 (** When the first policy stall was injected, if any. *)
 
 val failsafe_entered : t -> float option
-(** When the watchdog drove the car into fail-safe, if it did. *)
+(** When the car first entered fail-safe, if it did: driven by the
+    watchdog, or by a crash before it. *)
 
 val min_clock_factor : t -> float
 (** Slowest watchdog clock rate seen so far (1.0 without skew faults). *)
 
 val mode_at : t -> float -> Secpol_vehicle.Modes.t
-(** Operating mode at a past simulation time, from the harness's mode
-    timeline. *)
-
-val config_for :
-  t ->
-  mode:Secpol_vehicle.Modes.t ->
-  node:string ->
-  Secpol_hpe.Config.t option
-(** The car's HPE config for one (mode, node)
-    ({!Secpol_vehicle.Topology_car.hpe_configs}); [None] without HPE
-    enforcement. *)
+(** Operating mode at a past simulation time, from the car's
+    {!Secpol_vehicle.State.t.modes}. *)
 
 val failsafe_bound : t -> stall_at:float -> float
 (** Latest acceptable fail-safe entry for a stall injected at [stall_at]:

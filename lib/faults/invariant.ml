@@ -104,7 +104,7 @@ let check_counters t st =
    millisecond earlier approved it. *)
 let approved t ~node ~time msg_id =
   let approved_under mode =
-    match Harness.config_for t.harness ~mode ~node with
+    match List.assoc_opt node (Tcar.hpe_configs t.car mode) with
     | None -> true (* no cached config: nothing to judge against *)
     | Some config -> List.mem msg_id config.Hpe.Config.read_ids
   in
@@ -301,7 +301,7 @@ let finalize t ~reference =
     if not state.State.failsafe_latched then
       fail t ~check:"latched" "fail-safe actions were never latched";
     if Harness.failsafe_entered t.harness = None then
-      fail t ~check:"latched" "harness never recorded the fail-safe entry"
+      fail t ~check:"latched" "the car's mode timeline has no fail-safe entry"
   end
   else
     (* every fault recovered: the run must land on the same steady state a

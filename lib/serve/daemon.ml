@@ -383,6 +383,9 @@ let listen_tcp port =
 
 let start ?(config = default_config) db =
   if config.domains < 1 then invalid_arg "Daemon.start: domains < 1";
+  (* a client that hangs up early fails its answer's write with EPIPE,
+     which drops the session; SIGPIPE would end the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let table = Table.compile ~strategy:config.strategy db in
   let pool =
     Pool.create ~queue_capacity:config.queue_capacity ~domains:config.domains

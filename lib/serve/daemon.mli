@@ -59,7 +59,10 @@ type t
 
 val start : ?config:config -> Secpol_policy.Ir.db -> t
 (** Compile the policy, spawn the pool, bind and listen.  Returns with
-    every worker ready and the listeners accepting.
+    every worker ready and the listeners accepting.  It ignores SIGPIPE,
+    for the whole process (a signal's disposition is process-wide): a
+    client that hangs up before its answer fails that write with [EPIPE],
+    which drops only its own session.
     @raise Invalid_argument when [config.domains < 1];
     @raise Unix.Unix_error when a socket cannot be bound. *)
 

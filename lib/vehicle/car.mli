@@ -63,7 +63,7 @@ val mode : t -> Modes.t
 
 val set_mode : t -> Modes.t -> unit
 (** {!Topology_car.set_mode}: the HPEs are re-provisioned for the new
-    mode. *)
+    mode, and leaving Fail_safe clears the latch. *)
 
 val false_hpe_blocks : t -> int
 (** Blocks that would hurt legitimate function on *clean* traffic:

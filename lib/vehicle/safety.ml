@@ -3,12 +3,14 @@ module Node = Secpol_can.Node
 
 let now node = Engine.now (Secpol_can.Bus.sim (Node.bus node))
 
-let enter_failsafe node (state : State.t) reason =
-  if not state.failsafe_latched then begin
-    state.failsafe_latched <- true;
-    state.mode <- Modes.Fail_safe;
-    State.log state ~time:(now node)
-      (Printf.sprintf "safety: fail-safe entered (%s)" reason);
+let deploy_airbag node (state : State.t) reason =
+  State.log state ~time:(now node)
+    (Printf.sprintf "safety: airbag deployed (%s)" reason);
+  ignore
+    (Ecu.send_command node (Messages.find_exn Messages.airbag_deploy) '\001');
+  (* the car moves the mode and the HPEs; the fail-safe actions are this
+     ECU's, once per entry *)
+  if state.request_fail_safe ~by:"safety" reason then begin
     ignore
       (Ecu.send_command node
          (Messages.find_exn Messages.failsafe_enter)
@@ -19,13 +21,6 @@ let enter_failsafe node (state : State.t) reason =
          (Messages.find_exn Messages.lock_command)
          Messages.cmd_unlock)
   end
-
-let deploy_airbag node (state : State.t) reason =
-  State.log state ~time:(now node)
-    (Printf.sprintf "safety: airbag deployed (%s)" reason);
-  ignore
-    (Ecu.send_command node (Messages.find_exn Messages.airbag_deploy) '\001');
-  enter_failsafe node state reason
 
 let trigger_crash node state = deploy_airbag node state "crash"
 

@@ -4,7 +4,9 @@
     On a crash-magnitude brake reading it deploys the airbag and enters
     fail-safe (so a *spoofed* crash reading is Table I threat 15); the
     alarm immobilises the drivetrain when armed (disabling it is threat
-    16). *)
+    16).  It writes no mode: it requests Fail_safe from the car
+    ({!State.t.request_fail_safe}), and broadcasts [failsafe_enter] and
+    sends the rescue unlock only when the car moved, once per entry. *)
 
 val create :
   Secpol_sim.Engine.t -> Secpol_can.Bus.t -> State.t -> Secpol_can.Node.t

@@ -12,11 +12,13 @@ type t = {
   mutable software_installs : int;
   mutable emergency_calls : int;
   mutable journal : (float * string) list;
+  mutable modes : (float * Modes.t) list;
+  mutable request_fail_safe : by:string -> string -> bool;
 }
 
-let create ?(mode = Modes.Normal) () =
+let create () =
   {
-    mode;
+    mode = Modes.Normal;
     ev_ecu_enabled = true;
     engine_running = false;
     eps_active = false;
@@ -29,6 +31,8 @@ let create ?(mode = Modes.Normal) () =
     software_installs = 0;
     emergency_calls = 0;
     journal = [];
+    modes = [ (0.0, Modes.Normal) ];
+    request_fail_safe = (fun ~by:_ _ -> false);
   }
 
 let driving () =

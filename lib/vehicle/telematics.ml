@@ -29,10 +29,6 @@ let create sim bus state =
               end
           | Some _ | None -> () );
       (Messages.airbag_deploy, fun ~sender:_ _frame -> emergency_call "airbag");
-      ( Messages.failsafe_enter,
-        fun ~sender:_ _frame ->
-          if not state.State.failsafe_latched then () (* crash path handles it *)
-      );
     ]
   in
   Secpol_can.Node.set_on_receive node (Ecu.dispatch handlers);

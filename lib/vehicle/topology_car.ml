@@ -47,21 +47,38 @@ let rec config_of name = function
   | (n, config) :: rest ->
       if String.equal n name then Some config else config_of name rest
 
-(* Hard-reset and re-provision every HPE from one mode's configs; a
-   register file reset this way also recovers from corruption. *)
-let provision_hpes ~what hpes configs =
-  List.iter
-    (fun (name, hpe) ->
-      match config_of name configs with
-      | None -> ()
-      | Some config -> (
-          Secpol_hpe.Registers.hard_reset (Secpol_hpe.Engine.registers hpe);
-          match Secpol_hpe.Engine.provision hpe config with
-          | Ok () -> ()
-          | Error e ->
-              invalid_arg
-                (Printf.sprintf "Topology_car: %s %s: %s" what name e)))
-    hpes
+(* The one provisioning path: hard-reset one HPE's register file, which
+   also recovers a corrupted one, and program its node's config. *)
+let provision configs (name, hpe) =
+  match config_of name configs with
+  | None -> ()
+  | Some config -> (
+      Secpol_hpe.Registers.hard_reset (Secpol_hpe.Engine.registers hpe);
+      match Secpol_hpe.Engine.provision hpe config with
+      | Ok () -> ()
+      | Error e -> invalid_arg (Printf.sprintf "Topology_car: %s: %s" name e))
+
+let hpe_configs t mode =
+  match t.image with Some image -> Policy_map.configs image mode | None -> []
+
+(* The one writer of the mode, the fail-safe latch and the mode timeline:
+   entering Fail_safe sets the latch and does nothing while it is set, any
+   other mode clears it.  A move journals [line] and provisions every HPE. *)
+let move t mode line =
+  let state = t.state and now = Engine.now t.sim in
+  let fail_safe = mode = Modes.Fail_safe in
+  if fail_safe && state.State.failsafe_latched then false
+  else begin
+    state.State.mode <- mode;
+    state.State.failsafe_latched <- fail_safe;
+    State.log state ~time:now line;
+    state.State.modes <- (now, mode) :: state.State.modes;
+    List.iter (provision (hpe_configs t mode)) t.hpes;
+    true
+  end
+
+let fail_safe t ~by reason =
+  move t Modes.Fail_safe (Printf.sprintf "%s: fail-safe entered (%s)" by reason)
 
 let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(corrupt_prob = 0.0)
     ?(driving = true) ?(placement = `Distributed) ?policy ?spec ?obs
@@ -117,13 +134,15 @@ let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(corrupt_prob = 0.0)
             (fun (name, node) -> (name, Secpol_hpe.Engine.install ?obs node))
             nodes
         in
-        provision_hpes ~what:"HPE provisioning" hpes
-          (Policy_map.configs image state.State.mode);
+        List.iter (provision (Policy_map.configs image state.State.mode)) hpes;
         (* derived now, so entering Fail_safe derives nothing *)
         ignore (Policy_map.configs image Modes.Fail_safe);
         (hpes, Some engine, Some image)
   in
-  { sim; topo; state; placement; nodes; hpes; policy_engine; image }
+  let t = { sim; topo; state; placement; nodes; hpes; policy_engine; image } in
+  (* the ECUs' one way to a mode: the safety ECU asks for Fail_safe *)
+  state.State.request_fail_safe <- fail_safe t;
+  t
 
 let sim t = t.sim
 
@@ -147,28 +166,19 @@ let hpe t name = List.assoc_opt name t.hpes
 
 let policy_engine t = t.policy_engine
 
-let hpe_configs t mode =
-  match t.image with Some image -> Policy_map.configs image mode | None -> []
-
 let run t ~seconds = Engine.run_until t.sim (Engine.now t.sim +. seconds)
 
 let mode t = t.state.State.mode
 
 let set_mode t mode =
-  t.state.State.mode <- mode;
-  State.log t.state ~time:(Engine.now t.sim)
-    (Printf.sprintf "car: mode -> %s" (Modes.name mode));
-  provision_hpes ~what:"HPE provisioning" t.hpes (hpe_configs t mode)
+  ignore (move t mode (Printf.sprintf "car: mode -> %s" (Modes.name mode)))
 
-let enter_fail_safe t ~reason =
-  if t.state.State.mode <> Modes.Fail_safe then begin
-    t.state.State.mode <- Modes.Fail_safe;
-    t.state.State.failsafe_latched <- true;
-    State.log t.state ~time:(Engine.now t.sim)
-      (Printf.sprintf "car: fail-safe entered (%s)" reason);
-    provision_hpes ~what:"fail-safe provisioning" t.hpes
-      (hpe_configs t Modes.Fail_safe)
-  end
+let enter_fail_safe t ~reason = ignore (fail_safe t ~by:"car" reason)
+
+let reprovision t name =
+  Option.iter
+    (fun hpe -> provision (hpe_configs t (mode t)) (name, hpe))
+    (hpe t name)
 
 let segments t = Topology.segments t.topo
 

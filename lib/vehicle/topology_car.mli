@@ -20,7 +20,10 @@
     table and its per-mode HPE configs, so a build only builds the ECUs,
     installs the HPEs and provisions them.  The [Fail_safe] configs are
     derived by the time the car is built, and no mode change consults
-    the policy engine, so degradation never depends on it answering. *)
+    the policy engine, so degradation never depends on it answering.  The
+    car is the only writer of its mode: {!set_mode}, {!enter_fail_safe}
+    and a crash (the safety ECU's request, through a hook {!create}
+    installs) all move the mode, the latch and every HPE one way. *)
 
 type placement = [ `Central | `Distributed ]
 
@@ -93,7 +96,9 @@ val set_mode : t -> Modes.t -> unit
 (** Change operating mode.  The mode line enters each HPE as a hardware
     input: under [`Distributed] the engines are hard-reset and
     re-provisioned from the new mode's {!hpe_configs} (firmware is not
-    involved and the lock is re-applied). *)
+    involved and the lock is re-applied).  [Fail_safe] sets the latch and
+    does nothing while it is set; any other mode clears it, so the next
+    crash or watchdog expiry enters Fail_safe again. *)
 
 val enter_fail_safe : t -> reason:string -> unit
 (** The degradation path (paper Table I's Fail-safe operating mode): latch
@@ -102,8 +107,12 @@ val enter_fail_safe : t -> reason:string -> unit
     Never consults the policy engine — this is the transition a watchdog
     takes precisely when the engine has stopped answering — and, because
     each register file is hard-reset and re-programmed, it also restores
-    HPE integrity after register corruption.  Idempotent once in
-    [Fail_safe]. *)
+    HPE integrity after register corruption.  Does nothing while the
+    latch is set, whoever set it. *)
+
+val reprovision : t -> string -> unit
+(** A mode change's step for one node, as a scrub: hard-reset its HPE and
+    provision the current mode's config.  A no-op without an HPE. *)
 
 val segments : t -> string list
 

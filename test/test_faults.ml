@@ -399,6 +399,50 @@ let test_invariant_catches_unapproved_delivery () =
         v.F.Invariant.check
   | l -> Alcotest.fail (Printf.sprintf "%d violations" (List.length l))
 
+(* A crash latches Fail_safe before the policy engine stalls.  The
+   watchdog still trips; it finds the latch set and leaves the car as the
+   crash left it, every HPE on its Fail_safe configs. *)
+let test_crash_then_stall () =
+  let plan = F.Plan.stall ~horizon:1.0 in
+  let h = F.Harness.create ~seed:7L ~plan () in
+  let car = F.Harness.car h in
+  F.Harness.run_until h 0.1;
+  let crashed_at = Engine.now (Tcar.sim car) in
+  V.Safety.trigger_crash (Tcar.node car Names.safety) (Tcar.state car);
+  F.Harness.run_until h 1.0;
+  check Alcotest.int "the watchdog tripped" 1
+    (F.Watchdog.trips (F.Harness.watchdog h));
+  Alcotest.(check (option (float 0.0)))
+    "fail-safe entered at the crash" (Some crashed_at)
+    (F.Harness.failsafe_entered h);
+  Alcotest.(check bool) "latched in fail-safe" true
+    (Tcar.mode car = V.Modes.Fail_safe
+    && (Tcar.state car).State.failsafe_latched);
+  let safety = "safety: fail-safe entered (crash)"
+  and watchdog = "car: fail-safe entered (policy watchdog expired)" in
+  Alcotest.(check (list string)) "one entry, the crash's" [ safety ]
+    (List.filter_map
+       (fun (_, line) ->
+         if line = safety || line = watchdog then Some line else None)
+       (State.events (Tcar.state car)));
+  let ids l =
+    List.sort_uniq compare
+      (List.map Secpol_can.Identifier.raw (Secpol_hpe.Approved_list.to_ids l))
+  in
+  let configs = Tcar.hpe_configs car V.Modes.Fail_safe in
+  check Alcotest.int "one config per node" (List.length Names.nodes)
+    (List.length configs);
+  List.iter
+    (fun (node, (c : Secpol_hpe.Config.t)) ->
+      let regs = Secpol_hpe.Engine.registers (Option.get (Tcar.hpe car node)) in
+      Alcotest.(check bool) (node ^ " holds its Fail_safe configs") true
+        (ids (Secpol_hpe.Registers.read_list regs)
+         = List.sort_uniq compare c.read_ids
+        && ids (Secpol_hpe.Registers.write_list regs)
+           = List.sort_uniq compare c.write_ids
+        && Secpol_hpe.Registers.budgets regs = c.budgets))
+    configs
+
 let test_chaos_deterministic () =
   let run () =
     let plan = Option.get (F.Plan.of_name ~seed:17L ~horizon:2.0 "mixed") in
@@ -440,6 +484,7 @@ let () =
             test_bus_wide_faults_need_one_bus;
           quick "stall needs a policy engine" test_stall_needs_policy_engine;
           quick "checker not vacuous" test_invariant_catches_unapproved_delivery;
+          quick "crash, then stall" test_crash_then_stall;
         ] );
       ( "chaos",
         [

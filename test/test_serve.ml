@@ -791,6 +791,35 @@ let settle ready =
   in
   go 10_000
 
+(* Fifty clients each send a 4,000-request decide and hang up at once, so
+   every answer is written to a closed socket.  Each write fails with
+   EPIPE and drops its session; were SIGPIPE not ignored, the first would
+   end the process. *)
+let test_daemon_survives_hangups () =
+  with_daemon ~domains:1 old_source (fun daemon socket_path ->
+      let reqs =
+        Wire.intern
+          (Array.init 4000 (fun i ->
+               req ~msg_id:(i land 0xFF) "sensors" "telemetry"))
+      in
+      for id = 1 to 50 do
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX socket_path);
+        Wire.output_msg fd (Wire.Decide_req { id; reqs });
+        Unix.close fd
+      done;
+      with_client socket_path (fun client ->
+          let b =
+            Client.decide client [| req "sensors" "telemetry"; probe () |]
+          in
+          check
+            Alcotest.(array bool)
+            "a session after the hang-ups decides" [| true; false |]
+            b.Client.allows);
+      settle (fun () -> Daemon.connections daemon = 0);
+      check Alcotest.int "connections after the hang-ups" 0
+        (Daemon.connections daemon))
+
 (* A closed session's fd leaves the daemon's list, and the thread that
    served it waits for the accept role again, so 1,000 sequential
    sessions start almost no thread (one per session would be 1,000).  A
@@ -1095,6 +1124,7 @@ let () =
           quick "reload rejects garbage" test_daemon_reload_rejects_garbage;
           quick "hot swap under load" test_daemon_swap_under_load;
           quick "survives malformed frames" test_daemon_survives_garbage;
+          quick "survives clients that hang up" test_daemon_survives_hangups;
           quick "sessions leave at most two idle threads"
             test_daemon_reuses_session_threads;
           quick "stop with an open session" test_daemon_stop_with_open_session;

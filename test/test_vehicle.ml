@@ -247,8 +247,6 @@ let test_hardened_closes_row14_on_car () =
     Car.run car ~seconds:0.3;
     V.Safety.trigger_crash (Car.node car Names.safety) car.Car.state;
     Car.run car ~seconds:0.1;
-    (* the hardware mode line follows the fail-safe entry *)
-    Car.set_mode car Modes.Fail_safe;
     let node = Car.node car Names.telematics in
     Secpol_can.Controller.set_filters (Node.controller node) [];
     let _ =
@@ -827,12 +825,8 @@ let provisioned car =
              Hpe.Registers.budgets regs ) ))
        (Tcar.hpes car))
 
-(* ... and what they should hold: the configs of a table compiled afresh
-   from the car's own policy, independent of any image *)
-let expected policy mode =
-  let table =
-    Table.compile ~strategy:Table.Deny_overrides (Policy_map.compile policy)
-  in
+(* Configs in the shape [provisioned] reads. *)
+let shape configs =
   List.sort compare
     (List.map
        (fun (node, (c : Hpe.Config.t)) ->
@@ -840,7 +834,54 @@ let expected policy mode =
            ( List.sort_uniq compare c.read_ids,
              List.sort_uniq compare c.write_ids,
              c.budgets ) ))
-       (Policy_map.hpe_configs table mode))
+       configs)
+
+(* ... and what they should hold: the configs of a table compiled afresh
+   from the car's own policy, independent of any image *)
+let expected policy mode =
+  let table =
+    Table.compile ~strategy:Table.Deny_overrides (Policy_map.compile policy)
+  in
+  shape (Policy_map.hpe_configs table mode)
+
+(* A compromised sensors node, a designed brake_status writer, forges a
+   crash-magnitude reading. *)
+let forge_crash_reading car =
+  ignore
+    (Node.send (Tcar.node car Names.sensors)
+       (Secpol_can.Frame.data_std Messages.brake_status
+          (String.make 1 V.Sensors.crash_signal ^ "\000")))
+
+let crash car =
+  V.Safety.trigger_crash (Tcar.node car Names.safety) (Tcar.state car)
+
+(* A crash, and a forged crash reading, each take the car's one mode
+   path: under the hardened policy every HPE then holds the car's
+   Fail_safe configs, and the telematics HPE refuses a relock (Table I
+   row 14's situational deny). *)
+let test_crash_moves_every_hpe () =
+  List.iter
+    (fun (what, cause) ->
+      let car =
+        (Car.create ~enforcement:(Car.Hpe (Policy_map.hardened ())) ())
+          .Car.topology_car
+      in
+      Tcar.run car ~seconds:0.3;
+      cause car;
+      Tcar.run car ~seconds:0.1;
+      Alcotest.(check bool) (what ^ ": latched in fail-safe") true
+        (Tcar.mode car = Modes.Fail_safe
+        && (Tcar.state car).State.failsafe_latched);
+      Alcotest.(check bool) (what ^ ": every HPE holds its Fail_safe configs")
+        true
+        (provisioned car = shape (Tcar.hpe_configs car Modes.Fail_safe));
+      let telematics = Option.get (Tcar.hpe car Names.telematics) in
+      Alcotest.(check bool) (what ^ ": telematics refuses 0x200") false
+        (Hpe.Engine.gate_tx telematics
+           ~now:(Secpol_sim.Engine.now (Tcar.sim car))
+           (Secpol_can.Frame.data_std Messages.lock_command
+              (String.make 1 Messages.cmd_lock))))
+    [ ("crash", crash); ("forged crash reading", forge_crash_reading) ]
 
 (* A seeded mutation, as test_campaign's: each allow becomes a deny with
    probability 1/5, or is rated at 1-3 grants a second with probability
@@ -871,7 +912,11 @@ let mutate rng (p : Secpol_policy.Ast.policy) =
    (baseline, hardened, permissive and two mutations) or from a fresh
    value, on the flat or the four-segment car.  Once every car is built,
    each is walked through every mode (set_mode, then enter_fail_safe)
-   and its HPEs must hold exactly its own policy's configs. *)
+   and its HPEs must hold exactly its own policy's configs.  Before the
+   walk, and again once set back to Normal after it, each car crashes
+   or a compromised sensors node forges a crash reading: a crash leaves
+   it in Fail_safe, and its HPEs must hold the configs of the mode it is
+   in (a mutation may deny the forged reading on its way). *)
 let prop_image_per_car =
   QCheck.Test.make ~name:"every car's HPEs hold its own policy's configs"
     ~count:60 QCheck.int64
@@ -904,7 +949,18 @@ let prop_image_per_car =
           (fun (policy, car) -> provisioned car = expected policy mode)
           cars
       in
+      let crash_all () =
+        List.for_all
+          (fun (policy, car) ->
+            let crashed = Secpol_sim.Rng.bool rng in
+            if crashed then crash car else forge_crash_reading car;
+            Tcar.run car ~seconds:0.05;
+            ((not crashed) || Tcar.mode car = Modes.Fail_safe)
+            && provisioned car = expected policy (Tcar.mode car))
+          cars
+      in
       holds Modes.Normal
+      && crash_all ()
       && List.for_all
            (fun mode ->
              List.iter (fun (_, car) -> Tcar.set_mode car mode) cars;
@@ -917,6 +973,10 @@ let prop_image_per_car =
                Tcar.enter_fail_safe car ~reason:"test")
              cars;
            holds Modes.Fail_safe
+         end
+      && begin
+           List.iter (fun (_, car) -> Tcar.set_mode car Modes.Normal) cars;
+           crash_all ()
          end)
 
 (* Two domains build 100 cars each, alternating two policy values, so
@@ -981,6 +1041,7 @@ let () =
             test_image_cars_isolated;
           QCheck_alcotest.to_alcotest prop_image_per_car;
           quick "two domains" test_image_two_domains;
+          quick "a crash moves every HPE" test_crash_moves_every_hpe;
         ] );
       ( "table1",
         [
